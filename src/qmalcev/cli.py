@@ -10,6 +10,7 @@ Exit codes: 0 ok, 2 parse/usage, 3 validation, 4 precondition,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -207,6 +208,12 @@ def _cmd_catalog(args):
     return EXIT_OK
 
 
+# Commands that read one document or tree; `catalog` takes options.  The
+# handler of a command is `_cmd_<name with - as _>`, looked up when it runs.
+FILE_COMMANDS = ("check", "center", "operator-check", "extend-odd",
+                 "extend-even", "reduce", "decompose", "rebuild")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="qmalcev",
@@ -214,18 +221,9 @@ def build_parser():
                     "by structure constants.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, needs_file in (
-            ("check", _cmd_check, True),
-            ("center", _cmd_center, True),
-            ("operator-check", _cmd_operator_check, True),
-            ("extend-odd", _cmd_extend_odd, True),
-            ("extend-even", _cmd_extend_even, True),
-            ("reduce", _cmd_reduce, True),
-            ("decompose", _cmd_decompose, True),
-            ("rebuild", _cmd_rebuild, True)):
-        p = sub.add_parser(name)
-        p.add_argument("file", help="document path or - for stdin")
-        p.set_defaults(fn=fn)
+    for name in FILE_COMMANDS:
+        sub.add_parser(name).add_argument(
+            "file", help="document path or - for stdin")
 
     pc = sub.add_parser("catalog")
     pc.add_argument("name", help="one of: %s" % ", ".join(CATALOG_NAMES))
@@ -234,18 +232,20 @@ def build_parser():
                     help="comma-separated rationals, e.g. 1,2 or 1/2,3")
     pc.add_argument("--p", type=int, default=None)
     pc.add_argument("--q", type=int, default=None)
-    pc.set_defaults(fn=_cmd_catalog)
     return parser
 
 
+# The parser holds no per-call state, so one per process serves every run.
+_parser = functools.cache(build_parser)
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except DocumentSyntaxError as exc:
         sys.stderr.write("parse error: %s\n" % exc)
         return EXIT_PARSE

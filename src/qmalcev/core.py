@@ -2,13 +2,30 @@
 
 A superalgebra lives on a Z2-graded space with the even basis vectors first.
 Products are stored as a sparse tensor c[(i,j,k)] meaning b_i b_j = sum_k
-c[(i,j,k)] b_k, with grading compatibility enforced at construction.  The
-identity checkers scan all basis tuples, which suffices by multilinearity,
-and report exact witnesses for every failing instance.
+c[(i,j,k)] b_k, with grading compatibility enforced at construction.
+
+The identity checkers report an exact witness for every basis tuple on
+which an identity fails; by multilinearity that decides it.  The Malcev,
+Jacobi and cocycle scans share one integer kernel per algebra, and both of
+its shortcuts are exact:
+
+- Cleared denominators.  The constants are multiplied by D, the lcm of
+  their denominators, and all scan arithmetic is on Python ints.  The
+  Malcev identity is homogeneous of degree 3 in the constants, the Jacobi
+  and cocycle identities of degree 2 (a cocycle's values are cleared by
+  their own lcm W), so the scaled identity is the true one times D^3, D^2
+  or D^2 W.  It fails on exactly the same tuples, and a witness is divided
+  back, without rounding, only when it is built.
+- Pruning.  With T[(a,b,c)] = (b_a b_b) b_c, every chain term of the
+  identities is a T entry times one basis vector; the one other term is
+  (b_i b_k)(b_j b_l).  Where all of them vanish the identity reads 0 = 0,
+  anticommutative algebra or not, so the scans skip those tuples and
+  visit the rest in lexicographic order, the witness order of a full scan.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,8 +36,6 @@ from .linalg import ONE, ZERO, Span, frac
 
 EVEN = 0
 ODD = 1
-
-_HALF = Fraction(1, 2)
 
 
 def ksign(exponent: int) -> int:
@@ -157,15 +172,13 @@ class SuperAlgebra:
             table[(i, j, k)] = c
         self.constants = table
         self._pairs = None
+        self._kernel = None
         self._center = None
         self._simplicity = None
 
     @property
     def dim(self):
         return self.space.dim
-
-    def sorted_constants(self):
-        return sorted(self.constants.items())
 
     def is_abelian(self):
         return not self.constants
@@ -295,20 +308,114 @@ def check_super_anticommutativity(a: SuperAlgebra) -> CheckReport:
     return _report(witnesses)
 
 
-def _malcev_defect(a, i, j, k, l, par):
-    """LHS - RHS of the four-variable identity on basis (i,j,k,l)."""
-    x, y, z, t = par[i], par[j], par[k], par[l]
-    acc = _vscale(_mul_vv(a, a.basis_product(i, k), a.basis_product(j, l)),
-                  frac(ksign(y * z)))
-    t1 = _mul_vb(a, _mul_vb(a, a.basis_product(i, j), k), l)
-    _vadd(acc, t1, frac(-1))
-    t2 = _mul_vb(a, _mul_vb(a, a.basis_product(j, k), l), i)
-    _vadd(acc, t2, frac(-ksign(x * (y + z + t))))
-    t3 = _mul_vb(a, _mul_vb(a, a.basis_product(k, l), i), j)
-    _vadd(acc, t3, frac(-ksign((x + y) * (z + t))))
-    t4 = _mul_vb(a, _mul_vb(a, a.basis_product(l, i), j), k)
-    _vadd(acc, t4, frac(-ksign(t * (x + y + z))))
-    return acc
+class _ScanKernel:
+    """Integer tables that the identity scans of one algebra share.
+
+    The constants are scaled by D, the lcm of their denominators, so every
+    entry is an int.  `right[c]` maps m to the scaled product b_m b_c, and
+    `triples[(a, b, c)]` is the scaled (b_a b_b) b_c, present only when
+    nonzero.  `after`, `middle` and `first` index the triple keys by the
+    other two positions, so a scan can list the tuples where a triple term
+    is nonzero without visiting the rest.
+    """
+
+    def __init__(self, a: SuperAlgebra):
+        n = a.dim
+        self.n = n
+        self.par = [a.space.parity(i) for i in range(n)]
+        self.scale = math.lcm(*(c.denominator
+                                for c in a.constants.values()))
+        pairs, rows, right = {}, {}, {c: {} for c in range(n)}
+        for (i, j), vec in a.pair_table().items():
+            ivec = {k: c.numerator * (self.scale // c.denominator)
+                    for k, c in vec.items()}
+            pairs[(i, j)] = ivec
+            rows.setdefault(i, {})[j] = ivec
+            right[j][i] = ivec
+        self.pairs = pairs
+        self.right = right
+        self.pair_rows = {i: set(row) for i, row in rows.items()}
+        triples = {}
+        after, middle, first = {}, {}, {}
+        for (ta, tb), pv in pairs.items():
+            acc = {}
+            for m, x in pv.items():
+                for c, mc in rows.get(m, {}).items():
+                    out = acc.setdefault(c, {})
+                    for k, y in mc.items():
+                        out[k] = out.get(k, 0) + x * y
+            for c, out in acc.items():
+                out = {k: v for k, v in out.items() if v}
+                if out:
+                    triples[(ta, tb, c)] = out
+                    after.setdefault((ta, tb), set()).add(c)
+                    middle.setdefault((ta, c), set()).add(tb)
+                    first.setdefault((tb, c), set()).add(ta)
+        self.triples = triples
+        self.after = after
+        self.middle = middle
+        self.first = first
+
+    def add_times(self, acc, vec, d, s):
+        """acc += s * vec . b_d for a scaled sparse vector vec."""
+        r = self.right[d]
+        for m, x in vec.items():
+            rm = r.get(m)
+            if rm:
+                x *= s
+                for k, y in rm.items():
+                    acc[k] = acc.get(k, 0) + x * y
+
+    def add_product(self, acc, u, v, s):
+        """acc += s * u v for scaled sparse vectors u, v."""
+        pairs = self.pairs
+        for m, x in u.items():
+            for m2, y in v.items():
+                pv = pairs.get((m, m2))
+                if pv:
+                    xy = s * x * y
+                    for k, z in pv.items():
+                        acc[k] = acc.get(k, 0) + xy * z
+
+    def quadruples(self):
+        """(i, j, k, l) in lexicographic order, skipping only tuples where
+        (b_i b_k)(b_j b_l) and the four chain terms of the Malcev and
+        cocycle identities all vanish."""
+        n = self.n
+        full = range(n)
+        triples, pairs, rows = self.triples, self.pairs, self.pair_rows
+        after, middle, first = self.after, self.middle, self.first
+        empty = frozenset()
+        for i in full:
+            for j in full:
+                ij = first.get((i, j), empty)
+                jrow = rows.get(j, empty)
+                for k in full:
+                    if (i, j, k) in triples:
+                        ls = full
+                    else:
+                        cand = (after.get((j, k), empty)
+                                | middle.get((k, i), empty) | ij)
+                        if (i, k) in pairs:
+                            cand = cand | jrow
+                        if not cand:
+                            continue
+                        ls = sorted(cand)
+                    for l in ls:
+                        yield i, j, k, l
+
+
+def _scan_kernel(a: SuperAlgebra) -> _ScanKernel:
+    if a._kernel is None:
+        a._kernel = _ScanKernel(a)
+    return a._kernel
+
+
+def _scaled_element(n, vec, denom):
+    coords = [ZERO] * n
+    for k, c in vec.items():
+        coords[k] = Fraction(c, denom)
+    return Element(tuple(coords))
 
 
 def check_malcev(a: SuperAlgebra) -> CheckReport:
@@ -318,31 +425,45 @@ def check_malcev(a: SuperAlgebra) -> CheckReport:
                       + (-1)^{(x+y)(z+t)}((ZT)X)Y + (-1)^{t(x+y+z)}((TX)Y)Z
     """
     n = a.dim
-    par = [a.space.parity(i) for i in range(n)]
     notes = []
     anti = check_super_anticommutativity(a)
     if not anti.passed:
         notes.append("super-anticommutativity fails; identity scan is "
                      "reported but may be meaningless")
+    kern = _scan_kernel(a)
+    par, pairs, triples = kern.par, kern.pairs, kern.triples
+    add_times, add_product = kern.add_times, kern.add_product
+    denom = kern.scale ** 3
     witnesses = []
-    rng = range(n)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                for l in rng:
-                    defect = _malcev_defect(a, i, j, k, l, par)
-                    if defect:
-                        x, y, z, t = par[i], par[j], par[k], par[l]
-                        lhs = _vscale(
-                            _mul_vv(a, a.basis_product(i, k),
-                                    a.basis_product(j, l)),
-                            frac(ksign(y * z)))
-                        rhs = dict(lhs)
-                        for key, c in defect.items():
-                            rhs[key] = rhs.get(key, ZERO) - c
-                        witnesses.append(Witness((i, j, k, l),
-                                                 _to_element(n, lhs),
-                                                 _to_element(n, rhs)))
+    for i, j, k, l in kern.quadruples():
+        x, y, z, t = par[i], par[j], par[k], par[l]
+        acc = {}
+        u, v = pairs.get((i, k)), pairs.get((j, l))
+        if u and v:
+            add_product(acc, u, v, ksign(y * z))
+        tv = triples.get((i, j, k))
+        if tv:
+            add_times(acc, tv, l, -1)
+        tv = triples.get((j, k, l))
+        if tv:
+            add_times(acc, tv, i, -ksign(x * (y + z + t)))
+        tv = triples.get((k, l, i))
+        if tv:
+            add_times(acc, tv, j, -ksign((x + y) * (z + t)))
+        tv = triples.get((l, i, j))
+        if tv:
+            add_times(acc, tv, k, -ksign(t * (x + y + z)))
+        if not any(acc.values()):
+            continue
+        lhs = {}
+        if u and v:
+            add_product(lhs, u, v, ksign(y * z))
+        rhs = dict(lhs)
+        for key, c in acc.items():
+            rhs[key] = rhs.get(key, 0) - c
+        witnesses.append(Witness((i, j, k, l),
+                                 _scaled_element(n, lhs, denom),
+                                 _scaled_element(n, rhs, denom)))
     return _report(witnesses, notes)
 
 
@@ -352,21 +473,29 @@ def check_jacobi(a: SuperAlgebra) -> CheckReport:
     (-1)^{xz}(XY)Z + (-1)^{yx}(YZ)X + (-1)^{zy}(ZX)Y = 0
     """
     n = a.dim
-    par = [a.space.parity(i) for i in range(n)]
+    kern = _scan_kernel(a)
+    par, triples = kern.par, kern.triples
+    after, middle, first = kern.after, kern.middle, kern.first
+    empty = frozenset()
+    denom = kern.scale ** 2
     witnesses = []
     for i in range(n):
         for j in range(n):
-            for k in range(n):
+            ks = (after.get((i, j), empty) | middle.get((j, i), empty)
+                  | first.get((i, j), empty))
+            for k in sorted(ks):
                 x, y, z = par[i], par[j], par[k]
-                acc = _vscale(_mul_vb(a, a.basis_product(i, j), k),
-                              frac(ksign(x * z)))
-                _vadd(acc, _mul_vb(a, a.basis_product(j, k), i),
-                      frac(ksign(y * x)))
-                _vadd(acc, _mul_vb(a, a.basis_product(k, i), j),
-                      frac(ksign(z * y)))
+                acc = {}
+                for key, s in (((i, j, k), ksign(x * z)),
+                               ((j, k, i), ksign(y * x)),
+                               ((k, i, j), ksign(z * y))):
+                    for m, c in triples.get(key, {}).items():
+                        acc[m] = acc.get(m, 0) + s * c
+                acc = {m: c for m, c in acc.items() if c}
                 if acc:
-                    witnesses.append(Witness((i, j, k), _to_element(n, acc),
-                                             Element.zero(n)))
+                    witnesses.append(Witness(
+                        (i, j, k), _scaled_element(n, acc, denom),
+                        Element.zero(n)))
     return _report(witnesses)
 
 
@@ -400,11 +529,6 @@ class GradedSubspace:
     @property
     def dim(self):
         return len(self.columns)
-
-    def basis_matrix(self):
-        """dim x k matrix whose columns are the basis vectors."""
-        n = self.space.dim
-        return [[col[i] for col in self.columns] for i in range(n)]
 
     def even_columns(self):
         return [c for c in self.columns

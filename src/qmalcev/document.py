@@ -10,6 +10,7 @@ violations, and axiom failures are distinct error types.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .core import EVEN, ODD, Element, SuperAlgebra, SuperSpace
@@ -30,20 +31,18 @@ def scalar_text(x: Fraction) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+# What scalar_text emits: ASCII digits, an optional leading '-', no leading
+# zeros; the lowest-terms check in parse_scalar leaves 0/1 the only zero.
+_SCALAR = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
+
+
 def parse_scalar(text) -> Fraction:
-    if not isinstance(text, str) or "/" not in text:
+    match = _SCALAR.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise DocumentSyntaxError("scalar %r is not 'num/den' text" % (text,))
-    num_s, _, den_s = text.partition("/")
-    try:
-        num, den = int(num_s), int(den_s)
-    except ValueError as exc:
-        raise DocumentSyntaxError("scalar %r is not 'num/den' text"
-                                  % (text,)) from exc
-    if den <= 0:
-        raise DocumentSyntaxError("denominator must be positive in %r"
-                                  % (text,))
-    value = Fraction(num, den)
-    if value.numerator != num or value.denominator != den:
+    den = int(match.group(2))
+    value = Fraction(int(match.group(1)), den)
+    if value.denominator != den:
         raise DocumentSyntaxError("scalar %r is not in lowest terms"
                                   % (text,))
     return value
@@ -106,14 +105,28 @@ def _expect(cond, msg):
         raise DocumentSyntaxError(msg)
 
 
+def _is_int(x):
+    """A JSON integer; true and false are not integers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _field(obj, key, kind, what):
+    """obj[key], which must be present and of the given type."""
+    _expect(key in obj, "%s needs %r" % (what, key))
+    _expect(isinstance(obj[key], kind), "%s field %r has the wrong type"
+            % (what, key))
+    return obj[key]
+
+
 def _parse_operator_entries(entries, space, parity):
     n = space.dim
     m = [[ZERO] * n for _ in range(n)]
     prev = None
+    _expect(isinstance(entries, list), "operator entries must be a list")
     for e in entries:
         _expect(isinstance(e, list) and len(e) == 3, "operator entry shape")
         r, c, s = e
-        _expect(isinstance(r, int) and isinstance(c, int), "operator indices")
+        _expect(_is_int(r) and _is_int(c), "operator indices")
         _expect(0 <= r < n and 0 <= c < n, "operator index out of range")
         key = (r, c)
         _expect(prev is None or key > prev, "operator entries must be sorted")
@@ -137,14 +150,15 @@ def parse_document(text):
     except json.JSONDecodeError as exc:
         raise DocumentSyntaxError("not valid JSON: %s" % exc) from exc
     _expect(isinstance(obj, dict), "document must be an object")
-    _expect(obj.get("format_version") == FORMAT_VERSION,
+    _expect(_is_int(obj.get("format_version"))
+            and obj["format_version"] == FORMAT_VERSION,
             "unsupported format_version")
     for key in ("name", "even_dim", "odd_dim", "constants", "gram"):
         _expect(key in obj, "missing field %r" % key)
     name = obj["name"]
     _expect(isinstance(name, str), "name must be text")
     p, qd = obj["even_dim"], obj["odd_dim"]
-    _expect(isinstance(p, int) and isinstance(qd, int) and p >= 0 and qd >= 0,
+    _expect(_is_int(p) and _is_int(qd) and p >= 0 and qd >= 0,
             "dimensions must be non-negative integers")
     space = SuperSpace(p, qd)
     n = space.dim
@@ -155,7 +169,7 @@ def parse_document(text):
     for e in obj["constants"]:
         _expect(isinstance(e, list) and len(e) == 4, "constant entry shape")
         i, j, k, s = e
-        _expect(all(isinstance(x, int) for x in (i, j, k)),
+        _expect(all(_is_int(x) for x in (i, j, k)),
                 "constant indices must be integers")
         _expect(0 <= i < n and 0 <= j < n and 0 <= k < n,
                 "constant index out of range")
@@ -173,8 +187,7 @@ def parse_document(text):
     for e in obj["gram"]:
         _expect(isinstance(e, list) and len(e) == 3, "gram entry shape")
         i, j, s = e
-        _expect(isinstance(i, int) and isinstance(j, int),
-                "gram indices must be integers")
+        _expect(_is_int(i) and _is_int(j), "gram indices must be integers")
         _expect(0 <= i < n and 0 <= j < n, "gram index out of range")
         key = (i, j)
         _expect(prev is None or key > prev, "gram must be sorted and unique")
@@ -270,29 +283,45 @@ def _parse_tree_object(obj):
     kind = obj.get("kind")
     _expect("document" in obj, "tree node needs its document")
     q, _op, _gde = parse_algebra_document(canonical_json(obj["document"]))
+    what = "%s node" % (kind,)
     if kind == "leaf":
-        label = dc.ULabel(obj.get("label", "not_in_U"))
-        return dc.Leaf(q, label, note=obj.get("note", ""))
-    _expect("basis" in obj, "tree node needs its basis")
-    basis = tuple(tuple(parse_scalar(x) for x in col)
-                  for col in obj["basis"])
+        label = dc.ULabel(_field(obj, "label", str, what)
+                          if "label" in obj else "not_in_U")
+        note = _field(obj, "note", str, what) if "note" in obj else ""
+        return dc.Leaf(q, label, note=note)
+    cols = _field(obj, "basis", list, what)
+    n = q.dim
+    _expect(len(cols) == n and all(isinstance(c, list) and len(c) == n
+                                   for c in cols),
+            "basis must list %d columns of %d scalars" % (n, n))
+    basis = tuple(tuple(parse_scalar(x) for x in col) for col in cols)
     if kind == "sum":
-        children = tuple(_parse_tree_object(c) for c in obj["children"])
-        return dc.SumNode(q, children, basis,
-                          exhaustive=bool(obj.get("exhaustive", False)))
+        nodes = _field(obj, "children", list, what)
+        _expect(nodes, "sum node needs children")
+        exhaustive = obj.get("exhaustive", False)
+        _expect(isinstance(exhaustive, bool), "exhaustive must be a boolean")
+        children = tuple(_parse_tree_object(c) for c in nodes)
+        return dc.SumNode(q, children, basis, exhaustive=exhaustive)
     if kind == "odd_gde":
         # the stored data acts on the child algebra, not on this node's
-        child = _parse_tree_object(obj["child"])
-        block = obj["gde"]
-        d = _parse_operator_entries(block["d"], child.algebra.space, ODD)
-        a0 = Element.from_seq([parse_scalar(s) for s in block["a0"]])
+        child = _parse_tree_object(_field(obj, "child", dict, what))
+        block = _field(obj, "gde", dict, what)
+        space = child.algebra.space
+        d = _parse_operator_entries(_field(block, "d", list, "gde"), space,
+                                    ODD)
+        a0_list = _field(block, "a0", list, "gde")
+        _expect(len(a0_list) == space.dim,
+                "a0 must list one scalar per basis vector")
+        a0 = Element.from_seq([parse_scalar(s) for s in a0_list])
         gde = GdeData(d, a0, verified=False)
         return dc.OddExtensionNode(q, child, gde, basis)
     if kind == "even_de":
-        child = _parse_tree_object(obj["child"])
-        block = obj["operator"]
+        child = _parse_tree_object(_field(obj, "child", dict, what))
+        block = _field(obj, "operator", dict, what)
+        _expect(block.get("parity") in ("even", "odd"), "operator parity")
         parity = EVEN if block["parity"] == "even" else ODD
-        d = _parse_operator_entries(block["entries"], child.algebra.space,
-                                    parity)
+        d = _parse_operator_entries(_field(block, "entries", list,
+                                           "operator"),
+                                    child.algebra.space, parity)
         return dc.EvenExtensionNode(q, child, d, basis)
     raise DocumentSyntaxError("unknown tree node kind %r" % (kind,))

@@ -61,18 +61,6 @@ def mat_mul(a, b):
             for ra in a]
 
 
-def vec_add(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(c, u):
-    return [c * a for a in u]
-
-
 def is_zero_vec(u):
     return all(a == 0 for a in u)
 

@@ -1,17 +1,21 @@
 """Homogeneous operators, skew-supersymmetry, and 2-cocycles.
 
-The operator identity (for phi applied to triple products) and the
-four-variable cocycle identity are scanned over basis tuples.  A
-non-degenerate scalar product turns scalar-valued cocycles into operators
-and back, exactly, through the Gram inverse.
+The operator identity (for phi applied to triple products) is scanned
+over basis triples; the four-variable cocycle identity goes through the
+integer scan kernel of `core`.  A non-degenerate scalar product turns
+scalar-valued cocycles into operators and back, exactly, through the Gram
+inverse.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, SuperAlgebra, Witness,
-                   _mul_vb, _mul_vv, _report, _to_element, _vadd, ksign,
-                   parity_name)
+                   _mul_vb, _mul_vv, _report, _scan_kernel, _to_element,
+                   _vadd, ksign, parity_name)
 from .errors import GradingError, InputError, PreconditionError
 from .linalg import ZERO, frac
 from .quadratic import BilinearForm, QuadraticAlgebra, _require_validated
@@ -58,10 +62,6 @@ class OperatorMap:
     def dim(self):
         return len(self.matrix)
 
-    def apply(self, x: Element) -> Element:
-        return Element(tuple(linalg.mat_vec([list(r) for r in self.matrix],
-                                            list(x.coords))))
-
     def column(self, j):
         """Sparse image of basis vector j."""
         return {r: self.matrix[r][j] for r in range(self.dim)
@@ -77,15 +77,6 @@ class OperatorMap:
     def negated(self):
         return OperatorMap([[-x for x in row] for row in self.matrix],
                            self.parity)
-
-    def compose(self, other):
-        if self.parity == other.parity:
-            parity = EVEN
-        else:
-            parity = ODD
-        return OperatorMap(linalg.mat_mul([list(r) for r in self.matrix],
-                                          [list(r) for r in other.matrix]),
-                           parity)
 
     def __eq__(self, other):
         return (isinstance(other, OperatorMap)
@@ -248,42 +239,42 @@ def check_cocycle(a: SuperAlgebra, w: Cocycle) -> CheckReport:
     n = a.dim
     if w.dim != n:
         raise InputError("cocycle dimension does not match algebra")
-    par = [a.space.parity(i) for i in range(n)]
-    vals = w.values
+    kern = _scan_kernel(a)
+    par, pairs, triples = kern.par, kern.pairs, kern.triples
+    wscale = math.lcm(*(v.denominator for row in w.values for v in row))
+    vals = [[v.numerator * (wscale // v.denominator) for v in row]
+            for row in w.values]
+    denom = kern.scale ** 2 * wscale
 
     def w_vec_basis(vec, j):
-        return sum((c * vals[i][j] for i, c in vec.items()), ZERO)
-
-    def w_vec_vec(u, v):
-        total = ZERO
-        for i, ci in u.items():
-            row = vals[i]
-            for j, cj in v.items():
-                if row[j] != 0:
-                    total += ci * cj * row[j]
-        return total
+        return sum(c * vals[m][j] for m, c in vec.items())
 
     skew = w.graded_skew_report(a.space)
     witnesses = list(skew.witnesses)
     notes = []
     if not skew.passed:
         notes.append("graded skew-symmetry fails")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    x, y, z, t = par[i], par[j], par[k], par[l]
-                    lhs = ksign(y * z) * w_vec_vec(a.basis_product(i, k),
-                                                   a.basis_product(j, l))
-                    rhs = w_vec_basis(_mul_vb(a, a.basis_product(i, j), k), l)
-                    rhs += ksign(x * (y + z + t)) * w_vec_basis(
-                        _mul_vb(a, a.basis_product(j, k), l), i)
-                    rhs += ksign((x + y) * (z + t)) * w_vec_basis(
-                        _mul_vb(a, a.basis_product(k, l), i), j)
-                    rhs += ksign(t * (x + y + z)) * w_vec_basis(
-                        _mul_vb(a, a.basis_product(l, i), j), k)
-                    if lhs != rhs:
-                        witnesses.append(Witness((i, j, k, l), lhs, rhs))
+    for i, j, k, l in kern.quadruples():
+        x, y, z, t = par[i], par[j], par[k], par[l]
+        lhs = 0
+        u, v = pairs.get((i, k)), pairs.get((j, l))
+        if u and v:
+            for m, cu in u.items():
+                row = vals[m]
+                for m2, cv in v.items():
+                    lhs += cu * cv * row[m2]
+            lhs *= ksign(y * z)
+        rhs = 0
+        for key, d, s in (((i, j, k), l, 1),
+                          ((j, k, l), i, ksign(x * (y + z + t))),
+                          ((k, l, i), j, ksign((x + y) * (z + t))),
+                          ((l, i, j), k, ksign(t * (x + y + z)))):
+            tv = triples.get(key)
+            if tv:
+                rhs += s * w_vec_basis(tv, d)
+        if lhs != rhs:
+            witnesses.append(Witness((i, j, k, l), Fraction(lhs, denom),
+                                     Fraction(rhs, denom)))
     return _report(witnesses, notes)
 
 
