@@ -617,28 +617,62 @@ def direct_sum(a: SuperAlgebra, b: SuperAlgebra) -> SuperAlgebra:
     return SuperAlgebra(space, constants, name=name)
 
 
-def change_basis(a: SuperAlgebra, basis_columns) -> SuperAlgebra:
-    """Rewrite the constants in the basis given as a list of column vectors.
+def change_basis(a: SuperAlgebra, columns, name=None) -> SuperAlgebra:
+    """The constants of a in the basis b'_1..b'_k given as k <= n columns.
 
-    The columns must be homogeneous and ordered even-first so the result is
-    again a valid graded algebra on the same (p|q) space.
+    This is the one routine that rewrites constants in a basis: a full
+    change of basis when k = n, the algebra on a subspace when k < n.  The
+    columns must be independent (InputError), homogeneous and ordered
+    even-first (GradingError); the result lives on their (p|k-p) space and
+    keeps a's name unless one is given.  One elimination of [C^T | I], C the
+    n x k matrix of the columns, picks k pivot rows P and inverts the block
+    C[P] once, so a product w in the span has coordinates C[P]^-1 w[P].
+    When k < n every product is checked against the span, and a subspace
+    that is not closed under the product raises PreconditionError.
     """
     n = a.dim
-    cols = [list(c) for c in basis_columns]
-    cmat = [[cols[j][i] for j in range(n)] for i in range(n)]
-    cinv = linalg.inverse(cmat)
-    if cinv is None:
-        raise InputError("basis change matrix is singular")
+    cols = [[frac(x) for x in c] for c in columns]
+    k = len(cols)
+    if k > n or any(len(c) != n for c in cols):
+        raise InputError("need at most %d basis columns of length %d"
+                         % (n, n))
+    red, pivots = linalg.rref([c + linalg.basis_vector(k, i)
+                               for i, c in enumerate(cols)])
+    if pivots and pivots[-1] >= n:
+        raise InputError("basis columns are linearly dependent")
+    # coordinate m of w is the sum over rows s of red[s][n + m] * w[pivots[s]]
+    solve = [{r: red[s][n + m] for s, r in enumerate(pivots)
+              if red[s][n + m] != 0} for m in range(k)]
+    vecs = [{r: x for r, x in enumerate(c) if x != 0} for c in cols]
+    par = []
+    for v in vecs:
+        kinds = {a.space.parity(r) for r in v}
+        if len(kinds) != 1:
+            raise GradingError("basis column is not parity-homogeneous")
+        par.append(kinds.pop())
+    if par != sorted(par):
+        raise GradingError("basis columns must be ordered even-first")
     constants = {}
-    for i in range(n):
-        xi = Element.from_seq(cols[i])
-        for j in range(n):
-            w = product(a, xi, Element.from_seq(cols[j]))
-            coords = linalg.mat_vec(cinv, list(w.coords))
-            for k, c in enumerate(coords):
+    for i in range(k):
+        for j in range(k):
+            w = _mul_vv(a, vecs[i], vecs[j])
+            if not w:
+                continue
+            coords = [sum((c * w[r] for r, c in row.items() if r in w), ZERO)
+                      for row in solve]
+            if k < n:
+                span = {}
+                for v, c in zip(vecs, coords):
+                    _vadd(span, v, c)
+                if span != w:
+                    raise PreconditionError("subspace is not closed under "
+                                            "the product")
+            for m, c in enumerate(coords):
                 if c != 0:
-                    constants[(i, j, k)] = c
-    return SuperAlgebra(a.space, constants, name=a.name)
+                    constants[(i, j, m)] = c
+    space = SuperSpace(par.count(EVEN), par.count(ODD))
+    return SuperAlgebra(space, constants,
+                        name=a.name if name is None else name)
 
 
 @dataclass(frozen=True)
@@ -707,22 +741,16 @@ def _ideal_candidates(a: SuperAlgebra, seed=0x5EED):
         yield [v]
 
 
-def _multiplication_algebra_dim(a: SuperAlgebra):
-    """Dimension of the unital algebra generated by all L_i and R_i."""
-    n = a.dim
-    if n == 0:
-        return 0
-    gens = [_left_matrix(a, i) for i in range(n)]
-    gens += [_right_matrix(a, i) for i in range(n)]
-    gens = [g for g in gens if any(any(x != 0 for x in row) for row in g)]
+def _enveloping_basis(gens, n):
+    """Basis of the unital associative algebra generated by the given n x n
+    matrices: the identity and the generators, then closed under two-sided
+    products with the generators."""
+    gens = [g for g in gens if any(x != 0 for row in g for x in row)]
     span = Span(n * n)
     basis = []
 
-    def flat(m):
-        return [x for row in m for x in row]
-
     def push(m):
-        if span.add(flat(m)):
+        if span.add([x for row in m for x in row]):
             basis.append(m)
             return True
         return False
@@ -737,7 +765,15 @@ def _multiplication_algebra_dim(a: SuperAlgebra):
             for prod in (linalg.mat_mul(g, m), linalg.mat_mul(m, g)):
                 if push(prod):
                     work.append(prod)
-    return span.dim
+    return basis
+
+
+def _multiplication_algebra_dim(a: SuperAlgebra):
+    """Dimension of the unital algebra generated by all L_i and R_i."""
+    n = a.dim
+    gens = [_left_matrix(a, i) for i in range(n)]
+    gens += [_right_matrix(a, i) for i in range(n)]
+    return len(_enveloping_basis(gens, n))
 
 
 def simplicity(a: SuperAlgebra) -> SimplicityReport:

@@ -10,19 +10,22 @@ the recorded witness basis, which is what every tree node stores.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, GradedSubspace,
-                   SuperAlgebra, SuperSpace, Witness, _report, center,
-                   check_jacobi, simplicity)
-from .errors import InputError, PreconditionError
-from .linalg import ONE, ZERO, frac
+                   SuperAlgebra, SuperSpace, Witness, _enveloping_basis,
+                   _report, center, change_basis, check_jacobi, ksign,
+                   simplicity)
+from .errors import AxiomError, InputError, PreconditionError
+from .linalg import ONE, ZERO
 from .operators import OperatorMap, check_malcev_operator
 from .quadratic import (BilinearForm, QuadraticAlgebra, _find_splitting_ideal,
                         _require_validated, b_irreducible_components,
-                        change_basis_quadratic, direct_sum_quadratic)
+                        change_basis_quadratic, direct_sum_quadratic,
+                        orthogonal_complement)
 from .extensions import (ExtensionWitness, GdeData, double_extension_even,
                          generalized_double_extension, verify_gde_data)
 
@@ -78,13 +81,11 @@ def _solve_dual_vector(q: QuadraticAlgebra, estar, parity):
                             "the form would be degenerate")
 
 
-def _adapted_data(q: QuadraticAlgebra, e, estar, parity):
-    """Complement basis, adapted columns, and product data in that basis."""
-    from .core import product
-    from .quadratic import orthogonal_complement
-
-    space = q.space
-    a_sub = GradedSubspace.from_vectors(space, [e, estar])
+def _adapted_basis(q: QuadraticAlgebra, e, estar, parity):
+    """Columns (N_even, e, N_odd, e*) for an odd e, (e, N_even, e*, N_odd)
+    for an even one, N the orthogonal complement of span{e, e*}; with the
+    positions of e and e* and the graded space of N."""
+    a_sub = GradedSubspace.from_vectors(q.space, [e, estar])
     if a_sub.dim != 2:
         raise PreconditionError("e and e* are not independent")
     ncols = orthogonal_complement(q.form, a_sub)
@@ -93,29 +94,88 @@ def _adapted_data(q: QuadraticAlgebra, e, estar, parity):
     if parity == ODD:
         adapted = ne + [list(e)] + no + [list(estar)]
         e_idx, estar_idx = len(ne), len(ne) + 1 + len(no)
-        nspace = SuperSpace(len(ne), len(no))
     else:
         adapted = [list(e)] + ne + [list(estar)] + no
         e_idx, estar_idx = 0, len(ne) + 1
-        nspace = SuperSpace(len(ne), len(no))
-    n_positions = [i for i in range(space.dim) if i not in (e_idx, estar_idx)]
-    cmat = [[adapted[j][i] for j in range(space.dim)]
-            for i in range(space.dim)]
-    cinv = linalg.inverse(cmat)
-    if cinv is None:
-        raise PreconditionError("adapted basis is singular")
-    return adapted, cmat, cinv, n_positions, e_idx, estar_idx, nspace
+    return adapted, e_idx, estar_idx, SuperSpace(len(ne), len(no))
 
 
-def _coords_in_adapted(cinv, vec):
-    return linalg.mat_vec(cinv, list(vec))
+@dataclass(frozen=True)
+class _Peeled:
+    """What both reductions read off the input in the adapted basis."""
+
+    n: QuadraticAlgebra   # the reduced algebra, validated
+    dmat: list            # D: column j is the N part of e X_j
+    psi: list             # the e* coefficients of e X_j
+    a0: Element           # the N part of ee
+    phi_check: CheckReport
+    witness: ExtensionWitness
+    basis: tuple
+
+
+_ALPHA_CHECK = CheckReport(True, notes=("reduced algebra passed full "
+                                        "validation",))
+
+
+def _peel(q: QuadraticAlgebra, e, estar, parity) -> _Peeled:
+    """Rewrite q once in the adapted basis and slice the result into N's
+    constants and Gram matrix, D, phi, the e-row psi and ee."""
+    adapted, e_idx, estar_idx, nspace = _adapted_basis(q, e, estar, parity)
+    rq = change_basis_quadratic(q, adapted)
+    pairs = rq.algebra.pair_table()
+    n_positions = [i for i in range(q.dim) if i not in (e_idx, estar_idx)]
+    where = {pos: a for a, pos in enumerate(n_positions)}
+    ndim = len(n_positions)
+
+    def split(i, j):
+        """N coordinates and e* coefficient of the adapted product b_i b_j."""
+        coords = pairs.get((i, j), {})
+        if e_idx in coords:
+            raise PreconditionError("products leak onto e; input is not "
+                                    "invariantly paired")
+        return ({where[m]: c for m, c in coords.items() if m != estar_idx},
+                coords.get(estar_idx, ZERO))
+
+    constants = {}
+    phi = [[ZERO] * ndim for _ in range(ndim)]
+    for a_i, pos_i in enumerate(n_positions):
+        for a_j, pos_j in enumerate(n_positions):
+            part, phi[a_i][a_j] = split(pos_i, pos_j)
+            for a_k, c in part.items():
+                constants[(a_i, a_j, a_k)] = c
+    dmat = [[ZERO] * ndim for _ in range(ndim)]
+    psi = [ZERO] * ndim
+    for a_j, pos_j in enumerate(n_positions):
+        part, psi[a_j] = split(e_idx, pos_j)
+        for a_k, c in part.items():
+            dmat[a_k][a_j] = c
+    a0, ee_estar = split(e_idx, e_idx)
+    if ee_estar != 0:
+        raise PreconditionError("ee leaks outside the complement")
+    if parity == EVEN and (a0 or any(psi)):
+        raise PreconditionError("eX and ee must lie in the complement in "
+                                "the even reduction")
+
+    ngram = [[rq.form.gram[i][j] for j in n_positions] for i in n_positions]
+    nalg = SuperAlgebra(nspace, constants, name="reduced(%s)" % q.name)
+    nq = QuadraticAlgebra.validate(nalg, BilinearForm(ngram))
+    phi_wit = []
+    for i in range(ndim):
+        for j in range(ndim):
+            # phi(X_i, X_j) = B(D(X_i), X_j)
+            want = sum((dmat[r][i] * ngram[r][j] for r in range(ndim)), ZERO)
+            if phi[i][j] != want:
+                phi_wit.append(Witness((i, j), phi[i][j], want))
+    return _Peeled(nq, dmat, psi,
+                   Element(tuple(a0.get(m, ZERO) for m in range(ndim))),
+                   _report(phi_wit),
+                   ExtensionWitness(e_idx, estar_idx, tuple(n_positions)),
+                   tuple(tuple(col) for col in adapted))
 
 
 def reduce_odd(q: QuadraticAlgebra) -> OddReduction:
     """Peel one odd hyperbolic pair off a validated algebra with a central
     odd vector; the rebuilt extension equals the input in the witness basis."""
-    from .core import product
-
     _require_validated(q)
     if q.dim <= 1:
         raise PreconditionError("reduction needs dim > 1")
@@ -129,82 +189,23 @@ def reduce_odd(q: QuadraticAlgebra) -> OddReduction:
         notes.append("input is not irreducible (a splitting ideal exists); "
                      "reduction proceeds and is recorded as such")
     e = _solve_dual_vector(q, estar, ODD)
-    (adapted, cmat, cinv, n_positions, e_idx, estar_idx,
-     nspace) = _adapted_data(q, e, estar, ODD)
-    dim = q.dim
-    ndim = dim - 2
-    e_el = Element.from_seq(e)
-
-    def adapted_product(i, j):
-        w = product(q.algebra, Element.from_seq(adapted[i]),
-                    Element.from_seq(adapted[j]))
-        return _coords_in_adapted(cinv, w.coords)
-
-    # products of complement vectors: N part plus a coefficient on e*
-    constants = {}
-    phi = [[ZERO] * ndim for _ in range(ndim)]
-    for a_i, pos_i in enumerate(n_positions):
-        for a_j, pos_j in enumerate(n_positions):
-            coords = adapted_product(pos_i, pos_j)
-            if coords[e_idx] != 0:
-                raise PreconditionError("complement products leak onto e; "
-                                        "input is not invariantly paired")
-            phi[a_i][a_j] = coords[estar_idx]
-            for a_k, pos_k in enumerate(n_positions):
-                if coords[pos_k] != 0:
-                    constants[(a_i, a_j, a_k)] = coords[pos_k]
-    # images of complement vectors under left multiplication by e
-    dmat = [[ZERO] * ndim for _ in range(ndim)]
-    psi = [ZERO] * ndim
-    for a_j, pos_j in enumerate(n_positions):
-        coords = adapted_product(e_idx, pos_j)
-        if coords[e_idx] != 0:
-            raise PreconditionError("eX leaks onto e")
-        psi[a_j] = coords[estar_idx]
-        for a_k, pos_k in enumerate(n_positions):
-            dmat[a_k][a_j] = coords[pos_k]
-    # ee: even, lands in the even part of the complement
-    ee = adapted_product(e_idx, e_idx)
-    if ee[e_idx] != 0 or ee[estar_idx] != 0:
-        raise PreconditionError("ee leaks outside the complement")
-    a0 = Element.from_seq([ee[pos] for pos in n_positions])
-
-    ngram = [[q.form.value(Element.from_seq(adapted[pos_i]),
-                           Element.from_seq(adapted[pos_j]))
-              for pos_j in n_positions] for pos_i in n_positions]
-    nalg = SuperAlgebra(nspace, constants, name="reduced(%s)" % q.name)
-    nq = QuadraticAlgebra.validate(nalg, BilinearForm(ngram))
-    alpha_check = CheckReport(True, notes=("reduced algebra passed full "
-                                           "validation",))
-
-    npar = [nspace.parity(i) for i in range(ndim)]
-    phi_wit = []
-    dcolumns = [[dmat[r][c] for r in range(ndim)] for c in range(ndim)]
-    for i in range(ndim):
-        bd = Element.from_seq(dcolumns[i])
-        for j in range(ndim):
-            want = nq.form.value(bd, Element.basis(ndim, j))
-            if phi[i][j] != want:
-                phi_wit.append(Witness((i, j), phi[i][j], want))
+    r = _peel(q, e, estar, ODD)
+    ndim = r.n.dim
     psi_wit = []
     for j in range(ndim):
-        want = (frac(1) if npar[j] == EVEN else frac(-1)) \
-            * nq.form.value(Element.basis(ndim, j), a0)
         # psi(X) = (-1)^x B(X, a0)
-        if psi[j] != want:
-            psi_wit.append(Witness((j,), psi[j], want))
-
-    d = OperatorMap(dmat, ODD)
-    report = verify_gde_data(nq, GdeData(d, a0))
+        want = ksign(r.n.space.parity(j)) \
+            * r.n.form.value(Element.basis(ndim, j), r.a0)
+        if r.psi[j] != want:
+            psi_wit.append(Witness((j,), r.psi[j], want))
+    d = OperatorMap(r.dmat, ODD)
+    report = verify_gde_data(r.n, GdeData(d, r.a0))
     if not report.passed:
         raise PreconditionError("recovered data fails admissibility: %s"
                                 % report.first_failure())
-    gde = GdeData(d, a0, verified=True)
-    witness = ExtensionWitness(e_idx, estar_idx,
-                               tuple(n_positions))
-    return OddReduction(n=nq, gde=gde, witness=witness,
-                        basis=tuple(tuple(col) for col in adapted),
-                        alpha_check=alpha_check, phi_check=_report(phi_wit),
+    return OddReduction(n=r.n, gde=GdeData(d, r.a0, verified=True),
+                        witness=r.witness, basis=r.basis,
+                        alpha_check=_ALPHA_CHECK, phi_check=r.phi_check,
                         psi_check=_report(psi_wit),
                         irreducible_certified=certified,
                         notes=tuple(notes))
@@ -212,8 +213,6 @@ def reduce_odd(q: QuadraticAlgebra) -> OddReduction:
 
 def reduce_even(q: QuadraticAlgebra) -> EvenReduction:
     """Even mirror of reduce_odd; only accepts irreducible inputs."""
-    from .core import product
-
     _require_validated(q)
     if q.dim <= 1:
         raise PreconditionError("reduction needs dim > 1")
@@ -230,62 +229,14 @@ def reduce_even(q: QuadraticAlgebra) -> EvenReduction:
     bee = q.form.value(Element.from_seq(e0), Element.from_seq(e0))
     # correct e so that B(e, e) = 0, keeping B(e, e*) = 1 (exact over Q)
     e = [a - _HALF * bee * b for a, b in zip(e0, estar)]
-    (adapted, cmat, cinv, n_positions, e_idx, estar_idx,
-     nspace) = _adapted_data(q, e, estar, EVEN)
-    dim = q.dim
-    ndim = dim - 2
-
-    def adapted_product(i, j):
-        w = product(q.algebra, Element.from_seq(adapted[i]),
-                    Element.from_seq(adapted[j]))
-        return _coords_in_adapted(cinv, w.coords)
-
-    constants = {}
-    phi = [[ZERO] * ndim for _ in range(ndim)]
-    for a_i, pos_i in enumerate(n_positions):
-        for a_j, pos_j in enumerate(n_positions):
-            coords = adapted_product(pos_i, pos_j)
-            if coords[e_idx] != 0:
-                raise PreconditionError("complement products leak onto e")
-            phi[a_i][a_j] = coords[estar_idx]
-            for a_k, pos_k in enumerate(n_positions):
-                if coords[pos_k] != 0:
-                    constants[(a_i, a_j, a_k)] = coords[pos_k]
-    dmat = [[ZERO] * ndim for _ in range(ndim)]
-    for a_j, pos_j in enumerate(n_positions):
-        coords = adapted_product(e_idx, pos_j)
-        if coords[e_idx] != 0 or coords[estar_idx] != 0:
-            raise PreconditionError("eX leaks outside the complement")
-        for a_k, pos_k in enumerate(n_positions):
-            dmat[a_k][a_j] = coords[pos_k]
-    ee = adapted_product(e_idx, e_idx)
-    if any(x != 0 for x in ee):
-        raise PreconditionError("ee must vanish in the even reduction")
-
-    ngram = [[q.form.value(Element.from_seq(adapted[pos_i]),
-                           Element.from_seq(adapted[pos_j]))
-              for pos_j in n_positions] for pos_i in n_positions]
-    nalg = SuperAlgebra(nspace, constants, name="reduced(%s)" % q.name)
-    nq = QuadraticAlgebra.validate(nalg, BilinearForm(ngram))
-    alpha_check = CheckReport(True, notes=("reduced algebra passed full "
-                                           "validation",))
-    phi_wit = []
-    dcolumns = [[dmat[r][c] for r in range(ndim)] for c in range(ndim)]
-    for i in range(ndim):
-        bd = Element.from_seq(dcolumns[i])
-        for j in range(ndim):
-            want = nq.form.value(bd, Element.basis(ndim, j))
-            if phi[i][j] != want:
-                phi_wit.append(Witness((i, j), phi[i][j], want))
-    d = OperatorMap(dmat, EVEN)
-    oper = check_malcev_operator(nq.algebra, d)
+    r = _peel(q, e, estar, EVEN)
+    d = OperatorMap(r.dmat, EVEN)
+    oper = check_malcev_operator(r.n.algebra, d)
     if not oper.passed:
         raise PreconditionError("recovered operator fails the operator "
                                 "identity")
-    witness = ExtensionWitness(e_idx, estar_idx, tuple(n_positions))
-    return EvenReduction(n=nq, operator=d, witness=witness,
-                         basis=tuple(tuple(col) for col in adapted),
-                         alpha_check=alpha_check, phi_check=_report(phi_wit))
+    return EvenReduction(n=r.n, operator=d, witness=r.witness, basis=r.basis,
+                         alpha_check=_ALPHA_CHECK, phi_check=r.phi_check)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +344,7 @@ def reductive_report(even: SuperAlgebra) -> ReductiveReport:
                                            "sum decomposition")
     # the square as a standalone algebra
     try:
-        sq = _restrict_plain(even, square)
+        sq = change_basis(even, square.columns, name="%s_sub" % even.name)
     except PreconditionError:
         return ReductiveReport(False, zdim, sdim, decomposes,
                                certificate="square is not multiplication "
@@ -430,28 +381,6 @@ def _product_column(a: SuperAlgebra, i, j):
     for k, c in a.basis_product(i, j).items():
         vec[k] = c
     return vec
-
-
-def _restrict_plain(a: SuperAlgebra, sub: GradedSubspace) -> SuperAlgebra:
-    from .core import product
-
-    cols = [list(c) for c in sub.columns]
-    k = len(cols)
-    evens = sub.even_columns()
-    cmat = [[cols[j][i] for j in range(k)] for i in range(a.dim)]
-    constants = {}
-    for i in range(k):
-        for j in range(k):
-            w = product(a, Element.from_seq(cols[i]),
-                        Element.from_seq(cols[j]))
-            coords = linalg.solve(cmat, list(w.coords))
-            if coords is None:
-                raise PreconditionError("subspace not closed under products")
-            for m, c in enumerate(coords):
-                if c != 0:
-                    constants[(i, j, m)] = c
-    return SuperAlgebra(SuperSpace(len(evens), k - len(evens)), constants,
-                        name="%s_sub" % a.name)
 
 
 def check_reductive_even(q: QuadraticAlgebra) -> ReductiveReport:
@@ -500,26 +429,7 @@ def check_completely_reducible_action(q: QuadraticAlgebra,
     mats = _odd_action_matrices(a)
     if all(all(x == 0 for row in m for x in row) for m in mats):
         return ReducibilityReport(True, certificate="trivial action")
-    # unital enveloping algebra
-    span = linalg.Span(qd * qd)
-    basis = []
-
-    def push(m):
-        if span.add([x for row in m for x in row]):
-            basis.append(m)
-            return True
-        return False
-
-    push(linalg.identity(qd))
-    for m in mats:
-        push(m)
-    work = list(basis)
-    while work:
-        m = work.pop()
-        for g in mats:
-            for prod in (linalg.mat_mul(g, m), linalg.mat_mul(m, g)):
-                if push(prod):
-                    work.append(prod)
+    basis = _enveloping_basis(mats, qd)
     k = len(basis)
     trace = [[ZERO] * k for _ in range(k)]
     for i in range(k):
@@ -764,47 +674,33 @@ def inductive_decompose(q: QuadraticAlgebra) -> DecompositionTree:
     return DecompositionTree(_decompose_node(q), advisory_reductive=advisory)
 
 
-def _invert_columns(cols, n):
-    cmat = [[cols[j][i] for j in range(n)] for i in range(n)]
-    cinv = linalg.inverse(cmat)
-    if cinv is None:
-        raise InputError("corrupted witness: singular basis")
-    return [[cinv[i][j] for i in range(n)] for j in range(n)]  # columns
-
-
 def rebuild(node) -> QuadraticAlgebra:
-    """Bottom-up reconstruction; equals the decomposed input entry-exactly."""
+    """Bottom-up reconstruction; equals the decomposed input entry-exactly.
+
+    Each node is rebuilt from its children, rewritten in the node's basis
+    and compared with the node's stored algebra; a mismatch raises
+    AxiomError naming the node.
+    """
     if isinstance(node, DecompositionTree):
         return rebuild(node.root)
     if node.kind == "leaf":
         return node.algebra
     if node.kind == "sum":
-        parts = [rebuild(c) for c in node.children]
-        acc = parts[0]
-        for nxt in parts[1:]:
-            acc = direct_sum_quadratic(acc, nxt)
-        inv_cols = _invert_columns([list(c) for c in node.basis], acc.dim)
-        out = change_basis_quadratic(acc, inv_cols)
-        return QuadraticAlgebra(
-            SuperAlgebra(out.algebra.space, out.algebra.constants,
-                         name=node.algebra.name),
-            out.form, validated=True)
-    if node.kind == "odd_gde":
-        child = rebuild(node.child)
-        ext, _w = generalized_double_extension(child, node.gde)
-        inv_cols = _invert_columns([list(c) for c in node.basis], ext.dim)
-        out = change_basis_quadratic(ext, inv_cols)
-        return QuadraticAlgebra(
-            SuperAlgebra(out.algebra.space, out.algebra.constants,
-                         name=node.algebra.name),
-            out.form, validated=True)
-    if node.kind == "even_de":
-        child = rebuild(node.child)
-        ext, _w = double_extension_even(child, node.operator)
-        inv_cols = _invert_columns([list(c) for c in node.basis], ext.dim)
-        out = change_basis_quadratic(ext, inv_cols)
-        return QuadraticAlgebra(
-            SuperAlgebra(out.algebra.space, out.algebra.constants,
-                         name=node.algebra.name),
-            out.form, validated=True)
-    raise InputError("unknown node kind %r" % (node.kind,))
+        ext = functools.reduce(direct_sum_quadratic,
+                               map(rebuild, node.children))
+    elif node.kind == "odd_gde":
+        ext, _w = generalized_double_extension(rebuild(node.child), node.gde)
+    elif node.kind == "even_de":
+        ext, _w = double_extension_even(rebuild(node.child), node.operator)
+    else:
+        raise InputError("unknown node kind %r" % (node.kind,))
+    if ext.dim == len(node.basis):
+        # node.basis holds ext's basis in node coordinates, so the node's
+        # basis is made of the columns of its inverse, in ext coordinates
+        inv = linalg.inverse(linalg.transpose([list(c) for c in node.basis]))
+        if inv is None:
+            raise InputError("corrupted witness: singular basis")
+        if change_basis_quadratic(ext, linalg.transpose(inv)) == node.algebra:
+            return node.algebra
+    raise AxiomError("rebuilt %s node %r does not match its stored document"
+                     % (node.kind, node.algebra.name))

@@ -62,16 +62,12 @@ class BilinearForm:
 
     def restrict(self, columns):
         """Gram of the form restricted to the span of the given columns."""
-        cols = [list(c) for c in columns]
-        g = self.matrix()
-        out = []
-        for u in cols:
-            gu = linalg.mat_vec(g, u)
-            out.append([sum((v[i] * gu[i] for i in range(len(gu))), ZERO)
-                        for v in cols])
-        # rows index the first argument: out[a][b] = B(col_a, col_b)
-        return [[out[b][a] for b in range(len(cols))]
-                for a in range(len(cols))]
+        vecs = [{i: x for i, x in enumerate(c) if x != 0} for c in columns]
+        g = self.gram
+        # entry [a][b] is B(col_a, col_b)
+        return [[sum((x * g[i][j] * y for i, x in u.items()
+                      for j, y in v.items()), ZERO) for v in vecs]
+                for u in vecs]
 
     def is_nondegenerate(self):
         return linalg.det(self.matrix()) != 0
@@ -214,47 +210,22 @@ def orthogonal_complement(b: BilinearForm, s: GradedSubspace):
     return GradedSubspace.from_vectors(s.space, vecs)
 
 
-def change_basis_quadratic(q: QuadraticAlgebra, basis_columns):
-    """Constants and Gram matrix in the basis given as column vectors."""
-    n = q.dim
-    cols = [list(c) for c in basis_columns]
-    cmat = [[cols[j][i] for j in range(n)] for i in range(n)]
-    alg = change_basis(q.algebra, cols)
-    ct = linalg.transpose(cmat)
-    gram = linalg.mat_mul(ct, linalg.mat_mul(q.form.matrix(), cmat))
-    return QuadraticAlgebra(alg, BilinearForm(gram), validated=q.validated)
+def change_basis_quadratic(q: QuadraticAlgebra, columns, name=None):
+    """Constants and Gram matrix C^T G C in the basis of the given columns;
+    see core.change_basis, which also takes k < n columns of a subspace."""
+    cols = [list(c) for c in columns]
+    alg = change_basis(q.algebra, cols, name=name)
+    return QuadraticAlgebra(alg, BilinearForm(q.form.restrict(cols)),
+                            validated=q.validated)
 
 
 def restrict_quadratic(q: QuadraticAlgebra, sub: GradedSubspace,
                        name: str = "", validate: bool = True):
     """Quadratic algebra on a multiplication-closed graded subspace."""
-    cols = [list(c) for c in sub.columns]
-    k = len(cols)
-    evens = sub.even_columns()
-    p = len(evens)
-    cmat = [[cols[j][i] for j in range(k)] for i in range(q.dim)]
-    gram_rows = [[q.form.value(Element.from_seq(cols[i]),
-                               Element.from_seq(cols[j]))
-                  for j in range(k)] for i in range(k)]
-    # solve for products in the subspace coordinates
-    constants = {}
-    for i in range(k):
-        xi = Element.from_seq(cols[i])
-        for j in range(k):
-            w = product(q.algebra, xi, Element.from_seq(cols[j]))
-            coords = linalg.solve(cmat, list(w.coords))
-            if coords is None:
-                raise PreconditionError("subspace is not closed under the "
-                                        "product")
-            for m, c in enumerate(coords):
-                if c != 0:
-                    constants[(i, j, m)] = c
-    space = SuperSpace(p, k - p)
-    alg = SuperAlgebra(space, constants, name=name or q.name)
-    form = BilinearForm(gram_rows)
+    r = change_basis_quadratic(q, sub.columns, name=name or q.name)
     if validate:
-        return QuadraticAlgebra.validate(alg, form)
-    return QuadraticAlgebra(alg, form, validated=False)
+        return QuadraticAlgebra.validate(r.algebra, r.form)
+    return QuadraticAlgebra(r.algebra, r.form, validated=False)
 
 
 def is_graded_ideal(a: SuperAlgebra, sub: GradedSubspace) -> bool:

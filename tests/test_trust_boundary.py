@@ -1,14 +1,17 @@
-"""Documents and trees that are not in canonical form exit 2, not 0 or 1."""
+"""Documents and trees that are not in canonical form exit 2, not 0 or 1;
+trees whose stored documents do not match what they rebuild exit 3."""
 
 import json
 
 import pytest
 
-from qmalcev import (EVEN, OperatorMap, catalog_get, double_extension_even,
-                     emit_document, emit_tree, inductive_decompose)
+from qmalcev import (EVEN, OperatorMap, catalog_get, direct_sum_quadratic,
+                     double_extension_even, emit_document, emit_tree,
+                     inductive_decompose, rebuild)
 from qmalcev.cli import run
 from qmalcev.document import (DocumentSyntaxError, canonical_json,
                               parse_document, parse_scalar, parse_tree)
+from qmalcev.errors import AxiomError
 
 
 def _cli(tmp_path, capsys, command, obj):
@@ -128,3 +131,35 @@ def test_malformed_tree_nodes_exit_2(tmp_path, capsys, make, mutate):
     with pytest.raises(DocumentSyntaxError):
         parse_tree(canonical_json(tree))
     assert _cli(tmp_path, capsys, "rebuild", tree) == 2
+
+
+def _sl2_line_tree():
+    """sl2 + a one-dimensional line: a (4|0) sum of two leaves."""
+    q = direct_sum_quadratic(catalog_get("sl2").algebra,
+                             catalog_get("abelian", p=1, q=0).algebra)
+    return json.loads(emit_tree(inductive_decompose(q)))
+
+
+def _swap_root(tree):
+    tree["document"] = json.loads(emit_document(
+        catalog_get("abelian", p=4, q=0).algebra))
+
+
+def _swap_odd_child(tree):
+    # the child node of example_gde(1; 2) is (1|2); store abelian(1,2) there
+    tree["child"]["document"] = json.loads(emit_document(
+        catalog_get("abelian", p=1, q=2).algebra))
+
+
+@pytest.mark.parametrize("make,mutate", [
+    (_sl2_line_tree, _swap_root),
+    (_sl2_line_tree, lambda t: t["children"].pop()),
+    (_odd_tree, _swap_odd_child),
+], ids=["swapped_root", "dropped_child", "swapped_odd_child"])
+def test_rebuild_checks_stored_documents(tmp_path, capsys, make, mutate):
+    tree = make()
+    assert _cli(tmp_path, capsys, "rebuild", tree) == 0
+    mutate(tree)
+    with pytest.raises(AxiomError, match="does not match its stored"):
+        rebuild(parse_tree(canonical_json(tree)))
+    assert _cli(tmp_path, capsys, "rebuild", tree) == 3
