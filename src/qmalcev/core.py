@@ -175,6 +175,7 @@ class SuperAlgebra:
         self._kernel = None
         self._center = None
         self._simplicity = None
+        self._closures = {}
 
     @property
     def dim(self):
@@ -573,7 +574,21 @@ def center(a: SuperAlgebra) -> GradedSubspace:
 
 
 def ideal_closure(a: SuperAlgebra, seed: GradedSubspace) -> GradedSubspace:
-    """Smallest graded two-sided multiplication-closed subspace over seed."""
+    """Smallest graded two-sided multiplication-closed subspace over seed.
+
+    Memoized on the (immutable) algebra by the seed's columns; the result is
+    stored under its own columns too, since an ideal is its own closure.
+    """
+    key = seed.columns
+    closed = a._closures.get(key)
+    if closed is None:
+        closed = _ideal_closure_uncached(a, seed)
+        a._closures[key] = closed
+        a._closures.setdefault(closed.columns, closed)
+    return closed
+
+
+def _ideal_closure_uncached(a: SuperAlgebra, seed: GradedSubspace):
     n = a.dim
     span = Span(n)
     work = []
@@ -743,8 +758,10 @@ def _ideal_candidates(a: SuperAlgebra, seed=0x5EED):
 
 def _enveloping_basis(gens, n):
     """Basis of the unital associative algebra generated by the given n x n
-    matrices: the identity and the generators, then closed under two-sided
-    products with the generators."""
+    matrices: the identity and the generators, then closed under left
+    products with the generators.  Every word g_1...g_k is g_1 applied to a
+    shorter word, so a span that holds the identity and is closed under left
+    products holds them all; right products would add nothing."""
     gens = [g for g in gens if any(x != 0 for row in g for x in row)]
     span = Span(n * n)
     basis = []
@@ -762,9 +779,9 @@ def _enveloping_basis(gens, n):
     while work:
         m = work.pop()
         for g in gens:
-            for prod in (linalg.mat_mul(g, m), linalg.mat_mul(m, g)):
-                if push(prod):
-                    work.append(prod)
+            prod = linalg.mat_mul(g, m)
+            if push(prod):
+                work.append(prod)
     return basis
 
 
@@ -776,15 +793,90 @@ def _multiplication_algebra_dim(a: SuperAlgebra):
     return len(_enveloping_basis(gens, n))
 
 
+_CERT_PRIME = (1 << 61) - 1
+
+
+def _full_multiplication_algebra_mod_p(a: SuperAlgebra) -> bool:
+    """Whether the unital algebra generated by all L_i and R_i, with the
+    constants scaled to integers by the lcm of their denominators, spans
+    every n x n matrix modulo the prime 2^61 - 1.
+
+    Matrices are sparse dicts over the flat index n*row + column, closed
+    under left products only (see _enveloping_basis), and the closure stops
+    as soon as the span reaches n^2.
+    """
+    n = a.dim
+    p = _CERT_PRIME
+    full = n * n
+    scale = math.lcm(*(c.denominator for c in a.constants.values()))
+    # each generator maps a column l to its entries [(row k, value)]
+    left = [{} for _ in range(n)]
+    right = [{} for _ in range(n)]
+    for (i, j, k), c in a.constants.items():
+        x = c.numerator * (scale // c.denominator) % p
+        if x:
+            left[i].setdefault(j, []).append((k, x))
+            right[j].setdefault(i, []).append((k, x))
+    gens = [g for g in left + right if g]
+    rows = {}  # pivot -> row with 1 there and 0 at every other pivot
+
+    def push(m):
+        v = dict(m)
+        for q in [q for q in v if q in rows]:
+            f = v[q]
+            for pos, y in rows[q].items():
+                v[pos] = (v.get(pos, 0) - f * y) % p
+        v = {pos: y for pos, y in v.items() if y}
+        if not v:
+            return False
+        lead = min(v)
+        inv = pow(v[lead], -1, p)
+        v = {pos: y * inv % p for pos, y in v.items()}
+        for row in rows.values():
+            f = row.get(lead)
+            if f:
+                for pos, y in v.items():
+                    row[pos] = (row.get(pos, 0) - f * y) % p
+                row.pop(lead)
+        rows[lead] = v
+        return True
+
+    identity = {i * n + i: 1 for i in range(n)}
+    push(identity)
+    work = [identity]
+    while work:
+        m = work.pop()
+        for g in gens:
+            prod = {}
+            for pos, x in m.items():
+                l, col = divmod(pos, n)
+                for k, c in g.get(l, ()):
+                    prod[k * n + col] = prod.get(k * n + col, 0) + c * x
+            prod = {pos: y % p for pos, y in prod.items() if y % p}
+            if push(prod):
+                if len(rows) == full:
+                    return True
+                work.append(prod)
+    return len(rows) == full
+
+
 def simplicity(a: SuperAlgebra) -> SimplicityReport:
     """Exact but possibly inconclusive simplicity test.
 
-    False comes with a witness ideal found by closing candidate seeds
-    (center columns, basis vectors, same-parity pairwise sums and pairs,
-    seeded pseudo-random homogeneous vectors).  True is certified when the
-    unital multiplication algebra is the full matrix algebra, which rules
-    out invariant subspaces altogether.  Results are cached on the
-    (immutable) algebra.
+    True is certified when the unital multiplication algebra M(A), generated
+    by all L_i and R_i, is the full matrix algebra: a proper ideal is an
+    M(A)-invariant subspace, and the full matrix algebra leaves none.  The
+    certificate is tried first, modulo the prime p = 2^61 - 1 on integer
+    generators (the constants times the lcm D of their denominators, which
+    spans the same algebra over Q).  Rank n^2 mod p means n^2 integer words
+    whose stacked n^2 x n^2 matrix has a minor that is nonzero mod p, hence
+    nonzero over Z, so the words are independent over Q and M(A) is full
+    over Q as well.  A rank deficit mod p proves nothing over Q; then
+    candidate seeds are closed (center columns, basis vectors, same-parity
+    pairwise sums and pairs, seeded pseudo-random homogeneous vectors), and
+    False comes with the first proper ideal found.  If none is found, M(A)
+    is closed over Q, which may still certify True.  Results are cached on
+    the (immutable) algebra.
     """
     if a._simplicity is not None:
         return a._simplicity
@@ -798,6 +890,8 @@ def _simplicity_uncached(a: SuperAlgebra) -> SimplicityReport:
         return SimplicityReport(False, note="zero algebra")
     if a.is_abelian():
         return SimplicityReport(False, note="abelian")
+    if _full_multiplication_algebra_mod_p(a):
+        return SimplicityReport(True, note="multiplication algebra is full")
     for seed in _ideal_candidates(a):
         sub = GradedSubspace.from_vectors(a.space, seed)
         if sub.dim == 0:

@@ -605,7 +605,12 @@ class EvenExtensionNode:
 @dataclass(frozen=True)
 class DecompositionTree:
     root: object
-    advisory_reductive: ReductiveReport = None
+
+    @functools.cached_property
+    def advisory_reductive(self) -> ReductiveReport:
+        """The reductive report of the root's even part, computed on first
+        read; emit_tree does not read it."""
+        return check_reductive_even(self.root.algebra)
 
     def leaves(self):
         out = []
@@ -667,11 +672,11 @@ def inductive_decompose(q: QuadraticAlgebra) -> DecompositionTree:
     Recursion order: base-set leaf, orthogonal splitting, odd reduction,
     even reduction; a node with zero center that refuses to split becomes
     an explicitly labeled heuristic-limit leaf.  Every node records the
-    adapted basis so the tree rebuilds its input exactly.
+    adapted basis so the tree rebuilds its input exactly.  The advisory
+    reductive report of the even part is left to the tree's first read.
     """
     _require_validated(q)
-    advisory = check_reductive_even(q)
-    return DecompositionTree(_decompose_node(q), advisory_reductive=advisory)
+    return DecompositionTree(_decompose_node(q))
 
 
 def rebuild(node) -> QuadraticAlgebra:

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from . import linalg
 from .core import (EVEN, CheckReport, Element, GradedSubspace,
-                   SuperAlgebra, SuperSpace, Witness, _report,
-                   ideal_closure, direct_sum, direct_sum_embeddings, product,
+                   SuperAlgebra, SuperSpace, Witness, _mul_vv, _report,
+                   ideal_closure, direct_sum, direct_sum_embeddings,
                    simplicity, change_basis)
 from .errors import AxiomError, InputError, PreconditionError
 from .linalg import ZERO, frac
@@ -256,13 +256,18 @@ def orthogonal_split(q: QuadraticAlgebra, ideal: GradedSubspace):
     bo = comp.odd_columns()
     witness_cols = ae + be + ao + bo
     # adapted-basis sanity: the two factors really multiply to zero
+    comp_vecs = [_sparse(v) for v in comp.columns]
     for u in ideal.columns:
-        for v in comp.columns:
-            w = product(q.algebra, Element.from_seq(u), Element.from_seq(v))
-            if not w.is_zero():
+        u = _sparse(u)
+        for v in comp_vecs:
+            if _mul_vv(q.algebra, u, v):
                 raise PreconditionError("cross products do not vanish; "
                                         "split is invalid")
     return qa, qb, witness_cols
+
+
+def _sparse(col):
+    return {i: x for i, x in enumerate(col) if x != 0}
 
 
 def direct_sum_quadratic(qa: QuadraticAlgebra,
@@ -306,9 +311,11 @@ def _find_splitting_ideal(q: QuadraticAlgebra):
 
     a = q.algebra
     n = a.dim
+    rep = simplicity(a)
+    if rep.simple is True:
+        return None  # a simple algebra has no proper ideal
     seen = set()
     candidates = list(_ideal_candidates(a))
-    rep = simplicity(a)
     if rep.simple is False and rep.ideal is not None:
         candidates.append([list(c) for c in rep.ideal.columns])
     for seed in candidates:

@@ -23,7 +23,8 @@ from qmalcev import (Element, EVEN, ODD, GdeData, OperatorMap, catalog_get,
                      generalized_double_extension,
                      generalized_semidirect_product, inductive_decompose,
                      operator_from_cocycle, parse_algebra_document, rebuild,
-                     reduce_odd, semidirect_data_from_gde, verify_gde_data)
+                     reduce_odd, semidirect_data_from_gde, simplicity,
+                     SuperAlgebra, verify_gde_data)
 from qmalcev.catalog import example_m_uncorrected_data
 from qmalcev.cli import run as cli_run
 from qmalcev.linalg import basis_vector
@@ -51,6 +52,16 @@ def test_criterion_1_malcev_not_lie_separation():
           and elapsed < 1.0)
     verdict(1, ok, "m7 satisfies the Malcev scan (7^4 quadruples) and fails "
                    "Jacobi with a witness in %.3fs" % elapsed)
+
+
+def test_m7_simplicity_certified():
+    """m7 is simple, certified by a full multiplication algebra."""
+    a = catalog_get("m7").algebra.algebra
+    rep = simplicity(SuperAlgebra(a.space, a.constants, name=a.name))
+    ok = rep.simple is True and rep.note == "multiplication algebra is full"
+    print("ACCEPTANCE m7: %s — simplicity(m7) is %r (%s)"
+          % ("PASS" if ok else "FAIL", rep.simple, rep.note))
+    assert ok
 
 
 def test_criterion_2_example_reproduction():
