@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, GradedSubspace,
                    SuperAlgebra, SuperSpace, Witness, _enveloping_basis,
-                   _report, center, change_basis, check_jacobi, ksign,
-                   simplicity)
+                   _report, _right_matrix, _to_element, center, change_basis,
+                   check_jacobi, ksign, simplicity)
 from .errors import AxiomError, InputError, PreconditionError
 from .linalg import ONE, ZERO
 from .operators import OperatorMap, check_malcev_operator
@@ -26,10 +25,9 @@ from .quadratic import (BilinearForm, QuadraticAlgebra, _find_splitting_ideal,
                         _require_validated, b_irreducible_components,
                         change_basis_quadratic, direct_sum_quadratic,
                         orthogonal_complement)
-from .extensions import (ExtensionWitness, GdeData, double_extension_even,
-                         generalized_double_extension, verify_gde_data)
-
-_HALF = Fraction(1, 2)
+from .extensions import (_HALF, ExtensionWitness, GdeData,
+                         double_extension_even, generalized_double_extension,
+                         verify_gde_data)
 
 
 # ---------------------------------------------------------------------------
@@ -297,19 +295,20 @@ def even_part(a: SuperAlgebra) -> SuperAlgebra:
     return SuperAlgebra(SuperSpace(p, 0), consts, name="%s_even" % a.name)
 
 
-def _trace_form_matrix(a: SuperAlgebra):
-    from .core import _right_matrix
-
-    n = a.dim
-    rs = [_right_matrix(a, i) for i in range(n)]
-    out = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            m = linalg.mat_mul(rs[i], rs[j])
-            tr = sum((m[k][k] for k in range(n)), ZERO)
-            out[i][j] = tr
-            out[j][i] = tr
+def _trace_form(mats):
+    """The symmetric matrix of tr(m_i m_j)."""
+    k = len(mats)
+    out = [[ZERO] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            m = linalg.mat_mul(mats[i], mats[j])
+            out[i][j] = out[j][i] = sum((m[t][t] for t in range(len(m))),
+                                        ZERO)
     return out
+
+
+def _trace_form_matrix(a: SuperAlgebra):
+    return _trace_form([_right_matrix(a, i) for i in range(a.dim)])
 
 
 def reductive_report(even: SuperAlgebra) -> ReductiveReport:
@@ -324,7 +323,7 @@ def reductive_report(even: SuperAlgebra) -> ReductiveReport:
     z = center(even)
     square = GradedSubspace.from_vectors(
         even.space,
-        [_product_column(even, i, j)
+        [_to_element(n, even.basis_product(i, j)).coords
          for (i, j) in sorted({(i, j) for (i, j, _k) in even.constants})])
     zdim, sdim = z.dim, square.dim
     span = linalg.Span(n)
@@ -375,14 +374,6 @@ def reductive_report(even: SuperAlgebra) -> ReductiveReport:
                                        "component(s)" % len(labels))
 
 
-def _product_column(a: SuperAlgebra, i, j):
-    n = a.dim
-    vec = [ZERO] * n
-    for k, c in a.basis_product(i, j).items():
-        vec[k] = c
-    return vec
-
-
 def check_reductive_even(q: QuadraticAlgebra) -> ReductiveReport:
     _require_validated(q)
     return reductive_report(even_part(q.algebra))
@@ -429,16 +420,7 @@ def check_completely_reducible_action(q: QuadraticAlgebra,
     mats = _odd_action_matrices(a)
     if all(all(x == 0 for row in m for x in row) for m in mats):
         return ReducibilityReport(True, certificate="trivial action")
-    basis = _enveloping_basis(mats, qd)
-    k = len(basis)
-    trace = [[ZERO] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            m = linalg.mat_mul(basis[i], basis[j])
-            tr = sum((m[t][t] for t in range(qd)), ZERO)
-            trace[i][j] = tr
-            trace[j][i] = tr
-    if linalg.det(trace) != 0:
+    if linalg.det(_trace_form(_enveloping_basis(mats, qd))) != 0:
         return ReducibilityReport(True,
                                   certificate="semisimple enveloping algebra "
                                               "(trace form non-degenerate)")

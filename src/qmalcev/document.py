@@ -48,20 +48,19 @@ def parse_scalar(text) -> Fraction:
     return value
 
 
+def _matrix_rows(m):
+    """[r, c, "num/den"] for the nonzero entries of m, row by row."""
+    return [[r, c, scalar_text(v)] for r, row in enumerate(m)
+            for c, v in enumerate(row) if v != 0]
+
+
 def _operator_block(op: OperatorMap):
-    entries = []
-    for r in range(op.dim):
-        for c in range(op.dim):
-            if op.matrix[r][c] != 0:
-                entries.append([r, c, scalar_text(op.matrix[r][c])])
-    entries.sort(key=lambda e: (e[0], e[1]))
     return {"parity": "even" if op.parity == EVEN else "odd",
-            "entries": entries}
+            "entries": _matrix_rows(op.matrix)}
 
 
 def _gde_block(g: GdeData):
-    block = _operator_block(g.d)
-    return {"d": block["entries"],
+    return {"d": _matrix_rows(g.d.matrix),
             "a0": [scalar_text(c) for c in g.a0.coords]}
 
 
@@ -69,19 +68,13 @@ def document_object(q: QuadraticAlgebra, name=None, operator=None, gde=None):
     alg = q.algebra
     constants = [[i, j, k, scalar_text(c)]
                  for (i, j, k), c in sorted(alg.constants.items())]
-    gram = []
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            v = q.form.gram[i][j]
-            if v != 0:
-                gram.append([i, j, scalar_text(v)])
     doc = {
         "format_version": FORMAT_VERSION,
         "name": name if name is not None else alg.name,
         "even_dim": alg.space.even_dim,
         "odd_dim": alg.space.odd_dim,
         "constants": constants,
-        "gram": gram,
+        "gram": _matrix_rows(q.form.gram),
     }
     if operator is not None:
         doc["operator"] = _operator_block(operator)
@@ -105,38 +98,125 @@ def _expect(cond, msg):
         raise DocumentSyntaxError(msg)
 
 
-def _is_int(x):
-    """A JSON integer; true and false are not integers here."""
-    return isinstance(x, int) and not isinstance(x, bool)
+# What document_object and tree_object emit: for each object, the keys
+# emit always writes and the keys it may write, each with its JSON type
+# (int excludes true and false).  Nothing else is accepted.
+_SCHEMA = {
+    "document": ({"format_version": int, "name": str, "even_dim": int,
+                  "odd_dim": int, "constants": list, "gram": list},
+                 {"operator": dict, "gde": dict}),
+    "operator": ({"parity": str, "entries": list}, {}),
+    "gde": ({"d": list, "a0": list}, {}),
+    "leaf": ({"kind": str, "label": str, "note": str, "document": dict},
+             {}),
+    "sum": ({"kind": str, "document": dict, "basis": list,
+             "exhaustive": bool, "children": list}, {}),
+    "odd_gde": ({"kind": str, "document": dict, "basis": list,
+                 "gde": dict, "child": dict}, {}),
+    "even_de": ({"kind": str, "document": dict, "basis": list,
+                 "operator": dict, "child": dict}, {}),
+}
+
+_NODE_KINDS = ("leaf", "sum", "odd_gde", "even_de")
 
 
-def _field(obj, key, kind, what):
-    """obj[key], which must be present and of the given type."""
-    _expect(key in obj, "%s needs %r" % (what, key))
-    _expect(isinstance(obj[key], kind), "%s field %r has the wrong type"
-            % (what, key))
-    return obj[key]
+def _walk(obj, what):
+    """Check obj against the schema of `what`: every key emit always
+    writes, no other key than emit may write, each of its JSON type."""
+    _expect(type(obj) is dict, "%s must be an object" % what)
+    required, optional = _SCHEMA[what]
+    for key in required:
+        _expect(key in obj, "%s needs %r" % (what, key))
+    for key, value in obj.items():
+        kind = required.get(key) or optional.get(key)
+        _expect(kind is not None, "%s has unknown key %r" % (what, key))
+        _expect(type(value) is kind, "%s field %r has the wrong type"
+                % (what, key))
 
 
-def _parse_operator_entries(entries, space, parity):
+def _entries(rows, arity, n, what):
+    """{indices: value} from rows [i_1, .., i_arity, "num/den"] that are
+    sorted and unique by indices, in range 0..n-1, and nonzero."""
+    out = {}
+    prev = None
+    for row in rows:
+        _expect(type(row) is list and len(row) == arity + 1,
+                "%s entry shape" % what)
+        key = tuple(row[:arity])
+        _expect(all(type(i) is int and 0 <= i < n for i in key),
+                "%s indices must be integers in range" % what)
+        _expect(prev is None or key > prev,
+                "%s must be sorted and unique" % what)
+        prev = key
+        v = parse_scalar(row[arity])
+        _expect(v != 0, "%s entries must be nonzero" % what)
+        out[key] = v
+    return out
+
+
+def _operator(rows, space, parity):
     n = space.dim
     m = [[ZERO] * n for _ in range(n)]
-    prev = None
-    _expect(isinstance(entries, list), "operator entries must be a list")
-    for e in entries:
-        _expect(isinstance(e, list) and len(e) == 3, "operator entry shape")
-        r, c, s = e
-        _expect(_is_int(r) and _is_int(c), "operator indices")
-        _expect(0 <= r < n and 0 <= c < n, "operator index out of range")
-        key = (r, c)
-        _expect(prev is None or key > prev, "operator entries must be sorted")
-        prev = key
-        v = parse_scalar(s)
-        _expect(v != 0, "operator entries must be nonzero")
+    for (r, c), v in _entries(rows, 2, n, "operator").items():
         m[r][c] = v
-    op = OperatorMap(m, parity)
-    op.validate_parity(space)
-    return op
+    return OperatorMap(m, parity).validate_parity(space)
+
+
+def _read_operator(block, space):
+    """An operator block acting on `space`."""
+    _walk(block, "operator")
+    _expect(block["parity"] in ("even", "odd"), "operator parity")
+    return _operator(block["entries"], space,
+                     EVEN if block["parity"] == "even" else ODD)
+
+
+def _read_gde(block, space):
+    """A gde block acting on `space`, not yet verified."""
+    _walk(block, "gde")
+    d = _operator(block["d"], space, ODD)
+    _expect(len(block["a0"]) == space.dim,
+            "a0 must list one scalar per basis vector")
+    a0 = Element.from_seq([parse_scalar(s) for s in block["a0"]])
+    return GdeData(d, a0, verified=False)
+
+
+def _read_document(obj):
+    """A decoded document: schema and grading gates, no axioms."""
+    _walk(obj, "document")
+    _expect(obj["format_version"] == FORMAT_VERSION,
+            "unsupported format_version")
+    p, qd = obj["even_dim"], obj["odd_dim"]
+    _expect(p >= 0 and qd >= 0, "dimensions must be non-negative integers")
+    space = SuperSpace(p, qd)
+    n = space.dim
+    constants = _entries(obj["constants"], 3, n, "constants")
+    gram = _entries(obj["gram"], 2, n, "gram")
+    # grading gates (distinct from syntax): constants grading is enforced by
+    # the SuperAlgebra constructor; cross-parity gram entries violate
+    # evenness
+    for (i, j) in gram:
+        if space.parity(i) != space.parity(j):
+            raise GradingError("evenness violated at gram entry (%d,%d)"
+                               % (i, j))
+    algebra = SuperAlgebra(space, constants, name=obj["name"])
+    q = QuadraticAlgebra(algebra, BilinearForm.from_entries(n, gram),
+                         validated=False)
+    operator = (_read_operator(obj["operator"], space)
+                if "operator" in obj else None)
+    gde = _read_gde(obj["gde"], space) if "gde" in obj else None
+    return q, operator, gde
+
+
+def _load(text, read):
+    """read(the decoded text).  This is the one JSON-decoding site: text
+    that is not JSON, or that nests deeper than the decoder or the reader
+    can follow, is a syntax error."""
+    try:
+        return read(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise DocumentSyntaxError("not valid JSON: %s" % exc) from exc
+    except RecursionError:
+        raise DocumentSyntaxError("input nests too deeply") from None
 
 
 def parse_document(text):
@@ -145,88 +225,7 @@ def parse_document(text):
     Returns (QuadraticAlgebra(validated=False), operator or None,
     GdeData or None).
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentSyntaxError("not valid JSON: %s" % exc) from exc
-    _expect(isinstance(obj, dict), "document must be an object")
-    _expect(_is_int(obj.get("format_version"))
-            and obj["format_version"] == FORMAT_VERSION,
-            "unsupported format_version")
-    for key in ("name", "even_dim", "odd_dim", "constants", "gram"):
-        _expect(key in obj, "missing field %r" % key)
-    name = obj["name"]
-    _expect(isinstance(name, str), "name must be text")
-    p, qd = obj["even_dim"], obj["odd_dim"]
-    _expect(_is_int(p) and _is_int(qd) and p >= 0 and qd >= 0,
-            "dimensions must be non-negative integers")
-    space = SuperSpace(p, qd)
-    n = space.dim
-
-    constants = {}
-    prev = None
-    _expect(isinstance(obj["constants"], list), "constants must be a list")
-    for e in obj["constants"]:
-        _expect(isinstance(e, list) and len(e) == 4, "constant entry shape")
-        i, j, k, s = e
-        _expect(all(_is_int(x) for x in (i, j, k)),
-                "constant indices must be integers")
-        _expect(0 <= i < n and 0 <= j < n and 0 <= k < n,
-                "constant index out of range")
-        key = (i, j, k)
-        _expect(prev is None or key > prev, "constants must be sorted and "
-                                            "unique")
-        prev = key
-        v = parse_scalar(s)
-        _expect(v != 0, "constant entries must be nonzero")
-        constants[key] = v
-
-    gram_entries = {}
-    prev = None
-    _expect(isinstance(obj["gram"], list), "gram must be a list")
-    for e in obj["gram"]:
-        _expect(isinstance(e, list) and len(e) == 3, "gram entry shape")
-        i, j, s = e
-        _expect(_is_int(i) and _is_int(j), "gram indices must be integers")
-        _expect(0 <= i < n and 0 <= j < n, "gram index out of range")
-        key = (i, j)
-        _expect(prev is None or key > prev, "gram must be sorted and unique")
-        prev = key
-        v = parse_scalar(s)
-        _expect(v != 0, "gram entries must be nonzero")
-        gram_entries[key] = v
-
-    # grading gates (distinct from syntax): constants grading is enforced by
-    # the SuperAlgebra constructor; cross-parity gram entries violate
-    # evenness
-    for (i, j) in gram_entries:
-        if space.parity(i) != space.parity(j):
-            raise GradingError("evenness violated at gram entry (%d,%d)"
-                               % (i, j))
-    algebra = SuperAlgebra(space, constants, name=name)
-    form = BilinearForm.from_entries(n, gram_entries)
-    q = QuadraticAlgebra(algebra, form, validated=False)
-
-    operator = None
-    if "operator" in obj:
-        block = obj["operator"]
-        _expect(isinstance(block, dict), "operator must be an object")
-        _expect(block.get("parity") in ("even", "odd"), "operator parity")
-        parity = EVEN if block["parity"] == "even" else ODD
-        operator = _parse_operator_entries(block.get("entries", []),
-                                           space, parity)
-    gde = None
-    if "gde" in obj:
-        block = obj["gde"]
-        _expect(isinstance(block, dict), "gde must be an object")
-        _expect("d" in block and "a0" in block, "gde needs d and a0")
-        d = _parse_operator_entries(block["d"], space, ODD)
-        a0_list = block["a0"]
-        _expect(isinstance(a0_list, list) and len(a0_list) == n,
-                "a0 must list one scalar per basis vector")
-        a0 = Element.from_seq([parse_scalar(s) for s in a0_list])
-        gde = GdeData(d, a0, verified=False)
-    return q, operator, gde
+    return _load(text, _read_document)
 
 
 def parse_algebra_document(text):
@@ -269,59 +268,35 @@ def emit_tree(tree) -> str:
 
 
 def parse_tree(text):
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentSyntaxError("not valid JSON: %s" % exc) from exc
-    return _parse_tree_object(obj)
+    return _load(text, _read_tree)
 
 
-def _parse_tree_object(obj):
+def _read_tree(obj):
     from . import decompose as dc
 
-    _expect(isinstance(obj, dict), "tree node must be an object")
+    _expect(type(obj) is dict, "tree node must be an object")
     kind = obj.get("kind")
-    _expect("document" in obj, "tree node needs its document")
-    q, _op, _gde = parse_algebra_document(canonical_json(obj["document"]))
-    what = "%s node" % (kind,)
+    _expect(kind in _NODE_KINDS, "unknown tree node kind %r" % (kind,))
+    _walk(obj, kind)
+    q, _op, _gde = _read_document(obj["document"])
+    q = QuadraticAlgebra.validate(q.algebra, q.form)
     if kind == "leaf":
-        label = dc.ULabel(_field(obj, "label", str, what)
-                          if "label" in obj else "not_in_U")
-        note = _field(obj, "note", str, what) if "note" in obj else ""
-        return dc.Leaf(q, label, note=note)
-    cols = _field(obj, "basis", list, what)
+        return dc.Leaf(q, dc.ULabel(obj["label"]), note=obj["note"])
+    cols = obj["basis"]
     n = q.dim
-    _expect(len(cols) == n and all(isinstance(c, list) and len(c) == n
+    _expect(len(cols) == n and all(type(c) is list and len(c) == n
                                    for c in cols),
             "basis must list %d columns of %d scalars" % (n, n))
     basis = tuple(tuple(parse_scalar(x) for x in col) for col in cols)
     if kind == "sum":
-        nodes = _field(obj, "children", list, what)
-        _expect(nodes, "sum node needs children")
-        exhaustive = obj.get("exhaustive", False)
-        _expect(isinstance(exhaustive, bool), "exhaustive must be a boolean")
-        children = tuple(_parse_tree_object(c) for c in nodes)
-        return dc.SumNode(q, children, basis, exhaustive=exhaustive)
+        _expect(obj["children"], "sum node needs children")
+        children = tuple(_read_tree(c) for c in obj["children"])
+        return dc.SumNode(q, children, basis, exhaustive=obj["exhaustive"])
+    # the stored data acts on the child algebra, not on this node's
+    child = _read_tree(obj["child"])
+    space = child.algebra.space
     if kind == "odd_gde":
-        # the stored data acts on the child algebra, not on this node's
-        child = _parse_tree_object(_field(obj, "child", dict, what))
-        block = _field(obj, "gde", dict, what)
-        space = child.algebra.space
-        d = _parse_operator_entries(_field(block, "d", list, "gde"), space,
-                                    ODD)
-        a0_list = _field(block, "a0", list, "gde")
-        _expect(len(a0_list) == space.dim,
-                "a0 must list one scalar per basis vector")
-        a0 = Element.from_seq([parse_scalar(s) for s in a0_list])
-        gde = GdeData(d, a0, verified=False)
-        return dc.OddExtensionNode(q, child, gde, basis)
-    if kind == "even_de":
-        child = _parse_tree_object(_field(obj, "child", dict, what))
-        block = _field(obj, "operator", dict, what)
-        _expect(block.get("parity") in ("even", "odd"), "operator parity")
-        parity = EVEN if block["parity"] == "even" else ODD
-        d = _parse_operator_entries(_field(block, "entries", list,
-                                           "operator"),
-                                    child.algebra.space, parity)
-        return dc.EvenExtensionNode(q, child, d, basis)
-    raise DocumentSyntaxError("unknown tree node kind %r" % (kind,))
+        return dc.OddExtensionNode(q, child, _read_gde(obj["gde"], space),
+                                   basis)
+    return dc.EvenExtensionNode(q, child,
+                                _read_operator(obj["operator"], space), basis)

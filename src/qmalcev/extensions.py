@@ -203,12 +203,60 @@ def central_extension(q: QuadraticAlgebra, d: OperatorMap) -> SuperAlgebra:
     return out
 
 
+def _extend(q: QuadraticAlgebra, d: OperatorMap, a0: Element):
+    """Double extension of q by a hyperbolic pair (e, e*) of parity
+    pi = d.parity: ee = a0, eX = d(X) + (-1)^x B(X, a0) e*,
+    XY = (XY)_q + B(d(X), Y) e*, B(e, e*) = 1, B(e*, e) = (-1)^pi.
+
+    e comes first and e* last in the parity-pi block of the output basis.
+    The result is fully validated (Malcev identity and all four form
+    axioms).
+    """
+    pi = d.parity
+    p, q0 = q.space.even_dim, q.space.odd_dim
+    n = p + q0
+    s, b = (0, p) if pi == EVEN else (p, q0)
+    emap = [i + (i >= s) + (i >= s + b) for i in range(n)]
+    e_idx, estar = s, s + b + 1
+    constants = {(emap[i], emap[j], emap[k]): c
+                 for (i, j, k), c in q.algebra.constants.items()}
+    pairing = _gram_pairing(q, d)
+    for i in range(n):
+        for j in range(n):
+            w = pairing[i][j]
+            if w != 0:
+                constants[(emap[i], emap[j], estar)] = w
+    for k, c in enumerate(a0.coords):
+        if c != 0:
+            constants[(e_idx, e_idx, emap[k])] = c
+    ga0 = linalg.mat_vec(q.form.matrix(), list(a0.coords))
+    for j in range(n):
+        x = q.space.parity(j)
+        image = {emap[r]: v for r, v in d.column(j).items()}
+        if ga0[j] != 0:
+            image[estar] = ksign(x) * ga0[j]
+        back = frac(-ksign(pi * x))
+        for r, v in image.items():
+            constants[(e_idx, emap[j], r)] = v
+            constants[(emap[j], e_idx, r)] = back * v
+    gram = {(emap[i], emap[j]): v
+            for i, row in enumerate(q.form.gram)
+            for j, v in enumerate(row) if v != 0}
+    gram[(e_idx, estar)] = ONE
+    gram[(estar, e_idx)] = frac(ksign(pi))
+    space = SuperSpace(p + 2 - 2 * pi, q0 + 2 * pi)
+    name = ("gde(%s)" if pi == ODD else "de(%s)") % q.name
+    alg = SuperAlgebra(space, constants, name=name)
+    form = BilinearForm.from_entries(space.dim, gram)
+    out = QuadraticAlgebra.validate(alg, form)
+    return out, ExtensionWitness(e_idx, estar, tuple(emap))
+
+
 def generalized_double_extension(q: QuadraticAlgebra, g: GdeData):
     """Odd-line double extension of a quadratic algebra by verified data.
 
     Output basis order: evens of the input, then e, then odds of the input,
-    then e*; the returned witness records the placement.  The result is
-    fully validated (Malcev identity and all four form axioms).
+    then e*; the returned witness records the placement.
     """
     _require_validated(q)
     if not g.verified:
@@ -216,57 +264,14 @@ def generalized_double_extension(q: QuadraticAlgebra, g: GdeData):
         if not report.passed:
             raise PreconditionError("unverified extension data: %s fails"
                                     % report.first_failure())
-        g = GdeData(g.d, g.a0, verified=True)
-    p, q0 = q.space.even_dim, q.space.odd_dim
-    n = p + q0
-    emap = [i if i < p else i + 1 for i in range(n)]
-    e_idx, estar = p, n + 1
-    constants = {}
-    for (i, j, k), c in q.algebra.constants.items():
-        constants[(emap[i], emap[j], emap[k])] = c
-    pairing = _gram_pairing(q, g.d)
-    for i in range(n):
-        for j in range(n):
-            w = pairing[i][j]
-            if w != 0:
-                constants[(emap[i], emap[j], estar)] = w
-    for k, c in enumerate(g.a0.coords):
-        if c != 0:
-            constants[(e_idx, e_idx, emap[k])] = c
-    ga0 = linalg.mat_vec(q.form.matrix(), list(g.a0.coords))
-    par = [q.space.parity(i) for i in range(n)]
-    for j in range(n):
-        entries = {}
-        for r, v in g.d.column(j).items():
-            entries[emap[r]] = v
-        s = ksign(par[j]) * ga0[j]
-        if s != 0:
-            entries[estar] = s
-        back = frac(-ksign(par[j]))
-        for r, v in entries.items():
-            constants[(e_idx, emap[j], r)] = v
-            constants[(emap[j], e_idx, r)] = back * v
-    gram = {}
-    for i in range(n):
-        for j in range(n):
-            v = q.form.gram[i][j]
-            if v != 0:
-                gram[(emap[i], emap[j])] = v
-    gram[(e_idx, estar)] = ONE
-    gram[(estar, e_idx)] = -ONE
-    space = SuperSpace(p, q0 + 2)
-    alg = SuperAlgebra(space, constants, name="gde(%s)" % q.name)
-    form = BilinearForm.from_entries(space.dim, gram)
-    out = QuadraticAlgebra.validate(alg, form)
-    return out, ExtensionWitness(e_idx, estar, tuple(emap))
+    return _extend(q, g.d, g.a0)
 
 
 def double_extension_even(q: QuadraticAlgebra, d: OperatorMap):
     """Even-line double extension; validation is the admissibility gate.
 
     Output basis order: e first, then evens of the input, then e*, then the
-    odds of the input.  eX = d(X), XY = (XY)_M + B(d(X),Y) e*, ee = 0, and
-    the form is extended hyperbolically on (e, e*).
+    odds of the input; ee = 0.
     """
     _require_validated(q)
     if d.parity != EVEN:
@@ -276,36 +281,7 @@ def double_extension_even(q: QuadraticAlgebra, d: OperatorMap):
         raise PreconditionError("operator is not skew-supersymmetric")
     if not check_malcev_operator(q.algebra, d).passed:
         raise PreconditionError("operator fails the operator identity")
-    p, q0 = q.space.even_dim, q.space.odd_dim
-    n = p + q0
-    emap = [i + 1 if i < p else i + 2 for i in range(n)]
-    e_idx, estar = 0, p + 1
-    constants = {}
-    for (i, j, k), c in q.algebra.constants.items():
-        constants[(emap[i], emap[j], emap[k])] = c
-    pairing = _gram_pairing(q, d)
-    for i in range(n):
-        for j in range(n):
-            w = pairing[i][j]
-            if w != 0:
-                constants[(emap[i], emap[j], estar)] = w
-    for j in range(n):
-        for r, v in d.column(j).items():
-            constants[(e_idx, emap[j], emap[r])] = v
-            constants[(emap[j], e_idx, emap[r])] = -v
-    gram = {}
-    for i in range(n):
-        for j in range(n):
-            v = q.form.gram[i][j]
-            if v != 0:
-                gram[(emap[i], emap[j])] = v
-    gram[(e_idx, estar)] = ONE
-    gram[(estar, e_idx)] = ONE
-    space = SuperSpace(p + 2, q0)
-    alg = SuperAlgebra(space, constants, name="de(%s)" % q.name)
-    form = BilinearForm.from_entries(space.dim, gram)
-    out = QuadraticAlgebra.validate(alg, form)
-    return out, ExtensionWitness(e_idx, estar, tuple(emap))
+    return _extend(q, d, Element.zero(q.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -116,15 +116,6 @@ def check_malcev_operator(a: SuperAlgebra, f: OperatorMap) -> CheckReport:
         raise InputError("operator dimension does not match algebra")
     f.validate_parity(a.space)
     par = [a.space.parity(i) for i in range(n)]
-    fm = [list(r) for r in f.matrix]
-
-    def apply_vec(vec):
-        out = {}
-        for j, c in vec.items():
-            col = {r: fm[r][j] for r in range(n) if fm[r][j] != 0}
-            _vadd(out, col, c)
-        return out
-
     witnesses = []
     for i in range(n):
         fi = f.column(i)
@@ -132,13 +123,13 @@ def check_malcev_operator(a: SuperAlgebra, f: OperatorMap) -> CheckReport:
             fj = f.column(j)
             for k in range(n):
                 x, y, z = par[i], par[j], par[k]
-                lhs = apply_vec(_mul_vb(a, a.basis_product(i, j), k))
+                lhs = f.apply_vec(_mul_vb(a, a.basis_product(i, j), k))
                 rhs = _mul_vb(a, _mul_vb(a, fi, j), k)
                 _vadd(rhs, _mul_vv(a, fj, a.basis_product(i, k)),
                       frac(-ksign(x * y)))
                 _vadd(rhs, _mul_vb(a, _mul_vb(a, f.column(k), i), j),
                       frac(-ksign(z * (x + y))))
-                _vadd(rhs, _mul_vb(a, apply_vec(a.basis_product(j, k)), i),
+                _vadd(rhs, _mul_vb(a, f.apply_vec(a.basis_product(j, k)), i),
                       frac(-ksign(x * (y + z))))
                 if lhs != rhs:
                     witnesses.append(Witness((i, j, k), _to_element(n, lhs),

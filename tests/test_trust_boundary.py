@@ -124,6 +124,18 @@ def test_trees_used_below_rebuild(tmp_path, capsys):
     (_sum_tree, lambda t: t.update(exhaustive="yes")),
     (_sum_tree, lambda t: t["children"][0].update(label=["x"])),
     (_sum_tree, lambda t: t["children"][0].update(note=3)),
+    (_sum_tree, lambda t: t["children"][0].pop("label")),
+    (_sum_tree, lambda t: t["children"][0].pop("note")),
+    (_sum_tree, lambda t: t.pop("exhaustive")),
+    (_sum_tree, lambda t: t.pop("document")),
+    (_sum_tree, lambda t: t.update(kind="document")),
+    (_sum_tree, lambda t: t.update(extra=1)),
+    (_sum_tree, lambda t: t["children"][0].update(child={})),
+    (_sum_tree, lambda t: t["document"].update(extra=1)),
+    (_odd_tree, lambda t: t["gde"].update(entries=[])),
+    (_even_tree, lambda t: t["operator"].pop("entries")),
+    (_even_tree, lambda t: t["operator"].update(d=[])),
+    (_even_tree, lambda t: t.update(gde=t["operator"])),
 ])
 def test_malformed_tree_nodes_exit_2(tmp_path, capsys, make, mutate):
     tree = make()
@@ -131,6 +143,64 @@ def test_malformed_tree_nodes_exit_2(tmp_path, capsys, make, mutate):
     with pytest.raises(DocumentSyntaxError):
         parse_tree(canonical_json(tree))
     assert _cli(tmp_path, capsys, "rebuild", tree) == 2
+
+
+def _gde_doc():
+    entry = catalog_get("example_M", n=1, m=(1,))
+    return json.loads(emit_document(entry.algebra, gde=entry.extras))
+
+
+@pytest.mark.parametrize("make,mutate", [
+    (_operator_doc, lambda d: d.update(extra=1)),
+    (_operator_doc, lambda d: d.pop("name")),
+    (_operator_doc, lambda d: d.pop("gram")),
+    (_operator_doc, lambda d: d.update(name=7)),
+    (_operator_doc, lambda d: d["operator"].pop("entries")),
+    (_operator_doc, lambda d: d["operator"].pop("parity")),
+    (_operator_doc, lambda d: d["operator"].update(parity="none")),
+    (_operator_doc, lambda d: d["operator"].update(a0=[])),
+    (_operator_doc, lambda d: d.update(operator=[])),
+    (_gde_doc, lambda d: d["gde"].pop("d")),
+    (_gde_doc, lambda d: d["gde"].pop("a0")),
+    (_gde_doc, lambda d: d["gde"].update(parity="odd")),
+    (_gde_doc, lambda d: d["gde"]["a0"].pop()),
+    (_gde_doc, lambda d: d["gde"].update(d={})),
+])
+def test_malformed_documents_exit_2(tmp_path, capsys, make, mutate):
+    doc = make()
+    assert _cli(tmp_path, capsys, "check", doc) == 0
+    mutate(doc)
+    with pytest.raises(DocumentSyntaxError):
+        parse_document(canonical_json(doc))
+    assert _cli(tmp_path, capsys, "check", doc) == 2
+
+
+def _nested_sums(depth):
+    """A sum of one sum of ... of one one_dim_lie leaf, `depth` sums deep,
+    as JSON text (json.dumps itself would recurse too deeply)."""
+    doc = emit_document(catalog_get("one_dim_lie").algebra).strip()
+    leaf = ('{"document":%s,"kind":"leaf","label":"one_dim_lie",'
+            '"note":""}' % doc)
+    return ('{"basis":[["1/1"]],"children":[' * depth + leaf
+            + '],"document":%s,"exhaustive":true,"kind":"sum"}' % doc * depth)
+
+
+@pytest.mark.parametrize("command,text", [
+    ("check", "[" * 200000 + "]" * 200000),
+    ("rebuild", "[" * 200000 + "]" * 200000),
+    ("rebuild", _nested_sums(500)),
+], ids=["check_brackets", "rebuild_brackets", "rebuild_500_sums"])
+def test_deep_nesting_exits_2(tmp_path, capsys, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert run([command, str(path)]) == 2
+    assert "nests too deeply" in capsys.readouterr().err
+    if command == "rebuild":
+        with pytest.raises(DocumentSyntaxError):
+            parse_tree(text)
+    shallow = tmp_path / "shallow.json"
+    shallow.write_text(_nested_sums(50))
+    assert run(["rebuild", str(shallow)]) == 0
 
 
 def _sl2_line_tree():
