@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import functools
 import os
+import re
 import sys
+from fractions import Fraction
 
 from .catalog import CATALOG_NAMES, catalog_get
 from .core import (CheckReport, check_jacobi, check_malcev,
@@ -198,7 +200,7 @@ def _cmd_catalog(args):
     if args.n is not None:
         params["n"] = args.n
     if args.m is not None:
-        params["m"] = tuple(tok for tok in args.m.split(",") if tok)
+        params["m"] = args.m
     if args.p is not None:
         params["p"] = args.p
     if args.q is not None:
@@ -206,6 +208,25 @@ def _cmd_catalog(args):
     entry = catalog_get(args.name, **params)
     sys.stdout.write(emit_document(entry.algebra, gde=entry.extras))
     return EXIT_OK
+
+
+# One --m token: ASCII digits with an optional leading '-', then an optional
+# /den; den == 0 is rejected by _rationals.
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _rationals(text):
+    """The comma-separated --m tokens as Fractions.  argparse reports the
+    ArgumentTypeError as a usage error, which exits 2."""
+    out = []
+    for tok in text.split(","):
+        match = _RATIONAL.fullmatch(tok)
+        den = int(match.group(2) or 1) if match else 0
+        if den == 0:
+            raise argparse.ArgumentTypeError(
+                "%r is not an integer or num/den with den != 0" % tok)
+        out.append(Fraction(int(match.group(1)), den))
+    return tuple(out)
 
 
 # Commands that read one document or tree; `catalog` takes options.  The
@@ -228,7 +249,7 @@ def build_parser():
     pc = sub.add_parser("catalog")
     pc.add_argument("name", help="one of: %s" % ", ".join(CATALOG_NAMES))
     pc.add_argument("--n", type=int, default=None)
-    pc.add_argument("--m", type=str, default=None,
+    pc.add_argument("--m", type=_rationals, default=None,
                     help="comma-separated rationals, e.g. 1,2 or 1/2,3")
     pc.add_argument("--p", type=int, default=None)
     pc.add_argument("--q", type=int, default=None)

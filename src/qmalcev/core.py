@@ -558,17 +558,10 @@ def center(a: SuperAlgebra) -> GradedSubspace:
     """{X : b_j X = 0 for all j}, graded by construction."""
     if a._center is not None:
         return a._center
-    n = a.dim
-    if n == 0:
-        a._center = GradedSubspace(a.space, [])
-        return a._center
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            row = [a.constants.get((j, i, k), ZERO) for i in range(n)]
-            if not linalg.is_zero_vec(row):
-                rows.append(row)
-    vecs = linalg.kernel(rows, cols=n)
+    rows = {}  # (j, k) -> {i: c(j, i, k)}, the coefficient of b_k in b_j X
+    for (j, i, k), c in a.constants.items():
+        rows.setdefault((j, k), {})[i] = c
+    vecs = linalg.kernel(list(rows.values()), cols=a.dim)
     a._center = GradedSubspace.from_vectors(a.space, vecs)
     return a._center
 
@@ -591,21 +584,13 @@ def ideal_closure(a: SuperAlgebra, seed: GradedSubspace) -> GradedSubspace:
 def _ideal_closure_uncached(a: SuperAlgebra, seed: GradedSubspace):
     n = a.dim
     span = Span(n)
-    work = []
-    for col in seed.columns:
-        if span.add(list(col)):
-            work.append(list(col))
+    work = [linalg.sparse(col) for col in seed.columns if span.add(col)]
     while work:
         v = work.pop()
-        vd = {i: c for i, c in enumerate(v) if c != 0}
         for j in range(n):
-            for prod in (_mul_bv(a, j, vd), _mul_vb(a, vd, j)):
-                if prod:
-                    w = [ZERO] * n
-                    for k, c in prod.items():
-                        w[k] = c
-                    if span.add(w):
-                        work.append(w)
+            for prod in (_mul_bv(a, j, v), _mul_vb(a, v, j)):
+                if span.add(prod):
+                    work.append(prod)
     return GradedSubspace.from_vectors(a.space, span.vectors())
 
 
@@ -697,22 +682,21 @@ class SimplicityReport:
     note: str = ""
 
 
-def _left_matrix(a, i):
+def _multiplication_generators(a, p=0):
+    """L_0..L_{n-1}, then R_0..R_{n-1}, as sparse n x n matrices
+    {n*row + column: value}.  Modulo a prime p the constants are first
+    scaled to integers by the lcm of their denominators, which spans the
+    same algebra over Q."""
     n = a.dim
-    m = linalg.zero_matrix(n, n)
-    for (p, j, k), c in a.constants.items():
-        if p == i:
-            m[k][j] = c
-    return m
-
-
-def _right_matrix(a, i):
-    n = a.dim
-    m = linalg.zero_matrix(n, n)
-    for (j, p, k), c in a.constants.items():
-        if p == i:
-            m[k][j] = c
-    return m
+    scale = math.lcm(*(c.denominator for c in a.constants.values()))
+    left = [{} for _ in range(n)]
+    right = [{} for _ in range(n)]
+    for (i, j, k), c in a.constants.items():
+        x = c.numerator * (scale // c.denominator) % p if p else c
+        if x:
+            left[i][k * n + j] = x
+            right[j][k * n + i] = x
+    return left + right
 
 
 def _random_homogeneous_vectors(space: SuperSpace, seed, rounds):
@@ -756,41 +740,48 @@ def _ideal_candidates(a: SuperAlgebra, seed=0x5EED):
         yield [v]
 
 
-def _enveloping_basis(gens, n):
-    """Basis of the unital associative algebra generated by the given n x n
-    matrices: the identity and the generators, then closed under left
-    products with the generators.  Every word g_1...g_k is g_1 applied to a
-    shorter word, so a span that holds the identity and is closed under left
-    products holds them all; right products would add nothing."""
-    gens = [g for g in gens if any(x != 0 for row in g for x in row)]
-    span = Span(n * n)
-    basis = []
+def _enveloping_basis(gens, n, p=0):
+    """Basis of the unital associative algebra generated by the given sparse
+    n x n matrices {n*row + column: value}, over Q or modulo the prime p.
 
-    def push(m):
-        if span.add([x for row in m for x in row]):
-            basis.append(m)
-            return True
-        return False
-
-    push(linalg.identity(n))
+    This is the one enveloping closure.  It holds the identity and is
+    closed under left products with the generators only: every word
+    g_1...g_k is g_1 applied to a shorter word, so right products would add
+    nothing.  It stops as soon as the span reaches n^2.
+    """
+    by_column = []  # per generator: column l -> [(row k, value)]
     for g in gens:
-        push(g)
-    work = list(basis)
+        cols = {}
+        for pos, x in g.items():
+            k, l = divmod(pos, n)
+            cols.setdefault(l, []).append((k, x))
+        if cols:
+            by_column.append(cols)
+    span = Span(n * n, p)
+    identity = {i * n + i: 1 for i in range(n)}
+    span.add(identity)
+    basis = [identity]
+    work = [identity]
     while work:
         m = work.pop()
-        for g in gens:
-            prod = linalg.mat_mul(g, m)
-            if push(prod):
+        for g in by_column:
+            prod = {}
+            for pos, x in m.items():
+                l, col = divmod(pos, n)
+                for k, c in g.get(l, ()):
+                    prod[k * n + col] = prod.get(k * n + col, 0) + c * x
+            prod = linalg.sparse(prod, p)
+            if span.add(prod):
+                basis.append(prod)
+                if len(basis) == n * n:
+                    return basis
                 work.append(prod)
     return basis
 
 
 def _multiplication_algebra_dim(a: SuperAlgebra):
     """Dimension of the unital algebra generated by all L_i and R_i."""
-    n = a.dim
-    gens = [_left_matrix(a, i) for i in range(n)]
-    gens += [_right_matrix(a, i) for i in range(n)]
-    return len(_enveloping_basis(gens, n))
+    return len(_enveloping_basis(_multiplication_generators(a), a.dim))
 
 
 _CERT_PRIME = (1 << 61) - 1
@@ -799,65 +790,10 @@ _CERT_PRIME = (1 << 61) - 1
 def _full_multiplication_algebra_mod_p(a: SuperAlgebra) -> bool:
     """Whether the unital algebra generated by all L_i and R_i, with the
     constants scaled to integers by the lcm of their denominators, spans
-    every n x n matrix modulo the prime 2^61 - 1.
-
-    Matrices are sparse dicts over the flat index n*row + column, closed
-    under left products only (see _enveloping_basis), and the closure stops
-    as soon as the span reaches n^2.
-    """
+    every n x n matrix modulo the prime 2^61 - 1."""
     n = a.dim
-    p = _CERT_PRIME
-    full = n * n
-    scale = math.lcm(*(c.denominator for c in a.constants.values()))
-    # each generator maps a column l to its entries [(row k, value)]
-    left = [{} for _ in range(n)]
-    right = [{} for _ in range(n)]
-    for (i, j, k), c in a.constants.items():
-        x = c.numerator * (scale // c.denominator) % p
-        if x:
-            left[i].setdefault(j, []).append((k, x))
-            right[j].setdefault(i, []).append((k, x))
-    gens = [g for g in left + right if g]
-    rows = {}  # pivot -> row with 1 there and 0 at every other pivot
-
-    def push(m):
-        v = dict(m)
-        for q in [q for q in v if q in rows]:
-            f = v[q]
-            for pos, y in rows[q].items():
-                v[pos] = (v.get(pos, 0) - f * y) % p
-        v = {pos: y for pos, y in v.items() if y}
-        if not v:
-            return False
-        lead = min(v)
-        inv = pow(v[lead], -1, p)
-        v = {pos: y * inv % p for pos, y in v.items()}
-        for row in rows.values():
-            f = row.get(lead)
-            if f:
-                for pos, y in v.items():
-                    row[pos] = (row.get(pos, 0) - f * y) % p
-                row.pop(lead)
-        rows[lead] = v
-        return True
-
-    identity = {i * n + i: 1 for i in range(n)}
-    push(identity)
-    work = [identity]
-    while work:
-        m = work.pop()
-        for g in gens:
-            prod = {}
-            for pos, x in m.items():
-                l, col = divmod(pos, n)
-                for k, c in g.get(l, ()):
-                    prod[k * n + col] = prod.get(k * n + col, 0) + c * x
-            prod = {pos: y % p for pos, y in prod.items() if y % p}
-            if push(prod):
-                if len(rows) == full:
-                    return True
-                work.append(prod)
-    return len(rows) == full
+    gens = _multiplication_generators(a, _CERT_PRIME)
+    return len(_enveloping_basis(gens, n, _CERT_PRIME)) == n * n
 
 
 def simplicity(a: SuperAlgebra) -> SimplicityReport:
@@ -871,9 +807,11 @@ def simplicity(a: SuperAlgebra) -> SimplicityReport:
     spans the same algebra over Q).  Rank n^2 mod p means n^2 integer words
     whose stacked n^2 x n^2 matrix has a minor that is nonzero mod p, hence
     nonzero over Z, so the words are independent over Q and M(A) is full
-    over Q as well.  A rank deficit mod p proves nothing over Q; then
-    candidate seeds are closed (center columns, basis vectors, same-parity
-    pairwise sums and pairs, seeded pseudo-random homogeneous vectors), and
+    over Q as well.  Both closures, mod p and over Q, are the one
+    `_enveloping_basis` on the shared eliminator `linalg.Span`.  A rank
+    deficit mod p proves nothing over Q; then candidate seeds are closed
+    (center columns, basis vectors, same-parity pairwise sums and pairs,
+    seeded pseudo-random homogeneous vectors), and
     False comes with the first proper ideal found.  If none is found, M(A)
     is closed over Q, which may still certify True.  Results are cached on
     the (immutable) algebra.

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, GradedSubspace,
                    SuperAlgebra, SuperSpace, Witness, _enveloping_basis,
-                   _report, _right_matrix, _to_element, center, change_basis,
-                   check_jacobi, ksign, simplicity)
+                   _multiplication_generators, _report, _to_element, center,
+                   change_basis, check_jacobi, ksign, simplicity)
 from .errors import AxiomError, InputError, PreconditionError
 from .linalg import ONE, ZERO
 from .operators import OperatorMap, check_malcev_operator
@@ -295,20 +295,32 @@ def even_part(a: SuperAlgebra) -> SuperAlgebra:
     return SuperAlgebra(SuperSpace(p, 0), consts, name="%s_even" % a.name)
 
 
-def _trace_form(mats):
-    """The symmetric matrix of tr(m_i m_j)."""
+def _trace_form(mats, n):
+    """The symmetric matrix of tr(m_i m_j) for sparse n x n matrices
+    {n*row + column: value}: the sum of m_i[r][c] m_j[c][r]."""
     k = len(mats)
     out = [[ZERO] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            m = linalg.mat_mul(mats[i], mats[j])
-            out[i][j] = out[j][i] = sum((m[t][t] for t in range(len(m))),
-                                        ZERO)
+            mj = mats[j]
+            out[i][j] = out[j][i] = sum(
+                (x * mj.get(pos % n * n + pos // n, ZERO)
+                 for pos, x in mats[i].items()), ZERO)
     return out
 
 
 def _trace_form_matrix(a: SuperAlgebra):
-    return _trace_form([_right_matrix(a, i) for i in range(a.dim)])
+    """The trace form of the right multiplications R_0..R_{n-1}."""
+    return _trace_form(_multiplication_generators(a)[a.dim:], a.dim)
+
+
+def _act(m, v, n):
+    """The sparse n x n matrix m applied to the vector v."""
+    out = [ZERO] * n
+    for pos, x in m.items():
+        k, col = divmod(pos, n)
+        out[k] += x * v[col]
+    return out
 
 
 def reductive_report(even: SuperAlgebra) -> ReductiveReport:
@@ -390,15 +402,13 @@ class ReducibilityReport:
 
 
 def _odd_action_matrices(a: SuperAlgebra):
-    """Left multiplication by even basis vectors, restricted to the odds."""
+    """Left multiplication by even basis vectors, restricted to the odds, as
+    sparse qd x qd matrices {qd*row + column: value}."""
     p, qd = a.space.even_dim, a.space.odd_dim
-    mats = []
-    for i in range(p):
-        m = [[ZERO] * qd for _ in range(qd)]
-        for (x, j, k), c in a.constants.items():
-            if x == i and j >= p and k >= p:
-                m[k - p][j - p] = c
-        mats.append(m)
+    mats = [{} for _ in range(p)]
+    for (i, j, k), c in a.constants.items():
+        if i < p and j >= p and k >= p:
+            mats[i][(k - p) * qd + j - p] = c
     return mats
 
 
@@ -418,9 +428,9 @@ def check_completely_reducible_action(q: QuadraticAlgebra,
     if qd == 0:
         return ReducibilityReport(True, certificate="no odd part")
     mats = _odd_action_matrices(a)
-    if all(all(x == 0 for row in m for x in row) for m in mats):
+    if not any(mats):
         return ReducibilityReport(True, certificate="trivial action")
-    if linalg.det(_trace_form(_enveloping_basis(mats, qd))) != 0:
+    if linalg.det(_trace_form(_enveloping_basis(mats, qd), qd)) != 0:
         return ReducibilityReport(True,
                                   certificate="semisimple enveloping algebra "
                                               "(trace form non-degenerate)")
@@ -467,29 +477,24 @@ def _lacks_invariant_complement(a, mats, y: GradedSubspace) -> bool:
     ycols = [_odd_block(a, c) for c in y.columns]
     yspan = linalg.Span(qd)
     for c in ycols:
-        yspan.add(list(c))
+        yspan.add(c)
     for m in mats:
         for c in ycols:
-            if not yspan.contains(linalg.mat_vec(m, c)):
+            if not yspan.contains(_act(m, c, qd)):
                 return False  # y itself is not invariant: not a witness
     # complement coordinates: pick free positions not pivotal in y
-    pivots = sorted(yspan.pivots)
+    pivots = yspan.pivot_columns()
     free = [i for i in range(qd) if i not in pivots]
     if not free:
         return False
     ky, kc = len(pivots), len(free)
-    ybasis = [yspan.pivots[pv] for pv in pivots]
+    ybasis = yspan.vectors()
 
     def project(vec):
-        """Split vec into (coords on complement positions, y-coordinates)."""
-        v = list(vec)
-        ycoef = []
-        for pv, yb in zip(pivots, ybasis):
-            c = v[pv]
-            ycoef.append(c)
-            if c != 0:
-                v = [x - c * yy for x, yy in zip(v, yb)]
-        return [v[f] for f in free], ycoef
+        """Split vec into (coords on complement positions, y-coordinates);
+        the y-coordinates are vec's entries at the pivots of yspan."""
+        rest = yspan.reduce(vec)
+        return [rest.get(f, ZERO) for f in free], [vec[pv] for pv in pivots]
 
     # unknown phi: kc columns -> y coordinates (ky x kc); invariance of the
     # graph {c + phi(c)} gives, per action matrix and free position:
@@ -501,14 +506,14 @@ def _lacks_invariant_complement(a, mats, y: GradedSubspace) -> bool:
         for fi, f in enumerate(free):
             base = [ZERO] * qd
             base[f] = ONE
-            img = linalg.mat_vec(m, base)
+            img = _act(m, base, qd)
             ccoords, ycoords = project(img)
             # for each y-coordinate r: sum_s m_y[r][s] phi[s][fi] (from
             # m(phi(e_f))) + ycoords[r] - sum_j ccoords[j] phi[r][j] = 0
             # where m_y[r][s] = y-coordinates of m applied to y-basis s
             my = []
             for s in range(ky):
-                imgy = linalg.mat_vec(m, ybasis[s])
+                imgy = _act(m, ybasis[s], qd)
                 _, ycf = project(imgy)
                 my.append(ycf)
             for r in range(ky):
@@ -528,17 +533,17 @@ def _obstruction_triple(a, mats, y: GradedSubspace):
     ycols = [_odd_block(a, c) for c in y.columns]
     yspan = linalg.Span(qd)
     for c in ycols:
-        yspan.add(list(c))
+        yspan.add(c)
     action_into = True
     action_nonzero = False
     for m in mats:
         for j in range(qd):
-            img = linalg.mat_vec(m, linalg.basis_vector(qd, j))
+            img = _act(m, linalg.basis_vector(qd, j), qd)
             if not linalg.is_zero_vec(img):
                 action_nonzero = True
             if not yspan.contains(img):
                 action_into = False
-    kills = all(linalg.is_zero_vec(linalg.mat_vec(m, c))
+    kills = all(linalg.is_zero_vec(_act(m, c, qd))
                 for m in mats for c in ycols)
     return (action_into, kills, action_nonzero)
 

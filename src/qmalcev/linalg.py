@@ -1,8 +1,19 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, and ranks modulo a prime.
 
-Matrices are lists of rows of Fraction, vectors are lists of Fraction.
-Everything is dense (dimensions stay small throughout the package) and
-every operation is exact; there are no floats anywhere.
+Matrices handed in and out are lists of rows of Fraction, vectors are lists
+of Fraction, and every operation is exact; there are no floats anywhere.
+Every elimination (RREF, rank, kernel, solve, inverse, determinant, spans)
+runs on one sparse eliminator, `Span`: its rows are {column: value} dicts
+kept in reduced echelon form, with a 1 at each pivot and a 0 at every other
+pivot.  The reduced echelon form of a row space is unique, so every basis,
+kernel, solution, inverse and determinant is the same whatever order the
+rows go in.
+
+The field is given by a modulus p alone.  p = 0 is Q, with Fraction
+entries; a prime p gives int entries reduced with % p and pivots inverted
+with pow(x, -1, p).  Mod p only ranks are read, and only where they lift
+to Q: an integer matrix of rank r mod p has an r x r minor that is nonzero
+mod p, hence nonzero over Z, so its rank over Q is at least r.
 """
 
 from __future__ import annotations
@@ -39,10 +50,6 @@ def identity(n):
     return m
 
 
-def copy_matrix(m):
-    return [row[:] for row in m]
-
-
 def transpose(m):
     if not m:
         return []
@@ -65,56 +72,122 @@ def is_zero_vec(u):
     return all(a == 0 for a in u)
 
 
+def sparse(v, p=0):
+    """The vector v, a list or a {column: value} dict, as a dict without
+    zeros; mod p > 0 its int entries are reduced to 0 <= x < p."""
+    items = v.items() if isinstance(v, dict) else enumerate(v)
+    if p:
+        return {c: x % p for c, x in items if x % p}
+    return {c: x for c, x in items if x}
+
+
+def _subtract(v, f, row, p):
+    """v -= f * row in place, mod p when p > 0, dropping zeros."""
+    for c, y in row.items():
+        x = v.get(c, 0) - f * y
+        if p:
+            x %= p
+        if x:
+            v[c] = x
+        else:
+            v.pop(c, None)
+
+
+class Span:
+    """Incrementally maintained reduced span of vectors over Q (p = 0) or
+    modulo the prime p.
+
+    This is the package's one eliminator.  Each row is a {column: value}
+    dict with a 1 at its pivot, which is its first column, and a 0 at every
+    other pivot; sorted by pivot, the rows are the reduced row echelon form
+    of what was added.  Vectors go in as lists or dicts, with int entries
+    mod p.  Since the rows vanish at each other's pivots, a vector v of the
+    span is the sum of v[c] times the row of pivot c.
+    """
+
+    def __init__(self, n, p=0):
+        self.n = n
+        self.p = p
+        self._rows = {}  # pivot column -> reduced row
+
+    def reduce(self, v):
+        """v minus its component in the span, as a sparse dict that
+        vanishes at every pivot."""
+        v = sparse(v, self.p)
+        for c in [c for c in v if c in self._rows]:
+            _subtract(v, v[c], self._rows[c], self.p)
+        return v
+
+    def add(self, v):
+        """Insert v.  When the span grew, return (pivot column, value of
+        the reduced v there before it was scaled to 1); else None."""
+        v = self.reduce(v)
+        if not v:
+            return None
+        p = self.p
+        lead = min(v)
+        x = v[lead]
+        if p:
+            inv = pow(x, -1, p)
+            v = {c: y * inv % p for c, y in v.items()}
+        else:
+            inv = ONE / x
+            v = {c: y * inv for c, y in v.items()}
+        for row in self._rows.values():
+            f = row.get(lead)
+            if f:
+                _subtract(row, f, v, p)
+        self._rows[lead] = v
+        return lead, x
+
+    def contains(self, v):
+        return not self.reduce(v)
+
+    @property
+    def dim(self):
+        return len(self._rows)
+
+    def pivot_columns(self):
+        return sorted(self._rows)
+
+    def vectors(self):
+        """The rows as dense lists, in increasing pivot order."""
+        return [[self._rows[c].get(i, ZERO) for i in range(self.n)]
+                for c in self.pivot_columns()]
+
+
+def _row_span(m, cols):
+    span = Span(cols)
+    for row in m:
+        span.add(row)
+    return span
+
+
 def rref(m):
     """Reduced row echelon form. Returns (new matrix, pivot column list)."""
-    m = copy_matrix(m)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    cols = len(m[0]) if m else 0
+    span = _row_span(m, cols)
+    return (span.vectors() + zero_matrix(len(m) - span.dim, cols),
+            span.pivot_columns())
 
 
 def rank(m):
-    return len(rref(m)[1]) if m else 0
+    return len(rref(m)[1])
 
 
 def kernel(m, cols=None):
-    """Basis of the right null space, one vector per free column."""
-    if not m:
-        if cols is None:
-            return []
-        return [basis_vector(cols, i) for i in range(cols)]
-    n = len(m[0])
-    red, pivots = rref(m)
-    pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
+    """Basis of the right null space, one vector per free column.  Rows
+    may be lists or sparse dicts; cols is required when they are dicts."""
+    if cols is None:
+        cols = len(m[0]) if m else 0
+    rows = _row_span(m, cols)._rows
     basis = []
-    for fc in free:
-        v = zeros(n)
-        v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
+    for fc in range(cols):
+        if fc not in rows:
+            v = basis_vector(cols, fc)
+            for pc, row in rows.items():
+                v[pc] = -row.get(fc, ZERO)
+            basis.append(v)
     return basis
 
 
@@ -126,55 +199,45 @@ def basis_vector(n, i):
 
 def solve(m, b):
     """One exact solution of m x = b, or None when inconsistent."""
-    rows = len(m)
-    if rows == 0:
+    if not m:
         return [] if is_zero_vec(b) else None
     n = len(m[0])
-    aug = [m[i][:] + [b[i]] for i in range(rows)]
-    red, pivots = rref(aug)
-    if n in pivots:
+    rows = _row_span([list(r) + [x] for r, x in zip(m, b)], n + 1)._rows
+    if n in rows:
         return None
     x = zeros(n)
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][n]
+    for pc, row in rows.items():
+        x[pc] = row.get(n, ZERO)
     return x
 
 
 def inverse(m):
     n = len(m)
-    if n == 0:
-        return []
-    aug = [m[i][:] + identity(n)[i] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
+    span = _row_span([list(r) + basis_vector(n, i) for i, r in enumerate(m)],
+                     2 * n)
+    if span.pivot_columns() != list(range(n)):
         return None
-    return [row[n:] for row in red]
+    return [row[n:] for row in span.vectors()]
 
 
 def det(m):
-    n = len(m)
-    if n == 0:
-        return ONE
-    m = copy_matrix(m)
+    """The product of the pivot values met as the rows go in, times the
+    sign of the permutation taking each row to its pivot column.  Reducing
+    a row subtracts earlier rows only, which keeps the determinant, and
+    leaves it zero at every earlier pivot, so the reduced rows with their
+    pivot columns put in row order form a triangular matrix."""
+    span = Span(len(m))
     d = ONE
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
+    leads = []
+    for row in m:
+        pivot = span.add(row)
+        if pivot is None:
             return ZERO
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            d = -d
-        d *= m[c][c]
-        inv = ONE / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return d
+        leads.append(pivot[0])
+        d *= pivot[1]
+    inversions = sum(1 for i, x in enumerate(leads) for y in leads[i + 1:]
+                     if x > y)
+    return -d if inversions & 1 else d
 
 
 def column_echelon_columns(vectors):
@@ -184,50 +247,4 @@ def column_echelon_columns(vectors):
     the nonzero rows of the RREF of the stacked input, so pivots appear in
     increasing coordinate order ("first" column = smallest pivot index).
     """
-    vs = [v for v in vectors if not is_zero_vec(v)]
-    if not vs:
-        return []
-    red, pivots = rref(vs)
-    return [red[i] for i in range(len(pivots))]
-
-
-class Span:
-    """Incrementally maintained reduced span of vectors, exact over Q."""
-
-    def __init__(self, n):
-        self.n = n
-        self.pivots = {}  # pivot index -> reduced vector with 1 there
-
-    def reduce(self, v):
-        v = list(v)
-        for p in sorted(self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                w = self.pivots[p]
-                v = [a - f * b for a, b in zip(v, w)]
-        return v
-
-    def add(self, v):
-        """Insert v; True when the span grew."""
-        v = self.reduce(v)
-        for i in range(self.n):
-            if v[i] != 0:
-                inv = ONE / v[i]
-                v = [a * inv for a in v]
-                for p, w in self.pivots.items():
-                    if w[i] != 0:
-                        f = w[i]
-                        self.pivots[p] = [a - f * b for a, b in zip(w, v)]
-                self.pivots[i] = v
-                return True
-        return False
-
-    def contains(self, v):
-        return is_zero_vec(self.reduce(v))
-
-    @property
-    def dim(self):
-        return len(self.pivots)
-
-    def vectors(self):
-        return [self.pivots[p] for p in sorted(self.pivots)]
+    return _row_span(vectors, len(vectors[0]) if vectors else 0).vectors()

@@ -120,11 +120,8 @@ def check_form(a: SuperAlgebra, b: BilinearForm) -> FormReport:
             if g[i][j] != expected:
                 sym_wit.append(Witness((i, j), g[i][j], expected))
 
-    nondeg_wit = []
-    if linalg.det(b.matrix()) == 0:
-        for v in linalg.kernel(b.matrix(), cols=n):
-            nondeg_wit.append(Witness(("kernel",), Element.from_seq(v),
-                                      Element.zero(n)))
+    nondeg_wit = [Witness(("kernel",), Element.from_seq(v), Element.zero(n))
+                  for v in linalg.kernel(b.matrix(), cols=n)]
 
     inv_wit = []
     for i in range(n):

@@ -2,6 +2,7 @@
 trees whose stored documents do not match what they rebuild exit 3."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -233,3 +234,21 @@ def test_rebuild_checks_stored_documents(tmp_path, capsys, make, mutate):
     with pytest.raises(AxiomError, match="does not match its stored"):
         rebuild(parse_tree(canonical_json(tree)))
     assert _cli(tmp_path, capsys, "rebuild", tree) == 3
+
+
+@pytest.mark.parametrize("m", [
+    "1,abc", "1,1/0", "1,2/00", "0.5,1", "1e2,1", "1,,2", "1,2,", "",
+    "+1,2", " 1,2", "1_0,2", "١,2", "1/-2,1", "1/2/3,1", "inf,1"])
+def test_catalog_m_must_be_integers_or_fractions(capsys, m):
+    assert run(["catalog", "example_gde", "--n", "2", "--m", m]) == 2
+    assert "argument --m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n,m,want", [
+    (1, "1", (1,)), (1, "-2", (-2,)), (1, "1/2", (Fraction(1, 2),)),
+    (2, "1,2", (1, 2)), (2, "-3/6,01", (Fraction(-1, 2), 1))])
+def test_catalog_m_spellings_accepted(capsys, n, m, want):
+    assert run(["catalog", "example_gde", "--n", str(n), "--m=" + m]) == 0
+    entry = catalog_get("example_gde", n=n, m=want)
+    assert capsys.readouterr().out == emit_document(entry.algebra,
+                                                    gde=entry.extras)
