@@ -20,9 +20,10 @@ from .catalog import CATALOG_NAMES, catalog_get
 from .core import (CheckReport, check_jacobi, check_malcev,
                    check_super_anticommutativity, center)
 from .decompose import inductive_decompose, rebuild, reduce_even, reduce_odd
-from .document import (DocumentSyntaxError, canonical_json, document_object,
-                       emit_document, emit_tree, parse_document,
-                       parse_algebra_document, parse_tree, scalar_text)
+from .document import (MAX_DIM, DocumentSyntaxError, canonical_json,
+                       document_object, emit_document, emit_tree,
+                       parse_document, parse_algebra_document, parse_tree,
+                       scalar_text)
 from .errors import (AxiomError, GradingError, InconclusiveError, InputError,
                      PreconditionError)
 from .extensions import (double_extension_even, generalized_double_extension,
@@ -229,6 +230,17 @@ def _rationals(text):
     return tuple(out)
 
 
+def _dimension(text):
+    """A --n, --p or --q value: an int no larger than the dimension cap
+    MAX_DIM of documents.  argparse reports a ValueError or an
+    ArgumentTypeError as a usage error, which exits 2."""
+    value = int(text)
+    if value > MAX_DIM:
+        raise argparse.ArgumentTypeError(
+            "%d exceeds the dimension cap of %d" % (value, MAX_DIM))
+    return value
+
+
 # Commands that read one document or tree; `catalog` takes options.  The
 # handler of a command is `_cmd_<name with - as _>`, looked up when it runs.
 FILE_COMMANDS = ("check", "center", "operator-check", "extend-odd",
@@ -248,11 +260,11 @@ def build_parser():
 
     pc = sub.add_parser("catalog")
     pc.add_argument("name", help="one of: %s" % ", ".join(CATALOG_NAMES))
-    pc.add_argument("--n", type=int, default=None)
+    pc.add_argument("--n", type=_dimension, default=None)
     pc.add_argument("--m", type=_rationals, default=None,
                     help="comma-separated rationals, e.g. 1,2 or 1/2,3")
-    pc.add_argument("--p", type=int, default=None)
-    pc.add_argument("--q", type=int, default=None)
+    pc.add_argument("--p", type=_dimension, default=None)
+    pc.add_argument("--q", type=_dimension, default=None)
     return parser
 
 

@@ -6,7 +6,8 @@ c[(i,j,k)] b_k, with grading compatibility enforced at construction.
 
 The identity checkers report an exact witness for every basis tuple on
 which an identity fails; by multilinearity that decides it.  The Malcev,
-Jacobi and cocycle scans share one integer kernel per algebra, and both of
+Jacobi and cocycle scans, and the form-invariance scan of
+`quadratic.check_form`, share one integer kernel per algebra, and both of
 its shortcuts are exact:
 
 - Cleared denominators.  The constants are multiplied by D, the lcm of
@@ -16,11 +17,17 @@ its shortcuts are exact:
   their own lcm W), so the scaled identity is the true one times D^3, D^2
   or D^2 W.  It fails on exactly the same tuples, and a witness is divided
   back, without rounding, only when it is built.
-- Pruning.  With T[(a,b,c)] = (b_a b_b) b_c, every chain term of the
-  identities is a T entry times one basis vector; the one other term is
-  (b_i b_k)(b_j b_l).  Where all of them vanish the identity reads 0 = 0,
-  anticommutative algebra or not, so the scans skip those tuples and
-  visit the rest in lexicographic order, the witness order of a full scan.
+- Term-wise accumulation.  With T[(a,b,c)] = (b_a b_b) b_c, every chain
+  term of the Malcev and cocycle identities is a T entry times one basis
+  vector, and the one other term is (b_i b_k)(b_j b_l); the Jacobi terms
+  are T entries.  Each identity is a signed sum of such terms, so the scans
+  walk the nonzero pair and T entries once, add each product into the sum
+  of every tuple where it occurs, with that position's sign, and never
+  visit a tuple where all terms vanish: there the identity reads 0 = 0,
+  anticommutative algebra or not.  Integer addition is exact and
+  order-free, so each sum equals the tuple's full evaluation; the tuples
+  whose sum is nonzero are then sorted, which is the lexicographic witness
+  order of a full scan.
 """
 
 from __future__ import annotations
@@ -295,17 +302,21 @@ def product(a: SuperAlgebra, x: Element, y: Element) -> Element:
 
 
 def check_super_anticommutativity(a: SuperAlgebra) -> CheckReport:
-    """b_i b_j = -(-1)^{p(i)p(j)} b_j b_i for all basis pairs."""
+    """b_i b_j = -(-1)^{p(i)p(j)} b_j b_i for all basis pairs.
+
+    Both sides vanish unless (i, j) or (j, i) is in the pair table, so only
+    those pairs are compared, in the order of a full scan over i <= j.
+    """
     n = a.dim
-    par = [a.space.parity(i) for i in range(n)]
+    parity = a.space.parity
     witnesses = []
-    for i in range(n):
-        for j in range(i, n):
-            lhs = a.basis_product(i, j)
-            rhs = _vscale(a.basis_product(j, i), -ksign(par[i] * par[j]))
-            if lhs != rhs:
-                witnesses.append(Witness((i, j), _to_element(n, lhs),
-                                         _to_element(n, rhs)))
+    for i, j in sorted({(min(i, j), max(i, j)) for i, j in a.pair_table()}):
+        lhs = a.basis_product(i, j)
+        rhs = _vscale(a.basis_product(j, i),
+                      -ksign(parity(i) * parity(j)))
+        if lhs != rhs:
+            witnesses.append(Witness((i, j), _to_element(n, lhs),
+                                     _to_element(n, rhs)))
     return _report(witnesses)
 
 
@@ -313,103 +324,66 @@ class _ScanKernel:
     """Integer tables that the identity scans of one algebra share.
 
     The constants are scaled by D, the lcm of their denominators, so every
-    entry is an int.  `right[c]` maps m to the scaled product b_m b_c, and
-    `triples[(a, b, c)]` is the scaled (b_a b_b) b_c, present only when
-    nonzero.  `after`, `middle` and `first` index the triple keys by the
-    other two positions, so a scan can list the tuples where a triple term
-    is nonzero without visiting the rest.
+    entry is an int.  `pairs[(i, j)]` is the scaled product b_i b_j,
+    `rows[i]` maps j to the same vector, `columns[m]` lists the pairs
+    ((i, j), c) whose product has c != 0 at b_m, and `triples[(a, b)]` maps
+    c to the scaled (b_a b_b) b_c.  Only nonzero vectors are stored.
     """
 
     def __init__(self, a: SuperAlgebra):
-        n = a.dim
-        self.n = n
-        self.par = [a.space.parity(i) for i in range(n)]
+        self.par = [a.space.parity(i) for i in range(a.dim)]
         self.scale = math.lcm(*(c.denominator
                                 for c in a.constants.values()))
-        pairs, rows, right = {}, {}, {c: {} for c in range(n)}
+        pairs, rows, columns = {}, {}, {}
         for (i, j), vec in a.pair_table().items():
             ivec = {k: c.numerator * (self.scale // c.denominator)
                     for k, c in vec.items()}
             pairs[(i, j)] = ivec
             rows.setdefault(i, {})[j] = ivec
-            right[j][i] = ivec
+            for k, c in ivec.items():
+                columns.setdefault(k, []).append(((i, j), c))
         self.pairs = pairs
-        self.right = right
-        self.pair_rows = {i: set(row) for i, row in rows.items()}
-        triples = {}
-        after, middle, first = {}, {}, {}
-        for (ta, tb), pv in pairs.items():
-            acc = {}
-            for m, x in pv.items():
-                for c, mc in rows.get(m, {}).items():
-                    out = acc.setdefault(c, {})
-                    for k, y in mc.items():
-                        out[k] = out.get(k, 0) + x * y
-            for c, out in acc.items():
-                out = {k: v for k, v in out.items() if v}
-                if out:
-                    triples[(ta, tb, c)] = out
-                    after.setdefault((ta, tb), set()).add(c)
-                    middle.setdefault((ta, c), set()).add(tb)
-                    first.setdefault((tb, c), set()).add(ta)
-        self.triples = triples
-        self.after = after
-        self.middle = middle
-        self.first = first
+        self.rows = rows
+        self.columns = columns
+        self.triples = {}
+        for key, pv in pairs.items():
+            prods = self.right_products(pv)
+            if prods:
+                self.triples[key] = prods
 
-    def add_times(self, acc, vec, d, s):
-        """acc += s * vec . b_d for a scaled sparse vector vec."""
-        r = self.right[d]
+    def right_products(self, vec):
+        """{w: vec . b_w} for a scaled sparse vector vec, with only the w
+        where the product is nonzero."""
+        acc = {}
+        rows = self.rows
         for m, x in vec.items():
-            rm = r.get(m)
-            if rm:
-                x *= s
-                for k, y in rm.items():
-                    acc[k] = acc.get(k, 0) + x * y
-
-    def add_product(self, acc, u, v, s):
-        """acc += s * u v for scaled sparse vectors u, v."""
-        pairs = self.pairs
-        for m, x in u.items():
-            for m2, y in v.items():
-                pv = pairs.get((m, m2))
-                if pv:
-                    xy = s * x * y
-                    for k, z in pv.items():
-                        acc[k] = acc.get(k, 0) + xy * z
-
-    def quadruples(self):
-        """(i, j, k, l) in lexicographic order, skipping only tuples where
-        (b_i b_k)(b_j b_l) and the four chain terms of the Malcev and
-        cocycle identities all vanish."""
-        n = self.n
-        full = range(n)
-        triples, pairs, rows = self.triples, self.pairs, self.pair_rows
-        after, middle, first = self.after, self.middle, self.first
-        empty = frozenset()
-        for i in full:
-            for j in full:
-                ij = first.get((i, j), empty)
-                jrow = rows.get(j, empty)
-                for k in full:
-                    if (i, j, k) in triples:
-                        ls = full
-                    else:
-                        cand = (after.get((j, k), empty)
-                                | middle.get((k, i), empty) | ij)
-                        if (i, k) in pairs:
-                            cand = cand | jrow
-                        if not cand:
-                            continue
-                        ls = sorted(cand)
-                    for l in ls:
-                        yield i, j, k, l
+            for w, mw in rows.get(m, {}).items():
+                out = acc.setdefault(w, {})
+                for k, y in mw.items():
+                    out[k] = out.get(k, 0) + x * y
+        out = {}
+        for w, prod in acc.items():
+            prod = {k: v for k, v in prod.items() if v}
+            if prod:
+                out[w] = prod
+        return out
 
 
 def _scan_kernel(a: SuperAlgebra) -> _ScanKernel:
     if a._kernel is None:
         a._kernel = _ScanKernel(a)
     return a._kernel
+
+
+def _chain_keys(par, p, q, r, w):
+    """The quadruples (i, j, k, l) whose Malcev or cocycle identity has the
+    chain term ((b_p b_q) b_r) b_w on its right side, each with its sign:
+    as ((XY)Z)T, ((YZ)T)X, ((ZT)X)Y and ((TX)Y)Z in turn."""
+    x, y, z, t = par[p], par[q], par[r], par[w]
+    return (((p, q, r, w), 1),
+            ((w, p, q, r), ksign(t * (x + y + z))),
+            ((r, w, p, q), ksign((z + t) * (x + y))),
+            ((q, r, w, p), ksign(x * (y + z + t))))
 
 
 def _scaled_element(n, vec, denom):
@@ -433,37 +407,39 @@ def check_malcev(a: SuperAlgebra) -> CheckReport:
                      "reported but may be meaningless")
     kern = _scan_kernel(a)
     par, pairs, triples = kern.par, kern.pairs, kern.triples
-    add_times, add_product = kern.add_times, kern.add_product
+    diff = {}  # (i, j, k, l) -> scaled lhs - rhs, summed term by term
+    # (b_i b_k)(b_j b_l) = sum over m of c(j, l, m) (b_i b_k) b_m
+    for (i, k), trow in triples.items():
+        for m, tv in trow.items():
+            for (j, l), c in kern.columns.get(m, ()):
+                c *= ksign(par[j] * par[k])
+                acc = diff.setdefault((i, j, k, l), {})
+                for r, x in tv.items():
+                    acc[r] = acc.get(r, 0) + c * x
+    for (p, q), trow in triples.items():
+        for r, tv in trow.items():
+            for w, vec in kern.right_products(tv).items():
+                for key, s in _chain_keys(par, p, q, r, w):
+                    acc = diff.setdefault(key, {})
+                    for m, c in vec.items():
+                        acc[m] = acc.get(m, 0) - s * c
     denom = kern.scale ** 3
     witnesses = []
-    for i, j, k, l in kern.quadruples():
-        x, y, z, t = par[i], par[j], par[k], par[l]
-        acc = {}
-        u, v = pairs.get((i, k)), pairs.get((j, l))
-        if u and v:
-            add_product(acc, u, v, ksign(y * z))
-        tv = triples.get((i, j, k))
-        if tv:
-            add_times(acc, tv, l, -1)
-        tv = triples.get((j, k, l))
-        if tv:
-            add_times(acc, tv, i, -ksign(x * (y + z + t)))
-        tv = triples.get((k, l, i))
-        if tv:
-            add_times(acc, tv, j, -ksign((x + y) * (z + t)))
-        tv = triples.get((l, i, j))
-        if tv:
-            add_times(acc, tv, k, -ksign(t * (x + y + z)))
+    for key in sorted(diff):
+        acc = diff[key]
         if not any(acc.values()):
             continue
+        i, j, k, l = key
         lhs = {}
-        if u and v:
-            add_product(lhs, u, v, ksign(y * z))
+        trow, v = triples.get((i, k), {}), pairs.get((j, l), {})
+        for m, c in v.items():
+            c *= ksign(par[j] * par[k])
+            for r, x in trow.get(m, {}).items():
+                lhs[r] = lhs.get(r, 0) + c * x
         rhs = dict(lhs)
-        for key, c in acc.items():
-            rhs[key] = rhs.get(key, 0) - c
-        witnesses.append(Witness((i, j, k, l),
-                                 _scaled_element(n, lhs, denom),
+        for m, c in acc.items():
+            rhs[m] = rhs.get(m, 0) - c
+        witnesses.append(Witness(key, _scaled_element(n, lhs, denom),
                                  _scaled_element(n, rhs, denom)))
     return _report(witnesses, notes)
 
@@ -475,28 +451,24 @@ def check_jacobi(a: SuperAlgebra) -> CheckReport:
     """
     n = a.dim
     kern = _scan_kernel(a)
-    par, triples = kern.par, kern.triples
-    after, middle, first = kern.after, kern.middle, kern.first
-    empty = frozenset()
+    par = kern.par
+    sums = {}
+    for (p, q), trow in kern.triples.items():
+        for r, tv in trow.items():
+            # (b_p b_q) b_r is (XY)Z at (p, q, r), (YZ)X at (r, p, q) and
+            # (ZX)Y at (q, r, p); each time its sign is (-1)^{p(p) p(r)}
+            s = ksign(par[p] * par[r])
+            for key in ((p, q, r), (r, p, q), (q, r, p)):
+                acc = sums.setdefault(key, {})
+                for m, c in tv.items():
+                    acc[m] = acc.get(m, 0) + s * c
     denom = kern.scale ** 2
     witnesses = []
-    for i in range(n):
-        for j in range(n):
-            ks = (after.get((i, j), empty) | middle.get((j, i), empty)
-                  | first.get((i, j), empty))
-            for k in sorted(ks):
-                x, y, z = par[i], par[j], par[k]
-                acc = {}
-                for key, s in (((i, j, k), ksign(x * z)),
-                               ((j, k, i), ksign(y * x)),
-                               ((k, i, j), ksign(z * y))):
-                    for m, c in triples.get(key, {}).items():
-                        acc[m] = acc.get(m, 0) + s * c
-                acc = {m: c for m, c in acc.items() if c}
-                if acc:
-                    witnesses.append(Witness(
-                        (i, j, k), _scaled_element(n, acc, denom),
-                        Element.zero(n)))
+    for key in sorted(sums):
+        acc = {m: c for m, c in sums[key].items() if c}
+        if acc:
+            witnesses.append(Witness(key, _scaled_element(n, acc, denom),
+                                     Element.zero(n)))
     return _report(witnesses)
 
 

@@ -22,6 +22,12 @@ from .quadratic import BilinearForm, QuadraticAlgebra
 
 FORMAT_VERSION = 1
 
+# The largest dimension even_dim + odd_dim that a document, a tree node or
+# a catalog parameter may declare.  The Gram matrix is stored dense and
+# the form check solves it, so without a cap a document of a few bytes
+# could ask for memory quadratic in any number it names.
+MAX_DIM = 1024
+
 
 class DocumentSyntaxError(InputError):
     """Malformed document text or schema."""
@@ -187,6 +193,8 @@ def _read_document(obj):
             "unsupported format_version")
     p, qd = obj["even_dim"], obj["odd_dim"]
     _expect(p >= 0 and qd >= 0, "dimensions must be non-negative integers")
+    _expect(p + qd <= MAX_DIM, "dimension %d exceeds the cap of %d"
+            % (p + qd, MAX_DIM))
     space = SuperSpace(p, qd)
     n = space.dim
     constants = _entries(obj["constants"], 3, n, "constants")

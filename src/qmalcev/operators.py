@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, SuperAlgebra, Witness,
-                   _mul_vb, _mul_vv, _report, _scan_kernel, _to_element,
-                   _vadd, ksign, parity_name)
+                   _chain_keys, _mul_vb, _mul_vv, _report, _scan_kernel,
+                   _to_element, _vadd, ksign, parity_name)
 from .errors import GradingError, InputError, PreconditionError
 from .linalg import ZERO, frac
 from .quadratic import BilinearForm, QuadraticAlgebra, _require_validated
@@ -220,6 +220,16 @@ class Cocycle:
                                                parity_name(self.parity))
 
 
+def _w_row(vec, wrows):
+    """{d: w(vec, b_d)} for a scaled sparse vector vec and the scaled rows
+    {d: w(b_m, b_d)} of a cocycle, with only the nonzero values."""
+    out = {}
+    for m, c in vec.items():
+        for d, x in wrows[m].items():
+            out[d] = out.get(d, 0) + c * x
+    return {d: x for d, x in out.items() if x}
+
+
 def check_cocycle(a: SuperAlgebra, w: Cocycle) -> CheckReport:
     """Graded skewness plus the four-variable cocycle identity.
 
@@ -231,41 +241,34 @@ def check_cocycle(a: SuperAlgebra, w: Cocycle) -> CheckReport:
     if w.dim != n:
         raise InputError("cocycle dimension does not match algebra")
     kern = _scan_kernel(a)
-    par, pairs, triples = kern.par, kern.pairs, kern.triples
+    par, pairs = kern.par, kern.pairs
     wscale = math.lcm(*(v.denominator for row in w.values for v in row))
-    vals = [[v.numerator * (wscale // v.denominator) for v in row]
-            for row in w.values]
+    wrows = [{d: v.numerator * (wscale // v.denominator)
+              for d, v in enumerate(row) if v} for row in w.values]
     denom = kern.scale ** 2 * wscale
-
-    def w_vec_basis(vec, j):
-        return sum(c * vals[m][j] for m, c in vec.items())
 
     skew = w.graded_skew_report(a.space)
     witnesses = list(skew.witnesses)
     notes = []
     if not skew.passed:
         notes.append("graded skew-symmetry fails")
-    for i, j, k, l in kern.quadruples():
-        x, y, z, t = par[i], par[j], par[k], par[l]
-        lhs = 0
-        u, v = pairs.get((i, k)), pairs.get((j, l))
-        if u and v:
-            for m, cu in u.items():
-                row = vals[m]
-                for m2, cv in v.items():
-                    lhs += cu * cv * row[m2]
-            lhs *= ksign(y * z)
-        rhs = 0
-        for key, d, s in (((i, j, k), l, 1),
-                          ((j, k, l), i, ksign(x * (y + z + t))),
-                          ((k, l, i), j, ksign((x + y) * (z + t))),
-                          ((l, i, j), k, ksign(t * (x + y + z)))):
-            tv = triples.get(key)
-            if tv:
-                rhs += s * w_vec_basis(tv, d)
-        if lhs != rhs:
-            witnesses.append(Witness((i, j, k, l), Fraction(lhs, denom),
-                                     Fraction(rhs, denom)))
+    lhs, rhs = {}, {}  # (i, j, k, l) -> scaled side, summed term by term
+    for (i, k), u in pairs.items():
+        wu = _w_row(u, wrows)  # m -> w(b_i b_k, b_m)
+        for m, value in wu.items():
+            for (j, l), c in kern.columns.get(m, ()):
+                key = (i, j, k, l)
+                lhs[key] = lhs.get(key, 0) + ksign(par[j] * par[k]) * c * value
+    for (p, q), trow in kern.triples.items():
+        for r, tv in trow.items():
+            for d, value in _w_row(tv, wrows).items():
+                for key, s in _chain_keys(par, p, q, r, d):
+                    rhs[key] = rhs.get(key, 0) + s * value
+    for key in sorted(lhs.keys() | rhs.keys()):
+        left, right = lhs.get(key, 0), rhs.get(key, 0)
+        if left != right:
+            witnesses.append(Witness(key, Fraction(left, denom),
+                                     Fraction(right, denom)))
     return _report(witnesses, notes)
 
 

@@ -8,13 +8,15 @@ antisymmetric.  All checks are exact scans with witnesses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
 from .core import (EVEN, CheckReport, Element, GradedSubspace,
                    SuperAlgebra, SuperSpace, Witness, _mul_vv, _report,
-                   ideal_closure, direct_sum, direct_sum_embeddings,
-                   simplicity, change_basis)
+                   _scan_kernel, ideal_closure, direct_sum,
+                   direct_sum_embeddings, simplicity, change_basis)
 from .errors import AxiomError, InputError, PreconditionError
 from .linalg import ZERO, frac
 
@@ -123,22 +125,46 @@ def check_form(a: SuperAlgebra, b: BilinearForm) -> FormReport:
     nondeg_wit = [Witness(("kernel",), Element.from_seq(v), Element.zero(n))
                   for v in linalg.kernel(b.matrix(), cols=n)]
 
-    inv_wit = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = ZERO
-                for m, c in a.basis_product(i, j).items():
-                    lhs += c * g[m][k]
-                rhs = ZERO
-                for m, c in a.basis_product(j, k).items():
-                    rhs += g[i][m] * c
-                if lhs != rhs:
-                    inv_wit.append(Witness((i, j, k), lhs, rhs))
+    inv_wit = _invariance_witnesses(a, g)
 
     return FormReport(even=_report(even_wit), supersymmetric=_report(sym_wit),
                       nondegenerate=_report(nondeg_wit),
                       invariant=_report(inv_wit))
+
+
+def _invariance_witnesses(a: SuperAlgebra, g):
+    """(i, j, k) with B(b_i b_j, b_k) != B(b_i, b_j b_k), in lexicographic
+    order, with both sides.
+
+    Both sides are sums of (constant x Gram entry) terms, so they are
+    accumulated on the scan kernel's integer constants (scaled by D) and
+    the Gram scaled by E, the lcm of its denominators: each pair entry
+    b_i b_j = sum_m c_m b_m adds c_m G[m][k] to lhs(i, j, k) for each
+    nonzero in Gram row m, and G[h][m] c_m to rhs(h, i, j) for each nonzero
+    in Gram column m.  Every triple with a nonzero side is reached this way;
+    the sorted keys whose sides differ are divided back by D E.
+    """
+    kern = _scan_kernel(a)
+    scale = math.lcm(*(x.denominator for row in g for x in row if x))
+    grows, gcols = {}, {}
+    for m, row in enumerate(g):
+        for k, x in enumerate(row):
+            if x:
+                x = x.numerator * (scale // x.denominator)
+                grows.setdefault(m, []).append((k, x))
+                gcols.setdefault(k, []).append((m, x))
+    lhs, rhs = {}, {}
+    for (i, j), vec in kern.pairs.items():
+        for m, c in vec.items():
+            for k, x in grows.get(m, ()):
+                lhs[(i, j, k)] = lhs.get((i, j, k), 0) + c * x
+            for h, x in gcols.get(m, ()):
+                rhs[(h, i, j)] = rhs.get((h, i, j), 0) + x * c
+    denom = kern.scale * scale
+    return [Witness(key, Fraction(lhs.get(key, 0), denom),
+                    Fraction(rhs.get(key, 0), denom))
+            for key in sorted(lhs.keys() | rhs.keys())
+            if lhs.get(key, 0) != rhs.get(key, 0)]
 
 
 class QuadraticAlgebra:

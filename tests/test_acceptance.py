@@ -9,6 +9,7 @@ import io
 import itertools
 import json
 import random
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -314,3 +315,28 @@ def test_criterion_10_serialization_and_cli():
     verdict(10, byte_ok and all(checks),
             "byte-identical emit/parse across the catalog; CLI exit codes "
             "0/2/3/4 verified on the good/mutated matrix")
+
+
+def test_declared_dimension_check_follows_the_nonzeros():
+    """The 83-byte document of dimension 400 with no constants and no Gram
+    entries: every scan runs over the (empty) nonzeros, only the Gram
+    kernel has 400 vectors."""
+    text = ('{"constants":[],"even_dim":400,"format_version":1,"gram":[],'
+            '"name":"z","odd_dim":0}')
+    assert len(text) == 83
+    out = io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    t0 = time.perf_counter()
+    try:
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = cli_run(["check", "-"])
+    finally:
+        sys.stdin = saved
+    elapsed = time.perf_counter() - t0
+    checks = json.loads(out.getvalue())["checks"]
+    failures = {name: rep["failures"] for name, rep in checks.items()}
+    ok = (code == 3 and failures.pop("form_nondegenerate") == 400
+          and not any(failures.values()) and elapsed < 5.0)
+    verdict(11, ok, "check of a 400-dim zero document exits 3 with 400 "
+                    "kernel witnesses in %.2fs" % elapsed)

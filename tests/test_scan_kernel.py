@@ -2,7 +2,9 @@
 
 The reference evaluates every basis tuple through `core.product`, with no
 pruning and no cleared denominators, so it shares no code with the kernel
-beyond the structure constants themselves.
+beyond the structure constants themselves.  The form-invariance and
+super-anticommutativity references are the full loops over all basis
+triples and pairs that the term-wise scans replaced.
 """
 
 from fractions import Fraction
@@ -11,9 +13,10 @@ from itertools import product as tuples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmalcev import (EVEN, ODD, Cocycle, Element, SuperAlgebra, SuperSpace,
-                     Witness, check_cocycle, check_jacobi, check_malcev,
-                     product)
+from qmalcev import (EVEN, ODD, BilinearForm, Cocycle, Element, SuperAlgebra,
+                     SuperSpace, Witness, check_cocycle, check_form,
+                     check_jacobi, check_malcev,
+                     check_super_anticommutativity, product)
 from qmalcev.core import ksign
 
 SCALARS = st.builds(Fraction, st.integers(-4, 4).filter(bool),
@@ -145,3 +148,64 @@ def test_cocycle_kernel_matches_dense_reference(pair):
     a, w = pair
     rep = check_cocycle(a, w)
     assert list(rep.witnesses) == cocycle_reference(a, w)
+
+
+def invariance_reference(a, g):
+    n = a.dim
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = Fraction(0)
+                for m, c in a.basis_product(i, j).items():
+                    lhs += c * g[m][k]
+                rhs = Fraction(0)
+                for m, c in a.basis_product(j, k).items():
+                    rhs += g[i][m] * c
+                if lhs != rhs:
+                    out.append(Witness((i, j, k), lhs, rhs))
+    return out
+
+
+def anticommutativity_reference(a):
+    n, par = a.dim, [a.space.parity(i) for i in range(a.dim)]
+    out = []
+    for i in range(n):
+        for j in range(i, n):
+            lhs = a.basis_product(i, j)
+            s = -ksign(par[i] * par[j])
+            rhs = {k: s * c for k, c in a.basis_product(j, i).items()}
+            if lhs != rhs:
+                out.append(Witness((i, j), Element.from_seq(
+                    [lhs.get(k, 0) for k in range(n)]), Element.from_seq(
+                    [rhs.get(k, 0) for k in range(n)])))
+    return out
+
+
+@st.composite
+def algebras_with_grams(draw):
+    """A graded algebra and a sparse Gram matrix with mixed denominators,
+    any parity pattern: mostly not invariant."""
+    a = draw(graded_algebras())
+    n = a.dim
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for _ in range(draw(st.integers(1, 3 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        g[i][j] = draw(SCALARS)
+    return a, g
+
+
+@settings(max_examples=80, deadline=None)
+@given(algebras_with_grams())
+def test_form_invariance_matches_full_triple_loop(pair):
+    a, g = pair
+    rep = check_form(a, BilinearForm(g)).invariant
+    assert list(rep.witnesses) == invariance_reference(a, g)
+    assert rep.passed == (not rep.witnesses)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_algebras())
+def test_anticommutativity_matches_full_pair_loop(a):
+    assert (list(check_super_anticommutativity(a).witnesses)
+            == anticommutativity_reference(a))

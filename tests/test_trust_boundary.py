@@ -2,6 +2,7 @@
 trees whose stored documents do not match what they rebuild exit 3."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from qmalcev import (EVEN, OperatorMap, catalog_get, direct_sum_quadratic,
                      double_extension_even, emit_document, emit_tree,
                      inductive_decompose, rebuild)
 from qmalcev.cli import run
-from qmalcev.document import (DocumentSyntaxError, canonical_json,
+from qmalcev.document import (MAX_DIM, DocumentSyntaxError, canonical_json,
                               parse_document, parse_scalar, parse_tree)
 from qmalcev.errors import AxiomError
 
@@ -252,3 +253,42 @@ def test_catalog_m_spellings_accepted(capsys, n, m, want):
     entry = catalog_get("example_gde", n=n, m=want)
     assert capsys.readouterr().out == emit_document(entry.algebra,
                                                     gde=entry.extras)
+
+
+def _sized_doc(even_dim, odd_dim):
+    return {"constants": [], "even_dim": even_dim, "format_version": 1,
+            "gram": [], "name": "sized", "odd_dim": odd_dim}
+
+
+@pytest.mark.parametrize("even_dim,odd_dim", [
+    (10 ** 12, 0), (0, 10 ** 12), (MAX_DIM, 1), (MAX_DIM - 1, 2)])
+def test_declared_dimension_above_the_cap_exits_2(tmp_path, capsys,
+                                                  even_dim, odd_dim):
+    doc = _sized_doc(even_dim, odd_dim)
+    path = tmp_path / "input.json"
+    path.write_text(canonical_json(doc))
+    t0 = time.perf_counter()
+    assert run(["check", str(path)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "exceeds the cap" in capsys.readouterr().err
+    leaf = {"document": doc, "kind": "leaf", "label": "x", "note": ""}
+    assert _cli(tmp_path, capsys, "rebuild", leaf) == 2
+    tree = _sum_tree()
+    tree["children"][0]["document"] = doc
+    assert _cli(tmp_path, capsys, "rebuild", tree) == 2
+
+
+def test_declared_dimension_at_the_cap_is_read():
+    q, _op, _gde = parse_document(canonical_json(_sized_doc(MAX_DIM - 2, 2)))
+    assert q.dim == MAX_DIM
+
+
+@pytest.mark.parametrize("argv", [
+    ["abelian", "--p", str(10 ** 12), "--q", "0"],
+    ["abelian", "--p", "0", "--q", str(10 ** 12)],
+    ["abelian", "--p", str(MAX_DIM + 1), "--q", "0"],
+    ["example_gde", "--n", str(10 ** 12), "--m", "1"],
+], ids=["p", "q", "p_cap_plus_1", "n"])
+def test_catalog_values_above_the_cap_exit_2(capsys, argv):
+    assert run(["catalog"] + argv) == 2
+    assert "exceeds the dimension cap" in capsys.readouterr().err
