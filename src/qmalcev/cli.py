@@ -197,15 +197,15 @@ def _cmd_rebuild(args):
 
 
 def _cmd_catalog(args):
-    params = {}
-    if args.n is not None:
-        params["n"] = args.n
-    if args.m is not None:
-        params["m"] = args.m
-    if args.p is not None:
-        params["p"] = args.p
-    if args.q is not None:
-        params["q"] = args.q
+    # the entry's dimension, read off its parameters before it is built
+    n, p, q = args.n or 0, args.p or 0, args.q or 0
+    dim = {"abelian": p + q, "example_M": 1 + 2 * n,
+           "example_gde": 3 + 2 * n}.get(args.name, 0)
+    if dim > MAX_DIM:
+        raise InputError("%s has dimension %d, which exceeds the dimension "
+                         "cap of %d" % (args.name, dim, MAX_DIM))
+    params = {key: getattr(args, key) for key in ("n", "m", "p", "q")
+              if getattr(args, key) is not None}
     entry = catalog_get(args.name, **params)
     sys.stdout.write(emit_document(entry.algebra, gde=entry.extras))
     return EXIT_OK

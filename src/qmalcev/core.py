@@ -689,7 +689,7 @@ def _random_homogeneous_vectors(space: SuperSpace, seed, rounds):
     return out
 
 
-def _ideal_candidates(a: SuperAlgebra, seed=0x5EED):
+def _ideal_candidates(a: SuperAlgebra):
     """Deterministic seed subspaces whose closures are tested as ideals."""
     n = a.dim
     par = [a.space.parity(i) for i in range(n)]
@@ -708,7 +708,7 @@ def _ideal_candidates(a: SuperAlgebra, seed=0x5EED):
         for j in range(i + 1, n):
             if par[i] == par[j]:
                 yield [linalg.basis_vector(n, i), linalg.basis_vector(n, j)]
-    for v in _random_homogeneous_vectors(a.space, seed, rounds=4):
+    for v in _random_homogeneous_vectors(a.space, 0x5EED, rounds=4):
         yield [v]
 
 

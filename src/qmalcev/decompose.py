@@ -22,7 +22,8 @@ from .errors import AxiomError, InputError, PreconditionError
 from .linalg import ONE, ZERO
 from .operators import OperatorMap, check_malcev_operator
 from .quadratic import (BilinearForm, QuadraticAlgebra, _find_splitting_ideal,
-                        _require_validated, b_irreducible_components,
+                        _form_pairing, _require_validated, _sparse,
+                        b_irreducible_components,
                         change_basis_quadratic, direct_sum_quadratic,
                         orthogonal_complement)
 from .extensions import (_HALF, ExtensionWitness, GdeData,
@@ -68,12 +69,11 @@ def _solve_dual_vector(q: QuadraticAlgebra, estar, parity):
     that B(e, e*) = 1."""
     space = q.space
     idxs = space.even_indices() if parity == EVEN else space.odd_indices()
-    g = q.form.matrix()
+    _, right = _form_pairing(q.form, {0: _sparse(estar)})  # B(b_j, e*)
     for b in idxs:
-        pairing = sum((g[b][k] * estar[k] for k in range(space.dim)), ZERO)
-        if pairing != 0:
+        if (b, 0) in right:
             e = [ZERO] * space.dim
-            e[b] = ONE / pairing
+            e[b] = ONE / right[(b, 0)]
             return e
     raise PreconditionError("no basis vector pairs with the central vector; "
                             "the form would be degenerate")
@@ -103,7 +103,7 @@ class _Peeled:
     """What both reductions read off the input in the adapted basis."""
 
     n: QuadraticAlgebra   # the reduced algebra, validated
-    dmat: list            # D: column j is the N part of e X_j
+    d: OperatorMap        # D: column j is the N part of e X_j
     psi: list             # the e* coefficients of e X_j
     a0: Element           # the N part of ee
     phi_check: CheckReport
@@ -157,14 +157,13 @@ def _peel(q: QuadraticAlgebra, e, estar, parity) -> _Peeled:
     ngram = [[rq.form.gram[i][j] for j in n_positions] for i in n_positions]
     nalg = SuperAlgebra(nspace, constants, name="reduced(%s)" % q.name)
     nq = QuadraticAlgebra.validate(nalg, BilinearForm(ngram))
-    phi_wit = []
-    for i in range(ndim):
-        for j in range(ndim):
-            # phi(X_i, X_j) = B(D(X_i), X_j)
-            want = sum((dmat[r][i] * ngram[r][j] for r in range(ndim)), ZERO)
-            if phi[i][j] != want:
-                phi_wit.append(Witness((i, j), phi[i][j], want))
-    return _Peeled(nq, dmat, psi,
+    d = OperatorMap(dmat, parity)
+    # phi(X_i, X_j) = B(D(X_i), X_j)
+    want, _ = _form_pairing(nq.form, {i: d.column(i) for i in range(ndim)})
+    phi_wit = [Witness((i, j), phi[i][j], want.get((i, j), ZERO))
+               for i in range(ndim) for j in range(ndim)
+               if phi[i][j] != want.get((i, j), ZERO)]
+    return _Peeled(nq, d, psi,
                    Element(tuple(a0.get(m, ZERO) for m in range(ndim))),
                    _report(phi_wit),
                    ExtensionWitness(e_idx, estar_idx, tuple(n_positions)),
@@ -188,20 +187,18 @@ def reduce_odd(q: QuadraticAlgebra) -> OddReduction:
                      "reduction proceeds and is recorded as such")
     e = _solve_dual_vector(q, estar, ODD)
     r = _peel(q, e, estar, ODD)
-    ndim = r.n.dim
+    # psi(X) = (-1)^x B(X, a0)
+    _, ga0 = _form_pairing(r.n.form, {0: _sparse(r.a0.coords)})
     psi_wit = []
-    for j in range(ndim):
-        # psi(X) = (-1)^x B(X, a0)
-        want = ksign(r.n.space.parity(j)) \
-            * r.n.form.value(Element.basis(ndim, j), r.a0)
-        if r.psi[j] != want:
-            psi_wit.append(Witness((j,), r.psi[j], want))
-    d = OperatorMap(r.dmat, ODD)
-    report = verify_gde_data(r.n, GdeData(d, r.a0))
+    for j, psi in enumerate(r.psi):
+        want = ksign(r.n.space.parity(j)) * ga0.get((j, 0), ZERO)
+        if psi != want:
+            psi_wit.append(Witness((j,), psi, want))
+    report = verify_gde_data(r.n, GdeData(r.d, r.a0))
     if not report.passed:
         raise PreconditionError("recovered data fails admissibility: %s"
                                 % report.first_failure())
-    return OddReduction(n=r.n, gde=GdeData(d, r.a0, verified=True),
+    return OddReduction(n=r.n, gde=GdeData(r.d, r.a0, verified=True),
                         witness=r.witness, basis=r.basis,
                         alpha_check=_ALPHA_CHECK, phi_check=r.phi_check,
                         psi_check=_report(psi_wit),
@@ -220,20 +217,18 @@ def reduce_even(q: QuadraticAlgebra) -> EvenReduction:
     if _find_splitting_ideal(q) is not None:
         raise PreconditionError("input splits along a non-degenerate ideal; "
                                 "split first")
-    e_star_sq = q.form.value(Element.from_seq(estar), Element.from_seq(estar))
-    if e_star_sq != 0:
+    if q.form.restrict([estar])[0][0] != 0:  # B(e*, e*)
         raise PreconditionError("central vector is anisotropic; split first")
     e0 = _solve_dual_vector(q, estar, EVEN)
-    bee = q.form.value(Element.from_seq(e0), Element.from_seq(e0))
+    bee = q.form.restrict([e0])[0][0]
     # correct e so that B(e, e) = 0, keeping B(e, e*) = 1 (exact over Q)
     e = [a - _HALF * bee * b for a, b in zip(e0, estar)]
     r = _peel(q, e, estar, EVEN)
-    d = OperatorMap(r.dmat, EVEN)
-    oper = check_malcev_operator(r.n.algebra, d)
+    oper = check_malcev_operator(r.n.algebra, r.d)
     if not oper.passed:
         raise PreconditionError("recovered operator fails the operator "
                                 "identity")
-    return EvenReduction(n=r.n, operator=d, witness=r.witness, basis=r.basis,
+    return EvenReduction(n=r.n, operator=r.d, witness=r.witness, basis=r.basis,
                          alpha_check=_ALPHA_CHECK, phi_check=r.phi_check)
 
 
@@ -412,8 +407,8 @@ def _odd_action_matrices(a: SuperAlgebra):
     return mats
 
 
-def check_completely_reducible_action(q: QuadraticAlgebra,
-                                      subspaces=()) -> ReducibilityReport:
+def check_completely_reducible_action(
+        q: QuadraticAlgebra) -> ReducibilityReport:
     """Exact test that the even part acts completely reducibly on the odds.
 
     Certificate: the action is completely reducible iff the unital
@@ -435,30 +430,20 @@ def check_completely_reducible_action(q: QuadraticAlgebra,
                                   certificate="semisimple enveloping algebra "
                                               "(trace form non-degenerate)")
     # obstruction witness: image of the action plus the odd center
-    candidates = list(subspaces)
-    image_vectors = []
-    for i in range(p):
-        for j in range(qd):
-            col = [ZERO] * a.dim
-            for (x, jj, kk), c in a.constants.items():
-                if x == i and jj == p + j:
-                    col[kk] = c
-            if not linalg.is_zero_vec(col):
-                image_vectors.append(col)
+    image_vectors = [_to_element(a.dim, vec).coords
+                     for (i, j), vec in sorted(a.pair_table().items())
+                     if i < p <= j]
     zc = center(a)
     odd_center = [list(c) for c in zc.odd_columns()]
-    witnessy = GradedSubspace.from_vectors(a.space,
-                                           image_vectors + odd_center)
-    candidates.append(witnessy)
-    for y in candidates:
-        if 0 < y.dim < qd and _lacks_invariant_complement(a, mats, y):
-            triple = _obstruction_triple(a, mats, y)
-            return ReducibilityReport(False,
-                                      certificate="enveloping trace form "
-                                                  "degenerate; witness has "
-                                                  "no invariant complement",
-                                      witness_subspace=y,
-                                      obstruction_triple=triple)
+    y = GradedSubspace.from_vectors(a.space, image_vectors + odd_center)
+    if 0 < y.dim < qd and _lacks_invariant_complement(a, mats, y):
+        return ReducibilityReport(False,
+                                  certificate="enveloping trace form "
+                                              "degenerate; witness has no "
+                                              "invariant complement",
+                                  witness_subspace=y,
+                                  obstruction_triple=_obstruction_triple(
+                                      a, mats, y))
     return ReducibilityReport(False,
                               certificate="enveloping trace form degenerate",
                               notes=("no explicit witness located by the "

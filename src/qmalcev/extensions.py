@@ -20,15 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, SuperAlgebra, SuperSpace,
                    Witness, _from_element, _mul_vb, _mul_vv, _report,
-                   _to_element, _vadd, _vscale, ksign)
+                   _to_element, _vadd, _vscale, check_malcev,
+                   direct_sum_embeddings, ksign)
 from .errors import AxiomError, InputError, PreconditionError
 from .linalg import ONE, ZERO, frac
 from .operators import (OperatorMap, check_malcev_operator,
                         check_skew_supersymmetric)
-from .quadratic import (BilinearForm, QuadraticAlgebra, _require_validated)
+from .quadratic import (BilinearForm, QuadraticAlgebra, _form_pairing,
+                        _require_validated)
 
 _HALF = Fraction(1, 2)
 
@@ -76,12 +77,6 @@ class GdeReport:
             if not getattr(self, f).passed:
                 return f
         return None
-
-
-def _gram_pairing(q: QuadraticAlgebra, f: OperatorMap):
-    """Matrix of B(f(b_i), b_j)."""
-    fm = [list(r) for r in f.matrix]
-    return linalg.mat_mul(linalg.transpose(fm), q.form.matrix())
 
 
 def verify_gde_data(q: QuadraticAlgebra, g: GdeData) -> GdeReport:
@@ -187,16 +182,11 @@ def central_extension(q: QuadraticAlgebra, d: OperatorMap) -> SuperAlgebra:
     space = SuperSpace(q.space.even_dim, q.space.odd_dim + 1)
     estar = n
     constants = dict(q.algebra.constants)
-    pairing = _gram_pairing(q, d)
-    for i in range(n):
-        for j in range(n):
-            w = -pairing[i][j]
-            if w != 0:
-                constants[(i, j, estar)] = w
+    twist, _ = _form_pairing(q.form, {i: d.column(i) for i in range(n)})
+    for (i, j), w in sorted(twist.items()):  # w = B(d(b_i), b_j)
+        constants[(i, j, estar)] = -w
     out = SuperAlgebra(space, constants,
                        name="central_ext(%s)" % q.name)
-    from .core import check_malcev
-
     rep = check_malcev(out)
     if not rep.passed:
         raise AxiomError("central extension failed the Malcev identity", rep)
@@ -220,21 +210,19 @@ def _extend(q: QuadraticAlgebra, d: OperatorMap, a0: Element):
     e_idx, estar = s, s + b + 1
     constants = {(emap[i], emap[j], emap[k]): c
                  for (i, j, k), c in q.algebra.constants.items()}
-    pairing = _gram_pairing(q, d)
-    for i in range(n):
-        for j in range(n):
-            w = pairing[i][j]
-            if w != 0:
-                constants[(emap[i], emap[j], estar)] = w
+    dcols = {i: d.column(i) for i in range(n)}
+    twist, _ = _form_pairing(q.form, dcols)
+    for (i, j), w in sorted(twist.items()):  # w = B(d(b_i), b_j)
+        constants[(emap[i], emap[j], estar)] = w
     for k, c in enumerate(a0.coords):
         if c != 0:
             constants[(e_idx, e_idx, emap[k])] = c
-    ga0 = linalg.mat_vec(q.form.matrix(), list(a0.coords))
+    _, ga0 = _form_pairing(q.form, {0: _from_element(a0)})  # B(b_j, a0)
     for j in range(n):
         x = q.space.parity(j)
-        image = {emap[r]: v for r, v in d.column(j).items()}
-        if ga0[j] != 0:
-            image[estar] = ksign(x) * ga0[j]
+        image = {emap[r]: v for r, v in dcols[j].items()}
+        if (j, 0) in ga0:
+            image[estar] = ksign(x) * ga0[(j, 0)]
         back = frac(-ksign(pi * x))
         for r, v in image.items():
             constants[(e_idx, emap[j], r)] = v
@@ -558,8 +546,6 @@ def generalized_semidirect_product(m: SuperAlgebra, v: SuperAlgebra,
     if not report.passed:
         raise PreconditionError("semidirect compatibility %s fails"
                                 % report.first_failure())
-    from .core import direct_sum_embeddings
-
     space = SuperSpace(m.space.even_dim + v.space.even_dim,
                        m.space.odd_dim + v.space.odd_dim)
     amap, bmap = direct_sum_embeddings(m.space, v.space)
@@ -582,8 +568,6 @@ def generalized_semidirect_product(m: SuperAlgebra, v: SuperAlgebra,
                 constants[(bmap[h], amap[i], bmap[r])] = back * cval
     out = SuperAlgebra(space, constants,
                        name="gsd(%s,%s)" % (m.name, v.name))
-    from .core import check_malcev
-
     rep = check_malcev(out)
     if not rep.passed:
         raise AxiomError("semidirect product failed the Malcev identity", rep)
@@ -606,11 +590,9 @@ def semidirect_data_from_gde(q: QuadraticAlgebra, g: GdeData):
     for j in range(n):
         for r, val in g.d.column(j).items():
             dmat[r][j] = val
-    ga0 = linalg.mat_vec(q.form.matrix(), list(g.a0.coords))
-    for j in range(n):
-        sgn = ksign(q.space.parity(j)) * ga0[j]
-        if sgn != 0:
-            dmat[estar][j] = sgn
+    _, ga0 = _form_pairing(q.form, {0: _from_element(g.a0)})  # B(b_j, a0)
+    for (j, _c), v in ga0.items():
+        dmat[estar][j] = ksign(q.space.parity(j)) * v
     dtilde = OperatorMap(dmat, ODD)
     a0_ext = Element(tuple(list(g.a0.coords) + [ZERO]))
     data = SemidirectData(line, vext, (dtilde,), ((a0_ext,),))

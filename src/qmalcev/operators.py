@@ -1,10 +1,15 @@
 """Homogeneous operators, skew-supersymmetry, and 2-cocycles.
 
-The operator identity (for phi applied to triple products) is scanned
-over basis triples; the four-variable cocycle identity goes through the
-integer scan kernel of `core`.  A non-degenerate scalar product turns
-scalar-valued cocycles into operators and back, exactly, through the Gram
-inverse.
+The five-term operator identity and the cocycle identity are scanned
+term-wise on the integer kernel of `core`, as the Malcev identity is: each
+term is kernel entries times one linear map (the operator f or the cocycle
+w) scaled once by F, the lcm of its denominators, and is added into the
+integer sum of every tuple where it occurs.  The operator identity is
+linear in f and quadratic in the constants, so both scaled sides are D^2 F
+times the true ones: exact, unequal on the same triples, and divided back
+only when a witness is built.  Skew-supersymmetry and the cocycle of an
+operator read the sparse form pairing of `quadratic`; the Gram inverse
+turns cocycles back into operators.
 """
 
 from __future__ import annotations
@@ -14,11 +19,12 @@ from fractions import Fraction
 
 from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, SuperAlgebra, Witness,
-                   _chain_keys, _mul_vb, _mul_vv, _report, _scan_kernel,
-                   _to_element, _vadd, ksign, parity_name)
+                   _chain_keys, _report, _scaled_element, _scan_kernel,
+                   _vadd, ksign, parity_name)
 from .errors import GradingError, InputError, PreconditionError
 from .linalg import ZERO, frac
-from .quadratic import BilinearForm, QuadraticAlgebra, _require_validated
+from .quadratic import (BilinearForm, QuadraticAlgebra, _form_pairing,
+                        _require_validated)
 
 
 class OperatorMap:
@@ -105,35 +111,71 @@ def split_endomorphism(matrix, space):
     return OperatorMap(even, EVEN), OperatorMap(odd, ODD)
 
 
+def _int_map(images):
+    """F, the lcm of the denominators of a linear map given by its sparse
+    images {m: {d: x}}, and a function that applies F times the map to a
+    sparse int vector, returning only the nonzero coordinates."""
+    scale = math.lcm(*(x.denominator for vec in images.values()
+                       for x in vec.values()))
+    cols = {m: {d: x.numerator * (scale // x.denominator)
+                for d, x in vec.items()} for m, vec in images.items()}
+
+    def apply(vec):
+        out = {}
+        for m, c in vec.items():
+            for d, x in cols.get(m, {}).items():
+                out[d] = out.get(d, 0) + c * x
+        return {d: x for d, x in out.items() if x}
+
+    return scale, apply
+
+
+def _add(sums, key, vec, s):
+    """sums[key] += s * vec for a sparse int vector vec."""
+    acc = sums.setdefault(key, {})
+    for m, c in vec.items():
+        acc[m] = acc.get(m, 0) + s * c
+
+
 def check_malcev_operator(a: SuperAlgebra, f: OperatorMap) -> CheckReport:
     """Five-term operator identity on all basis triples.
 
     phi((XY)Z) = (phi(X)Y)Z - (-1)^{xy} phi(Y)(XZ)
                - (-1)^{z(x+y)} (phi(Z)X)Y - (-1)^{x(y+z)} phi(YZ)X
+
+    (f(b_p) b_q) b_r is (phi(X)Y)Z at (p, q, r) and (phi(Z)X)Y at
+    (q, r, p); f(b_j)(b_i b_k) is the sum of c(i, k, m) f(b_j) b_m.
     """
     n = a.dim
     if f.dim != n:
         raise InputError("operator dimension does not match algebra")
     f.validate_parity(a.space)
-    par = [a.space.parity(i) for i in range(n)]
+    kern = _scan_kernel(a)
+    par = kern.par
+    fscale, fmap = _int_map({m: f.column(m) for m in range(n)})
+    lhs, rhs = {}, {}  # (i, j, k) -> scaled side, summed term by term
+    for (i, j), trow in kern.triples.items():
+        for k, tv in trow.items():
+            _add(lhs, (i, j, k), fmap(tv), 1)
+    for p in range(n):
+        fprod = kern.right_products(fmap({p: 1}))  # m -> f(b_p) b_m
+        for m, u in fprod.items():
+            for (i, k), c in kern.columns.get(m, ()):
+                _add(rhs, (i, p, k), u, -ksign(par[i] * par[p]) * c)
+            for r, v in kern.right_products(u).items():
+                _add(rhs, (p, m, r), v, 1)
+                _add(rhs, (m, r, p), v, -ksign(par[p] * (par[m] + par[r])))
+    for (j, k), vec in kern.pairs.items():
+        for i, v in kern.right_products(fmap(vec)).items():
+            _add(rhs, (i, j, k), v, -ksign(par[i] * (par[j] + par[k])))
+    denom = kern.scale ** 2 * fscale
     witnesses = []
-    for i in range(n):
-        fi = f.column(i)
-        for j in range(n):
-            fj = f.column(j)
-            for k in range(n):
-                x, y, z = par[i], par[j], par[k]
-                lhs = f.apply_vec(_mul_vb(a, a.basis_product(i, j), k))
-                rhs = _mul_vb(a, _mul_vb(a, fi, j), k)
-                _vadd(rhs, _mul_vv(a, fj, a.basis_product(i, k)),
-                      frac(-ksign(x * y)))
-                _vadd(rhs, _mul_vb(a, _mul_vb(a, f.column(k), i), j),
-                      frac(-ksign(z * (x + y))))
-                _vadd(rhs, _mul_vb(a, f.apply_vec(a.basis_product(j, k)), i),
-                      frac(-ksign(x * (y + z))))
-                if lhs != rhs:
-                    witnesses.append(Witness((i, j, k), _to_element(n, lhs),
-                                             _to_element(n, rhs)))
+    for key in sorted(lhs.keys() | rhs.keys()):
+        left = {m: c for m, c in lhs.get(key, {}).items() if c}
+        right = {m: c for m, c in rhs.get(key, {}).items() if c}
+        if left != right:
+            witnesses.append(Witness(key, _scaled_element(n, left, denom),
+                                     _scaled_element(n, right, denom)))
     return _report(witnesses)
 
 
@@ -143,17 +185,13 @@ def check_skew_supersymmetric(b: BilinearForm, f: OperatorMap,
     n = b.dim
     if f.dim != n:
         raise InputError("operator dimension does not match form")
-    g = b.matrix()
-    fm = [list(r) for r in f.matrix]
-    lhs_m = linalg.mat_mul(linalg.transpose(fm), g)  # B(f(b_i), b_j)
-    rhs_m = linalg.mat_mul(g, fm)  # B(b_i, f(b_j))
+    left, right = _form_pairing(b, {i: f.column(i) for i in range(n)})
     witnesses = []
-    for i in range(n):
-        s = frac(-ksign(f.parity * space.parity(i)))
-        for j in range(n):
-            if lhs_m[i][j] != s * rhs_m[i][j]:
-                witnesses.append(Witness((i, j), lhs_m[i][j],
-                                         s * rhs_m[i][j]))
+    for i, j in sorted(left.keys() | right.keys()):
+        lhs = left.get((i, j), ZERO)
+        rhs = -ksign(f.parity * space.parity(i)) * right.get((i, j), ZERO)
+        if lhs != rhs:
+            witnesses.append(Witness((i, j), lhs, rhs))
     return _report(witnesses)
 
 
@@ -220,16 +258,6 @@ class Cocycle:
                                                parity_name(self.parity))
 
 
-def _w_row(vec, wrows):
-    """{d: w(vec, b_d)} for a scaled sparse vector vec and the scaled rows
-    {d: w(b_m, b_d)} of a cocycle, with only the nonzero values."""
-    out = {}
-    for m, c in vec.items():
-        for d, x in wrows[m].items():
-            out[d] = out.get(d, 0) + c * x
-    return {d: x for d, x in out.items() if x}
-
-
 def check_cocycle(a: SuperAlgebra, w: Cocycle) -> CheckReport:
     """Graded skewness plus the four-variable cocycle identity.
 
@@ -242,9 +270,9 @@ def check_cocycle(a: SuperAlgebra, w: Cocycle) -> CheckReport:
         raise InputError("cocycle dimension does not match algebra")
     kern = _scan_kernel(a)
     par, pairs = kern.par, kern.pairs
-    wscale = math.lcm(*(v.denominator for row in w.values for v in row))
-    wrows = [{d: v.numerator * (wscale // v.denominator)
-              for d, v in enumerate(row) if v} for row in w.values]
+    # wmap(vec) is {d: w(vec, b_d)}, scaled by W
+    wscale, wmap = _int_map({m: {d: v for d, v in enumerate(row) if v}
+                             for m, row in enumerate(w.values)})
     denom = kern.scale ** 2 * wscale
 
     skew = w.graded_skew_report(a.space)
@@ -254,14 +282,13 @@ def check_cocycle(a: SuperAlgebra, w: Cocycle) -> CheckReport:
         notes.append("graded skew-symmetry fails")
     lhs, rhs = {}, {}  # (i, j, k, l) -> scaled side, summed term by term
     for (i, k), u in pairs.items():
-        wu = _w_row(u, wrows)  # m -> w(b_i b_k, b_m)
-        for m, value in wu.items():
+        for m, value in wmap(u).items():
             for (j, l), c in kern.columns.get(m, ()):
                 key = (i, j, k, l)
                 lhs[key] = lhs.get(key, 0) + ksign(par[j] * par[k]) * c * value
     for (p, q), trow in kern.triples.items():
         for r, tv in trow.items():
-            for d, value in _w_row(tv, wrows).items():
+            for d, value in wmap(tv).items():
                 for key, s in _chain_keys(par, p, q, r, d):
                     rhs[key] = rhs.get(key, 0) + s * value
     for key in sorted(lhs.keys() | rhs.keys()):
@@ -293,6 +320,6 @@ def cocycle_from_operator(q: QuadraticAlgebra, f: OperatorMap) -> Cocycle:
     n = q.dim
     if f.dim != n:
         raise InputError("operator dimension does not match algebra")
-    fm = [list(r) for r in f.matrix]
-    wm = linalg.mat_mul(linalg.transpose(fm), q.form.matrix())
-    return Cocycle(wm, f.parity)
+    left, _right = _form_pairing(q.form, {i: f.column(i) for i in range(n)})
+    return Cocycle([[left.get((i, j), ZERO) for j in range(n)]
+                    for i in range(n)], f.parity)

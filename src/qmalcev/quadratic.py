@@ -14,9 +14,10 @@ from fractions import Fraction
 
 from . import linalg
 from .core import (EVEN, CheckReport, Element, GradedSubspace,
-                   SuperAlgebra, SuperSpace, Witness, _mul_vv, _report,
-                   _scan_kernel, ideal_closure, direct_sum,
-                   direct_sum_embeddings, simplicity, change_basis)
+                   SuperAlgebra, SuperSpace, Witness, _ideal_candidates,
+                   _mul_vv, _report, _scan_kernel, check_malcev,
+                   ideal_closure, direct_sum, direct_sum_embeddings,
+                   simplicity, change_basis)
 from .errors import AxiomError, InputError, PreconditionError
 from .linalg import ZERO, frac
 
@@ -45,19 +46,6 @@ class BilinearForm:
     @property
     def dim(self):
         return len(self.gram)
-
-    def value(self, x: Element, y: Element):
-        if len(x) != self.dim or len(y) != self.dim:
-            raise InputError("element length does not match form dimension")
-        total = ZERO
-        for i, xi in enumerate(x.coords):
-            if xi == 0:
-                continue
-            row = self.gram[i]
-            for j, yj in enumerate(y.coords):
-                if yj != 0 and row[j] != 0:
-                    total += xi * row[j] * yj
-        return total
 
     def matrix(self):
         return [list(row) for row in self.gram]
@@ -167,6 +155,28 @@ def _invariance_witnesses(a: SuperAlgebra, g):
             if lhs.get(key, 0) != rhs.get(key, 0)]
 
 
+def _form_pairing(b: BilinearForm, vectors):
+    """B(v_c, b_j) at (c, j) and B(b_j, v_c) at (j, c) for the sparse
+    vectors {c: {r: x}}, from their nonzeros and the Gram's; nonzero values
+    only.  For an operator's columns {i: f(b_i)} these are B(f(b_i), b_j)
+    and B(b_i, f(b_j)) at (i, j); for {0: v}, B(b_j, v) is at (j, 0)."""
+    grows, gcols = {}, {}  # the Gram's nonzeros by row and by column
+    for r, row in enumerate(b.gram):
+        for j, x in enumerate(row):
+            if x:
+                grows.setdefault(r, []).append((j, x))
+                gcols.setdefault(j, []).append((r, x))
+    left, right = {}, {}
+    for c, vec in vectors.items():
+        for r, x in vec.items():
+            for j, g in grows.get(r, ()):
+                left[(c, j)] = left.get((c, j), ZERO) + x * g
+            for j, g in gcols.get(r, ()):
+                right[(j, c)] = right.get((j, c), ZERO) + g * x
+    return ({key: v for key, v in left.items() if v},
+            {key: v for key, v in right.items() if v})
+
+
 class QuadraticAlgebra:
     """A superalgebra together with an invariant scalar product."""
 
@@ -181,8 +191,6 @@ class QuadraticAlgebra:
     @classmethod
     def validate(cls, algebra: SuperAlgebra, form: BilinearForm):
         """Run the full axiom suite and return a validated instance."""
-        from .core import check_malcev
-
         freport = check_form(algebra, form)
         if not freport.passed:
             raise AxiomError("form axioms failed: %s"
@@ -226,9 +234,10 @@ def orthogonal_complement(b: BilinearForm, s: GradedSubspace):
     if not b.is_nondegenerate():
         raise PreconditionError("form is degenerate")
     n = b.dim
-    gt = linalg.transpose(b.matrix())
-    # B(c, v) = c^T G v, so each constraint row is G^T c
-    rows = [linalg.mat_vec(gt, list(col)) for col in s.columns]
+    # each constraint row is the functional B(c, .) of a column c
+    left, _right = _form_pairing(b, dict(enumerate(map(_sparse, s.columns))))
+    rows = [[left.get((c, j), ZERO) for j in range(n)]
+            for c in range(s.dim)]
     vecs = linalg.kernel(rows, cols=n)
     return GradedSubspace.from_vectors(s.space, vecs)
 
@@ -243,12 +252,11 @@ def change_basis_quadratic(q: QuadraticAlgebra, columns, name=None):
 
 
 def restrict_quadratic(q: QuadraticAlgebra, sub: GradedSubspace,
-                       name: str = "", validate: bool = True):
-    """Quadratic algebra on a multiplication-closed graded subspace."""
+                       name: str = ""):
+    """Validated quadratic algebra on a multiplication-closed graded
+    subspace."""
     r = change_basis_quadratic(q, sub.columns, name=name or q.name)
-    if validate:
-        return QuadraticAlgebra.validate(r.algebra, r.form)
-    return QuadraticAlgebra(r.algebra, r.form, validated=False)
+    return QuadraticAlgebra.validate(r.algebra, r.form)
 
 
 def is_graded_ideal(a: SuperAlgebra, sub: GradedSubspace) -> bool:
@@ -330,18 +338,13 @@ class ComponentsReport:
 
 def _find_splitting_ideal(q: QuadraticAlgebra):
     """First candidate proper graded ideal with non-degenerate restriction."""
-    from .core import _ideal_candidates
-
     a = q.algebra
     n = a.dim
-    rep = simplicity(a)
-    if rep.simple is True:
+    if simplicity(a).simple is True:
         return None  # a simple algebra has no proper ideal
     seen = set()
-    candidates = list(_ideal_candidates(a))
-    if rep.simple is False and rep.ideal is not None:
-        candidates.append([list(c) for c in rep.ideal.columns])
-    for seed in candidates:
+    # an ideal that simplicity found is the closure of one of these seeds
+    for seed in _ideal_candidates(a):
         sub = GradedSubspace.from_vectors(a.space, seed)
         if sub.dim == 0:
             continue
@@ -373,9 +376,9 @@ def b_irreducible_components(q: QuadraticAlgebra) -> ComponentsReport:
     """Orthogonal components along non-degenerate graded ideals.
 
     Candidate-driven: closures of center columns, basis vectors, same-parity
-    sums and pairs, seeded pseudo-random vectors, and simplicity-search
-    witnesses.  The exhaustive flag is True only when every component is
-    provably irreducible.
+    sums and pairs, and seeded pseudo-random vectors, the seeds that
+    simplicity's search closes too.  The exhaustive flag is True only when
+    every component is provably irreducible.
     """
     _require_validated(q)
     components = []

@@ -4,7 +4,10 @@ The reference evaluates every basis tuple through `core.product`, with no
 pruning and no cleared denominators, so it shares no code with the kernel
 beyond the structure constants themselves.  The form-invariance and
 super-anticommutativity references are the full loops over all basis
-triples and pairs that the term-wise scans replaced.
+triples and pairs that the term-wise scans replaced.  The operator-identity
+reference is the per-triple scan on Fraction dicts, and the skewness and
+operator-to-cocycle references are the dense Gram products, that the
+term-wise operator scan and the sparse form pairing replaced.
 """
 
 from fractions import Fraction
@@ -13,11 +16,15 @@ from itertools import product as tuples
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmalcev import (EVEN, ODD, BilinearForm, Cocycle, Element, SuperAlgebra,
-                     SuperSpace, Witness, check_cocycle, check_form,
-                     check_jacobi, check_malcev,
-                     check_super_anticommutativity, product)
-from qmalcev.core import ksign
+from qmalcev import (EVEN, ODD, BilinearForm, Cocycle, Element, OperatorMap,
+                     QuadraticAlgebra, SuperAlgebra, SuperSpace, Witness,
+                     check_cocycle, check_form, check_jacobi, check_malcev,
+                     check_malcev_operator, check_skew_supersymmetric,
+                     check_super_anticommutativity, cocycle_from_operator,
+                     linalg, product)
+from qmalcev.core import (_mul_vb, _mul_vv, _report, _to_element, _vadd,
+                          ksign)
+from qmalcev.linalg import frac
 
 SCALARS = st.builds(Fraction, st.integers(-4, 4).filter(bool),
                     st.integers(1, 6))
@@ -209,3 +216,88 @@ def test_form_invariance_matches_full_triple_loop(pair):
 def test_anticommutativity_matches_full_pair_loop(a):
     assert (list(check_super_anticommutativity(a).witnesses)
             == anticommutativity_reference(a))
+
+
+def malcev_operator_reference(a, f):
+    """The per-triple operator-identity scan on Fraction dicts."""
+    n = a.dim
+    f.validate_parity(a.space)
+    par = [a.space.parity(i) for i in range(n)]
+    witnesses = []
+    for i in range(n):
+        fi = f.column(i)
+        for j in range(n):
+            fj = f.column(j)
+            for k in range(n):
+                x, y, z = par[i], par[j], par[k]
+                lhs = f.apply_vec(_mul_vb(a, a.basis_product(i, j), k))
+                rhs = _mul_vb(a, _mul_vb(a, fi, j), k)
+                _vadd(rhs, _mul_vv(a, fj, a.basis_product(i, k)),
+                      frac(-ksign(x * y)))
+                _vadd(rhs, _mul_vb(a, _mul_vb(a, f.column(k), i), j),
+                      frac(-ksign(z * (x + y))))
+                _vadd(rhs, _mul_vb(a, f.apply_vec(a.basis_product(j, k)), i),
+                      frac(-ksign(x * (y + z))))
+                if lhs != rhs:
+                    witnesses.append(Witness((i, j, k), _to_element(n, lhs),
+                                             _to_element(n, rhs)))
+    return _report(witnesses)
+
+
+def skew_reference(b, f, space):
+    """Skew-supersymmetry from the dense products F^T G and G F."""
+    n = b.dim
+    g = b.matrix()
+    fm = [list(r) for r in f.matrix]
+    lhs_m = linalg.mat_mul(linalg.transpose(fm), g)
+    rhs_m = linalg.mat_mul(g, fm)
+    witnesses = []
+    for i in range(n):
+        s = frac(-ksign(f.parity * space.parity(i)))
+        for j in range(n):
+            if lhs_m[i][j] != s * rhs_m[i][j]:
+                witnesses.append(Witness((i, j), lhs_m[i][j],
+                                         s * rhs_m[i][j]))
+    return _report(witnesses)
+
+
+def cocycle_from_operator_reference(q, f):
+    fm = [list(r) for r in f.matrix]
+    return Cocycle(linalg.mat_mul(linalg.transpose(fm), q.form.matrix()),
+                   f.parity)
+
+
+@st.composite
+def algebras_with_operators(draw):
+    """A graded algebra, a homogeneous operator with mixed denominators
+    (dense, sparse or zero) and a sparse Gram matrix of any pattern."""
+    a, g = draw(algebras_with_grams())
+    n = a.dim
+    parity = draw(st.sampled_from((EVEN, ODD)))
+    density = draw(st.sampled_from((0, 1, 3)))
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for r in range(n):
+        for c in range(n):
+            if ((a.space.parity(c) + parity) % 2 == a.space.parity(r)
+                    and draw(st.integers(0, 3)) < density):
+                m[r][c] = draw(SCALARS)
+    return a, OperatorMap(m, parity), BilinearForm(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(algebras_with_operators())
+def test_operator_identity_matches_per_triple_scan(case):
+    a, f, _b = case
+    rep = check_malcev_operator(a, f)
+    assert rep == malcev_operator_reference(a, f)
+    assert rep.passed == (not rep.witnesses)
+
+
+@settings(max_examples=80, deadline=None)
+@given(algebras_with_operators())
+def test_skew_and_cocycle_match_dense_gram_products(case):
+    a, f, b = case
+    assert (check_skew_supersymmetric(b, f, a.space)
+            == skew_reference(b, f, a.space))
+    q = QuadraticAlgebra(a, b, validated=True)
+    assert cocycle_from_operator(q, f) == cocycle_from_operator_reference(q, f)

@@ -288,7 +288,19 @@ def test_declared_dimension_at_the_cap_is_read():
     ["abelian", "--p", "0", "--q", str(10 ** 12)],
     ["abelian", "--p", str(MAX_DIM + 1), "--q", "0"],
     ["example_gde", "--n", str(10 ** 12), "--m", "1"],
-], ids=["p", "q", "p_cap_plus_1", "n"])
+    ["abelian", "--p", "1000", "--q", "100"],
+    ["example_M", "--n", "512", "--m", "1"],
+    ["example_gde", "--n", "511", "--m", "1"],
+], ids=["p", "q", "p_cap_plus_1", "n", "p_plus_q", "example_M_dim",
+        "example_gde_dim"])
 def test_catalog_values_above_the_cap_exit_2(capsys, argv):
+    t0 = time.perf_counter()
     assert run(["catalog"] + argv) == 2
+    assert time.perf_counter() - t0 < 1.0
     assert "exceeds the dimension cap" in capsys.readouterr().err
+
+
+def test_catalog_entry_at_the_cap_is_emitted(capsys):
+    assert run(["catalog", "abelian", "--p", "1000", "--q", "24"]) == 0
+    q, _op, _gde = parse_document(capsys.readouterr().out)
+    assert q.dim == MAX_DIM
