@@ -21,7 +21,8 @@ from .core import (EVEN, ODD, CheckReport, Element, GradedSubspace,
 from .errors import AxiomError, InputError, PreconditionError
 from .linalg import ONE, ZERO
 from .operators import OperatorMap, check_malcev_operator
-from .quadratic import (BilinearForm, QuadraticAlgebra, _find_splitting_ideal,
+from .quadratic import (BilinearForm, QuadraticAlgebra,
+                        _certified_irreducible, _find_splitting_ideal,
                         _form_pairing, _require_validated, _sparse,
                         b_irreducible_components,
                         change_basis_quadratic, direct_sum_quadratic,
@@ -43,7 +44,9 @@ class OddReduction:
     alpha_check: CheckReport     # the reduced product passes full validation
     phi_check: CheckReport       # recovered phi(X,Y) == B(D(X),Y)
     psi_check: CheckReport       # recovered psi(X) == (-1)^x B(X, A0)
-    irreducible_certified: object = None  # True/False/None from the scan
+    # True: proved B-irreducible; False: a splitting ideal was found;
+    # None: none was found, but there is no proof that none exists
+    irreducible_certified: object = None
     notes: tuple = ()
 
 
@@ -180,11 +183,12 @@ def reduce_odd(q: QuadraticAlgebra) -> OddReduction:
     if estar is None:
         raise PreconditionError("no nonzero central odd vector")
     notes = []
-    split = _find_splitting_ideal(q)
-    certified = split is None
-    if split is not None:
+    if _find_splitting_ideal(q) is not None:
+        certified = False
         notes.append("input is not irreducible (a splitting ideal exists); "
                      "reduction proceeds and is recorded as such")
+    else:
+        certified = True if _certified_irreducible(q) else None
     e = _solve_dual_vector(q, estar, ODD)
     r = _peel(q, e, estar, ODD)
     # psi(X) = (-1)^x B(X, a0)
@@ -651,16 +655,36 @@ def inductive_decompose(q: QuadraticAlgebra) -> DecompositionTree:
     return DecompositionTree(_decompose_node(q))
 
 
+# the base-set tags that a leaf's dimension alone decides
+_SHAPE_TAGS = {(0, 0): "zero", (1, 0): "one_dim_lie"}
+
+
+def _check_shape_tag(leaf):
+    """A (0|0) leaf is tagged zero and a (1|0) leaf one_dim_lie, and those
+    two tags go on no other leaf; AxiomError otherwise."""
+    space = leaf.algebra.space
+    shape = (space.even_dim, space.odd_dim)
+    tag = leaf.label.tag
+    if _SHAPE_TAGS.get(shape) != (tag if tag in _SHAPE_TAGS.values()
+                                  else None):
+        raise AxiomError("leaf %r of dimension (%d|%d) is labelled %r"
+                         % (leaf.algebra.name, shape[0], shape[1], tag))
+
+
 def rebuild(node) -> QuadraticAlgebra:
     """Bottom-up reconstruction; equals the decomposed input entry-exactly.
 
     Each node is rebuilt from its children, rewritten in the node's basis
     and compared with the node's stored algebra; a mismatch raises
-    AxiomError naming the node.
+    AxiomError naming the node.  A leaf is its stored algebra; only the
+    tags that its dimension decides are checked (see _check_shape_tag).
+    The simple tags, leaf notes and a sum's exhaustive flag are taken as
+    stored.
     """
     if isinstance(node, DecompositionTree):
         return rebuild(node.root)
     if node.kind == "leaf":
+        _check_shape_tag(node)
         return node.algebra
     if node.kind == "sum":
         ext = functools.reduce(direct_sum_quadratic,

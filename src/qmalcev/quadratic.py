@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .core import (EVEN, CheckReport, Element, GradedSubspace,
+from .core import (EVEN, ODD, CheckReport, Element, GradedSubspace,
                    SuperAlgebra, SuperSpace, Witness, _ideal_candidates,
                    _mul_vv, _report, _scan_kernel, check_malcev,
                    ideal_closure, direct_sum, direct_sum_embeddings,
@@ -155,17 +155,24 @@ def _invariance_witnesses(a: SuperAlgebra, g):
             if lhs.get(key, 0) != rhs.get(key, 0)]
 
 
-def _form_pairing(b: BilinearForm, vectors):
-    """B(v_c, b_j) at (c, j) and B(b_j, v_c) at (j, c) for the sparse
-    vectors {c: {r: x}}, from their nonzeros and the Gram's; nonzero values
-    only.  For an operator's columns {i: f(b_i)} these are B(f(b_i), b_j)
-    and B(b_i, f(b_j)) at (i, j); for {0: v}, B(b_j, v) is at (j, 0)."""
-    grows, gcols = {}, {}  # the Gram's nonzeros by row and by column
+def _gram_nonzeros(b: BilinearForm):
+    """The Gram's nonzeros by row, {r: [(j, G[r][j])]}, and by column,
+    {j: [(r, G[r][j])]}."""
+    grows, gcols = {}, {}
     for r, row in enumerate(b.gram):
         for j, x in enumerate(row):
             if x:
                 grows.setdefault(r, []).append((j, x))
                 gcols.setdefault(j, []).append((r, x))
+    return grows, gcols
+
+
+def _form_pairing(b: BilinearForm, vectors):
+    """B(v_c, b_j) at (c, j) and B(b_j, v_c) at (j, c) for the sparse
+    vectors {c: {r: x}}, from their nonzeros and the Gram's; nonzero values
+    only.  For an operator's columns {i: f(b_i)} these are B(f(b_i), b_j)
+    and B(b_i, f(b_j)) at (i, j); for {0: v}, B(b_j, v) is at (j, 0)."""
+    grows, gcols = _gram_nonzeros(b)
     left, right = {}, {}
     for c, vec in vectors.items():
         for r, x in vec.items():
@@ -187,6 +194,8 @@ class QuadraticAlgebra:
         self.algebra = algebra
         self.form = form
         self.validated = validated
+        self._centroid = None  # symmetric_centroid, on first use
+        self._split = None  # (_find_splitting_ideal's answer,) once known
 
     @classmethod
     def validate(cls, algebra: SuperAlgebra, form: BilinearForm):
@@ -336,14 +345,126 @@ class ComponentsReport:
         return iter(self.components)
 
 
+@dataclass(frozen=True)
+class SymmetricCentroid:
+    """A basis of the symmetric centroid Gamma_s(q) over Q, as n x n
+    matrices of Fractions, and the rank of its trace form (S, T) -> tr(ST).
+    """
+    basis: tuple
+    trace_rank: int
+
+    @property
+    def dim(self):
+        return len(self.basis)
+
+
+def symmetric_centroid(q: QuadraticAlgebra) -> SymmetricCentroid:
+    """Gamma_s(q): the even maps T with T(xy) = T(x)y = xT(y) and
+    B(Tx, y) = B(x, Ty), with the rank of the trace form on them.
+
+    T is even, so its unknowns are the entries T[r][c] with b_r and b_c of
+    the same parity.  The conditions are linear in them: for every (i, j),
+    sum_k c(i,j,k) T[r][k] - sum_m T[m][i] c(m,j,r) = 0 and
+    sum_k c(i,j,k) T[r][k] - sum_m T[m][j] c(i,m,r) = 0 at every b_r, read
+    off the pair table, and sum_r T[r][i] G[r][j] - sum_r G[i][r] T[r][j]
+    = 0 for every ordered same-parity (i, j), read off the Gram's nonzeros.
+    The diagonal i = j counts: on the skew odd block B(T b_i, b_i) = 0 is a
+    real condition.  Gamma_s is the kernel of these rows, solved exactly
+    over Q by `linalg.kernel`.  Cached on q, since the form is part of it.
+    """
+    if q._centroid is None:
+        q._centroid = _symmetric_centroid_uncached(q)
+    return q._centroid
+
+
+def _symmetric_centroid_uncached(q: QuadraticAlgebra) -> SymmetricCentroid:
+    n = q.dim
+    par = [q.space.parity(i) for i in range(n)]
+    unknown = {}  # (r, c) -> column of T[r][c]
+    for r in range(n):
+        for c in range(n):
+            if par[r] == par[c]:
+                unknown[(r, c)] = len(unknown)
+    same = [[r for r in range(n) if par[r] == x] for x in (EVEN, ODD)]
+    pairs = q.algebra.pair_table()
+    left, right = {}, {}  # i -> [(m, b_i b_m)], j -> [(m, b_m b_j)]
+    for (i, j), vec in pairs.items():
+        left.setdefault(i, []).append((j, vec))
+        right.setdefault(j, []).append((i, vec))
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            prod = pairs.get((i, j), {})
+            # T(b_i b_j) - T(b_i) b_j, then T(b_i b_j) - b_i T(b_j), at b_r
+            for side, terms in ((i, right.get(j, ())),
+                                (j, left.get(i, ()))):
+                eqs = {}
+                for k, c in prod.items():
+                    for r in same[par[k]]:
+                        row = eqs.setdefault(r, {})
+                        u = unknown[(r, k)]
+                        row[u] = row.get(u, 0) + c
+                for m, vec in terms:
+                    if par[m] == par[side]:
+                        u = unknown[(m, side)]
+                        for r, c in vec.items():
+                            row = eqs.setdefault(r, {})
+                            row[u] = row.get(u, 0) - c
+                rows.extend(eqs.values())
+    grows, gcols = _gram_nonzeros(q.form)
+    for i in range(n):
+        for j in same[par[i]]:
+            # B(T b_i, b_j) - B(b_i, T b_j)
+            row = {}
+            for r, g in gcols.get(j, ()):
+                row[unknown[(r, i)]] = row.get(unknown[(r, i)], 0) + g
+            for r, g in grows.get(i, ()):
+                row[unknown[(r, j)]] = row.get(unknown[(r, j)], 0) - g
+            rows.append(row)
+    mats = []
+    for vec in linalg.kernel(rows, cols=len(unknown)):
+        t = [[ZERO] * n for _ in range(n)]
+        for (r, c), u in unknown.items():
+            t[r][c] = vec[u]
+        mats.append(tuple(map(tuple, t)))
+    trace = [[sum((s[r][c] * t[c][r] for r in range(n) for c in range(n)
+                   if s[r][c]), ZERO) for t in mats] for s in mats]
+    return SymmetricCentroid(tuple(mats), linalg.rank(trace))
+
+
+def _certified_irreducible(q: QuadraticAlgebra) -> bool:
+    """Provably no splitting ideal exists (not merely none found).
+
+    An orthogonal split q = I + J along graded ideals gives the projections
+    p_I and p_J in Gamma_s, with tr(p_I p_J) = 0 and tr(p_I p_I) = dim I
+    > 0, so the trace form on Gamma_s has rank at least the number of
+    components; rank 1 proves that q is B-irreducible.  A simple algebra,
+    and one of dimension at most 1, has no proper ideal at all.
+    """
+    return (q.dim <= 1 or simplicity(q.algebra).simple is True
+            or symmetric_centroid(q).trace_rank == 1)
+
+
 def _find_splitting_ideal(q: QuadraticAlgebra):
-    """First candidate proper graded ideal with non-degenerate restriction."""
+    """A proper graded ideal with non-degenerate restriction, or None.
+
+    When _certified_irreducible holds, None is proved and no candidate is
+    closed.  Otherwise the first candidate closure (center columns, basis
+    vectors, same-parity sums and pairs, seeded pseudo-random vectors, the
+    seeds that simplicity's search closes too) with a non-degenerate
+    restriction is returned, and None means only that none was found.
+    The answer is cached on q.
+    """
+    if q._split is None:
+        q._split = (None if _certified_irreducible(q)
+                    else _search_splitting_ideal(q),)
+    return q._split[0]
+
+
+def _search_splitting_ideal(q: QuadraticAlgebra):
     a = q.algebra
     n = a.dim
-    if simplicity(a).simple is True:
-        return None  # a simple algebra has no proper ideal
     seen = set()
-    # an ideal that simplicity found is the closure of one of these seeds
     for seed in _ideal_candidates(a):
         sub = GradedSubspace.from_vectors(a.space, seed)
         if sub.dim == 0:
@@ -360,25 +481,14 @@ def _find_splitting_ideal(q: QuadraticAlgebra):
     return None
 
 
-def _certified_irreducible(q: QuadraticAlgebra) -> bool:
-    """Provably no splitting ideal exists (not merely none found)."""
-    if q.dim <= 1:
-        return True
-    if (q.algebra.is_abelian() and q.space.even_dim == 0
-            and q.space.odd_dim == 2):
-        # every proper graded subspace is an isotropic odd line
-        return True
-    rep = simplicity(q.algebra)
-    return rep.simple is True
-
-
 def b_irreducible_components(q: QuadraticAlgebra) -> ComponentsReport:
     """Orthogonal components along non-degenerate graded ideals.
 
-    Candidate-driven: closures of center columns, basis vectors, same-parity
-    sums and pairs, and seeded pseudo-random vectors, the seeds that
-    simplicity's search closes too.  The exhaustive flag is True only when
-    every component is provably irreducible.
+    Each part is split along _find_splitting_ideal's ideal until none is
+    found.  The exhaustive flag is True only when every component is
+    provably irreducible: of dimension at most 1, simple, or with a trace
+    form of rank 1 on its symmetric centroid (a split into k components
+    would give that form rank at least k).
     """
     _require_validated(q)
     components = []

@@ -53,6 +53,12 @@ def test_reduce_odd_requires_central_odd(sl2):
         reduce_odd(sl2)
 
 
+def test_reduce_odd_certifies_irreducibility():
+    # not simple, but the trace form on Gamma_s has rank 1
+    red = reduce_odd(catalog_get("example_gde", n=1, m=(2,)).algebra)
+    assert red.irreducible_certified is True
+
+
 def test_reduce_odd_records_reducibility(sl2):
     plane = catalog_get("odd_hyperbolic").algebra
     ds = direct_sum_quadratic(sl2, plane)

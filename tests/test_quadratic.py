@@ -129,7 +129,7 @@ def test_split_round_trip_on_direct_sum(sl2, m7):
 def test_components_single_for_extension(k21):
     rep = b_irreducible_components(k21)
     assert len(rep) == 1
-    assert not rep.exhaustive  # candidate search, honestly flagged
+    assert rep.exhaustive  # the trace form on Gamma_s has rank 1
 
 
 def test_components_odd_hyperbolic_provable():

@@ -237,6 +237,37 @@ def test_rebuild_checks_stored_documents(tmp_path, capsys, make, mutate):
     assert _cli(tmp_path, capsys, "rebuild", tree) == 3
 
 
+def _relabel(index, tag):
+    def mutate(tree):
+        tree["children"][index]["label"] = tag
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _relabel(0, "zero"), _relabel(0, "simple_lie_superalgebra"),
+    _relabel(1, "one_dim_lie"), _relabel(1, "zero"),
+], ids=["line_as_zero", "line_as_simple", "sl2_as_line", "sl2_as_zero"])
+def test_rebuild_checks_the_tags_a_dimension_decides(tmp_path, capsys,
+                                                     mutate):
+    tree = _sl2_line_tree()
+    assert [c["label"] for c in tree["children"]] == [
+        "one_dim_lie", "simple_lie_superalgebra"]
+    mutate(tree)
+    with pytest.raises(AxiomError, match="is labelled"):
+        rebuild(parse_tree(canonical_json(tree)))
+    assert _cli(tmp_path, capsys, "rebuild", tree) == 3
+
+
+@pytest.mark.parametrize("tag", ["one_dim_lie", "not_in_U"])
+def test_rebuild_checks_the_zero_leaf_tag(tmp_path, capsys, tag):
+    tree = json.loads(emit_tree(inductive_decompose(
+        catalog_get("zero").algebra)))
+    assert tree["label"] == "zero"
+    assert _cli(tmp_path, capsys, "rebuild", tree) == 0
+    tree["label"] = tag
+    assert _cli(tmp_path, capsys, "rebuild", tree) == 3
+
+
 @pytest.mark.parametrize("m", [
     "1,abc", "1,1/0", "1,2/00", "0.5,1", "1e2,1", "1,,2", "1,2,", "",
     "+1,2", " 1,2", "1_0,2", "١,2", "1/-2,1", "1/2/3,1", "inf,1"])
