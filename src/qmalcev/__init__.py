@@ -16,11 +16,10 @@ from .core import (EVEN, ODD, CheckReport, Element, GradedSubspace,
 from .errors import (AxiomError, GradingError, InconclusiveError, InputError,
                      PreconditionError)
 from .quadratic import (BilinearForm, ComponentsReport, FormReport,
-                        QuadraticAlgebra, SymmetricCentroid,
-                        b_irreducible_components, change_basis_quadratic,
-                        check_form, direct_sum_quadratic,
-                        orthogonal_complement, orthogonal_split,
-                        restrict_quadratic, symmetric_centroid)
+                        QuadraticAlgebra, b_irreducible_components,
+                        change_basis_quadratic, check_form,
+                        direct_sum_quadratic, orthogonal_complement,
+                        orthogonal_split, restrict_quadratic)
 from .operators import (Cocycle, OperatorMap, check_cocycle,
                         check_malcev_operator, check_skew_supersymmetric,
                         cocycle_from_operator, operator_from_cocycle,

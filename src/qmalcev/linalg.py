@@ -180,15 +180,21 @@ def kernel(m, cols=None):
     may be lists or sparse dicts; cols is required when they are dicts."""
     if cols is None:
         cols = len(m[0]) if m else 0
+    return [[v.get(c, ZERO) for c in range(cols)]
+            for v in sparse_kernel(m, cols)]
+
+
+def sparse_kernel(m, cols):
+    """`kernel` as sparse {column: value} dicts, in free-column order: the
+    vector of free column f is 1 at f and -row[f] at each pivot row's
+    pivot, read off the reduced rows' nonzeros."""
     rows = _row_span(m, cols)._rows
-    basis = []
-    for fc in range(cols):
-        if fc not in rows:
-            v = basis_vector(cols, fc)
-            for pc, row in rows.items():
-                v[pc] = -row.get(fc, ZERO)
-            basis.append(v)
-    return basis
+    basis = {f: {f: ONE} for f in range(cols) if f not in rows}
+    for pc, row in rows.items():
+        for c, x in row.items():
+            if c != pc:
+                basis[c][pc] = -x
+    return list(basis.values())
 
 
 def basis_vector(n, i):

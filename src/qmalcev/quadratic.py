@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, GradedSubspace,
                    SuperAlgebra, SuperSpace, Witness, _ideal_candidates,
-                   _mul_vv, _report, _scan_kernel, check_malcev,
+                   _mul_vv, _report, _scan_kernel, center, check_malcev,
                    ideal_closure, direct_sum, direct_sum_embeddings,
                    simplicity, change_basis)
 from .errors import AxiomError, InputError, PreconditionError
@@ -194,7 +194,7 @@ class QuadraticAlgebra:
         self.algebra = algebra
         self.form = form
         self.validated = validated
-        self._centroid = None  # symmetric_centroid, on first use
+        self._certified = None  # _certified_irreducible, on first use
         self._split = None  # (_find_splitting_ideal's answer,) once known
 
     @classmethod
@@ -345,72 +345,50 @@ class ComponentsReport:
         return iter(self.components)
 
 
-@dataclass(frozen=True)
-class SymmetricCentroid:
-    """A basis of the symmetric centroid Gamma_s(q) over Q, as n x n
-    matrices of Fractions, and the rank of its trace form (S, T) -> tr(ST).
-    """
-    basis: tuple
-    trace_rank: int
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-
-def symmetric_centroid(q: QuadraticAlgebra) -> SymmetricCentroid:
-    """Gamma_s(q): the even maps T with T(xy) = T(x)y = xT(y) and
-    B(Tx, y) = B(x, Ty), with the rank of the trace form on them.
+def _symmetric_centroid(q: QuadraticAlgebra):
+    """A basis over Q of the symmetric centroid Gamma_s(q), the even maps T
+    with T(xy) = T(x)y = xT(y) and B(Tx, y) = B(x, Ty), each as a sparse
+    matrix {(r, c): T[r][c]}.
 
     T is even, so its unknowns are the entries T[r][c] with b_r and b_c of
-    the same parity.  The conditions are linear in them: for every (i, j),
-    sum_k c(i,j,k) T[r][k] - sum_m T[m][i] c(m,j,r) = 0 and
-    sum_k c(i,j,k) T[r][k] - sum_m T[m][j] c(i,m,r) = 0 at every b_r, read
-    off the pair table, and sum_r T[r][i] G[r][j] - sum_r G[i][r] T[r][j]
-    = 0 for every ordered same-parity (i, j), read off the Gram's nonzeros.
-    The diagonal i = j counts: on the skew odd block B(T b_i, b_i) = 0 is a
-    real condition.  Gamma_s is the kernel of these rows, solved exactly
-    over Q by `linalg.kernel`.  Cached on q, since the form is part of it.
+    the same parity.  The rows, linear in them, are
+    sum_k c(i,j,k) T[r][k] - sum_m T[m][i] c(m,j,r), that is
+    T(b_i b_j) - T(b_i) b_j at b_r, for every (i, j), read off the pair
+    table, and sum_r T[r][i] G[r][j] - sum_r G[i][r] T[r][j] for every
+    ordered same-parity (i, j), read off the Gram's nonzeros.  The diagonal
+    i = j counts: on the skew odd block B(T b_i, b_i) = 0 is a real
+    condition.  On a super-anticommutative algebra T(xy) = T(x)y over all
+    ordered pairs gives T(xy) = xT(y), so those rows are not written; on
+    any algebra, fewer rows only enlarge the solved space, which keeps the
+    rank bound of _certified_irreducible.  The kernel is solved exactly
+    over Q by `linalg.sparse_kernel`.
     """
-    if q._centroid is None:
-        q._centroid = _symmetric_centroid_uncached(q)
-    return q._centroid
-
-
-def _symmetric_centroid_uncached(q: QuadraticAlgebra) -> SymmetricCentroid:
+    _require_validated(q)
     n = q.dim
     par = [q.space.parity(i) for i in range(n)]
-    unknown = {}  # (r, c) -> column of T[r][c]
-    for r in range(n):
-        for c in range(n):
-            if par[r] == par[c]:
-                unknown[(r, c)] = len(unknown)
+    cells = [(r, c) for r in range(n) for c in range(n) if par[r] == par[c]]
+    unknown = {cell: u for u, cell in enumerate(cells)}
     same = [[r for r in range(n) if par[r] == x] for x in (EVEN, ODD)]
     pairs = q.algebra.pair_table()
-    left, right = {}, {}  # i -> [(m, b_i b_m)], j -> [(m, b_m b_j)]
-    for (i, j), vec in pairs.items():
-        left.setdefault(i, []).append((j, vec))
-        right.setdefault(j, []).append((i, vec))
+    right = {}  # j -> [(m, b_m b_j)]
+    for (m, j), vec in pairs.items():
+        right.setdefault(j, []).append((m, vec))
     rows = []
     for i in range(n):
         for j in range(n):
-            prod = pairs.get((i, j), {})
-            # T(b_i b_j) - T(b_i) b_j, then T(b_i b_j) - b_i T(b_j), at b_r
-            for side, terms in ((i, right.get(j, ())),
-                                (j, left.get(i, ()))):
-                eqs = {}
-                for k, c in prod.items():
-                    for r in same[par[k]]:
+            eqs = {}  # r -> T(b_i b_j) - T(b_i) b_j at b_r
+            for k, c in pairs.get((i, j), {}).items():
+                for r in same[par[k]]:
+                    row = eqs.setdefault(r, {})
+                    u = unknown[(r, k)]
+                    row[u] = row.get(u, 0) + c
+            for m, vec in right.get(j, ()):
+                if par[m] == par[i]:
+                    u = unknown[(m, i)]
+                    for r, c in vec.items():
                         row = eqs.setdefault(r, {})
-                        u = unknown[(r, k)]
-                        row[u] = row.get(u, 0) + c
-                for m, vec in terms:
-                    if par[m] == par[side]:
-                        u = unknown[(m, side)]
-                        for r, c in vec.items():
-                            row = eqs.setdefault(r, {})
-                            row[u] = row.get(u, 0) - c
-                rows.extend(eqs.values())
+                        row[u] = row.get(u, 0) - c
+            rows.extend(eqs.values())
     grows, gcols = _gram_nonzeros(q.form)
     for i in range(n):
         for j in same[par[i]]:
@@ -421,15 +399,21 @@ def _symmetric_centroid_uncached(q: QuadraticAlgebra) -> SymmetricCentroid:
             for r, g in grows.get(i, ()):
                 row[unknown[(r, j)]] = row.get(unknown[(r, j)], 0) - g
             rows.append(row)
-    mats = []
-    for vec in linalg.kernel(rows, cols=len(unknown)):
-        t = [[ZERO] * n for _ in range(n)]
-        for (r, c), u in unknown.items():
-            t[r][c] = vec[u]
-        mats.append(tuple(map(tuple, t)))
-    trace = [[sum((s[r][c] * t[c][r] for r in range(n) for c in range(n)
-                   if s[r][c]), ZERO) for t in mats] for s in mats]
-    return SymmetricCentroid(tuple(mats), linalg.rank(trace))
+    return [{cells[u]: x for u, x in vec.items()}
+            for vec in linalg.sparse_kernel(rows, len(cells))]
+
+
+def _trace_rank(maps, stop=None):
+    """Rank of the trace form (S, T) -> tr(ST) on the sparse matrices
+    {(r, c): x}, its Gram taken row by row; once the rank reaches stop,
+    that is returned without the remaining rows."""
+    span = linalg.Span(len(maps))
+    for s in maps:
+        span.add([sum(x * t.get((c, r), 0) for (r, c), x in s.items())
+                  for t in maps])
+        if span.dim == stop:
+            break
+    return span.dim
 
 
 def _certified_irreducible(q: QuadraticAlgebra) -> bool:
@@ -438,34 +422,44 @@ def _certified_irreducible(q: QuadraticAlgebra) -> bool:
     An orthogonal split q = I + J along graded ideals gives the projections
     p_I and p_J in Gamma_s, with tr(p_I p_J) = 0 and tr(p_I p_I) = dim I
     > 0, so the trace form on Gamma_s has rank at least the number of
-    components; rank 1 proves that q is B-irreducible.  A simple algebra,
-    and one of dimension at most 1, has no proper ideal at all.
+    components; rank 1 proves that q is B-irreducible.  The rank is only
+    taken up to 2.  A simple algebra, and one of dimension at most 1, has
+    no proper ideal at all.  Cached on q, since the form is part of Gamma_s.
     """
-    return (q.dim <= 1 or simplicity(q.algebra).simple is True
-            or symmetric_centroid(q).trace_rank == 1)
+    if q._certified is None:
+        q._certified = (q.dim <= 1 or simplicity(q.algebra).simple is True
+                        or _trace_rank(_symmetric_centroid(q), stop=2) == 1)
+    return q._certified
 
 
 def _find_splitting_ideal(q: QuadraticAlgebra):
     """A proper graded ideal with non-degenerate restriction, or None.
 
-    When _certified_irreducible holds, None is proved and no candidate is
-    closed.  Otherwise the first candidate closure (center columns, basis
-    vectors, same-parity sums and pairs, seeded pseudo-random vectors, the
-    seeds that simplicity's search closes too) with a non-degenerate
-    restriction is returned, and None means only that none was found.
-    The answer is cached on q.
+    The first candidate closure (center columns, basis vectors, same-parity
+    sums and pairs, seeded pseudo-random vectors, the seeds that
+    simplicity's search closes too) with a non-degenerate restriction is
+    returned.  A simple q closes none.  The center columns and the basis
+    vectors come first, since in a sum they mostly close to a summand;
+    then _certified_irreducible is consulted: when it holds, None is proved
+    and no further candidate is closed; otherwise None means only that none
+    was found.  The answer is cached on q.
     """
     if q._split is None:
-        q._split = (None if _certified_irreducible(q)
-                    else _search_splitting_ideal(q),)
+        q._split = (_search_splitting_ideal(q),)
     return q._split[0]
 
 
 def _search_splitting_ideal(q: QuadraticAlgebra):
     a = q.algebra
     n = a.dim
+    if simplicity(a).simple is True:
+        return None
+    # the first candidates are the center columns, then the basis vectors
+    single = len(center(a).columns) + n
     seen = set()
-    for seed in _ideal_candidates(a):
+    for count, seed in enumerate(_ideal_candidates(a)):
+        if count == single and _certified_irreducible(q):
+            return None
         sub = GradedSubspace.from_vectors(a.space, seed)
         if sub.dim == 0:
             continue

@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmalcev import (Element, GradedSubspace, QuadraticAlgebra, catalog_get,
-                     change_basis_quadratic, direct_sum_quadratic, linalg,
-                     product, simplicity, symmetric_centroid)
+                     center, change_basis_quadratic, direct_sum_quadratic,
+                     linalg, product, quadratic, simplicity)
 from qmalcev.core import _ideal_candidates, ideal_closure
-from qmalcev.quadratic import _certified_irreducible, _find_splitting_ideal
+from qmalcev.quadratic import (_certified_irreducible, _find_splitting_ideal,
+                               _symmetric_centroid, _trace_rank)
 
 from test_decompose import oscillator
 
@@ -77,16 +78,17 @@ TABLE = [
 
 
 def assert_in_centroid(q, t):
-    """T is even, multiplies like a centroid map and is B-symmetric, read
-    off the products of basis elements that `core.product` gives."""
+    """The sparse matrix T {(r, c): x} is even, multiplies like a centroid
+    map and is B-symmetric, read off the products of basis elements that
+    `core.product` gives."""
     n = q.dim
     par = [q.space.parity(i) for i in range(n)]
-    assert all(t[r][c] == 0 for r in range(n) for c in range(n)
-               if par[r] != par[c])
+    assert all(par[r] == par[c] for (r, c), x in t.items() if x)
     b = [Element.basis(n, i) for i in range(n)]
     prod = [[dict(enumerate(product(q.algebra, x, y).coords)) for y in b]
             for x in b]
-    col = [{r: t[r][i] for r in range(n) if t[r][i]} for i in range(n)]
+    col = [{r: t.get((r, i), 0) for r in range(n) if t.get((r, i), 0)}
+           for i in range(n)]
 
     def combine(terms):
         out = [0] * n
@@ -109,15 +111,17 @@ def assert_in_centroid(q, t):
                          ids=[row[0] for row in TABLE])
 def test_dimension_and_trace_rank(name, make, dim, rank):
     q = fresh(make())
-    cent = symmetric_centroid(q)
-    assert (cent.dim, cent.trace_rank) == (dim, rank)
-    for t in cent.basis:
+    basis = _symmetric_centroid(q)
+    assert (len(basis), _trace_rank(basis)) == (dim, rank)
+    assert _trace_rank(basis, stop=2) == min(rank, 2)
+    for t in basis:
         assert_in_centroid(q, t)
     n = q.dim
-    flat = [[x for row in t for x in row] for t in cent.basis]
+    flat = [[t.get((r, c), 0) for r in range(n) for c in range(n)]
+            for t in basis]
     assert linalg.rank(flat) == dim
-    identity = [[int(r == c) for c in range(n)] for r in range(n)]
-    assert linalg.rank(flat + [[x for row in identity for x in row]]) == dim
+    identity = [int(r == c) for r in range(n) for c in range(n)]
+    assert linalg.rank(flat + [identity]) == dim
     assert _certified_irreducible(q) == (rank == 1 or n <= 1
                                          or simplicity(q.algebra).simple)
 
@@ -125,14 +129,44 @@ def test_dimension_and_trace_rank(name, make, dim, rank):
 def test_certificate_is_cached_and_skips_the_search(monkeypatch):
     q = fresh(_entry("example_gde", n=2, m=(1, 2)))
     assert simplicity(q.algebra).simple is False
-    from qmalcev import quadratic
+    candidates, solves = quadratic._ideal_candidates, []
 
-    def refuse(_a):
-        raise AssertionError("candidate search run")
+    def single_vectors_only(a):
+        # center columns, then basis vectors; the seed after them is drawn
+        # before the certificate is read, but closing it would draw one more
+        for count, seed in enumerate(candidates(a)):
+            if count > len(center(a).columns) + a.dim:
+                raise AssertionError("candidate search run")
+            yield seed
 
-    monkeypatch.setattr(quadratic, "_ideal_candidates", refuse)
+    def counted(q):
+        solves.append(q)
+        return _symmetric_centroid(q)
+
+    monkeypatch.setattr(quadratic, "_ideal_candidates", single_vectors_only)
+    monkeypatch.setattr(quadratic, "_symmetric_centroid", counted)
     assert _find_splitting_ideal(q) is None
-    assert symmetric_centroid(q) is symmetric_centroid(q)
+    assert _certified_irreducible(q) is True
+    assert _find_splitting_ideal(q) is None
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _entry("abelian", p=3, q=0),
+    lambda: _sum(oscillator(), _entry("abelian", p=1, q=0)),
+    lambda: _sum(_entry("sl2"), _entry("sl2")),
+], ids=["abelian30", "osc1+abelian10", "sl2+sl2"])
+def test_single_vectors_split_before_the_certificate(monkeypatch, make):
+    """A summand that a center column or a basis vector closes to is split
+    off as before the certificate, and Gamma_s is not solved."""
+
+    def refuse(_q):
+        raise AssertionError("Gamma_s solved")
+
+    monkeypatch.setattr(quadratic, "_symmetric_centroid", refuse)
+    q = fresh(make())
+    ideal = _find_splitting_ideal(q)
+    assert ideal is not None and ideal == reference_split(fresh(q))
 
 
 def reference_split(q):
@@ -180,13 +214,13 @@ def test_trace_rank_bounds_the_summands(names, mix, seed):
     pieces = [mixed(p, rng) if m else p for p, m in zip(pieces, mix)]
     plain = _sum(*pieces)
     q = fresh(mixed(plain, rng) if mix[-1] else plain)
-    cent = symmetric_centroid(q)
-    for t in cent.basis:
+    basis = _symmetric_centroid(q)
+    for t in basis:
         assert_in_centroid(q, t)
     # a change of basis conjugates Gamma_s and keeps the trace form
-    ref = symmetric_centroid(fresh(plain))
-    assert (cent.dim, cent.trace_rank) == (ref.dim, ref.trace_rank)
-    assert cent.trace_rank >= len(pieces)
+    ref = _symmetric_centroid(fresh(plain))
+    assert (len(basis), _trace_rank(basis)) == (len(ref), _trace_rank(ref))
+    assert _trace_rank(basis) >= len(pieces)
     if _certified_irreducible(q):
         assert reference_split(fresh(q)) is None
         assert _find_splitting_ideal(q) is None
