@@ -320,6 +320,16 @@ def check_super_anticommutativity(a: SuperAlgebra) -> CheckReport:
     return _report(witnesses)
 
 
+def _scaled(table):
+    """D, the lcm of the denominators in the sparse vectors {key: {k: x}},
+    and D times each vector as ints."""
+    scale = math.lcm(*(x.denominator for vec in table.values()
+                       for x in vec.values()))
+    return scale, {key: {k: x.numerator * (scale // x.denominator)
+                         for k, x in vec.items()}
+                   for key, vec in table.items()}
+
+
 class _ScanKernel:
     """Integer tables that the identity scans of one algebra share.
 
@@ -332,13 +342,9 @@ class _ScanKernel:
 
     def __init__(self, a: SuperAlgebra):
         self.par = [a.space.parity(i) for i in range(a.dim)]
-        self.scale = math.lcm(*(c.denominator
-                                for c in a.constants.values()))
-        pairs, rows, columns = {}, {}, {}
-        for (i, j), vec in a.pair_table().items():
-            ivec = {k: c.numerator * (self.scale // c.denominator)
-                    for k, c in vec.items()}
-            pairs[(i, j)] = ivec
+        self.scale, pairs = _scaled(a.pair_table())
+        rows, columns = {}, {}
+        for (i, j), ivec in pairs.items():
             rows.setdefault(i, {})[j] = ivec
             for k, c in ivec.items():
                 columns.setdefault(k, []).append(((i, j), c))

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, GradedSubspace,
                    SuperAlgebra, SuperSpace, Witness, _enveloping_basis,
-                   _multiplication_generators, _report, _to_element, center,
-                   change_basis, check_jacobi, ksign, simplicity)
-from .errors import AxiomError, InputError, PreconditionError
+                   _multiplication_generators, _report, _scaled, _to_element,
+                   center, change_basis, check_jacobi, ksign, simplicity)
+from .errors import AxiomError, GradingError, InputError, PreconditionError
 from .linalg import ONE, ZERO
-from .operators import OperatorMap, check_malcev_operator
+from .operators import OperatorMap, _add, _int_map, check_malcev_operator
 from .quadratic import (BilinearForm, QuadraticAlgebra,
                         _certified_irreducible, _find_splitting_ideal,
                         _form_pairing, _require_validated, _sparse,
@@ -671,12 +671,120 @@ def _check_shape_tag(leaf):
                          % (leaf.algebra.name, shape[0], shape[1], tag))
 
 
+def _pulled_back(table, cols):
+    """{(i, j): sum over (s, t) of cols[i][s] cols[j][t] table[(s, t)]}, the
+    bilinear map with int values table {(s, t): {k: x}} on basis pairs, at
+    the pairs of sparse int vectors cols {i: {s: x}}; nonzero entries only.
+    The work follows the nonzeros of the table and of the vectors."""
+    rows, users = {}, {}
+    for (s, t), vec in table.items():
+        rows.setdefault(s, []).append((t, vec))
+    for j, vec in cols.items():
+        for t, x in vec.items():
+            users.setdefault(t, []).append((j, x))
+    out = {}
+    for i, u in cols.items():
+        left = {}  # {t: the product of cols[i] with b_t}
+        for s, x in u.items():
+            for t, vec in rows.get(s, ()):
+                _add(left, t, vec, x)
+        for t, vec in left.items():
+            for j, y in users.get(t, ()):
+                _add(out, (i, j), vec, y)
+    return {key: nz for key, vec in out.items()
+            if (nz := {k: x for k, x in vec.items() if x})}
+
+
+def _gram_table(b: BilinearForm):
+    """The Gram's nonzeros as a bilinear map to a line, {(s, t): {0: g}}."""
+    return {(s, t): {0: g} for s, row in enumerate(b.gram)
+            for t, g in enumerate(row) if g}
+
+
+def _carries(q: QuadraticAlgebra, r: QuadraticAlgebra, columns) -> bool:
+    """Whether b_i -> P_i, for the columns P_i in r's coordinates, is a
+    parity-preserving isometric homomorphism from q onto r: each P_i has
+    the parity of b_i, r(P_i, P_j) = sum_k c_ijk P_k for every (i, j), zero
+    products included, and P_i^T G_r P_j = G_q[i][j].
+
+    The isometry pulls G_r back to G_q, so when q's form is nondegenerate
+    the map is injective, and with dim q = dim r it is an isomorphism of
+    graded algebras that carries q's form onto r's: every axiom that q
+    satisfies holds in r, and no elimination is needed.  All arithmetic is
+    on ints: the columns are scaled by L, the lcm of their denominators
+    (operators._int_map), and each side's constants and Gram by the lcm of
+    their own denominators, D_q and D_r; each identity is then compared
+    times D_q D_r L^2.
+    """
+    n = q.dim
+    if r.dim != n or len(columns) != n:
+        return False
+    images = {}
+    for i, col in enumerate(columns):
+        vec = {m: x for m, x in enumerate(col) if x}
+        if any(r.space.parity(m) != q.space.parity(i) for m in vec):
+            return False
+        images[i] = vec
+    scale, apply = _int_map(images)
+    cols = {i: apply({i: 1}) for i in range(n)}
+    # the image of a value of q in r, times L: a product vector goes to the
+    # combination of the P_k, a Gram entry stays a scalar
+    for qtable, rtable, image in (
+            (q.algebra.pair_table(), r.algebra.pair_table(), apply),
+            (_gram_table(q.form), _gram_table(r.form),
+             lambda vec: {0: scale * vec[0]})):
+        dq, qtable = _scaled(qtable)
+        dr, rtable = _scaled(rtable)
+        want = {key: {k: dr * scale * x for k, x in img.items()}
+                for key, vec in qtable.items() if (img := image(vec))}
+        got = {key: {k: dq * x for k, x in vec.items()}
+               for key, vec in _pulled_back(rtable, cols).items()}
+        if got != want:
+            return False
+    return True
+
+
+def _mismatch(node, ext):
+    """Raise why node.basis does not carry ext onto the node's stored
+    algebra, checking in turn that the stored algebra passes every axiom
+    (AxiomError), that the basis is invertible (InputError) and that it
+    maps ext's graded pieces onto graded pieces in even-first order
+    (GradingError); otherwise AxiomError names the mismatch."""
+    stored = node.algebra
+    QuadraticAlgebra.validate(stored.algebra, stored.form)
+    cols = node.basis
+    if ext.dim == len(cols):
+        if linalg.det([list(c) for c in cols]) == 0:
+            raise InputError("corrupted witness: singular basis")
+        # the rows that ext's even and odd basis vectors reach; the basis
+        # is invertible, so the inverse's columns are homogeneous exactly
+        # when these are disjoint, and ordered even-first when the even
+        # rows come first
+        reach = ({m for i in ext.space.even_indices()
+                  for m, x in enumerate(cols[i]) if x},
+                 {m for i in ext.space.odd_indices()
+                  for m, x in enumerate(cols[i]) if x})
+        if reach[0] & reach[1]:
+            raise GradingError("basis column is not parity-homogeneous")
+        if reach[0] and reach[1] and max(reach[0]) > min(reach[1]):
+            raise GradingError("basis columns must be ordered even-first")
+    raise AxiomError("rebuilt %s node %r does not match its stored document"
+                     % (node.kind, stored.name))
+
+
 def rebuild(node) -> QuadraticAlgebra:
     """Bottom-up reconstruction; equals the decomposed input entry-exactly.
 
-    Each node is rebuilt from its children, rewritten in the node's basis
-    and compared with the node's stored algebra; a mismatch raises
-    AxiomError naming the node.  A leaf is its stored algebra; only the
+    Each node is rebuilt from its children, and its basis must carry the
+    rebuilt algebra onto the node's stored one (_carries).  The rebuilt
+    algebra is validated: leaves are scanned when parsed, a sum of
+    validated algebras is validated, and each extension is scanned when
+    built.  So a node that passes is certified without a scan of its own
+    and comes back validated; this is where parse_tree's sum and extension
+    nodes are certified.  A node that fails raises, in this order: its
+    stored algebra fails an axiom (AxiomError), its basis is singular
+    (InputError) or not homogeneous (GradingError), or a mismatch
+    (AxiomError naming the node).  A leaf is its stored algebra; only the
     tags that its dimension decides are checked (see _check_shape_tag).
     The simple tags, leaf notes and a sum's exhaustive flag are taken as
     stored.
@@ -695,13 +803,8 @@ def rebuild(node) -> QuadraticAlgebra:
         ext, _w = double_extension_even(rebuild(node.child), node.operator)
     else:
         raise InputError("unknown node kind %r" % (node.kind,))
-    if ext.dim == len(node.basis):
-        # node.basis holds ext's basis in node coordinates, so the node's
-        # basis is made of the columns of its inverse, in ext coordinates
-        inv = linalg.inverse(linalg.transpose([list(c) for c in node.basis]))
-        if inv is None:
-            raise InputError("corrupted witness: singular basis")
-        if change_basis_quadratic(ext, linalg.transpose(inv)) == node.algebra:
-            return node.algebra
-    raise AxiomError("rebuilt %s node %r does not match its stored document"
-                     % (node.kind, node.algebra.name))
+    stored = node.algebra
+    if not _carries(ext, stored, node.basis):
+        _mismatch(node, ext)
+    return (stored if stored.validated
+            else QuadraticAlgebra(stored.algebra, stored.form, validated=True))

@@ -126,11 +126,13 @@ _SCHEMA = {
 _NODE_KINDS = ("leaf", "sum", "odd_gde", "even_de")
 
 
-def _walk(obj, what):
+def _walk(obj, what, optional=None):
     """Check obj against the schema of `what`: every key emit always
-    writes, no other key than emit may write, each of its JSON type."""
+    writes, no other key than emit may write (or than `optional`, where
+    given), each of its JSON type."""
     _expect(type(obj) is dict, "%s must be an object" % what)
-    required, optional = _SCHEMA[what]
+    required, may = _SCHEMA[what]
+    optional = may if optional is None else optional
     for key in required:
         _expect(key in obj, "%s needs %r" % (what, key))
     for key, value in obj.items():
@@ -186,9 +188,11 @@ def _read_gde(block, space):
     return GdeData(d, a0, verified=False)
 
 
-def _read_document(obj):
-    """A decoded document: schema and grading gates, no axioms."""
-    _walk(obj, "document")
+def _read_document(obj, blocks=True):
+    """A decoded document: schema and grading gates, no axioms.  With
+    blocks False, as in a tree node's document, which tree_object writes
+    bare, an operator or gde key is unknown."""
+    _walk(obj, "document", None if blocks else {})
     _expect(obj["format_version"] == FORMAT_VERSION,
             "unsupported format_version")
     p, qd = obj["even_dim"], obj["odd_dim"]
@@ -276,6 +280,10 @@ def emit_tree(tree) -> str:
 
 
 def parse_tree(text):
+    """Syntax, schema and grading gates on every node; only the leaves'
+    documents are validated.  Sum and extension nodes come back with
+    unvalidated algebras, which decompose.rebuild certifies against what
+    it rebuilds from their children."""
     return _load(text, _read_tree)
 
 
@@ -286,15 +294,19 @@ def _read_tree(obj):
     kind = obj.get("kind")
     _expect(kind in _NODE_KINDS, "unknown tree node kind %r" % (kind,))
     _walk(obj, kind)
-    q, _op, _gde = _read_document(obj["document"])
-    q = QuadraticAlgebra.validate(q.algebra, q.form)
+    q, _op, _gde = _read_document(obj["document"], blocks=False)
     if kind == "leaf":
-        return dc.Leaf(q, dc.ULabel(obj["label"]), note=obj["note"])
+        return dc.Leaf(QuadraticAlgebra.validate(q.algebra, q.form),
+                       dc.ULabel(obj["label"]), note=obj["note"])
     cols = obj["basis"]
     n = q.dim
-    _expect(len(cols) == n and all(type(c) is list and len(c) == n
-                                   for c in cols),
-            "basis must list %d columns of %d scalars" % (n, n))
+    shaped = len(cols) == n and all(type(c) is list and len(c) == n
+                                    for c in cols)
+    if not shaped:
+        # a document that fails an axiom is named before its basis, as
+        # when every node was validated on reading
+        QuadraticAlgebra.validate(q.algebra, q.form)
+    _expect(shaped, "basis must list %d columns of %d scalars" % (n, n))
     basis = tuple(tuple(parse_scalar(x) for x in col) for col in cols)
     if kind == "sum":
         _expect(obj["children"], "sum node needs children")

@@ -14,13 +14,12 @@ turns cocycles back into operators.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, SuperAlgebra, Witness,
-                   _chain_keys, _report, _scaled_element, _scan_kernel,
-                   _vadd, ksign, parity_name)
+                   _chain_keys, _report, _scaled, _scaled_element,
+                   _scan_kernel, _vadd, ksign, parity_name)
 from .errors import GradingError, InputError, PreconditionError
 from .linalg import ZERO, frac
 from .quadratic import (BilinearForm, QuadraticAlgebra, _form_pairing,
@@ -115,10 +114,7 @@ def _int_map(images):
     """F, the lcm of the denominators of a linear map given by its sparse
     images {m: {d: x}}, and a function that applies F times the map to a
     sparse int vector, returning only the nonzero coordinates."""
-    scale = math.lcm(*(x.denominator for vec in images.values()
-                       for x in vec.values()))
-    cols = {m: {d: x.numerator * (scale // x.denominator)
-                for d, x in vec.items()} for m, vec in images.items()}
+    scale, cols = _scaled(images)
 
     def apply(vec):
         out = {}

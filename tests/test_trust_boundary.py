@@ -335,3 +335,137 @@ def test_catalog_entry_at_the_cap_is_emitted(capsys):
     assert run(["catalog", "abelian", "--p", "1000", "--q", "24"]) == 0
     q, _op, _gde = parse_document(capsys.readouterr().out)
     assert q.dim == MAX_DIM
+
+
+def _plane_line_tree():
+    """abelian(2,0) + abelian(1,0): a sum node over three lines."""
+    q = direct_sum_quadratic(catalog_get("abelian", p=2, q=0).algebra,
+                             catalog_get("abelian", p=1, q=0).algebra)
+    return json.loads(emit_tree(inductive_decompose(q)))
+
+
+def _add_block(key, block, where=lambda t: t):
+    def mutate(tree):
+        where(tree)["document"][key] = block
+    return mutate
+
+
+_ROTATION_BLOCK = {"parity": "even", "entries": [[0, 1, "7/1"]]}
+
+
+@pytest.mark.parametrize("make,mutate", [
+    (_plane_line_tree, _add_block("operator", _ROTATION_BLOCK)),
+    (_plane_line_tree, _add_block("operator", _ROTATION_BLOCK,
+                                  lambda t: t["children"][0])),
+    (_odd_tree, _add_block("gde", {"d": [], "a0": ["0/1"] * 5})),
+    (_odd_tree, _add_block("operator", _ROTATION_BLOCK,
+                           lambda t: t["child"])),
+    (_even_tree, _add_block("operator", _ROTATION_BLOCK)),
+], ids=["sum_operator", "leaf_operator", "odd_gde", "odd_child_operator",
+        "even_operator"])
+def test_blocks_in_tree_node_documents_exit_2(tmp_path, capsys, make,
+                                              mutate):
+    """tree_object never writes an operator or gde block into a node's
+    document, so one there is an unknown key, not a block to drop."""
+    tree = make()
+    assert _cli(tmp_path, capsys, "rebuild", tree) == 0
+    mutate(tree)
+    key = "gde" if "gde" in tree["document"] else "operator"
+    with pytest.raises(DocumentSyntaxError, match="unknown key %r" % key):
+        parse_tree(canonical_json(tree))
+    assert _cli(tmp_path, capsys, "rebuild", tree) == 2
+
+
+def _stderr(tmp_path, capsys, tree):
+    path = tmp_path / "input.json"
+    path.write_text(canonical_json(tree))
+    code = run(["rebuild", str(path)])
+    return code, capsys.readouterr().err
+
+
+def _set_first_constant(where=lambda t: t):
+    def mutate(tree):
+        where(tree)["document"]["constants"][0][3] = "7/1"
+    return mutate
+
+
+# parse_tree validates only the leaves' documents; rebuild certifies the
+# others and, when one fails, reports what validating it on reading did
+@pytest.mark.parametrize("make,mutate,err", [
+    (_sl2_line_tree, _set_first_constant(),
+     "validation error (axiom): form axioms failed: invariant\n"),
+    (_sl2_line_tree, lambda t: t["document"]["gram"].pop(0),
+     "validation error (axiom): form axioms failed: nondegenerate, "
+     "invariant\n"),
+    (_odd_tree, _set_first_constant(lambda t: t["child"]),
+     "validation error (axiom): form axioms failed: invariant\n"),
+    (_even_tree, _set_first_constant(),
+     "validation error (axiom): form axioms failed: invariant\n"),
+], ids=["sum_constant", "sum_gram_row", "odd_child_constant",
+        "even_constant"])
+def test_invalid_non_leaf_documents_exit_3(tmp_path, capsys, make, mutate,
+                                           err):
+    tree = make()
+    assert tree["kind"] != "leaf"
+    mutate(tree)
+    parse_tree(canonical_json(tree))
+    assert _stderr(tmp_path, capsys, tree) == (3, err)
+
+
+@pytest.mark.parametrize("make,key", [
+    (_sl2_line_tree, "even_dim"), (_odd_tree, "odd_dim")])
+def test_resized_non_leaf_document_is_named_before_its_basis(
+        tmp_path, capsys, make, key):
+    """A node document whose dimension no longer fits its basis fails an
+    axiom; that is reported, not the basis shape."""
+    tree = make()
+    tree["document"][key] += 1
+    with pytest.raises(AxiomError, match="nondegenerate"):
+        parse_tree(canonical_json(tree))
+    assert _stderr(tmp_path, capsys, tree) == (
+        3, "validation error (axiom): form axioms failed: nondegenerate\n")
+
+
+def _equal_columns(tree):
+    tree["basis"][1] = list(tree["basis"][0])
+
+
+def _zero_basis(tree):
+    tree["basis"] = [["0/1"] * len(col) for col in tree["basis"]]
+
+
+@pytest.mark.parametrize("make", [_sl2_line_tree, _odd_tree, _even_tree],
+                         ids=["sum", "odd_gde", "even_de"])
+@pytest.mark.parametrize("mutate", [_equal_columns, _zero_basis],
+                         ids=["equal_columns", "zero_basis"])
+def test_singular_basis_exits_2(tmp_path, capsys, make, mutate):
+    tree = make()
+    mutate(tree)
+    assert _stderr(tmp_path, capsys, tree) == (
+        2, "input error: corrupted witness: singular basis\n")
+
+
+def _swap_columns(a, b):
+    def mutate(tree):
+        tree["basis"][a], tree["basis"][b] = tree["basis"][b], tree["basis"][a]
+    return mutate
+
+
+def _set_basis_entry(col, row):
+    def mutate(tree):
+        tree["basis"][col][row] = "1/1"
+    return mutate
+
+
+# the odd tree's root is (1|4): column 0 is its even basis vector
+@pytest.mark.parametrize("mutate,err", [
+    (_set_basis_entry(0, 1), "basis column is not parity-homogeneous"),
+    (_set_basis_entry(1, 0), "basis column is not parity-homogeneous"),
+    (_swap_columns(0, 1), "basis columns must be ordered even-first"),
+    (_swap_columns(0, 4), "basis columns must be ordered even-first"),
+], ids=["even_column_mixed", "odd_column_mixed", "swap_0_1", "swap_0_4"])
+def test_inhomogeneous_basis_exits_3(tmp_path, capsys, mutate, err):
+    tree = _odd_tree()
+    mutate(tree)
+    assert _stderr(tmp_path, capsys, tree) == (
+        3, "validation error (grading): %s\n" % err)
