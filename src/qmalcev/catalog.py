@@ -1,9 +1,11 @@
 """Ground-truth constructors used by the tests, the acceptance suite, and
 the command line.
 
-Every entry is fully validated at construction time (Malcev identity plus
-all four scalar-product axioms); entries carrying extension data also pass
-the admissibility verifier.  The seven-dimensional simple non-Lie algebra
+Every entry is validated at construction time: scanned in full (Malcev
+identity plus all four scalar-product axioms), or, for the odd double
+extensions, built from data that the admissibility verifier accepts, which
+makes them quadratic Malcev by construction.  Entries carrying extension
+data also pass the admissibility verifier.  The seven-dimensional simple non-Lie algebra
 uses the imaginary-octonion commutator convention with Fano triples
 (123)(145)(176)(246)(257)(347)(365), scaled to unit structure constants.
 """

@@ -137,10 +137,7 @@ def _cmd_extend_odd(args):
     if not report.passed:
         raise PreconditionError("extension data rejected: %s fails"
                                 % report.first_failure())
-    from .extensions import GdeData
-
-    out, _wit = generalized_double_extension(
-        q, GdeData(gde.d, gde.a0, verified=True))
+    out, _wit = generalized_double_extension(q, gde)
     sys.stdout.write(emit_document(out, name="gde(%s)" % q.algebra.name))
     return EXIT_OK
 

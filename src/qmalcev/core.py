@@ -399,6 +399,24 @@ def _scaled_element(n, vec, denom):
     return Element(tuple(coords))
 
 
+def _side_witnesses(n, lhs, rhs, lscale, rscale):
+    """Witness(key, lhs, rhs) at each sorted key where the int vector sums
+    lhs {key: {k: x}}, the left side times lscale, and rhs, the right side
+    times rscale, differ as rationals.  Both are brought to the lcm of the
+    two scales, compared there, and divided back only in a witness."""
+    g = math.gcd(lscale, rscale)
+    lmul, rmul = rscale // g, lscale // g
+    denom = lscale * lmul
+    witnesses = []
+    for key in sorted(lhs.keys() | rhs.keys()):
+        left = {m: c * lmul for m, c in lhs.get(key, {}).items() if c}
+        right = {m: c * rmul for m, c in rhs.get(key, {}).items() if c}
+        if left != right:
+            witnesses.append(Witness(key, _scaled_element(n, left, denom),
+                                     _scaled_element(n, right, denom)))
+    return witnesses
+
+
 def check_malcev(a: SuperAlgebra) -> CheckReport:
     """Four-variable Malcev identity on all basis quadruples.
 
@@ -786,8 +804,14 @@ def simplicity(a: SuperAlgebra) -> SimplicityReport:
     whose stacked n^2 x n^2 matrix has a minor that is nonzero mod p, hence
     nonzero over Z, so the words are independent over Q and M(A) is full
     over Q as well.  Both closures, mod p and over Q, are the one
-    `_enveloping_basis` on the shared eliminator `linalg.Span`.  A rank
-    deficit mod p proves nothing over Q; then candidate seeds are closed
+    `_enveloping_basis` on the shared eliminator `linalg.Span`.  The mod-p
+    closure is skipped when the center is nonzero: on a super-anticommutative
+    algebra a central vector is killed by every L_i and R_i, so its line is
+    a proper M(A)-invariant subspace and the rank would fall short.  (On
+    any algebra the skip changes no answer, only the work: a full M(A)
+    leaves no proper ideal for the candidates to find, and the closure over
+    Q then certifies it.)  A rank deficit mod p proves nothing over Q; then
+    candidate seeds are closed
     (center columns, basis vectors, same-parity pairwise sums and pairs,
     seeded pseudo-random homogeneous vectors), and
     False comes with the first proper ideal found.  If none is found, M(A)
@@ -806,7 +830,7 @@ def _simplicity_uncached(a: SuperAlgebra) -> SimplicityReport:
         return SimplicityReport(False, note="zero algebra")
     if a.is_abelian():
         return SimplicityReport(False, note="abelian")
-    if _full_multiplication_algebra_mod_p(a):
+    if not center(a).columns and _full_multiplication_algebra_mod_p(a):
         return SimplicityReport(True, note="multiplication algebra is full")
     for seed in _ideal_candidates(a):
         sub = GradedSubspace.from_vectors(a.space, seed)

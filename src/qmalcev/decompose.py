@@ -27,7 +27,7 @@ from .quadratic import (BilinearForm, QuadraticAlgebra,
                         b_irreducible_components,
                         change_basis_quadratic, direct_sum_quadratic,
                         orthogonal_complement)
-from .extensions import (_HALF, ExtensionWitness, GdeData,
+from .extensions import (ExtensionWitness, GdeData,
                          double_extension_even, generalized_double_extension,
                          verify_gde_data)
 
@@ -226,7 +226,7 @@ def reduce_even(q: QuadraticAlgebra) -> EvenReduction:
     e0 = _solve_dual_vector(q, estar, EVEN)
     bee = q.form.restrict([e0])[0][0]
     # correct e so that B(e, e) = 0, keeping B(e, e*) = 1 (exact over Q)
-    e = [a - _HALF * bee * b for a, b in zip(e0, estar)]
+    e = [a - bee / 2 * b for a, b in zip(e0, estar)]
     r = _peel(q, e, estar, EVEN)
     oper = check_malcev_operator(r.n.algebra, r.d)
     if not oper.passed:
@@ -714,11 +714,17 @@ def _carries(q: QuadraticAlgebra, r: QuadraticAlgebra, columns) -> bool:
     on ints: the columns are scaled by L, the lcm of their denominators
     (operators._int_map), and each side's constants and Gram by the lcm of
     their own denominators, D_q and D_r; each identity is then compared
-    times D_q D_r L^2.
+    times D_q D_r L^2.  When the spaces are equal and the columns are the
+    identity, this says that the constants and the Grams are equal, and
+    that is what is compared.
     """
     n = q.dim
     if r.dim != n or len(columns) != n:
         return False
+    identity = tuple(tuple(int(m == i) for m in range(n)) for i in range(n))
+    if q.space == r.space and tuple(map(tuple, columns)) == identity:
+        return (q.algebra.constants == r.algebra.constants
+                and q.form == r.form)
     images = {}
     for i, col in enumerate(columns):
         vec = {m: x for m, x in enumerate(col) if x}
@@ -778,7 +784,9 @@ def rebuild(node) -> QuadraticAlgebra:
     Each node is rebuilt from its children, and its basis must carry the
     rebuilt algebra onto the node's stored one (_carries).  The rebuilt
     algebra is validated: leaves are scanned when parsed, a sum of
-    validated algebras is validated, and each extension is scanned when
+    validated algebras is validated, an odd extension is quadratic Malcev
+    by construction once verify_gde_data accepts its data (see
+    generalized_double_extension), and an even extension is scanned when
     built.  So a node that passes is certified without a scan of its own
     and comes back validated; this is where parse_tree's sum and extension
     nodes are certified.  A node that fails raises, in this order: its

@@ -18,20 +18,17 @@ symmetric hyperbolic (e, e*) block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (EVEN, ODD, CheckReport, Element, SuperAlgebra, SuperSpace,
                    Witness, _from_element, _mul_vb, _mul_vv, _report,
-                   _to_element, _vadd, _vscale, check_malcev,
-                   direct_sum_embeddings, ksign)
+                   _scaled, _scan_kernel, _side_witnesses, _to_element, _vadd,
+                   _vscale, check_malcev, direct_sum_embeddings, ksign)
 from .errors import AxiomError, InputError, PreconditionError
 from .linalg import ONE, ZERO, frac
-from .operators import (OperatorMap, check_malcev_operator,
+from .operators import (OperatorMap, _add, _int_map, check_malcev_operator,
                         check_skew_supersymmetric)
 from .quadratic import (BilinearForm, QuadraticAlgebra, _form_pairing,
                         _require_validated)
-
-_HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,8 @@ class GdeReport:
 
 def verify_gde_data(q: QuadraticAlgebra, g: GdeData) -> GdeReport:
     """Check, in order: skewness, the operator identity, the square rule,
-    and the three compatibility equations between d and a0."""
+    and the three compatibility equations between d and a0 (the last four
+    on ints, see _gde_conditions)."""
     _require_validated(q)
     a = q.algebra
     n = a.dim
@@ -95,61 +93,94 @@ def verify_gde_data(q: QuadraticAlgebra, g: GdeData) -> GdeReport:
 
     skew = check_skew_supersymmetric(q.form, g.d, a.space)
     oper = check_malcev_operator(a, g.d)
+    square, action, outer, inner = _gde_conditions(a, g.d, g.a0)
+    return GdeReport(skew=skew, operator=oper, square=_report(square),
+                     compat_action=_report(action),
+                     compat_outer=_report(outer),
+                     compat_inner=_report(inner))
 
-    par = [a.space.parity(i) for i in range(n)]
-    a0 = _from_element(g.a0)
-    d = g.d
-    da0 = d.apply_vec(a0)
-    d2a0 = d.apply_vec(da0)
-    half_sq = _vscale(_mul_vv(a, a0, a0), _HALF)
-    sq_wit = []
-    if d2a0 != half_sq:
-        sq_wit.append(Witness(("a0",), _to_element(n, d2a0),
-                              _to_element(n, half_sq)))
 
-    act_wit = []
-    for i in range(n):
-        lhs = d.apply_vec(_mul_vb(a, a0, i))
-        rhs = _mul_vv(a, a0, d.column(i))
-        _vadd(rhs, _mul_vb(a, da0, i), frac(-1))
-        if lhs != rhs:
-            act_wit.append(Witness((i,), _to_element(n, lhs),
-                                   _to_element(n, rhs)))
+def _gde_conditions(a: SuperAlgebra, d: OperatorMap, a0: Element):
+    """Witness lists of the square rule and the three compatibility
+    equations, X = b_i and Y = b_j:
 
-    outer_wit = []
-    inner_wit = []
-    for i in range(n):
-        di = d.column(i)
-        d2i = d.apply_vec(di)
-        for j in range(n):
-            dj = d.column(j)
-            d2j = d.apply_vec(dj)
-            x, y = par[i], par[j]
-            # (a0 b_i) b_j = d(d(b_i) b_j) + d^2(b_i b_j)
-            #              + (-1)^x d(b_i) d(b_j) + (-1)^{xy} d^2(b_j) b_i
-            lhs = _mul_vb(a, _mul_vb(a, a0, i), j)
-            rhs = d.apply_vec(_mul_vb(a, di, j))
-            _vadd(rhs, d.apply_vec(d.apply_vec(a.basis_product(i, j))))
-            _vadd(rhs, _mul_vv(a, di, dj), frac(ksign(x)))
-            _vadd(rhs, _mul_vb(a, d2j, i), frac(ksign(x * y)))
-            if lhs != rhs:
-                outer_wit.append(Witness((i, j), _to_element(n, lhs),
-                                         _to_element(n, rhs)))
-            # a0 (b_i b_j) = d(d(b_i) b_j) + d^2(b_i) b_j
-            #              - (-1)^{xy} { d^2(b_j) b_i + d(d(b_j) b_i) }
-            lhs2 = _mul_vv(a, a0, a.basis_product(i, j))
-            rhs2 = d.apply_vec(_mul_vb(a, di, j))
-            _vadd(rhs2, _mul_vb(a, d2i, j))
-            _vadd(rhs2, _mul_vb(a, d2j, i), frac(-ksign(x * y)))
-            _vadd(rhs2, d.apply_vec(_mul_vb(a, dj, i)), frac(-ksign(x * y)))
-            if lhs2 != rhs2:
-                inner_wit.append(Witness((i, j), _to_element(n, lhs2),
-                                         _to_element(n, rhs2)))
+        square  d^2(a0) = (1/2) a0 a0                        at ("a0",)
+        action  d(a0 X) = a0 d(X) - d(a0) X                   at (i,)
+        outer   (a0 X) Y = d(d(X) Y) + d^2(XY)
+                           + (-1)^x d(X) d(Y) + (-1)^{xy} d^2(Y) X
+        inner   a0 (XY) = d(d(X) Y) + d^2(X) Y
+                          - (-1)^{xy} { d^2(Y) X + d(d(Y) X) }  at (i, j)
 
-    return GdeReport(skew=skew, operator=oper, square=_report(sq_wit),
-                     compat_action=_report(act_wit),
-                     compat_outer=_report(outer_wit),
-                     compat_inner=_report(inner_wit))
+    All on ints: the constants are the scan kernel's (scaled by D), d is
+    scaled by F (operators._int_map) and a0 by A, the lcm of its
+    denominators.  So each side is its true value times one scale: F^2 A
+    for d^2(a0) and 2 A^2 D for (1/2) a0 a0, F A D on both sides of the
+    action, A D^2 on the left of outer and inner and F^2 D on their right.
+    As in the scans, each term is added into the sum of every key where it
+    occurs, so a key is visited only when some term there is nonzero, and
+    the keys are sorted.  The sides are compared at a common scale, and a
+    witness is divided back, exactly, only where they differ.
+    """
+    n = a.dim
+    kern = _scan_kernel(a)
+    par, dscale = kern.par, kern.scale
+    fscale, dmap = _int_map({m: d.column(m) for m in range(n)})
+    ascale, scaled = _scaled({0: _from_element(a0)})
+    a0v = scaled[0]                                   # A a0
+    dcols = {i: v for i in range(n) if (v := dmap({i: 1}))}    # F d(b_i)
+    users = {}  # w -> [(j, F d(b_j) at b_w)]
+    for j, v in dcols.items():
+        for w, y in v.items():
+            users.setdefault(w, []).append((j, y))
+    a0r = kern.right_products(a0v)                    # m -> A D a0 b_m
+
+    def times_a0(vec):
+        """A D a0 vec for an int vector vec: the sum of vec[m] a0 b_m."""
+        out = {}
+        for m, x in vec.items():
+            for k, c in a0r.get(m, {}).items():
+                out[k] = out.get(k, 0) + x * c
+        return out
+
+    square = ({("a0",): dmap(dmap(a0v))}, {("a0",): times_a0(a0v)})
+    action = ({}, {})
+    for i, u in a0r.items():
+        _add(action[0], (i,), dmap(u), 1)
+    for i, v in dcols.items():
+        _add(action[1], (i,), times_a0(v), 1)
+    for i, v in kern.right_products(dmap(a0v)).items():
+        _add(action[1], (i,), v, -1)
+
+    outer, inner = ({}, {}), ({}, {})
+    for i, u in a0r.items():
+        for j, v in kern.right_products(u).items():
+            _add(outer[0], (i, j), v, 1)
+    for (i, j), vec in kern.pairs.items():
+        _add(inner[0], (i, j), times_a0(vec), 1)
+        _add(outer[1], (i, j), dmap(dmap(vec)), 1)
+    for i, di in dcols.items():
+        for w, u in kern.right_products(di).items():  # u = d(b_i) b_w
+            s = ksign(par[i] * par[w])
+            v = dmap(u)
+            _add(outer[1], (i, w), v, 1)
+            _add(inner[1], (i, w), v, 1)
+            _add(inner[1], (w, i), v, -s)
+            for j, y in users.get(w, ()):
+                _add(outer[1], (i, j), u, ksign(par[i]) * y)
+        for k, v in kern.right_products(dmap(di)).items():  # d^2(b_i) b_k
+            s = ksign(par[i] * par[k])
+            _add(outer[1], (k, i), v, s)
+            _add(inner[1], (k, i), v, -s)
+            _add(inner[1], (i, k), v, 1)
+
+    return (_side_witnesses(n, *square, fscale ** 2 * ascale,
+                            2 * ascale ** 2 * dscale),
+            _side_witnesses(n, *action, fscale * ascale * dscale,
+                            fscale * ascale * dscale),
+            _side_witnesses(n, *outer, ascale * dscale ** 2,
+                            fscale ** 2 * dscale),
+            _side_witnesses(n, *inner, ascale * dscale ** 2,
+                            fscale ** 2 * dscale))
 
 
 def verified_gde_data(q: QuadraticAlgebra, d: OperatorMap,
@@ -199,8 +230,8 @@ def _extend(q: QuadraticAlgebra, d: OperatorMap, a0: Element):
     XY = (XY)_q + B(d(X), Y) e*, B(e, e*) = 1, B(e*, e) = (-1)^pi.
 
     e comes first and e* last in the parity-pi block of the output basis.
-    The result is fully validated (Malcev identity and all four form
-    axioms).
+    Returns the algebra, its form and the witness; nothing is checked here,
+    each caller certifies what it returns.
     """
     pi = d.parity
     p, q0 = q.space.even_dim, q.space.odd_dim
@@ -236,30 +267,38 @@ def _extend(q: QuadraticAlgebra, d: OperatorMap, a0: Element):
     name = ("gde(%s)" if pi == ODD else "de(%s)") % q.name
     alg = SuperAlgebra(space, constants, name=name)
     form = BilinearForm.from_entries(space.dim, gram)
-    out = QuadraticAlgebra.validate(alg, form)
-    return out, ExtensionWitness(e_idx, estar, tuple(emap))
+    return alg, form, ExtensionWitness(e_idx, estar, tuple(emap))
 
 
 def generalized_double_extension(q: QuadraticAlgebra, g: GdeData):
-    """Odd-line double extension of a quadratic algebra by verified data.
+    """Odd-line double extension of a validated quadratic algebra.
 
-    Output basis order: evens of the input, then e, then odds of the input,
-    then e*; the returned witness records the placement.
+    The data are always checked by verify_gde_data, whatever g.verified
+    says; data that fail raise PreconditionError naming the first failing
+    condition.  Data that pass give a quadratic Malcev superalgebra by
+    construction (the generalized double extension; Albuquerque-Benayadi,
+    J. Pure Appl. Algebra 187 (2004)), so the result is returned validated
+    without a scan of its own.  Output basis order: evens of the input,
+    then e, then odds of the input, then e*; the returned witness records
+    the placement.
     """
     _require_validated(q)
-    if not g.verified:
-        report = verify_gde_data(q, g)
-        if not report.passed:
-            raise PreconditionError("unverified extension data: %s fails"
-                                    % report.first_failure())
-    return _extend(q, g.d, g.a0)
+    report = verify_gde_data(q, g)
+    if not report.passed:
+        raise PreconditionError("unverified extension data: %s fails"
+                                % report.first_failure())
+    alg, form, witness = _extend(q, g.d, g.a0)
+    return QuadraticAlgebra(alg, form, validated=True), witness
 
 
 def double_extension_even(q: QuadraticAlgebra, d: OperatorMap):
     """Even-line double extension; validation is the admissibility gate.
 
-    Output basis order: e first, then evens of the input, then e*, then the
-    odds of the input; ee = 0.
+    The operator must be skew-supersymmetric and satisfy the operator
+    identity, and the result is then scanned in full (Malcev identity and
+    all four form axioms), since admissibility of an even operator is not
+    proved here.  Output basis order: e first, then evens of the input,
+    then e*, then the odds of the input; ee = 0.
     """
     _require_validated(q)
     if d.parity != EVEN:
@@ -269,7 +308,8 @@ def double_extension_even(q: QuadraticAlgebra, d: OperatorMap):
         raise PreconditionError("operator is not skew-supersymmetric")
     if not check_malcev_operator(q.algebra, d).passed:
         raise PreconditionError("operator fails the operator identity")
-    return _extend(q, d, Element.zero(q.dim))
+    alg, form, witness = _extend(q, d, Element.zero(q.dim))
+    return QuadraticAlgebra.validate(alg, form), witness
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, SuperAlgebra, Witness,
-                   _chain_keys, _report, _scaled, _scaled_element,
-                   _scan_kernel, _vadd, ksign, parity_name)
+                   _chain_keys, _report, _scaled, _scan_kernel,
+                   _side_witnesses, _vadd, ksign, parity_name)
 from .errors import GradingError, InputError, PreconditionError
 from .linalg import ZERO, frac
 from .quadratic import (BilinearForm, QuadraticAlgebra, _form_pairing,
@@ -165,14 +165,7 @@ def check_malcev_operator(a: SuperAlgebra, f: OperatorMap) -> CheckReport:
         for i, v in kern.right_products(fmap(vec)).items():
             _add(rhs, (i, j, k), v, -ksign(par[i] * (par[j] + par[k])))
     denom = kern.scale ** 2 * fscale
-    witnesses = []
-    for key in sorted(lhs.keys() | rhs.keys()):
-        left = {m: c for m, c in lhs.get(key, {}).items() if c}
-        right = {m: c for m, c in rhs.get(key, {}).items() if c}
-        if left != right:
-            witnesses.append(Witness(key, _scaled_element(n, left, denom),
-                                     _scaled_element(n, right, denom)))
-    return _report(witnesses)
+    return _report(_side_witnesses(n, lhs, rhs, denom, denom))
 
 
 def check_skew_supersymmetric(b: BilinearForm, f: OperatorMap,

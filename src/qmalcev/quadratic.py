@@ -8,16 +8,15 @@ antisymmetric.  All checks are exact scans with witnesses.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .core import (EVEN, ODD, CheckReport, Element, GradedSubspace,
-                   SuperAlgebra, SuperSpace, Witness, _ideal_candidates,
-                   _mul_vv, _report, _scan_kernel, center, check_malcev,
-                   ideal_closure, direct_sum, direct_sum_embeddings,
-                   simplicity, change_basis)
+from .core import (_CERT_PRIME, EVEN, ODD, CheckReport, Element,
+                   GradedSubspace, SuperAlgebra, SuperSpace, Witness,
+                   _ideal_candidates, _mul_vv, _report, _scaled, _scan_kernel,
+                   center, check_malcev, ideal_closure, direct_sum,
+                   direct_sum_embeddings, simplicity, change_basis)
 from .errors import AxiomError, InputError, PreconditionError
 from .linalg import ZERO, frac
 
@@ -87,68 +86,79 @@ class FormReport:
 
 
 def check_form(a: SuperAlgebra, b: BilinearForm) -> FormReport:
-    """The four scalar-product axioms, each with exact witnesses."""
+    """The four scalar-product axioms, each with exact witnesses, read off
+    the Gram's nonzeros.
+
+    Evenness and supersymmetry can fail only at a pair (i, j) where G[i][j]
+    or G[j][i] is nonzero, so those pairs alone are compared, in
+    lexicographic order.  Nondegeneracy is certified modulo the prime
+    p = 2^61 - 1: the Gram scaled to ints by E, the lcm of its
+    denominators, of rank n mod p has a determinant that is nonzero mod p,
+    hence nonzero over Z, so the form is nondegenerate over Q (the lift of
+    core.simplicity's certificate).  Only when the rank mod p falls short
+    is the kernel solved exactly over Q; its vectors are the witnesses,
+    and there are none when the rank over Q is n after all.
+    """
     n = a.dim
     if b.dim != n:
         raise InputError("form dimension does not match algebra")
     space = a.space
     par = [space.parity(i) for i in range(n)]
     g = b.gram
+    grows, _gcols = _gram_nonzeros(b)
+    entries = [(i, j) for i in sorted(grows) for j, _x in grows[i]]
 
-    even_wit = []
-    for i in range(n):
-        for j in range(n):
-            if par[i] != par[j] and g[i][j] != 0:
-                even_wit.append(Witness((i, j), g[i][j], ZERO))
+    even_wit = [Witness((i, j), g[i][j], ZERO) for i, j in entries
+                if par[i] != par[j]]
 
     sym_wit = []
-    for i in range(n):
-        for j in range(i, n):
-            if par[i] != par[j]:
-                continue
-            expected = g[j][i] if par[i] == EVEN else -g[j][i]
-            if g[i][j] != expected:
-                sym_wit.append(Witness((i, j), g[i][j], expected))
+    for i, j in sorted({(min(i, j), max(i, j)) for i, j in entries
+                        if par[i] == par[j]}):
+        expected = g[j][i] if par[i] == EVEN else -g[j][i]
+        if g[i][j] != expected:
+            sym_wit.append(Witness((i, j), g[i][j], expected))
 
-    nondeg_wit = [Witness(("kernel",), Element.from_seq(v), Element.zero(n))
-                  for v in linalg.kernel(b.matrix(), cols=n)]
+    scale, rows = _scaled({i: dict(row) for i, row in grows.items()})
+    span = linalg.Span(n, _CERT_PRIME)
+    for row in rows.values():
+        span.add(row)
+    nondeg_wit = [] if span.dim == n else [
+        Witness(("kernel",), Element.from_seq(v), Element.zero(n))
+        for v in linalg.kernel(b.matrix(), cols=n)]
 
-    inv_wit = _invariance_witnesses(a, g)
+    inv_wit = _invariance_witnesses(a, scale, rows)
 
     return FormReport(even=_report(even_wit), supersymmetric=_report(sym_wit),
                       nondegenerate=_report(nondeg_wit),
                       invariant=_report(inv_wit))
 
 
-def _invariance_witnesses(a: SuperAlgebra, g):
+def _invariance_witnesses(a: SuperAlgebra, gscale, grows):
     """(i, j, k) with B(b_i b_j, b_k) != B(b_i, b_j b_k), in lexicographic
-    order, with both sides.
+    order, with both sides; grows is the Gram's nonzeros scaled by gscale,
+    the lcm of its denominators, by row {m: {k: E G[m][k]}}.
 
     Both sides are sums of (constant x Gram entry) terms, so they are
     accumulated on the scan kernel's integer constants (scaled by D) and
-    the Gram scaled by E, the lcm of its denominators: each pair entry
-    b_i b_j = sum_m c_m b_m adds c_m G[m][k] to lhs(i, j, k) for each
-    nonzero in Gram row m, and G[h][m] c_m to rhs(h, i, j) for each nonzero
-    in Gram column m.  Every triple with a nonzero side is reached this way;
-    the sorted keys whose sides differ are divided back by D E.
+    the scaled Gram: each pair entry b_i b_j = sum_m c_m b_m adds
+    c_m G[m][k] to lhs(i, j, k) for each nonzero in Gram row m, and
+    G[h][m] c_m to rhs(h, i, j) for each nonzero in Gram column m.  Every
+    triple with a nonzero side is reached this way; the sorted keys whose
+    sides differ are divided back by D E.
     """
     kern = _scan_kernel(a)
-    scale = math.lcm(*(x.denominator for row in g for x in row if x))
-    grows, gcols = {}, {}
-    for m, row in enumerate(g):
-        for k, x in enumerate(row):
-            if x:
-                x = x.numerator * (scale // x.denominator)
-                grows.setdefault(m, []).append((k, x))
-                gcols.setdefault(k, []).append((m, x))
+    gcols = {}
+    for m, row in grows.items():
+        for k, x in row.items():
+            gcols.setdefault(k, []).append((m, x))
     lhs, rhs = {}, {}
     for (i, j), vec in kern.pairs.items():
         for m, c in vec.items():
-            for k, x in grows.get(m, ()):
+            for k, x in grows.get(m, {}).items():
                 lhs[(i, j, k)] = lhs.get((i, j, k), 0) + c * x
             for h, x in gcols.get(m, ()):
                 rhs[(h, i, j)] = rhs.get((h, i, j), 0) + x * c
-    denom = kern.scale * scale
+    denom = kern.scale * gscale
     return [Witness(key, Fraction(lhs.get(key, 0), denom),
                     Fraction(rhs.get(key, 0), denom))
             for key in sorted(lhs.keys() | rhs.keys())

@@ -64,6 +64,15 @@ def test_extension_requires_verified_data(sl2):
         generalized_double_extension(q, uncorrected)
 
 
+def test_verified_flag_does_not_skip_the_check():
+    """The extension is not scanned after it is built, so a forged flag
+    must not get the uncorrected data through: they break invariance."""
+    q, uncorrected = example_m_uncorrected_data(1, (1,))
+    forged = GdeData(uncorrected.d, uncorrected.a0, verified=True)
+    with pytest.raises(PreconditionError, match="skew fails"):
+        generalized_double_extension(q, forged)
+
+
 def test_gde_trivial_data_is_orthogonal_sum(sl2):
     g = GdeData(OperatorMap.zero(3, ODD), Element.zero(3), verified=True)
     out, wit = generalized_double_extension(sl2, g)

@@ -1,12 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmalcev import (BilinearForm, GradedSubspace, QuadraticAlgebra,
-                     b_irreducible_components, catalog_get,
-                     change_basis_quadratic, check_form,
-                     direct_sum_quadratic, orthogonal_complement,
+                     SuperAlgebra, SuperSpace, b_irreducible_components,
+                     catalog_get, change_basis_quadratic, check_form,
+                     direct_sum_quadratic, linalg, orthogonal_complement,
                      orthogonal_split)
+from qmalcev import quadratic
+from qmalcev.core import _CERT_PRIME, Element, Witness
 from qmalcev.errors import AxiomError, PreconditionError
 
 
@@ -37,6 +41,66 @@ def test_cross_parity_entry_breaks_evenness(m2):
     g[0][1] = Fraction(1)
     rep = check_form(m2.algebra.algebra, BilinearForm(g))
     assert not rep.even.passed
+
+
+def reference_form_axioms(space, gram):
+    """The evenness, supersymmetry and nondegeneracy witnesses of a Gram,
+    from every pair and an exact kernel over Q."""
+    n = space.dim
+    par = [space.parity(i) for i in range(n)]
+    even = [Witness((i, j), gram[i][j], Fraction(0))
+            for i in range(n) for j in range(n)
+            if par[i] != par[j] and gram[i][j] != 0]
+    sym = []
+    for i in range(n):
+        for j in range(i, n):
+            if par[i] == par[j]:
+                expected = gram[j][i] if par[i] == 0 else -gram[j][i]
+                if gram[i][j] != expected:
+                    sym.append(Witness((i, j), gram[i][j], expected))
+    nondeg = [Witness(("kernel",), Element.from_seq(v), Element.zero(n))
+              for v in linalg.kernel([list(r) for r in gram], cols=n)]
+    return even, sym, nondeg
+
+
+entries = st.sampled_from([0, 0, 0, 1, -1, Fraction(1, 2), 2, _CERT_PRIME])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.data())
+def test_check_form_matches_the_dense_reference(p, q, data):
+    """Entries of 2^61 - 1 make the scaled Gram lose rank mod p, so the
+    exact kernel decides some of these."""
+    n = p + q
+    gram = [[Fraction(data.draw(entries)) for _ in range(n)]
+            for _ in range(n)]
+    space = SuperSpace(p, q)
+    rep = check_form(SuperAlgebra(space, {}), BilinearForm(gram))
+    even, sym, nondeg = reference_form_axioms(space, gram)
+    assert list(rep.even.witnesses) == even
+    assert list(rep.supersymmetric.witnesses) == sym
+    assert list(rep.nondegenerate.witnesses) == nondeg
+
+
+def test_nondegeneracy_is_decided_mod_p_when_the_rank_is_full(
+        monkeypatch, m2, sl2, osp12):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact kernel solved")
+
+    monkeypatch.setattr(quadratic.linalg, "kernel", refuse)
+    for q in (m2.algebra, sl2, osp12):
+        assert check_form(q.algebra, q.form).nondegenerate.passed
+
+
+def test_rank_deficit_mod_p_is_decided_over_q():
+    """diag(2^61 - 1, 1) vanishes mod p in its first row but is
+    nondegenerate over Q; diag(2^61 - 1, 0) is degenerate over Q too."""
+    alg = SuperAlgebra(SuperSpace(2, 0), {})
+    full = check_form(alg, BilinearForm([[_CERT_PRIME, 0], [0, 1]]))
+    assert full.passed
+    short = check_form(alg, BilinearForm([[_CERT_PRIME, 0], [0, 0]]))
+    assert [w.lhs for w in short.nondegenerate.witnesses] == [
+        Element.from_seq([0, 1])]
 
 
 def test_invariance_mutation_detected(sl2):

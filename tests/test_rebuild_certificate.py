@@ -54,20 +54,22 @@ def _count_validate(monkeypatch):
 
 
 @pytest.mark.parametrize("q,scans", [
-    (_entry("example_gde", n=2, m=(1, 1)), 5),
+    (_entry("example_gde", n=2, m=(1, 1)), 2),
     (_sum(_entry("sl2"), _entry("abelian", p=1, q=0)), 2),
     (oscillator(), 3),
 ], ids=["example_gde(2;1,1)", "sl2+abelian(1,0)", "oscillator"])
 def test_rebuild_scans_leaves_and_extensions_once(monkeypatch, q, scans):
-    """Leaves are scanned when parsed and extensions when built; sums and
-    the stored documents of extensions are certified without a scan.
-    Reading every node's document and scanning each extension again, as
-    rebuild did before, made 9 calls on example_gde(2; 1,1)."""
+    """Leaves are scanned when parsed and even extensions when built; sums,
+    odd extensions (certified by their verified gde data) and the stored
+    documents of extensions are certified without a scan.  Reading every
+    node's document and scanning each extension again made 9 calls on
+    example_gde(2; 1,1); scanning each odd extension when built, 5."""
     text = emit_tree(inductive_decompose(q))
     kinds = [node["kind"] for _p, node in _tree_nodes(json.loads(text))]
     calls = _count_validate(monkeypatch)
     assert rebuild(parse_tree(text)) == q
-    assert len(calls) == scans == sum(k != "sum" for k in kinds)
+    assert len(calls) == scans == sum(k in ("leaf", "even_de")
+                                      for k in kinds)
 
 
 def test_rebuild_inverts_nothing(monkeypatch):

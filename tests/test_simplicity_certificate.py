@@ -14,11 +14,11 @@ from hypothesis import given, settings
 from qmalcev import (GradedSubspace, SuperAlgebra, catalog_get, change_basis,
                      direct_sum_quadratic, emit_tree, inductive_decompose,
                      product, simplicity)
-from qmalcev import decompose
+from qmalcev import core, decompose
 from qmalcev.core import (_CERT_PRIME, Element,
                           _full_multiplication_algebra_mod_p,
                           _ideal_candidates, _multiplication_algebra_dim,
-                          ideal_closure)
+                          center, ideal_closure)
 from qmalcev.linalg import basis_vector
 
 from test_scan_kernel import graded_algebras
@@ -58,6 +58,35 @@ def test_full_mod_p_implies_full_over_q(a):
         return
     if _full_multiplication_algebra_mod_p(a):
         assert _multiplication_algebra_dim(a) == a.dim * a.dim
+
+
+@pytest.mark.parametrize("name,params",
+                         [e for e in NON_ABELIAN if e[0] not in FULL])
+def test_central_algebra_skips_the_mod_p_closure(monkeypatch, name, params):
+    """Each non-full entry has a nonzero center, so simplicity goes
+    straight to the candidates, and the first center column closes to the
+    ideal it reports."""
+    a = catalog_get(name, **params).algebra.algebra
+
+    def refuse(_a):
+        raise AssertionError("mod-p closure run")
+
+    monkeypatch.setattr(core, "_full_multiplication_algebra_mod_p", refuse)
+    rep = simplicity(fresh(a))
+    first = GradedSubspace.from_vectors(a.space, [center(a).columns[0]])
+    assert rep.simple is False
+    assert rep.ideal == ideal_closure(fresh(a), first)
+
+
+@pytest.mark.parametrize("name", sorted(FULL))
+def test_centerless_algebra_is_certified_mod_p(monkeypatch, name):
+    def refuse(*args):
+        raise AssertionError("certified without the mod-p closure")
+
+    monkeypatch.setattr(core, "_ideal_candidates", refuse)
+    monkeypatch.setattr(core, "_multiplication_algebra_dim", refuse)
+    rep = simplicity(fresh(catalog_get(name).algebra.algebra))
+    assert rep.simple is True
 
 
 @pytest.mark.parametrize("i", range(3))
