@@ -19,7 +19,7 @@ from .quadratic import (BilinearForm, ComponentsReport, FormReport,
                         QuadraticAlgebra, b_irreducible_components,
                         change_basis_quadratic, check_form,
                         direct_sum_quadratic, orthogonal_complement,
-                        orthogonal_split, restrict_quadratic)
+                        orthogonal_split)
 from .operators import (Cocycle, OperatorMap, check_cocycle,
                         check_malcev_operator, check_skew_supersymmetric,
                         cocycle_from_operator, operator_from_cocycle,

@@ -200,7 +200,7 @@ def example_m_uncorrected_data(n, m):
     m = _check_params(n, m)
     q = _example_m_algebra(n)
     d = _example_m_operator(n, tuple(m), corrected=False)
-    return q, GdeData(d, Element.basis(q.dim, 0), verified=False)
+    return q, GdeData(d, Element.basis(q.dim, 0))
 
 
 def _example_gde(n, m):

@@ -26,8 +26,7 @@ from .document import (MAX_DIM, DocumentSyntaxError, canonical_json,
                        scalar_text)
 from .errors import (AxiomError, GradingError, InconclusiveError, InputError,
                      PreconditionError)
-from .extensions import (double_extension_even, generalized_double_extension,
-                         verify_gde_data)
+from .extensions import double_extension_even, generalized_double_extension
 from .operators import check_malcev_operator, check_skew_supersymmetric
 from .quadratic import check_form
 
@@ -133,10 +132,6 @@ def _cmd_extend_odd(args):
     q, _op, gde = parse_algebra_document(_read_input(args.file))
     if gde is None:
         raise PreconditionError("document carries no gde block")
-    report = verify_gde_data(q, gde)
-    if not report.passed:
-        raise PreconditionError("extension data rejected: %s fails"
-                                % report.first_failure())
     out, _wit = generalized_double_extension(q, gde)
     sys.stdout.write(emit_document(out, name="gde(%s)" % q.algebra.name))
     return EXIT_OK

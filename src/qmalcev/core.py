@@ -182,6 +182,7 @@ class SuperAlgebra:
         self._kernel = None
         self._center = None
         self._simplicity = None
+        self._anti = None
         self._closures = {}
 
     @property
@@ -276,10 +277,6 @@ def _to_element(n, vec):
     return Element(tuple(coords))
 
 
-def _from_element(x: Element):
-    return {i: c for i, c in enumerate(x.coords) if c != 0}
-
-
 # ---------------------------------------------------------------------------
 # operations
 
@@ -305,8 +302,12 @@ def check_super_anticommutativity(a: SuperAlgebra) -> CheckReport:
     """b_i b_j = -(-1)^{p(i)p(j)} b_j b_i for all basis pairs.
 
     Both sides vanish unless (i, j) or (j, i) is in the pair table, so only
-    those pairs are compared, in the order of a full scan over i <= j.
+    those pairs are compared, in the order of a full scan over i <= j.  The
+    report is cached on the (immutable) algebra: check_malcev reads it for
+    its note and QuadraticAlgebra.validate for its verdict.
     """
+    if a._anti is not None:
+        return a._anti
     n = a.dim
     parity = a.space.parity
     witnesses = []
@@ -317,7 +318,8 @@ def check_super_anticommutativity(a: SuperAlgebra) -> CheckReport:
         if lhs != rhs:
             witnesses.append(Witness((i, j), _to_element(n, lhs),
                                      _to_element(n, rhs)))
-    return _report(witnesses)
+    a._anti = _report(witnesses)
+    return a._anti
 
 
 def _scaled(table):

@@ -22,8 +22,8 @@ from .errors import AxiomError, GradingError, InputError, PreconditionError
 from .linalg import ONE, ZERO
 from .operators import OperatorMap, _add, _int_map, check_malcev_operator
 from .quadratic import (BilinearForm, QuadraticAlgebra,
-                        _certified_irreducible, _find_splitting_ideal,
-                        _form_pairing, _require_validated, _sparse,
+                        _certified_irreducible, _cut, _find_splitting_ideal,
+                        _form_pairing, _require_validated,
                         b_irreducible_components,
                         change_basis_quadratic, direct_sum_quadratic,
                         orthogonal_complement)
@@ -41,7 +41,6 @@ class OddReduction:
     gde: GdeData
     witness: ExtensionWitness
     basis: tuple                 # adapted basis columns in input coordinates
-    alpha_check: CheckReport     # the reduced product passes full validation
     phi_check: CheckReport       # recovered phi(X,Y) == B(D(X),Y)
     psi_check: CheckReport       # recovered psi(X) == (-1)^x B(X, A0)
     # True: proved B-irreducible; False: a splitting ideal was found;
@@ -56,7 +55,6 @@ class EvenReduction:
     operator: OperatorMap
     witness: ExtensionWitness
     basis: tuple
-    alpha_check: CheckReport
     phi_check: CheckReport
     notes: tuple = ()
 
@@ -72,7 +70,7 @@ def _solve_dual_vector(q: QuadraticAlgebra, estar, parity):
     that B(e, e*) = 1."""
     space = q.space
     idxs = space.even_indices() if parity == EVEN else space.odd_indices()
-    _, right = _form_pairing(q.form, {0: _sparse(estar)})  # B(b_j, e*)
+    _, right = _form_pairing(q.form, {0: linalg.sparse(estar)})  # B(b_j, e*)
     for b in idxs:
         if (b, 0) in right:
             e = [ZERO] * space.dim
@@ -85,7 +83,7 @@ def _solve_dual_vector(q: QuadraticAlgebra, estar, parity):
 def _adapted_basis(q: QuadraticAlgebra, e, estar, parity):
     """Columns (N_even, e, N_odd, e*) for an odd e, (e, N_even, e*, N_odd)
     for an even one, N the orthogonal complement of span{e, e*}; with the
-    positions of e and e* and the graded space of N."""
+    positions of e and e*."""
     a_sub = GradedSubspace.from_vectors(q.space, [e, estar])
     if a_sub.dim != 2:
         raise PreconditionError("e and e* are not independent")
@@ -98,7 +96,7 @@ def _adapted_basis(q: QuadraticAlgebra, e, estar, parity):
     else:
         adapted = [list(e)] + ne + [list(estar)] + no
         e_idx, estar_idx = 0, len(ne) + 1
-    return adapted, e_idx, estar_idx, SuperSpace(len(ne), len(no))
+    return adapted, e_idx, estar_idx
 
 
 @dataclass(frozen=True)
@@ -114,60 +112,48 @@ class _Peeled:
     basis: tuple
 
 
-_ALPHA_CHECK = CheckReport(True, notes=("reduced algebra passed full "
-                                        "validation",))
-
-
 def _peel(q: QuadraticAlgebra, e, estar, parity) -> _Peeled:
-    """Rewrite q once in the adapted basis and slice the result into N's
-    constants and Gram matrix, D, phi, the e-row psi and ee."""
-    adapted, e_idx, estar_idx, nspace = _adapted_basis(q, e, estar, parity)
+    """Rewrite q once in the adapted basis and cut N from it: the spill of
+    N's products onto e* is phi, and D, psi and ee are read off e's row.
+    N is validated by theorem, not by a scan: e* is central, so e*^perp is
+    an ideal holding F e*, and N is e*^perp / F e*, which is quadratic
+    Malcev (Albuquerque-Benayadi, J. Pure Appl. Algebra 187 (2004)).  A
+    product with a component on e raises PreconditionError.
+    """
+    adapted, e_idx, estar_idx = _adapted_basis(q, e, estar, parity)
     rq = change_basis_quadratic(q, adapted)
-    pairs = rq.algebra.pair_table()
     n_positions = [i for i in range(q.dim) if i not in (e_idx, estar_idx)]
+    nq, spill = _cut(rq, n_positions, "reduced(%s)" % q.name)
+    # e b_j for each position j of N, then ee
+    erow = [rq.algebra.basis_product(e_idx, j)
+            for j in n_positions + [e_idx]]
+    if any(e_idx in vec for vec in (*spill.values(), *erow)):
+        raise PreconditionError("products leak onto e; input is not "
+                                "invariantly paired")
+    ndim = nq.dim
+    phi = {key: vec[estar_idx] for key, vec in spill.items()}
     where = {pos: a for a, pos in enumerate(n_positions)}
-    ndim = len(n_positions)
-
-    def split(i, j):
-        """N coordinates and e* coefficient of the adapted product b_i b_j."""
-        coords = pairs.get((i, j), {})
-        if e_idx in coords:
-            raise PreconditionError("products leak onto e; input is not "
-                                    "invariantly paired")
-        return ({where[m]: c for m, c in coords.items() if m != estar_idx},
-                coords.get(estar_idx, ZERO))
-
-    constants = {}
-    phi = [[ZERO] * ndim for _ in range(ndim)]
-    for a_i, pos_i in enumerate(n_positions):
-        for a_j, pos_j in enumerate(n_positions):
-            part, phi[a_i][a_j] = split(pos_i, pos_j)
-            for a_k, c in part.items():
-                constants[(a_i, a_j, a_k)] = c
     dmat = [[ZERO] * ndim for _ in range(ndim)]
-    psi = [ZERO] * ndim
-    for a_j, pos_j in enumerate(n_positions):
-        part, psi[a_j] = split(e_idx, pos_j)
-        for a_k, c in part.items():
-            dmat[a_k][a_j] = c
-    a0, ee_estar = split(e_idx, e_idx)
-    if ee_estar != 0:
+    psi = [vec.get(estar_idx, ZERO) for vec in erow[:ndim]]
+    for a_j, vec in enumerate(erow[:ndim]):
+        for m, c in vec.items():
+            if m != estar_idx:
+                dmat[where[m]][a_j] = c
+    ee = erow[ndim]
+    if estar_idx in ee:
         raise PreconditionError("ee leaks outside the complement")
-    if parity == EVEN and (a0 or any(psi)):
+    if parity == EVEN and (ee or any(psi)):
         raise PreconditionError("eX and ee must lie in the complement in "
                                 "the even reduction")
 
-    ngram = [[rq.form.gram[i][j] for j in n_positions] for i in n_positions]
-    nalg = SuperAlgebra(nspace, constants, name="reduced(%s)" % q.name)
-    nq = QuadraticAlgebra.validate(nalg, BilinearForm(ngram))
     d = OperatorMap(dmat, parity)
     # phi(X_i, X_j) = B(D(X_i), X_j)
     want, _ = _form_pairing(nq.form, {i: d.column(i) for i in range(ndim)})
-    phi_wit = [Witness((i, j), phi[i][j], want.get((i, j), ZERO))
-               for i in range(ndim) for j in range(ndim)
-               if phi[i][j] != want.get((i, j), ZERO)]
+    phi_wit = [Witness(key, phi.get(key, ZERO), want.get(key, ZERO))
+               for key in sorted(phi.keys() | want.keys())
+               if phi.get(key, ZERO) != want.get(key, ZERO)]
     return _Peeled(nq, d, psi,
-                   Element(tuple(a0.get(m, ZERO) for m in range(ndim))),
+                   Element(tuple(ee.get(pos, ZERO) for pos in n_positions)),
                    _report(phi_wit),
                    ExtensionWitness(e_idx, estar_idx, tuple(n_positions)),
                    tuple(tuple(col) for col in adapted))
@@ -192,7 +178,7 @@ def reduce_odd(q: QuadraticAlgebra) -> OddReduction:
     e = _solve_dual_vector(q, estar, ODD)
     r = _peel(q, e, estar, ODD)
     # psi(X) = (-1)^x B(X, a0)
-    _, ga0 = _form_pairing(r.n.form, {0: _sparse(r.a0.coords)})
+    _, ga0 = _form_pairing(r.n.form, {0: linalg.sparse(r.a0.coords)})
     psi_wit = []
     for j, psi in enumerate(r.psi):
         want = ksign(r.n.space.parity(j)) * ga0.get((j, 0), ZERO)
@@ -202,9 +188,9 @@ def reduce_odd(q: QuadraticAlgebra) -> OddReduction:
     if not report.passed:
         raise PreconditionError("recovered data fails admissibility: %s"
                                 % report.first_failure())
-    return OddReduction(n=r.n, gde=GdeData(r.d, r.a0, verified=True),
+    return OddReduction(n=r.n, gde=GdeData(r.d, r.a0),
                         witness=r.witness, basis=r.basis,
-                        alpha_check=_ALPHA_CHECK, phi_check=r.phi_check,
+                        phi_check=r.phi_check,
                         psi_check=_report(psi_wit),
                         irreducible_certified=certified,
                         notes=tuple(notes))
@@ -233,7 +219,7 @@ def reduce_even(q: QuadraticAlgebra) -> EvenReduction:
         raise PreconditionError("recovered operator fails the operator "
                                 "identity")
     return EvenReduction(n=r.n, operator=r.d, witness=r.witness, basis=r.basis,
-                         alpha_check=_ALPHA_CHECK, phi_check=r.phi_check)
+                         phi_check=r.phi_check)
 
 
 # ---------------------------------------------------------------------------

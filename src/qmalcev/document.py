@@ -185,7 +185,7 @@ def _read_gde(block, space):
     _expect(len(block["a0"]) == space.dim,
             "a0 must list one scalar per basis vector")
     a0 = Element.from_seq([parse_scalar(s) for s in block["a0"]])
-    return GdeData(d, a0, verified=False)
+    return GdeData(d, a0)
 
 
 def _read_document(obj, blocks=True):

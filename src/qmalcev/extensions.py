@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (EVEN, ODD, CheckReport, Element, SuperAlgebra, SuperSpace,
-                   Witness, _from_element, _mul_vb, _mul_vv, _report,
-                   _scaled, _scan_kernel, _side_witnesses, _to_element, _vadd,
-                   _vscale, check_malcev, direct_sum_embeddings, ksign)
+                   Witness, _mul_vb, _mul_vv, _report, _scaled, _scan_kernel,
+                   _side_witnesses, _to_element, _vadd, _vscale, check_malcev,
+                   direct_sum_embeddings, ksign)
 from .errors import AxiomError, InputError, PreconditionError
-from .linalg import ONE, ZERO, frac
+from .linalg import ONE, ZERO, frac, sparse
 from .operators import (OperatorMap, _add, _int_map, check_malcev_operator,
                         check_skew_supersymmetric)
 from .quadratic import (BilinearForm, QuadraticAlgebra, _form_pairing,
@@ -37,7 +37,6 @@ class GdeData:
 
     d: OperatorMap
     a0: Element
-    verified: bool = False
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,7 @@ def _gde_conditions(a: SuperAlgebra, d: OperatorMap, a0: Element):
     kern = _scan_kernel(a)
     par, dscale = kern.par, kern.scale
     fscale, dmap = _int_map({m: d.column(m) for m in range(n)})
-    ascale, scaled = _scaled({0: _from_element(a0)})
+    ascale, scaled = _scaled({0: sparse(a0.coords)})
     a0v = scaled[0]                                   # A a0
     dcols = {i: v for i in range(n) if (v := dmap({i: 1}))}    # F d(b_i)
     users = {}  # w -> [(j, F d(b_j) at b_w)]
@@ -185,12 +184,15 @@ def _gde_conditions(a: SuperAlgebra, d: OperatorMap, a0: Element):
 
 def verified_gde_data(q: QuadraticAlgebra, d: OperatorMap,
                       a0: Element) -> GdeData:
-    g = GdeData(d, a0, verified=False)
+    """GdeData(d, a0) if verify_gde_data passes it, PreconditionError naming
+    the first failing condition if not: the one admissibility gate of odd
+    extension data."""
+    g = GdeData(d, a0)
     report = verify_gde_data(q, g)
     if not report.passed:
         raise PreconditionError("extension data rejected: %s fails"
                                 % report.first_failure())
-    return GdeData(d, a0, verified=True)
+    return g
 
 
 def central_extension(q: QuadraticAlgebra, d: OperatorMap) -> SuperAlgebra:
@@ -248,7 +250,7 @@ def _extend(q: QuadraticAlgebra, d: OperatorMap, a0: Element):
     for k, c in enumerate(a0.coords):
         if c != 0:
             constants[(e_idx, e_idx, emap[k])] = c
-    _, ga0 = _form_pairing(q.form, {0: _from_element(a0)})  # B(b_j, a0)
+    _, ga0 = _form_pairing(q.form, {0: sparse(a0.coords)})  # B(b_j, a0)
     for j in range(n):
         x = q.space.parity(j)
         image = {emap[r]: v for r, v in dcols[j].items()}
@@ -273,20 +275,16 @@ def _extend(q: QuadraticAlgebra, d: OperatorMap, a0: Element):
 def generalized_double_extension(q: QuadraticAlgebra, g: GdeData):
     """Odd-line double extension of a validated quadratic algebra.
 
-    The data are always checked by verify_gde_data, whatever g.verified
-    says; data that fail raise PreconditionError naming the first failing
-    condition.  Data that pass give a quadratic Malcev superalgebra by
-    construction (the generalized double extension; Albuquerque-Benayadi,
-    J. Pure Appl. Algebra 187 (2004)), so the result is returned validated
-    without a scan of its own.  Output basis order: evens of the input,
-    then e, then odds of the input, then e*; the returned witness records
-    the placement.
+    The data go through the admissibility gate on every call, and data
+    that fail raise PreconditionError naming the first failing condition.
+    Data that pass give a quadratic Malcev superalgebra by construction
+    (the generalized double extension; Albuquerque-Benayadi, J. Pure Appl.
+    Algebra 187 (2004)), so the result is returned validated without a
+    scan of its own.  Output basis order: evens of the input, then e, then
+    odds of the input, then e*; the returned witness records the placement.
     """
     _require_validated(q)
-    report = verify_gde_data(q, g)
-    if not report.passed:
-        raise PreconditionError("unverified extension data: %s fails"
-                                % report.first_failure())
+    verified_gde_data(q, g.d, g.a0)
     alg, form, witness = _extend(q, g.d, g.a0)
     return QuadraticAlgebra(alg, form, validated=True), witness
 
@@ -369,7 +367,7 @@ class SemidirectData:
         for i, ci in xvec.items():
             row = self.zeta[i]
             for j, cj in yvec.items():
-                _vadd(out, _from_element(row[j]), ci * cj)
+                _vadd(out, sparse(row[j].coords), ci * cj)
         return out
 
 
@@ -594,7 +592,7 @@ def generalized_semidirect_product(m: SuperAlgebra, v: SuperAlgebra,
         constants[(amap[i], amap[j], amap[k])] = c
     for i in range(m.dim):
         for j in range(m.dim):
-            for h, c in _from_element(s.zeta[i][j]).items():
+            for h, c in sparse(s.zeta[i][j].coords).items():
                 constants[(amap[i], amap[j], bmap[h])] = c
     for (g, h, k), c in v.constants.items():
         constants[(bmap[g], bmap[h], bmap[k])] = c
@@ -617,10 +615,10 @@ def generalized_semidirect_product(m: SuperAlgebra, v: SuperAlgebra,
 def semidirect_data_from_gde(q: QuadraticAlgebra, g: GdeData):
     """The acting odd line, the centrally extended module, and the data
     (omega(e), zeta(e,e)) whose semidirect product equals the odd double
-    extension of q by g, entry for entry."""
+    extension of q by g, entry for entry; the data must pass the
+    admissibility gate."""
     _require_validated(q)
-    if not g.verified:
-        raise PreconditionError("extension data must be verified")
+    verified_gde_data(q, g.d, g.a0)
     n = q.dim
     line = SuperAlgebra(SuperSpace(0, 1), {}, name="odd_line")
     vext = central_extension(q, g.d.negated())
@@ -630,7 +628,7 @@ def semidirect_data_from_gde(q: QuadraticAlgebra, g: GdeData):
     for j in range(n):
         for r, val in g.d.column(j).items():
             dmat[r][j] = val
-    _, ga0 = _form_pairing(q.form, {0: _from_element(g.a0)})  # B(b_j, a0)
+    _, ga0 = _form_pairing(q.form, {0: sparse(g.a0.coords)})  # B(b_j, a0)
     for (j, _c), v in ga0.items():
         dmat[estar][j] = ksign(q.space.parity(j)) * v
     dtilde = OperatorMap(dmat, ODD)

@@ -14,9 +14,10 @@ from fractions import Fraction
 from . import linalg
 from .core import (_CERT_PRIME, EVEN, ODD, CheckReport, Element,
                    GradedSubspace, SuperAlgebra, SuperSpace, Witness,
-                   _ideal_candidates, _mul_vv, _report, _scaled, _scan_kernel,
-                   center, check_malcev, ideal_closure, direct_sum,
-                   direct_sum_embeddings, simplicity, change_basis)
+                   _ideal_candidates, _report, _scaled, _scan_kernel,
+                   center, check_malcev, check_super_anticommutativity,
+                   ideal_closure, direct_sum, direct_sum_embeddings,
+                   simplicity, change_basis)
 from .errors import AxiomError, InputError, PreconditionError
 from .linalg import ZERO, frac
 
@@ -209,7 +210,9 @@ class QuadraticAlgebra:
 
     @classmethod
     def validate(cls, algebra: SuperAlgebra, form: BilinearForm):
-        """Run the full axiom suite and return a validated instance."""
+        """Run the full axiom suite and return a validated instance: the
+        four form axioms, the Malcev identity, then super-anticommutativity,
+        each failure an AxiomError naming it."""
         freport = check_form(algebra, form)
         if not freport.passed:
             raise AxiomError("form axioms failed: %s"
@@ -218,6 +221,10 @@ class QuadraticAlgebra:
         if not mreport.passed:
             raise AxiomError("Malcev identity failed with %d witnesses"
                              % len(mreport.witnesses), mreport)
+        areport = check_super_anticommutativity(algebra)
+        if not areport.passed:
+            raise AxiomError("super-anticommutativity failed with %d "
+                             "witnesses" % len(areport.witnesses), areport)
         return cls(algebra, form, validated=True)
 
     @property
@@ -254,7 +261,8 @@ def orthogonal_complement(b: BilinearForm, s: GradedSubspace):
         raise PreconditionError("form is degenerate")
     n = b.dim
     # each constraint row is the functional B(c, .) of a column c
-    left, _right = _form_pairing(b, dict(enumerate(map(_sparse, s.columns))))
+    left, _right = _form_pairing(
+        b, dict(enumerate(map(linalg.sparse, s.columns))))
     rows = [[left.get((c, j), ZERO) for j in range(n)]
             for c in range(s.dim)]
     vecs = linalg.kernel(rows, cols=n)
@@ -270,54 +278,60 @@ def change_basis_quadratic(q: QuadraticAlgebra, columns, name=None):
                             validated=q.validated)
 
 
-def restrict_quadratic(q: QuadraticAlgebra, sub: GradedSubspace,
-                       name: str = ""):
-    """Validated quadratic algebra on a multiplication-closed graded
-    subspace."""
-    r = change_basis_quadratic(q, sub.columns, name=name or q.name)
-    return QuadraticAlgebra.validate(r.algebra, r.form)
-
-
-def is_graded_ideal(a: SuperAlgebra, sub: GradedSubspace) -> bool:
-    closed = ideal_closure(a, sub)
-    return closed.dim == sub.dim
+def _cut(q: QuadraticAlgebra, positions, name):
+    """The algebra on q's basis vectors at the given positions (even ones
+    first), with q's own constants and Gram there, marked validated, which
+    each caller proves; and the spill {(a, b): {m: c}}, the components at
+    positions m outside of the product of the a-th and b-th of them."""
+    where = {pos: a for a, pos in enumerate(positions)}
+    constants, spill = {}, {}
+    for (i, j, k), c in q.algebra.constants.items():
+        if i in where and j in where:
+            if k in where:
+                constants[(where[i], where[j], where[k])] = c
+            else:
+                spill.setdefault((where[i], where[j]), {})[k] = c
+    evens = sum(q.space.parity(pos) == EVEN for pos in positions)
+    alg = SuperAlgebra(SuperSpace(evens, len(positions) - evens), constants,
+                       name=name)
+    form = BilinearForm([[q.form.gram[i][j] for j in positions]
+                         for i in positions])
+    return QuadraticAlgebra(alg, form, validated=True), spill
 
 
 def orthogonal_split(q: QuadraticAlgebra, ideal: GradedSubspace):
     """Split along a graded ideal with non-degenerate form restriction.
 
     Returns (component on the ideal, component on its complement, witness),
-    the witness being the adapted basis columns ordered so direct_sum of the
-    components reproduces the input constants in that basis.
+    the witness being the adapted basis columns ae + be + ao + bo, in which
+    direct_sum of the components reproduces the input constants.  q is
+    rewritten once in that basis and both components are cut from it.
+    They are validated by theorem, not by a scan: I^perp is an ideal with
+    I I^perp = 0, and both summands of q = I + I^perp are quadratic Malcev
+    (Medina-Revoy, Ann. Sci. ENS 18 (1985); Albuquerque-Benayadi, J. Pure
+    Appl. Algebra 187 (2004)).
     """
     _require_validated(q)
     if ideal.dim == 0 or ideal.dim == q.dim:
         raise PreconditionError("split requires a proper nonzero ideal")
-    if not is_graded_ideal(q.algebra, ideal):
+    if ideal_closure(q.algebra, ideal).dim != ideal.dim:
         raise PreconditionError("subspace is not an ideal")
     if linalg.det(q.form.restrict(ideal.columns)) == 0:
         raise PreconditionError("form restriction to the ideal is degenerate")
     comp = orthogonal_complement(q.form, ideal)
-    qa = restrict_quadratic(q, ideal, name="%s[0]" % q.name)
-    qb = restrict_quadratic(q, comp, name="%s[1]" % q.name)
-    ae = ideal.even_columns()
-    ao = ideal.odd_columns()
+    ae, ao = ideal.even_columns(), ideal.odd_columns()
     be = comp.even_columns()
-    bo = comp.odd_columns()
-    witness_cols = ae + be + ao + bo
-    # adapted-basis sanity: the two factors really multiply to zero
-    comp_vecs = [_sparse(v) for v in comp.columns]
-    for u in ideal.columns:
-        u = _sparse(u)
-        for v in comp_vecs:
-            if _mul_vv(q.algebra, u, v):
-                raise PreconditionError("cross products do not vanish; "
-                                        "split is invalid")
+    witness_cols = ae + be + ao + comp.odd_columns()
+    rq = change_basis_quadratic(q, witness_cols)
+    inside = [*range(len(ae)), *range(len(ae + be), len(ae + be + ao))]
+    side = [i in inside for i in range(q.dim)]
+    if any(len({side[m] for m in key}) > 1 for key in rq.algebra.constants):
+        raise PreconditionError("cross products do not vanish; split is "
+                                "invalid")
+    qa, _ = _cut(rq, inside, "%s[0]" % q.name)
+    qb, _ = _cut(rq, [i for i in range(q.dim) if not side[i]],
+                 "%s[1]" % q.name)
     return qa, qb, witness_cols
-
-
-def _sparse(col):
-    return {i: x for i, x in enumerate(col) if x != 0}
 
 
 def direct_sum_quadratic(qa: QuadraticAlgebra,

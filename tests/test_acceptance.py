@@ -231,7 +231,7 @@ def test_criterion_7_decomposition_pipeline():
 
 def test_criterion_8_degenerate_gates():
     sl2 = catalog_get("sl2").algebra
-    g = GdeData(OperatorMap.zero(3, ODD), Element.zero(3), verified=True)
+    g = GdeData(OperatorMap.zero(3, ODD), Element.zero(3))
     ext, wit = generalized_double_extension(sl2, g)
     ds = direct_sum_quadratic(sl2, catalog_get("odd_hyperbolic").algebra)
     perm = [basis_vector(5, i) for i in range(3)]

@@ -5,7 +5,8 @@ from qmalcev import (EVEN, OperatorMap, SuperAlgebra, SuperSpace,
                      check_completely_reducible_action, check_reductive_even,
                      classify_U, direct_sum_quadratic, double_extension_even,
                      generalized_double_extension, inductive_decompose,
-                     rebuild, reduce_even, reduce_odd, reductive_report)
+                     rebuild, reduce_even, reduce_odd, reductive_report,
+                     verify_gde_data)
 from qmalcev.errors import PreconditionError
 
 
@@ -21,7 +22,7 @@ def assert_odd_round_trip(q):
     red = reduce_odd(q)
     assert red.n.dim == q.dim - 2
     assert red.phi_check.passed and red.psi_check.passed
-    assert red.gde.verified
+    assert verify_gde_data(red.n, red.gde).passed
     ext, _ = generalized_double_extension(red.n, red.gde)
     adapted = change_basis_quadratic(q, [list(c) for c in red.basis])
     assert ext.algebra.constants == adapted.algebra.constants

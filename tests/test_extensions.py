@@ -65,16 +65,17 @@ def test_extension_requires_verified_data(sl2):
 
 
 def test_verified_flag_does_not_skip_the_check():
-    """The extension is not scanned after it is built, so a forged flag
-    must not get the uncorrected data through: they break invariance."""
+    """The extension is not scanned after it is built, so the data are
+    gated on every call: the uncorrected data, which break invariance, do
+    not get through, however they were built."""
     q, uncorrected = example_m_uncorrected_data(1, (1,))
-    forged = GdeData(uncorrected.d, uncorrected.a0, verified=True)
+    rebuilt = GdeData(uncorrected.d, uncorrected.a0)
     with pytest.raises(PreconditionError, match="skew fails"):
-        generalized_double_extension(q, forged)
+        generalized_double_extension(q, rebuilt)
 
 
 def test_gde_trivial_data_is_orthogonal_sum(sl2):
-    g = GdeData(OperatorMap.zero(3, ODD), Element.zero(3), verified=True)
+    g = GdeData(OperatorMap.zero(3, ODD), Element.zero(3))
     out, wit = generalized_double_extension(sl2, g)
     plane = catalog_get("odd_hyperbolic").algebra
     ds = direct_sum_quadratic(sl2, plane)
@@ -219,8 +220,7 @@ def test_gsd_reproduces_double_extension(m2):
 
 
 def test_gsd_perturbed_twist_fails(m7):
-    trivial = GdeData(OperatorMap.zero(7, ODD), Element.zero(7),
-                      verified=True)
+    trivial = GdeData(OperatorMap.zero(7, ODD), Element.zero(7))
     line, vext, data = semidirect_data_from_gde(m7, trivial)
     assert check_gsd_conditions(line, vext, data).passed
     # push the twist to a non-central element: (e1 h) i no longer vanishes

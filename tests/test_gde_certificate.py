@@ -20,11 +20,11 @@ from qmalcev import (EVEN, ODD, Element, GdeData, OperatorMap,
                      QuadraticAlgebra, catalog_get, direct_sum_quadratic,
                      gde_abelian12_parts, generalized_double_extension,
                      reduce_odd, verify_gde_data)
-from qmalcev.core import (Witness, _from_element, _mul_vb, _mul_vv,
-                          _to_element, _vadd, _vscale, center, ksign)
+from qmalcev.core import (Witness, _mul_vb, _mul_vv, _to_element, _vadd,
+                          _vscale, center, ksign)
 from qmalcev.errors import PreconditionError
 from qmalcev.extensions import _gde_conditions
-from qmalcev.linalg import frac
+from qmalcev.linalg import frac, sparse
 
 from test_random_roundtrips import _combine, _skew_operator_basis
 from test_scan_kernel import graded_algebras
@@ -38,7 +38,7 @@ def reference_conditions(a, d, a0):
     evaluated on every basis vector or pair in Fractions."""
     n = a.dim
     par = [a.space.parity(i) for i in range(n)]
-    a0 = _from_element(a0)
+    a0 = sparse(a0.coords)
     da0 = d.apply_vec(a0)
     d2a0 = d.apply_vec(da0)
     half_sq = _vscale(_mul_vv(a, a0, a0), Fraction(1, 2))

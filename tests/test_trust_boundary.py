@@ -12,7 +12,8 @@ from qmalcev import (EVEN, OperatorMap, catalog_get, direct_sum_quadratic,
                      inductive_decompose, rebuild)
 from qmalcev.cli import run
 from qmalcev.document import (MAX_DIM, DocumentSyntaxError, canonical_json,
-                              parse_document, parse_scalar, parse_tree)
+                              parse_algebra_document, parse_document,
+                              parse_scalar, parse_tree)
 from qmalcev.errors import AxiomError
 
 
@@ -376,10 +377,10 @@ def test_blocks_in_tree_node_documents_exit_2(tmp_path, capsys, make,
     assert _cli(tmp_path, capsys, "rebuild", tree) == 2
 
 
-def _stderr(tmp_path, capsys, tree):
+def _stderr(tmp_path, capsys, tree, command="rebuild"):
     path = tmp_path / "input.json"
     path.write_text(canonical_json(tree))
-    code = run(["rebuild", str(path)])
+    code = run([command, str(path)])
     return code, capsys.readouterr().err
 
 
@@ -469,3 +470,35 @@ def test_inhomogeneous_basis_exits_3(tmp_path, capsys, mutate, err):
     mutate(tree)
     assert _stderr(tmp_path, capsys, tree) == (
         3, "validation error (grading): %s\n" % err)
+
+
+# b_0 b_0 = b_1 on the even hyperbolic plane: the four form axioms and the
+# Malcev identity hold, but the product is not super-anticommutative
+_NOT_ANTICOMMUTATIVE = {
+    "constants": [[0, 0, 1, "1/1"]], "even_dim": 2, "format_version": 1,
+    "gram": [[0, 1, "1/1"], [1, 0, "1/1"]], "name": "nac", "odd_dim": 0}
+_ANTICOMMUTATIVITY_ERR = ("validation error (axiom): super-anticommutativity "
+                          "failed with 1 witnesses\n  witness (0, 0)\n")
+
+
+def test_check_reports_the_anticommutativity_failure(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(canonical_json(_NOT_ANTICOMMUTATIVE))
+    assert run(["check", str(path)]) == 3
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [name for name, rep in sorted(checks.items())
+            if not rep["passed"]] == ["anticommutativity"]
+    with pytest.raises(AxiomError, match="super-anticommutativity"):
+        parse_algebra_document(canonical_json(_NOT_ANTICOMMUTATIVE))
+
+
+@pytest.mark.parametrize("command", ["center", "decompose", "reduce"])
+def test_non_anticommutative_document_exits_3(tmp_path, capsys, command):
+    assert _stderr(tmp_path, capsys, _NOT_ANTICOMMUTATIVE, command) == (
+        3, _ANTICOMMUTATIVITY_ERR)
+
+
+def test_non_anticommutative_leaf_exits_3(tmp_path, capsys):
+    tree = {"kind": "leaf", "label": "not_in_U", "note": "",
+            "document": _NOT_ANTICOMMUTATIVE}
+    assert _stderr(tmp_path, capsys, tree) == (3, _ANTICOMMUTATIVITY_ERR)
