@@ -270,6 +270,39 @@ def _mul_bv(a: SuperAlgebra, i, v):
     return out
 
 
+def _add(sums, key, vec, s):
+    """sums[key] += s * vec for a sparse vector vec; zeros are kept."""
+    acc = sums.setdefault(key, {})
+    for m, c in vec.items():
+        acc[m] = acc.get(m, 0) + s * c
+
+
+def _pulled_back(table, cols):
+    """{(i, j): sum over (s, t) of cols[i][s] cols[j][t] table[(s, t)]}, the
+    bilinear map table {(s, t): {k: x}} on basis pairs at the pairs of
+    sparse vectors cols {i: {s: x}}; nonzero entries only.  This is the one
+    basis rewrite, of a pair table (change_basis) and of a form's entries
+    as a map to a line (BilinearForm.restrict).  The work follows the
+    nonzeros of the table and of the vectors."""
+    rows, users = {}, {}
+    for (s, t), vec in table.items():
+        rows.setdefault(s, []).append((t, vec))
+    for j, vec in cols.items():
+        for t, x in vec.items():
+            users.setdefault(t, []).append((j, x))
+    out = {}
+    for i, u in cols.items():
+        left = {}  # {t: the product of cols[i] with b_t}
+        for s, x in u.items():
+            for t, vec in rows.get(s, ()):
+                _add(left, t, vec, x)
+        for t, vec in left.items():
+            for j, y in users.get(t, ()):
+                _add(out, (i, j), vec, y)
+    return {key: nz for key, vec in out.items()
+            if (nz := {k: x for k, x in vec.items() if x})}
+
+
 def _to_element(n, vec):
     coords = [ZERO] * n
     for k, c in vec.items():
@@ -589,7 +622,9 @@ def _ideal_closure_uncached(a: SuperAlgebra, seed: GradedSubspace):
             for prod in (_mul_bv(a, j, v), _mul_vb(a, v, j)):
                 if span.add(prod):
                     work.append(prod)
-    return GradedSubspace.from_vectors(a.space, span.vectors())
+    # the seeds and their products with basis vectors are homogeneous, so
+    # the reduced rows are too, even ones first: from_vectors's columns
+    return GradedSubspace(a.space, span.vectors())
 
 
 def direct_sum_embeddings(sa: SuperSpace, sb: SuperSpace):
@@ -625,8 +660,10 @@ def change_basis(a: SuperAlgebra, columns, name=None) -> SuperAlgebra:
     keeps a's name unless one is given.  One elimination of [C^T | I], C the
     n x k matrix of the columns, picks k pivot rows P and inverts the block
     C[P] once, so a product w in the span has coordinates C[P]^-1 w[P].
-    When k < n every product is checked against the span, and a subspace
-    that is not closed under the product raises PreconditionError.
+    The products of the columns are the pair table pulled back along them
+    (_pulled_back).  When k < n every product is checked against the span,
+    and a subspace that is not closed under the product raises
+    PreconditionError.
     """
     n = a.dim
     cols = [[frac(x) for x in c] for c in columns]
@@ -651,23 +688,20 @@ def change_basis(a: SuperAlgebra, columns, name=None) -> SuperAlgebra:
     if par != sorted(par):
         raise GradingError("basis columns must be ordered even-first")
     constants = {}
-    for i in range(k):
-        for j in range(k):
-            w = _mul_vv(a, vecs[i], vecs[j])
-            if not w:
-                continue
-            coords = [sum((c * w[r] for r, c in row.items() if r in w), ZERO)
-                      for row in solve]
-            if k < n:
-                span = {}
-                for v, c in zip(vecs, coords):
-                    _vadd(span, v, c)
-                if span != w:
-                    raise PreconditionError("subspace is not closed under "
-                                            "the product")
-            for m, c in enumerate(coords):
-                if c != 0:
-                    constants[(i, j, m)] = c
+    products = _pulled_back(a.pair_table(), dict(enumerate(vecs)))
+    for (i, j), w in sorted(products.items()):
+        coords = [sum((c * w[r] for r, c in row.items() if r in w), ZERO)
+                  for row in solve]
+        if k < n:
+            span = {}
+            for v, c in zip(vecs, coords):
+                _vadd(span, v, c)
+            if span != w:
+                raise PreconditionError("subspace is not closed under the "
+                                        "product")
+        for m, c in enumerate(coords):
+            if c != 0:
+                constants[(i, j, m)] = c
     space = SuperSpace(par.count(EVEN), par.count(ODD))
     return SuperAlgebra(space, constants,
                         name=a.name if name is None else name)

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, GradedSubspace,
                    SuperAlgebra, SuperSpace, Witness, _enveloping_basis,
-                   _multiplication_generators, _report, _scaled, _to_element,
-                   center, change_basis, check_jacobi, ksign, simplicity)
+                   _multiplication_generators, _pulled_back, _report, _scaled,
+                   _to_element, center, change_basis, check_jacobi, ksign,
+                   simplicity)
 from .errors import AxiomError, GradingError, InputError, PreconditionError
 from .linalg import ONE, ZERO
-from .operators import OperatorMap, _add, _int_map, check_malcev_operator
+from .operators import OperatorMap, _int_map, check_malcev_operator
 from .quadratic import (BilinearForm, QuadraticAlgebra,
                         _certified_irreducible, _cut, _find_splitting_ideal,
                         _form_pairing, _require_validated,
@@ -133,12 +134,10 @@ def _peel(q: QuadraticAlgebra, e, estar, parity) -> _Peeled:
     ndim = nq.dim
     phi = {key: vec[estar_idx] for key, vec in spill.items()}
     where = {pos: a for a, pos in enumerate(n_positions)}
-    dmat = [[ZERO] * ndim for _ in range(ndim)]
     psi = [vec.get(estar_idx, ZERO) for vec in erow[:ndim]]
-    for a_j, vec in enumerate(erow[:ndim]):
-        for m, c in vec.items():
-            if m != estar_idx:
-                dmat[where[m]][a_j] = c
+    d = OperatorMap.from_images(
+        ndim, {a_j: {where[m]: c for m, c in vec.items() if m != estar_idx}
+               for a_j, vec in enumerate(erow[:ndim])}, parity)
     ee = erow[ndim]
     if estar_idx in ee:
         raise PreconditionError("ee leaks outside the complement")
@@ -146,9 +145,8 @@ def _peel(q: QuadraticAlgebra, e, estar, parity) -> _Peeled:
         raise PreconditionError("eX and ee must lie in the complement in "
                                 "the even reduction")
 
-    d = OperatorMap(dmat, parity)
     # phi(X_i, X_j) = B(D(X_i), X_j)
-    want, _ = _form_pairing(nq.form, {i: d.column(i) for i in range(ndim)})
+    want, _ = _form_pairing(nq.form, d.columns)
     phi_wit = [Witness(key, phi.get(key, ZERO), want.get(key, ZERO))
                for key in sorted(phi.keys() | want.keys())
                if phi.get(key, ZERO) != want.get(key, ZERO)]
@@ -345,13 +343,13 @@ def reductive_report(even: SuperAlgebra) -> ReductiveReport:
         return ReductiveReport(False, zdim, sdim, decomposes,
                                certificate="square is not multiplication "
                                            "closed")
-    tf = _trace_form_matrix(sq)
-    if linalg.det(tf) == 0:
+    tf = BilinearForm(_trace_form_matrix(sq))
+    if not tf.is_nondegenerate():
         return ReductiveReport(False, zdim, sdim, decomposes,
                                certificate="trace form of the square is "
                                            "degenerate")
     # split the square along the trace form and certify each piece simple
-    sq_quad = QuadraticAlgebra.validate(sq, BilinearForm(tf))
+    sq_quad = QuadraticAlgebra.validate(sq, tf)
     comps = b_irreducible_components(sq_quad)
     labels = []
     for comp in comps.components:
@@ -415,7 +413,8 @@ def check_completely_reducible_action(
     mats = _odd_action_matrices(a)
     if not any(mats):
         return ReducibilityReport(True, certificate="trivial action")
-    if linalg.det(_trace_form(_enveloping_basis(mats, qd), qd)) != 0:
+    if BilinearForm(_trace_form(_enveloping_basis(mats, qd),
+                                qd)).is_nondegenerate():
         return ReducibilityReport(True,
                                   certificate="semisimple enveloping algebra "
                                               "(trace form non-degenerate)")
@@ -657,36 +656,6 @@ def _check_shape_tag(leaf):
                          % (leaf.algebra.name, shape[0], shape[1], tag))
 
 
-def _pulled_back(table, cols):
-    """{(i, j): sum over (s, t) of cols[i][s] cols[j][t] table[(s, t)]}, the
-    bilinear map with int values table {(s, t): {k: x}} on basis pairs, at
-    the pairs of sparse int vectors cols {i: {s: x}}; nonzero entries only.
-    The work follows the nonzeros of the table and of the vectors."""
-    rows, users = {}, {}
-    for (s, t), vec in table.items():
-        rows.setdefault(s, []).append((t, vec))
-    for j, vec in cols.items():
-        for t, x in vec.items():
-            users.setdefault(t, []).append((j, x))
-    out = {}
-    for i, u in cols.items():
-        left = {}  # {t: the product of cols[i] with b_t}
-        for s, x in u.items():
-            for t, vec in rows.get(s, ()):
-                _add(left, t, vec, x)
-        for t, vec in left.items():
-            for j, y in users.get(t, ()):
-                _add(out, (i, j), vec, y)
-    return {key: nz for key, vec in out.items()
-            if (nz := {k: x for k, x in vec.items() if x})}
-
-
-def _gram_table(b: BilinearForm):
-    """The Gram's nonzeros as a bilinear map to a line, {(s, t): {0: g}}."""
-    return {(s, t): {0: g} for s, row in enumerate(b.gram)
-            for t, g in enumerate(row) if g}
-
-
 def _carries(q: QuadraticAlgebra, r: QuadraticAlgebra, columns) -> bool:
     """Whether b_i -> P_i, for the columns P_i in r's coordinates, is a
     parity-preserving isometric homomorphism from q onto r: each P_i has
@@ -696,13 +665,14 @@ def _carries(q: QuadraticAlgebra, r: QuadraticAlgebra, columns) -> bool:
     The isometry pulls G_r back to G_q, so when q's form is nondegenerate
     the map is injective, and with dim q = dim r it is an isomorphism of
     graded algebras that carries q's form onto r's: every axiom that q
-    satisfies holds in r, and no elimination is needed.  All arithmetic is
+    satisfies holds in r, and no elimination is needed.  G_r is pulled back
+    along the P_i as BilinearForm.restrict does.  The products are compared
     on ints: the columns are scaled by L, the lcm of their denominators
-    (operators._int_map), and each side's constants and Gram by the lcm of
-    their own denominators, D_q and D_r; each identity is then compared
-    times D_q D_r L^2.  When the spaces are equal and the columns are the
-    identity, this says that the constants and the Grams are equal, and
-    that is what is compared.
+    (operators._int_map), and each side's constants by the lcm of their own
+    denominators, D_q and D_r, so both are D_q D_r L^2 times the true ones.
+    When the spaces are equal and the columns are the identity, this says
+    that the constants and the Grams are equal, and that is what is
+    compared.
     """
     n = q.dim
     if r.dim != n or len(columns) != n:
@@ -717,23 +687,18 @@ def _carries(q: QuadraticAlgebra, r: QuadraticAlgebra, columns) -> bool:
         if any(r.space.parity(m) != q.space.parity(i) for m in vec):
             return False
         images[i] = vec
+    if r.form._restricted(images.values()) != q.form:
+        return False
     scale, apply = _int_map(images)
     cols = {i: apply({i: 1}) for i in range(n)}
-    # the image of a value of q in r, times L: a product vector goes to the
-    # combination of the P_k, a Gram entry stays a scalar
-    for qtable, rtable, image in (
-            (q.algebra.pair_table(), r.algebra.pair_table(), apply),
-            (_gram_table(q.form), _gram_table(r.form),
-             lambda vec: {0: scale * vec[0]})):
-        dq, qtable = _scaled(qtable)
-        dr, rtable = _scaled(rtable)
-        want = {key: {k: dr * scale * x for k, x in img.items()}
-                for key, vec in qtable.items() if (img := image(vec))}
-        got = {key: {k: dq * x for k, x in vec.items()}
-               for key, vec in _pulled_back(rtable, cols).items()}
-        if got != want:
-            return False
-    return True
+    dq, qtable = _scaled(q.algebra.pair_table())
+    dr, rtable = _scaled(r.algebra.pair_table())
+    # the image of a product of q in r, times L: the combination of the P_k
+    want = {key: {k: dr * scale * x for k, x in img.items()}
+            for key, vec in qtable.items() if (img := apply(vec))}
+    got = {key: {k: dq * x for k, x in vec.items()}
+           for key, vec in _pulled_back(rtable, cols).items()}
+    return got == want
 
 
 def _mismatch(node, ext):

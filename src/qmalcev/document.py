@@ -11,21 +11,23 @@ from __future__ import annotations
 
 import json
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .core import EVEN, ODD, Element, SuperAlgebra, SuperSpace
 from .errors import GradingError, InputError
 from .extensions import GdeData
-from .linalg import ZERO
 from .operators import OperatorMap
 from .quadratic import BilinearForm, QuadraticAlgebra
 
 FORMAT_VERSION = 1
 
 # The largest dimension even_dim + odd_dim that a document, a tree node or
-# a catalog parameter may declare.  The Gram matrix is stored dense and
-# the form check solves it, so without a cap a document of a few bytes
-# could ask for memory quadratic in any number it names.
+# a catalog parameter may declare.  Forms and operators keep only their
+# nonzeros, but the basis columns of a tree node are dense and a
+# degenerate form lists its kernel as dense witnesses, so without a cap a
+# document of a few bytes could ask for memory quadratic in any number it
+# names.
 MAX_DIM = 1024
 
 
@@ -34,7 +36,10 @@ class DocumentSyntaxError(InputError):
 
 
 def scalar_text(x: Fraction) -> str:
-    return "%d/%d" % (x.numerator, x.denominator)
+    try:
+        return "%d/%d" % (x.numerator, x.denominator)
+    except ValueError:  # past the digit limit of int's str conversion
+        return "%s/%s" % (Decimal(x.numerator), Decimal(x.denominator))
 
 
 # What scalar_text emits: ASCII digits, an optional leading '-', no leading
@@ -46,27 +51,27 @@ def parse_scalar(text) -> Fraction:
     match = _SCALAR.fullmatch(text) if isinstance(text, str) else None
     if match is None:
         raise DocumentSyntaxError("scalar %r is not 'num/den' text" % (text,))
-    den = int(match.group(2))
-    value = Fraction(int(match.group(1)), den)
+    try:
+        num, den = int(match.group(1)), int(match.group(2))
+    except ValueError:  # past the digit limit of int's str conversion
+        num, den = (int(Decimal(digits)) for digits in match.groups())
+    value = Fraction(num, den)
     if value.denominator != den:
         raise DocumentSyntaxError("scalar %r is not in lowest terms"
                                   % (text,))
     return value
 
 
-def _matrix_rows(m):
-    """[r, c, "num/den"] for the nonzero entries of m, row by row."""
-    return [[r, c, scalar_text(v)] for r, row in enumerate(m)
-            for c, v in enumerate(row) if v != 0]
-
-
 def _operator_block(op: OperatorMap):
+    """The parity and [r, c, "num/den"] for each nonzero entry, row by row."""
     return {"parity": "even" if op.parity == EVEN else "odd",
-            "entries": _matrix_rows(op.matrix)}
+            "entries": sorted([r, c, scalar_text(x)]
+                              for c, col in op.columns.items()
+                              for r, x in col.items())}
 
 
 def _gde_block(g: GdeData):
-    return {"d": _matrix_rows(g.d.matrix),
+    return {"d": _operator_block(g.d)["entries"],
             "a0": [scalar_text(c) for c in g.a0.coords]}
 
 
@@ -80,7 +85,8 @@ def document_object(q: QuadraticAlgebra, name=None, operator=None, gde=None):
         "even_dim": alg.space.even_dim,
         "odd_dim": alg.space.odd_dim,
         "constants": constants,
-        "gram": _matrix_rows(q.form.gram),
+        "gram": [[i, j, scalar_text(x)]
+                 for (i, j), x in q.form.entries.items()],
     }
     if operator is not None:
         doc["operator"] = _operator_block(operator)
@@ -163,11 +169,11 @@ def _entries(rows, arity, n, what):
 
 
 def _operator(rows, space, parity):
-    n = space.dim
-    m = [[ZERO] * n for _ in range(n)]
-    for (r, c), v in _entries(rows, 2, n, "operator").items():
-        m[r][c] = v
-    return OperatorMap(m, parity).validate_parity(space)
+    images = {}
+    for (r, c), v in _entries(rows, 2, space.dim, "operator").items():
+        images.setdefault(c, {})[r] = v
+    return OperatorMap.from_images(space.dim, images,
+                                   parity).validate_parity(space)
 
 
 def _read_operator(block, space):
@@ -197,8 +203,8 @@ def _read_document(obj, blocks=True):
             "unsupported format_version")
     p, qd = obj["even_dim"], obj["odd_dim"]
     _expect(p >= 0 and qd >= 0, "dimensions must be non-negative integers")
-    _expect(p + qd <= MAX_DIM, "dimension %d exceeds the cap of %d"
-            % (p + qd, MAX_DIM))
+    _expect(p + qd <= MAX_DIM, "dimension %s exceeds the cap of %d"
+            % (Decimal(p + qd), MAX_DIM))
     space = SuperSpace(p, qd)
     n = space.dim
     constants = _entries(obj["constants"], 3, n, "constants")
@@ -221,12 +227,17 @@ def _read_document(obj, blocks=True):
 
 def _load(text, read):
     """read(the decoded text).  This is the one JSON-decoding site: text
-    that is not JSON, or that nests deeper than the decoder or the reader
-    can follow, is a syntax error."""
+    that is not JSON, that holds an integer literal too long for int, or
+    that nests deeper than the decoder or the reader can follow, is a
+    syntax error."""
     try:
-        return read(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise DocumentSyntaxError("not valid JSON: %s" % exc) from exc
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DocumentSyntaxError("not valid JSON: %s" % exc) from exc
+        except ValueError as exc:  # past the digit limit of int's conversion
+            raise DocumentSyntaxError("integer literal is too long") from exc
+        return read(obj)
     except RecursionError:
         raise DocumentSyntaxError("input nests too deeply") from None
 

@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (EVEN, ODD, CheckReport, Element, SuperAlgebra, SuperSpace,
-                   Witness, _mul_vb, _mul_vv, _report, _scaled, _scan_kernel,
-                   _side_witnesses, _to_element, _vadd, _vscale, check_malcev,
-                   direct_sum_embeddings, ksign)
+                   Witness, _add, _mul_vb, _mul_vv, _report, _scaled,
+                   _scan_kernel, _side_witnesses, _to_element, _vadd, _vscale,
+                   check_malcev, direct_sum_embeddings, ksign)
 from .errors import AxiomError, InputError, PreconditionError
 from .linalg import ONE, ZERO, frac, sparse
-from .operators import (OperatorMap, _add, _int_map, check_malcev_operator,
+from .operators import (OperatorMap, _int_map, check_malcev_operator,
                         check_skew_supersymmetric)
 from .quadratic import (BilinearForm, QuadraticAlgebra, _form_pairing,
                         _require_validated)
@@ -123,7 +123,7 @@ def _gde_conditions(a: SuperAlgebra, d: OperatorMap, a0: Element):
     n = a.dim
     kern = _scan_kernel(a)
     par, dscale = kern.par, kern.scale
-    fscale, dmap = _int_map({m: d.column(m) for m in range(n)})
+    fscale, dmap = _int_map(d.columns)
     ascale, scaled = _scaled({0: sparse(a0.coords)})
     a0v = scaled[0]                                   # A a0
     dcols = {i: v for i in range(n) if (v := dmap({i: 1}))}    # F d(b_i)
@@ -215,7 +215,7 @@ def central_extension(q: QuadraticAlgebra, d: OperatorMap) -> SuperAlgebra:
     space = SuperSpace(q.space.even_dim, q.space.odd_dim + 1)
     estar = n
     constants = dict(q.algebra.constants)
-    twist, _ = _form_pairing(q.form, {i: d.column(i) for i in range(n)})
+    twist, _ = _form_pairing(q.form, d.columns)
     for (i, j), w in sorted(twist.items()):  # w = B(d(b_i), b_j)
         constants[(i, j, estar)] = -w
     out = SuperAlgebra(space, constants,
@@ -243,8 +243,7 @@ def _extend(q: QuadraticAlgebra, d: OperatorMap, a0: Element):
     e_idx, estar = s, s + b + 1
     constants = {(emap[i], emap[j], emap[k]): c
                  for (i, j, k), c in q.algebra.constants.items()}
-    dcols = {i: d.column(i) for i in range(n)}
-    twist, _ = _form_pairing(q.form, dcols)
+    twist, _ = _form_pairing(q.form, d.columns)
     for (i, j), w in sorted(twist.items()):  # w = B(d(b_i), b_j)
         constants[(emap[i], emap[j], estar)] = w
     for k, c in enumerate(a0.coords):
@@ -253,16 +252,14 @@ def _extend(q: QuadraticAlgebra, d: OperatorMap, a0: Element):
     _, ga0 = _form_pairing(q.form, {0: sparse(a0.coords)})  # B(b_j, a0)
     for j in range(n):
         x = q.space.parity(j)
-        image = {emap[r]: v for r, v in dcols[j].items()}
+        image = {emap[r]: v for r, v in d.column(j).items()}
         if (j, 0) in ga0:
             image[estar] = ksign(x) * ga0[(j, 0)]
         back = frac(-ksign(pi * x))
         for r, v in image.items():
             constants[(e_idx, emap[j], r)] = v
             constants[(emap[j], e_idx, r)] = back * v
-    gram = {(emap[i], emap[j]): v
-            for i, row in enumerate(q.form.gram)
-            for j, v in enumerate(row) if v != 0}
+    gram = {(emap[i], emap[j]): v for (i, j), v in q.form.entries.items()}
     gram[(e_idx, estar)] = ONE
     gram[(estar, e_idx)] = frac(ksign(pi))
     space = SuperSpace(p + 2 - 2 * pi, q0 + 2 * pi)
@@ -622,16 +619,12 @@ def semidirect_data_from_gde(q: QuadraticAlgebra, g: GdeData):
     n = q.dim
     line = SuperAlgebra(SuperSpace(0, 1), {}, name="odd_line")
     vext = central_extension(q, g.d.negated())
-    nv = n + 1
     estar = n
-    dmat = [[ZERO] * nv for _ in range(nv)]
-    for j in range(n):
-        for r, val in g.d.column(j).items():
-            dmat[r][j] = val
+    images = {j: dict(col) for j, col in g.d.columns.items()}
     _, ga0 = _form_pairing(q.form, {0: sparse(g.a0.coords)})  # B(b_j, a0)
     for (j, _c), v in ga0.items():
-        dmat[estar][j] = ksign(q.space.parity(j)) * v
-    dtilde = OperatorMap(dmat, ODD)
+        images.setdefault(j, {})[estar] = ksign(q.space.parity(j)) * v
+    dtilde = OperatorMap.from_images(n + 1, images, ODD)
     a0_ext = Element(tuple(list(g.a0.coords) + [ZERO]))
     data = SemidirectData(line, vext, (dtilde,), ((a0_ext,),))
     return line, vext, data

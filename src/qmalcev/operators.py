@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, SuperAlgebra, Witness,
-                   _chain_keys, _report, _scaled, _scan_kernel,
+                   _add, _chain_keys, _report, _scaled, _scan_kernel,
                    _side_witnesses, _vadd, ksign, parity_name)
 from .errors import GradingError, InputError, PreconditionError
 from .linalg import ZERO, frac
@@ -27,50 +27,56 @@ from .quadratic import (BilinearForm, QuadraticAlgebra, _form_pairing,
 
 
 class OperatorMap:
-    """Parity-homogeneous endomorphism given by its matrix (columns = images)."""
+    """Parity-homogeneous endomorphism, stored as its nonzero columns
+    `columns` {j: {r: x}}, the images of the basis vectors.  Immutable; the
+    dense `matrix` (columns = images) is a derived view."""
 
     def __init__(self, matrix, parity: int):
-        self.matrix = tuple(tuple(frac(x) for x in row) for row in matrix)
-        self.parity = parity
-        n = len(self.matrix)
-        for row in self.matrix:
-            if len(row) != n:
-                raise InputError("operator matrix must be square")
+        rows = [tuple(frac(x) for x in row) for row in matrix]
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise InputError("operator matrix must be square")
+        self._store(n, dict(enumerate(zip(*rows))), parity)
+
+    def _store(self, n, images, parity):
+        self.dim, self.parity, self.columns = n, parity, {}
+        for c in sorted(images):
+            vec = images[c]
+            items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+            col = {r: x for r, x in sorted((r, frac(x)) for r, x in items)
+                   if x}
+            if col:
+                self.columns[c] = col
+        return self
 
     def validate_parity(self, space):
-        """Entries outside the blocks allowed by the parity must vanish."""
-        n = space.dim
-        for r in range(n):
-            for c in range(n):
-                if self.matrix[r][c] == 0:
-                    continue
-                if (space.parity(c) + self.parity) % 2 != space.parity(r):
-                    raise GradingError(
-                        "operator entry (%d,%d) violates parity %s"
-                        % (r, c, parity_name(self.parity)))
+        """Entries outside the blocks allowed by the parity must vanish;
+        the first offending entry in row-major order is named."""
+        bad = [(r, c) for c, col in self.columns.items() for r in col
+               if (space.parity(c) + self.parity) % 2 != space.parity(r)]
+        if bad:
+            raise GradingError("operator entry (%d,%d) violates parity %s"
+                               % (*min(bad), parity_name(self.parity)))
         return self
 
     @classmethod
     def zero(cls, n, parity=EVEN):
-        return cls([[ZERO] * n for _ in range(n)], parity)
+        return cls.from_images(n, {}, parity)
 
     @classmethod
     def from_images(cls, n, images, parity):
-        """images: {column index: coordinate sequence}."""
-        m = [[ZERO] * n for _ in range(n)]
-        for c, vec in images.items():
-            for r, v in enumerate(vec):
-                m[r][c] = frac(v)
-        return cls(m, parity)
+        """images: {column index: coordinate sequence or sparse dict}."""
+        return cls.__new__(cls)._store(n, images, parity)
 
     @property
-    def dim(self):
-        return len(self.matrix)
+    def matrix(self):
+        """The dense matrix as a tuple of row tuples."""
+        return tuple(tuple(self.column(c).get(r, ZERO)
+                           for c in range(self.dim)) for r in range(self.dim))
 
     def column(self, j):
-        """Sparse image of basis vector j."""
-        return {r: self.matrix[r][j] for r in range(self.dim)
-                if self.matrix[r][j] != 0}
+        """Sparse image of basis vector j; not to be mutated."""
+        return self.columns.get(j, {})
 
     def apply_vec(self, vec):
         """Apply to a sparse dict vector, returning a sparse dict."""
@@ -80,12 +86,13 @@ class OperatorMap:
         return out
 
     def negated(self):
-        return OperatorMap([[-x for x in row] for row in self.matrix],
-                           self.parity)
+        return OperatorMap.from_images(
+            self.dim, {c: {r: -x for r, x in col.items()}
+                       for c, col in self.columns.items()}, self.parity)
 
     def __eq__(self, other):
-        return (isinstance(other, OperatorMap)
-                and self.matrix == other.matrix
+        return (isinstance(other, OperatorMap) and self.dim == other.dim
+                and self.columns == other.columns
                 and self.parity == other.parity)
 
     def __repr__(self):
@@ -95,19 +102,13 @@ class OperatorMap:
 
 def split_endomorphism(matrix, space):
     """Split an arbitrary endomorphism into its homogeneous components."""
-    n = space.dim
-    even = [[ZERO] * n for _ in range(n)]
-    odd = [[ZERO] * n for _ in range(n)]
+    n, par = space.dim, space.parity
+    images = ({}, {})
     for r in range(n):
         for c in range(n):
-            v = frac(matrix[r][c])
-            if v == 0:
-                continue
-            if space.parity(r) == space.parity(c):
-                even[r][c] = v
-            else:
-                odd[r][c] = v
-    return OperatorMap(even, EVEN), OperatorMap(odd, ODD)
+            if v := frac(matrix[r][c]):
+                images[(par(r) + par(c)) % 2].setdefault(c, {})[r] = v
+    return tuple(OperatorMap.from_images(n, images[p], p) for p in (EVEN, ODD))
 
 
 def _int_map(images):
@@ -126,13 +127,6 @@ def _int_map(images):
     return scale, apply
 
 
-def _add(sums, key, vec, s):
-    """sums[key] += s * vec for a sparse int vector vec."""
-    acc = sums.setdefault(key, {})
-    for m, c in vec.items():
-        acc[m] = acc.get(m, 0) + s * c
-
-
 def check_malcev_operator(a: SuperAlgebra, f: OperatorMap) -> CheckReport:
     """Five-term operator identity on all basis triples.
 
@@ -148,7 +142,7 @@ def check_malcev_operator(a: SuperAlgebra, f: OperatorMap) -> CheckReport:
     f.validate_parity(a.space)
     kern = _scan_kernel(a)
     par = kern.par
-    fscale, fmap = _int_map({m: f.column(m) for m in range(n)})
+    fscale, fmap = _int_map(f.columns)
     lhs, rhs = {}, {}  # (i, j, k) -> scaled side, summed term by term
     for (i, j), trow in kern.triples.items():
         for k, tv in trow.items():
@@ -174,7 +168,7 @@ def check_skew_supersymmetric(b: BilinearForm, f: OperatorMap,
     n = b.dim
     if f.dim != n:
         raise InputError("operator dimension does not match form")
-    left, right = _form_pairing(b, {i: f.column(i) for i in range(n)})
+    left, right = _form_pairing(b, f.columns)
     witnesses = []
     for i, j in sorted(left.keys() | right.keys()):
         lhs = left.get((i, j), ZERO)
@@ -309,6 +303,6 @@ def cocycle_from_operator(q: QuadraticAlgebra, f: OperatorMap) -> Cocycle:
     n = q.dim
     if f.dim != n:
         raise InputError("operator dimension does not match algebra")
-    left, _right = _form_pairing(q.form, {i: f.column(i) for i in range(n)})
+    left, _right = _form_pairing(q.form, f.columns)
     return Cocycle([[left.get((i, j), ZERO) for j in range(n)]
                     for i in range(n)], f.parity)

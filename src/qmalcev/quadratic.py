@@ -14,56 +14,94 @@ from fractions import Fraction
 from . import linalg
 from .core import (_CERT_PRIME, EVEN, ODD, CheckReport, Element,
                    GradedSubspace, SuperAlgebra, SuperSpace, Witness,
-                   _ideal_candidates, _report, _scaled, _scan_kernel,
-                   center, check_malcev, check_super_anticommutativity,
-                   ideal_closure, direct_sum, direct_sum_embeddings,
-                   simplicity, change_basis)
+                   _ideal_candidates, _pulled_back, _report, _scaled,
+                   _scan_kernel, _to_element, center, check_malcev,
+                   check_super_anticommutativity, ideal_closure, direct_sum,
+                   direct_sum_embeddings, simplicity, change_basis)
 from .errors import AxiomError, InputError, PreconditionError
-from .linalg import ZERO, frac
+from .linalg import ONE, ZERO, frac
 
 
 class BilinearForm:
-    """Gram matrix of a bilinear form in the fixed basis."""
+    """A bilinear form in the fixed basis, stored as its nonzero Gram
+    entries: `entries` {(i, j): G[i][j]} in row-major order, indexed by row,
+    `rows` {i: {j: x}}, and by column, `cols` {j: {i: x}}.  Immutable; the
+    dense `gram` and `matrix()` are derived views."""
 
     def __init__(self, gram):
-        self.gram = tuple(tuple(frac(x) for x in row) for row in gram)
-        n = len(self.gram)
-        for row in self.gram:
-            if len(row) != n:
-                raise InputError("Gram matrix must be square")
+        rows = [tuple(frac(x) for x in row) for row in gram]
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise InputError("Gram matrix must be square")
+        self._store(n, {(i, j): x for i, row in enumerate(rows)
+                        for j, x in enumerate(row)})
+
+    def _store(self, n, entries):
+        self.dim = n
+        self.entries, self.rows, self.cols = {}, {}, {}
+        for (i, j), x in sorted(entries.items()):
+            if x:
+                self.entries[(i, j)] = x
+                self.rows.setdefault(i, {})[j] = x
+                self.cols.setdefault(j, {})[i] = x
+        self._kernel = None  # _kernel_basis, on first use
+        return self
 
     @classmethod
     def zero(cls, n):
-        return cls([[ZERO] * n for _ in range(n)])
+        return cls.from_entries(n, {})
 
     @classmethod
     def from_entries(cls, n, entries):
-        m = [[ZERO] * n for _ in range(n)]
-        for (i, j), v in entries.items():
-            m[i][j] = frac(v)
-        return cls(m)
+        """The form with the given entries {(i, j): x}; zeros are dropped."""
+        return cls.__new__(cls)._store(
+            n, {key: frac(x) for key, x in entries.items()})
 
     @property
-    def dim(self):
-        return len(self.gram)
+    def gram(self):
+        """The dense Gram matrix as a tuple of row tuples."""
+        return tuple(map(tuple, self.matrix()))
 
     def matrix(self):
-        return [list(row) for row in self.gram]
+        return [[self.rows.get(i, {}).get(j, ZERO) for j in range(self.dim)]
+                for i in range(self.dim)]
 
     def restrict(self, columns):
         """Gram of the form restricted to the span of the given columns."""
-        vecs = [{i: x for i, x in enumerate(c) if x != 0} for c in columns]
-        g = self.gram
-        # entry [a][b] is B(col_a, col_b)
-        return [[sum((x * g[i][j] * y for i, x in u.items()
-                      for j, y in v.items()), ZERO) for v in vecs]
-                for u in vecs]
+        return self._restricted(columns).matrix()
+
+    def _restricted(self, columns):
+        """The form on the span of the given columns, C^T G C: the entries
+        as a map to a line pulled back along the columns' nonzeros, on ints
+        (G scaled by E and the columns by L, divided back by E L^2)."""
+        gscale, table = _scaled({key: {0: x}
+                                 for key, x in self.entries.items()})
+        cscale, vecs = _scaled(dict(enumerate(map(linalg.sparse, columns))))
+        return BilinearForm.from_entries(
+            len(vecs), {key: Fraction(vec[0], gscale * cscale ** 2)
+                        for key, vec in _pulled_back(table, vecs).items()})
+
+    def _kernel_basis(self):
+        """A basis of the kernel {v : G v = 0} as sparse vectors, cached;
+        empty exactly when the form is nondegenerate.  The Gram scaled to
+        ints of rank n modulo the prime 2^61 - 1 has a determinant nonzero
+        mod p, hence over Z and Q (as in core.simplicity's certificate);
+        only on a rank deficit mod p is the kernel solved over Q."""
+        if self._kernel is None:
+            _scale, rows = _scaled(self.rows)
+            span = linalg.Span(self.dim, _CERT_PRIME)
+            for row in rows.values():
+                span.add(row)
+            self._kernel = [] if span.dim == self.dim else (
+                linalg.sparse_kernel(list(self.rows.values()), self.dim))
+        return self._kernel
 
     def is_nondegenerate(self):
-        return linalg.det(self.matrix()) != 0
+        return not self._kernel_basis()
 
     def __eq__(self, other):
-        return isinstance(other, BilinearForm) and self.gram == other.gram
+        return (isinstance(other, BilinearForm) and self.dim == other.dim
+                and self.entries == other.entries)
 
     def __repr__(self):
         return "BilinearForm(dim=%d)" % self.dim
@@ -92,72 +130,58 @@ def check_form(a: SuperAlgebra, b: BilinearForm) -> FormReport:
 
     Evenness and supersymmetry can fail only at a pair (i, j) where G[i][j]
     or G[j][i] is nonzero, so those pairs alone are compared, in
-    lexicographic order.  Nondegeneracy is certified modulo the prime
-    p = 2^61 - 1: the Gram scaled to ints by E, the lcm of its
-    denominators, of rank n mod p has a determinant that is nonzero mod p,
-    hence nonzero over Z, so the form is nondegenerate over Q (the lift of
-    core.simplicity's certificate).  Only when the rank mod p falls short
-    is the kernel solved exactly over Q; its vectors are the witnesses,
-    and there are none when the rank over Q is n after all.
+    lexicographic order.  The nondegeneracy witnesses are the vectors of
+    the form's kernel (BilinearForm._kernel_basis, certified mod p first).
     """
     n = a.dim
     if b.dim != n:
         raise InputError("form dimension does not match algebra")
-    space = a.space
-    par = [space.parity(i) for i in range(n)]
-    g = b.gram
-    grows, _gcols = _gram_nonzeros(b)
-    entries = [(i, j) for i in sorted(grows) for j, _x in grows[i]]
+    par = [a.space.parity(i) for i in range(n)]
+    g = b.entries
 
-    even_wit = [Witness((i, j), g[i][j], ZERO) for i, j in entries
+    even_wit = [Witness((i, j), x, ZERO) for (i, j), x in g.items()
                 if par[i] != par[j]]
 
     sym_wit = []
-    for i, j in sorted({(min(i, j), max(i, j)) for i, j in entries
-                        if par[i] == par[j]}):
-        expected = g[j][i] if par[i] == EVEN else -g[j][i]
-        if g[i][j] != expected:
-            sym_wit.append(Witness((i, j), g[i][j], expected))
+    for i, j in sorted({(min(key), max(key)) for key in g
+                        if par[key[0]] == par[key[1]]}):
+        x, y = g.get((i, j), ZERO), g.get((j, i), ZERO)
+        expected = y if par[i] == EVEN else -y
+        if x != expected:
+            sym_wit.append(Witness((i, j), x, expected))
 
-    scale, rows = _scaled({i: dict(row) for i, row in grows.items()})
-    span = linalg.Span(n, _CERT_PRIME)
-    for row in rows.values():
-        span.add(row)
-    nondeg_wit = [] if span.dim == n else [
-        Witness(("kernel",), Element.from_seq(v), Element.zero(n))
-        for v in linalg.kernel(b.matrix(), cols=n)]
+    nondeg_wit = [Witness(("kernel",), _to_element(n, v), Element.zero(n))
+                  for v in b._kernel_basis()]
 
-    inv_wit = _invariance_witnesses(a, scale, rows)
+    inv_wit = _invariance_witnesses(a, b)
 
     return FormReport(even=_report(even_wit), supersymmetric=_report(sym_wit),
                       nondegenerate=_report(nondeg_wit),
                       invariant=_report(inv_wit))
 
 
-def _invariance_witnesses(a: SuperAlgebra, gscale, grows):
+def _invariance_witnesses(a: SuperAlgebra, b: BilinearForm):
     """(i, j, k) with B(b_i b_j, b_k) != B(b_i, b_j b_k), in lexicographic
-    order, with both sides; grows is the Gram's nonzeros scaled by gscale,
-    the lcm of its denominators, by row {m: {k: E G[m][k]}}.
+    order, with both sides.
 
     Both sides are sums of (constant x Gram entry) terms, so they are
     accumulated on the scan kernel's integer constants (scaled by D) and
-    the scaled Gram: each pair entry b_i b_j = sum_m c_m b_m adds
+    the Gram's rows and columns scaled by E, the lcm of its denominators:
+    each pair entry b_i b_j = sum_m c_m b_m adds
     c_m G[m][k] to lhs(i, j, k) for each nonzero in Gram row m, and
     G[h][m] c_m to rhs(h, i, j) for each nonzero in Gram column m.  Every
     triple with a nonzero side is reached this way; the sorted keys whose
     sides differ are divided back by D E.
     """
     kern = _scan_kernel(a)
-    gcols = {}
-    for m, row in grows.items():
-        for k, x in row.items():
-            gcols.setdefault(k, []).append((m, x))
+    gscale, grows = _scaled(b.rows)
+    _gscale, gcols = _scaled(b.cols)
     lhs, rhs = {}, {}
     for (i, j), vec in kern.pairs.items():
         for m, c in vec.items():
             for k, x in grows.get(m, {}).items():
                 lhs[(i, j, k)] = lhs.get((i, j, k), 0) + c * x
-            for h, x in gcols.get(m, ()):
+            for h, x in gcols.get(m, {}).items():
                 rhs[(h, i, j)] = rhs.get((h, i, j), 0) + x * c
     denom = kern.scale * gscale
     return [Witness(key, Fraction(lhs.get(key, 0), denom),
@@ -166,30 +190,17 @@ def _invariance_witnesses(a: SuperAlgebra, gscale, grows):
             if lhs.get(key, 0) != rhs.get(key, 0)]
 
 
-def _gram_nonzeros(b: BilinearForm):
-    """The Gram's nonzeros by row, {r: [(j, G[r][j])]}, and by column,
-    {j: [(r, G[r][j])]}."""
-    grows, gcols = {}, {}
-    for r, row in enumerate(b.gram):
-        for j, x in enumerate(row):
-            if x:
-                grows.setdefault(r, []).append((j, x))
-                gcols.setdefault(j, []).append((r, x))
-    return grows, gcols
-
-
 def _form_pairing(b: BilinearForm, vectors):
     """B(v_c, b_j) at (c, j) and B(b_j, v_c) at (j, c) for the sparse
     vectors {c: {r: x}}, from their nonzeros and the Gram's; nonzero values
     only.  For an operator's columns {i: f(b_i)} these are B(f(b_i), b_j)
     and B(b_i, f(b_j)) at (i, j); for {0: v}, B(b_j, v) is at (j, 0)."""
-    grows, gcols = _gram_nonzeros(b)
     left, right = {}, {}
     for c, vec in vectors.items():
         for r, x in vec.items():
-            for j, g in grows.get(r, ()):
+            for j, g in b.rows.get(r, {}).items():
                 left[(c, j)] = left.get((c, j), ZERO) + x * g
-            for j, g in gcols.get(r, ()):
+            for j, g in b.cols.get(r, {}).items():
                 right[(j, c)] = right.get((j, c), ZERO) + g * x
     return ({key: v for key, v in left.items() if v},
             {key: v for key, v in right.items() if v})
@@ -259,13 +270,13 @@ def orthogonal_complement(b: BilinearForm, s: GradedSubspace):
     """{v : B(c, v) = 0 for every column c of s}; exact kernel solve."""
     if not b.is_nondegenerate():
         raise PreconditionError("form is degenerate")
-    n = b.dim
     # each constraint row is the functional B(c, .) of a column c
     left, _right = _form_pairing(
         b, dict(enumerate(map(linalg.sparse, s.columns))))
-    rows = [[left.get((c, j), ZERO) for j in range(n)]
-            for c in range(s.dim)]
-    vecs = linalg.kernel(rows, cols=n)
+    rows = {}
+    for (c, j), x in left.items():
+        rows.setdefault(c, {})[j] = x
+    vecs = linalg.kernel(list(rows.values()), cols=b.dim)
     return GradedSubspace.from_vectors(s.space, vecs)
 
 
@@ -274,7 +285,7 @@ def change_basis_quadratic(q: QuadraticAlgebra, columns, name=None):
     see core.change_basis, which also takes k < n columns of a subspace."""
     cols = [list(c) for c in columns]
     alg = change_basis(q.algebra, cols, name=name)
-    return QuadraticAlgebra(alg, BilinearForm(q.form.restrict(cols)),
+    return QuadraticAlgebra(alg, q.form._restricted(cols),
                             validated=q.validated)
 
 
@@ -294,8 +305,7 @@ def _cut(q: QuadraticAlgebra, positions, name):
     evens = sum(q.space.parity(pos) == EVEN for pos in positions)
     alg = SuperAlgebra(SuperSpace(evens, len(positions) - evens), constants,
                        name=name)
-    form = BilinearForm([[q.form.gram[i][j] for j in positions]
-                         for i in positions])
+    form = q.form._restricted({pos: ONE} for pos in positions)
     return QuadraticAlgebra(alg, form, validated=True), spill
 
 
@@ -316,7 +326,7 @@ def orthogonal_split(q: QuadraticAlgebra, ideal: GradedSubspace):
         raise PreconditionError("split requires a proper nonzero ideal")
     if ideal_closure(q.algebra, ideal).dim != ideal.dim:
         raise PreconditionError("subspace is not an ideal")
-    if linalg.det(q.form.restrict(ideal.columns)) == 0:
+    if not q.form._restricted(ideal.columns).is_nondegenerate():
         raise PreconditionError("form restriction to the ideal is degenerate")
     comp = orthogonal_complement(q.form, ideal)
     ae, ao = ideal.even_columns(), ideal.odd_columns()
@@ -338,19 +348,11 @@ def direct_sum_quadratic(qa: QuadraticAlgebra,
                          qb: QuadraticAlgebra) -> QuadraticAlgebra:
     alg = direct_sum(qa.algebra, qb.algebra)
     amap, bmap = direct_sum_embeddings(qa.space, qb.space)
-    n = alg.dim
-    entries = {}
-    for i in range(qa.dim):
-        for j in range(qa.dim):
-            v = qa.form.gram[i][j]
-            if v != 0:
-                entries[(amap[i], amap[j])] = v
-    for i in range(qb.dim):
-        for j in range(qb.dim):
-            v = qb.form.gram[i][j]
-            if v != 0:
-                entries[(bmap[i], bmap[j])] = v
-    form = BilinearForm.from_entries(n, entries)
+    entries = {(amap[i], amap[j]): x
+               for (i, j), x in qa.form.entries.items()}
+    entries.update({(bmap[i], bmap[j]): x
+                    for (i, j), x in qb.form.entries.items()})
+    form = BilinearForm.from_entries(alg.dim, entries)
     return QuadraticAlgebra(alg, form,
                             validated=qa.validated and qb.validated)
 
@@ -413,14 +415,14 @@ def _symmetric_centroid(q: QuadraticAlgebra):
                         row = eqs.setdefault(r, {})
                         row[u] = row.get(u, 0) - c
             rows.extend(eqs.values())
-    grows, gcols = _gram_nonzeros(q.form)
+    grows, gcols = q.form.rows, q.form.cols
     for i in range(n):
         for j in same[par[i]]:
             # B(T b_i, b_j) - B(b_i, T b_j)
             row = {}
-            for r, g in gcols.get(j, ()):
+            for r, g in gcols.get(j, {}).items():
                 row[unknown[(r, i)]] = row.get(unknown[(r, i)], 0) + g
-            for r, g in grows.get(i, ()):
+            for r, g in grows.get(i, {}).items():
                 row[unknown[(r, j)]] = row.get(unknown[(r, j)], 0) - g
             rows.append(row)
     return [{cells[u]: x for u, x in vec.items()}
@@ -494,7 +496,7 @@ def _search_splitting_ideal(q: QuadraticAlgebra):
         if key in seen:
             continue
         seen.add(key)
-        if linalg.det(q.form.restrict(ideal.columns)) != 0:
+        if q.form._restricted(ideal.columns).is_nondegenerate():
             return ideal
     return None
 

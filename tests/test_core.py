@@ -146,6 +146,20 @@ def test_ideal_closure_examples(m2):
     assert ideal_closure(a, zero).dim == 0
 
 
+@pytest.mark.parametrize("name,params", [
+    ("sl2", {}), ("osp12", {}), ("example_M", {"n": 2, "m": (1, 2)}),
+    ("example_gde", {"n": 2, "m": (1, 2)}), ("gde_abelian12", {})])
+def test_ideal_closure_columns_are_already_graded_echelon(name, params):
+    """The closure of homogeneous seeds is returned without re-echelonizing:
+    from_vectors on its columns gives the same columns back."""
+    from qmalcev.core import _ideal_candidates
+
+    a = catalog_get(name, **params).algebra.algebra
+    for seed in _ideal_candidates(a):
+        closed = ideal_closure(a, GradedSubspace.from_vectors(a.space, seed))
+        assert GradedSubspace.from_vectors(a.space, closed.columns) == closed
+
+
 def test_direct_sum_dimensions_and_identity(sl2, m7):
     ds = direct_sum(sl2.algebra, m7.algebra)
     assert ds.space == SuperSpace(10, 0)

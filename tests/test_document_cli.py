@@ -346,3 +346,70 @@ def test_cli_summary_mode(tmp_path, capsys, monkeypatch):
     assert code == 3
     report = json.loads(out)
     assert "witnesses" not in report["checks"]["malcev"]
+
+
+# ---------------------------------------------------------------------------
+# integers past the digit limit of int's str conversion (4300 digits)
+
+def _write(tmp_path, obj):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":"))
+                    + "\n")
+    return path
+
+
+def _line(gram, constants=(), even_dim=1):
+    return {"constants": list(constants), "even_dim": even_dim,
+            "format_version": 1, "gram": gram, "name": "x", "odd_dim": 0}
+
+
+def test_cli_long_gram_scalar_is_read_and_written_back(tmp_path, capsys):
+    """A 5000-digit Gram entry: check exits 0, and decompose | rebuild
+    gives the document back byte for byte."""
+    long = "1" * 5000
+    path = _write(tmp_path, _line([[0, 0, long + "/1"]]))
+    code, out, err = _run(capsys, "check", str(path))
+    assert (code, err) == (0, "") and json.loads(out)["passed"] is True
+    code, tree, err = _run(capsys, "decompose", str(path))
+    assert (code, err) == (0, "") and long in tree
+    treefile = tmp_path / "tree.json"
+    treefile.write_text(tree)
+    code, rebuilt, err = _run(capsys, "rebuild", str(treefile))
+    assert (code, err) == (0, "") and rebuilt == path.read_text()
+
+
+def test_cli_long_integer_literal_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    text = _write(tmp_path, _line([[0, 0, "1/1"]])).read_text()
+    path.write_text(text.replace('"even_dim":1', '"even_dim":' + "1" * 5000))
+    assert _run(capsys, "check", str(path)) == (
+        2, "", "parse error: integer literal is too long\n")
+
+
+def test_cli_long_dimension_sum_is_named(tmp_path, capsys):
+    """even_dim + odd_dim has 4301 digits, one more than either."""
+    doc = _line([], even_dim=int("9" * 4300))
+    doc["odd_dim"] = 1
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert _run(capsys, "check", str(path)) == (
+        2, "", "parse error: dimension 1%s exceeds the cap of 1024\n"
+        % ("0" * 4300))
+
+
+def test_cli_long_witness_values_are_printed(tmp_path, capsys):
+    """With c = 1500 sevens the Malcev witnesses hold c^3, 4500 digits."""
+    c = "7" * 1500
+    constants = sorted([[0, 1, 1, "1/1"], [1, 0, 1, "-1/1"],
+                        [0, 1, 2, c + "/1"], [1, 0, 2, "-%s/1" % c],
+                        [0, 2, 1, "-%s/1" % c], [2, 0, 1, c + "/1"],
+                        [1, 2, 0, c + "/1"], [2, 1, 0, "-%s/1" % c]])
+    path = _write(tmp_path, _line([[i, i, "1/1"] for i in range(3)],
+                                  constants, even_dim=3))
+    code, out, err = _run(capsys, "check", str(path))
+    assert (code, err) == (3, "")
+    malcev = json.loads(out)["checks"]["malcev"]
+    values = [x for w in malcev["witnesses"] for x in w["lhs"] + w["rhs"]]
+    assert any(len(x) > 4300 for x in values)
+    assert all(parse_scalar(x) is not None for x in values)
