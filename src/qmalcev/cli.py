@@ -222,10 +222,17 @@ def _rationals(text):
     return tuple(out)
 
 
+# One --n, --p or --q value: ASCII digits only, with no sign, space or '_'.
+_DIGITS = re.compile(r"[0-9]+")
+
+
 def _dimension(text):
-    """A --n, --p or --q value: an int no larger than the dimension cap
-    MAX_DIM of documents.  argparse reports a ValueError or an
-    ArgumentTypeError as a usage error, which exits 2."""
+    """A --n, --p or --q value: ASCII digits that spell an int no larger
+    than the dimension cap MAX_DIM of documents.  argparse reports a
+    ValueError or an ArgumentTypeError as a usage error, which exits 2."""
+    if not _DIGITS.fullmatch(text):
+        raise argparse.ArgumentTypeError(
+            "%r is not a non-negative integer in ASCII digits" % text)
     value = int(text)
     if value > MAX_DIM:
         raise argparse.ArgumentTypeError(

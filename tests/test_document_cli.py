@@ -314,6 +314,18 @@ def test_cli_center(tmp_path, capsys):
     assert len(report["odd"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["--p", "1_0", "--q", "0"], ["--p", "\u0663", "--q", "0"],
+    ["--p", " 4", "--q", "0"], ["--p", "+2", "--q", "0"],
+    ["--p", "-3", "--q", "1"], ["--p", "-3", "--q", "2"],
+], ids=["underscore", "arabic_indic_digit", "space", "plus", "minus_q1",
+        "minus_q2"])
+def test_cli_dimensions_must_be_ascii_digits(capsys, argv):
+    code, out, err = _run(capsys, "catalog", "abelian", *argv)
+    assert (code, out) == (2, "")
+    assert "argument --p: %r is not a non-negative integer" % argv[1] in err
+
+
 def test_cli_determinism(capsys):
     a = _run(capsys, "catalog", "osp12")
     b = _run(capsys, "catalog", "osp12")

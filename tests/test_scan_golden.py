@@ -30,10 +30,20 @@ def _mutated_m7():
     return SuperAlgebra(a.space, consts, name="m7_mutated")
 
 
+def _pair_dropped_m7():
+    """m7 without the product b_0 b_1 = b_2 and its mirror: still
+    anticommutative, neither Malcev nor Lie."""
+    a = catalog_get("m7").algebra.algebra
+    consts = dict(a.constants)
+    del consts[(0, 1, 2)], consts[(1, 0, 2)]
+    return SuperAlgebra(a.space, consts, name="m7_pair_dropped")
+
+
 def algebras():
     out = {name: catalog_get(name).algebra.algebra
            for name in ("m7", "osp12")}
     out["m7_mutated"] = _mutated_m7()
+    out["m7_pair_dropped"] = _pair_dropped_m7()
     for name in DEFECTIVE:
         q, _op, _gde = parse_document(
             (GOLDEN_DIR / (name + ".json")).read_text())

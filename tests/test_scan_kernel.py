@@ -4,7 +4,10 @@ The reference evaluates every basis tuple through `core.product`, with no
 pruning and no cleared denominators, so it shares no code with the kernel
 beyond the structure constants themselves.  The form-invariance and
 super-anticommutativity references are the full loops over all basis
-triples and pairs that the term-wise scans replaced.  The operator-identity
+triples and pairs that the term-wise scans replaced.  The rotation law and
+the Lie shortcut that `check_malcev` relies on are checked on the dense
+reference itself, and the path tests pin which Malcev pass runs on which
+input.  The operator-identity
 reference is the per-triple scan on Fraction dicts, and the skewness and
 operator-to-cocycle references are the dense Gram products, that the
 term-wise operator scan and the sparse form pairing replaced.
@@ -12,18 +15,22 @@ term-wise operator scan and the sparse form pairing replaced.
 
 from fractions import Fraction
 from itertools import product as tuples
+from pathlib import Path
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmalcev import (EVEN, ODD, BilinearForm, Cocycle, Element, OperatorMap,
                      QuadraticAlgebra, SuperAlgebra, SuperSpace, Witness,
-                     check_cocycle, check_form, check_jacobi, check_malcev,
-                     check_malcev_operator, check_skew_supersymmetric,
-                     check_super_anticommutativity, cocycle_from_operator,
-                     linalg, product)
+                     catalog_get, check_cocycle, check_form, check_jacobi,
+                     check_malcev, check_malcev_operator,
+                     check_skew_supersymmetric, check_super_anticommutativity,
+                     cocycle_from_operator, direct_sum, linalg, product)
+from qmalcev import core
 from qmalcev.core import (_mul_vb, _mul_vv, _report, _to_element, _vadd,
                           ksign)
+from qmalcev.document import parse_document
 from qmalcev.linalg import frac
 
 SCALARS = st.builds(Fraction, st.integers(-4, 4).filter(bool),
@@ -31,15 +38,15 @@ SCALARS = st.builds(Fraction, st.integers(-4, 4).filter(bool),
 
 
 @st.composite
-def graded_algebras(draw):
+def graded_algebras(draw, anti=st.booleans()):
     """Random graded algebras of dimension <= 5 with mixed denominators;
-    anticommutative or not."""
+    anticommutative or not, as `anti` draws."""
     p = draw(st.integers(0, 4))
     q = draw(st.integers(0 if p else 1, 5 - p))
     space = SuperSpace(p, q)
     n = space.dim
     par = [space.parity(i) for i in range(n)]
-    anti = draw(st.booleans())
+    anti = draw(anti)
     constants = {}
     for _ in range(draw(st.integers(0, 10))):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -62,7 +69,9 @@ def basis(n):
     return [Element.basis(n, i) for i in range(n)]
 
 
-def malcev_reference(a):
+def malcev_sides(a):
+    """{(i, j, k, l): (lhs, rhs)} of the Malcev identity at every basis
+    quadruple, in lexicographic order."""
     n, par, b = a.dim, [a.space.parity(i) for i in range(a.dim)], basis(a.dim)
 
     def mul(*xs):
@@ -71,7 +80,7 @@ def malcev_reference(a):
             acc = product(a, acc, x)
         return acc
 
-    out = []
+    out = {}
     for i, j, k, l in tuples(range(n), repeat=4):
         x, y, z, t = par[i], par[j], par[k], par[l]
         lhs = product(a, mul(b[i], b[k]), mul(b[j], b[l])).scale(
@@ -80,9 +89,13 @@ def malcev_reference(a):
                + mul(b[j], b[k], b[l], b[i]).scale(ksign(x * (y + z + t)))
                + mul(b[k], b[l], b[i], b[j]).scale(ksign((x + y) * (z + t)))
                + mul(b[l], b[i], b[j], b[k]).scale(ksign(t * (x + y + z))))
-        if lhs != rhs:
-            out.append(Witness((i, j, k, l), lhs, rhs))
+        out[(i, j, k, l)] = (lhs, rhs)
     return out
+
+
+def malcev_reference(a):
+    return [Witness(key, lhs, rhs)
+            for key, (lhs, rhs) in malcev_sides(a).items() if lhs != rhs]
 
 
 def jacobi_reference(a):
@@ -134,12 +147,125 @@ def algebras_with_cocycles(draw):
     return a, Cocycle(vals, parity)
 
 
+# b_0 b_0 = b_2 and b_0 b_1 = b_0 = -b_1 b_0 on (3|0): graded Jacobi holds,
+# super-anticommutativity and the Malcev identity fail
+NOT_ANTI_JACOBI = SuperAlgebra(SuperSpace(3, 0), {
+    (0, 0, 2): 1, (0, 1, 0): 1, (1, 0, 0): -1})
+
+
 @settings(max_examples=60, deadline=None)
 @given(graded_algebras())
+@example(NOT_ANTI_JACOBI)
 def test_malcev_kernel_matches_dense_reference(a):
     rep = check_malcev(a)
     assert list(rep.witnesses) == malcev_reference(a)
     assert rep.passed == (not rep.witnesses)
+
+
+def _algebra(even_dim, odd_dim, constants):
+    """An algebra from {(i, j, k): c}; each (i, j, k) also gets its
+    super-anticommutative mirror (j, i, k)."""
+    space = SuperSpace(even_dim, odd_dim)
+    table = {}
+    for (i, j, k), c in constants.items():
+        table[(i, j, k)] = c
+        table[(j, i, k)] = -ksign(space.parity(i) * space.parity(j)) * c
+    return SuperAlgebra(space, table)
+
+
+# b_0 b_1 = -b_1, b_1 b_2 = -b_0 on (1|2): witnesses at the periodic
+# quadruples (1, 2, 1, 2) and (2, 1, 2, 1)
+PERIODIC = _algebra(1, 2, {(0, 1, 1): -1, (1, 2, 0): -1})
+# b_1 b_0 = b_0, b_1 b_2 = b_2 and the odd square b_2 b_2 = b_0 on (2|1)
+ODD_SQUARE = _algebra(2, 1, {(1, 0, 0): 1, (1, 2, 2): 1, (2, 2, 0): 1})
+# the odd square b_1 b_1 = b_0 and b_0 b_1 = b_1 on (1|1), whose chain
+# terms sit at periodic quadruples such as (0, 1, 0, 1) and (1, 1, 1, 1)
+ODD_LINE = _algebra(1, 1, {(1, 1, 0): 1, (0, 1, 1): 1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(graded_algebras(anti=st.just(True)))
+@example(PERIODIC)
+@example(ODD_SQUARE)
+@example(ODD_LINE)
+def test_anticommutative_scan_obeys_rotation_law(a):
+    """F(y, z, t, x) = (-1)^{x(y+z+t)} F(x, y, z, t) for F = lhs - rhs,
+    every Lie superalgebra is Malcev, and the kernel, which relies on
+    both, lists the reference's witnesses."""
+    par = [a.space.parity(i) for i in range(a.dim)]
+    sides = malcev_sides(a)
+    for (i, j, k, l), (lhs, rhs) in sides.items():
+        x, y, z, t = par[i], par[j], par[k], par[l]
+        rlhs, rrhs = sides[(j, k, l, i)]
+        assert rlhs - rrhs == (lhs - rhs).scale(ksign(x * (y + z + t)))
+    rep = check_malcev(a)
+    assert list(rep.witnesses) == malcev_reference(a)
+    assert rep.notes == ()
+    if check_jacobi(a).passed:
+        assert rep.passed
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def _malcev_passes(monkeypatch, a):
+    """check_malcev(a), the orbit flag of each Malcev pass it ran and the
+    number of chain terms it formed."""
+    passes, chains = [], []
+    body, keys = core._malcev_sums, core._chain_keys
+
+    def spy_body(kern, orbit):
+        passes.append(orbit)
+        return body(kern, orbit)
+
+    def spy_keys(*args):
+        chains.append(args)
+        return keys(*args)
+
+    monkeypatch.setattr(core, "_malcev_sums", spy_body)
+    monkeypatch.setattr(core, "_chain_keys", spy_keys)
+    return check_malcev(a), passes, len(chains)
+
+
+@pytest.mark.parametrize("name", ["osp12", "sl2+sl2"])
+def test_lie_superalgebras_form_no_chain_term(monkeypatch, name):
+    if name == "sl2+sl2":
+        sl2 = catalog_get("sl2").algebra.algebra
+        a = direct_sum(sl2, sl2)
+    else:
+        a = catalog_get(name).algebra.algebra
+    rep, passes, chains = _malcev_passes(monkeypatch, a)
+    assert rep == _report(())
+    assert (passes, chains) == ([], 0)
+
+
+@pytest.mark.parametrize("name", ["m7", "gde_abelian12", "m7+osp12"])
+def test_malcev_non_lie_runs_only_the_orbit_pass(monkeypatch, name):
+    """m7 + osp12 has the chain term ((b_i b_i) b_i) b_i of an odd b_i at
+    the periodic key (i, i, i, i), once for each of its four rotations."""
+    if name == "m7+osp12":
+        a = direct_sum(catalog_get("m7").algebra.algebra,
+                       catalog_get("osp12").algebra.algebra)
+    else:
+        a = catalog_get(name).algebra.algebra
+    rep, passes, _chains = _malcev_passes(monkeypatch, a)
+    assert rep == _report(())
+    assert passes == [True]
+
+
+@pytest.mark.parametrize("name", ["defect_gde2", "defect_osc2",
+                                  "defect_sl2_gde1"])
+def test_non_anticommutative_documents_run_the_full_pass(monkeypatch, name):
+    q, _op, _gde = parse_document((GOLDEN_DIR / (name + ".json")).read_text())
+    rep, passes, _chains = _malcev_passes(monkeypatch, q.algebra)
+    assert passes == [False]
+    assert rep.notes
+
+
+def test_non_malcev_anticommutative_reruns_the_full_pass(monkeypatch):
+    rep, passes, _chains = _malcev_passes(monkeypatch, PERIODIC)
+    assert passes == [True, False]
+    assert list(rep.witnesses) == malcev_reference(PERIODIC)
 
 
 @settings(max_examples=60, deadline=None)
