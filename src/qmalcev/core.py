@@ -28,6 +28,11 @@ its shortcuts are exact:
   order-free, so each sum equals the tuple's full evaluation; the tuples
   whose sum is nonzero are then sorted, which is the lexicographic witness
   order of a full scan.
+- Orbits.  The Jacobi sum is the same at the three rotations of a triple,
+  and on a super-anticommutative algebra lhs - rhs of the Malcev identity
+  changes only by a Koszul sign along the four rotations of a quadruple.
+  Those scans add each term only at the least rotation of its tuple and
+  copy every nonzero sum, with its sign, to the other rotations.
 """
 
 from __future__ import annotations
@@ -459,78 +464,102 @@ def _least_rotation(key):
     return min(key, (j, k, l, i), (k, l, i, j), (l, i, j, k))
 
 
-def _malcev_sums(kern: _ScanKernel, orbit: bool):
+def _rotations(par, key):
+    """{rotation: sign} for each distinct rotation of the tuple key, first
+    to last, with the Koszul sign of moving its head past its tail."""
+    out = {}
+    total, head = sum(par[i] for i in key), 0
+    for s, i in enumerate(key):
+        out.setdefault(key[s:] + key[:s], ksign(head * (total - head)))
+        head += par[i]
+    return out
+
+
+def _least_chain_keys(par, p, q, r, w):
+    """The entries of _chain_keys(par, p, q, r, w) whose key is the least of
+    the four: one, unless the least index occurs more than once."""
+    lo = min(p, q, r, w)
+    if (p == lo) + (q == lo) + (r == lo) + (w == lo) > 1:
+        keys = _chain_keys(par, p, q, r, w)
+        least = min(keys)[0]
+        return [entry for entry in keys if entry[0] == least]
+    x, y, z, t = par[p], par[q], par[r], par[w]
+    if p == lo:
+        return (((p, q, r, w), 1),)
+    if w == lo:
+        return (((w, p, q, r), ksign(t * (x + y + z))),)
+    if r == lo:
+        return (((r, w, p, q), ksign((z + t) * (x + y))),)
+    return (((q, r, w, p), ksign(x * (y + z + t))),)
+
+
+def _malcev_sums(kern: _ScanKernel):
     """{(i, j, k, l): the scaled lhs - rhs of the Malcev identity}, summed
-    term by term at every quadruple where a term is nonzero, or, with
-    orbit, only at each canonical key: the least of its four rotations.  A
-    chain term at a periodic key such as (i, j, i, j) lands there once per
-    rotation that equals it, each time with that rotation's sign."""
+    term by term at every quadruple where a term is nonzero."""
     par, triples, columns = kern.par, kern.triples, kern.columns
     diff = {}
     # (b_i b_k)(b_j b_l) = sum over m of c(j, l, m) (b_i b_k) b_m
     for (i, k), trow in triples.items():
-        if orbit and k < i:  # (k, l, i, j) is less
-            continue
         for m, tv in trow.items():
             for (j, l), c in columns.get(m, ()):
-                key = (i, j, k, l)
-                if orbit and key != _least_rotation(key):
-                    continue
                 c *= ksign(par[j] * par[k])
-                acc = diff.setdefault(key, {})
+                acc = diff.setdefault((i, j, k, l), {})
                 for r, x in tv.items():
                     acc[r] = acc.get(r, 0) + c * x
     for (p, q), trow in triples.items():
         for r, tv in trow.items():
             for w, vec in kern.right_products(tv).items():
-                keys = _chain_keys(par, p, q, r, w)
-                least = min(keys)[0] if orbit else None
-                for key, s in keys:
-                    if orbit and key != least:
-                        continue
+                for key, s in _chain_keys(par, p, q, r, w):
                     acc = diff.setdefault(key, {})
                     for m, c in vec.items():
                         acc[m] = acc.get(m, 0) - s * c
     return diff
 
 
-def check_malcev(a: SuperAlgebra) -> CheckReport:
-    """Four-variable Malcev identity on all basis quadruples.
+def _malcev_orbit_sums(kern: _ScanKernel):
+    """{canonical key: the scaled lhs - rhs of the Malcev identity} on a
+    super-anticommutative algebra, where the canonical key of a quadruple
+    is the least of its four rotations.  Each term is added only at the
+    canonical key among the keys where it occurs; a chain term at a
+    periodic key such as (i, j, i, j) lands there once per rotation that
+    equals it, each time with that rotation's sign.  The chain product
+    ((b_p b_q) b_r) b_w is formed only for p <= q, and serves (q, p, r, w)
+    too: b_q b_p is b_p b_q times -(-1)^{|p||q|}."""
+    par, triples, columns = kern.par, kern.triples, kern.columns
+    diff = {}
+    for (i, k), trow in triples.items():
+        if k < i:  # (k, l, i, j) is less
+            continue
+        for m, tv in trow.items():
+            for (j, l), c in columns.get(m, ()):
+                if j < i or l < i:
+                    continue
+                key = (i, j, k, l)
+                if i in (j, k, l) and key != _least_rotation(key):
+                    continue
+                c *= ksign(par[j] * par[k])
+                acc = diff.setdefault(key, {})
+                for r, x in tv.items():
+                    acc[r] = acc.get(r, 0) + c * x
+    for (p, q), trow in triples.items():
+        if q < p:
+            continue
+        mirror = -ksign(par[p] * par[q])
+        for r, tv in trow.items():
+            for w, vec in kern.right_products(tv).items():
+                for key, s in _least_chain_keys(par, p, q, r, w):
+                    _add(diff, key, vec, -s)
+                if p < q:
+                    for key, s in _least_chain_keys(par, q, p, r, w):
+                        _add(diff, key, vec, -s * mirror)
+    return diff
 
-    (-1)^{yz}(XZ)(YT) = ((XY)Z)T + (-1)^{x(y+z+t)}((YZ)T)X
-                      + (-1)^{(x+y)(z+t)}((ZT)X)Y + (-1)^{t(x+y+z)}((TX)Y)Z
 
-    On a super-anticommutative algebra two theorems decide most of it:
-
-    - Every Lie superalgebra is Malcev (Sagle, Trans. AMS 101 (1961);
-      Albuquerque-Benayadi, J. Pure Appl. Algebra 187 (2004) in the graded
-      case), so when the graded Jacobi identity holds the report passes
-      with no further scan.  `check_jacobi` caches its report on the
-      algebra, so this costs nothing when the caller runs it anyway.
-    - With F(x, y, z, t) = lhs - rhs, F(y, z, t, x) = (-1)^{x(y+z+t)}
-      F(x, y, z, t).  F vanishes everywhere exactly when it vanishes at
-      each canonical key, the lexicographically least of the four
-      rotations, so one pass sums each term only there.  When one of those
-      sums is nonzero the full pass below lists the witnesses.
-
-    Any other algebra gets the full pass over every quadruple, with a note
-    when super-anticommutativity fails.
-    """
-    n = a.dim
-    notes = []
-    anti = check_super_anticommutativity(a)
-    kern = _scan_kernel(a)
-    if anti.passed:
-        if check_jacobi(a).passed:
-            return _report(())
-        if not any(any(acc.values())
-                   for acc in _malcev_sums(kern, True).values()):
-            return _report(())
-    else:
-        notes.append("super-anticommutativity fails; identity scan is "
-                     "reported but may be meaningless")
+def _malcev_witnesses(kern: _ScanKernel, n, diff):
+    """Witness(key, lhs, rhs) at each sorted key of diff {key: scaled
+    lhs - rhs} where the difference is nonzero.  The lhs
+    (-1)^{yz} (b_i b_k)(b_j b_l) is evaluated there, and rhs = lhs - diff."""
     par, pairs, triples = kern.par, kern.pairs, kern.triples
-    diff = _malcev_sums(kern, False)
     denom = kern.scale ** 3
     witnesses = []
     for key in sorted(diff):
@@ -549,13 +578,58 @@ def check_malcev(a: SuperAlgebra) -> CheckReport:
             rhs[m] = rhs.get(m, 0) - c
         witnesses.append(Witness(key, _scaled_element(n, lhs, denom),
                                  _scaled_element(n, rhs, denom)))
-    return _report(witnesses, notes)
+    return witnesses
+
+
+def check_malcev(a: SuperAlgebra) -> CheckReport:
+    """Four-variable Malcev identity on all basis quadruples.
+
+    (-1)^{yz}(XZ)(YT) = ((XY)Z)T + (-1)^{x(y+z+t)}((YZ)T)X
+                      + (-1)^{(x+y)(z+t)}((ZT)X)Y + (-1)^{t(x+y+z)}((TX)Y)Z
+
+    On a super-anticommutative algebra two theorems decide it:
+
+    - Every Lie superalgebra is Malcev (Sagle, Trans. AMS 101 (1961);
+      Albuquerque-Benayadi, J. Pure Appl. Algebra 187 (2004) in the graded
+      case), so when the graded Jacobi identity holds the report passes
+      with no further scan.  `check_jacobi` caches its report on the
+      algebra, so this costs nothing when the caller runs it anyway.
+    - With F(x, y, z, t) = lhs - rhs, F(y, z, t, x) = (-1)^{x(y+z+t)}
+      F(x, y, z, t).  So one pass sums each term only at its canonical
+      key, the lexicographically least of the four rotations, and F at
+      each other rotation is that rotation's Koszul sign times F there.
+      The witnesses are listed from those canonical sums, with the lhs
+      evaluated at the witness keys only.
+
+    Any other algebra gets the full pass over every quadruple, with a note
+    when super-anticommutativity fails.
+    """
+    n = a.dim
+    kern = _scan_kernel(a)
+    if not check_super_anticommutativity(a).passed:
+        return _report(_malcev_witnesses(kern, n, _malcev_sums(kern)),
+                       ["super-anticommutativity fails; identity scan is "
+                        "reported but may be meaningless"])
+    if check_jacobi(a).passed:
+        return _report(())
+    diff = {}
+    for key, acc in _malcev_orbit_sums(kern).items():
+        if any(acc.values()):
+            for rot, s in _rotations(kern.par, key).items():
+                diff[rot] = {m: s * c for m, c in acc.items()}
+    return _report(_malcev_witnesses(kern, n, diff))
 
 
 def check_jacobi(a: SuperAlgebra) -> CheckReport:
     """Graded Jacobi identity on all basis triples.
 
     (-1)^{xz}(XY)Z + (-1)^{yx}(YZ)X + (-1)^{zy}(ZX)Y = 0
+
+    On every graded algebra the three terms at (y, z, x) are the three at
+    (x, y, z) in another order, so the sum is the same at the three
+    rotations of a triple.  Each term is added once, at the least of its
+    rotations ((i, i, i) takes it three times, once per rotation that
+    equals it), and each witness is copied to the other rotations.
 
     The report is cached on the (immutable) algebra: check_malcev reads it
     for its Lie shortcut, so `check`, `QuadraticAlgebra.validate` and
@@ -572,17 +646,23 @@ def check_jacobi(a: SuperAlgebra) -> CheckReport:
             # (b_p b_q) b_r is (XY)Z at (p, q, r), (YZ)X at (r, p, q) and
             # (ZX)Y at (q, r, p); each time its sign is (-1)^{p(p) p(r)}
             s = ksign(par[p] * par[r])
-            for key in ((p, q, r), (r, p, q), (q, r, p)):
-                acc = sums.setdefault(key, {})
-                for m, c in tv.items():
-                    acc[m] = acc.get(m, 0) + s * c
+            if p == q == r:
+                key, s = (p, p, p), 3 * s
+            else:
+                key = min((p, q, r), (r, p, q), (q, r, p))
+            acc = sums.setdefault(key, {})
+            for m, c in tv.items():
+                acc[m] = acc.get(m, 0) + s * c
     denom = kern.scale ** 2
+    zero = Element.zero(n)
     witnesses = []
-    for key in sorted(sums):
-        acc = {m: c for m, c in sums[key].items() if c}
+    for key, acc in sums.items():
+        acc = {m: c for m, c in acc.items() if c}
         if acc:
-            witnesses.append(Witness(key, _scaled_element(n, acc, denom),
-                                     Element.zero(n)))
+            value = _scaled_element(n, acc, denom)
+            witnesses += [Witness(rot, value, zero)
+                          for rot in _rotations(par, key)]
+    witnesses.sort(key=lambda w: w.index)
     a._jacobi = _report(witnesses)
     return a._jacobi
 

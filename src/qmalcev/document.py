@@ -9,6 +9,7 @@ violations, and axiom failures are distinct error types.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from decimal import Decimal
@@ -48,6 +49,16 @@ _SCALAR = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
 
 
 def parse_scalar(text) -> Fraction:
+    """The Fraction that the canonical "num/den" text names.  Short texts
+    repeat across a tree's documents and bases, so they are read once and
+    kept in a bounded cache; a Fraction is immutable, so the cached value
+    can be shared."""
+    if isinstance(text, str) and len(text) <= _CACHED_SCALAR_LEN:
+        return _parse_short_scalar(text)
+    return _parse_scalar(text)
+
+
+def _parse_scalar(text) -> Fraction:
     match = _SCALAR.fullmatch(text) if isinstance(text, str) else None
     if match is None:
         raise DocumentSyntaxError("scalar %r is not 'num/den' text" % (text,))
@@ -60,6 +71,12 @@ def parse_scalar(text) -> Fraction:
         raise DocumentSyntaxError("scalar %r is not in lowest terms"
                                   % (text,))
     return value
+
+
+# Texts up to this length go through a cache of at most 4096 entries, so
+# it holds at most about 1.5 MB; longer texts are parsed each time.
+_CACHED_SCALAR_LEN = 64
+_parse_short_scalar = functools.lru_cache(maxsize=4096)(_parse_scalar)
 
 
 def _operator_block(op: OperatorMap):

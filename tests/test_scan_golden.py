@@ -30,20 +30,23 @@ def _mutated_m7():
     return SuperAlgebra(a.space, consts, name="m7_mutated")
 
 
-def _pair_dropped_m7():
-    """m7 without the product b_0 b_1 = b_2 and its mirror: still
-    anticommutative, neither Malcev nor Lie."""
-    a = catalog_get("m7").algebra.algebra
+def _pair_dropped(name, i, j, k):
+    """The catalog algebra `name` without the product (i, j, k) and its
+    mirror (j, i, k): still anticommutative, neither Malcev nor Lie."""
+    a = catalog_get(name).algebra.algebra
     consts = dict(a.constants)
-    del consts[(0, 1, 2)], consts[(1, 0, 2)]
-    return SuperAlgebra(a.space, consts, name="m7_pair_dropped")
+    del consts[(i, j, k)], consts[(j, i, k)]
+    return SuperAlgebra(a.space, consts, name=name + "_pair_dropped")
 
 
 def algebras():
     out = {name: catalog_get(name).algebra.algebra
            for name in ("m7", "osp12")}
     out["m7_mutated"] = _mutated_m7()
-    out["m7_pair_dropped"] = _pair_dropped_m7()
+    out["m7_pair_dropped"] = _pair_dropped("m7", 0, 1, 2)
+    # most of its witnesses sit at keys with an odd index, so this case
+    # pins the Koszul signs of witnesses copied along a rotation orbit
+    out["osp12_pair_dropped"] = _pair_dropped("osp12", 0, 1, 1)
     for name in DEFECTIVE:
         q, _op, _gde = parse_document(
             (GOLDEN_DIR / (name + ".json")).read_text())

@@ -33,6 +33,8 @@ from qmalcev.core import (_mul_vb, _mul_vv, _report, _to_element, _vadd,
 from qmalcev.document import parse_document
 from qmalcev.linalg import frac
 
+from test_scan_golden import _pair_dropped
+
 SCALARS = st.builds(Fraction, st.integers(-4, 4).filter(bool),
                     st.integers(1, 6))
 
@@ -209,21 +211,22 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def _malcev_passes(monkeypatch, a):
-    """check_malcev(a), the orbit flag of each Malcev pass it ran and the
-    number of chain terms it formed."""
+    """check_malcev(a), the Malcev passes it ran ("orbit" or "full") and
+    how many times it looked up the keys of a chain term."""
     passes, chains = [], []
-    body, keys = core._malcev_sums, core._chain_keys
 
-    def spy_body(kern, orbit):
-        passes.append(orbit)
-        return body(kern, orbit)
+    def spy(name, log, label=None):
+        real = getattr(core, name)
 
-    def spy_keys(*args):
-        chains.append(args)
-        return keys(*args)
+        def wrapper(*args):
+            log.append(label or args)
+            return real(*args)
+        monkeypatch.setattr(core, name, wrapper)
 
-    monkeypatch.setattr(core, "_malcev_sums", spy_body)
-    monkeypatch.setattr(core, "_chain_keys", spy_keys)
+    spy("_malcev_orbit_sums", passes, "orbit")
+    spy("_malcev_sums", passes, "full")
+    spy("_chain_keys", chains)
+    spy("_least_chain_keys", chains)
     return check_malcev(a), passes, len(chains)
 
 
@@ -250,7 +253,7 @@ def test_malcev_non_lie_runs_only_the_orbit_pass(monkeypatch, name):
         a = catalog_get(name).algebra.algebra
     rep, passes, _chains = _malcev_passes(monkeypatch, a)
     assert rep == _report(())
-    assert passes == [True]
+    assert passes == ["orbit"]
 
 
 @pytest.mark.parametrize("name", ["defect_gde2", "defect_osc2",
@@ -258,19 +261,40 @@ def test_malcev_non_lie_runs_only_the_orbit_pass(monkeypatch, name):
 def test_non_anticommutative_documents_run_the_full_pass(monkeypatch, name):
     q, _op, _gde = parse_document((GOLDEN_DIR / (name + ".json")).read_text())
     rep, passes, _chains = _malcev_passes(monkeypatch, q.algebra)
-    assert passes == [False]
+    assert passes == ["full"]
     assert rep.notes
 
 
-def test_non_malcev_anticommutative_reruns_the_full_pass(monkeypatch):
-    rep, passes, _chains = _malcev_passes(monkeypatch, PERIODIC)
-    assert passes == [True, False]
-    assert list(rep.witnesses) == malcev_reference(PERIODIC)
+def test_non_malcev_anticommutative_runs_only_the_orbit_pass(monkeypatch):
+    """The witnesses of an anticommutative algebra that fails Malcev are
+    copied from the canonical sums along each rotation orbit, with no full
+    pass; PERIODIC has witnesses at periodic keys, ODD_SQUARE and ODD_LINE
+    at keys with odd indices, where the copies carry Koszul signs."""
+    for a in (PERIODIC, ODD_SQUARE, ODD_LINE):
+        with monkeypatch.context() as patch:
+            rep, passes, _chains = _malcev_passes(patch, a)
+        assert passes == ["orbit"]
+        assert rep.witnesses
+        assert list(rep.witnesses) == malcev_reference(a)
+    # the golden pair-dropped cases, whose witnesses scan_witnesses.json pins
+    for args, count in ((("m7", 0, 1, 2), 608), (("osp12", 0, 1, 1), 146)):
+        with monkeypatch.context() as patch:
+            rep, passes, _chains = _malcev_passes(patch, _pair_dropped(*args))
+        assert (passes, len(rep.witnesses)) == (["orbit"], count)
+
+
+# ODD_LINE without the mirror b_1 b_0 = -b_1: not anticommutative
+ODD_LINE_ONE_SIDED = SuperAlgebra(SuperSpace(1, 1), {(1, 1, 0): 1,
+                                                     (0, 1, 1): 1})
 
 
 @settings(max_examples=60, deadline=None)
 @given(graded_algebras())
+@example(ODD_LINE)
+@example(ODD_LINE_ONE_SIDED)
 def test_jacobi_kernel_matches_dense_reference(a):
+    """ODD_LINE and ODD_LINE_ONE_SIDED have the term (b_1 b_1) b_1 != 0 of
+    an odd b_1, which the sum at (1, 1, 1) takes once per rotation."""
     rep = check_jacobi(a)
     assert list(rep.witnesses) == jacobi_reference(a)
 

@@ -10,6 +10,7 @@ import pytest
 from qmalcev import (EVEN, OperatorMap, catalog_get, direct_sum_quadratic,
                      double_extension_even, emit_document, emit_tree,
                      inductive_decompose, rebuild)
+from qmalcev import document
 from qmalcev.cli import run
 from qmalcev.document import (MAX_DIM, DocumentSyntaxError, canonical_json,
                               parse_algebra_document, parse_document,
@@ -77,6 +78,35 @@ def test_non_canonical_scalars_rejected(tmp_path, capsys, text):
 def test_canonical_scalars_accepted():
     assert parse_scalar("0/1") == 0
     assert parse_scalar("-12/35") * 35 == -12
+
+
+@pytest.mark.parametrize("text", [
+    "0/1", "-12/35", "7/1", "1" * 62 + "/1", "1" * 63 + "/1",
+    "9" * 5000 + "/1", "2/4", "0/2", " 2/1", "٢/1", "", "1" * 70 + "/0",
+    None, 3, 2.5, ["1/2"], {"1/2": 1}, b"1/2"])
+def test_cached_scalars_read_as_uncached(text):
+    """Texts of at most 64 characters are read through a cache, twice
+    here so that the second read of a valid one is a hit; longer texts and
+    other values bypass it.  Either way every value gives the same Fraction
+    or the same DocumentSyntaxError as the uncached reader."""
+    def outcome(read):
+        try:
+            value = read(text)
+        except DocumentSyntaxError as exc:
+            return "error", str(exc)
+        return "value", value, type(value)
+
+    cache = document._parse_short_scalar
+    cache.cache_clear()
+    expected = outcome(document._parse_scalar)
+    assert outcome(parse_scalar) == outcome(parse_scalar) == expected
+    if not (isinstance(text, str) and len(text) <= 64):
+        calls = (0, 0)  # (hits, misses): the cache is bypassed
+    elif expected[0] == "value":
+        calls = (1, 1)  # read once, then a hit
+    else:
+        calls = (0, 2)  # an error is not cached
+    assert cache.cache_info()[:2] == calls
 
 
 def _odd_tree():
