@@ -13,16 +13,22 @@ which is the unique orientation for which B~ stays invariant (flipping the
 sign of e* gives the equivalent table with minus signs and B~(e*, e) = +1).
 The even case uses eX = D(X), XY = (XY)_M + B(D(X), Y) e*, ee = 0 with a
 symmetric hyperbolic (e, e*) block.
+
+Semidirect data (omega, zeta) define one product on P = M + V,
+b_i b_j = [b_i, b_j]_M + zeta(i, j) and b_i h = omega_i(h); the five
+compatibility conditions are signed words in that product.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 from .core import (EVEN, ODD, CheckReport, Element, SuperAlgebra, SuperSpace,
-                   Witness, _add, _mul_vb, _mul_vv, _report, _scaled,
-                   _scan_kernel, _side_witnesses, _to_element, _vadd, _vscale,
-                   check_malcev, direct_sum_embeddings, ksign)
+                   Witness, _add, _mul_vv, _report, _scaled, _scan_kernel,
+                   _side_witnesses, _to_element, _vadd, check_malcev,
+                   direct_sum_embeddings, ksign)
 from .errors import AxiomError, InputError, PreconditionError
 from .linalg import ONE, ZERO, frac, sparse
 from .operators import (OperatorMap, _int_map, check_malcev_operator,
@@ -350,23 +356,6 @@ class SemidirectData:
                 if lhs != rhs:
                     raise InputError("twist is not graded skew-symmetric")
 
-    def omega_apply(self, xvec, vvec):
-        """Apply omega(X) to a vector of V, X given as a sparse M vector."""
-        out = {}
-        for i, ci in xvec.items():
-            op = self.omega[i]
-            for j, cj in vvec.items():
-                _vadd(out, op.column(j), ci * cj)
-        return out
-
-    def zeta_apply(self, xvec, yvec):
-        out = {}
-        for i, ci in xvec.items():
-            row = self.zeta[i]
-            for j, cj in yvec.items():
-                _vadd(out, sparse(row[j].coords), ci * cj)
-        return out
-
 
 @dataclass(frozen=True)
 class GsdReport:
@@ -394,193 +383,10 @@ class GsdReport:
         return None
 
 
-def check_gsd_conditions(m: SuperAlgebra, v: SuperAlgebra,
-                         s: SemidirectData) -> GsdReport:
-    """Evaluate the five compatibility conditions on all basis tuples."""
-    if s.m is not m or s.v is not v:
-        # allow equal-but-distinct objects
-        if s.m != m or s.v != v:
-            raise InputError("semidirect data belongs to other algebras")
-    nm, nv = m.dim, v.dim
-    pm = [m.space.parity(i) for i in range(nm)]
-    pv = [v.space.parity(i) for i in range(nv)]
-
-    def mb(i):
-        return {i: ONE}
-
-    op_wit = []
-    for i in range(nm):
-        rep = check_malcev_operator(v, s.omega[i])
-        if not rep.passed:
-            op_wit.append(Witness((i,), "operator identity fails",
-                                  rep.witnesses[0].index))
-
-    w1 = []
-    for i in range(nm):
-        for j in range(nm):
-            zeij = s.zeta_apply(mb(i), mb(j))
-            mij = m.basis_product(i, j)
-            for h in range(nv):
-                for t_ in range(nv):
-                    x, y = pm[i], pm[j]
-                    z, t = pv[h], pv[t_]
-                    acc = _mul_vb(v, s.omega_apply(mij, {h: ONE}), t_)
-                    _vadd(acc, s.omega_apply(
-                        mb(i), _mul_vb(v, s.omega[j].column(h), t_)),
-                        frac(-1))
-                    _vadd(acc, _mul_vv(v, s.omega[i].column(h),
-                                       s.omega[j].column(t_)),
-                          frac(-ksign(y * z)))
-                    _vadd(acc, s.omega_apply(
-                        mb(j), s.omega_apply(mb(i), v.basis_product(h, t_))),
-                        frac(ksign(x * y)))
-                    _vadd(acc, _mul_vb(v, s.omega_apply(
-                        mb(j), s.omega[i].column(t_)), h),
-                        frac(ksign(t * z + x * y)))
-                    _vadd(acc, _mul_vb(v, _mul_vb(v, zeij, h), t_))
-                    if acc:
-                        w1.append(Witness((i, j, h, t_),
-                                          _to_element(nv, acc),
-                                          Element.zero(nv)))
-
-    w2 = []
-    for i in range(nm):
-        for k in range(nm):
-            zeik = s.zeta_apply(mb(i), mb(k))
-            mik = m.basis_product(i, k)
-            for g in range(nv):
-                for t_ in range(nv):
-                    x, z = pm[i], pm[k]
-                    y, t = pv[g], pv[t_]
-                    ghi = v.basis_product(g, t_)
-                    acc = _vscale(_mul_vv(v, zeik, ghi), frac(ksign(y * z)))
-                    _vadd(acc, s.omega_apply(mik, ghi), frac(ksign(y * z)))
-                    _vadd(acc, _mul_vb(v, s.omega_apply(
-                        mb(k), s.omega[i].column(g)), t_),
-                        frac(ksign(z * (x + y))))
-                    _vadd(acc, s.omega_apply(
-                        mb(i), _mul_vb(v, s.omega[k].column(g), t_)),
-                        frac(-ksign(y * z)))
-                    _vadd(acc, _mul_vb(v, s.omega_apply(
-                        mb(i), s.omega[k].column(t_)), g),
-                        frac(ksign(y * (z + t))))
-                    _vadd(acc, s.omega_apply(
-                        mb(k), _mul_vb(v, s.omega[i].column(t_), g)),
-                        frac(-ksign(t * y + (x + y) * z)))
-                    if acc:
-                        w2.append(Witness((i, k, g, t_),
-                                          _to_element(nv, acc),
-                                          Element.zero(nv)))
-
-    w3 = []
-    for i in range(nm):
-        for j in range(nm):
-            zeij = s.zeta_apply(mb(i), mb(j))
-            for l in range(nm):
-                zejl = s.zeta_apply(mb(j), mb(l))
-                zeli = s.zeta_apply(mb(l), mb(i))
-                for h in range(nv):
-                    x, y, t = pm[i], pm[j], pm[l]
-                    z = pv[h]
-                    acc = _vscale(_mul_vv(v, s.omega[i].column(h), zejl),
-                                  frac(ksign(y * z)))
-                    _vadd(acc, s.omega_apply(mb(l), _mul_vb(v, zeij, h)),
-                          frac(ksign(t * (x + y + z))))
-                    _vadd(acc, _mul_vb(v, s.omega_apply(mb(j), zeli), h),
-                          frac(ksign(t * (x + z) + x * y)))
-                    if acc:
-                        w3.append(Witness((i, j, l, h),
-                                          _to_element(nv, acc),
-                                          Element.zero(nv)))
-
-    w4 = []
-    for i in range(nm):
-        for j in range(nm):
-            for k in range(nm):
-                for l in range(nm):
-                    x, y, z, t = pm[i], pm[j], pm[k], pm[l]
-                    acc = _vscale(
-                        s.omega_apply(m.basis_product(i, k),
-                                      s.zeta_apply(mb(j), mb(l))),
-                        frac(-ksign(y * z)))
-                    _vadd(acc, s.omega_apply(mb(i), s.omega_apply(
-                        mb(l), s.zeta_apply(mb(j), mb(k)))),
-                        frac(ksign(t * (y + z))))
-                    _vadd(acc, s.omega_apply(mb(k), s.omega_apply(
-                        mb(j), s.zeta_apply(mb(l), mb(i)))),
-                        frac(ksign(x * (y + z + t) + y * z)))
-                    _vadd(acc, s.omega_apply(
-                        mb(i), s.zeta_apply(m.basis_product(j, k), mb(l))),
-                        frac(-1))
-                    _vadd(acc, s.omega_apply(
-                        mb(k), s.zeta_apply(m.basis_product(l, i), mb(j))),
-                        frac(-ksign((x + y) * (z + t))))
-                    # minus the right-hand side
-                    _vadd(acc, s.zeta_apply(m.basis_product(i, k),
-                                            m.basis_product(j, l)),
-                          frac(ksign(y * z)))
-                    _vadd(acc, _mul_vv(v, s.zeta_apply(mb(i), mb(k)),
-                                       s.zeta_apply(mb(j), mb(l))),
-                          frac(ksign(y * z)))
-                    _vadd(acc, s.zeta_apply(
-                        _mul_vb(m, m.basis_product(i, j), k), mb(l)),
-                        frac(-1))
-                    _vadd(acc, s.zeta_apply(
-                        _mul_vb(m, m.basis_product(j, k), l), mb(i)),
-                        frac(-ksign(x * (y + z + t))))
-                    _vadd(acc, s.zeta_apply(
-                        _mul_vb(m, m.basis_product(k, l), i), mb(j)),
-                        frac(-ksign((x + y) * (z + t))))
-                    _vadd(acc, s.zeta_apply(
-                        _mul_vb(m, m.basis_product(l, i), j), mb(k)),
-                        frac(-ksign(t * (x + y + z))))
-                    if acc:
-                        w4.append(Witness((i, j, k, l),
-                                          _to_element(nv, acc),
-                                          Element.zero(nv)))
-
-    w5 = []
-    for i in range(nm):
-        for j in range(nm):
-            mij = m.basis_product(i, j)
-            for k in range(nm):
-                mik = m.basis_product(i, k)
-                mjk = m.basis_product(j, k)
-                for t_ in range(nv):
-                    x, y, z = pm[i], pm[j], pm[k]
-                    acc = _vscale(
-                        s.omega_apply(mik, s.omega[j].column(t_)),
-                        frac(ksign(y * z)))
-                    _vadd(acc, _mul_vb(v, s.zeta_apply(mij, mb(k)), t_),
-                          frac(-1))
-                    _vadd(acc, s.omega_apply(
-                        _mul_vb(m, mij, k), {t_: ONE}), frac(-1))
-                    _vadd(acc, s.omega_apply(
-                        mb(i), s.omega_apply(mjk, {t_: ONE})))
-                    _vadd(acc, s.omega_apply(mb(j), s.omega_apply(
-                        mb(i), s.omega[k].column(t_))),
-                        frac(-ksign(x * y)))
-                    _vadd(acc, s.omega_apply(mb(k), s.omega_apply(
-                        mb(j), s.omega[i].column(t_))),
-                        frac(ksign((x + y) * z + x * y)))
-                    if acc:
-                        w5.append(Witness((i, j, k, t_),
-                                          _to_element(nv, acc),
-                                          Element.zero(nv)))
-
-    return GsdReport(operators=_report(op_wit), cond1=_report(w1),
-                     cond2=_report(w2), cond3=_report(w3),
-                     cond4=_report(w4), cond5=_report(w5))
-
-
-def generalized_semidirect_product(m: SuperAlgebra, v: SuperAlgebra,
-                                   s: SemidirectData) -> SuperAlgebra:
-    """Twisted product on the concatenated space; refuses when any
-    compatibility condition fails, naming the condition."""
-    report = check_gsd_conditions(m, v, s)
-    if not report.passed:
-        raise PreconditionError("semidirect compatibility %s fails"
-                                % report.first_failure())
+def _semidirect_algebra(m: SuperAlgebra, v: SuperAlgebra, s: SemidirectData):
+    """The product on P = M + V that the data define, and the index maps
+    amap, bmap of M and V into P: b_i b_j = [b_i, b_j]_M + zeta(i, j),
+    b_i h = omega_i(h) = -(-1)^{|i||h|} h b_i, and V's own products."""
     space = SuperSpace(m.space.even_dim + v.space.even_dim,
                        m.space.odd_dim + v.space.odd_dim)
     amap, bmap = direct_sum_embeddings(m.space, v.space)
@@ -603,6 +409,137 @@ def generalized_semidirect_product(m: SuperAlgebra, v: SuperAlgebra,
                 constants[(bmap[h], amap[i], bmap[r])] = back * cval
     out = SuperAlgebra(space, constants,
                        name="gsd(%s,%s)" % (m.name, v.name))
+    return out, amap, bmap
+
+
+# The five conditions, each a V-valued sum that must vanish at every tuple
+# of basis vectors of the kinds named (M or V, in argument order).  A term
+# is (sign, word).  A word is an argument position, or (proj, left, right):
+# the product of two words in P, kept whole ("P") or projected onto M or V.
+# So omega_i(h) is ("P", i, h), zeta(i, j) is ("V", i, j) and [i, j]_M is
+# ("M", i, j).  The sign "- xy zt" is -(-1)^{xy + zt}, where x, y, z, t are
+# the parities of the arguments in order.
+_GSD_CONDITIONS = (
+    ("cond1", "MMVV", (
+        ("+", ("P", ("P", ("P", 0, 1), 2), 3)),
+        ("-", ("P", 0, ("P", ("P", 1, 2), 3))),
+        ("- yz", ("P", ("P", 0, 2), ("P", 1, 3))),
+        ("+ xy", ("P", 1, ("P", 0, ("P", 2, 3)))),
+        ("+ xy zt", ("P", ("P", 1, ("P", 0, 3)), 2)))),
+    ("cond2", "MMVV", (
+        ("+ yz", ("P", ("P", 0, 1), ("P", 2, 3))),
+        ("+ xy yz", ("P", ("P", 1, ("P", 0, 2)), 3)),
+        ("- yz", ("P", 0, ("P", ("P", 1, 2), 3))),
+        ("+ yz zt", ("P", ("P", 0, ("P", 1, 3)), 2)),
+        ("- xy yz zt", ("P", 1, ("P", ("P", 0, 3), 2))))),
+    ("cond3", "MMMV", (
+        ("+ yt", ("P", ("P", 0, 3), ("V", 1, 2))),
+        ("+ xz yz zt", ("P", 2, ("P", ("V", 0, 1), 3))),
+        ("+ xy xz zt", ("P", ("P", 1, ("V", 2, 0)), 3)))),
+    ("cond4", "MMMM", (
+        ("- yz", ("P", ("M", 0, 2), ("V", 1, 3))),
+        ("+ yt zt", ("P", 0, ("P", 3, ("V", 1, 2)))),
+        ("+ xy xz xt yz", ("P", 2, ("P", 1, ("V", 3, 0)))),
+        ("-", ("P", 0, ("V", ("M", 1, 2), 3))),
+        ("- xz xt yz yt", ("P", 2, ("V", ("M", 3, 0), 1))),
+        ("+ yz", ("V", ("M", 0, 2), ("M", 1, 3))),
+        ("+ yz", ("P", ("V", 0, 2), ("V", 1, 3))),
+        ("-", ("V", ("M", ("M", 0, 1), 2), 3)),
+        ("- xy xz xt", ("V", ("M", ("M", 1, 2), 3), 0)),
+        ("- xz xt yz yt", ("V", ("M", ("M", 2, 3), 0), 1)),
+        ("- xt yt zt", ("V", ("M", ("M", 3, 0), 1), 2)))),
+    ("cond5", "MMMV", (
+        ("+ yz", ("P", ("M", 0, 2), ("P", 1, 3))),
+        ("-", ("P", ("P", ("M", 0, 1), 2), 3)),
+        ("+", ("P", 0, ("P", ("M", 1, 2), 3))),
+        ("- xy", ("P", 1, ("P", 0, ("P", 2, 3)))),
+        ("+ xy xz yz", ("P", 2, ("P", 1, ("P", 0, 3)))))),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_sign(spec, par):
+    """The sign spec ("- xy zt" is -(-1)^{xy + zt}) at the parities par of
+    the arguments x, y, z, t."""
+    head, *monomials = spec.split()
+    of = dict(zip("xyzt", par))
+    e = sum(of[a] * of[b] for a, b in monomials)
+    return frac(ksign(e) if head == "+" else -ksign(e))
+
+
+def _bind(word, args):
+    """The word with each argument position replaced by its index in P."""
+    if isinstance(word, int):
+        return args[word]
+    proj, left, right = word
+    return proj, _bind(left, args), _bind(right, args)
+
+
+def check_gsd_conditions(m: SuperAlgebra, v: SuperAlgebra,
+                         s: SemidirectData) -> GsdReport:
+    """The operator identity for each omega_i, then the five compatibility
+    conditions at every tuple of basis vectors, with one witness (sum, 0)
+    at each tuple where a sum is nonzero, in lexicographic order.
+
+    Every term is a word in the product P = M + V that the data define
+    (_semidirect_algebra): omega_i(h) = b_i h, zeta(i, j) and [i, j]_M are
+    the V and M parts of b_i b_j, and V's products are P's.  A word is an
+    argument position, or (proj, left, right) for the product of two words
+    in P, projected onto M or V or kept whole.  Each word is evaluated once
+    per call for the basis vectors it is bound to, so the sub-products the
+    terms share are formed once.
+    """
+    if s.m != m or s.v != v:
+        raise InputError("semidirect data belongs to other algebras")
+    op_wit = []
+    for i in range(m.dim):
+        rep = check_malcev_operator(v, s.omega[i])
+        if not rep.passed:
+            op_wit.append(Witness((i,), "operator identity fails",
+                                  rep.witnesses[0].index))
+
+    p, amap, bmap = _semidirect_algebra(m, v, s)
+    parts = {"M": set(amap), "V": set(bmap)}
+    local = {k: h for h, k in enumerate(bmap)}    # P index -> V index
+
+    @functools.lru_cache(maxsize=None)
+    def value(word):
+        """The P vector of a word bound to basis vectors of P."""
+        if isinstance(word, int):
+            return {word: ONE}
+        proj, left, right = word
+        out = _mul_vv(p, value(left), value(right))
+        if proj == "P":
+            return out
+        return {k: c for k, c in out.items() if k in parts[proj]}
+
+    zero = Element.zero(v.dim)
+    embed = {"M": amap, "V": bmap}
+    reports = {}
+    for name, kinds, terms in _GSD_CONDITIONS:
+        witnesses = []
+        for key in itertools.product(*(range(len(embed[k])) for k in kinds)):
+            args = tuple(embed[k][i] for k, i in zip(kinds, key))
+            par = tuple(p.space.parity(a) for a in args)
+            acc = {}
+            for spec, word in terms:
+                _vadd(acc, value(_bind(word, args)), _parity_sign(spec, par))
+            if acc:
+                lhs = {local[k]: c for k, c in acc.items()}
+                witnesses.append(Witness(key, _to_element(v.dim, lhs), zero))
+        reports[name] = _report(witnesses)
+    return GsdReport(operators=_report(op_wit), **reports)
+
+
+def generalized_semidirect_product(m: SuperAlgebra, v: SuperAlgebra,
+                                   s: SemidirectData) -> SuperAlgebra:
+    """Twisted product on the concatenated space; refuses when any
+    compatibility condition fails, naming the condition."""
+    report = check_gsd_conditions(m, v, s)
+    if not report.passed:
+        raise PreconditionError("semidirect compatibility %s fails"
+                                % report.first_failure())
+    out, _amap, _bmap = _semidirect_algebra(m, v, s)
     rep = check_malcev(out)
     if not rep.passed:
         raise AxiomError("semidirect product failed the Malcev identity", rep)

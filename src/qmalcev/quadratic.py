@@ -150,7 +150,8 @@ def check_form(a: SuperAlgebra, b: BilinearForm) -> FormReport:
         if x != expected:
             sym_wit.append(Witness((i, j), x, expected))
 
-    nondeg_wit = [Witness(("kernel",), _to_element(n, v), Element.zero(n))
+    zero = Element.zero(n)
+    nondeg_wit = [Witness(("kernel",), _to_element(n, v), zero)
                   for v in b._kernel_basis()]
 
     inv_wit = _invariance_witnesses(a, b)

@@ -285,3 +285,23 @@ def test_diagonal_form_at_the_cap_allocates_nothing_square():
         tracemalloc.stop()
     assert report.passed
     assert peak < 4 * 2 ** 20
+
+
+def test_empty_form_at_the_cap_shares_one_zero():
+    """parse_document + check_form on the 1024-dimensional document with no
+    Gram entries peak below 12 MiB: its 1024 kernel witnesses share one
+    zero rhs, and only their dense lhs remain."""
+    n = MAX_DIM
+    text = canonical_json({"format_version": 1, "name": "empty",
+                           "even_dim": n, "odd_dim": 0, "constants": [],
+                           "gram": []})
+    tracemalloc.start()
+    try:
+        q, _op, _gde = parse_document(text)
+        report = check_form(q.algebra, q.form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.nondegenerate.witnesses) == n
+    assert len({id(w.rhs) for w in report.nondegenerate.witnesses}) == 1
+    assert peak < 12 * 2 ** 20
