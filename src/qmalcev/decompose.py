@@ -14,18 +14,19 @@ import functools
 from dataclasses import dataclass
 
 from . import linalg
+# change_basis is unused here; it stays a name of this module so that a
+# patch of it can show that rebuild rewrites no basis
 from .core import (EVEN, ODD, CheckReport, Element, GradedSubspace,
                    SuperAlgebra, SuperSpace, Witness, _enveloping_basis,
-                   _multiplication_generators, _pulled_back, _report, _scaled,
-                   _to_element, center, change_basis, check_jacobi, ksign,
-                   simplicity)
+                   _mul_bv, _multiplication_generators, _pulled_back,
+                   _report, _scaled, _to_element, center, change_basis,
+                   check_jacobi, ksign, simplicity)
 from .errors import AxiomError, GradingError, InputError, PreconditionError
 from .linalg import ONE, ZERO
 from .operators import OperatorMap, _int_map, check_malcev_operator
-from .quadratic import (BilinearForm, QuadraticAlgebra,
-                        _certified_irreducible, _cut, _find_splitting_ideal,
-                        _form_pairing, _require_validated,
-                        b_irreducible_components,
+from .quadratic import (QuadraticAlgebra, _certified_irreducible, _cut,
+                        _find_splitting_ideal, _form_pairing,
+                        _require_validated, b_irreducible_components,
                         change_basis_quadratic, direct_sum_quadratic,
                         orthogonal_complement)
 from .extensions import (ExtensionWitness, GdeData,
@@ -263,12 +264,11 @@ def classify_U(q: QuadraticAlgebra) -> ULabel:
 
 @dataclass(frozen=True)
 class ReductiveReport:
-    reductive: object  # True / False / None
+    reductive: bool
     center_dim: int
     square_dim: int
     decomposes: bool
     certificate: str
-    notes: tuple = ()
 
 
 def even_part(a: SuperAlgebra) -> SuperAlgebra:
@@ -292,81 +292,67 @@ def _trace_form(mats, n):
     return out
 
 
-def _trace_form_matrix(a: SuperAlgebra):
-    """The trace form of the right multiplications R_0..R_{n-1}."""
-    return _trace_form(_multiplication_generators(a)[a.dim:], a.dim)
+def _radical_image(gens, n) -> linalg.Span:
+    """J V, the span of the columns of J's elements, for J the radical of
+    the unital algebra A that the sparse n x n matrices gens
+    {n*row + column: value} generate, acting on V = F^n.
 
-
-def _act(m, v, n):
-    """The sparse n x n matrix m applied to the vector v."""
-    out = [ZERO] * n
-    for pos, x in m.items():
-        k, col = divmod(pos, n)
-        out[k] += x * v[col]
-    return out
+    In characteristic 0 the radical of a matrix algebra is the kernel of
+    its trace form tr(xy) (Jacobson, Lie Algebras, 1962), so J is one
+    kernel on the `_enveloping_basis` closure.  The faithful A-module V is
+    completely reducible exactly when A is semisimple, that is when
+    J V = 0.  Otherwise J V is invariant, nonzero and, J being nilpotent,
+    proper, with no invariant complement: for one, C, J C would lie in C
+    and in J V, so J C = 0 and J V = J^2 V = ... = 0.
+    """
+    basis = _enveloping_basis(gens, n)
+    image = linalg.Span(n)
+    for x in linalg.sparse_kernel(_trace_form(basis, n), len(basis)):
+        columns = {}  # column -> {row: value} of the element sum x_i basis_i
+        for i, c in x.items():
+            for pos, y in basis[i].items():
+                row, col = divmod(pos, n)
+                column = columns.setdefault(col, {})
+                column[row] = column.get(row, ZERO) + c * y
+        for column in columns.values():
+            image.add(column)
+    return image
 
 
 def reductive_report(even: SuperAlgebra) -> ReductiveReport:
-    """Is the (purely even) algebra center + semisimple square?
+    """Is the (purely even) algebra g center + semisimple square?
 
-    Semisimplicity of the square is certified by a non-degenerate trace
-    form together with simplicity of its trace-orthogonal ideal components.
+    An abelian g is, and a g that is not the direct sum of its center and
+    its square is not.  Past these two exits, g is reductive exactly when
+    its unital multiplication algebra M(g), generated by all L_i and R_i,
+    is semisimple, which `_radical_image` decides.  The ideals of g are its
+    M(g)-submodules.  A reductive g is the center, a sum of trivial lines,
+    plus simple ideals, each an irreducible submodule; so g is a faithful
+    completely reducible M(g)-module and M(g) is semisimple.  Conversely,
+    a semisimple M(g) splits g into minimal ideals that multiply each other
+    to zero: the abelian ones are central lines and the others are simple.
     """
     if even.space.odd_dim != 0:
         raise InputError("reductive test applies to the even part")
     n = even.dim
+    if even.is_abelian():
+        return ReductiveReport(True, n, 0, True, certificate="abelian")
     z = center(even)
     square = GradedSubspace.from_vectors(
-        even.space,
-        [_to_element(n, even.basis_product(i, j)).coords
-         for (i, j) in sorted({(i, j) for (i, j, _k) in even.constants})])
+        even.space, [_to_element(n, vec).coords
+                     for vec in even.pair_table().values()])
     zdim, sdim = z.dim, square.dim
-    span = linalg.Span(n)
-    for col in z.columns:
-        span.add(list(col))
-    for col in square.columns:
-        span.add(list(col))
-    decomposes = (zdim + sdim == n) and (span.dim == n)
-    if sdim == 0:
-        ok = decomposes
-        return ReductiveReport(ok, zdim, 0, decomposes,
-                               certificate="abelian" if ok else
-                               "center does not exhaust the algebra")
-    if not decomposes:
+    if zdim + sdim != n or linalg.rank(z.columns + square.columns) != n:
         return ReductiveReport(False, zdim, sdim, False,
                                certificate="center + square is not a direct "
                                            "sum decomposition")
-    # the square as a standalone algebra
-    try:
-        sq = change_basis(even, square.columns, name="%s_sub" % even.name)
-    except PreconditionError:
-        return ReductiveReport(False, zdim, sdim, decomposes,
-                               certificate="square is not multiplication "
-                                           "closed")
-    tf = BilinearForm(_trace_form_matrix(sq))
-    if not tf.is_nondegenerate():
-        return ReductiveReport(False, zdim, sdim, decomposes,
-                               certificate="trace form of the square is "
-                                           "degenerate")
-    # split the square along the trace form and certify each piece simple
-    sq_quad = QuadraticAlgebra.validate(sq, tf)
-    comps = b_irreducible_components(sq_quad)
-    labels = []
-    for comp in comps.components:
-        rep = simplicity(comp.algebra)
-        if rep.simple is None:
-            return ReductiveReport(None, zdim, sdim, decomposes,
-                                   certificate="component simplicity "
-                                               "inconclusive",
-                                   notes=(rep.note,))
-        if not rep.simple:
-            return ReductiveReport(False, zdim, sdim, decomposes,
-                                   certificate="square has a non-simple "
-                                               "trace-component")
-        labels.append("simple")
-    return ReductiveReport(True, zdim, sdim, decomposes,
-                           certificate="nondegenerate trace form; %d simple "
-                                       "component(s)" % len(labels))
+    if _radical_image(_multiplication_generators(even), n).dim:
+        return ReductiveReport(False, zdim, sdim, True,
+                               certificate="multiplication algebra has a "
+                                           "nonzero radical")
+    return ReductiveReport(True, zdim, sdim, True,
+                           certificate="semisimple multiplication algebra "
+                                       "(trace form non-degenerate)")
 
 
 def check_reductive_even(q: QuadraticAlgebra) -> ReductiveReport:
@@ -376,12 +362,11 @@ def check_reductive_even(q: QuadraticAlgebra) -> ReductiveReport:
 
 @dataclass(frozen=True)
 class ReducibilityReport:
-    completely_reducible: object  # True / False / None
+    completely_reducible: bool
     certificate: str
     witness_subspace: object = None   # GradedSubspace of the odd part
     obstruction_triple: object = None  # (action into Y, action kills Y,
                                        #  action nonzero) booleans
-    notes: tuple = ()
 
 
 def _odd_action_matrices(a: SuperAlgebra):
@@ -399,11 +384,12 @@ def check_completely_reducible_action(
         q: QuadraticAlgebra) -> ReducibilityReport:
     """Exact test that the even part acts completely reducibly on the odds.
 
-    Certificate: the action is completely reducible iff the unital
-    enveloping algebra of the action matrices is semisimple iff its trace
-    form is non-degenerate (characteristic zero).  On failure the report
-    carries an invariant subspace without an invariant complement, found by
-    the exact linear complement solve.
+    The action is completely reducible exactly when the radical J of the
+    unital enveloping algebra of the action matrices is zero, that is when
+    its trace form is non-degenerate (characteristic zero; see
+    `_radical_image`).  Otherwise the report carries Y = J V, the span of
+    the columns of J's elements: a nonzero proper invariant subspace of
+    the odd part with no invariant complement.
     """
     _require_validated(q)
     a = q.algebra
@@ -413,113 +399,30 @@ def check_completely_reducible_action(
     mats = _odd_action_matrices(a)
     if not any(mats):
         return ReducibilityReport(True, certificate="trivial action")
-    if BilinearForm(_trace_form(_enveloping_basis(mats, qd),
-                                qd)).is_nondegenerate():
+    y = _radical_image(mats, qd)
+    if not y.dim:
         return ReducibilityReport(True,
                                   certificate="semisimple enveloping algebra "
                                               "(trace form non-degenerate)")
-    # obstruction witness: image of the action plus the odd center
-    image_vectors = [_to_element(a.dim, vec).coords
-                     for (i, j), vec in sorted(a.pair_table().items())
-                     if i < p <= j]
-    zc = center(a)
-    odd_center = [list(c) for c in zc.odd_columns()]
-    y = GradedSubspace.from_vectors(a.space, image_vectors + odd_center)
-    if 0 < y.dim < qd and _lacks_invariant_complement(a, mats, y):
-        return ReducibilityReport(False,
-                                  certificate="enveloping trace form "
-                                              "degenerate; witness has no "
-                                              "invariant complement",
-                                  witness_subspace=y,
-                                  obstruction_triple=_obstruction_triple(
-                                      a, mats, y))
-    return ReducibilityReport(False,
-                              certificate="enveloping trace form degenerate",
-                              notes=("no explicit witness located by the "
-                                     "candidate set",))
+    return ReducibilityReport(
+        False,
+        certificate="enveloping trace form degenerate; the witness J V has "
+                    "no invariant complement",
+        witness_subspace=GradedSubspace.from_vectors(
+            a.space, [[ZERO] * p + v for v in y.vectors()]),
+        obstruction_triple=_obstruction_triple(a, y))
 
 
-def _odd_block(a, col):
+def _obstruction_triple(a: SuperAlgebra, y: linalg.Span):
+    """(the even part maps the odds into y, it kills y, it acts nonzero)
+    for a span y of odd coordinates."""
     p = a.space.even_dim
-    return list(col)[p:]
-
-
-def _lacks_invariant_complement(a, mats, y: GradedSubspace) -> bool:
-    """Exact solve for an invariant complement of the invariant odd space y;
-    True when the linear system has no solution."""
-    p, qd = a.space.even_dim, a.space.odd_dim
-    ycols = [_odd_block(a, c) for c in y.columns]
-    yspan = linalg.Span(qd)
-    for c in ycols:
-        yspan.add(c)
-    for m in mats:
-        for c in ycols:
-            if not yspan.contains(_act(m, c, qd)):
-                return False  # y itself is not invariant: not a witness
-    # complement coordinates: pick free positions not pivotal in y
-    pivots = yspan.pivot_columns()
-    free = [i for i in range(qd) if i not in pivots]
-    if not free:
-        return False
-    ky, kc = len(pivots), len(free)
-    ybasis = yspan.vectors()
-
-    def project(vec):
-        """Split vec into (coords on complement positions, y-coordinates);
-        the y-coordinates are vec's entries at the pivots of yspan."""
-        rest = yspan.reduce(vec)
-        return [rest.get(f, ZERO) for f in free], [vec[pv] for pv in pivots]
-
-    # unknown phi: kc columns -> y coordinates (ky x kc); invariance of the
-    # graph {c + phi(c)} gives, per action matrix and free position:
-    #   p_Y(m e_f) + m(phi(e_f)) = phi(p_C(m e_f))      ... linear in phi
-    rows = []
-    rhs = []
-    nvar = ky * kc
-    for m in mats:
-        for fi, f in enumerate(free):
-            base = [ZERO] * qd
-            base[f] = ONE
-            img = _act(m, base, qd)
-            ccoords, ycoords = project(img)
-            # for each y-coordinate r: sum_s m_y[r][s] phi[s][fi] (from
-            # m(phi(e_f))) + ycoords[r] - sum_j ccoords[j] phi[r][j] = 0
-            # where m_y[r][s] = y-coordinates of m applied to y-basis s
-            my = []
-            for s in range(ky):
-                imgy = _act(m, ybasis[s], qd)
-                _, ycf = project(imgy)
-                my.append(ycf)
-            for r in range(ky):
-                row = [ZERO] * nvar
-                for s in range(ky):
-                    row[s * kc + fi] += my[s][r]
-                for j in range(kc):
-                    row[r * kc + j] -= ccoords[j]
-                rows.append(row)
-                rhs.append(-ycoords[r])
-    sol = linalg.solve(rows, rhs) if rows else []
-    return sol is None
-
-
-def _obstruction_triple(a, mats, y: GradedSubspace):
-    p, qd = a.space.even_dim, a.space.odd_dim
-    ycols = [_odd_block(a, c) for c in y.columns]
-    yspan = linalg.Span(qd)
-    for c in ycols:
-        yspan.add(c)
-    action_into = True
-    action_nonzero = False
-    for m in mats:
-        for j in range(qd):
-            img = _act(m, linalg.basis_vector(qd, j), qd)
-            if not linalg.is_zero_vec(img):
-                action_nonzero = True
-            if not yspan.contains(img):
-                action_into = False
-    kills = all(linalg.is_zero_vec(_act(m, c, qd))
-                for m in mats for c in ycols)
-    return (action_into, kills, action_nonzero)
+    images = [vec for (i, j), vec in a.pair_table().items() if i < p <= j]
+    ys = [{p + j: x for j, x in enumerate(v) if x} for v in y.vectors()]
+    return (all(y.contains({k - p: x for k, x in vec.items()})
+                for vec in images),
+            not any(_mul_bv(a, i, v) for i in range(p) for v in ys),
+            bool(images))
 
 
 # ---------------------------------------------------------------------------

@@ -182,13 +182,12 @@ class Cocycle:
     """Scalar-valued bilinear map omega(b_i, b_j) with a declared parity.
 
     The same representation carries cocycles valued in a one-dimensional
-    central line: the target label is metadata, the matrix is identical.
+    central line.
     """
 
-    def __init__(self, values, parity: int, target: str = "scalar"):
+    def __init__(self, values, parity: int):
         self.values = tuple(tuple(frac(x) for x in row) for row in values)
         self.parity = parity
-        self.target = target
         n = len(self.values)
         for row in self.values:
             if len(row) != n:
@@ -247,10 +246,14 @@ def check_cocycle(a: SuperAlgebra, w: Cocycle) -> CheckReport:
     (-1)^{yz} w(XZ, YT) = w((XY)Z, T) + (-1)^{x(y+z+t)} w((YZ)T, X)
                         + (-1)^{(x+y)(z+t)} w((ZT)X, Y)
                         + (-1)^{t(x+y+z)} w((TX)Y, Z)
+
+    A nonzero w(b_i, b_j) with |i| + |j| other than w's parity raises
+    GradingError before the scan.
     """
     n = a.dim
     if w.dim != n:
         raise InputError("cocycle dimension does not match algebra")
+    w.validate_parity(a.space)
     kern = _scan_kernel(a)
     par, pairs = kern.par, kern.pairs
     # wmap(vec) is {d: w(vec, b_d)}, scaled by W

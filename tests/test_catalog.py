@@ -44,10 +44,12 @@ def test_m7_properties():
 
 
 def test_m7_trace_form_is_scaled_gram():
-    from qmalcev.decompose import _trace_form_matrix
+    from qmalcev.core import _multiplication_generators
+    from qmalcev.decompose import _trace_form
 
     q = catalog_get("m7").algebra
-    tf = _trace_form_matrix(q.algebra)
+    a = q.algebra
+    tf = _trace_form(_multiplication_generators(a)[a.dim:], a.dim)
     for i in range(7):
         for j in range(7):
             assert tf[i][j] == M7_TRACE_SCALE * q.form.gram[i][j]

@@ -105,6 +105,14 @@ def test_cocycle_identity_violation_detected(m7):
     assert not rep.passed
 
 
+def test_cocycle_of_the_wrong_parity_is_refused(osp12):
+    # b_0 is even and b_3 odd, so an even cocycle cannot pair them
+    vals = [[0] * 5 for _ in range(5)]
+    vals[0][3], vals[3][0] = 1, -1
+    with pytest.raises(GradingError, match="violates parity"):
+        check_cocycle(osp12.algebra, Cocycle(vals, EVEN))
+
+
 def test_round_trip_exact():
     q = abelian12()
     d = d_abelian12()
