@@ -14,13 +14,11 @@ import functools
 from dataclasses import dataclass
 
 from . import linalg
-# change_basis is unused here; it stays a name of this module so that a
-# patch of it can show that rebuild rewrites no basis
 from .core import (EVEN, ODD, CheckReport, Element, GradedSubspace,
                    SuperAlgebra, SuperSpace, Witness, _enveloping_basis,
                    _mul_bv, _multiplication_generators, _pulled_back,
-                   _report, _scaled, _to_element, center, change_basis,
-                   check_jacobi, ksign, simplicity)
+                   _report, _scaled, _to_element, center, check_jacobi,
+                   ksign, simplicity)
 from .errors import AxiomError, GradingError, InputError, PreconditionError
 from .linalg import ONE, ZERO
 from .operators import OperatorMap, _int_map, check_malcev_operator

@@ -45,6 +45,7 @@ class BilinearForm:
                 self.rows.setdefault(i, {})[j] = x
                 self.cols.setdefault(j, {})[i] = x
         self._kernel = None  # _kernel_basis, on first use
+        self._restrictions = {}  # _restricted_to, by the columns
         return self
 
     @classmethod
@@ -80,6 +81,16 @@ class BilinearForm:
         return BilinearForm.from_entries(
             len(vecs), {key: Fraction(vec[0], gscale * cscale ** 2)
                         for key, vec in _pulled_back(table, vecs).items()})
+
+    def _restricted_to(self, sub: GradedSubspace):
+        """_restricted to the columns of a graded subspace, memoized on
+        this form by them: a split along an ideal that the search has just
+        found nondegenerate reuses that form and its cached kernel."""
+        form = self._restrictions.get(sub.columns)
+        if form is None:
+            form = self._restrictions[sub.columns] = self._restricted(
+                sub.columns)
+        return form
 
     def _kernel_basis(self):
         """A basis of the kernel {v : G v = 0} as sparse vectors, cached;
@@ -327,7 +338,7 @@ def orthogonal_split(q: QuadraticAlgebra, ideal: GradedSubspace):
         raise PreconditionError("split requires a proper nonzero ideal")
     if ideal_closure(q.algebra, ideal).dim != ideal.dim:
         raise PreconditionError("subspace is not an ideal")
-    if not q.form._restricted(ideal.columns).is_nondegenerate():
+    if not q.form._restricted_to(ideal).is_nondegenerate():
         raise PreconditionError("form restriction to the ideal is degenerate")
     comp = orthogonal_complement(q.form, ideal)
     ae, ao = ideal.even_columns(), ideal.odd_columns()
@@ -443,18 +454,60 @@ def _trace_rank(maps, stop=None):
     return span.dim
 
 
+def _solvable(a: SuperAlgebra) -> bool:
+    """Whether the derived series A, A^2, (A^2)^2, ... reaches 0.
+
+    Each term is spanned by the products of the previous term's basis
+    vectors, their pair table pulled back along them (core._pulled_back),
+    and is reduced over Q by linalg.Span.  Every term lies in the one
+    before, so the dimension falls until it reaches 0 or a term equals the
+    one before it, a nonzero term that is its own square; there the series
+    stops and A is not solvable.
+    """
+    pairs = a.pair_table()
+    term = {i: {i: ONE} for i in range(a.dim)}
+    while term:
+        span = linalg.Span(a.dim)
+        for vec in _pulled_back(pairs, term).values():
+            span.add(vec)
+        if span.dim == len(term):
+            return False
+        term = dict(enumerate(map(linalg.sparse, span.vectors())))
+    return True
+
+
+def _structurally_irreducible(q: QuadraticAlgebra) -> bool:
+    """The certificates of _certified_irreducible that need neither a
+    candidate closure nor Gamma_s: dimension at most 1, simple, or
+    solvable with a one-dimensional center."""
+    a = q.algebra
+    return (q.dim <= 1 or simplicity(a).simple is True
+            or (len(center(a).columns) == 1 and _solvable(a)))
+
+
 def _certified_irreducible(q: QuadraticAlgebra) -> bool:
     """Provably no splitting ideal exists (not merely none found).
 
-    An orthogonal split q = I + J along graded ideals gives the projections
-    p_I and p_J in Gamma_s, with tr(p_I p_J) = 0 and tr(p_I p_I) = dim I
-    > 0, so the trace form on Gamma_s has rank at least the number of
-    components; rank 1 proves that q is B-irreducible.  The rank is only
-    taken up to 2.  A simple algebra, and one of dimension at most 1, has
-    no proper ideal at all.  Cached on q, since the form is part of Gamma_s.
+    Three certificates; the first two close no candidate and solve no
+    Gamma_s (_structurally_irreducible):
+    - an algebra of dimension at most 1, or a simple one, has no proper
+      ideal at all;
+    - q is solvable and dim Z(q) = 1.  On a quadratic algebra Z = (A^2)^perp
+      (Medina-Revoy, Ann. Sci. ENS 18 (1985); Albuquerque-Benayadi, J. Pure
+      Appl. Algebra 187 (2004)): z is central iff B(zx, y) = B(z, xy) = 0
+      for all x, y.  A nonzero solvable algebra has A^2 != A, so a nonzero
+      center.  Suppose q = I + J along nonzero orthogonal graded ideals.
+      Each is quadratic, and solvable, since its derived series lies in
+      q's.  So each has a nonzero center, and IJ = 0 puts Z(I) + Z(J) in
+      Z(q), which gives dim Z(q) >= 2;
+    - the trace form on Gamma_s has rank 1.  An orthogonal split q = I + J
+      gives the projections p_I and p_J in Gamma_s, with tr(p_I p_J) = 0
+      and tr(p_I p_I) = dim I > 0, so the rank is at least the number of
+      components.  The rank is only taken up to 2.
+    Cached on q, since the form is part of Gamma_s.
     """
     if q._certified is None:
-        q._certified = (q.dim <= 1 or simplicity(q.algebra).simple is True
+        q._certified = (_structurally_irreducible(q)
                         or _trace_rank(_symmetric_centroid(q), stop=2) == 1)
     return q._certified
 
@@ -462,14 +515,17 @@ def _certified_irreducible(q: QuadraticAlgebra) -> bool:
 def _find_splitting_ideal(q: QuadraticAlgebra):
     """A proper graded ideal with non-degenerate restriction, or None.
 
-    The first candidate closure (center columns, basis vectors, same-parity
-    sums and pairs, seeded pseudo-random vectors, the seeds that
-    simplicity's search closes too) with a non-degenerate restriction is
-    returned.  A simple q closes none.  The center columns and the basis
-    vectors come first, since in a sum they mostly close to a summand;
-    then _certified_irreducible is consulted: when it holds, None is proved
-    and no further candidate is closed; otherwise None means only that none
-    was found.  The answer is cached on q.
+    When a structural certificate of _certified_irreducible holds (dim at
+    most 1, simple, or solvable with a one-dimensional center), None is
+    proved before any candidate is closed, and q is marked certified.
+    Otherwise the first candidate closure (center columns, basis vectors,
+    same-parity sums and pairs, seeded pseudo-random vectors, the seeds
+    that simplicity's search closes too) with a non-degenerate restriction
+    is returned.  The center columns and the basis vectors come first,
+    since in a sum they mostly close to a summand; then
+    _certified_irreducible is consulted: when Gamma_s proves None, no
+    further candidate is closed; otherwise None means only that none was
+    found.  The answer is cached on q.
     """
     if q._split is None:
         q._split = (_search_splitting_ideal(q),)
@@ -477,10 +533,11 @@ def _find_splitting_ideal(q: QuadraticAlgebra):
 
 
 def _search_splitting_ideal(q: QuadraticAlgebra):
+    if _structurally_irreducible(q):
+        q._certified = True
+        return None
     a = q.algebra
     n = a.dim
-    if simplicity(a).simple is True:
-        return None
     # the first candidates are the center columns, then the basis vectors
     single = len(center(a).columns) + n
     seen = set()
@@ -497,7 +554,7 @@ def _search_splitting_ideal(q: QuadraticAlgebra):
         if key in seen:
             continue
         seen.add(key)
-        if q.form._restricted(ideal.columns).is_nondegenerate():
+        if q.form._restricted_to(ideal).is_nondegenerate():
             return ideal
     return None
 
@@ -507,9 +564,11 @@ def b_irreducible_components(q: QuadraticAlgebra) -> ComponentsReport:
 
     Each part is split along _find_splitting_ideal's ideal until none is
     found.  The exhaustive flag is True only when every component is
-    provably irreducible: of dimension at most 1, simple, or with a trace
-    form of rank 1 on its symmetric centroid (a split into k components
-    would give that form rank at least k).
+    provably irreducible (_certified_irreducible): of dimension at most 1,
+    simple, solvable with a one-dimensional center (a split into k nonzero
+    solvable components would give a center of dimension at least k), or
+    with a trace form of rank 1 on its symmetric centroid (a split into k
+    components would give that form rank at least k).
     """
     _require_validated(q)
     components = []

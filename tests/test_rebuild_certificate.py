@@ -22,7 +22,7 @@ from qmalcev import (QuadraticAlgebra, catalog_get, change_basis_quadratic,
                      direct_sum_quadratic, double_extension_even,
                      emit_document, emit_tree, generalized_double_extension,
                      inductive_decompose, linalg, rebuild)
-from qmalcev import decompose
+from qmalcev import decompose, quadratic
 from qmalcev.decompose import (DecompositionTree, SumNode, _carries,
                                _check_shape_tag)
 from qmalcev.document import canonical_json, parse_document, parse_tree
@@ -82,7 +82,7 @@ def test_rebuild_inverts_nothing(monkeypatch):
 
     monkeypatch.setattr(linalg, "inverse", refuse)
     monkeypatch.setattr(decompose, "change_basis_quadratic", refuse)
-    monkeypatch.setattr(decompose, "change_basis", refuse)
+    monkeypatch.setattr(quadratic, "change_basis", refuse)
     for q, text in zip(qs, trees):
         out = rebuild(parse_tree(text))
         assert out.validated and out == q and out.name == q.name
