@@ -908,6 +908,15 @@ def _ideal_candidates(a: SuperAlgebra):
         yield [v]
 
 
+def _proper_ideals(a: SuperAlgebra, seeds):
+    """The closures of the seeds' nonzero graded spans, if proper ideals."""
+    for seed in seeds:
+        sub = GradedSubspace.from_vectors(a.space, seed)
+        ideal = ideal_closure(a, sub) if sub.dim else sub
+        if 0 < ideal.dim < a.dim:
+            yield ideal
+
+
 def _enveloping_basis(gens, n, p=0):
     """Basis of the unital associative algebra generated by the given sparse
     n x n matrices {n*row + column: value}, over Q or modulo the prime p.
@@ -983,12 +992,9 @@ def simplicity(a: SuperAlgebra) -> SimplicityReport:
     any algebra the skip changes no answer, only the work: a full M(A)
     leaves no proper ideal for the candidates to find, and the closure over
     Q then certifies it.)  A rank deficit mod p proves nothing over Q; then
-    candidate seeds are closed
-    (center columns, basis vectors, same-parity pairwise sums and pairs,
-    seeded pseudo-random homogeneous vectors), and
-    False comes with the first proper ideal found.  If none is found, M(A)
-    is closed over Q, which may still certify True.  Results are cached on
-    the (immutable) algebra.
+    False comes with the first of `_proper_ideals` of the
+    `_ideal_candidates`.  If there is none, M(A) is closed over Q, which
+    may still certify True.  Results are cached on the immutable algebra.
     """
     if a._simplicity is not None:
         return a._simplicity
@@ -1004,14 +1010,8 @@ def _simplicity_uncached(a: SuperAlgebra) -> SimplicityReport:
         return SimplicityReport(False, note="abelian")
     if not center(a).columns and _full_multiplication_algebra_mod_p(a):
         return SimplicityReport(True, note="multiplication algebra is full")
-    for seed in _ideal_candidates(a):
-        sub = GradedSubspace.from_vectors(a.space, seed)
-        if sub.dim == 0:
-            continue
-        ideal = ideal_closure(a, sub)
-        if 0 < ideal.dim < n:
-            return SimplicityReport(False, ideal=ideal,
-                                    note="proper ideal found")
+    for ideal in _proper_ideals(a, _ideal_candidates(a)):
+        return SimplicityReport(False, ideal=ideal, note="proper ideal found")
     if _multiplication_algebra_dim(a) == n * n:
         return SimplicityReport(True, note="multiplication algebra is full")
     return SimplicityReport(None, note="candidate search exhausted without "

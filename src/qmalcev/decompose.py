@@ -22,9 +22,8 @@ from .core import (EVEN, ODD, CheckReport, Element, GradedSubspace,
 from .errors import AxiomError, GradingError, InputError, PreconditionError
 from .linalg import ONE, ZERO
 from .operators import OperatorMap, _int_map, check_malcev_operator
-from .quadratic import (QuadraticAlgebra, _certified_irreducible, _cut,
-                        _find_splitting_ideal, _form_pairing,
-                        _require_validated, b_irreducible_components,
+from .quadratic import (QuadraticAlgebra, _cut, _form_pairing,
+                        _require_validated, _split, b_irreducible_components,
                         change_basis_quadratic, direct_sum_quadratic,
                         orthogonal_complement)
 from .extensions import (ExtensionWitness, GdeData,
@@ -46,7 +45,6 @@ class OddReduction:
     # True: proved B-irreducible; False: a splitting ideal was found;
     # None: none was found, but there is no proof that none exists
     irreducible_certified: object = None
-    notes: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,6 @@ class EvenReduction:
     witness: ExtensionWitness
     basis: tuple
     phi_check: CheckReport
-    notes: tuple = ()
 
 
 def _first_center_column(q: QuadraticAlgebra, parity):
@@ -165,13 +162,9 @@ def reduce_odd(q: QuadraticAlgebra) -> OddReduction:
     estar = _first_center_column(q, ODD)
     if estar is None:
         raise PreconditionError("no nonzero central odd vector")
-    notes = []
-    if _find_splitting_ideal(q) is not None:
-        certified = False
-        notes.append("input is not irreducible (a splitting ideal exists); "
-                     "reduction proceeds and is recorded as such")
-    else:
-        certified = True if _certified_irreducible(q) else None
+    # a reducible input is still reduced, and recorded as such
+    ideal, proved = _split(q)
+    certified = True if proved else (None if ideal is None else False)
     e = _solve_dual_vector(q, estar, ODD)
     r = _peel(q, e, estar, ODD)
     # psi(X) = (-1)^x B(X, a0)
@@ -189,8 +182,7 @@ def reduce_odd(q: QuadraticAlgebra) -> OddReduction:
                         witness=r.witness, basis=r.basis,
                         phi_check=r.phi_check,
                         psi_check=_report(psi_wit),
-                        irreducible_certified=certified,
-                        notes=tuple(notes))
+                        irreducible_certified=certified)
 
 
 def reduce_even(q: QuadraticAlgebra) -> EvenReduction:
@@ -201,7 +193,7 @@ def reduce_even(q: QuadraticAlgebra) -> EvenReduction:
     estar = _first_center_column(q, EVEN)
     if estar is None:
         raise PreconditionError("no nonzero central even vector")
-    if _find_splitting_ideal(q) is not None:
+    if _split(q)[0] is not None:
         raise PreconditionError("input splits along a non-degenerate ideal; "
                                 "split first")
     if q.form.restrict([estar])[0][0] != 0:  # B(e*, e*)
@@ -451,7 +443,6 @@ class OddExtensionNode:
     gde: GdeData
     basis: tuple
     witness: ExtensionWitness = None
-    irreducible_certified: object = None
 
 
 @dataclass(frozen=True)
@@ -503,8 +494,7 @@ def _decompose_node(q: QuadraticAlgebra):
     if zc.odd_columns():
         red = reduce_odd(q)
         child = _decompose_node(red.n)
-        return OddExtensionNode(q, child, red.gde, red.basis, red.witness,
-                                red.irreducible_certified)
+        return OddExtensionNode(q, child, red.gde, red.basis, red.witness)
     if zc.even_columns():
         red = reduce_even(q)
         child = _decompose_node(red.n)

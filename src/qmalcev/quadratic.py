@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import linalg
 from .core import (_CERT_PRIME, EVEN, ODD, CheckReport, Element,
                    GradedSubspace, SuperAlgebra, SuperSpace, Witness,
-                   _ideal_candidates, _pulled_back, _report, _scaled,
-                   _scan_kernel, _to_element, center, check_malcev,
+                   _ideal_candidates, _proper_ideals, _pulled_back, _report,
+                   _scaled, _scan_kernel, _to_element, center, check_malcev,
                    check_super_anticommutativity, ideal_closure, direct_sum,
                    direct_sum_embeddings, simplicity, change_basis)
 from .errors import AxiomError, InputError, PreconditionError
@@ -228,8 +229,7 @@ class QuadraticAlgebra:
         self.algebra = algebra
         self.form = form
         self.validated = validated
-        self._certified = None  # _certified_irreducible, on first use
-        self._split = None  # (_find_splitting_ideal's answer,) once known
+        self._verdict = None  # _split, on first use
 
     @classmethod
     def validate(cls, algebra: SuperAlgebra, form: BilinearForm):
@@ -374,7 +374,6 @@ class ComponentsReport:
     components: tuple  # QuadraticAlgebra per component
     bases: tuple  # adapted basis columns of each component, original coords
     exhaustive: bool
-    notes: tuple = ()
 
     def __len__(self):
         return len(self.components)
@@ -398,7 +397,7 @@ def _symmetric_centroid(q: QuadraticAlgebra):
     condition.  On a super-anticommutative algebra T(xy) = T(x)y over all
     ordered pairs gives T(xy) = xT(y), so those rows are not written; on
     any algebra, fewer rows only enlarge the solved space, which keeps the
-    rank bound of _certified_irreducible.  The kernel is solved exactly
+    rank bound that _split reads.  The kernel is solved exactly
     over Q by `linalg.sparse_kernel`.
     """
     _require_validated(q)
@@ -476,116 +475,89 @@ def _solvable(a: SuperAlgebra) -> bool:
     return True
 
 
-def _structurally_irreducible(q: QuadraticAlgebra) -> bool:
-    """The certificates of _certified_irreducible that need neither a
-    candidate closure nor Gamma_s: dimension at most 1, simple, or
-    solvable with a one-dimensional center."""
-    a = q.algebra
-    return (q.dim <= 1 or simplicity(a).simple is True
-            or (len(center(a).columns) == 1 and _solvable(a)))
+def _split(q: QuadraticAlgebra):
+    """The split verdict (ideal, proved), cached on q: a proper graded
+    ideal with a nondegenerate restriction, or None; and whether None is
+    proved, not merely that no candidate closed to such an ideal.
 
-
-def _certified_irreducible(q: QuadraticAlgebra) -> bool:
-    """Provably no splitting ideal exists (not merely none found).
-
-    Three certificates; the first two close no candidate and solve no
-    Gamma_s (_structurally_irreducible):
-    - an algebra of dimension at most 1, or a simple one, has no proper
-      ideal at all;
-    - q is solvable and dim Z(q) = 1.  On a quadratic algebra Z = (A^2)^perp
-      (Medina-Revoy, Ann. Sci. ENS 18 (1985); Albuquerque-Benayadi, J. Pure
-      Appl. Algebra 187 (2004)): z is central iff B(zx, y) = B(z, xy) = 0
-      for all x, y.  A nonzero solvable algebra has A^2 != A, so a nonzero
-      center.  Suppose q = I + J along nonzero orthogonal graded ideals.
-      Each is quadratic, and solvable, since its derived series lies in
-      q's.  So each has a nonzero center, and IJ = 0 puts Z(I) + Z(J) in
-      Z(q), which gives dim Z(q) >= 2;
-    - the trace form on Gamma_s has rank 1.  An orthogonal split q = I + J
-      gives the projections p_I and p_J in Gamma_s, with tr(p_I p_J) = 0
-      and tr(p_I p_I) = dim I > 0, so the rank is at least the number of
-      components.  The rank is only taken up to 2.
-    Cached on q, since the form is part of Gamma_s.
+    The verdict is reached in this order:
+    1. Structural certificates, which close no candidate and solve no
+       Gamma_s; each proves None.
+       - Dimension at most 1, or `simplicity` True: no proper ideal.
+       - Shape (0|2): odd times odd is even, so q is abelian, and each of
+         its lines is isotropic under the skew form.
+       - Solvable with dim Z = 1.  On a quadratic algebra Z = (A^2)^perp
+         (Medina-Revoy, Ann. Sci. ENS 18 (1985); Albuquerque-Benayadi,
+         J. Pure Appl. Algebra 187 (2004)): z is central iff
+         B(zx, y) = B(z, xy) = 0 for all x, y.  A nonzero solvable algebra
+         has A^2 != A, so a nonzero center.  A split q = I + J along
+         nonzero orthogonal graded ideals gives two quadratic solvable
+         algebras with nonzero centers, and IJ = 0 puts Z(I) + Z(J) in
+         Z(q), so dim Z(q) >= 2.
+    2. The center columns, then the basis vectors: the first
+       `_ideal_candidates`, which in a sum mostly close to a summand.
+    3. The trace form on the symmetric centroid Gamma_s (Bajo-Benayadi,
+       J. Pure Appl. Algebra 209 (2007)) of rank 1 proves None.  A split
+       q = I + J puts the projections p_I, p_J in Gamma_s, with
+       tr(p_I p_J) = 0 and tr(p_I p_I) = dim I > 0, so the rank is at
+       least the number of components; it is only taken up to 2.  Gamma_s
+       is solved only when Z lies in A^2 = Z^perp, that is when B vanishes
+       on Z.  Otherwise a graded complement W in Z of the radical of B on
+       Z, which is Z intersected with A^2, is a nondegenerate central
+       ideal, and q = W + W^perp is proper unless q = W is abelian.  An
+       abelian q of a shape other than (0|0), (1|0) and (0|2) has another
+       graded subspace with a nondegenerate restriction, an ideal: its
+       even part, an anisotropic even line, or an odd plane.  So the rank
+       is at least 2.
+    4. The rest of the same candidates: same-parity sums and pairs, then
+       seeded pseudo-random homogeneous vectors.
+    Each candidate is closed by `core._proper_ideals`, and the first
+    ideal with a nondegenerate restriction splits q; an ideal met twice is
+    a memo hit in `BilinearForm._restricted_to`.
     """
-    if q._certified is None:
-        q._certified = (_structurally_irreducible(q)
-                        or _trace_rank(_symmetric_centroid(q), stop=2) == 1)
-    return q._certified
+    if q._verdict is None:
+        a = q.algebra
 
+        def first(seeds):
+            return next((ideal for ideal in _proper_ideals(a, seeds)
+                         if q.form._restricted_to(ideal).is_nondegenerate()),
+                        None)
 
-def _find_splitting_ideal(q: QuadraticAlgebra):
-    """A proper graded ideal with non-degenerate restriction, or None.
-
-    When a structural certificate of _certified_irreducible holds (dim at
-    most 1, simple, or solvable with a one-dimensional center), None is
-    proved before any candidate is closed, and q is marked certified.
-    Otherwise the first candidate closure (center columns, basis vectors,
-    same-parity sums and pairs, seeded pseudo-random vectors, the seeds
-    that simplicity's search closes too) with a non-degenerate restriction
-    is returned.  The center columns and the basis vectors come first,
-    since in a sum they mostly close to a summand; then
-    _certified_irreducible is consulted: when Gamma_s proves None, no
-    further candidate is closed; otherwise None means only that none was
-    found.  The answer is cached on q.
-    """
-    if q._split is None:
-        q._split = (_search_splitting_ideal(q),)
-    return q._split[0]
-
-
-def _search_splitting_ideal(q: QuadraticAlgebra):
-    if _structurally_irreducible(q):
-        q._certified = True
-        return None
-    a = q.algebra
-    n = a.dim
-    # the first candidates are the center columns, then the basis vectors
-    single = len(center(a).columns) + n
-    seen = set()
-    for count, seed in enumerate(_ideal_candidates(a)):
-        if count == single and _certified_irreducible(q):
-            return None
-        sub = GradedSubspace.from_vectors(a.space, seed)
-        if sub.dim == 0:
-            continue
-        ideal = ideal_closure(a, sub)
-        if not 0 < ideal.dim < n:
-            continue
-        key = ideal.columns
-        if key in seen:
-            continue
-        seen.add(key)
-        if q.form._restricted_to(ideal).is_nondegenerate():
-            return ideal
-    return None
+        if (q.dim <= 1 or (q.dim == 2 and not q.space.even_dim)
+                or simplicity(a).simple is True
+                or (len(center(a).columns) == 1 and _solvable(a))):
+            q._verdict = (None, True)
+        else:
+            z = center(a).columns
+            seeds = _ideal_candidates(a)
+            ideal = first(islice(seeds, len(z) + q.dim))
+            proved = (ideal is None and not q.form._restricted(z).entries
+                      and _trace_rank(_symmetric_centroid(q), stop=2) == 1)
+            if ideal is None and not proved:
+                ideal = first(seeds)
+            q._verdict = (ideal, proved)
+    return q._verdict
 
 
 def b_irreducible_components(q: QuadraticAlgebra) -> ComponentsReport:
     """Orthogonal components along non-degenerate graded ideals.
 
-    Each part is split along _find_splitting_ideal's ideal until none is
-    found.  The exhaustive flag is True only when every component is
-    provably irreducible (_certified_irreducible): of dimension at most 1,
-    simple, solvable with a one-dimensional center (a split into k nonzero
-    solvable components would give a center of dimension at least k), or
-    with a trace form of rank 1 on its symmetric centroid (a split into k
-    components would give that form rank at least k).
+    Each part is split along the ideal of its `_split` verdict until there
+    is none.  The exhaustive flag is True only when the verdict of every
+    component proves it B-irreducible.
     """
     _require_validated(q)
     components = []
     bases = []
     exhaustive = True
-    notes = []
 
     def rec(part: QuadraticAlgebra, basis_cols):
         nonlocal exhaustive
-        ideal = _find_splitting_ideal(part)
+        ideal, proved = _split(part)
         if ideal is None:
             components.append(part)
             bases.append(tuple(tuple(c) for c in basis_cols))
-            if not _certified_irreducible(part):
-                exhaustive = False
-                notes.append("component %r: heuristic candidate search"
-                             % part.name)
+            exhaustive = exhaustive and proved
             return
         qa, qb, cols = orthogonal_split(part, ideal)
         lifted = [_combine(basis_cols, c) for c in cols]
@@ -611,5 +583,4 @@ def b_irreducible_components(q: QuadraticAlgebra) -> ComponentsReport:
     n = q.dim
     identity_cols = [linalg.basis_vector(n, i) for i in range(n)]
     rec(q, identity_cols)
-    return ComponentsReport(tuple(components), tuple(bases), exhaustive,
-                            tuple(notes))
+    return ComponentsReport(tuple(components), tuple(bases), exhaustive)

@@ -19,7 +19,7 @@ from qmalcev.core import EVEN, _mul_vv
 from qmalcev.document import parse_tree
 from qmalcev.errors import PreconditionError
 from qmalcev.linalg import ZERO, sparse
-from qmalcev.quadratic import _find_splitting_ideal
+from qmalcev.quadratic import _split
 
 from test_rebuild_certificate import (PIECES, _count_validate, _sum,
                                       _unitriangular, piece)
@@ -105,7 +105,7 @@ def _same(got, want):
 def check_splits(q):
     """Split q as b_irreducible_components does, comparing each split with
     the reference; the components."""
-    ideal = _find_splitting_ideal(q)
+    ideal, _proved = _split(q)
     if ideal is None:
         return [q]
     qa, qb, cols = orthogonal_split(q, ideal)

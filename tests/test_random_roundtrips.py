@@ -17,7 +17,7 @@ from qmalcev import (Element, EVEN, ODD, OperatorMap, catalog_get,
                      double_extension_even, generalized_double_extension,
                      reduce_odd, verified_gde_data)
 from qmalcev import linalg
-from qmalcev.quadratic import _find_splitting_ideal
+from qmalcev.quadratic import _split
 from qmalcev.decompose import reduce_even
 
 coeffs = st.lists(st.builds(Fraction,
@@ -110,7 +110,7 @@ def test_random_even_extension_validates_and_reduces(ws):
     ext, wit = double_extension_even(q, d)
     assert ext.validated
     assert ext.dim == q.dim + 2
-    if _find_splitting_ideal(ext) is None:
+    if _split(ext)[0] is None:
         red = reduce_even(ext)
         back, _ = double_extension_even(red.n, red.operator)
         adapted = change_basis_quadratic(ext, [list(c) for c in red.basis])

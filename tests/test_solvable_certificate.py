@@ -19,8 +19,7 @@ import pytest
 from qmalcev import (EVEN, Element, OperatorMap, catalog_get, center,
                      direct_sum_quadratic, double_extension_even,
                      inductive_decompose, linalg, product, quadratic)
-from qmalcev.quadratic import (_certified_irreducible, _find_splitting_ideal,
-                               _solvable, b_irreducible_components)
+from qmalcev.quadratic import _solvable, _split, b_irreducible_components
 
 from test_decompose import oscillator
 from test_symmetric_centroid import fresh, mixed, reference_split
@@ -120,8 +119,8 @@ def test_certified_pieces_have_no_split(root, seed):
         if len(center(q.algebra).columns) == 1 and _solvable(q.algebra):
             covered += q.dim >= 2
             assert reference_split(fresh(q)) is None
-            assert _find_splitting_ideal(q) is None
-            assert _certified_irreducible(q) is True
+            assert _split(q)[0] is None
+            assert _split(q)[1] is True
     assert covered
 
 
@@ -159,18 +158,18 @@ def test_oscillator_search_closes_nothing_and_solves_no_centroid(
     never solved.  (The reduced plane still splits by a closure.)"""
     q = fresh(oscillator())
     closed = []
-    closure = quadratic.ideal_closure
+    closure = quadratic._proper_ideals
 
-    def spy(a, seed):
+    def spy(a, seeds):
         closed.append(a)
-        return closure(a, seed)
+        return closure(a, seeds)
 
     def refuse(_q):
         raise AssertionError("Gamma_s solved")
 
-    monkeypatch.setattr(quadratic, "ideal_closure", spy)
+    monkeypatch.setattr(quadratic, "_proper_ideals", spy)
     monkeypatch.setattr(quadratic, "_symmetric_centroid", refuse)
     tree = inductive_decompose(q)
     assert tree.root.kind == "even_de"
     assert closed and all(a.dim == 2 for a in closed)
-    assert _certified_irreducible(q) is True
+    assert _split(q)[1] is True

@@ -19,8 +19,7 @@ from qmalcev import (Element, GradedSubspace, QuadraticAlgebra, catalog_get,
                      center, change_basis_quadratic, direct_sum_quadratic,
                      linalg, product, quadratic, simplicity)
 from qmalcev.core import _ideal_candidates, ideal_closure
-from qmalcev.quadratic import (_certified_irreducible, _find_splitting_ideal,
-                               _symmetric_centroid, _trace_rank)
+from qmalcev.quadratic import _split, _symmetric_centroid, _trace_rank
 
 from test_decompose import oscillator
 
@@ -122,8 +121,8 @@ def test_dimension_and_trace_rank(name, make, dim, rank):
     assert linalg.rank(flat) == dim
     identity = [int(r == c) for r in range(n) for c in range(n)]
     assert linalg.rank(flat + [identity]) == dim
-    assert _certified_irreducible(q) == (rank == 1 or n <= 1
-                                         or simplicity(q.algebra).simple)
+    assert _split(q)[1] == (rank == 1 or n <= 1
+                            or simplicity(q.algebra).simple)
 
 
 def test_certificate_is_cached_and_skips_the_search(monkeypatch):
@@ -132,8 +131,7 @@ def test_certificate_is_cached_and_skips_the_search(monkeypatch):
     candidates, solves = quadratic._ideal_candidates, []
 
     def single_vectors_only(a):
-        # center columns, then basis vectors; the seed after them is drawn
-        # before the certificate is read, but closing it would draw one more
+        # center columns, then basis vectors, then at most one more seed
         for count, seed in enumerate(candidates(a)):
             if count > len(center(a).columns) + a.dim:
                 raise AssertionError("candidate search run")
@@ -145,9 +143,9 @@ def test_certificate_is_cached_and_skips_the_search(monkeypatch):
 
     monkeypatch.setattr(quadratic, "_ideal_candidates", single_vectors_only)
     monkeypatch.setattr(quadratic, "_symmetric_centroid", counted)
-    assert _find_splitting_ideal(q) is None
-    assert _certified_irreducible(q) is True
-    assert _find_splitting_ideal(q) is None
+    assert _split(q)[0] is None
+    assert _split(q)[1] is True
+    assert _split(q)[0] is None
     assert len(solves) == 1
 
 
@@ -165,7 +163,7 @@ def test_single_vectors_split_before_the_certificate(monkeypatch, make):
 
     monkeypatch.setattr(quadratic, "_symmetric_centroid", refuse)
     q = fresh(make())
-    ideal = _find_splitting_ideal(q)
+    ideal, _proved = _split(q)
     assert ideal is not None and ideal == reference_split(fresh(q))
 
 
@@ -221,6 +219,6 @@ def test_trace_rank_bounds_the_summands(names, mix, seed):
     ref = _symmetric_centroid(fresh(plain))
     assert (len(basis), _trace_rank(basis)) == (len(ref), _trace_rank(ref))
     assert _trace_rank(basis) >= len(pieces)
-    if _certified_irreducible(q):
+    if _split(q)[1]:
         assert reference_split(fresh(q)) is None
-        assert _find_splitting_ideal(q) is None
+        assert _split(q)[0] is None
