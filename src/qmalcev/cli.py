@@ -149,11 +149,11 @@ def _cmd_extend_even(args):
 def _cmd_reduce(args):
     q, _op, _gde = parse_algebra_document(_read_input(args.file))
     z = center(q.algebra)
-    if z.odd_columns():
+    if z.odd_rows():
         red = reduce_odd(q)
         doc = document_object(red.n, gde=red.gde)
         kind = "odd"
-    elif z.even_columns():
+    elif z.even_rows():
         red = reduce_even(q)
         doc = document_object(red.n, operator=red.operator)
         kind = "even"

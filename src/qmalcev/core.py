@@ -38,6 +38,7 @@ its shortcuts are exact:
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -120,18 +121,12 @@ class Element:
     def is_zero(self):
         return all(a == 0 for a in self.coords)
 
-    def support(self):
-        return [i for i, a in enumerate(self.coords) if a != 0]
-
     def homogeneous_parity(self, space: SuperSpace):
         """Parity of a homogeneous element, None for 0, error when mixed."""
-        sup = self.support()
-        if not sup:
-            return None
-        ps = {space.parity(i) for i in sup}
+        ps = {space.parity(i) for i, a in enumerate(self.coords) if a}
         if len(ps) > 1:
             raise GradingError("element is not parity-homogeneous")
-        return ps.pop()
+        return ps.pop() if ps else None
 
     def parity_part(self, space: SuperSpace, parity: int):
         return Element(tuple(
@@ -667,100 +662,118 @@ def check_jacobi(a: SuperAlgebra) -> CheckReport:
     return a._jacobi
 
 
+def _vector(n, v):
+    """v, a list or a {coordinate: value} dict, as a sparse vector of F^n;
+    InputError when it is not one."""
+    if not (all(0 <= i < n for i in v) if isinstance(v, dict)
+            else len(v) == n):
+        raise InputError("vector does not fit a space of dimension %d" % n)
+    return linalg.sparse(v)
+
+
 class GradedSubspace:
-    """Homogeneous-column subspace in reduced column-echelon form."""
+    """The span of homogeneous columns, lists or dicts (InputError when one
+    does not fit the space, GradingError when one mixes parities), stored
+    as the sparse reduced rows of one `linalg.Span`, in pivot order, so the
+    even rows come first.  A subspace has one reduced basis, so `key`, the
+    rows as (coordinate, numerator, denominator) triples, names it; the
+    memos of ideal closures and form restrictions are keyed by it.  The
+    dense `columns` and their even and odd parts are derived views."""
 
     def __init__(self, space: SuperSpace, columns):
-        self.space = space
-        self.columns = tuple(tuple(c) for c in columns)
-        for col in self.columns:
-            Element(col).homogeneous_parity(space)
+        span = Span(space.dim)
+        for col in columns:
+            vec = _vector(space.dim, col)
+            if len({i < space.even_dim for i in vec}) > 1:
+                raise GradingError("element is not parity-homogeneous")
+            span.add(vec)
+        self._store(space, span)
+
+    def _store(self, space, span):
+        self.space, self._span, self.rows = space, span, span.rows()
+        self._evens = sum(c < space.even_dim for c in span.pivot_columns())
+        self.key = tuple(tuple(sorted((c, x.numerator, x.denominator)
+                                      for c, x in row.items()))
+                         for row in self.rows)
+        return self
 
     @classmethod
     def from_vectors(cls, space: SuperSpace, vectors):
-        """Graded span: split parity parts, echelonize each block."""
+        """Graded span: the span of the vectors' even and odd parts."""
         p = space.even_dim
-        n = space.dim
-        evens, odds = [], []
-        for v in vectors:
-            v = list(v)
-            ev = v[:p] + [ZERO] * (n - p)
-            od = [ZERO] * p + v[p:]
-            if not linalg.is_zero_vec(ev):
-                evens.append(ev)
-            if not linalg.is_zero_vec(od):
-                odds.append(od)
-        cols = (linalg.column_echelon_columns(evens)
-                + linalg.column_echelon_columns(odds))
-        return cls(space, cols)
+        vecs = [_vector(space.dim, v) for v in vectors]
+        return cls(space, [{i: x for i, x in v.items() if (i < p) == even}
+                           for v in vecs for even in (True, False)])
 
     @property
     def dim(self):
-        return len(self.columns)
+        return self._span.dim
+
+    def even_rows(self):
+        return self.rows[:self._evens]
+
+    def odd_rows(self):
+        return self.rows[self._evens:]
+
+    @property
+    def columns(self):
+        return tuple(_to_element(self.space.dim, row).coords
+                     for row in self.rows)
 
     def even_columns(self):
-        return [c for c in self.columns
-                if Element(c).homogeneous_parity(self.space) == EVEN]
+        return list(self.columns[:self._evens])
 
     def odd_columns(self):
-        return [c for c in self.columns
-                if Element(c).homogeneous_parity(self.space) in (ODD,)]
+        return list(self.columns[self._evens:])
 
     def contains(self, vector):
-        span = Span(self.space.dim)
-        for col in self.columns:
-            span.add(list(col))
-        return span.contains(list(vector))
+        return self._span.contains(_vector(self.space.dim, vector))
 
     def __eq__(self, other):
         return (isinstance(other, GradedSubspace)
-                and self.space == other.space
-                and self.columns == other.columns)
+                and self.space == other.space and self.key == other.key)
 
     def __repr__(self):
         return "GradedSubspace(dim=%d of %d)" % (self.dim, self.space.dim)
 
 
 def center(a: SuperAlgebra) -> GradedSubspace:
-    """{X : b_j X = 0 for all j}, graded by construction."""
-    if a._center is not None:
-        return a._center
-    rows = {}  # (j, k) -> {i: c(j, i, k)}, the coefficient of b_k in b_j X
-    for (j, i, k), c in a.constants.items():
-        rows.setdefault((j, k), {})[i] = c
-    vecs = linalg.kernel(list(rows.values()), cols=a.dim)
-    a._center = GradedSubspace.from_vectors(a.space, vecs)
+    """{X : b_j X = 0 for all j}, one sparse kernel; each row (j, k) of the
+    system meets one parity, so the kernel vectors are homogeneous."""
+    if a._center is None:
+        rows = {}  # (j, k) -> {i: c(j, i, k)}, the coefficient of b_k in b_j X
+        for (j, i, k), c in a.constants.items():
+            rows.setdefault((j, k), {})[i] = c
+        a._center = GradedSubspace(
+            a.space, linalg.sparse_kernel(list(rows.values()), a.dim))
     return a._center
 
 
 def ideal_closure(a: SuperAlgebra, seed: GradedSubspace) -> GradedSubspace:
     """Smallest graded two-sided multiplication-closed subspace over seed.
 
-    Memoized on the (immutable) algebra by the seed's columns; the result is
-    stored under its own columns too, since an ideal is its own closure.
+    Memoized on the (immutable) algebra by the seed's key; the result is
+    stored under its own key too, since an ideal is its own closure.  A
+    seed in another space raises InputError.
     """
-    key = seed.columns
-    closed = a._closures.get(key)
+    if seed.space != a.space:
+        raise InputError("subspace does not lie in the algebra's space")
+    closed = a._closures.get(seed.key)
     if closed is None:
-        closed = _ideal_closure_uncached(a, seed)
-        a._closures[key] = closed
-        a._closures.setdefault(closed.columns, closed)
+        span = Span(a.dim)
+        work = [row for row in seed.rows if span.add(row)]
+        while work:
+            v = work.pop()
+            for j in range(a.dim):
+                for prod in (_mul_bv(a, j, v), _mul_vb(a, v, j)):
+                    if span.add(prod):
+                        work.append(prod)
+        # the seeds and their products with basis vectors are homogeneous,
+        # so the reduced rows are too
+        closed = GradedSubspace.__new__(GradedSubspace)._store(a.space, span)
+        a._closures[seed.key] = closed
+        a._closures.setdefault(closed.key, closed)
     return closed
-
-
-def _ideal_closure_uncached(a: SuperAlgebra, seed: GradedSubspace):
-    n = a.dim
-    span = Span(n)
-    work = [linalg.sparse(col) for col in seed.columns if span.add(col)]
-    while work:
-        v = work.pop()
-        for j in range(n):
-            for prod in (_mul_bv(a, j, v), _mul_vb(a, v, j)):
-                if span.add(prod):
-                    work.append(prod)
-    # the seeds and their products with basis vectors are homogeneous, so
-    # the reduced rows are too, even ones first: from_vectors's columns
-    return GradedSubspace(a.space, span.vectors())
 
 
 def direct_sum_embeddings(sa: SuperSpace, sb: SuperSpace):
@@ -787,34 +800,32 @@ def direct_sum(a: SuperAlgebra, b: SuperAlgebra) -> SuperAlgebra:
 
 
 def change_basis(a: SuperAlgebra, columns, name=None) -> SuperAlgebra:
-    """The constants of a in the basis b'_1..b'_k given as k <= n columns.
+    """The constants of a in the basis b'_1..b'_k given as k <= n columns,
+    lists or sparse dicts.
 
     This is the one routine that rewrites constants in a basis: a full
     change of basis when k = n, the algebra on a subspace when k < n.  The
     columns must be independent (InputError), homogeneous and ordered
     even-first (GradingError); the result lives on their (p|k-p) space and
-    keeps a's name unless one is given.  One elimination of [C^T | I], C the
-    n x k matrix of the columns, picks k pivot rows P and inverts the block
-    C[P] once, so a product w in the span has coordinates C[P]^-1 w[P].
-    The products of the columns are the pair table pulled back along them
-    (_pulled_back).  When k < n every product is checked against the span,
-    and a subspace that is not closed under the product raises
-    PreconditionError.
+    keeps a's name unless one is given.  The products of the columns are
+    the pair table pulled back along them (_pulled_back).  One `linalg.Span`
+    of the rows [C^T | I], C the n x k matrix of the columns, reduces each
+    product w to (w - C x | -x), which is (0 | -x) exactly when w = C x lies
+    in the span; when k < n a product outside it means that the subspace
+    is not closed under the product, and raises PreconditionError.
     """
     n = a.dim
-    cols = [[frac(x) for x in c] for c in columns]
-    k = len(cols)
-    if k > n or any(len(c) != n for c in cols):
-        raise InputError("need at most %d basis columns of length %d"
-                         % (n, n))
-    red, pivots = linalg.rref([c + linalg.basis_vector(k, i)
-                               for i, c in enumerate(cols)])
+    vecs = [{r: y for r, x in _vector(n, c).items() if (y := frac(x))}
+            for c in columns]
+    k = len(vecs)
+    if k > n:
+        raise InputError("need at most %d basis columns" % n)
+    span = Span(n + k)
+    for m, v in enumerate(vecs):
+        span.add({**v, n + m: ONE})
+    pivots = span.pivot_columns()
     if pivots and pivots[-1] >= n:
         raise InputError("basis columns are linearly dependent")
-    # coordinate m of w is the sum over rows s of red[s][n + m] * w[pivots[s]]
-    solve = [{r: red[s][n + m] for s, r in enumerate(pivots)
-              if red[s][n + m] != 0} for m in range(k)]
-    vecs = [{r: x for r, x in enumerate(c) if x != 0} for c in cols]
     par = []
     for v in vecs:
         kinds = {a.space.parity(r) for r in v}
@@ -826,18 +837,12 @@ def change_basis(a: SuperAlgebra, columns, name=None) -> SuperAlgebra:
     constants = {}
     products = _pulled_back(a.pair_table(), dict(enumerate(vecs)))
     for (i, j), w in sorted(products.items()):
-        coords = [sum((c * w[r] for r, c in row.items() if r in w), ZERO)
-                  for row in solve]
-        if k < n:
-            span = {}
-            for v, c in zip(vecs, coords):
-                _vadd(span, v, c)
-            if span != w:
-                raise PreconditionError("subspace is not closed under the "
-                                        "product")
-        for m, c in enumerate(coords):
-            if c != 0:
-                constants[(i, j, m)] = c
+        rest = span.reduce(w)
+        if min(rest) < n:
+            raise PreconditionError("subspace is not closed under the "
+                                    "product")
+        for m in sorted(rest):
+            constants[(i, j, m - n)] = -rest[m]
     space = SuperSpace(par.count(EVEN), par.count(ODD))
     return SuperAlgebra(space, constants,
                         name=a.name if name is None else name)
@@ -867,45 +872,26 @@ def _multiplication_generators(a, p=0):
     return left + right
 
 
-def _random_homogeneous_vectors(space: SuperSpace, seed, rounds):
-    import random
-
-    rng = random.Random(seed)
-    out = []
-    for _ in range(rounds):
-        for parity, idxs in ((EVEN, list(space.even_indices())),
-                             (ODD, list(space.odd_indices()))):
-            if not idxs:
-                continue
-            v = [ZERO] * space.dim
-            for i in idxs:
-                v[i] = Fraction(rng.randint(-3, 3))
-            if not linalg.is_zero_vec(v):
-                out.append(v)
-    return out
-
-
 def _ideal_candidates(a: SuperAlgebra):
     """Deterministic seed subspaces whose closures are tested as ideals."""
     n = a.dim
     par = [a.space.parity(i) for i in range(n)]
-    z = center(a)
-    for col in z.columns:
-        yield [list(col)]
+    for row in center(a).rows:
+        yield [row]
     for i in range(n):
-        yield [linalg.basis_vector(n, i)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if par[i] == par[j]:
-                v = linalg.basis_vector(n, i)
-                v[j] = ONE
+        yield [{i: ONE}]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if par[i] == par[j]]
+    for i, j in pairs:
+        yield [{i: ONE, j: ONE}]
+    for i, j in pairs:
+        yield [{i: ONE}, {j: ONE}]
+    rng = random.Random(0x5EED)  # seeded homogeneous vectors
+    for _ in range(4):
+        for idxs in (a.space.even_indices(), a.space.odd_indices()):
+            v = {i: x for i in idxs if (x := Fraction(rng.randint(-3, 3)))}
+            if v:
                 yield [v]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if par[i] == par[j]:
-                yield [linalg.basis_vector(n, i), linalg.basis_vector(n, j)]
-    for v in _random_homogeneous_vectors(a.space, 0x5EED, rounds=4):
-        yield [v]
 
 
 def _proper_ideals(a: SuperAlgebra, seeds):
@@ -1008,7 +994,7 @@ def _simplicity_uncached(a: SuperAlgebra) -> SimplicityReport:
         return SimplicityReport(False, note="zero algebra")
     if a.is_abelian():
         return SimplicityReport(False, note="abelian")
-    if not center(a).columns and _full_multiplication_algebra_mod_p(a):
+    if not center(a).dim and _full_multiplication_algebra_mod_p(a):
         return SimplicityReport(True, note="multiplication algebra is full")
     for ideal in _proper_ideals(a, _ideal_candidates(a)):
         return SimplicityReport(False, ideal=ideal, note="proper ideal found")

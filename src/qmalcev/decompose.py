@@ -17,13 +17,14 @@ from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, GradedSubspace,
                    SuperAlgebra, SuperSpace, Witness, _enveloping_basis,
                    _mul_bv, _multiplication_generators, _pulled_back,
-                   _report, _scaled, _to_element, center, check_jacobi,
-                   ksign, simplicity)
+                   _report, _scaled, _to_element, _vadd, center,
+                   check_jacobi, ksign, simplicity)
 from .errors import AxiomError, GradingError, InputError, PreconditionError
 from .linalg import ONE, ZERO
 from .operators import OperatorMap, _int_map, check_malcev_operator
 from .quadratic import (QuadraticAlgebra, _cut, _form_pairing,
-                        _require_validated, _split, b_irreducible_components,
+                        _require_validated, _split, _trace_rows,
+                        b_irreducible_components,
                         change_basis_quadratic, direct_sum_quadratic,
                         orthogonal_complement)
 from .extensions import (ExtensionWitness, GdeData,
@@ -58,40 +59,38 @@ class EvenReduction:
 
 def _first_center_column(q: QuadraticAlgebra, parity):
     z = center(q.algebra)
-    cols = z.even_columns() if parity == EVEN else z.odd_columns()
-    return cols[0] if cols else None
+    rows = z.even_rows() if parity == EVEN else z.odd_rows()
+    return rows[0] if rows else None
 
 
 def _solve_dual_vector(q: QuadraticAlgebra, estar, parity):
     """First basis vector of the given parity pairing with e*, scaled so
-    that B(e, e*) = 1."""
+    that B(e, e*) = 1, as a sparse vector."""
     space = q.space
     idxs = space.even_indices() if parity == EVEN else space.odd_indices()
-    _, right = _form_pairing(q.form, {0: linalg.sparse(estar)})  # B(b_j, e*)
+    _, right = _form_pairing(q.form, {0: estar})  # B(b_j, e*)
     for b in idxs:
         if (b, 0) in right:
-            e = [ZERO] * space.dim
-            e[b] = ONE / right[(b, 0)]
-            return e
+            return {b: ONE / right[(b, 0)]}
     raise PreconditionError("no basis vector pairs with the central vector; "
                             "the form would be degenerate")
 
 
 def _adapted_basis(q: QuadraticAlgebra, e, estar, parity):
-    """Columns (N_even, e, N_odd, e*) for an odd e, (e, N_even, e*, N_odd)
-    for an even one, N the orthogonal complement of span{e, e*}; with the
-    positions of e and e*."""
+    """Sparse columns (N_even, e, N_odd, e*) for an odd e, (e, N_even, e*,
+    N_odd) for an even one, N the orthogonal complement of span{e, e*};
+    with the positions of e and e*."""
     a_sub = GradedSubspace.from_vectors(q.space, [e, estar])
     if a_sub.dim != 2:
         raise PreconditionError("e and e* are not independent")
     ncols = orthogonal_complement(q.form, a_sub)
-    ne = ncols.even_columns()
-    no = ncols.odd_columns()
+    ne = ncols.even_rows()
+    no = ncols.odd_rows()
     if parity == ODD:
-        adapted = ne + [list(e)] + no + [list(estar)]
+        adapted = ne + [e] + no + [estar]
         e_idx, estar_idx = len(ne), len(ne) + 1 + len(no)
     else:
-        adapted = [list(e)] + ne + [list(estar)] + no
+        adapted = [e] + ne + [estar] + no
         e_idx, estar_idx = 0, len(ne) + 1
     return adapted, e_idx, estar_idx
 
@@ -150,7 +149,7 @@ def _peel(q: QuadraticAlgebra, e, estar, parity) -> _Peeled:
                    Element(tuple(ee.get(pos, ZERO) for pos in n_positions)),
                    _report(phi_wit),
                    ExtensionWitness(e_idx, estar_idx, tuple(n_positions)),
-                   tuple(tuple(col) for col in adapted))
+                   tuple(_to_element(q.dim, col).coords for col in adapted))
 
 
 def reduce_odd(q: QuadraticAlgebra) -> OddReduction:
@@ -196,12 +195,12 @@ def reduce_even(q: QuadraticAlgebra) -> EvenReduction:
     if _split(q)[0] is not None:
         raise PreconditionError("input splits along a non-degenerate ideal; "
                                 "split first")
-    if q.form.restrict([estar])[0][0] != 0:  # B(e*, e*)
+    if q.form._restricted([estar]).entries:  # B(e*, e*)
         raise PreconditionError("central vector is anisotropic; split first")
-    e0 = _solve_dual_vector(q, estar, EVEN)
-    bee = q.form.restrict([e0])[0][0]
+    e = _solve_dual_vector(q, estar, EVEN)
+    bee = q.form._restricted([e]).entries.get((0, 0), ZERO)
     # correct e so that B(e, e) = 0, keeping B(e, e*) = 1 (exact over Q)
-    e = [a - bee / 2 * b for a, b in zip(e0, estar)]
+    _vadd(e, estar, -bee / 2)
     r = _peel(q, e, estar, EVEN)
     oper = check_malcev_operator(r.n.algebra, r.d)
     if not oper.passed:
@@ -268,20 +267,6 @@ def even_part(a: SuperAlgebra) -> SuperAlgebra:
     return SuperAlgebra(SuperSpace(p, 0), consts, name="%s_even" % a.name)
 
 
-def _trace_form(mats, n):
-    """The symmetric matrix of tr(m_i m_j) for sparse n x n matrices
-    {n*row + column: value}: the sum of m_i[r][c] m_j[c][r]."""
-    k = len(mats)
-    out = [[ZERO] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            mj = mats[j]
-            out[i][j] = out[j][i] = sum(
-                (x * mj.get(pos % n * n + pos // n, ZERO)
-                 for pos, x in mats[i].items()), ZERO)
-    return out
-
-
 def _radical_image(gens, n) -> linalg.Span:
     """J V, the span of the columns of J's elements, for J the radical of
     the unital algebra A that the sparse n x n matrices gens
@@ -297,7 +282,7 @@ def _radical_image(gens, n) -> linalg.Span:
     """
     basis = _enveloping_basis(gens, n)
     image = linalg.Span(n)
-    for x in linalg.sparse_kernel(_trace_form(basis, n), len(basis)):
+    for x in linalg.sparse_kernel(list(_trace_rows(basis, n)), len(basis)):
         columns = {}  # column -> {row: value} of the element sum x_i basis_i
         for i, c in x.items():
             for pos, y in basis[i].items():
@@ -328,11 +313,12 @@ def reductive_report(even: SuperAlgebra) -> ReductiveReport:
     if even.is_abelian():
         return ReductiveReport(True, n, 0, True, certificate="abelian")
     z = center(even)
-    square = GradedSubspace.from_vectors(
-        even.space, [_to_element(n, vec).coords
-                     for vec in even.pair_table().values()])
+    square = GradedSubspace(even.space, even.pair_table().values())
     zdim, sdim = z.dim, square.dim
-    if zdim + sdim != n or linalg.rank(z.columns + square.columns) != n:
+    both = linalg.Span(n)
+    for row in z.rows + square.rows:
+        both.add(row)
+    if zdim + sdim != n or both.dim != n:
         return ReductiveReport(False, zdim, sdim, False,
                                certificate="center + square is not a direct "
                                            "sum decomposition")
@@ -398,8 +384,8 @@ def check_completely_reducible_action(
         False,
         certificate="enveloping trace form degenerate; the witness J V has "
                     "no invariant complement",
-        witness_subspace=GradedSubspace.from_vectors(
-            a.space, [[ZERO] * p + v for v in y.vectors()]),
+        witness_subspace=GradedSubspace(
+            a.space, [{p + j: x for j, x in row.items()} for row in y.rows()]),
         obstruction_triple=_obstruction_triple(a, y))
 
 
@@ -408,7 +394,7 @@ def _obstruction_triple(a: SuperAlgebra, y: linalg.Span):
     for a span y of odd coordinates."""
     p = a.space.even_dim
     images = [vec for (i, j), vec in a.pair_table().items() if i < p <= j]
-    ys = [{p + j: x for j, x in enumerate(v) if x} for v in y.vectors()]
+    ys = [{p + j: x for j, x in row.items()} for row in y.rows()]
     return (all(y.contains({k - p: x for k, x in vec.items()})
                 for vec in images),
             not any(_mul_bv(a, i, v) for i in range(p) for v in ys),
@@ -491,11 +477,11 @@ def _decompose_node(q: QuadraticAlgebra):
         basis = tuple(tuple(col) for col in _interleave(comps))
         return SumNode(q, children, basis, exhaustive=comps.exhaustive)
     zc = center(q.algebra)
-    if zc.odd_columns():
+    if zc.odd_rows():
         red = reduce_odd(q)
         child = _decompose_node(red.n)
         return OddExtensionNode(q, child, red.gde, red.basis, red.witness)
-    if zc.even_columns():
+    if zc.even_rows():
         red = reduce_even(q)
         child = _decompose_node(red.n)
         return EvenExtensionNode(q, child, red.operator, red.basis,
@@ -602,7 +588,10 @@ def _mismatch(node, ext):
     QuadraticAlgebra.validate(stored.algebra, stored.form)
     cols = node.basis
     if ext.dim == len(cols):
-        if linalg.det([list(c) for c in cols]) == 0:
+        span = linalg.Span(len(cols))
+        for col in cols:
+            span.add(col)
+        if span.dim < len(cols):
             raise InputError("corrupted witness: singular basis")
         # the rows that ext's even and odd basis vectors reach; the basis
         # is invertible, so the inverse's columns are homogeneous exactly

@@ -1,13 +1,16 @@
 """Exact linear algebra over the rationals, and ranks modulo a prime.
 
-Matrices handed in and out are lists of rows of Fraction, vectors are lists
-of Fraction, and every operation is exact; there are no floats anywhere.
-Every elimination (RREF, rank, kernel, solve, inverse, determinant, spans)
-runs on one sparse eliminator, `Span`: its rows are {column: value} dicts
-kept in reduced echelon form, with a 1 at each pivot and a 0 at every other
-pivot.  The reduced echelon form of a row space is unique, so every basis,
-kernel, solution, inverse and determinant is the same whatever order the
-rows go in.
+Vectors are sparse {column: value} dicts, or dense lists where a caller
+has one, and every operation is exact; there are no floats anywhere.
+Every elimination runs on one sparse eliminator, `Span`: its rows are
+{column: value} dicts kept in reduced echelon form, with a 1 at each
+pivot and a 0 at every other pivot.  The reduced echelon form of a row
+space is unique, so every basis, kernel, solution, inverse and
+determinant is the same whatever order the rows go in.  The package
+reads spans, ranks and kernels off `Span` and `sparse_kernel`; the dense
+routines on lists of rows (`mat_mul`, `transpose`, `inverse`, `kernel`,
+`solve`, `det`) serve the one Gram inverse of
+`operators.operator_from_cocycle` and the benchmark harness.
 
 The field is given by a modulus p alone.  p = 0 is Q, with Fraction
 entries; a prime p gives int entries reduced with % p and pivots inverted
@@ -39,25 +42,10 @@ def zeros(n):
     return [ZERO] * n
 
 
-def zero_matrix(rows, cols):
-    return [[ZERO] * cols for _ in range(rows)]
-
-
-def identity(n):
-    m = zero_matrix(n, n)
-    for i in range(n):
-        m[i][i] = ONE
-    return m
-
-
 def transpose(m):
     if not m:
         return []
     return [list(col) for col in zip(*m)]
-
-
-def mat_vec(m, v):
-    return [sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in m]
 
 
 def mat_mul(a, b):
@@ -150,6 +138,11 @@ class Span:
     def pivot_columns(self):
         return sorted(self._rows)
 
+    def rows(self):
+        """The reduced rows, in increasing pivot order.  They are the
+        span's own dicts, which a later `add` reduces in place."""
+        return [self._rows[c] for c in self.pivot_columns()]
+
     def vectors(self):
         """The rows as dense lists, in increasing pivot order."""
         return [[self._rows[c].get(i, ZERO) for i in range(self.n)]
@@ -161,18 +154,6 @@ def _row_span(m, cols):
     for row in m:
         span.add(row)
     return span
-
-
-def rref(m):
-    """Reduced row echelon form. Returns (new matrix, pivot column list)."""
-    cols = len(m[0]) if m else 0
-    span = _row_span(m, cols)
-    return (span.vectors() + zero_matrix(len(m) - span.dim, cols),
-            span.pivot_columns())
-
-
-def rank(m):
-    return len(rref(m)[1])
 
 
 def kernel(m, cols=None):
@@ -245,12 +226,3 @@ def det(m):
                      if x > y)
     return -d if inversions & 1 else d
 
-
-def column_echelon_columns(vectors):
-    """Deterministic reduced basis of the span of the given vectors.
-
-    Input and output vectors are coordinate lists; the output columns are
-    the nonzero rows of the RREF of the stacked input, so pivots appear in
-    increasing coordinate order ("first" column = smallest pivot index).
-    """
-    return _row_span(vectors, len(vectors[0]) if vectors else 0).vectors()

@@ -16,9 +16,10 @@ from . import linalg
 from .core import (_CERT_PRIME, EVEN, ODD, CheckReport, Element,
                    GradedSubspace, SuperAlgebra, SuperSpace, Witness,
                    _ideal_candidates, _proper_ideals, _pulled_back, _report,
-                   _scaled, _scan_kernel, _to_element, center, check_malcev,
-                   check_super_anticommutativity, ideal_closure, direct_sum,
-                   direct_sum_embeddings, simplicity, change_basis)
+                   _scaled, _scan_kernel, _to_element, _vadd, center,
+                   check_malcev, check_super_anticommutativity,
+                   ideal_closure, direct_sum, direct_sum_embeddings,
+                   simplicity, change_basis)
 from .errors import AxiomError, InputError, PreconditionError
 from .linalg import ONE, ZERO, frac
 
@@ -46,7 +47,7 @@ class BilinearForm:
                 self.rows.setdefault(i, {})[j] = x
                 self.cols.setdefault(j, {})[i] = x
         self._kernel = None  # _kernel_basis, on first use
-        self._restrictions = {}  # _restricted_to, by the columns
+        self._restrictions = {}  # _restricted_to, by the subspace's key
         return self
 
     @classmethod
@@ -84,13 +85,12 @@ class BilinearForm:
                         for key, vec in _pulled_back(table, vecs).items()})
 
     def _restricted_to(self, sub: GradedSubspace):
-        """_restricted to the columns of a graded subspace, memoized on
-        this form by them: a split along an ideal that the search has just
+        """_restricted to the rows of a graded subspace, memoized on this
+        form by its key: a split along an ideal that the search has just
         found nondegenerate reuses that form and its cached kernel."""
-        form = self._restrictions.get(sub.columns)
+        form = self._restrictions.get(sub.key)
         if form is None:
-            form = self._restrictions[sub.columns] = self._restricted(
-                sub.columns)
+            form = self._restrictions[sub.key] = self._restricted(sub.rows)
         return form
 
     def _kernel_basis(self):
@@ -279,23 +279,27 @@ def _require_validated(q: QuadraticAlgebra):
 
 
 def orthogonal_complement(b: BilinearForm, s: GradedSubspace):
-    """{v : B(c, v) = 0 for every column c of s}; exact kernel solve."""
+    """{v : B(c, v) = 0 for every row c of s}, one sparse kernel; a
+    subspace of another dimension raises InputError.  B is even, so the
+    functional B(c, .) of a homogeneous c meets the coordinates of c's
+    parity only, and the kernel vectors are homogeneous."""
+    if s.space.dim != b.dim:
+        raise InputError("subspace dimension does not match the form")
     if not b.is_nondegenerate():
         raise PreconditionError("form is degenerate")
-    # each constraint row is the functional B(c, .) of a column c
-    left, _right = _form_pairing(
-        b, dict(enumerate(map(linalg.sparse, s.columns))))
+    left, _right = _form_pairing(b, dict(enumerate(s.rows)))
     rows = {}
     for (c, j), x in left.items():
         rows.setdefault(c, {})[j] = x
-    vecs = linalg.kernel(list(rows.values()), cols=b.dim)
-    return GradedSubspace.from_vectors(s.space, vecs)
+    return GradedSubspace(s.space,
+                          linalg.sparse_kernel(list(rows.values()), b.dim))
 
 
 def change_basis_quadratic(q: QuadraticAlgebra, columns, name=None):
-    """Constants and Gram matrix C^T G C in the basis of the given columns;
-    see core.change_basis, which also takes k < n columns of a subspace."""
-    cols = [list(c) for c in columns]
+    """Constants and Gram matrix C^T G C in the basis of the given columns,
+    lists or sparse dicts; see core.change_basis, which also takes k < n
+    columns of a subspace."""
+    cols = list(columns)
     alg = change_basis(q.algebra, cols, name=name)
     return QuadraticAlgebra(alg, q.form._restricted(cols),
                             validated=q.validated)
@@ -325,8 +329,9 @@ def orthogonal_split(q: QuadraticAlgebra, ideal: GradedSubspace):
     """Split along a graded ideal with non-degenerate form restriction.
 
     Returns (component on the ideal, component on its complement, witness),
-    the witness being the adapted basis columns ae + be + ao + bo, in which
-    direct_sum of the components reproduces the input constants.  q is
+    the witness being the adapted basis columns ae + be + ao + bo as
+    sparse dicts, in which direct_sum of the components reproduces the
+    input constants.  An ideal of another space raises InputError.  q is
     rewritten once in that basis and both components are cut from it.
     They are validated by theorem, not by a scan: I^perp is an ideal with
     I I^perp = 0, and both summands of q = I + I^perp are quadratic Malcev
@@ -334,6 +339,8 @@ def orthogonal_split(q: QuadraticAlgebra, ideal: GradedSubspace):
     Appl. Algebra 187 (2004)).
     """
     _require_validated(q)
+    if ideal.space != q.space:
+        raise InputError("subspace does not lie in the algebra's space")
     if ideal.dim == 0 or ideal.dim == q.dim:
         raise PreconditionError("split requires a proper nonzero ideal")
     if ideal_closure(q.algebra, ideal).dim != ideal.dim:
@@ -341,9 +348,9 @@ def orthogonal_split(q: QuadraticAlgebra, ideal: GradedSubspace):
     if not q.form._restricted_to(ideal).is_nondegenerate():
         raise PreconditionError("form restriction to the ideal is degenerate")
     comp = orthogonal_complement(q.form, ideal)
-    ae, ao = ideal.even_columns(), ideal.odd_columns()
-    be = comp.even_columns()
-    witness_cols = ae + be + ao + comp.odd_columns()
+    ae, ao = ideal.even_rows(), ideal.odd_rows()
+    be = comp.even_rows()
+    witness_cols = [dict(row) for row in ae + be + ao + comp.odd_rows()]
     rq = change_basis_quadratic(q, witness_cols)
     inside = [*range(len(ae)), *range(len(ae + be), len(ae + be + ao))]
     side = [i in inside for i in range(q.dim)]
@@ -385,7 +392,7 @@ class ComponentsReport:
 def _symmetric_centroid(q: QuadraticAlgebra):
     """A basis over Q of the symmetric centroid Gamma_s(q), the even maps T
     with T(xy) = T(x)y = xT(y) and B(Tx, y) = B(x, Ty), each as a sparse
-    matrix {(r, c): T[r][c]}.
+    n x n matrix {n*r + c: T[r][c]}.
 
     T is even, so its unknowns are the entries T[r][c] with b_r and b_c of
     the same parity.  The rows, linear in them, are
@@ -436,18 +443,32 @@ def _symmetric_centroid(q: QuadraticAlgebra):
             for r, g in grows.get(i, {}).items():
                 row[unknown[(r, j)]] = row.get(unknown[(r, j)], 0) - g
             rows.append(row)
-    return [{cells[u]: x for u, x in vec.items()}
+    return [{n * cells[u][0] + cells[u][1]: x for u, x in vec.items()}
             for vec in linalg.sparse_kernel(rows, len(cells))]
 
 
-def _trace_rank(maps, stop=None):
-    """Rank of the trace form (S, T) -> tr(ST) on the sparse matrices
-    {(r, c): x}, its Gram taken row by row; once the rank reaches stop,
-    that is returned without the remaining rows."""
+def _trace_rows(mats, n):
+    """The rows {j: tr(m_i m_j)} of the trace form on the sparse n x n
+    matrices {n*row + column: value}, one per m_i in turn, nonzeros only:
+    tr(m_i m_j) is the sum of m_i[r][c] m_j[c][r].  The form is symmetric,
+    so row i takes its entries j < i from the rows before it."""
+    rows = []
+    for i, m in enumerate(mats):
+        flipped = [(pos % n * n + pos // n, x) for pos, x in m.items()]
+        row = {j: prev[i] for j, prev in enumerate(rows) if i in prev}
+        row.update((j, t) for j in range(i, len(mats)) if (t := sum(
+            x * mats[j].get(pos, 0) for pos, x in flipped)))
+        rows.append(row)
+        yield row
+
+
+def _trace_rank(maps, n, stop=None):
+    """Rank of the trace form (S, T) -> tr(ST) on the sparse n x n
+    matrices {n*row + column: value}, taken row by row; once the rank
+    reaches stop, that is returned without the remaining rows."""
     span = linalg.Span(len(maps))
-    for s in maps:
-        span.add([sum(x * t.get((c, r), 0) for (r, c), x in s.items())
-                  for t in maps])
+    for row in _trace_rows(maps, n):
+        span.add(row)
         if span.dim == stop:
             break
     return span.dim
@@ -471,7 +492,7 @@ def _solvable(a: SuperAlgebra) -> bool:
             span.add(vec)
         if span.dim == len(term):
             return False
-        term = dict(enumerate(map(linalg.sparse, span.vectors())))
+        term = dict(enumerate(span.rows()))
     return True
 
 
@@ -525,14 +546,15 @@ def _split(q: QuadraticAlgebra):
 
         if (q.dim <= 1 or (q.dim == 2 and not q.space.even_dim)
                 or simplicity(a).simple is True
-                or (len(center(a).columns) == 1 and _solvable(a))):
+                or (center(a).dim == 1 and _solvable(a))):
             q._verdict = (None, True)
         else:
-            z = center(a).columns
+            z = center(a)
             seeds = _ideal_candidates(a)
-            ideal = first(islice(seeds, len(z) + q.dim))
-            proved = (ideal is None and not q.form._restricted(z).entries
-                      and _trace_rank(_symmetric_centroid(q), stop=2) == 1)
+            ideal = first(islice(seeds, z.dim + q.dim))
+            proved = (ideal is None and not q.form._restricted(z.rows).entries
+                      and _trace_rank(_symmetric_centroid(q), q.dim,
+                                      stop=2) == 1)
             if ideal is None and not proved:
                 ideal = first(seeds)
             q._verdict = (ideal, proved)
@@ -543,8 +565,10 @@ def b_irreducible_components(q: QuadraticAlgebra) -> ComponentsReport:
     """Orthogonal components along non-degenerate graded ideals.
 
     Each part is split along the ideal of its `_split` verdict until there
-    is none.  The exhaustive flag is True only when the verdict of every
-    component proves it B-irreducible.
+    is none.  The basis columns stay sparse, each split's adapted columns
+    lifted to q's coordinates through the part's own, and are made dense
+    only in the report.  The exhaustive flag is True only when the verdict
+    of every component proves it B-irreducible.
     """
     _require_validated(q)
     components = []
@@ -556,31 +580,22 @@ def b_irreducible_components(q: QuadraticAlgebra) -> ComponentsReport:
         ideal, proved = _split(part)
         if ideal is None:
             components.append(part)
-            bases.append(tuple(tuple(c) for c in basis_cols))
+            bases.append(tuple(_to_element(q.dim, c).coords
+                               for c in basis_cols))
             exhaustive = exhaustive and proved
             return
         qa, qb, cols = orthogonal_split(part, ideal)
-        lifted = [_combine(basis_cols, c) for c in cols]
+        lifted = []
+        for col in cols:
+            out = {}
+            for idx, c in col.items():
+                _vadd(out, basis_cols[idx], c)
+            lifted.append(out)
         # adapted order is [A_even, B_even, A_odd, B_odd]
-        ae, ao = len(ideal.even_columns()), len(ideal.odd_columns())
+        ae, ao = qa.space.even_dim, qa.space.odd_dim
         be = qb.space.even_dim
-        a_cols = lifted[0:ae] + lifted[ae + be:ae + be + ao]
-        b_cols = lifted[ae:ae + be] + lifted[ae + be + ao:]
-        rec(qa, a_cols)
-        rec(qb, b_cols)
+        rec(qa, lifted[0:ae] + lifted[ae + be:ae + be + ao])
+        rec(qb, lifted[ae:ae + be] + lifted[ae + be + ao:])
 
-    def _combine(basis_cols, inner_col):
-        # inner_col is in `part` coordinates; basis_cols maps part -> original
-        n0 = len(basis_cols[0]) if basis_cols else 0
-        out = [ZERO] * n0
-        for idx, c in enumerate(inner_col):
-            if c != 0:
-                col = basis_cols[idx]
-                for r in range(n0):
-                    out[r] += c * col[r]
-        return out
-
-    n = q.dim
-    identity_cols = [linalg.basis_vector(n, i) for i in range(n)]
-    rec(q, identity_cols)
+    rec(q, [{i: ONE} for i in range(q.dim)])
     return ComponentsReport(tuple(components), tuple(bases), exhaustive)

@@ -45,14 +45,14 @@ def test_m7_properties():
 
 def test_m7_trace_form_is_scaled_gram():
     from qmalcev.core import _multiplication_generators
-    from qmalcev.decompose import _trace_form
+    from qmalcev.quadratic import _trace_rows
 
     q = catalog_get("m7").algebra
     a = q.algebra
-    tf = _trace_form(_multiplication_generators(a)[a.dim:], a.dim)
+    tf = list(_trace_rows(_multiplication_generators(a)[a.dim:], a.dim))
     for i in range(7):
         for j in range(7):
-            assert tf[i][j] == M7_TRACE_SCALE * q.form.gram[i][j]
+            assert tf[i].get(j, 0) == M7_TRACE_SCALE * q.form.gram[i][j]
 
 
 def test_extension_equals_extended_base(m2):

@@ -142,6 +142,13 @@ def test_reductive_rejects_solvable():
     assert rep.reductive is False
 
 
+def test_reductive_rejects_a_center_inside_the_square():
+    # dim Z + dim A^2 = 1 + 3 = 4, but Z lies in A^2: not a direct sum
+    rep = check_reductive_even(oscillator())
+    assert (rep.reductive, rep.center_dim, rep.square_dim,
+            rep.decomposes) == (False, 1, 3, False)
+
+
 def test_completely_reducible_action_failure(k21):
     rep = check_completely_reducible_action(k21)
     assert rep.completely_reducible is False

@@ -112,7 +112,7 @@ def check_splits(q):
     want = reference_split(q, ideal)
     _same(_scanned(qa), want[0])
     _same(_scanned(qb), want[1])
-    assert cols == want[2]
+    assert cols == [sparse(c) for c in want[2]]
     return check_splits(qa) + check_splits(qb)
 
 

@@ -26,7 +26,7 @@ from qmalcev import linalg
 from qmalcev.core import (GradedSubspace, _enveloping_basis,
                           _multiplication_generators, _to_element, center,
                           change_basis, simplicity)
-from qmalcev.decompose import _odd_action_matrices, _trace_form
+from qmalcev.decompose import _odd_action_matrices
 from qmalcev.linalg import ONE, ZERO
 from qmalcev.quadratic import (BilinearForm, QuadraticAlgebra,
                                b_irreducible_components)
@@ -34,6 +34,20 @@ from qmalcev.quadratic import (BilinearForm, QuadraticAlgebra,
 
 # ---------------------------------------------------------------------------
 # the dense routines, as references
+
+def _trace_form(mats, n):
+    """The symmetric matrix of tr(m_i m_j) for sparse n x n matrices
+    {n*row + column: value}: the sum of m_i[r][c] m_j[c][r]."""
+    k = len(mats)
+    out = [[ZERO] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            mj = mats[j]
+            out[i][j] = out[j][i] = sum(
+                (x * mj.get(pos % n * n + pos // n, ZERO)
+                 for pos, x in mats[i].items()), ZERO)
+    return out
+
 
 def _act(m, v, n):
     """The sparse n x n matrix m applied to the vector v."""
@@ -145,8 +159,8 @@ def reference_reductive(even: SuperAlgebra):
     if square.dim == 0:
         return True
     if (z.dim + square.dim != n
-            or linalg.rank([list(c) for c in z.columns + square.columns])
-            != n):
+            or GradedSubspace.from_vectors(
+                even.space, z.columns + square.columns).dim != n):
         return False
     sq = change_basis(even, square.columns)
     tf = BilinearForm(_trace_form(_multiplication_generators(sq)[sq.dim:],

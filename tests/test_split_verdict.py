@@ -41,7 +41,7 @@ def _structurally_irreducible(q):
 
 def _certified_irreducible(q):
     return (_structurally_irreducible(q)
-            or _trace_rank(_symmetric_centroid(q), stop=2) == 1)
+            or _trace_rank(_symmetric_centroid(q), q.dim, stop=2) == 1)
 
 
 def _search_splitting_ideal(q):
