@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .catalog import CATALOG_NAMES, catalog_get
-from .core import (CheckReport, check_jacobi, check_malcev,
+from .core import (CheckReport, Element, check_jacobi, check_malcev,
                    check_super_anticommutativity, center)
 from .decompose import inductive_decompose, rebuild, reduce_even, reduce_odd
 from .document import (MAX_DIM, DocumentSyntaxError, canonical_json,
@@ -27,6 +27,7 @@ from .document import (MAX_DIM, DocumentSyntaxError, canonical_json,
 from .errors import (AxiomError, GradingError, InconclusiveError, InputError,
                      PreconditionError)
 from .extensions import double_extension_even, generalized_double_extension
+from .linalg import ZERO
 from .operators import check_malcev_operator, check_skew_supersymmetric
 from .quadratic import check_form
 
@@ -35,6 +36,9 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_PRECONDITION = 4
 EXIT_INCONCLUSIVE = 5
+
+
+_ZERO_TEXT = scalar_text(ZERO)
 
 
 def _witnesses_enabled():
@@ -53,10 +57,8 @@ def _report_obj(rep: CheckReport):
 
 
 def _value_obj(v):
-    from .core import Element
-
-    if isinstance(v, Element):
-        return [scalar_text(c) for c in v.coords]
+    if isinstance(v, Element):  # mostly the shared ZERO: one text for it
+        return [_ZERO_TEXT if c is ZERO else scalar_text(c) for c in v.coords]
     try:
         return scalar_text(v)
     except (TypeError, AttributeError):

@@ -6,8 +6,8 @@ c[(i,j,k)] b_k, with grading compatibility enforced at construction.
 
 The identity checkers report an exact witness for every basis tuple on
 which an identity fails; by multilinearity that decides it.  The Malcev,
-Jacobi and cocycle scans, and the form-invariance scan of
-`quadratic.check_form`, share one integer kernel per algebra, and both of
+Jacobi, super-anticommutativity and cocycle scans, and the form-invariance
+scan of `quadratic.check_form`, share one integer kernel per algebra, and
 its shortcuts are exact:
 
 - Cleared denominators.  The constants are multiplied by D, the lcm of
@@ -28,6 +28,17 @@ its shortcuts are exact:
   order-free, so each sum equals the tuple's full evaluation; the tuples
   whose sum is nonzero are then sorted, which is the lexicographic witness
   order of a full scan.
+- Packed vectors.  Every vector of a scan lies in one block, a class of
+  the least equivalence with i ~ j ~ k whenever c(i, j, k) != 0.  The
+  Malcev and Jacobi passes hold it as one int, `bits` bits a coordinate
+  from the block's least index, and add a term with one multiply-add.
+  With A the largest |entry| and s the most nonzeros of a scaled pair
+  vector, a T coordinate is at most s A^2 and one of a Malcev term at most
+  s^2 A^3, so a Malcev sum (one term minus four) is at most 5 s^2 A^3 and
+  a Jacobi sum (three T entries) at most 3 s A^2.  bits = bitlen(5 s^2
+  A^3) + 1 makes each a balanced digit, below 2^(bits-1) in absolute
+  value; int addition is exact whatever the partial sums, so each final
+  sum decodes exactly, and is 0 exactly when the vector is.
 - Orbits.  The Jacobi sum is the same at the three rotations of a triple,
   and on a super-anticommutative algebra lhs - rhs of the Malcev identity
   changes only by a Koszul sign along the four rotations of a quadruple.
@@ -37,10 +48,12 @@ its shortcuts are exact:
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import linalg
 from .errors import (GradingError, InconclusiveError, InputError,
@@ -336,22 +349,23 @@ def check_super_anticommutativity(a: SuperAlgebra) -> CheckReport:
     """b_i b_j = -(-1)^{p(i)p(j)} b_j b_i for all basis pairs.
 
     Both sides vanish unless (i, j) or (j, i) is in the pair table, so only
-    those pairs are compared, in the order of a full scan over i <= j.  The
-    report is cached on the (immutable) algebra: check_malcev reads it for
-    its note and QuadraticAlgebra.validate for its verdict.
+    those pairs are compared, in the order of a full scan over i <= j, on
+    the scan kernel's scaled ints.  The report is cached on the (immutable)
+    algebra: check_malcev reads it for its note and QuadraticAlgebra.validate
+    for its verdict.
     """
     if a._anti is not None:
         return a._anti
-    n = a.dim
-    parity = a.space.parity
+    n, kern = a.dim, _scan_kernel(a)
+    pairs, par = kern.pairs, kern.par
     witnesses = []
-    for i, j in sorted({(min(i, j), max(i, j)) for i, j in a.pair_table()}):
-        lhs = a.basis_product(i, j)
-        rhs = _vscale(a.basis_product(j, i),
-                      -ksign(parity(i) * parity(j)))
-        if lhs != rhs:
-            witnesses.append(Witness((i, j), _to_element(n, lhs),
-                                     _to_element(n, rhs)))
+    for i, j in sorted({(i, j) if i <= j else (j, i) for i, j in pairs}):
+        s = -ksign(par[i] * par[j])
+        if pairs.get((i, j), _EMPTY) != {
+                k: s * c for k, c in pairs.get((j, i), _EMPTY).items()}:
+            witnesses.append(Witness(
+                (i, j), _to_element(n, a.basis_product(i, j)),
+                _to_element(n, _vscale(a.basis_product(j, i), s))))
     a._anti = _report(witnesses)
     return a._anti
 
@@ -366,32 +380,96 @@ def _scaled(table):
                    for key, vec in table.items()}
 
 
+_EMPTY = MappingProxyType({})  # the default of lookups
+
+
+def _packed(vec, base, bits):
+    """The int vector {k: c} as one int, the sum of c 2^(bits (k - base))."""
+    x = 0
+    for k, c in vec.items():
+        x += c << bits * (k - base)
+    return x
+
+
+def _unpacked(x, base, bits):
+    """{k: c} for the nonzero balanced digits c, each in [-2^(bits-1),
+    2^(bits-1)), of a packed int x: the inverse of _packed."""
+    out, half, mask = {}, 1 << (bits - 1), (1 << bits) - 1
+    while x:
+        skip = ((x & -x).bit_length() - 1) // bits  # zero slots below
+        x >>= bits * skip
+        base += skip
+        out[base] = ((x + half) & mask) - half
+        x = (x + half) >> bits
+        base += 1
+    return out
+
+
 class _ScanKernel:
     """Integer tables that the identity scans of one algebra share.
 
-    The constants are scaled by D, the lcm of their denominators, so every
-    entry is an int.  `pairs[(i, j)]` is the scaled product b_i b_j,
-    `rows[i]` maps j to the same vector, `columns[m]` lists the pairs
-    ((i, j), c) whose product has c != 0 at b_m, and `triples[(a, b)]` maps
-    c to the scaled (b_a b_b) b_c.  Only nonzero vectors are stored.
+    The constants are scaled by D, so every entry is an int.  `pairs[(i,
+    j)]` is the scaled product b_i b_j, `rows[i]` maps j to the same vector
+    and `columns[m]` lists the pairs ((i, j), c) whose product has c != 0
+    at b_m.  `packed[(a, b)]` maps c to T(a, b, c), the sum over m of
+    c(a, b, m) b_m b_c, packed from `base[a]`, the least index of a's
+    block, and summed from the packed pair rows.  Only nonzero vectors are
+    stored.
     """
 
     def __init__(self, a: SuperAlgebra):
-        self.par = [a.space.parity(i) for i in range(a.dim)]
+        n = a.dim
+        self.par = [EVEN] * a.space.even_dim + [ODD] * a.space.odd_dim
         self.scale, pairs = _scaled(a.pair_table())
-        rows, columns = {}, {}
-        for (i, j), ivec in pairs.items():
-            rows.setdefault(i, {})[j] = ivec
-            for k, c in ivec.items():
-                columns.setdefault(k, []).append(((i, j), c))
-        self.pairs = pairs
-        self.rows = rows
-        self.columns = columns
-        self.triples = {}
-        for key, pv in pairs.items():
-            prods = self.right_products(pv)
-            if prods:
-                self.triples[key] = prods
+        base = list(range(n))  # a forest of the blocks; a parent is less
+        top = width = 0
+        for (i, j), vec in pairs.items():
+            width = max(width, len(vec))
+            for k, c in vec.items():
+                if not -top <= c <= top:
+                    top = abs(c)
+                if base[i] == base[j] == base[k]:
+                    continue
+                ri, rj, rk = i, j, k  # their roots, joined under the least
+                while base[ri] != ri:
+                    ri = base[ri]
+                while base[rj] != rj:
+                    rj = base[rj]
+                while base[rk] != rk:
+                    rk = base[rk]
+                least = min(ri, rj, rk)
+                base[ri] = base[rj] = base[rk] = least
+                base[i] = base[j] = base[k] = least
+        for i in range(n):  # now each index's root, the least of its block
+            base[i] = base[base[i]]
+        bits = (5 * width ** 2 * top ** 3).bit_length() + 1
+        rows, packed_rows = {}, {}
+        for (i, j), vec in pairs.items():
+            if i not in rows:
+                rows[i], packed_rows[i] = {}, {}
+            rows[i][j], packed_rows[i][j] = vec, _packed(vec, base[i], bits)
+        packed, columns = {}, {}
+        for key, vec in pairs.items():
+            acc = {}
+            for m, c in vec.items():
+                columns.setdefault(m, []).append((key, c))
+                for w, y in packed_rows.get(m, _EMPTY).items():
+                    acc[w] = acc.get(w, 0) + c * y
+            if acc and len(vec) > 1:
+                acc = {w: y for w, y in acc.items() if y}
+            if acc:
+                packed[key] = acc
+        self.pairs, self.rows, self.columns = pairs, rows, columns
+        self.base, self.bits, self.packed = base, bits, packed
+
+    @functools.cached_property
+    def triples(self):
+        """`packed` as {k: int} vectors, on first use by the operator and
+        cocycle scans."""
+        base, bits = self.base, self.bits
+        return {key: {c: _unpacked(x, base[key[0]], bits)
+                      for c, x in row.items()}
+                for key, row in self.packed.items()}
 
     def right_products(self, vec):
         """{w: vec . b_w} for a scaled sparse vector vec, with only the w
@@ -428,10 +506,15 @@ def _chain_keys(par, p, q, r, w):
             ((q, r, w, p), ksign(x * (y + z + t))))
 
 
-def _scaled_element(n, vec, denom):
+def _scaled_element(n, vec, denom, fracs):
+    """The Element with coordinates c / denom for the int vector {k: c};
+    fracs, a dict local to the caller's call, keeps one Fraction per c."""
     coords = [ZERO] * n
     for k, c in vec.items():
-        coords[k] = Fraction(c, denom)
+        x = fracs.get(c)
+        if x is None:
+            x = fracs[c] = Fraction(c) if denom == 1 else Fraction(c, denom)
+        coords[k] = x
     return Element(tuple(coords))
 
 
@@ -442,21 +525,16 @@ def _side_witnesses(n, lhs, rhs, lscale, rscale):
     two scales, compared there, and divided back only in a witness."""
     g = math.gcd(lscale, rscale)
     lmul, rmul = rscale // g, lscale // g
-    denom = lscale * lmul
+    denom, fracs = lscale * lmul, {}
     witnesses = []
     for key in sorted(lhs.keys() | rhs.keys()):
         left = {m: c * lmul for m, c in lhs.get(key, {}).items() if c}
         right = {m: c * rmul for m, c in rhs.get(key, {}).items() if c}
         if left != right:
-            witnesses.append(Witness(key, _scaled_element(n, left, denom),
-                                     _scaled_element(n, right, denom)))
+            witnesses.append(Witness(
+                key, _scaled_element(n, left, denom, fracs),
+                _scaled_element(n, right, denom, fracs)))
     return witnesses
-
-
-def _least_rotation(key):
-    """The lexicographically least of the four rotations of a quadruple."""
-    i, j, k, l = key
-    return min(key, (j, k, l, i), (k, l, i, j), (l, i, j, k))
 
 
 def _rotations(par, key):
@@ -470,109 +548,118 @@ def _rotations(par, key):
     return out
 
 
-def _least_chain_keys(par, p, q, r, w):
-    """The entries of _chain_keys(par, p, q, r, w) whose key is the least of
-    the four: one, unless the least index occurs more than once."""
-    lo = min(p, q, r, w)
-    if (p == lo) + (q == lo) + (r == lo) + (w == lo) > 1:
-        keys = _chain_keys(par, p, q, r, w)
-        least = min(keys)[0]
-        return [entry for entry in keys if entry[0] == least]
-    x, y, z, t = par[p], par[q], par[r], par[w]
-    if p == lo:
-        return (((p, q, r, w), 1),)
-    if w == lo:
-        return (((w, p, q, r), ksign(t * (x + y + z))),)
-    if r == lo:
-        return (((r, w, p, q), ksign((z + t) * (x + y))),)
-    return (((q, r, w, p), ksign(x * (y + z + t))),)
+def _chain_rows(kern: _ScanKernel, ordered):
+    """(p, q, r, {w: ((b_p b_q) b_r) b_w, packed}) for each (p, q, r) with
+    (b_p b_q) b_r != 0, only p <= q when ordered; each product is read off
+    the table as the sum over a of c(p, q, a) T(a, r, w)."""
+    packed, pairs = kern.packed, kern.pairs
+    for (p, q), trow in packed.items():
+        if ordered and q < p:
+            continue
+        pv = pairs[(p, q)]
+        for r in trow:
+            row = {}
+            for a, c in pv.items():
+                arow = packed.get((a, r))
+                if arow:
+                    for w, x in arow.items():
+                        row[w] = row.get(w, 0) + c * x
+            if row:
+                yield p, q, r, row
 
 
 def _malcev_sums(kern: _ScanKernel):
-    """{(i, j, k, l): the scaled lhs - rhs of the Malcev identity}, summed
-    term by term at every quadruple where a term is nonzero."""
-    par, triples, columns = kern.par, kern.triples, kern.columns
+    """{(i, j, k, l): the scaled lhs - rhs of the Malcev identity, packed},
+    summed term by term at every quadruple where a term is nonzero."""
+    par, columns = kern.par, kern.columns
     diff = {}
     # (b_i b_k)(b_j b_l) = sum over m of c(j, l, m) (b_i b_k) b_m
-    for (i, k), trow in triples.items():
-        for m, tv in trow.items():
+    for (i, k), trow in kern.packed.items():
+        odd = par[k]
+        for m, x in trow.items():
             for (j, l), c in columns.get(m, ()):
-                c *= ksign(par[j] * par[k])
-                acc = diff.setdefault((i, j, k, l), {})
-                for r, x in tv.items():
-                    acc[r] = acc.get(r, 0) + c * x
-    for (p, q), trow in triples.items():
-        for r, tv in trow.items():
-            for w, vec in kern.right_products(tv).items():
-                for key, s in _chain_keys(par, p, q, r, w):
-                    acc = diff.setdefault(key, {})
-                    for m, c in vec.items():
-                        acc[m] = acc.get(m, 0) - s * c
+                key = (i, j, k, l)
+                diff[key] = diff.get(key, 0) + (
+                    -c if odd and par[j] else c) * x
+    for p, q, r, row in _chain_rows(kern, False):
+        for w, v in row.items():
+            for key, s in _chain_keys(par, p, q, r, w):
+                diff[key] = diff.get(key, 0) - s * v
     return diff
 
 
 def _malcev_orbit_sums(kern: _ScanKernel):
-    """{canonical key: the scaled lhs - rhs of the Malcev identity} on a
-    super-anticommutative algebra, where the canonical key of a quadruple
-    is the least of its four rotations.  Each term is added only at the
-    canonical key among the keys where it occurs; a chain term at a
+    """{canonical key: the scaled lhs - rhs of the Malcev identity, packed}
+    on a super-anticommutative algebra, where the canonical key of a
+    quadruple is the least of its four rotations.  Each term is added only
+    at the canonical key among the keys where it occurs; a chain term at a
     periodic key such as (i, j, i, j) lands there once per rotation that
     equals it, each time with that rotation's sign.  The chain product
     ((b_p b_q) b_r) b_w is formed only for p <= q, and serves (q, p, r, w)
     too: b_q b_p is b_p b_q times -(-1)^{|p||q|}."""
-    par, triples, columns = kern.par, kern.triples, kern.columns
+    par, columns = kern.par, kern.columns
     diff = {}
-    for (i, k), trow in triples.items():
+    for (i, k), trow in kern.packed.items():
         if k < i:  # (k, l, i, j) is less
             continue
-        for m, tv in trow.items():
+        odd = par[k]
+        for m, x in trow.items():
             for (j, l), c in columns.get(m, ()):
                 if j < i or l < i:
                     continue
                 key = (i, j, k, l)
-                if i in (j, k, l) and key != _least_rotation(key):
+                if i in (j, k, l) and key != min(
+                        key, (j, k, l, i), (k, l, i, j), (l, i, j, k)):
                     continue
-                c *= ksign(par[j] * par[k])
-                acc = diff.setdefault(key, {})
-                for r, x in tv.items():
-                    acc[r] = acc.get(r, 0) + c * x
-    for (p, q), trow in triples.items():
-        if q < p:
-            continue
-        mirror = -ksign(par[p] * par[q])
-        for r, tv in trow.items():
-            for w, vec in kern.right_products(tv).items():
-                for key, s in _least_chain_keys(par, p, q, r, w):
-                    _add(diff, key, vec, -s)
-                if p < q:
-                    for key, s in _least_chain_keys(par, q, p, r, w):
-                        _add(diff, key, vec, -s * mirror)
+                diff[key] = diff.get(key, 0) + (
+                    -c if odd and par[j] else c) * x
+    for p0, q0, r, row in _chain_rows(kern, True):
+        orders = [(p0, q0, -1)]
+        if p0 < q0:
+            orders.append((q0, p0, ksign(par[p0] * par[q0])))
+        for p, q, f in orders:
+            # the least rotation of (p, q, r, w) starts at w when w < lo,
+            # and at lo when w > lo and lo occurs once in (p, q, r)
+            x, y, z = par[p], par[q], par[r]
+            lo = min(p, q, r)
+            once = (p == lo) + (q == lo) + (r == lo) == 1
+            for w, v in row.items():
+                t = par[w]
+                if w < lo:
+                    entries = (((w, p, q, r), ksign(t * (x + y + z))),)
+                elif w == lo or not once:  # ties: the least of the four
+                    keys = _chain_keys(par, p, q, r, w)
+                    least = min(keys)[0]
+                    entries = [e for e in keys if e[0] == least]
+                elif p == lo:
+                    entries = (((p, q, r, w), 1),)
+                elif r == lo:
+                    entries = (((r, w, p, q), ksign((z + t) * (x + y))),)
+                else:
+                    entries = (((q, r, w, p), ksign(x * (y + z + t))),)
+                for key, s in entries:
+                    diff[key] = diff.get(key, 0) + f * s * v
     return diff
 
 
 def _malcev_witnesses(kern: _ScanKernel, n, diff):
-    """Witness(key, lhs, rhs) at each sorted key of diff {key: scaled
+    """Witness(key, lhs, rhs) at each sorted key of diff {key: packed scaled
     lhs - rhs} where the difference is nonzero.  The lhs
     (-1)^{yz} (b_i b_k)(b_j b_l) is evaluated there, and rhs = lhs - diff."""
-    par, pairs, triples = kern.par, kern.pairs, kern.triples
-    denom = kern.scale ** 3
+    par, pairs, packed = kern.par, kern.pairs, kern.packed
+    base, bits = kern.base, kern.bits
+    denom, fracs = kern.scale ** 3, {}
     witnesses = []
-    for key in sorted(diff):
-        acc = diff[key]
-        if not any(acc.values()):
-            continue
+    for key in sorted(key for key, x in diff.items() if x):
         i, j, k, l = key
-        lhs = {}
-        trow, v = triples.get((i, k), {}), pairs.get((j, l), {})
-        for m, c in v.items():
-            c *= ksign(par[j] * par[k])
-            for r, x in trow.get(m, {}).items():
-                lhs[r] = lhs.get(r, 0) + c * x
-        rhs = dict(lhs)
-        for m, c in acc.items():
-            rhs[m] = rhs.get(m, 0) - c
-        witnesses.append(Witness(key, _scaled_element(n, lhs, denom),
-                                 _scaled_element(n, rhs, denom)))
+        trow = packed.get((i, k), _EMPTY)
+        lhs = ksign(par[j] * par[k]) * sum(
+            c * trow.get(m, 0) for m, c in pairs.get((j, l), _EMPTY).items())
+        witnesses.append(Witness(
+            key, _scaled_element(n, _unpacked(lhs, base[i], bits), denom,
+                                 fracs),
+            _scaled_element(n, _unpacked(lhs - diff[key], base[i], bits),
+                            denom, fracs)))
     return witnesses
 
 
@@ -608,10 +695,10 @@ def check_malcev(a: SuperAlgebra) -> CheckReport:
     if check_jacobi(a).passed:
         return _report(())
     diff = {}
-    for key, acc in _malcev_orbit_sums(kern).items():
-        if any(acc.values()):
+    for key, x in _malcev_orbit_sums(kern).items():
+        if x:
             for rot, s in _rotations(kern.par, key).items():
-                diff[rot] = {m: s * c for m, c in acc.items()}
+                diff[rot] = s * x
     return _report(_malcev_witnesses(kern, n, diff))
 
 
@@ -636,25 +723,29 @@ def check_jacobi(a: SuperAlgebra) -> CheckReport:
     kern = _scan_kernel(a)
     par = kern.par
     sums = {}
-    for (p, q), trow in kern.triples.items():
-        for r, tv in trow.items():
+    for (p, q), trow in kern.packed.items():
+        for r, x in trow.items():
             # (b_p b_q) b_r is (XY)Z at (p, q, r), (YZ)X at (r, p, q) and
             # (ZX)Y at (q, r, p); each time its sign is (-1)^{p(p) p(r)}
             s = ksign(par[p] * par[r])
-            if p == q == r:
+            if p < q and p < r:
+                key = (p, q, r)
+            elif q < r and q < p:
+                key = (q, r, p)
+            elif r < p and r < q:
+                key = (r, p, q)
+            elif p == q == r:
                 key, s = (p, p, p), 3 * s
-            else:
+            else:  # the least index occurs twice
                 key = min((p, q, r), (r, p, q), (q, r, p))
-            acc = sums.setdefault(key, {})
-            for m, c in tv.items():
-                acc[m] = acc.get(m, 0) + s * c
-    denom = kern.scale ** 2
+            sums[key] = sums.get(key, 0) + s * x
+    denom, fracs = kern.scale ** 2, {}
     zero = Element.zero(n)
     witnesses = []
-    for key, acc in sums.items():
-        acc = {m: c for m, c in acc.items() if c}
-        if acc:
-            value = _scaled_element(n, acc, denom)
+    for key, x in sums.items():
+        if x:
+            value = _scaled_element(
+                n, _unpacked(x, kern.base[key[0]], kern.bits), denom, fracs)
             witnesses += [Witness(rot, value, zero)
                           for rot in _rotations(par, key)]
     witnesses.sort(key=lambda w: w.index)

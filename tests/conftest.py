@@ -1,6 +1,39 @@
+import math
+from collections import Counter
+
 import pytest
 
 from qmalcev import catalog_get
+from qmalcev import core
+
+
+def slot_bound(a):
+    """5 s^2 A^3 from the Fraction constants of a: A is the largest
+    |constant| times D, the lcm of their denominators, and s the most
+    constants that one basis pair has.  A final Malcev or Jacobi sum of the
+    scan kernel is at most this in absolute value, coordinate by
+    coordinate."""
+    if not a.constants:
+        return 0
+    d = math.lcm(*(c.denominator for c in a.constants.values()))
+    top = max(int(abs(c) * d) for c in a.constants.values())
+    width = max(Counter((i, j) for i, j, _k in a.constants).values())
+    return 5 * width ** 2 * top ** 3
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _slot_width_checked():
+    """Every scan kernel that the suite builds, in any test, has slots wide
+    enough for the bound: 2^(bits-1) > slot_bound(a)."""
+    real = core._ScanKernel.__init__
+
+    def init(self, a):
+        real(self, a)
+        assert 2 ** (self.bits - 1) > slot_bound(a), (a, self.bits)
+
+    core._ScanKernel.__init__ = init
+    yield
+    core._ScanKernel.__init__ = real
 
 
 @pytest.fixture(scope="session")

@@ -40,9 +40,10 @@ SCALARS = st.builds(Fraction, st.integers(-4, 4).filter(bool),
 
 
 @st.composite
-def graded_algebras(draw, anti=st.booleans()):
-    """Random graded algebras of dimension <= 5 with mixed denominators;
-    anticommutative or not, as `anti` draws."""
+def graded_algebras(draw, anti=st.booleans(), scalars=SCALARS):
+    """Random graded algebras of dimension <= 5 with constants drawn from
+    `scalars`, mixed denominators by default; anticommutative or not, as
+    `anti` draws."""
     p = draw(st.integers(0, 4))
     q = draw(st.integers(0 if p else 1, 5 - p))
     space = SuperSpace(p, q)
@@ -56,7 +57,7 @@ def graded_algebras(draw, anti=st.booleans()):
         if not ks:
             continue
         k = draw(st.sampled_from(ks))
-        c = draw(SCALARS)
+        c = draw(scalars)
         constants[(i, j, k)] = c
         if anti:
             sign = -ksign(par[i] * par[j])
@@ -212,21 +213,26 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 def _malcev_passes(monkeypatch, a):
     """check_malcev(a), the Malcev passes it ran ("orbit" or "full") and
-    how many times it looked up the keys of a chain term."""
+    how many rows of chain products ((b_p b_q) b_r) b_w they formed."""
     passes, chains = [], []
 
-    def spy(name, log, label=None):
+    def spy(name, label):
         real = getattr(core, name)
 
         def wrapper(*args):
-            log.append(label or args)
+            passes.append(label)
             return real(*args)
         monkeypatch.setattr(core, name, wrapper)
 
-    spy("_malcev_orbit_sums", passes, "orbit")
-    spy("_malcev_sums", passes, "full")
-    spy("_chain_keys", chains)
-    spy("_least_chain_keys", chains)
+    def rows(*args):
+        for row in real_rows(*args):
+            chains.append(row)
+            yield row
+
+    spy("_malcev_orbit_sums", "orbit")
+    spy("_malcev_sums", "full")
+    real_rows = core._chain_rows
+    monkeypatch.setattr(core, "_chain_rows", rows)
     return check_malcev(a), passes, len(chains)
 
 
