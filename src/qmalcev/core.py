@@ -58,7 +58,7 @@ from types import MappingProxyType
 from . import linalg
 from .errors import (GradingError, InconclusiveError, InputError,
                      PreconditionError)
-from .linalg import ONE, ZERO, Span, frac
+from .linalg import ONE, ZERO, Span, _add, frac
 
 EVEN = 0
 ODD = 1
@@ -192,6 +192,7 @@ class SuperAlgebra:
             table[(i, j, k)] = c
         self.constants = table
         self._pairs = None
+        self._ints = self._factors = None
         self._kernel = None
         self._center = None
         self._simplicity = None
@@ -214,6 +215,23 @@ class SuperAlgebra:
                 pairs.setdefault((i, j), {})[k] = c
             self._pairs = pairs
         return self._pairs
+
+    def int_table(self):
+        """(D, {(i, j): D b_i b_j}), D the lcm of the constants'
+        denominators: the one int copy of the pair table, cached."""
+        if self._ints is None:
+            self._ints = linalg.scaled(self.pair_table())
+        return self._ints
+
+    def int_factors(self):
+        """The int table's vectors by factor, {i: {j: D b_i b_j}} and
+        {j: {i: D b_i b_j}}, cached; the closures and Gamma_s read them."""
+        if self._factors is None:
+            lefts, rights = {}, {}
+            for (i, j), vec in self.int_table()[1].items():
+                lefts.setdefault(i, {})[j] = rights.setdefault(j, {})[i] = vec
+            self._factors = lefts, rights
+        return self._factors
 
     def basis_product(self, i, j):
         return self.pair_table().get((i, j), {})
@@ -264,57 +282,7 @@ def _mul_vv(a: SuperAlgebra, u, v):
 
 def _mul_vb(a: SuperAlgebra, u, j):
     """u . b_j for a sparse vector u."""
-    pairs = a.pair_table()
-    out = {}
-    for i, ci in u.items():
-        pv = pairs.get((i, j))
-        if pv:
-            _vadd(out, pv, ci)
-    return out
-
-
-def _mul_bv(a: SuperAlgebra, i, v):
-    """b_i . v for a sparse vector v."""
-    pairs = a.pair_table()
-    out = {}
-    for j, cj in v.items():
-        pv = pairs.get((i, j))
-        if pv:
-            _vadd(out, pv, cj)
-    return out
-
-
-def _add(sums, key, vec, s):
-    """sums[key] += s * vec for a sparse vector vec; zeros are kept."""
-    acc = sums.setdefault(key, {})
-    for m, c in vec.items():
-        acc[m] = acc.get(m, 0) + s * c
-
-
-def _pulled_back(table, cols):
-    """{(i, j): sum over (s, t) of cols[i][s] cols[j][t] table[(s, t)]}, the
-    bilinear map table {(s, t): {k: x}} on basis pairs at the pairs of
-    sparse vectors cols {i: {s: x}}; nonzero entries only.  This is the one
-    basis rewrite, of a pair table (change_basis) and of a form's entries
-    as a map to a line (BilinearForm.restrict).  The work follows the
-    nonzeros of the table and of the vectors."""
-    rows, users = {}, {}
-    for (s, t), vec in table.items():
-        rows.setdefault(s, []).append((t, vec))
-    for j, vec in cols.items():
-        for t, x in vec.items():
-            users.setdefault(t, []).append((j, x))
-    out = {}
-    for i, u in cols.items():
-        left = {}  # {t: the product of cols[i] with b_t}
-        for s, x in u.items():
-            for t, vec in rows.get(s, ()):
-                _add(left, t, vec, x)
-        for t, vec in left.items():
-            for j, y in users.get(t, ()):
-                _add(out, (i, j), vec, y)
-    return {key: nz for key, vec in out.items()
-            if (nz := {k: x for k, x in vec.items() if x})}
+    return _mul_vv(a, u, {j: ONE})
 
 
 def _to_element(n, vec):
@@ -370,16 +338,6 @@ def check_super_anticommutativity(a: SuperAlgebra) -> CheckReport:
     return a._anti
 
 
-def _scaled(table):
-    """D, the lcm of the denominators in the sparse vectors {key: {k: x}},
-    and D times each vector as ints."""
-    scale = math.lcm(*(x.denominator for vec in table.values()
-                       for x in vec.values()))
-    return scale, {key: {k: x.numerator * (scale // x.denominator)
-                         for k, x in vec.items()}
-                   for key, vec in table.items()}
-
-
 _EMPTY = MappingProxyType({})  # the default of lookups
 
 
@@ -420,7 +378,7 @@ class _ScanKernel:
     def __init__(self, a: SuperAlgebra):
         n = a.dim
         self.par = [EVEN] * a.space.even_dim + [ODD] * a.space.odd_dim
-        self.scale, pairs = _scaled(a.pair_table())
+        self.scale, pairs = a.int_table()
         base = list(range(n))  # a forest of the blocks; a parent is less
         top = width = 0
         for (i, j), vec in pairs.items():
@@ -765,11 +723,11 @@ def _vector(n, v):
 class GradedSubspace:
     """The span of homogeneous columns, lists or dicts (InputError when one
     does not fit the space, GradingError when one mixes parities), stored
-    as the sparse reduced rows of one `linalg.Span`, in pivot order, so the
-    even rows come first.  A subspace has one reduced basis, so `key`, the
-    rows as (coordinate, numerator, denominator) triples, names it; the
-    memos of ideal closures and form restrictions are keyed by it.  The
-    dense `columns` and their even and odd parts are derived views."""
+    as the primitive int rows `int_rows` of one `linalg.Span`, in pivot
+    order, so the even rows come first.  They are unique, so `key`, the
+    rows as sorted (coordinate, value) pairs, names the subspace; the memos
+    of ideal closures and form restrictions are keyed by it.  The reduced
+    echelon `rows` as Fractions and the dense `columns` are derived views."""
 
     def __init__(self, space: SuperSpace, columns):
         span = Span(space.dim)
@@ -781,12 +739,15 @@ class GradedSubspace:
         self._store(space, span)
 
     def _store(self, space, span):
-        self.space, self._span, self.rows = space, span, span.rows()
+        self.space, self._span, self.int_rows = space, span, span.int_rows()
         self._evens = sum(c < space.even_dim for c in span.pivot_columns())
-        self.key = tuple(tuple(sorted((c, x.numerator, x.denominator)
-                                      for c, x in row.items()))
-                         for row in self.rows)
+        self.key = tuple(tuple(sorted(row.items())) for row in self.int_rows)
         return self
+
+    @functools.cached_property
+    def rows(self):
+        """The reduced echelon rows, 1 at each pivot, as Fractions."""
+        return self._span.rows()
 
     @classmethod
     def from_vectors(cls, space: SuperSpace, vectors):
@@ -832,32 +793,41 @@ def center(a: SuperAlgebra) -> GradedSubspace:
     """{X : b_j X = 0 for all j}, one sparse kernel; each row (j, k) of the
     system meets one parity, so the kernel vectors are homogeneous."""
     if a._center is None:
-        rows = {}  # (j, k) -> {i: c(j, i, k)}, the coefficient of b_k in b_j X
-        for (j, i, k), c in a.constants.items():
-            rows.setdefault((j, k), {})[i] = c
+        rows = {}  # (j, k) -> {i: D c(j, i, k)}, for b_k in b_j X
+        for (j, i), vec in a.int_table()[1].items():
+            for k, c in vec.items():
+                rows.setdefault((j, k), {})[i] = c
         a._center = GradedSubspace(
-            a.space, linalg.sparse_kernel(list(rows.values()), a.dim))
+            a.space, linalg.int_kernel(list(rows.values()), a.dim))
     return a._center
 
 
 def ideal_closure(a: SuperAlgebra, seed: GradedSubspace) -> GradedSubspace:
     """Smallest graded two-sided multiplication-closed subspace over seed.
 
-    Memoized on the (immutable) algebra by the seed's key; the result is
-    stored under its own key too, since an ideal is its own closure.  A
-    seed in another space raises InputError.
+    Int rows times the int table, b_j v then v b_j for each j.  Memoized
+    on the (immutable) algebra by the seed's key; the result is stored
+    under its own key too, since an ideal is its own closure.  A seed in
+    another space raises InputError.
     """
     if seed.space != a.space:
         raise InputError("subspace does not lie in the algebra's space")
     closed = a._closures.get(seed.key)
     if closed is None:
+        lefts, rights = a.int_factors()
         span = Span(a.dim)
-        work = [row for row in seed.rows if span.add(row)]
+        work = [row for row in seed.int_rows if span.add(row)]
         while work:
             v = work.pop()
+            left, right = {}, {}  # j -> b_j v, v b_j
+            for i, x in v.items():
+                for j, vec in rights.get(i, _EMPTY).items():
+                    _add(left, j, vec, x)
+                for j, vec in lefts.get(i, _EMPTY).items():
+                    _add(right, j, vec, x)
             for j in range(a.dim):
-                for prod in (_mul_bv(a, j, v), _mul_vb(a, v, j)):
-                    if span.add(prod):
+                for prod in (left.get(j), right.get(j)):
+                    if prod and span.add(prod):
                         work.append(prod)
         # the seeds and their products with basis vectors are homogeneous,
         # so the reduced rows are too
@@ -898,12 +868,14 @@ def change_basis(a: SuperAlgebra, columns, name=None) -> SuperAlgebra:
     change of basis when k = n, the algebra on a subspace when k < n.  The
     columns must be independent (InputError), homogeneous and ordered
     even-first (GradingError); the result lives on their (p|k-p) space and
-    keeps a's name unless one is given.  The products of the columns are
-    the pair table pulled back along them (_pulled_back).  One `linalg.Span`
-    of the rows [C^T | I], C the n x k matrix of the columns, reduces each
-    product w to (w - C x | -x), which is (0 | -x) exactly when w = C x lies
-    in the span; when k < n a product outside it means that the subspace
-    is not closed under the product, and raises PreconditionError.
+    keeps a's name unless one is given.  The products of the columns,
+    scaled by L, the lcm of their denominators, are the int table pulled
+    back along them (linalg.pulled_back), D L^2 times the true ones.  One
+    `linalg.Span` of the rows [C^T | I], C the n x k matrix of the columns,
+    reduces each product w to (w - C x | -x) times its multiplier m, which
+    is (0 | -x) exactly when w = C x lies in the span, so the constants are
+    divided back by D L^2 m once; when k < n a product outside the span
+    means that the subspace is not closed, and raises PreconditionError.
     """
     n = a.dim
     vecs = [{r: y for r, x in _vector(n, c).items() if (y := frac(x))}
@@ -911,9 +883,10 @@ def change_basis(a: SuperAlgebra, columns, name=None) -> SuperAlgebra:
     k = len(vecs)
     if k > n:
         raise InputError("need at most %d basis columns" % n)
+    scale, cols = linalg.scaled(dict(enumerate(vecs)))
     span = Span(n + k)
-    for m, v in enumerate(vecs):
-        span.add({**v, n + m: ONE})
+    for m, v in cols.items():
+        span.add({**v, n + m: scale})
     pivots = span.pivot_columns()
     if pivots and pivots[-1] >= n:
         raise InputError("basis columns are linearly dependent")
@@ -926,14 +899,15 @@ def change_basis(a: SuperAlgebra, columns, name=None) -> SuperAlgebra:
     if par != sorted(par):
         raise GradingError("basis columns must be ordered even-first")
     constants = {}
-    products = _pulled_back(a.pair_table(), dict(enumerate(vecs)))
-    for (i, j), w in sorted(products.items()):
-        rest = span.reduce(w)
+    d, pairs = a.int_table()
+    denom = d * scale ** 2
+    for (i, j), w in sorted(linalg.pulled_back(pairs, cols).items()):
+        mult, rest = span.int_reduce(w)
         if min(rest) < n:
             raise PreconditionError("subspace is not closed under the "
                                     "product")
         for m in sorted(rest):
-            constants[(i, j, m - n)] = -rest[m]
+            constants[(i, j, m - n)] = Fraction(-rest[m], denom * mult)
     space = SuperSpace(par.count(EVEN), par.count(ODD))
     return SuperAlgebra(space, constants,
                         name=a.name if name is None else name)
@@ -948,18 +922,17 @@ class SimplicityReport:
 
 def _multiplication_generators(a, p=0):
     """L_0..L_{n-1}, then R_0..R_{n-1}, as sparse n x n matrices
-    {n*row + column: value}.  Modulo a prime p the constants are first
-    scaled to integers by the lcm of their denominators, which spans the
-    same algebra over Q."""
+    {n*row + column: value}, from the int table: the constants times the
+    lcm of their denominators, which generate the same algebra, reduced
+    mod p when p > 0."""
     n = a.dim
-    scale = math.lcm(*(c.denominator for c in a.constants.values()))
     left = [{} for _ in range(n)]
     right = [{} for _ in range(n)]
-    for (i, j, k), c in a.constants.items():
-        x = c.numerator * (scale // c.denominator) % p if p else c
-        if x:
-            left[i][k * n + j] = x
-            right[j][k * n + i] = x
+    for (i, j), vec in a.int_table()[1].items():
+        for k, x in vec.items():
+            if x := x % p if p else x:
+                left[i][k * n + j] = x
+                right[j][k * n + i] = x
     return left + right
 
 
@@ -967,20 +940,20 @@ def _ideal_candidates(a: SuperAlgebra):
     """Deterministic seed subspaces whose closures are tested as ideals."""
     n = a.dim
     par = [a.space.parity(i) for i in range(n)]
-    for row in center(a).rows:
+    for row in center(a).int_rows:
         yield [row]
     for i in range(n):
-        yield [{i: ONE}]
+        yield [{i: 1}]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
              if par[i] == par[j]]
     for i, j in pairs:
-        yield [{i: ONE, j: ONE}]
+        yield [{i: 1, j: 1}]
     for i, j in pairs:
-        yield [{i: ONE}, {j: ONE}]
+        yield [{i: 1}, {j: 1}]
     rng = random.Random(0x5EED)  # seeded homogeneous vectors
     for _ in range(4):
         for idxs in (a.space.even_indices(), a.space.odd_indices()):
-            v = {i: x for i in idxs if (x := Fraction(rng.randint(-3, 3)))}
+            v = {i: x for i in idxs if (x := rng.randint(-3, 3))}
             if v:
                 yield [v]
 

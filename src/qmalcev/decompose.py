@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, GradedSubspace,
                    SuperAlgebra, SuperSpace, Witness, _enveloping_basis,
-                   _mul_bv, _multiplication_generators, _pulled_back,
-                   _report, _scaled, _to_element, _vadd, center,
-                   check_jacobi, ksign, simplicity)
+                   _mul_vv, _multiplication_generators, _report,
+                   _to_element, _vadd, center, check_jacobi, ksign,
+                   simplicity)
 from .errors import AxiomError, GradingError, InputError, PreconditionError
 from .linalg import ONE, ZERO
 from .operators import OperatorMap, _int_map, check_malcev_operator
@@ -282,13 +282,13 @@ def _radical_image(gens, n) -> linalg.Span:
     """
     basis = _enveloping_basis(gens, n)
     image = linalg.Span(n)
-    for x in linalg.sparse_kernel(list(_trace_rows(basis, n)), len(basis)):
+    for x in linalg.int_kernel(list(_trace_rows(basis, n)), len(basis)):
         columns = {}  # column -> {row: value} of the element sum x_i basis_i
         for i, c in x.items():
             for pos, y in basis[i].items():
                 row, col = divmod(pos, n)
                 column = columns.setdefault(col, {})
-                column[row] = column.get(row, ZERO) + c * y
+                column[row] = column.get(row, 0) + c * y
         for column in columns.values():
             image.add(column)
     return image
@@ -313,10 +313,10 @@ def reductive_report(even: SuperAlgebra) -> ReductiveReport:
     if even.is_abelian():
         return ReductiveReport(True, n, 0, True, certificate="abelian")
     z = center(even)
-    square = GradedSubspace(even.space, even.pair_table().values())
+    square = GradedSubspace(even.space, even.int_table()[1].values())
     zdim, sdim = z.dim, square.dim
     both = linalg.Span(n)
-    for row in z.rows + square.rows:
+    for row in z.int_rows + square.int_rows:
         both.add(row)
     if zdim + sdim != n or both.dim != n:
         return ReductiveReport(False, zdim, sdim, False,
@@ -347,12 +347,14 @@ class ReducibilityReport:
 
 def _odd_action_matrices(a: SuperAlgebra):
     """Left multiplication by even basis vectors, restricted to the odds, as
-    sparse qd x qd matrices {qd*row + column: value}."""
+    sparse qd x qd matrices {qd*row + column: value}, read off the int
+    table: the constants times D, which generate the same algebra."""
     p, qd = a.space.even_dim, a.space.odd_dim
     mats = [{} for _ in range(p)]
-    for (i, j, k), c in a.constants.items():
-        if i < p and j >= p and k >= p:
-            mats[i][(k - p) * qd + j - p] = c
+    for (i, j), vec in a.int_table()[1].items():
+        if i < p <= j:
+            for k, c in vec.items():
+                mats[i][(k - p) * qd + j - p] = c
     return mats
 
 
@@ -385,7 +387,8 @@ def check_completely_reducible_action(
         certificate="enveloping trace form degenerate; the witness J V has "
                     "no invariant complement",
         witness_subspace=GradedSubspace(
-            a.space, [{p + j: x for j, x in row.items()} for row in y.rows()]),
+            a.space, [{p + j: x for j, x in row.items()}
+                      for row in y.int_rows()]),
         obstruction_triple=_obstruction_triple(a, y))
 
 
@@ -394,10 +397,10 @@ def _obstruction_triple(a: SuperAlgebra, y: linalg.Span):
     for a span y of odd coordinates."""
     p = a.space.even_dim
     images = [vec for (i, j), vec in a.pair_table().items() if i < p <= j]
-    ys = [{p + j: x for j, x in row.items()} for row in y.rows()]
+    ys = [{p + j: x for j, x in row.items()} for row in y.int_rows()]
     return (all(y.contains({k - p: x for k, x in vec.items()})
                 for vec in images),
-            not any(_mul_bv(a, i, v) for i in range(p) for v in ys),
+            not any(_mul_vv(a, {i: 1}, v) for i in range(p) for v in ys),
             bool(images))
 
 
@@ -568,13 +571,13 @@ def _carries(q: QuadraticAlgebra, r: QuadraticAlgebra, columns) -> bool:
         return False
     scale, apply = _int_map(images)
     cols = {i: apply({i: 1}) for i in range(n)}
-    dq, qtable = _scaled(q.algebra.pair_table())
-    dr, rtable = _scaled(r.algebra.pair_table())
+    dq, qtable = q.algebra.int_table()
+    dr, rtable = r.algebra.int_table()
     # the image of a product of q in r, times L: the combination of the P_k
     want = {key: {k: dr * scale * x for k, x in img.items()}
             for key, vec in qtable.items() if (img := apply(vec))}
     got = {key: {k: dq * x for k, x in vec.items()}
-           for key, vec in _pulled_back(rtable, cols).items()}
+           for key, vec in linalg.pulled_back(rtable, cols).items()}
     return got == want
 
 

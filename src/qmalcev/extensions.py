@@ -26,11 +26,11 @@ import itertools
 from dataclasses import dataclass
 
 from .core import (EVEN, ODD, CheckReport, Element, SuperAlgebra, SuperSpace,
-                   Witness, _add, _mul_vv, _report, _scaled, _scan_kernel,
+                   Witness, _add, _mul_vv, _report, _scan_kernel,
                    _side_witnesses, _to_element, _vadd, check_malcev,
                    direct_sum_embeddings, ksign)
 from .errors import AxiomError, InputError, PreconditionError
-from .linalg import ONE, ZERO, frac, sparse
+from .linalg import ONE, ZERO, cleared, frac, sparse
 from .operators import (OperatorMap, _int_map, check_malcev_operator,
                         check_skew_supersymmetric)
 from .quadratic import (BilinearForm, QuadraticAlgebra, _form_pairing,
@@ -130,8 +130,7 @@ def _gde_conditions(a: SuperAlgebra, d: OperatorMap, a0: Element):
     kern = _scan_kernel(a)
     par, dscale = kern.par, kern.scale
     fscale, dmap = _int_map(d.columns)
-    ascale, scaled = _scaled({0: sparse(a0.coords)})
-    a0v = scaled[0]                                   # A a0
+    ascale, a0v = cleared(a0.coords)                  # A a0
     dcols = {i: v for i in range(n) if (v := dmap({i: 1}))}    # F d(b_i)
     users = {}  # w -> [(j, F d(b_j) at b_w)]
     for j, v in dcols.items():

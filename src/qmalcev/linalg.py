@@ -2,25 +2,32 @@
 
 Vectors are sparse {column: value} dicts, or dense lists where a caller
 has one, and every operation is exact; there are no floats anywhere.
-Every elimination runs on one sparse eliminator, `Span`: its rows are
-{column: value} dicts kept in reduced echelon form, with a 1 at each
-pivot and a 0 at every other pivot.  The reduced echelon form of a row
-space is unique, so every basis, kernel, solution, inverse and
+Every elimination runs on one sparse eliminator, `Span`: its rows are int
+{column: value} dicts, each a nonzero multiple of a row of the reduced
+echelon form, so 0 at every other pivot.  The reduced echelon form of a
+row space is unique, so every basis, kernel, solution, inverse and
 determinant is the same whatever order the rows go in.  The package
-reads spans, ranks and kernels off `Span` and `sparse_kernel`; the dense
-routines on lists of rows (`mat_mul`, `transpose`, `inverse`, `kernel`,
-`solve`, `det`) serve the one Gram inverse of
-`operators.operator_from_cocycle` and the benchmark harness.
+reads spans, ranks and kernels off `Span`, `sparse_kernel` and
+`int_kernel`; the dense routines on lists of rows (`mat_mul`,
+`transpose`, `inverse`, `kernel`, `solve`, `det`) serve the one Gram
+inverse of `operators.operator_from_cocycle` and the benchmark harness.
 
-The field is given by a modulus p alone.  p = 0 is Q, with Fraction
-entries; a prime p gives int entries reduced with % p and pivots inverted
-with pow(x, -1, p).  Mod p only ranks are read, and only where they lift
-to Q: an integer matrix of rank r mod p has an r x r minor that is nonzero
-mod p, hence nonzero over Z, so its rank over Q is at least r.
+The field is given by a modulus p alone.  p = 0 is Q: vectors go in with
+Fraction or int entries, their denominators are cleared (`cleared`,
+`scaled`), and the elimination is fraction-free (Bareiss, Math. Comp. 22
+(1968)), on primitive int rows; Fractions are formed only where a caller
+reads a reduced row, a reduction or a kernel vector.  Callers that only
+need the subspace read the int rows (`Span.int_rows`, `int_kernel`) and
+feed the span int products.  A prime p gives int entries reduced with
+% p and pivots inverted with pow(x, -1, p).  Mod p only ranks are read,
+and only where they lift to Q: an integer matrix of rank r mod p has an
+r x r minor that is nonzero mod p, hence nonzero over Z, so its rank over
+Q is at least r.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -69,67 +76,185 @@ def sparse(v, p=0):
     return {c: x for c, x in items if x}
 
 
+def cleared(v):
+    """(L, L v) for the vector v, a list or a {column: value} dict of ints
+    and Fractions: L is the lcm of the denominators and L v a sparse int
+    dict."""
+    v = sparse(v)
+    for x in v.values():
+        if type(x) is not int:
+            break
+    else:
+        return 1, v
+    scale = math.lcm(*(x.denominator for x in v.values()))
+    return scale, {c: x.numerator * (scale // x.denominator)
+                   for c, x in v.items()}
+
+
+def scaled(table):
+    """D, the lcm of the denominators in the sparse vectors {key: {k: x}},
+    and D times each vector as ints."""
+    scale = math.lcm(*(x.denominator for vec in table.values()
+                       for x in vec.values()))
+    return scale, {key: {k: x.numerator * (scale // x.denominator)
+                         for k, x in vec.items()}
+                   for key, vec in table.items()}
+
+
+def pulled_back(table, cols):
+    """{(i, j): sum over (s, t) of cols[i][s] cols[j][t] table[(s, t)]}, the
+    bilinear map table {(s, t): {k: x}} on basis pairs at the pairs of
+    sparse vectors cols {i: {s: x}}; nonzero entries only.  This is the one
+    basis rewrite, of a pair table (core.change_basis) and of a form's
+    entries as a map to a line (BilinearForm.restrict), both on ints.  The
+    work follows the nonzeros of the table and of the vectors."""
+    rows, users = {}, {}
+    for (s, t), vec in table.items():
+        rows.setdefault(s, []).append((t, vec))
+    for j, vec in cols.items():
+        for t, x in vec.items():
+            users.setdefault(t, []).append((j, x))
+    out = {}
+    for i, u in cols.items():
+        left = {}  # {t: the product of cols[i] with b_t}
+        for s, x in u.items():
+            for t, vec in rows.get(s, ()):
+                _add(left, t, vec, x)
+        for t, vec in left.items():
+            for j, y in users.get(t, ()):
+                _add(out, (i, j), vec, y)
+    return {key: nz for key, vec in out.items()
+            if (nz := {k: x for k, x in vec.items() if x})}
+
+
+def _add(sums, key, vec, s):
+    """sums[key] += s * vec for a sparse vector vec; zeros are kept."""
+    acc = sums.setdefault(key, {})
+    for m, c in vec.items():
+        acc[m] = acc.get(m, 0) + s * c
+
+
 def _subtract(v, f, row, p):
-    """v -= f * row in place, mod p when p > 0, dropping zeros."""
+    """v -= f * row in place, mod p, dropping zeros."""
     for c, y in row.items():
-        x = v.get(c, 0) - f * y
-        if p:
-            x %= p
+        x = (v.get(c, 0) - f * y) % p
         if x:
             v[c] = x
         else:
             v.pop(c, None)
 
 
+def _eliminate(v, row, c):
+    """v <- d v - x row in place for the int dicts v and row, with d and x
+    their entries at c divided by gcd(v[c], row[c]), so that v vanishes at
+    c; zeros are dropped.  Returns d, which is positive when row[c] is."""
+    d, x = row[c], v[c]
+    g = math.gcd(x, d)
+    if g != 1:
+        d, x = d // g, x // g
+    if d != 1:
+        for k in v:
+            v[k] *= d
+    for k, y in row.items():
+        z = v.get(k, 0) - x * y
+        if z:
+            v[k] = z
+        else:
+            del v[k]
+    return d
+
+
+def _primitive(v, c):
+    """v divided in place by the gcd of its entries, signed so that v[c]
+    is positive."""
+    g = math.gcd(*v.values())
+    if v[c] < 0:
+        g = -g
+    if g != 1:
+        for k in v:
+            v[k] //= g
+
+
 class Span:
     """Incrementally maintained reduced span of vectors over Q (p = 0) or
     modulo the prime p.
 
-    This is the package's one eliminator.  Each row is a {column: value}
-    dict with a 1 at its pivot, which is its first column, and a 0 at every
-    other pivot; sorted by pivot, the rows are the reduced row echelon form
-    of what was added.  Vectors go in as lists or dicts, with int entries
-    mod p.  Since the rows vanish at each other's pivots, a vector v of the
-    span is the sum of v[c] times the row of pivot c.
+    This is the package's one eliminator.  Vectors go in as lists or
+    dicts, with Fraction or int entries over Q and int entries mod p, and
+    each row is an int dict whose pivot, its first column, is nonzero,
+    with a 0 at every other pivot; sorted by pivot, the rows are the
+    reduced row echelon form of what was added, each row times one
+    nonzero scale.  Mod p that scale is 1.  Over Q each row is primitive:
+    positive at its pivot, with the gcd of its entries 1, which makes it
+    the one such multiple of its echelon row.  The elimination is
+    fraction-free: v is reduced by the row r of pivot c as
+    v <- d v - x r, with d = r[c] and x = v[c] both divided by their gcd,
+    and the product of the d's is kept, so `reduce` and `add` still
+    return exact Fractions.
     """
 
     def __init__(self, n, p=0):
         self.n = n
         self.p = p
-        self._rows = {}  # pivot column -> reduced row
+        self._rows = {}  # pivot column -> row
+
+    def int_reduce(self, v):
+        """(s, w) over Q: w / s is `reduce(v)`, w a sparse int dict that
+        vanishes at every pivot and s a positive int, the lcm of v's
+        denominators times the product of the d's."""
+        s, v = cleared(v)
+        rows = self._rows
+        for c in [c for c in v if c in rows]:
+            s *= _eliminate(v, rows[c], c)
+        return s, v
 
     def reduce(self, v):
         """v minus its component in the span, as a sparse dict that
-        vanishes at every pivot."""
-        v = sparse(v, self.p)
-        for c in [c for c in v if c in self._rows]:
-            _subtract(v, v[c], self._rows[c], self.p)
-        return v
+        vanishes at every pivot; Fraction entries over Q."""
+        p = self.p
+        if p:
+            v = sparse(v, p)
+            for c in [c for c in v if c in self._rows]:
+                _subtract(v, v[c], self._rows[c], p)
+            return v
+        s, v = self.int_reduce(v)
+        return {c: Fraction(x, s) for c, x in v.items()}
 
     def add(self, v):
         """Insert v.  When the span grew, return (pivot column, value of
-        the reduced v there before it was scaled to 1); else None."""
-        v = self.reduce(v)
-        if not v:
-            return None
+        the reduced v there); else None."""
         p = self.p
-        lead = min(v)
-        x = v[lead]
         if p:
+            v = self.reduce(v)
+            if not v:
+                return None
+            lead = min(v)
+            x = v[lead]
             inv = pow(x, -1, p)
             v = {c: y * inv % p for c, y in v.items()}
-        else:
-            inv = ONE / x
-            v = {c: y * inv for c, y in v.items()}
-        for row in self._rows.values():
-            f = row.get(lead)
-            if f:
-                _subtract(row, f, v, p)
+            for row in self._rows.values():
+                f = row.get(lead)
+                if f:
+                    _subtract(row, f, v, p)
+            self._rows[lead] = v
+            return lead, x
+        s, v = self.int_reduce(v)
+        if not v:
+            return None
+        lead = min(v)
+        x = v[lead]
+        _primitive(v, lead)
+        for c, row in self._rows.items():
+            if lead in row:
+                _eliminate(row, v, lead)
+                _primitive(row, c)
         self._rows[lead] = v
-        return lead, x
+        return lead, Fraction(x) if s == 1 else Fraction(x, s)
 
     def contains(self, v):
-        return not self.reduce(v)
+        if self.p:
+            return not self.reduce(v)
+        return not self.int_reduce(v)[1]
 
     @property
     def dim(self):
@@ -138,15 +263,24 @@ class Span:
     def pivot_columns(self):
         return sorted(self._rows)
 
-    def rows(self):
-        """The reduced rows, in increasing pivot order.  They are the
-        span's own dicts, which a later `add` reduces in place."""
+    def int_rows(self):
+        """The rows as the span keeps them, in increasing pivot order.
+        They are its own dicts, which a later `add` reduces in place."""
         return [self._rows[c] for c in self.pivot_columns()]
 
+    def rows(self):
+        """The reduced echelon rows, 1 at each pivot, in increasing pivot
+        order; over Q as new dicts of Fractions."""
+        if self.p:
+            return self.int_rows()
+        return [{k: Fraction(y, row[c]) for k, y in row.items()}
+                for c, row in zip(self.pivot_columns(), self.int_rows())]
+
     def vectors(self):
-        """The rows as dense lists, in increasing pivot order."""
-        return [[self._rows[c].get(i, ZERO) for i in range(self.n)]
-                for c in self.pivot_columns()]
+        """The reduced echelon rows as dense lists, in increasing pivot
+        order."""
+        return [[row.get(i, ZERO) for i in range(self.n)]
+                for row in self.rows()]
 
 
 def _row_span(m, cols):
@@ -167,15 +301,35 @@ def kernel(m, cols=None):
 
 def sparse_kernel(m, cols):
     """`kernel` as sparse {column: value} dicts, in free-column order: the
-    vector of free column f is 1 at f and -row[f] at each pivot row's
-    pivot, read off the reduced rows' nonzeros."""
+    vector of free column f is 1 at f and -row[f] / row[c] at the pivot c
+    of each row, `int_kernel`'s vector divided by its value at f, its
+    first key."""
+    out = []
+    for vec in int_kernel(m, cols):
+        scale = next(iter(vec.values()))
+        out.append({c: Fraction(x, scale) for c, x in vec.items()})
+    return out
+
+
+def int_kernel(m, cols):
+    """A basis of the right null space of the rows m, one int vector per
+    free column f, read off the rows' nonzeros: L at f and
+    -row[f] L / row[c] at the pivot c of each row, where L is the lcm of
+    the row[c] with row[f] != 0."""
     rows = _row_span(m, cols)._rows
-    basis = {f: {f: ONE} for f in range(cols) if f not in rows}
+    basis = {f: [] for f in range(cols) if f not in rows}
     for pc, row in rows.items():
         for c, x in row.items():
             if c != pc:
-                basis[c][pc] = -x
-    return list(basis.values())
+                basis[c].append((pc, x, row[pc]))
+    out = []
+    for f, entries in basis.items():
+        scale = math.lcm(*(d for _pc, _x, d in entries))
+        vec = {f: scale}
+        for pc, x, d in entries:
+            vec[pc] = -x * (scale // d)
+        out.append(vec)
+    return out
 
 
 def basis_vector(n, i):
@@ -194,7 +348,7 @@ def solve(m, b):
         return None
     x = zeros(n)
     for pc, row in rows.items():
-        x[pc] = row.get(n, ZERO)
+        x[pc] = Fraction(row.get(n, 0), row[pc])
     return x
 
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, SuperAlgebra, Witness,
-                   _add, _chain_keys, _report, _scaled, _scan_kernel,
+                   _add, _chain_keys, _report, _scan_kernel,
                    _side_witnesses, _vadd, ksign, parity_name)
 from .errors import GradingError, InputError, PreconditionError
 from .linalg import ZERO, frac
@@ -115,7 +115,7 @@ def _int_map(images):
     """F, the lcm of the denominators of a linear map given by its sparse
     images {m: {d: x}}, and a function that applies F times the map to a
     sparse int vector, returning only the nonzero coordinates."""
-    scale, cols = _scaled(images)
+    scale, cols = linalg.scaled(images)
 
     def apply(vec):
         out = {}

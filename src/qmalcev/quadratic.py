@@ -8,6 +8,8 @@ antisymmetric.  All checks are exact scans with witnesses.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -15,8 +17,8 @@ from itertools import islice
 from . import linalg
 from .core import (_CERT_PRIME, EVEN, ODD, CheckReport, Element,
                    GradedSubspace, SuperAlgebra, SuperSpace, Witness,
-                   _ideal_candidates, _proper_ideals, _pulled_back, _report,
-                   _scaled, _scan_kernel, _to_element, _vadd, center,
+                   _EMPTY, _ideal_candidates, _proper_ideals, _report,
+                   _scan_kernel, _to_element, _vadd, center,
                    check_malcev, check_super_anticommutativity,
                    ideal_closure, direct_sum, direct_sum_embeddings,
                    simplicity, change_basis)
@@ -28,7 +30,8 @@ class BilinearForm:
     """A bilinear form in the fixed basis, stored as its nonzero Gram
     entries: `entries` {(i, j): G[i][j]} in row-major order, indexed by row,
     `rows` {i: {j: x}}, and by column, `cols` {j: {i: x}}.  Immutable; the
-    dense `gram` and `matrix()` are derived views."""
+    dense `gram` and `matrix()`, and the int copy `int_gram`, are derived
+    views."""
 
     def __init__(self, gram):
         rows = [tuple(frac(x) for x in row) for row in gram]
@@ -60,6 +63,20 @@ class BilinearForm:
         return cls.__new__(cls)._store(
             n, {key: frac(x) for key, x in entries.items()})
 
+    @functools.cached_property
+    def int_gram(self):
+        """(E, {(i, j): {0: E G[i][j]}}, {i: {j: E G[i][j]}},
+        {j: {i: E G[i][j]}}): the entries times E, the lcm of their
+        denominators, as ints, as a map to a line and by row and column;
+        the one scaled copy, cached, that every integer path reads."""
+        scale = math.lcm(*(x.denominator for x in self.entries.values()))
+        table, rows, cols = {}, {}, {}
+        for (i, j), x in self.entries.items():
+            y = x.numerator * (scale // x.denominator)
+            table[(i, j)] = {0: y}
+            rows.setdefault(i, {})[j] = cols.setdefault(j, {})[i] = y
+        return scale, table, rows, cols
+
     @property
     def gram(self):
         """The dense Gram matrix as a tuple of row tuples."""
@@ -77,20 +94,22 @@ class BilinearForm:
         """The form on the span of the given columns, C^T G C: the entries
         as a map to a line pulled back along the columns' nonzeros, on ints
         (G scaled by E and the columns by L, divided back by E L^2)."""
-        gscale, table = _scaled({key: {0: x}
-                                 for key, x in self.entries.items()})
-        cscale, vecs = _scaled(dict(enumerate(map(linalg.sparse, columns))))
+        gscale, table, _rows, _cols = self.int_gram
+        cscale, vecs = linalg.scaled(
+            dict(enumerate(map(linalg.sparse, columns))))
+        denom = gscale * cscale ** 2
         return BilinearForm.from_entries(
-            len(vecs), {key: Fraction(vec[0], gscale * cscale ** 2)
-                        for key, vec in _pulled_back(table, vecs).items()})
+            len(vecs), {key: Fraction(vec[0], denom) for key, vec
+                        in linalg.pulled_back(table, vecs).items()})
 
     def _restricted_to(self, sub: GradedSubspace):
-        """_restricted to the rows of a graded subspace, memoized on this
-        form by its key: a split along an ideal that the search has just
-        found nondegenerate reuses that form and its cached kernel."""
+        """_restricted to the int rows of a graded subspace, memoized on
+        this form by its key: a split along an ideal that the search has
+        just found nondegenerate reuses that form and its cached kernel."""
         form = self._restrictions.get(sub.key)
         if form is None:
-            form = self._restrictions[sub.key] = self._restricted(sub.rows)
+            form = self._restrictions[sub.key] = self._restricted(
+                sub.int_rows)
         return form
 
     def _kernel_basis(self):
@@ -100,12 +119,12 @@ class BilinearForm:
         mod p, hence over Z and Q (as in core.simplicity's certificate);
         only on a rank deficit mod p is the kernel solved over Q."""
         if self._kernel is None:
-            _scale, rows = _scaled(self.rows)
+            rows = list(self.int_gram[2].values())
             span = linalg.Span(self.dim, _CERT_PRIME)
-            for row in rows.values():
+            for row in rows:
                 span.add(row)
             self._kernel = [] if span.dim == self.dim else (
-                linalg.sparse_kernel(list(self.rows.values()), self.dim))
+                linalg.sparse_kernel(rows, self.dim))
         return self._kernel
 
     def is_nondegenerate(self):
@@ -187,8 +206,7 @@ def _invariance_witnesses(a: SuperAlgebra, b: BilinearForm):
     sides differ are divided back by D E.
     """
     kern = _scan_kernel(a)
-    gscale, grows = _scaled(b.rows)
-    _gscale, gcols = _scaled(b.cols)
+    gscale, _table, grows, gcols = b.int_gram
     lhs, rhs = {}, {}
     for (i, j), vec in kern.pairs.items():
         for m, c in vec.items():
@@ -282,17 +300,21 @@ def orthogonal_complement(b: BilinearForm, s: GradedSubspace):
     """{v : B(c, v) = 0 for every row c of s}, one sparse kernel; a
     subspace of another dimension raises InputError.  B is even, so the
     functional B(c, .) of a homogeneous c meets the coordinates of c's
-    parity only, and the kernel vectors are homogeneous."""
+    parity only, and the kernel vectors are homogeneous.  The functionals
+    are read on ints, off s's int rows and the form's int Gram rows."""
     if s.space.dim != b.dim:
         raise InputError("subspace dimension does not match the form")
     if not b.is_nondegenerate():
         raise PreconditionError("form is degenerate")
-    left, _right = _form_pairing(b, dict(enumerate(s.rows)))
-    rows = {}
-    for (c, j), x in left.items():
-        rows.setdefault(c, {})[j] = x
-    return GradedSubspace(s.space,
-                          linalg.sparse_kernel(list(rows.values()), b.dim))
+    grows = b.int_gram[2]
+    rows = []
+    for vec in s.int_rows:
+        row = {}
+        for r, x in vec.items():
+            for j, g in grows.get(r, _EMPTY).items():
+                row[j] = row.get(j, 0) + x * g
+        rows.append(row)
+    return GradedSubspace(s.space, linalg.int_kernel(rows, b.dim))
 
 
 def change_basis_quadratic(q: QuadraticAlgebra, columns, name=None):
@@ -391,8 +413,8 @@ class ComponentsReport:
 
 def _symmetric_centroid(q: QuadraticAlgebra):
     """A basis over Q of the symmetric centroid Gamma_s(q), the even maps T
-    with T(xy) = T(x)y = xT(y) and B(Tx, y) = B(x, Ty), each as a sparse
-    n x n matrix {n*r + c: T[r][c]}.
+    with T(xy) = T(x)y = xT(y) and B(Tx, y) = B(x, Ty), each scaled to a
+    sparse n x n int matrix {n*r + c: T[r][c]}.
 
     T is even, so its unknowns are the entries T[r][c] with b_r and b_c of
     the same parity.  The rows, linear in them, are
@@ -404,8 +426,10 @@ def _symmetric_centroid(q: QuadraticAlgebra):
     condition.  On a super-anticommutative algebra T(xy) = T(x)y over all
     ordered pairs gives T(xy) = xT(y), so those rows are not written; on
     any algebra, fewer rows only enlarge the solved space, which keeps the
-    rank bound that _split reads.  The kernel is solved exactly
-    over Q by `linalg.sparse_kernel`.
+    rank bound that _split reads.  The rows are read on ints, off the
+    algebra's int table and the form's int Gram, each row scaled as a
+    whole, which keeps the kernel; it is solved exactly over Q by
+    `linalg.int_kernel`, each basis map scaled to ints.
     """
     _require_validated(q)
     n = q.dim
@@ -413,10 +437,7 @@ def _symmetric_centroid(q: QuadraticAlgebra):
     cells = [(r, c) for r in range(n) for c in range(n) if par[r] == par[c]]
     unknown = {cell: u for u, cell in enumerate(cells)}
     same = [[r for r in range(n) if par[r] == x] for x in (EVEN, ODD)]
-    pairs = q.algebra.pair_table()
-    right = {}  # j -> [(m, b_m b_j)]
-    for (m, j), vec in pairs.items():
-        right.setdefault(j, []).append((m, vec))
+    pairs, right = q.algebra.int_table()[1], q.algebra.int_factors()[1]
     rows = []
     for i in range(n):
         for j in range(n):
@@ -426,14 +447,14 @@ def _symmetric_centroid(q: QuadraticAlgebra):
                     row = eqs.setdefault(r, {})
                     u = unknown[(r, k)]
                     row[u] = row.get(u, 0) + c
-            for m, vec in right.get(j, ()):
+            for m, vec in right.get(j, _EMPTY).items():
                 if par[m] == par[i]:
                     u = unknown[(m, i)]
                     for r, c in vec.items():
                         row = eqs.setdefault(r, {})
                         row[u] = row.get(u, 0) - c
             rows.extend(eqs.values())
-    grows, gcols = q.form.rows, q.form.cols
+    _scale, _table, grows, gcols = q.form.int_gram
     for i in range(n):
         for j in same[par[i]]:
             # B(T b_i, b_j) - B(b_i, T b_j)
@@ -444,7 +465,7 @@ def _symmetric_centroid(q: QuadraticAlgebra):
                 row[unknown[(r, j)]] = row.get(unknown[(r, j)], 0) - g
             rows.append(row)
     return [{n * cells[u][0] + cells[u][1]: x for u, x in vec.items()}
-            for vec in linalg.sparse_kernel(rows, len(cells))]
+            for vec in linalg.int_kernel(rows, len(cells))]
 
 
 def _trace_rows(mats, n):
@@ -477,22 +498,22 @@ def _trace_rank(maps, n, stop=None):
 def _solvable(a: SuperAlgebra) -> bool:
     """Whether the derived series A, A^2, (A^2)^2, ... reaches 0.
 
-    Each term is spanned by the products of the previous term's basis
-    vectors, their pair table pulled back along them (core._pulled_back),
+    Each term is spanned by the products of the previous term's int rows,
+    the algebra's int table pulled back along them (linalg.pulled_back),
     and is reduced over Q by linalg.Span.  Every term lies in the one
     before, so the dimension falls until it reaches 0 or a term equals the
     one before it, a nonzero term that is its own square; there the series
     stops and A is not solvable.
     """
-    pairs = a.pair_table()
-    term = {i: {i: ONE} for i in range(a.dim)}
+    pairs = a.int_table()[1]
+    term = {i: {i: 1} for i in range(a.dim)}
     while term:
         span = linalg.Span(a.dim)
-        for vec in _pulled_back(pairs, term).values():
+        for vec in linalg.pulled_back(pairs, term).values():
             span.add(vec)
         if span.dim == len(term):
             return False
-        term = dict(enumerate(span.rows()))
+        term = dict(enumerate(span.int_rows()))
     return True
 
 
@@ -552,7 +573,8 @@ def _split(q: QuadraticAlgebra):
             z = center(a)
             seeds = _ideal_candidates(a)
             ideal = first(islice(seeds, z.dim + q.dim))
-            proved = (ideal is None and not q.form._restricted(z.rows).entries
+            proved = (ideal is None
+                      and not q.form._restricted(z.int_rows).entries
                       and _trace_rank(_symmetric_centroid(q), q.dim,
                                       stop=2) == 1)
             if ideal is None and not proved:
