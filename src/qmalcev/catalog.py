@@ -20,7 +20,7 @@ from .core import ODD, Element, SuperAlgebra, SuperSpace
 from .errors import PreconditionError
 from .extensions import (GdeData, generalized_double_extension,
                          verified_gde_data)
-from .linalg import ONE, ZERO, frac
+from .linalg import ONE, frac
 from .operators import OperatorMap
 from .quadratic import BilinearForm, QuadraticAlgebra
 
@@ -169,17 +169,9 @@ def _example_m_operator(n, m, corrected=True):
     of the form, would break the expected extension brackets
     e.v_i = m_i a and a.v_i = y_i - m_i e*.
     """
-    dim = 1 + 2 * n
-    images = {}
-    da = [ZERO] * dim
-    for i in range(n):
-        da[1 + n + i] = -m[i] if corrected else m[i]
-    images[0] = da
-    for i in range(n):
-        dv = [ZERO] * dim
-        dv[0] = m[i]
-        images[1 + i] = dv
-    return OperatorMap.from_images(dim, images, ODD)
+    images = {1 + i: {0: m[i]} for i in range(n)}
+    images[0] = {1 + n + i: -m[i] if corrected else m[i] for i in range(n)}
+    return OperatorMap.from_images(1 + 2 * n, images, ODD)
 
 
 def _example_m(n, m):
@@ -230,8 +222,7 @@ def gde_abelian12_parts():
     alg = SuperAlgebra(base.algebra.space, base.algebra.constants,
                        name="abelian12")
     base = QuadraticAlgebra(alg, base.form, validated=True)
-    d = OperatorMap.from_images(3, {0: [ZERO, ONE, ZERO],
-                                    2: [-ONE, ZERO, ZERO]}, ODD)
+    d = OperatorMap.from_images(3, {0: {1: ONE}, 2: {0: -ONE}}, ODD)
     gde = verified_gde_data(base, d, Element.basis(3, 0))
     return base, gde
 

@@ -100,51 +100,77 @@ class SuperSpace:
         return range(self.even_dim, self.dim)
 
 
-@dataclass(frozen=True)
 class Element:
-    """A vector in the fixed basis; exact rational coordinates."""
+    """A vector of F^dim in the fixed basis, stored as its nonzero
+    coordinates `entries` {i: exact rational}.  The dense tuple `coords` is
+    a view for the printers, built on each read.  Equality and hashing
+    follow the coordinates, whichever constructor built the vector."""
 
-    coords: tuple
+    __slots__ = ("dim", "entries")
+
+    def __init__(self, coords):
+        self.dim = len(coords)
+        self.entries = {i: c for i, c in enumerate(coords) if c}
+
+    @classmethod
+    def sparse(cls, n, entries):
+        """The vector of F^n with the nonzero coordinates {i: value}."""
+        el = cls.__new__(cls)
+        el.dim, el.entries = n, dict(entries)
+        return el
 
     @classmethod
     def from_seq(cls, seq):
-        return cls(tuple(frac(c) for c in seq))
+        return cls([frac(c) for c in seq])
 
     @classmethod
     def zero(cls, n):
-        return cls((ZERO,) * n)
+        return cls.sparse(n, {})
 
     @classmethod
     def basis(cls, n, i):
-        return cls(tuple(ONE if j == i else ZERO for j in range(n)))
+        return cls.sparse(n, {i: ONE})
+
+    @property
+    def coords(self):
+        return linalg.dense(self.entries, self.dim)
 
     def __len__(self):
-        return len(self.coords)
+        return self.dim
+
+    def __eq__(self, other):
+        return (isinstance(other, Element) and self.dim == other.dim
+                and self.entries == other.entries)
+
+    def __hash__(self):
+        return hash((self.dim, frozenset(self.entries.items())))
+
+    def __repr__(self):
+        return "Element(%d, %r)" % (self.dim, self.entries)
 
     def __add__(self, other):
-        return Element(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Element.sparse(self.dim, _vadd(dict(self.entries),
+                                              other.entries))
 
     def __sub__(self, other):
-        return Element(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self + other.scale(-1)
 
     def scale(self, c):
-        c = frac(c)
-        return Element(tuple(c * a for a in self.coords))
+        return Element.sparse(self.dim, _vscale(self.entries, frac(c)))
 
     def is_zero(self):
-        return all(a == 0 for a in self.coords)
+        return not self.entries
 
     def homogeneous_parity(self, space: SuperSpace):
         """Parity of a homogeneous element, None for 0, error when mixed."""
-        ps = {space.parity(i) for i, a in enumerate(self.coords) if a}
+        ps = {space.parity(i) for i in self.entries}
         if len(ps) > 1:
             raise GradingError("element is not parity-homogeneous")
         return ps.pop() if ps else None
 
     def parity_part(self, space: SuperSpace, parity: int):
-        return Element(tuple(
-            a if space.parity(i) == parity else ZERO
-            for i, a in enumerate(self.coords)))
+        return Element.sparse(self.dim, {i: x for i, x in self.entries.items()
+                                         if space.parity(i) == parity})
 
 
 @dataclass(frozen=True)
@@ -178,26 +204,21 @@ class SuperAlgebra:
         self.space = space
         self.name = name
         table = {}
-        n = space.dim
+        n, p = space.dim, space.even_dim
         for (i, j, k), c in constants.items():
-            c = frac(c)
-            if c == 0:
+            if not (c := frac(c)):
                 continue
             if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
                 raise InputError("constant index (%d,%d,%d) out of range"
                                  % (i, j, k))
-            if (space.parity(i) + space.parity(j)) % 2 != space.parity(k):
+            if (i >= p) ^ (j >= p) ^ (k >= p):  # odd: index >= even_dim
                 raise GradingError(
                     "constant (%d,%d,%d) violates the grading" % (i, j, k))
             table[(i, j, k)] = c
         self.constants = table
-        self._pairs = None
-        self._ints = self._factors = None
-        self._kernel = None
-        self._center = None
-        self._simplicity = None
-        self._anti = None
-        self._jacobi = None
+        # caches of the immutable algebra, each filled on first use
+        self._pairs = self._ints = self._factors = self._kernel = None
+        self._center = self._simplicity = self._anti = self._jacobi = None
         self._closures = {}
 
     @property
@@ -285,32 +306,14 @@ def _mul_vb(a: SuperAlgebra, u, j):
     return _mul_vv(a, u, {j: ONE})
 
 
-def _to_element(n, vec):
-    coords = [ZERO] * n
-    for k, c in vec.items():
-        coords[k] = c
-    return Element(tuple(coords))
-
-
 # ---------------------------------------------------------------------------
 # operations
 
 def product(a: SuperAlgebra, x: Element, y: Element) -> Element:
     """Bilinear extension of the structure constants."""
-    n = a.dim
-    if len(x) != n or len(y) != n:
+    if x.dim != a.dim or y.dim != a.dim:
         raise InputError("element length does not match algebra dimension")
-    out = [ZERO] * n
-    xc, yc = x.coords, y.coords
-    for (i, j, k), c in a.constants.items():
-        xi = xc[i]
-        if xi == 0:
-            continue
-        yj = yc[j]
-        if yj == 0:
-            continue
-        out[k] += xi * yj * c
-    return Element(tuple(out))
+    return Element.sparse(a.dim, _mul_vv(a, x.entries, y.entries))
 
 
 def check_super_anticommutativity(a: SuperAlgebra) -> CheckReport:
@@ -332,8 +335,8 @@ def check_super_anticommutativity(a: SuperAlgebra) -> CheckReport:
         if pairs.get((i, j), _EMPTY) != {
                 k: s * c for k, c in pairs.get((j, i), _EMPTY).items()}:
             witnesses.append(Witness(
-                (i, j), _to_element(n, a.basis_product(i, j)),
-                _to_element(n, _vscale(a.basis_product(j, i), s))))
+                (i, j), Element.sparse(n, a.basis_product(i, j)),
+                Element.sparse(n, _vscale(a.basis_product(j, i), s))))
     a._anti = _report(witnesses)
     return a._anti
 
@@ -465,15 +468,16 @@ def _chain_keys(par, p, q, r, w):
 
 
 def _scaled_element(n, vec, denom, fracs):
-    """The Element with coordinates c / denom for the int vector {k: c};
-    fracs, a dict local to the caller's call, keeps one Fraction per c."""
-    coords = [ZERO] * n
+    """The Element of F^n with the coordinates c / denom of the int vector
+    {k: c}, c != 0; fracs, local to the caller's call, keeps one Fraction
+    per c."""
+    entries = {}
     for k, c in vec.items():
         x = fracs.get(c)
         if x is None:
             x = fracs[c] = Fraction(c) if denom == 1 else Fraction(c, denom)
-        coords[k] = x
-    return Element(tuple(coords))
+        entries[k] = x
+    return Element.sparse(n, entries)
 
 
 def _side_witnesses(n, lhs, rhs, lscale, rscale):
@@ -644,8 +648,7 @@ def check_malcev(a: SuperAlgebra) -> CheckReport:
     Any other algebra gets the full pass over every quadruple, with a note
     when super-anticommutativity fails.
     """
-    n = a.dim
-    kern = _scan_kernel(a)
+    n, kern = a.dim, _scan_kernel(a)
     if not check_super_anticommutativity(a).passed:
         return _report(_malcev_witnesses(kern, n, _malcev_sums(kern)),
                        ["super-anticommutativity fails; identity scan is "
@@ -677,8 +680,7 @@ def check_jacobi(a: SuperAlgebra) -> CheckReport:
     """
     if a._jacobi is not None:
         return a._jacobi
-    n = a.dim
-    kern = _scan_kernel(a)
+    n, kern = a.dim, _scan_kernel(a)
     par = kern.par
     sums = {}
     for (p, q), trow in kern.packed.items():
@@ -769,8 +771,7 @@ class GradedSubspace:
 
     @property
     def columns(self):
-        return tuple(_to_element(self.space.dim, row).coords
-                     for row in self.rows)
+        return tuple(linalg.dense(row, self.space.dim) for row in self.rows)
 
     def even_columns(self):
         return list(self.columns[:self._evens])
@@ -884,9 +885,8 @@ def change_basis(a: SuperAlgebra, columns, name=None) -> SuperAlgebra:
     if k > n:
         raise InputError("need at most %d basis columns" % n)
     scale, cols = linalg.scaled(dict(enumerate(vecs)))
-    span = Span(n + k)
-    for m, v in cols.items():
-        span.add({**v, n + m: scale})
+    span = linalg.row_span(({**v, n + m: scale} for m, v in cols.items()),
+                           n + k)
     pivots = span.pivot_columns()
     if pivots and pivots[-1] >= n:
         raise InputError("basis columns are linearly dependent")

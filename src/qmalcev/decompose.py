@@ -17,7 +17,7 @@ from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, GradedSubspace,
                    SuperAlgebra, SuperSpace, Witness, _enveloping_basis,
                    _mul_vv, _multiplication_generators, _report,
-                   _to_element, _vadd, center, check_jacobi, ksign,
+                   _vadd, center, check_jacobi, ksign,
                    simplicity)
 from .errors import AxiomError, GradingError, InputError, PreconditionError
 from .linalg import ONE, ZERO
@@ -146,10 +146,10 @@ def _peel(q: QuadraticAlgebra, e, estar, parity) -> _Peeled:
                for key in sorted(phi.keys() | want.keys())
                if phi.get(key, ZERO) != want.get(key, ZERO)]
     return _Peeled(nq, d, psi,
-                   Element(tuple(ee.get(pos, ZERO) for pos in n_positions)),
+                   Element.sparse(ndim, {where[m]: c for m, c in ee.items()}),
                    _report(phi_wit),
                    ExtensionWitness(e_idx, estar_idx, tuple(n_positions)),
-                   tuple(_to_element(q.dim, col).coords for col in adapted))
+                   tuple(linalg.dense(col, q.dim) for col in adapted))
 
 
 def reduce_odd(q: QuadraticAlgebra) -> OddReduction:
@@ -167,7 +167,7 @@ def reduce_odd(q: QuadraticAlgebra) -> OddReduction:
     e = _solve_dual_vector(q, estar, ODD)
     r = _peel(q, e, estar, ODD)
     # psi(X) = (-1)^x B(X, a0)
-    _, ga0 = _form_pairing(r.n.form, {0: linalg.sparse(r.a0.coords)})
+    _, ga0 = _form_pairing(r.n.form, {0: r.a0.entries})
     psi_wit = []
     for j, psi in enumerate(r.psi):
         want = ksign(r.n.space.parity(j)) * ga0.get((j, 0), ZERO)
@@ -315,9 +315,7 @@ def reductive_report(even: SuperAlgebra) -> ReductiveReport:
     z = center(even)
     square = GradedSubspace(even.space, even.int_table()[1].values())
     zdim, sdim = z.dim, square.dim
-    both = linalg.Span(n)
-    for row in z.int_rows + square.int_rows:
-        both.add(row)
+    both = linalg.row_span(z.int_rows + square.int_rows, n)
     if zdim + sdim != n or both.dim != n:
         return ReductiveReport(False, zdim, sdim, False,
                                certificate="center + square is not a direct "
@@ -591,9 +589,7 @@ def _mismatch(node, ext):
     QuadraticAlgebra.validate(stored.algebra, stored.form)
     cols = node.basis
     if ext.dim == len(cols):
-        span = linalg.Span(len(cols))
-        for col in cols:
-            span.add(col)
+        span = linalg.row_span(cols, len(cols))
         if span.dim < len(cols):
             raise InputError("corrupted witness: singular basis")
         # the rows that ext's even and odd basis vectors reach; the basis

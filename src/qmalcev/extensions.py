@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 from .core import (EVEN, ODD, CheckReport, Element, SuperAlgebra, SuperSpace,
                    Witness, _add, _mul_vv, _report, _scan_kernel,
-                   _side_witnesses, _to_element, _vadd, check_malcev,
+                   _side_witnesses, _vadd, check_malcev,
                    direct_sum_embeddings, ksign)
 from .errors import AxiomError, InputError, PreconditionError
-from .linalg import ONE, ZERO, cleared, frac, sparse
+from .linalg import ONE, cleared, frac
 from .operators import (OperatorMap, _int_map, check_malcev_operator,
                         check_skew_supersymmetric)
 from .quadratic import (BilinearForm, QuadraticAlgebra, _form_pairing,
@@ -130,7 +130,7 @@ def _gde_conditions(a: SuperAlgebra, d: OperatorMap, a0: Element):
     kern = _scan_kernel(a)
     par, dscale = kern.par, kern.scale
     fscale, dmap = _int_map(d.columns)
-    ascale, a0v = cleared(a0.coords)                  # A a0
+    ascale, a0v = cleared(a0.entries)                 # A a0
     dcols = {i: v for i in range(n) if (v := dmap({i: 1}))}    # F d(b_i)
     users = {}  # w -> [(j, F d(b_j) at b_w)]
     for j, v in dcols.items():
@@ -251,10 +251,9 @@ def _extend(q: QuadraticAlgebra, d: OperatorMap, a0: Element):
     twist, _ = _form_pairing(q.form, d.columns)
     for (i, j), w in sorted(twist.items()):  # w = B(d(b_i), b_j)
         constants[(emap[i], emap[j], estar)] = w
-    for k, c in enumerate(a0.coords):
-        if c != 0:
-            constants[(e_idx, e_idx, emap[k])] = c
-    _, ga0 = _form_pairing(q.form, {0: sparse(a0.coords)})  # B(b_j, a0)
+    for k, c in sorted(a0.entries.items()):
+        constants[(e_idx, e_idx, emap[k])] = c
+    _, ga0 = _form_pairing(q.form, {0: a0.entries})  # B(b_j, a0)
     for j in range(n):
         x = q.space.parity(j)
         image = {emap[r]: v for r, v in d.column(j).items()}
@@ -394,7 +393,7 @@ def _semidirect_algebra(m: SuperAlgebra, v: SuperAlgebra, s: SemidirectData):
         constants[(amap[i], amap[j], amap[k])] = c
     for i in range(m.dim):
         for j in range(m.dim):
-            for h, c in sparse(s.zeta[i][j].coords).items():
+            for h, c in s.zeta[i][j].entries.items():
                 constants[(amap[i], amap[j], bmap[h])] = c
     for (g, h, k), c in v.constants.items():
         constants[(bmap[g], bmap[h], bmap[k])] = c
@@ -525,7 +524,8 @@ def check_gsd_conditions(m: SuperAlgebra, v: SuperAlgebra,
                 _vadd(acc, value(_bind(word, args)), _parity_sign(spec, par))
             if acc:
                 lhs = {local[k]: c for k, c in acc.items()}
-                witnesses.append(Witness(key, _to_element(v.dim, lhs), zero))
+                witnesses.append(Witness(key, Element.sparse(v.dim, lhs),
+                                         zero))
         reports[name] = _report(witnesses)
     return GsdReport(operators=_report(op_wit), **reports)
 
@@ -557,10 +557,10 @@ def semidirect_data_from_gde(q: QuadraticAlgebra, g: GdeData):
     vext = central_extension(q, g.d.negated())
     estar = n
     images = {j: dict(col) for j, col in g.d.columns.items()}
-    _, ga0 = _form_pairing(q.form, {0: sparse(g.a0.coords)})  # B(b_j, a0)
+    _, ga0 = _form_pairing(q.form, {0: g.a0.entries})  # B(b_j, a0)
     for (j, _c), v in ga0.items():
         images.setdefault(j, {})[estar] = ksign(q.space.parity(j)) * v
     dtilde = OperatorMap.from_images(n + 1, images, ODD)
-    a0_ext = Element(tuple(list(g.a0.coords) + [ZERO]))
+    a0_ext = Element.sparse(n + 1, g.a0.entries)
     data = SemidirectData(line, vext, (dtilde,), ((a0_ext,),))
     return line, vext, data

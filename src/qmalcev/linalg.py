@@ -7,10 +7,11 @@ Every elimination runs on one sparse eliminator, `Span`: its rows are int
 echelon form, so 0 at every other pivot.  The reduced echelon form of a
 row space is unique, so every basis, kernel, solution, inverse and
 determinant is the same whatever order the rows go in.  The package
-reads spans, ranks and kernels off `Span`, `sparse_kernel` and
-`int_kernel`; the dense routines on lists of rows (`mat_mul`,
-`transpose`, `inverse`, `kernel`, `solve`, `det`) serve the one Gram
-inverse of `operators.operator_from_cocycle` and the benchmark harness.
+reads spans, ranks and kernels off `Span`, `row_span`, `sparse_kernel`
+and `int_kernel`.  The dense routines on lists of rows (`mat_mul`,
+`transpose`, `inverse`, `kernel`, `solve`, `det`) have no caller in the
+package; they stay because the benchmark harness imports `inverse` and
+times them by name.
 
 The field is given by a modulus p alone.  p = 0 is Q: vectors go in with
 Fraction or int entries, their denominators are cleared (`cleared`,
@@ -45,10 +46,6 @@ def frac(x) -> Fraction:
     raise TypeError("cannot interpret %r as an exact rational" % (x,))
 
 
-def zeros(n):
-    return [ZERO] * n
-
-
 def transpose(m):
     if not m:
         return []
@@ -74,6 +71,14 @@ def sparse(v, p=0):
     if p:
         return {c: x % p for c, x in items if x % p}
     return {c: x for c, x in items if x}
+
+
+def dense(v, n):
+    """The sparse vector v {column: value} as a tuple of n entries."""
+    out = [ZERO] * n
+    for c, x in v.items():
+        out[c] = x
+    return tuple(out)
 
 
 def cleared(v):
@@ -279,12 +284,12 @@ class Span:
     def vectors(self):
         """The reduced echelon rows as dense lists, in increasing pivot
         order."""
-        return [[row.get(i, ZERO) for i in range(self.n)]
-                for row in self.rows()]
+        return [list(dense(row, self.n)) for row in self.rows()]
 
 
-def _row_span(m, cols):
-    span = Span(cols)
+def row_span(m, cols, p=0):
+    """The Span of the rows m, lists or dicts, over Q or modulo p."""
+    span = Span(cols, p)
     for row in m:
         span.add(row)
     return span
@@ -295,8 +300,7 @@ def kernel(m, cols=None):
     may be lists or sparse dicts; cols is required when they are dicts."""
     if cols is None:
         cols = len(m[0]) if m else 0
-    return [[v.get(c, ZERO) for c in range(cols)]
-            for v in sparse_kernel(m, cols)]
+    return [list(dense(v, cols)) for v in sparse_kernel(m, cols)]
 
 
 def sparse_kernel(m, cols):
@@ -316,7 +320,7 @@ def int_kernel(m, cols):
     free column f, read off the rows' nonzeros: L at f and
     -row[f] L / row[c] at the pivot c of each row, where L is the lcm of
     the row[c] with row[f] != 0."""
-    rows = _row_span(m, cols)._rows
+    rows = row_span(m, cols)._rows
     basis = {f: [] for f in range(cols) if f not in rows}
     for pc, row in rows.items():
         for c, x in row.items():
@@ -333,9 +337,7 @@ def int_kernel(m, cols):
 
 
 def basis_vector(n, i):
-    v = zeros(n)
-    v[i] = ONE
-    return v
+    return list(dense({i: ONE}, n))
 
 
 def solve(m, b):
@@ -343,19 +345,17 @@ def solve(m, b):
     if not m:
         return [] if is_zero_vec(b) else None
     n = len(m[0])
-    rows = _row_span([list(r) + [x] for r, x in zip(m, b)], n + 1)._rows
+    rows = row_span([list(r) + [x] for r, x in zip(m, b)], n + 1)._rows
     if n in rows:
         return None
-    x = zeros(n)
-    for pc, row in rows.items():
-        x[pc] = Fraction(row.get(n, 0), row[pc])
-    return x
+    return list(dense({pc: Fraction(row.get(n, 0), row[pc])
+                       for pc, row in rows.items()}, n))
 
 
 def inverse(m):
     n = len(m)
-    span = _row_span([list(r) + basis_vector(n, i) for i, r in enumerate(m)],
-                     2 * n)
+    span = row_span([list(r) + basis_vector(n, i) for i, r in enumerate(m)],
+                    2 * n)
     if span.pivot_columns() != list(range(n)):
         return None
     return [row[n:] for row in span.vectors()]

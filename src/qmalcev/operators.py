@@ -8,8 +8,8 @@ integer sum of every tuple where it occurs.  The operator identity is
 linear in f and quadratic in the constants, so both scaled sides are D^2 F
 times the true ones: exact, unequal on the same triples, and divided back
 only when a witness is built.  Skew-supersymmetry and the cocycle of an
-operator read the sparse form pairing of `quadratic`; the Gram inverse
-turns cocycles back into operators.
+operator read the sparse form pairing of `quadratic`; one sparse solve on
+the int Gram turns cocycles back into operators.
 """
 
 from __future__ import annotations
@@ -199,12 +199,10 @@ class Cocycle:
 
     def value(self, x: Element, y: Element):
         total = ZERO
-        for i, xi in enumerate(x.coords):
-            if xi == 0:
-                continue
+        for i, xi in x.entries.items():
             row = self.values[i]
-            for j, yj in enumerate(y.coords):
-                if yj != 0 and row[j] != 0:
+            for j, yj in y.entries.items():
+                if row[j]:
                     total += xi * row[j] * yj
         return total
 
@@ -286,18 +284,28 @@ def check_cocycle(a: SuperAlgebra, w: Cocycle) -> CheckReport:
 
 
 def operator_from_cocycle(q: QuadraticAlgebra, w: Cocycle) -> OperatorMap:
-    """The unique phi with w(X, Y) = B(phi(X), Y); exact Gram inverse."""
+    """The unique phi with w(X, Y) = B(phi(X), Y).
+
+    With F the matrix of phi, w = F^T G, so G^T F = w^T.  One `linalg.Span`
+    of the rows [E G^T | w^T], E G the int Gram, solves for every column of
+    F at once: its reduced echelon form is [I | F / E].
+    """
     _require_validated(q)
     n = q.dim
     if w.dim != n:
         raise InputError("cocycle dimension does not match algebra")
-    ginv = linalg.inverse(q.form.matrix())
-    if ginv is None:
+    if not q.form.is_nondegenerate():
         raise PreconditionError("form is degenerate")
-    wm = [list(r) for r in w.values]
-    # w = F^T G  =>  F = (w G^{-1})^T
-    ft = linalg.mat_mul(wm, ginv)
-    return OperatorMap(linalg.transpose(ft), w.parity)
+    gscale, _table, _rows, gcols = q.form.int_gram
+    span = linalg.row_span(
+        ({**gcols.get(j, {}), **{n + i: x for i, x in enumerate(col)}}
+         for j, col in enumerate(zip(*w.values))), 2 * n)
+    images = {}
+    for r, row in enumerate(span.rows()):  # the pivots are 0..n-1
+        for c, x in row.items():
+            if c >= n:
+                images.setdefault(c - n, {})[r] = gscale * x
+    return OperatorMap.from_images(n, images, w.parity)
 
 
 def cocycle_from_operator(q: QuadraticAlgebra, f: OperatorMap) -> Cocycle:

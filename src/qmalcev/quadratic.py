@@ -18,7 +18,7 @@ from . import linalg
 from .core import (_CERT_PRIME, EVEN, ODD, CheckReport, Element,
                    GradedSubspace, SuperAlgebra, SuperSpace, Witness,
                    _EMPTY, _ideal_candidates, _proper_ideals, _report,
-                   _scan_kernel, _to_element, _vadd, center,
+                   _scan_kernel, _vadd, center,
                    check_malcev, check_super_anticommutativity,
                    ideal_closure, direct_sum, direct_sum_embeddings,
                    simplicity, change_basis)
@@ -50,7 +50,7 @@ class BilinearForm:
                 self.rows.setdefault(i, {})[j] = x
                 self.cols.setdefault(j, {})[i] = x
         self._kernel = None  # _kernel_basis, on first use
-        self._restrictions = {}  # _restricted_to, by the subspace's key
+        self._verdicts = {}  # _nondegenerate_on, by the subspace's key
         return self
 
     @classmethod
@@ -102,15 +102,23 @@ class BilinearForm:
             len(vecs), {key: Fraction(vec[0], denom) for key, vec
                         in linalg.pulled_back(table, vecs).items()})
 
-    def _restricted_to(self, sub: GradedSubspace):
-        """_restricted to the int rows of a graded subspace, memoized on
-        this form by its key: a split along an ideal that the search has
-        just found nondegenerate reuses that form and its cached kernel."""
-        form = self._restrictions.get(sub.key)
-        if form is None:
-            form = self._restrictions[sub.key] = self._restricted(
-                sub.int_rows)
-        return form
+    def _nondegenerate_on(self, sub: GradedSubspace):
+        """Whether the form restricted to a graded subspace is
+        nondegenerate, memoized on this form by the subspace's key, so a
+        split along an ideal that the search has just found nondegenerate
+        reuses the verdict.  The int Gram is pulled back along the int
+        rows; full rank modulo 2^61 - 1 proves it, as in _kernel_basis, and
+        only on a deficit mod p is the rank taken over Q."""
+        verdict = self._verdicts.get(sub.key)
+        if verdict is None:
+            k, rows = sub.dim, {}
+            for (i, j), vec in linalg.pulled_back(
+                    self.int_gram[1], dict(enumerate(sub.int_rows))).items():
+                rows.setdefault(i, {})[j] = vec[0]
+            verdict = self._verdicts[sub.key] = any(
+                linalg.row_span(rows.values(), k, p).dim == k
+                for p in (_CERT_PRIME, 0))
+        return verdict
 
     def _kernel_basis(self):
         """A basis of the kernel {v : G v = 0} as sparse vectors, cached;
@@ -120,10 +128,8 @@ class BilinearForm:
         only on a rank deficit mod p is the kernel solved over Q."""
         if self._kernel is None:
             rows = list(self.int_gram[2].values())
-            span = linalg.Span(self.dim, _CERT_PRIME)
-            for row in rows:
-                span.add(row)
-            self._kernel = [] if span.dim == self.dim else (
+            full = linalg.row_span(rows, self.dim, _CERT_PRIME)
+            self._kernel = [] if full.dim == self.dim else (
                 linalg.sparse_kernel(rows, self.dim))
         return self._kernel
 
@@ -182,7 +188,7 @@ def check_form(a: SuperAlgebra, b: BilinearForm) -> FormReport:
             sym_wit.append(Witness((i, j), x, expected))
 
     zero = Element.zero(n)
-    nondeg_wit = [Witness(("kernel",), _to_element(n, v), zero)
+    nondeg_wit = [Witness(("kernel",), Element.sparse(n, v), zero)
                   for v in b._kernel_basis()]
 
     inv_wit = _invariance_witnesses(a, b)
@@ -367,7 +373,7 @@ def orthogonal_split(q: QuadraticAlgebra, ideal: GradedSubspace):
         raise PreconditionError("split requires a proper nonzero ideal")
     if ideal_closure(q.algebra, ideal).dim != ideal.dim:
         raise PreconditionError("subspace is not an ideal")
-    if not q.form._restricted_to(ideal).is_nondegenerate():
+    if not q.form._nondegenerate_on(ideal):
         raise PreconditionError("form restriction to the ideal is degenerate")
     comp = orthogonal_complement(q.form, ideal)
     ae, ao = ideal.even_rows(), ideal.odd_rows()
@@ -508,9 +514,8 @@ def _solvable(a: SuperAlgebra) -> bool:
     pairs = a.int_table()[1]
     term = {i: {i: 1} for i in range(a.dim)}
     while term:
-        span = linalg.Span(a.dim)
-        for vec in linalg.pulled_back(pairs, term).values():
-            span.add(vec)
+        span = linalg.row_span(linalg.pulled_back(pairs, term).values(),
+                               a.dim)
         if span.dim == len(term):
             return False
         term = dict(enumerate(span.int_rows()))
@@ -555,14 +560,14 @@ def _split(q: QuadraticAlgebra):
        seeded pseudo-random homogeneous vectors.
     Each candidate is closed by `core._proper_ideals`, and the first
     ideal with a nondegenerate restriction splits q; an ideal met twice is
-    a memo hit in `BilinearForm._restricted_to`.
+    a memo hit in `BilinearForm._nondegenerate_on`.
     """
     if q._verdict is None:
         a = q.algebra
 
         def first(seeds):
             return next((ideal for ideal in _proper_ideals(a, seeds)
-                         if q.form._restricted_to(ideal).is_nondegenerate()),
+                         if q.form._nondegenerate_on(ideal)),
                         None)
 
         if (q.dim <= 1 or (q.dim == 2 and not q.space.even_dim)
@@ -602,8 +607,7 @@ def b_irreducible_components(q: QuadraticAlgebra) -> ComponentsReport:
         ideal, proved = _split(part)
         if ideal is None:
             components.append(part)
-            bases.append(tuple(_to_element(q.dim, c).coords
-                               for c in basis_cols))
+            bases.append(tuple(linalg.dense(c, q.dim) for c in basis_cols))
             exhaustive = exhaustive and proved
             return
         qa, qb, cols = orthogonal_split(part, ideal)

@@ -4,6 +4,8 @@ sparse entries and columns.  A call `x.matrix()` is a form's view, an
 attribute `x.matrix` that is not called is an operator's.  No module
 outside linalg.py uses a dense elimination routine of linalg: spans,
 ranks and kernels are read off `linalg.Span` and `linalg.sparse_kernel`.
+Only the printers, cli.py and document.py, read an Element's dense
+`coords`; everything else reads its sparse `entries`.
 """
 
 import ast
@@ -14,10 +16,7 @@ import qmalcev
 SRC = pathlib.Path(qmalcev.__file__).parent
 
 # (module, function) -> the views it may read outside their owner
-ALLOWED = {
-    # the exact operator/cocycle correspondence inverts the dense Gram
-    ("operators.py", "operator_from_cocycle"): {"form"},
-}
+ALLOWED = {}
 
 
 def _dense_reads(path):
@@ -63,11 +62,7 @@ DENSE_LINALG = {"kernel", "rref", "rank", "det", "solve", "inverse",
                 "mat_mul", "transpose", "mat_vec", "column_echelon_columns"}
 
 # (module, function) -> the dense linalg routines it may use
-DENSE_LINALG_ALLOWED = {
-    # the exact operator/cocycle correspondence inverts the dense Gram
-    ("operators.py", "operator_from_cocycle"): {"inverse", "mat_mul",
-                                                "transpose"},
-}
+DENSE_LINALG_ALLOWED = {}
 
 
 def _dense_linalg_uses(path):
@@ -112,3 +107,30 @@ def test_no_dense_elimination_outside_linalg():
                 stray.append((path.name, function, name))
     assert stray == []
     assert excused == DENSE_LINALG_ALLOWED  # each exception is still needed
+
+
+def _coords_readers(path):
+    """The functions of the module that read an attribute `coords`."""
+    tree = ast.parse(path.read_text())
+    readers = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "coords"
+                and isinstance(node.ctx, ast.Load)):
+            readers.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return readers
+
+
+def test_dense_coords_are_read_by_the_printers_only():
+    readers = {path.name: _coords_readers(path)
+               for path in sorted(SRC.glob("*.py"))}
+    assert {name for name, fns in readers.items() if fns} == {
+        "cli.py", "document.py"}
+    assert readers["cli.py"] == {"_value_obj"}
+    assert readers["document.py"] == {"_gde_block"}

@@ -20,7 +20,7 @@ from qmalcev import (EVEN, ODD, Element, GdeData, OperatorMap,
                      QuadraticAlgebra, catalog_get, direct_sum_quadratic,
                      gde_abelian12_parts, generalized_double_extension,
                      reduce_odd, verify_gde_data)
-from qmalcev.core import (Witness, _mul_vb, _mul_vv, _to_element, _vadd,
+from qmalcev.core import (Witness, _mul_vb, _mul_vv, _vadd,
                           _vscale, center, ksign)
 from qmalcev.errors import PreconditionError
 from qmalcev.extensions import _gde_conditions
@@ -44,8 +44,8 @@ def reference_conditions(a, d, a0):
     half_sq = _vscale(_mul_vv(a, a0, a0), Fraction(1, 2))
     sq_wit = []
     if d2a0 != half_sq:
-        sq_wit.append(Witness(("a0",), _to_element(n, d2a0),
-                              _to_element(n, half_sq)))
+        sq_wit.append(Witness(("a0",), Element.sparse(n, d2a0),
+                              Element.sparse(n, half_sq)))
 
     act_wit = []
     for i in range(n):
@@ -53,8 +53,8 @@ def reference_conditions(a, d, a0):
         rhs = _mul_vv(a, a0, d.column(i))
         _vadd(rhs, _mul_vb(a, da0, i), frac(-1))
         if lhs != rhs:
-            act_wit.append(Witness((i,), _to_element(n, lhs),
-                                   _to_element(n, rhs)))
+            act_wit.append(Witness((i,), Element.sparse(n, lhs),
+                                   Element.sparse(n, rhs)))
 
     outer_wit = []
     inner_wit = []
@@ -71,16 +71,16 @@ def reference_conditions(a, d, a0):
             _vadd(rhs, _mul_vv(a, di, dj), frac(ksign(x)))
             _vadd(rhs, _mul_vb(a, d2j, i), frac(ksign(x * y)))
             if lhs != rhs:
-                outer_wit.append(Witness((i, j), _to_element(n, lhs),
-                                         _to_element(n, rhs)))
+                outer_wit.append(Witness((i, j), Element.sparse(n, lhs),
+                                         Element.sparse(n, rhs)))
             lhs2 = _mul_vv(a, a0, a.basis_product(i, j))
             rhs2 = d.apply_vec(_mul_vb(a, di, j))
             _vadd(rhs2, _mul_vb(a, d2i, j))
             _vadd(rhs2, _mul_vb(a, d2j, i), frac(-ksign(x * y)))
             _vadd(rhs2, d.apply_vec(_mul_vb(a, dj, i)), frac(-ksign(x * y)))
             if lhs2 != rhs2:
-                inner_wit.append(Witness((i, j), _to_element(n, lhs2),
-                                         _to_element(n, rhs2)))
+                inner_wit.append(Witness((i, j), Element.sparse(n, lhs2),
+                                         Element.sparse(n, rhs2)))
     return sq_wit, act_wit, outer_wit, inner_wit
 
 

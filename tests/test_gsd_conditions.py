@@ -18,7 +18,7 @@ import pytest
 from qmalcev import (EVEN, Element, OperatorMap, SemidirectData, catalog_get,
                      check_gsd_conditions, gde_abelian12_parts,
                      generalized_semidirect_product, semidirect_data_from_gde)
-from qmalcev.core import (Witness, _mul_vb, _mul_vv, _report, _to_element,
+from qmalcev.core import (Witness, _mul_vb, _mul_vv, _report,
                           _vadd, _vscale, ksign)
 from qmalcev.errors import InputError, PreconditionError
 from qmalcev.extensions import GsdReport
@@ -98,7 +98,7 @@ def reference_conditions(m, v, s):
                     _vadd(acc, _mul_vb(v, _mul_vb(v, zeij, h), t_))
                     if acc:
                         w1.append(Witness((i, j, h, t_),
-                                          _to_element(nv, acc),
+                                          Element.sparse(nv, acc),
                                           Element.zero(nv)))
 
     w2 = []
@@ -127,7 +127,7 @@ def reference_conditions(m, v, s):
                         frac(-ksign(t * y + (x + y) * z)))
                     if acc:
                         w2.append(Witness((i, k, g, t_),
-                                          _to_element(nv, acc),
+                                          Element.sparse(nv, acc),
                                           Element.zero(nv)))
 
     w3 = []
@@ -148,7 +148,7 @@ def reference_conditions(m, v, s):
                           frac(ksign(t * (x + z) + x * y)))
                     if acc:
                         w3.append(Witness((i, j, l, h),
-                                          _to_element(nv, acc),
+                                          Element.sparse(nv, acc),
                                           Element.zero(nv)))
 
     w4 = []
@@ -194,7 +194,7 @@ def reference_conditions(m, v, s):
                         frac(-ksign(t * (x + y + z))))
                     if acc:
                         w4.append(Witness((i, j, k, l),
-                                          _to_element(nv, acc),
+                                          Element.sparse(nv, acc),
                                           Element.zero(nv)))
 
     w5 = []
@@ -223,7 +223,7 @@ def reference_conditions(m, v, s):
                         frac(ksign((x + y) * z + x * y)))
                     if acc:
                         w5.append(Witness((i, j, k, t_),
-                                          _to_element(nv, acc),
+                                          Element.sparse(nv, acc),
                                           Element.zero(nv)))
 
     return GsdReport(operators=_report(op_wit), cond1=_report(w1),

@@ -24,7 +24,7 @@ from qmalcev import (EVEN, OperatorMap, SuperAlgebra, SuperSpace,
                      even_part, inductive_decompose, reductive_report)
 from qmalcev import linalg
 from qmalcev.core import (GradedSubspace, _enveloping_basis,
-                          _multiplication_generators, _to_element, center,
+                          _multiplication_generators, center,
                           change_basis, simplicity)
 from qmalcev.decompose import _odd_action_matrices
 from qmalcev.linalg import ONE, ZERO
@@ -154,8 +154,7 @@ def reference_reductive(even: SuperAlgebra):
     n = even.dim
     z = center(even)
     square = GradedSubspace.from_vectors(
-        even.space, [_to_element(n, v).coords
-                     for v in even.pair_table().values()])
+        even.space, list(even.pair_table().values()))
     if square.dim == 0:
         return True
     if (z.dim + square.dim != n

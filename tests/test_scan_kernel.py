@@ -28,7 +28,7 @@ from qmalcev import (EVEN, ODD, BilinearForm, Cocycle, Element, OperatorMap,
                      check_skew_supersymmetric, check_super_anticommutativity,
                      cocycle_from_operator, direct_sum, linalg, product)
 from qmalcev import core
-from qmalcev.core import (_mul_vb, _mul_vv, _report, _to_element, _vadd,
+from qmalcev.core import (_mul_vb, _mul_vv, _report, _vadd,
                           ksign)
 from qmalcev.document import parse_document
 from qmalcev.linalg import frac
@@ -395,8 +395,8 @@ def malcev_operator_reference(a, f):
                 _vadd(rhs, _mul_vb(a, f.apply_vec(a.basis_product(j, k)), i),
                       frac(-ksign(x * (y + z))))
                 if lhs != rhs:
-                    witnesses.append(Witness((i, j, k), _to_element(n, lhs),
-                                             _to_element(n, rhs)))
+                    witnesses.append(Witness((i, j, k), Element.sparse(n, lhs),
+                                             Element.sparse(n, rhs)))
     return _report(witnesses)
 
 

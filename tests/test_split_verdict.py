@@ -65,7 +65,7 @@ def _search_splitting_ideal(q):
         if key in seen:
             continue
         seen.add(key)
-        if q.form._restricted_to(ideal).is_nondegenerate():
+        if q.form._nondegenerate_on(ideal):
             return ideal
     return None
 
