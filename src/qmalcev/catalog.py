@@ -235,40 +235,28 @@ def _gde_abelian12():
     return QuadraticAlgebra(alg, out.form, validated=True)
 
 
-CATALOG_NAMES = ("zero", "one_dim_lie", "abelian", "sl2", "m7", "osp12",
-                 "example_M", "example_gde", "odd_hyperbolic",
-                 "even_hyperbolic", "gde_abelian12")
+# name -> builder of (algebra, extension data or None) from the parameters
+_BUILDERS = {
+    "zero": lambda: (_zero(), None),
+    "one_dim_lie": lambda: (_one_dim_lie(), None),
+    "abelian": lambda p, q: (_abelian(p, q), None),
+    "sl2": lambda: (_sl2(), None),
+    "m7": lambda: (_m7(), None),
+    "osp12": lambda: (_osp12(), None),
+    "example_M": _example_m,
+    "example_gde": lambda n, m: (_example_gde(n, m), None),
+    "odd_hyperbolic": lambda: (_odd_hyperbolic(), None),
+    "even_hyperbolic": lambda: (_even_hyperbolic(), None),
+    "gde_abelian12": lambda: (_gde_abelian12(), None),
+}
+
+CATALOG_NAMES = tuple(_BUILDERS)
 
 
 @lru_cache(maxsize=None)
 def _build(name, params):
-    if name == "zero":
-        return CatalogEntry(name, params, _zero())
-    if name == "one_dim_lie":
-        return CatalogEntry(name, params, _one_dim_lie())
-    if name == "abelian":
-        p, q = params
-        return CatalogEntry(name, params, _abelian(p, q))
-    if name == "sl2":
-        return CatalogEntry(name, params, _sl2())
-    if name == "m7":
-        return CatalogEntry(name, params, _m7())
-    if name == "osp12":
-        return CatalogEntry(name, params, _osp12())
-    if name == "example_M":
-        n, m = params[0], params[1]
-        q, gde = _example_m(n, m)
-        return CatalogEntry(name, params, q, extras=gde)
-    if name == "example_gde":
-        n, m = params[0], params[1]
-        return CatalogEntry(name, params, _example_gde(n, m))
-    if name == "odd_hyperbolic":
-        return CatalogEntry(name, params, _odd_hyperbolic())
-    if name == "even_hyperbolic":
-        return CatalogEntry(name, params, _even_hyperbolic())
-    if name == "gde_abelian12":
-        return CatalogEntry(name, params, _gde_abelian12())
-    raise PreconditionError("unknown catalog name %r" % name)
+    algebra, extras = _BUILDERS[name](*params)
+    return CatalogEntry(name, params, algebra, extras=extras)
 
 
 def catalog_get(name, **params) -> CatalogEntry:

@@ -23,11 +23,10 @@ from .decompose import inductive_decompose, rebuild, reduce_even, reduce_odd
 from .document import (MAX_DIM, DocumentSyntaxError, canonical_json,
                        document_object, emit_document, emit_tree,
                        parse_document, parse_algebra_document, parse_tree,
-                       scalar_text)
+                       scalar_text, vector_texts)
 from .errors import (AxiomError, GradingError, InconclusiveError, InputError,
                      PreconditionError)
 from .extensions import double_extension_even, generalized_double_extension
-from .linalg import ZERO
 from .operators import check_malcev_operator, check_skew_supersymmetric
 from .quadratic import check_form
 
@@ -36,9 +35,6 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_PRECONDITION = 4
 EXIT_INCONCLUSIVE = 5
-
-
-_ZERO_TEXT = scalar_text(ZERO)
 
 
 def _witnesses_enabled():
@@ -57,8 +53,8 @@ def _report_obj(rep: CheckReport):
 
 
 def _value_obj(v):
-    if isinstance(v, Element):  # mostly the shared ZERO: one text for it
-        return [_ZERO_TEXT if c is ZERO else scalar_text(c) for c in v.coords]
+    if isinstance(v, Element):
+        return vector_texts(v.entries, v.dim)
     try:
         return scalar_text(v)
     except (TypeError, AttributeError):
@@ -106,8 +102,8 @@ def _cmd_center(args):
     z = center(q.algebra)
     out = {
         "name": q.algebra.name,
-        "even": [[scalar_text(x) for x in col] for col in z.even_columns()],
-        "odd": [[scalar_text(x) for x in col] for col in z.odd_columns()],
+        "even": [vector_texts(row, q.dim) for row in z.even_rows()],
+        "odd": [vector_texts(row, q.dim) for row in z.odd_rows()],
     }
     sys.stdout.write(canonical_json(out))
     return EXIT_OK
@@ -169,7 +165,7 @@ def _cmd_reduce(args):
             "e_index": red.witness.e_index,
             "estar_index": red.witness.estar_index,
             "embedding": list(red.witness.embedding),
-            "basis": [[scalar_text(x) for x in col] for col in red.basis],
+            "basis": [vector_texts(col, q.dim) for col in red.basis],
         },
     }
     sys.stdout.write(canonical_json(out))

@@ -6,21 +6,21 @@ c[(i,j,k)] b_k, with grading compatibility enforced at construction.
 
 The identity checkers report an exact witness for every basis tuple on
 which an identity fails; by multilinearity that decides it.  The Malcev,
-Jacobi, super-anticommutativity and cocycle scans, and the form-invariance
-scan of `quadratic.check_form`, share one integer kernel per algebra, and
-its shortcuts are exact:
+Jacobi, super-anticommutativity and operator scans, and the invariance
+scan of `quadratic.check_form`, share one integer kernel per algebra
+(`operators.check_cocycle` reads the cocycle identity off a Malcev scan),
+and its shortcuts are exact:
 
 - Cleared denominators.  The constants are multiplied by D, the lcm of
   their denominators, and all scan arithmetic is on Python ints.  The
-  Malcev identity is homogeneous of degree 3 in the constants, the Jacobi
-  and cocycle identities of degree 2 (a cocycle's values are cleared by
-  their own lcm W), so the scaled identity is the true one times D^3, D^2
-  or D^2 W.  It fails on exactly the same tuples, and a witness is divided
-  back, without rounding, only when it is built.
+  Malcev identity is homogeneous of degree 3 in the constants and the
+  Jacobi identity of degree 2, so the scaled identity is the true one
+  times D^3 or D^2.  It fails on exactly the same tuples, and a witness is
+  divided back, without rounding, only when it is built.
 - Term-wise accumulation.  With T[(a,b,c)] = (b_a b_b) b_c, every chain
-  term of the Malcev and cocycle identities is a T entry times one basis
-  vector, and the one other term is (b_i b_k)(b_j b_l); the Jacobi terms
-  are T entries.  Each identity is a signed sum of such terms, so the scans
+  term of the Malcev identity is a T entry times one basis vector, and
+  the one other term is (b_i b_k)(b_j b_l); the Jacobi terms are T
+  entries.  Each identity is a signed sum of such terms, so the scans
   walk the nonzero pair and T entries once, add each product into the sum
   of every tuple where it occurs, with that position's sign, and never
   visit a tuple where all terms vanish: there the identity reads 0 = 0,
@@ -103,8 +103,9 @@ class SuperSpace:
 class Element:
     """A vector of F^dim in the fixed basis, stored as its nonzero
     coordinates `entries` {i: exact rational}.  The dense tuple `coords` is
-    a view for the printers, built on each read.  Equality and hashing
-    follow the coordinates, whichever constructor built the vector."""
+    a view built on each read; `document.vector_texts` prints `entries`.
+    Equality and hashing follow the coordinates, whichever constructor
+    built the vector."""
 
     __slots__ = ("dim", "entries")
 
@@ -195,6 +196,23 @@ class CheckReport:
 def _report(witnesses, notes=()):
     return CheckReport(passed=not witnesses, witnesses=tuple(witnesses),
                        notes=tuple(notes))
+
+
+class ItemizedReport:
+    """Base of a frozen dataclass of CheckReports, one per condition in the
+    order they are checked: `failures()` names the failing ones in that
+    order, and `first_failure()` the first of them, or None."""
+
+    def failures(self):
+        return [f for f in self.__dataclass_fields__
+                if not getattr(self, f).passed]
+
+    @property
+    def passed(self):
+        return not self.failures()
+
+    def first_failure(self):
+        return next(iter(self.failures()), None)
 
 
 class SuperAlgebra:
@@ -320,24 +338,22 @@ def check_super_anticommutativity(a: SuperAlgebra) -> CheckReport:
     """b_i b_j = -(-1)^{p(i)p(j)} b_j b_i for all basis pairs.
 
     Both sides vanish unless (i, j) or (j, i) is in the pair table, so only
-    those pairs are compared, in the order of a full scan over i <= j, on
-    the scan kernel's scaled ints.  The report is cached on the (immutable)
-    algebra: check_malcev reads it for its note and QuadraticAlgebra.validate
-    for its verdict.
+    those pairs are compared, as (i, j) with i <= j, on the scan kernel's
+    scaled ints.  The report is cached on the (immutable) algebra:
+    check_malcev reads it for its note and QuadraticAlgebra.validate for
+    its verdict.
     """
-    if a._anti is not None:
-        return a._anti
-    n, kern = a.dim, _scan_kernel(a)
-    pairs, par = kern.pairs, kern.par
-    witnesses = []
-    for i, j in sorted({(i, j) if i <= j else (j, i) for i, j in pairs}):
-        s = -ksign(par[i] * par[j])
-        if pairs.get((i, j), _EMPTY) != {
-                k: s * c for k, c in pairs.get((j, i), _EMPTY).items()}:
-            witnesses.append(Witness(
-                (i, j), Element.sparse(n, a.basis_product(i, j)),
-                Element.sparse(n, _vscale(a.basis_product(j, i), s))))
-    a._anti = _report(witnesses)
+    if a._anti is None:
+        kern = _scan_kernel(a)
+        lhs, rhs = {}, {}
+        for (i, j), vec in kern.pairs.items():
+            if i <= j:
+                lhs[(i, j)] = vec
+            if j <= i:
+                s = -ksign(kern.par[i] * kern.par[j])
+                rhs[(j, i)] = {k: s * c for k, c in vec.items()}
+        a._anti = _report(_side_witnesses(a.dim, lhs, rhs, kern.scale,
+                                          kern.scale))
     return a._anti
 
 
@@ -425,8 +441,8 @@ class _ScanKernel:
 
     @functools.cached_property
     def triples(self):
-        """`packed` as {k: int} vectors, on first use by the operator and
-        cocycle scans."""
+        """`packed` as {k: int} vectors, on first use by the operator
+        scan."""
         base, bits = self.base, self.bits
         return {key: {c: _unpacked(x, base[key[0]], bits)
                       for c, x in row.items()}
@@ -457,9 +473,9 @@ def _scan_kernel(a: SuperAlgebra) -> _ScanKernel:
 
 
 def _chain_keys(par, p, q, r, w):
-    """The quadruples (i, j, k, l) whose Malcev or cocycle identity has the
-    chain term ((b_p b_q) b_r) b_w on its right side, each with its sign:
-    as ((XY)Z)T, ((YZ)T)X, ((ZT)X)Y and ((TX)Y)Z in turn."""
+    """The quadruples (i, j, k, l) whose Malcev identity has the chain term
+    ((b_p b_q) b_r) b_w on its right side, each with its sign: as ((XY)Z)T,
+    ((YZ)T)X, ((ZT)X)Y and ((TX)Y)Z in turn."""
     x, y, z, t = par[p], par[q], par[r], par[w]
     return (((p, q, r, w), 1),
             ((w, p, q, r), ksign(t * (x + y + z))),
@@ -490,13 +506,25 @@ def _side_witnesses(n, lhs, rhs, lscale, rscale):
     denom, fracs = lscale * lmul, {}
     witnesses = []
     for key in sorted(lhs.keys() | rhs.keys()):
-        left = {m: c * lmul for m, c in lhs.get(key, {}).items() if c}
-        right = {m: c * rmul for m, c in rhs.get(key, {}).items() if c}
+        left, right = lhs.get(key, _EMPTY), rhs.get(key, _EMPTY)
+        if lmul == rmul and left == right:  # equal at equal scales
+            continue
+        left = {m: c * lmul for m, c in left.items() if c}
+        right = {m: c * rmul for m, c in right.items() if c}
         if left != right:
             witnesses.append(Witness(
                 key, _scaled_element(n, left, denom, fracs),
                 _scaled_element(n, right, denom, fracs)))
     return witnesses
+
+
+def _value_witnesses(lhs, rhs, denom=1):
+    """Witness(key, lhs / denom, rhs / denom), as Fractions, at each sorted
+    key where the scalar sums lhs {key: x} and rhs {key: y} differ, a
+    missing key read as 0."""
+    return [Witness(key, Fraction(x, denom), Fraction(y, denom))
+            for key in sorted(lhs.keys() | rhs.keys())
+            if (x := lhs.get(key, 0)) != (y := rhs.get(key, 0))]
 
 
 def _rotations(par, key):

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, GradedSubspace,
-                   SuperAlgebra, SuperSpace, Witness, _enveloping_basis,
-                   _mul_vv, _multiplication_generators, _report,
-                   _vadd, center, check_jacobi, ksign,
+                   SuperAlgebra, SuperSpace, _enveloping_basis, _mul_vv,
+                   _multiplication_generators, _report, _vadd,
+                   _value_witnesses, center, check_jacobi, ksign,
                    simplicity)
 from .errors import AxiomError, GradingError, InputError, PreconditionError
 from .linalg import ONE, ZERO
@@ -142,12 +142,9 @@ def _peel(q: QuadraticAlgebra, e, estar, parity) -> _Peeled:
 
     # phi(X_i, X_j) = B(D(X_i), X_j)
     want, _ = _form_pairing(nq.form, d.columns)
-    phi_wit = [Witness(key, phi.get(key, ZERO), want.get(key, ZERO))
-               for key in sorted(phi.keys() | want.keys())
-               if phi.get(key, ZERO) != want.get(key, ZERO)]
     return _Peeled(nq, d, psi,
                    Element.sparse(ndim, {where[m]: c for m, c in ee.items()}),
-                   _report(phi_wit),
+                   _report(_value_witnesses(phi, want)),
                    ExtensionWitness(e_idx, estar_idx, tuple(n_positions)),
                    tuple(linalg.dense(col, q.dim) for col in adapted))
 
@@ -168,11 +165,9 @@ def reduce_odd(q: QuadraticAlgebra) -> OddReduction:
     r = _peel(q, e, estar, ODD)
     # psi(X) = (-1)^x B(X, a0)
     _, ga0 = _form_pairing(r.n.form, {0: r.a0.entries})
-    psi_wit = []
-    for j, psi in enumerate(r.psi):
-        want = ksign(r.n.space.parity(j)) * ga0.get((j, 0), ZERO)
-        if psi != want:
-            psi_wit.append(Witness((j,), psi, want))
+    psi_check = _report(_value_witnesses(
+        {(j,): x for j, x in enumerate(r.psi)},
+        {(j,): ksign(r.n.space.parity(j)) * x for (j, _), x in ga0.items()}))
     report = verify_gde_data(r.n, GdeData(r.d, r.a0))
     if not report.passed:
         raise PreconditionError("recovered data fails admissibility: %s"
@@ -180,7 +175,7 @@ def reduce_odd(q: QuadraticAlgebra) -> OddReduction:
     return OddReduction(n=r.n, gde=GdeData(r.d, r.a0),
                         witness=r.witness, basis=r.basis,
                         phi_check=r.phi_check,
-                        psi_check=_report(psi_wit),
+                        psi_check=psi_check,
                         irreducible_certified=certified)
 
 

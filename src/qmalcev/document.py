@@ -43,6 +43,21 @@ def scalar_text(x: Fraction) -> str:
         return "%s/%s" % (Decimal(x.numerator), Decimal(x.denominator))
 
 
+_ZERO_TEXT = scalar_text(Fraction(0))
+
+
+def vector_texts(v, n):
+    """The n scalar texts of a vector of F^n, given as a list or as a
+    sparse {coordinate: value} dict; every zero shares one text.  This is
+    the one printer of dense vectors."""
+    if isinstance(v, dict):
+        out = [_ZERO_TEXT] * n
+        for i, x in v.items():
+            out[i] = scalar_text(x)
+        return out
+    return [scalar_text(x) if x else _ZERO_TEXT for x in v]
+
+
 # What scalar_text emits: ASCII digits, an optional leading '-', no leading
 # zeros; the lowest-terms check in parse_scalar leaves 0/1 the only zero.
 _SCALAR = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
@@ -89,7 +104,7 @@ def _operator_block(op: OperatorMap):
 
 def _gde_block(g: GdeData):
     return {"d": _operator_block(g.d)["entries"],
-            "a0": [scalar_text(c) for c in g.a0.coords]}
+            "a0": vector_texts(g.a0.entries, g.a0.dim)}
 
 
 def document_object(q: QuadraticAlgebra, name=None, operator=None, gde=None):
@@ -287,7 +302,7 @@ def tree_object(node):
     if node.kind == "leaf":
         return {"kind": "leaf", "label": node.label.tag,
                 "note": node.note, "document": doc}
-    basis = [[scalar_text(x) for x in col] for col in node.basis]
+    basis = [vector_texts(col, node.algebra.dim) for col in node.basis]
     if node.kind == "sum":
         return {"kind": "sum", "document": doc, "basis": basis,
                 "exhaustive": node.exhaustive,

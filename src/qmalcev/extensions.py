@@ -25,14 +25,14 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .core import (EVEN, ODD, CheckReport, Element, SuperAlgebra, SuperSpace,
-                   Witness, _add, _mul_vv, _report, _scan_kernel,
-                   _side_witnesses, _vadd, check_malcev,
+from .core import (EVEN, ODD, CheckReport, Element, ItemizedReport,
+                   SuperAlgebra, SuperSpace, Witness, _add, _mul_vv, _report,
+                   _scan_kernel, _side_witnesses, _vadd, check_malcev,
                    direct_sum_embeddings, ksign)
 from .errors import AxiomError, InputError, PreconditionError
 from .linalg import ONE, cleared, frac
-from .operators import (OperatorMap, _int_map, check_malcev_operator,
-                        check_skew_supersymmetric)
+from .operators import (OperatorMap, _int_map, _line_extension,
+                        check_malcev_operator, check_skew_supersymmetric)
 from .quadratic import (BilinearForm, QuadraticAlgebra, _form_pairing,
                         _require_validated)
 
@@ -55,7 +55,7 @@ class ExtensionWitness:
 
 
 @dataclass(frozen=True)
-class GdeReport:
+class GdeReport(ItemizedReport):
     """Itemized admissibility report for odd double-extension data."""
 
     skew: CheckReport
@@ -64,21 +64,6 @@ class GdeReport:
     compat_action: CheckReport   # d(a0 X) = a0 d(X) - d(a0) X
     compat_outer: CheckReport    # (a0 X)Y expansion in d
     compat_inner: CheckReport    # a0 (XY) expansion in d
-
-    @property
-    def passed(self):
-        return all(getattr(self, f).passed for f in self._fields())
-
-    @staticmethod
-    def _fields():
-        return ("skew", "operator", "square", "compat_action",
-                "compat_outer", "compat_inner")
-
-    def first_failure(self):
-        for f in self._fields():
-            if not getattr(self, f).passed:
-                return f
-        return None
 
 
 def verify_gde_data(q: QuadraticAlgebra, g: GdeData) -> GdeReport:
@@ -216,15 +201,10 @@ def central_extension(q: QuadraticAlgebra, d: OperatorMap) -> SuperAlgebra:
     oper = check_malcev_operator(q.algebra, d)
     if not oper.passed:
         raise PreconditionError("twist operator fails the operator identity")
-    n = q.dim
-    space = SuperSpace(q.space.even_dim, q.space.odd_dim + 1)
-    estar = n
-    constants = dict(q.algebra.constants)
-    twist, _ = _form_pairing(q.form, d.columns)
-    for (i, j), w in sorted(twist.items()):  # w = B(d(b_i), b_j)
-        constants[(i, j, estar)] = -w
-    out = SuperAlgebra(space, constants,
-                       name="central_ext(%s)" % q.name)
+    twist, _ = _form_pairing(q.form, d.columns)  # B(d(b_i), b_j)
+    out, _ = _line_extension(q.algebra,
+                             {key: -w for key, w in sorted(twist.items())},
+                             ODD, name="central_ext(%s)" % q.name)
     rep = check_malcev(out)
     if not rep.passed:
         raise AxiomError("central extension failed the Malcev identity", rep)
@@ -356,7 +336,7 @@ class SemidirectData:
 
 
 @dataclass(frozen=True)
-class GsdReport:
+class GsdReport(ItemizedReport):
     """Per-condition verdicts for the semidirect compatibility system."""
 
     operators: CheckReport
@@ -365,20 +345,6 @@ class GsdReport:
     cond3: CheckReport
     cond4: CheckReport
     cond5: CheckReport
-
-    @staticmethod
-    def _fields():
-        return ("operators", "cond1", "cond2", "cond3", "cond4", "cond5")
-
-    @property
-    def passed(self):
-        return all(getattr(self, f).passed for f in self._fields())
-
-    def first_failure(self):
-        for f in self._fields():
-            if not getattr(self, f).passed:
-                return f
-        return None
 
 
 def _semidirect_algebra(m: SuperAlgebra, v: SuperAlgebra, s: SemidirectData):

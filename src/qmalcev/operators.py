@@ -1,25 +1,30 @@
 """Homogeneous operators, skew-supersymmetry, and 2-cocycles.
 
-The five-term operator identity and the cocycle identity are scanned
-term-wise on the integer kernel of `core`, as the Malcev identity is: each
-term is kernel entries times one linear map (the operator f or the cocycle
-w) scaled once by F, the lcm of its denominators, and is added into the
-integer sum of every tuple where it occurs.  The operator identity is
+The five-term operator identity is scanned term-wise on the integer kernel
+of `core`, as the Malcev identity is: each term is kernel entries times
+the operator f scaled once by F, the lcm of its denominators, and is added
+into the integer sum of every triple where it occurs.  The identity is
 linear in f and quadratic in the constants, so both scaled sides are D^2 F
 times the true ones: exact, unequal on the same triples, and divided back
-only when a witness is built.  Skew-supersymmetry and the cocycle of an
-operator read the sparse form pairing of `quadratic`; one sparse solve on
-the int Gram turns cocycles back into operators.
+only when a witness is built.
+
+The cocycle identity is one coordinate of a Malcev identity.  On the line
+extension a + F c, where c is central and XY becomes XY + w(X, Y) c, every
+product with c vanishes.  So (XZ)(YT) there is (XZ)(YT) + w(XZ, YT) c, the
+products on the right taken in a, and ((XY)Z)T is ((XY)Z)T + w((XY)Z, T)
+c; every chain term goes the same way.  The c coordinate of each side of
+the Malcev identity is thus that side of the cocycle identity.
+Skew-supersymmetry and the cocycle of an operator read
+the sparse form pairing of `quadratic`; one sparse solve on the int Gram
+turns cocycles back into operators.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import linalg
-from .core import (EVEN, ODD, CheckReport, Element, SuperAlgebra, Witness,
-                   _add, _chain_keys, _report, _scan_kernel,
-                   _side_witnesses, _vadd, ksign, parity_name)
+from .core import (EVEN, ODD, CheckReport, Element, SuperAlgebra,
+                   SuperSpace, _add, _report, _scan_kernel, _side_witnesses,
+                   _value_witnesses, _vadd, check_malcev, ksign, parity_name)
 from .errors import GradingError, InputError, PreconditionError
 from .linalg import ZERO, frac
 from .quadratic import (BilinearForm, QuadraticAlgebra, _form_pairing,
@@ -169,13 +174,9 @@ def check_skew_supersymmetric(b: BilinearForm, f: OperatorMap,
     if f.dim != n:
         raise InputError("operator dimension does not match form")
     left, right = _form_pairing(b, f.columns)
-    witnesses = []
-    for i, j in sorted(left.keys() | right.keys()):
-        lhs = left.get((i, j), ZERO)
-        rhs = -ksign(f.parity * space.parity(i)) * right.get((i, j), ZERO)
-        if lhs != rhs:
-            witnesses.append(Witness((i, j), lhs, rhs))
-    return _report(witnesses)
+    return _report(_value_witnesses(left, {
+        (i, j): -ksign(f.parity * space.parity(i)) * x
+        for (i, j), x in right.items()}))
 
 
 class Cocycle:
@@ -218,16 +219,15 @@ class Cocycle:
         return self
 
     def graded_skew_report(self, space) -> CheckReport:
-        """omega(X,Y) = -(-1)^{xy} omega(Y,X) on basis pairs."""
-        witnesses = []
-        n = self.dim
-        for i in range(n):
-            for j in range(i, n):
-                s = -ksign(space.parity(i) * space.parity(j))
-                if self.values[i][j] != s * self.values[j][i]:
-                    witnesses.append(Witness((i, j), self.values[i][j],
-                                             s * self.values[j][i]))
-        return _report(witnesses)
+        """omega(X,Y) = -(-1)^{xy} omega(Y,X) on basis pairs (X, Y)."""
+        lhs, rhs = {}, {}
+        for i, row in enumerate(self.values):
+            for j, x in enumerate(row):
+                if x and i <= j:
+                    lhs[(i, j)] = x
+                if x and j <= i:
+                    rhs[(j, i)] = -ksign(space.parity(i) * space.parity(j)) * x
+        return _report(_value_witnesses(lhs, rhs))
 
     def __eq__(self, other):
         return (isinstance(other, Cocycle) and self.values == other.values
@@ -238,6 +238,23 @@ class Cocycle:
                                                parity_name(self.parity))
 
 
+def _line_extension(a: SuperAlgebra, values, parity, name=""):
+    """a + F c with b_i b_j + values[(i, j)] c for its products, c a
+    central basis vector of the given parity, last among those of its
+    parity: the central extension of a by a cocycle with these nonzero
+    values.  Returns the algebra and c's index; a's basis vector i is at i
+    or, after c, at i + 1."""
+    p = a.space.even_dim
+    c = p if parity == EVEN else a.dim
+    at = [i + (i >= c) for i in range(a.dim)]
+    constants = {(at[i], at[j], at[k]): x
+                 for (i, j, k), x in a.constants.items()}
+    for (i, j), x in values.items():
+        constants[(at[i], at[j], c)] = x
+    space = SuperSpace(p + 1 - parity, a.space.odd_dim + parity)
+    return SuperAlgebra(space, constants, name=name), c
+
+
 def check_cocycle(a: SuperAlgebra, w: Cocycle) -> CheckReport:
     """Graded skewness plus the four-variable cocycle identity.
 
@@ -245,42 +262,27 @@ def check_cocycle(a: SuperAlgebra, w: Cocycle) -> CheckReport:
                         + (-1)^{(x+y)(z+t)} w((ZT)X, Y)
                         + (-1)^{t(x+y+z)} w((TX)Y, Z)
 
-    A nonzero w(b_i, b_j) with |i| + |j| other than w's parity raises
+    The identity is read off `check_malcev` of the line extension
+    a + F c by w: the two sides at a quadruple are the c coordinates of
+    the Malcev sides there (see the module docstring), and a quadruple
+    holding c has every term 0.  So the witnesses are the Malcev witnesses
+    whose c coordinates differ, with c's index dropped from the keys.  A
+    nonzero w(b_i, b_j) with |i| + |j| other than w's parity raises
     GradingError before the scan.
     """
-    n = a.dim
-    if w.dim != n:
+    if w.dim != a.dim:
         raise InputError("cocycle dimension does not match algebra")
     w.validate_parity(a.space)
-    kern = _scan_kernel(a)
-    par, pairs = kern.par, kern.pairs
-    # wmap(vec) is {d: w(vec, b_d)}, scaled by W
-    wscale, wmap = _int_map({m: {d: v for d, v in enumerate(row) if v}
-                             for m, row in enumerate(w.values)})
-    denom = kern.scale ** 2 * wscale
-
     skew = w.graded_skew_report(a.space)
-    witnesses = list(skew.witnesses)
-    notes = []
-    if not skew.passed:
-        notes.append("graded skew-symmetry fails")
-    lhs, rhs = {}, {}  # (i, j, k, l) -> scaled side, summed term by term
-    for (i, k), u in pairs.items():
-        for m, value in wmap(u).items():
-            for (j, l), c in kern.columns.get(m, ()):
-                key = (i, j, k, l)
-                lhs[key] = lhs.get(key, 0) + ksign(par[j] * par[k]) * c * value
-    for (p, q), trow in kern.triples.items():
-        for r, tv in trow.items():
-            for d, value in wmap(tv).items():
-                for key, s in _chain_keys(par, p, q, r, d):
-                    rhs[key] = rhs.get(key, 0) + s * value
-    for key in sorted(lhs.keys() | rhs.keys()):
-        left, right = lhs.get(key, 0), rhs.get(key, 0)
-        if left != right:
-            witnesses.append(Witness(key, Fraction(left, denom),
-                                     Fraction(right, denom)))
-    return _report(witnesses, notes)
+    ext, c = _line_extension(a, {(i, j): x for i, row in enumerate(w.values)
+                                 for j, x in enumerate(row) if x}, w.parity)
+    lhs, rhs = {}, {}
+    for wit in check_malcev(ext).witnesses:
+        key = tuple(i - (i > c) for i in wit.index)
+        lhs[key] = wit.lhs.entries.get(c, 0)
+        rhs[key] = wit.rhs.entries.get(c, 0)
+    return _report([*skew.witnesses, *_value_witnesses(lhs, rhs)],
+                   [] if skew.passed else ["graded skew-symmetry fails"])
 
 
 def operator_from_cocycle(q: QuadraticAlgebra, w: Cocycle) -> OperatorMap:

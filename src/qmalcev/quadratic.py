@@ -16,9 +16,9 @@ from itertools import islice
 
 from . import linalg
 from .core import (_CERT_PRIME, EVEN, ODD, CheckReport, Element,
-                   GradedSubspace, SuperAlgebra, SuperSpace, Witness,
-                   _EMPTY, _ideal_candidates, _proper_ideals, _report,
-                   _scan_kernel, _vadd, center,
+                   GradedSubspace, ItemizedReport, SuperAlgebra, SuperSpace,
+                   Witness, _EMPTY, _ideal_candidates, _proper_ideals,
+                   _report, _scan_kernel, _value_witnesses, _vadd, center,
                    check_malcev, check_super_anticommutativity,
                    ideal_closure, direct_sum, direct_sum_embeddings,
                    simplicity, change_basis)
@@ -145,20 +145,11 @@ class BilinearForm:
 
 
 @dataclass(frozen=True)
-class FormReport:
+class FormReport(ItemizedReport):
     even: CheckReport
     supersymmetric: CheckReport
     nondegenerate: CheckReport
     invariant: CheckReport
-
-    @property
-    def passed(self):
-        return (self.even.passed and self.supersymmetric.passed
-                and self.nondegenerate.passed and self.invariant.passed)
-
-    def failures(self):
-        names = ("even", "supersymmetric", "nondegenerate", "invariant")
-        return [nm for nm in names if not getattr(self, nm).passed]
 
 
 def check_form(a: SuperAlgebra, b: BilinearForm) -> FormReport:
@@ -179,23 +170,22 @@ def check_form(a: SuperAlgebra, b: BilinearForm) -> FormReport:
     even_wit = [Witness((i, j), x, ZERO) for (i, j), x in g.items()
                 if par[i] != par[j]]
 
-    sym_wit = []
-    for i, j in sorted({(min(key), max(key)) for key in g
-                        if par[key[0]] == par[key[1]]}):
-        x, y = g.get((i, j), ZERO), g.get((j, i), ZERO)
-        expected = y if par[i] == EVEN else -y
-        if x != expected:
-            sym_wit.append(Witness((i, j), x, expected))
+    lhs, rhs = {}, {}  # at i <= j: G[i][j], and (-1)^{|i|} G[j][i]
+    for (i, j), x in g.items():
+        if par[i] == par[j]:
+            if i <= j:
+                lhs[(i, j)] = x
+            if j <= i:
+                rhs[(j, i)] = -x if par[i] else x
 
     zero = Element.zero(n)
     nondeg_wit = [Witness(("kernel",), Element.sparse(n, v), zero)
                   for v in b._kernel_basis()]
 
-    inv_wit = _invariance_witnesses(a, b)
-
-    return FormReport(even=_report(even_wit), supersymmetric=_report(sym_wit),
+    return FormReport(even=_report(even_wit),
+                      supersymmetric=_report(_value_witnesses(lhs, rhs)),
                       nondegenerate=_report(nondeg_wit),
-                      invariant=_report(inv_wit))
+                      invariant=_report(_invariance_witnesses(a, b)))
 
 
 def _invariance_witnesses(a: SuperAlgebra, b: BilinearForm):
@@ -220,11 +210,7 @@ def _invariance_witnesses(a: SuperAlgebra, b: BilinearForm):
                 lhs[(i, j, k)] = lhs.get((i, j, k), 0) + c * x
             for h, x in gcols.get(m, {}).items():
                 rhs[(h, i, j)] = rhs.get((h, i, j), 0) + x * c
-    denom = kern.scale * gscale
-    return [Witness(key, Fraction(lhs.get(key, 0), denom),
-                    Fraction(rhs.get(key, 0), denom))
-            for key in sorted(lhs.keys() | rhs.keys())
-            if lhs.get(key, 0) != rhs.get(key, 0)]
+    return _value_witnesses(lhs, rhs, kern.scale * gscale)
 
 
 def _form_pairing(b: BilinearForm, vectors):

@@ -1,8 +1,11 @@
+import hashlib
+import io
 import json
 
 import pytest
 
-from qmalcev import catalog_get, emit_document, emit_tree, inductive_decompose
+from qmalcev import (catalog_get, cli, document, emit_document, emit_tree,
+                     inductive_decompose)
 from qmalcev.cli import run
 from qmalcev.document import (DocumentSyntaxError, parse_algebra_document,
                               parse_document, parse_scalar, parse_tree)
@@ -312,6 +315,34 @@ def test_cli_center(tmp_path, capsys):
     report = json.loads(out)
     assert report["even"] == []
     assert len(report["odd"]) == 3
+
+
+def test_cli_center_formats_each_nonzero_once(capsys, monkeypatch):
+    """The center of abelian(1024, 0) is the whole space: 1024 columns of
+    1024 coordinates, one of them nonzero.  Each nonzero is formatted once
+    and every zero shares one text, and the bytes are the ones that
+    formatting every coordinate gave (the pinned digest)."""
+    text = emit_document(catalog_get("abelian", p=1024, q=0).algebra)
+    calls = []
+    real = document.scalar_text
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(document, "scalar_text", counted)
+    monkeypatch.setattr(cli, "scalar_text", counted)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = _run(capsys, "center", "-")
+    assert (code, err) == (0, "")
+    assert len(calls) <= 1025
+    columns = [["1/1" if i == j else "0/1" for i in range(1024)]
+               for j in range(1024)]
+    assert json.loads(out) == {"name": "abelian(1024,0)", "even": columns,
+                               "odd": []}
+    assert len(out) == 6293549
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5526a8126fcab8474d85319f16a41845f12937a47929d74921d37623347f4018")
 
 
 @pytest.mark.parametrize("argv", [

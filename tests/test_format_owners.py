@@ -4,8 +4,8 @@ sparse entries and columns.  A call `x.matrix()` is a form's view, an
 attribute `x.matrix` that is not called is an operator's.  No module
 outside linalg.py uses a dense elimination routine of linalg: spans,
 ranks and kernels are read off `linalg.Span` and `linalg.sparse_kernel`.
-Only the printers, cli.py and document.py, read an Element's dense
-`coords`; everything else reads its sparse `entries`.
+No module reads an Element's dense `coords`: the printers hand its sparse
+`entries` to `document.vector_texts`, and everything else reads them too.
 """
 
 import ast
@@ -130,7 +130,4 @@ def _coords_readers(path):
 def test_dense_coords_are_read_by_the_printers_only():
     readers = {path.name: _coords_readers(path)
                for path in sorted(SRC.glob("*.py"))}
-    assert {name for name, fns in readers.items() if fns} == {
-        "cli.py", "document.py"}
-    assert readers["cli.py"] == {"_value_obj"}
-    assert readers["document.py"] == {"_gde_block"}
+    assert {name: fns for name, fns in readers.items() if fns} == {}
