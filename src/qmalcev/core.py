@@ -102,10 +102,10 @@ class SuperSpace:
 
 class Element:
     """A vector of F^dim in the fixed basis, stored as its nonzero
-    coordinates `entries` {i: exact rational}.  The dense tuple `coords` is
-    a view built on each read; `document.vector_texts` prints `entries`.
-    Equality and hashing follow the coordinates, whichever constructor
-    built the vector."""
+    coordinates `entries` {i: exact rational}.  The constructor and
+    `from_seq` read a dense sequence, but no dense view is kept;
+    `document.vector_texts` prints `entries`.  Equality and hashing follow
+    the coordinates, whichever constructor built the vector."""
 
     __slots__ = ("dim", "entries")
 
@@ -131,10 +131,6 @@ class Element:
     @classmethod
     def basis(cls, n, i):
         return cls.sparse(n, {i: ONE})
-
-    @property
-    def coords(self):
-        return linalg.dense(self.entries, self.dim)
 
     def __len__(self):
         return self.dim
@@ -757,7 +753,7 @@ class GradedSubspace:
     order, so the even rows come first.  They are unique, so `key`, the
     rows as sorted (coordinate, value) pairs, names the subspace; the memos
     of ideal closures and form restrictions are keyed by it.  The reduced
-    echelon `rows` as Fractions and the dense `columns` are derived views."""
+    echelon `rows`, sparse dicts of Fractions, are a derived view."""
 
     def __init__(self, space: SuperSpace, columns):
         span = Span(space.dim)
@@ -796,16 +792,6 @@ class GradedSubspace:
 
     def odd_rows(self):
         return self.rows[self._evens:]
-
-    @property
-    def columns(self):
-        return tuple(linalg.dense(row, self.space.dim) for row in self.rows)
-
-    def even_columns(self):
-        return list(self.columns[:self._evens])
-
-    def odd_columns(self):
-        return list(self.columns[self._evens:])
 
     def contains(self, vector):
         return self._span.contains(_vector(self.space.dim, vector))

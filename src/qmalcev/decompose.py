@@ -40,7 +40,8 @@ class OddReduction:
     n: QuadraticAlgebra
     gde: GdeData
     witness: ExtensionWitness
-    basis: tuple                 # adapted basis columns in input coordinates
+    basis: tuple                 # adapted basis columns, sparse dicts in
+                                 # input coordinates
     phi_check: CheckReport       # recovered phi(X,Y) == B(D(X),Y)
     psi_check: CheckReport       # recovered psi(X) == (-1)^x B(X, A0)
     # True: proved B-irreducible; False: a splitting ideal was found;
@@ -146,7 +147,7 @@ def _peel(q: QuadraticAlgebra, e, estar, parity) -> _Peeled:
                    Element.sparse(ndim, {where[m]: c for m, c in ee.items()}),
                    _report(_value_witnesses(phi, want)),
                    ExtensionWitness(e_idx, estar_idx, tuple(n_positions)),
-                   tuple(linalg.dense(col, q.dim) for col in adapted))
+                   tuple(adapted))
 
 
 def reduce_odd(q: QuadraticAlgebra) -> OddReduction:
@@ -413,7 +414,8 @@ class SumNode:
     kind = "sum"
     algebra: QuadraticAlgebra
     children: tuple
-    basis: tuple  # adapted basis columns, node coordinates
+    basis: tuple  # adapted basis columns, sparse {row: value} dicts in
+                  # node coordinates, as are the extension nodes'
     exhaustive: bool = True
 
 
@@ -470,8 +472,8 @@ def _decompose_node(q: QuadraticAlgebra):
     comps = b_irreducible_components(q)
     if len(comps) > 1:
         children = tuple(_decompose_node(c) for c in comps.components)
-        basis = tuple(tuple(col) for col in _interleave(comps))
-        return SumNode(q, children, basis, exhaustive=comps.exhaustive)
+        return SumNode(q, children, tuple(_interleave(comps)),
+                       exhaustive=comps.exhaustive)
     zc = center(q.algebra)
     if zc.odd_rows():
         red = reduce_odd(q)
@@ -543,23 +545,22 @@ def _carries(q: QuadraticAlgebra, r: QuadraticAlgebra, columns) -> bool:
     on ints: the columns are scaled by L, the lcm of their denominators
     (operators._int_map), and each side's constants by the lcm of their own
     denominators, D_q and D_r, so both are D_q D_r L^2 times the true ones.
-    When the spaces are equal and the columns are the identity, this says
-    that the constants and the Grams are equal, and that is what is
-    compared.
+    When the spaces are equal and every column P_i is b_i, this says that
+    the constants and the Grams are equal, and that is what is compared.
+    A column is a sparse dict or, in a node built in process, a dense
+    sequence; each is read through linalg.sparse.
     """
     n = q.dim
     if r.dim != n or len(columns) != n:
         return False
-    identity = tuple(tuple(int(m == i) for m in range(n)) for i in range(n))
-    if q.space == r.space and tuple(map(tuple, columns)) == identity:
+    images = dict(enumerate(map(linalg.sparse, columns)))
+    if q.space == r.space and all(vec == {i: 1}
+                                  for i, vec in images.items()):
         return (q.algebra.constants == r.algebra.constants
                 and q.form == r.form)
-    images = {}
-    for i, col in enumerate(columns):
-        vec = {m: x for m, x in enumerate(col) if x}
+    for i, vec in images.items():
         if any(r.space.parity(m) != q.space.parity(i) for m in vec):
             return False
-        images[i] = vec
     if r.form._restricted(images.values()) != q.form:
         return False
     scale, apply = _int_map(images)
@@ -582,7 +583,7 @@ def _mismatch(node, ext):
     (GradingError); otherwise AxiomError names the mismatch."""
     stored = node.algebra
     QuadraticAlgebra.validate(stored.algebra, stored.form)
-    cols = node.basis
+    cols = [linalg.sparse(col) for col in node.basis]
     if ext.dim == len(cols):
         span = linalg.row_span(cols, len(cols))
         if span.dim < len(cols):
@@ -591,10 +592,8 @@ def _mismatch(node, ext):
         # is invertible, so the inverse's columns are homogeneous exactly
         # when these are disjoint, and ordered even-first when the even
         # rows come first
-        reach = ({m for i in ext.space.even_indices()
-                  for m, x in enumerate(cols[i]) if x},
-                 {m for i in ext.space.odd_indices()
-                  for m, x in enumerate(cols[i]) if x})
+        reach = ({m for i in ext.space.even_indices() for m in cols[i]},
+                 {m for i in ext.space.odd_indices() for m in cols[i]})
         if reach[0] & reach[1]:
             raise GradingError("basis column is not parity-homogeneous")
         if reach[0] and reach[1] and max(reach[0]) > min(reach[1]):

@@ -24,11 +24,11 @@ from .quadratic import BilinearForm, QuadraticAlgebra
 FORMAT_VERSION = 1
 
 # The largest dimension even_dim + odd_dim that a document, a tree node or
-# a catalog parameter may declare.  Forms and operators keep only their
-# nonzeros, but the basis columns of a tree node are dense and a
-# degenerate form lists its kernel as dense witnesses, so without a cap a
-# document of a few bytes could ask for memory quadratic in any number it
-# names.
+# a catalog parameter may declare.  Forms, operators, vectors and basis
+# columns keep only their nonzeros, but format 1 writes every vector as n
+# scalars, so a tree node's basis or a center is dense only in its text:
+# n columns of n scalars.  Without a cap a document of a few bytes could
+# ask for output quadratic in any number it names.
 MAX_DIM = 1024
 
 
@@ -222,8 +222,12 @@ def _read_gde(block, space):
     d = _operator(block["d"], space, ODD)
     _expect(len(block["a0"]) == space.dim,
             "a0 must list one scalar per basis vector")
-    a0 = Element.from_seq([parse_scalar(s) for s in block["a0"]])
-    return GdeData(d, a0)
+    return GdeData(d, Element.sparse(space.dim, _nonzeros(block["a0"])))
+
+
+def _nonzeros(texts):
+    """{i: value} for the nonzero scalars among the texts."""
+    return {i: x for i, text in enumerate(texts) if (x := parse_scalar(text))}
 
 
 def _read_document(obj, blocks=True):
@@ -350,7 +354,7 @@ def _read_tree(obj):
         # when every node was validated on reading
         QuadraticAlgebra.validate(q.algebra, q.form)
     _expect(shaped, "basis must list %d columns of %d scalars" % (n, n))
-    basis = tuple(tuple(parse_scalar(x) for x in col) for col in cols)
+    basis = tuple(map(_nonzeros, cols))
     if kind == "sum":
         _expect(obj["children"], "sum node needs children")
         children = tuple(_read_tree(c) for c in obj["children"])

@@ -11,7 +11,8 @@ reads spans, ranks and kernels off `Span`, `row_span`, `sparse_kernel`
 and `int_kernel`.  The dense routines on lists of rows (`mat_mul`,
 `transpose`, `inverse`, `kernel`, `solve`, `det`) have no caller in the
 package; they stay because the benchmark harness imports `inverse` and
-times them by name.
+times them by name.  `dense` serves only them: the package keeps its
+vectors sparse and prints them with `document.vector_texts`.
 
 The field is given by a modulus p alone.  p = 0 is Q: vectors go in with
 Fraction or int entries, their denominators are cleared (`cleared`,
@@ -74,7 +75,8 @@ def sparse(v, p=0):
 
 
 def dense(v, n):
-    """The sparse vector v {column: value} as a tuple of n entries."""
+    """The sparse vector v {column: value} as a tuple of n entries; for
+    the dense routines of this module."""
     out = [ZERO] * n
     for c, x in v.items():
         out[c] = x

@@ -578,24 +578,25 @@ def b_irreducible_components(q: QuadraticAlgebra) -> ComponentsReport:
     """Orthogonal components along non-degenerate graded ideals.
 
     Each part is split along the ideal of its `_split` verdict until there
-    is none.  The basis columns stay sparse, each split's adapted columns
-    lifted to q's coordinates through the part's own, and are made dense
-    only in the report.  The exhaustive flag is True only when the verdict
-    of every component proves it B-irreducible.
+    is none.  The parts wait on a work list with the ideal's part on top,
+    so the components come in the pre-order of the splits, and a part is
+    dropped once it is split.  The basis columns are sparse
+    {coordinate: value} dicts, each split's adapted columns lifted to q's
+    coordinates through the part's own.  The exhaustive flag is True only
+    when the verdict of every component proves it B-irreducible.
     """
     _require_validated(q)
-    components = []
-    bases = []
+    components, bases = [], []
     exhaustive = True
-
-    def rec(part: QuadraticAlgebra, basis_cols):
-        nonlocal exhaustive
+    work = [(q, [{i: ONE} for i in range(q.dim)])]
+    while work:
+        part, basis_cols = work.pop()
         ideal, proved = _split(part)
         if ideal is None:
             components.append(part)
-            bases.append(tuple(linalg.dense(c, q.dim) for c in basis_cols))
+            bases.append(tuple(basis_cols))
             exhaustive = exhaustive and proved
-            return
+            continue
         qa, qb, cols = orthogonal_split(part, ideal)
         lifted = []
         for col in cols:
@@ -606,8 +607,6 @@ def b_irreducible_components(q: QuadraticAlgebra) -> ComponentsReport:
         # adapted order is [A_even, B_even, A_odd, B_odd]
         ae, ao = qa.space.even_dim, qa.space.odd_dim
         be = qb.space.even_dim
-        rec(qa, lifted[0:ae] + lifted[ae + be:ae + be + ao])
-        rec(qb, lifted[ae:ae + be] + lifted[ae + be + ao:])
-
-    rec(q, [{i: ONE} for i in range(q.dim)])
+        work.append((qb, lifted[ae:ae + be] + lifted[ae + be + ao:]))
+        work.append((qa, lifted[:ae] + lifted[ae + be:ae + be + ao]))
     return ComponentsReport(tuple(components), tuple(bases), exhaustive)

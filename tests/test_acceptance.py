@@ -128,7 +128,7 @@ def test_criterion_4_round_trip():
         red = reduce_odd(q)
         ok = ok and red.n.dim == q.dim - 2
         ext, _ = generalized_double_extension(red.n, red.gde)
-        adapted = change_basis_quadratic(q, [list(c) for c in red.basis])
+        adapted = change_basis_quadratic(q, red.basis)
         ok = ok and ext.algebra.constants == adapted.algebra.constants
         ok = ok and ext.form == adapted.form
     verdict(4, ok, "reduce-then-extend reproduces constants and Gram "

@@ -157,7 +157,7 @@ def test_ideal_closure_columns_are_already_graded_echelon(name, params):
     a = catalog_get(name, **params).algebra.algebra
     for seed in _ideal_candidates(a):
         closed = ideal_closure(a, GradedSubspace.from_vectors(a.space, seed))
-        assert GradedSubspace.from_vectors(a.space, closed.columns) == closed
+        assert GradedSubspace.from_vectors(a.space, closed.rows) == closed
 
 
 def test_direct_sum_dimensions_and_identity(sl2, m7):

@@ -24,7 +24,7 @@ def assert_odd_round_trip(q):
     assert red.phi_check.passed and red.psi_check.passed
     assert verify_gde_data(red.n, red.gde).passed
     ext, _ = generalized_double_extension(red.n, red.gde)
-    adapted = change_basis_quadratic(q, [list(c) for c in red.basis])
+    adapted = change_basis_quadratic(q, red.basis)
     assert ext.algebra.constants == adapted.algebra.constants
     assert ext.form == adapted.form
     return red
@@ -89,7 +89,7 @@ def test_reduce_even_round_trip_oscillator():
     assert red.n.dim == 2
     assert red.phi_check.passed
     ext, _ = double_extension_even(red.n, red.operator)
-    adapted = change_basis_quadratic(osc, [list(c) for c in red.basis])
+    adapted = change_basis_quadratic(osc, red.basis)
     assert ext.algebra.constants == adapted.algebra.constants
     assert ext.form == adapted.form
 
@@ -103,7 +103,7 @@ def test_reduce_even_gram_corrects_anisotropic_dual():
     assert sheared.form.gram[0][0] != 0
     red = reduce_even(sheared)
     ext, _ = double_extension_even(red.n, red.operator)
-    adapted = change_basis_quadratic(sheared, [list(c) for c in red.basis])
+    adapted = change_basis_quadratic(sheared, red.basis)
     assert ext.algebra.constants == adapted.algebra.constants
     assert ext.form == adapted.form
 

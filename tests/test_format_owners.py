@@ -2,10 +2,11 @@
 operators.py reads an operator's dense `matrix`; everything else reads the
 sparse entries and columns.  A call `x.matrix()` is a form's view, an
 attribute `x.matrix` that is not called is an operator's.  No module
-outside linalg.py uses a dense elimination routine of linalg: spans,
-ranks and kernels are read off `linalg.Span` and `linalg.sparse_kernel`.
-No module reads an Element's dense `coords`: the printers hand its sparse
-`entries` to `document.vector_texts`, and everything else reads them too.
+outside linalg.py uses a dense routine of linalg: spans, ranks and
+kernels are read off `linalg.Span` and `linalg.sparse_kernel`, and no
+vector, subspace row or basis column is made dense by `linalg.dense`; the
+printers hand the sparse dicts to `document.vector_texts`.  No module
+reads an attribute `coords`: an Element keeps only its sparse `entries`.
 """
 
 import ast
@@ -57,9 +58,10 @@ def test_dense_views_are_read_by_their_owners_only():
     assert excused == set(ALLOWED)  # each exception is still needed
 
 
-# the dense routines of linalg, on lists of rows
+# the dense routines of linalg, on lists of rows, and the densifier
 DENSE_LINALG = {"kernel", "rref", "rank", "det", "solve", "inverse",
-                "mat_mul", "transpose", "mat_vec", "column_echelon_columns"}
+                "mat_mul", "transpose", "mat_vec", "column_echelon_columns",
+                "dense"}
 
 # (module, function) -> the dense linalg routines it may use
 DENSE_LINALG_ALLOWED = {}

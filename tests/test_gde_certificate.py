@@ -24,7 +24,7 @@ from qmalcev.core import (Witness, _mul_vb, _mul_vv, _vadd,
                           _vscale, center, ksign)
 from qmalcev.errors import PreconditionError
 from qmalcev.extensions import _gde_conditions
-from qmalcev.linalg import frac, sparse
+from qmalcev.linalg import frac
 
 from test_random_roundtrips import _combine, _skew_operator_basis
 from test_scan_kernel import graded_algebras
@@ -38,7 +38,7 @@ def reference_conditions(a, d, a0):
     evaluated on every basis vector or pair in Fractions."""
     n = a.dim
     par = [a.space.parity(i) for i in range(n)]
-    a0 = sparse(a0.coords)
+    a0 = a0.entries
     da0 = d.apply_vec(a0)
     d2a0 = d.apply_vec(da0)
     half_sq = _vscale(_mul_vv(a, a0, a0), Fraction(1, 2))
@@ -95,7 +95,7 @@ def _chain(q):
     """(base, gde) of each odd reduction of q, down to a base with no
     central odd vector."""
     out = []
-    while q.dim > 1 and center(q.algebra).odd_columns():
+    while q.dim > 1 and center(q.algebra).odd_rows():
         red = reduce_odd(q)
         out.append((red.n, red.gde))
         q = red.n
@@ -176,7 +176,7 @@ def _perturbed(draw, q, g):
         r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         if par[r] != par[c]:
             m[r][c] += draw(small)
-    a0 = list(g.a0.coords)
+    a0 = [g.a0.entries.get(i, Fraction(0)) for i in range(n)]
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, n - 1))
         if par[i] == EVEN:

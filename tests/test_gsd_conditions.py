@@ -22,7 +22,7 @@ from qmalcev.core import (Witness, _mul_vb, _mul_vv, _report,
                           _vadd, _vscale, ksign)
 from qmalcev.errors import InputError, PreconditionError
 from qmalcev.extensions import GsdReport
-from qmalcev.linalg import ONE, frac, sparse
+from qmalcev.linalg import ONE, frac
 from qmalcev.operators import check_malcev_operator
 
 from test_scan_kernel import graded_algebras
@@ -46,7 +46,7 @@ def _zeta_apply(s, xvec, yvec):
     for i, ci in xvec.items():
         row = s.zeta[i]
         for j, cj in yvec.items():
-            _vadd(out, sparse(row[j].coords), ci * cj)
+            _vadd(out, row[j].entries, ci * cj)
     return out
 
 
@@ -274,7 +274,8 @@ def semidirect_data(draw):
     for i in range(nm):
         cols = [_homogeneous(draw, v.space, (pm[i] + v.space.parity(c)) % 2)
                 for c in range(nv)]
-        omega.append(OperatorMap([[cols[c].coords[r] for c in range(nv)]
+        omega.append(OperatorMap([[cols[c].entries.get(r, 0)
+                                   for c in range(nv)]
                                   for r in range(nv)], pm[i]))
     zeta = [[Element.zero(nv)] * nm for _ in range(nm)]
     for i in range(nm):

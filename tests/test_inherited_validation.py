@@ -18,7 +18,7 @@ from qmalcev import (BilinearForm, OddReduction, QuadraticAlgebra,
 from qmalcev.core import EVEN, _mul_vv
 from qmalcev.document import parse_tree
 from qmalcev.errors import PreconditionError
-from qmalcev.linalg import ZERO, sparse
+from qmalcev.linalg import ZERO, dense, sparse
 from qmalcev.quadratic import _split
 
 from test_rebuild_certificate import (PIECES, _count_validate, _sum,
@@ -29,7 +29,7 @@ from test_rebuild_certificate import (PIECES, _count_validate, _sum,
 # the restrict-then-validate bodies that the cut replaced, as a reference
 
 def _restrict(q, sub, name):
-    r = change_basis_quadratic(q, sub.columns, name=name)
+    r = change_basis_quadratic(q, sub.rows, name=name)
     return QuadraticAlgebra.validate(r.algebra, r.form)
 
 
@@ -37,10 +37,10 @@ def reference_split(q, ideal):
     comp = orthogonal_complement(q.form, ideal)
     qa = _restrict(q, ideal, "%s[0]" % q.name)
     qb = _restrict(q, comp, "%s[1]" % q.name)
-    witness_cols = (ideal.even_columns() + comp.even_columns()
-                    + ideal.odd_columns() + comp.odd_columns())
-    comp_vecs = [sparse(v) for v in comp.columns]
-    for u in ideal.columns:
+    witness_cols = (ideal.even_rows() + comp.even_rows()
+                    + ideal.odd_rows() + comp.odd_rows())
+    comp_vecs = [sparse(v) for v in comp.rows]
+    for u in ideal.rows:
         u = sparse(u)
         for v in comp_vecs:
             if _mul_vv(q.algebra, u, v):
@@ -52,7 +52,7 @@ def reference_split(q, ideal):
 def reference_peel(q, red):
     """The reduced algebra, D, psi, a0 and phi, sliced from q rewritten in
     the reduction's adapted basis, the reduced algebra validated."""
-    rq = change_basis_quadratic(q, [list(c) for c in red.basis])
+    rq = change_basis_quadratic(q, red.basis)
     e_idx, estar_idx = red.witness.e_index, red.witness.estar_index
     pairs = rq.algebra.pair_table()
     n_positions = [i for i in range(q.dim) if i not in (e_idx, estar_idx)]
@@ -129,7 +129,8 @@ def check_reduction(q, red):
                           for k in range(nq.dim)), ZERO)
         for i in range(nq.dim) for j in range(nq.dim))
     if odd:
-        assert list(red.gde.a0.coords) == a0 and red.psi_check.passed
+        got = list(dense(red.gde.a0.entries, red.gde.a0.dim))
+        assert got == a0 and red.psi_check.passed
     else:
         assert not any(a0) and not any(psi)
 
@@ -138,9 +139,9 @@ def check_reductions(q):
     z = center(q.algebra)
     if q.dim <= 1:
         return  # nothing to reduce
-    if z.odd_columns():
+    if z.odd_rows():
         check_reduction(q, reduce_odd(q))
-    if z.even_columns():
+    if z.even_rows():
         try:
             red = reduce_even(q)
         except PreconditionError as exc:

@@ -123,7 +123,7 @@ def test_decoded_table_is_the_scaled_triple_products(a):
                 if not v.is_zero():
                     want.setdefault((i, j), {})[k] = {
                         m: int(x * kern.scale ** 2)
-                        for m, x in enumerate(v.coords) if x}
+                        for m, x in v.entries.items()}
     assert kern.triples == want
 
 

@@ -67,7 +67,7 @@ def reference_lacks_invariant_complement(a, mats, y: GradedSubspace) -> bool:
     True when the linear system has no solution, False when y is not
     invariant or has a complement."""
     qd = a.space.odd_dim
-    ycols = [_odd_block(a, c) for c in y.columns]
+    ycols = [_odd_block(a, linalg.dense(r, a.dim)) for r in y.rows]
     yspan = linalg.Span(qd)
     for c in ycols:
         yspan.add(c)
@@ -110,7 +110,7 @@ def reference_lacks_invariant_complement(a, mats, y: GradedSubspace) -> bool:
 
 def reference_obstruction_triple(a, mats, y: GradedSubspace):
     qd = a.space.odd_dim
-    ycols = [_odd_block(a, c) for c in y.columns]
+    ycols = [_odd_block(a, linalg.dense(r, a.dim)) for r in y.rows]
     yspan = linalg.Span(qd)
     for c in ycols:
         yspan.add(c)
@@ -159,9 +159,9 @@ def reference_reductive(even: SuperAlgebra):
         return True
     if (z.dim + square.dim != n
             or GradedSubspace.from_vectors(
-                even.space, z.columns + square.columns).dim != n):
+                even.space, z.rows + square.rows).dim != n):
         return False
-    sq = change_basis(even, square.columns)
+    sq = change_basis(even, square.rows)
     tf = BilinearForm(_trace_form(_multiplication_generators(sq)[sq.dim:],
                                   sq.dim))
     if not tf.is_nondegenerate():
@@ -240,7 +240,7 @@ def test_witnesses_lack_an_invariant_complement():
         irreducible += 1
         y = rep.witness_subspace
         assert 0 < y.dim < a.space.odd_dim, name
-        assert len(y.odd_columns()) == y.dim, name
+        assert len(y.odd_rows()) == y.dim, name
         mats = _odd_action_matrices(a)
         assert y == reference_radical_image(a, mats), name
         assert reference_lacks_invariant_complement(a, mats, y), name

@@ -122,7 +122,8 @@ def reference_matches(ext, node):
     """ext rewritten in the node's basis equals the node's algebra."""
     if ext.dim != len(node.basis):
         return False
-    inv = linalg.inverse(linalg.transpose([list(c) for c in node.basis]))
+    inv = linalg.inverse(linalg.transpose(
+        [linalg.dense(c, ext.dim) for c in node.basis]))
     if inv is None:
         raise InputError("corrupted witness: singular basis")
     return change_basis_quadratic(ext, linalg.transpose(inv)) == node.algebra

@@ -17,6 +17,7 @@ from pathlib import Path
 from qmalcev import (EVEN, Cocycle, Element, SuperAlgebra, catalog_get,
                      check_cocycle, check_jacobi, check_malcev)
 from qmalcev.document import canonical_json, parse_document, scalar_text
+from qmalcev.linalg import dense
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "scan_witnesses.json"
@@ -76,7 +77,7 @@ def seeded_cocycle(a, name):
 
 def _value(v):
     if isinstance(v, Element):
-        return [scalar_text(c) for c in v.coords]
+        return [scalar_text(c) for c in dense(v.entries, v.dim)]
     return scalar_text(v)
 
 

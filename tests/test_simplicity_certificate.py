@@ -19,7 +19,7 @@ from qmalcev.core import (_CERT_PRIME, Element,
                           _full_multiplication_algebra_mod_p,
                           _ideal_candidates, _multiplication_algebra_dim,
                           center, ideal_closure)
-from qmalcev.linalg import basis_vector
+from qmalcev.linalg import basis_vector, dense
 
 from test_scan_kernel import graded_algebras
 
@@ -73,7 +73,7 @@ def test_central_algebra_skips_the_mod_p_closure(monkeypatch, name, params):
 
     monkeypatch.setattr(core, "_full_multiplication_algebra_mod_p", refuse)
     rep = simplicity(fresh(a))
-    first = GradedSubspace.from_vectors(a.space, [center(a).columns[0]])
+    first = GradedSubspace.from_vectors(a.space, [center(a).rows[0]])
     assert rep.simple is False
     assert rep.ideal == ideal_closure(fresh(a), first)
 
@@ -129,12 +129,13 @@ def reference_closure(a, seed: GradedSubspace) -> GradedSubspace:
     basis = [Element.basis(n, j) for j in range(n)]
     cur = seed
     while True:
-        vecs = [list(c) for c in cur.columns]
-        for col in cur.columns:
+        columns = [dense(r, n) for r in cur.rows]
+        vecs = [list(c) for c in columns]
+        for col in columns:
             x = Element(col)
             for b in basis:
-                vecs.append(list(product(a, b, x).coords))
-                vecs.append(list(product(a, x, b).coords))
+                vecs.append(list(dense(product(a, b, x).entries, n)))
+                vecs.append(list(dense(product(a, x, b).entries, n)))
         nxt = GradedSubspace.from_vectors(a.space, vecs)
         if nxt.dim == cur.dim:
             return nxt

@@ -52,7 +52,7 @@ def derived_dims(q):
         span = linalg.Span(n)
         for x in term:
             for y in term:
-                span.add(list(product(q.algebra, x, y).coords))
+                span.add(product(q.algebra, x, y).entries)
         dims.append(span.dim)
         if span.dim == len(term):
             break
@@ -116,7 +116,7 @@ def test_certified_pieces_have_no_split(root, seed):
     covered = 0
     for piece in _tree_algebras(inductive_decompose(ROOTS[root]()).root):
         q = fresh(piece if seed is None else mixed(piece, rng))
-        if len(center(q.algebra).columns) == 1 and _solvable(q.algebra):
+        if len(center(q.algebra).rows) == 1 and _solvable(q.algebra):
             covered += q.dim >= 2
             assert reference_split(fresh(q)) is None
             assert _split(q)[0] is None
@@ -132,7 +132,7 @@ def test_one_dimensional_center_that_is_not_solvable_still_splits(seed):
     if seed is not None:
         q = mixed(q, random.Random(seed))
     q = fresh(q)
-    assert len(center(q.algebra).columns) == 1
+    assert len(center(q.algebra).rows) == 1
     assert not _solvable(q.algebra)
     comps = b_irreducible_components(q)
     assert sorted(c.dim for c in comps) == [3, 4]
@@ -145,7 +145,7 @@ def test_solvable_with_two_central_lines_still_splits(seed):
     if seed is not None:
         q = mixed(q, random.Random(seed))
     q = fresh(q)
-    assert len(center(q.algebra).columns) == 2 and _solvable(q.algebra)
+    assert len(center(q.algebra).rows) == 2 and _solvable(q.algebra)
     comps = b_irreducible_components(q)
     assert [c.dim for c in comps] == [4, 4]
     assert comps.exhaustive

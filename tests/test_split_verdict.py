@@ -18,6 +18,7 @@ from qmalcev import (GradedSubspace, catalog_get, center,
                      direct_sum_quadratic, inductive_decompose, quadratic,
                      reduce_odd, simplicity)
 from qmalcev.core import _ideal_candidates, ideal_closure
+from qmalcev.linalg import dense
 from qmalcev.quadratic import (_solvable, _split, _symmetric_centroid,
                                _trace_rank, b_irreducible_components)
 
@@ -36,7 +37,7 @@ def _entry(name, **params):
 def _structurally_irreducible(q):
     a = q.algebra
     return (q.dim <= 1 or simplicity(a).simple is True
-            or (len(center(a).columns) == 1 and _solvable(a)))
+            or (len(center(a).rows) == 1 and _solvable(a)))
 
 
 def _certified_irreducible(q):
@@ -50,7 +51,7 @@ def _search_splitting_ideal(q):
     a = q.algebra
     n = a.dim
     # the first candidates are the center columns, then the basis vectors
-    single = len(center(a).columns) + n
+    single = len(center(a).rows) + n
     seen = set()
     for count, seed in enumerate(_ideal_candidates(a)):
         if count == single and _certified_irreducible(q):
@@ -61,7 +62,7 @@ def _search_splitting_ideal(q):
         ideal = ideal_closure(a, sub)
         if not 0 < ideal.dim < n:
             continue
-        key = ideal.columns
+        key = tuple(dense(r, n) for r in ideal.rows)
         if key in seen:
             continue
         seen.add(key)
