@@ -2,7 +2,9 @@
 
 A superalgebra lives on a Z2-graded space with the even basis vectors first.
 Products are stored as a sparse tensor c[(i,j,k)] meaning b_i b_j = sum_k
-c[(i,j,k)] b_k, with grading compatibility enforced at construction.
+c[(i,j,k)] b_k, with grading compatibility enforced at construction.  A
+vector times the int table, in the scan kernel's `right_products` and in
+`ideal_closure`, is one `linalg.combine_table`.
 
 The identity checkers report an exact witness for every basis tuple on
 which an identity fails; by multilinearity that decides it.  The Malcev,
@@ -51,6 +53,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -58,7 +61,7 @@ from types import MappingProxyType
 from . import linalg
 from .errors import (GradingError, InconclusiveError, InputError,
                      PreconditionError)
-from .linalg import ONE, ZERO, Span, _add, frac
+from .linalg import ONE, ZERO, Span, frac
 
 EVEN = 0
 ODD = 1
@@ -102,16 +105,17 @@ class SuperSpace:
 
 class Element:
     """A vector of F^dim in the fixed basis, stored as its nonzero
-    coordinates `entries` {i: exact rational}.  The constructor and
-    `from_seq` read a dense sequence, but no dense view is kept;
-    `document.vector_texts` prints `entries`.  Equality and hashing follow
-    the coordinates, whichever constructor built the vector."""
+    coordinates `entries` {i: exact rational}.  The constructor reads a
+    dense sequence, each coordinate through `linalg.frac`, but no dense
+    view is kept; `document.vector_texts` prints `entries`.  Equality and
+    hashing follow the coordinates, whichever constructor built the
+    vector."""
 
     __slots__ = ("dim", "entries")
 
     def __init__(self, coords):
         self.dim = len(coords)
-        self.entries = {i: c for i, c in enumerate(coords) if c}
+        self.entries = {i: x for i, c in enumerate(coords) if (x := frac(c))}
 
     @classmethod
     def sparse(cls, n, entries):
@@ -119,10 +123,6 @@ class Element:
         el = cls.__new__(cls)
         el.dim, el.entries = n, dict(entries)
         return el
-
-    @classmethod
-    def from_seq(cls, seq):
-        return cls([frac(c) for c in seq])
 
     @classmethod
     def zero(cls, n):
@@ -260,12 +260,13 @@ class SuperAlgebra:
 
     def int_factors(self):
         """The int table's vectors by factor, {i: {j: D b_i b_j}} and
-        {j: {i: D b_i b_j}}, cached; the closures and Gamma_s read them."""
+        {j: {i: D b_i b_j}}, cached; the scan kernel, the closures and
+        Gamma_s read them."""
         if self._factors is None:
-            lefts, rights = {}, {}
+            lefts, rights = defaultdict(dict), defaultdict(dict)
             for (i, j), vec in self.int_table()[1].items():
-                lefts.setdefault(i, {})[j] = rights.setdefault(j, {})[i] = vec
-            self._factors = lefts, rights
+                lefts[i][j] = rights[j][i] = vec
+            self._factors = dict(lefts), dict(rights)
         return self._factors
 
     def basis_product(self, i, j):
@@ -382,12 +383,12 @@ class _ScanKernel:
     """Integer tables that the identity scans of one algebra share.
 
     The constants are scaled by D, so every entry is an int.  `pairs[(i,
-    j)]` is the scaled product b_i b_j, `rows[i]` maps j to the same vector
-    and `columns[m]` lists the pairs ((i, j), c) whose product has c != 0
-    at b_m.  `packed[(a, b)]` maps c to T(a, b, c), the sum over m of
-    c(a, b, m) b_m b_c, packed from `base[a]`, the least index of a's
-    block, and summed from the packed pair rows.  Only nonzero vectors are
-    stored.
+    j)]` is the scaled product b_i b_j, and `columns[m]` lists the pairs
+    ((i, j), c) whose product has c != 0 at b_m.  `packed[(a, b)]` maps c
+    to T(a, b, c), the sum over m of c(a, b, m) b_m b_c, packed from
+    `base[a]`, the least index of a's block, and summed from the packed
+    pair rows.  Only nonzero vectors are stored.  `right_products(vec)` is
+    {w: vec b_w}, `linalg.combine_table` on the algebra's `int_factors`.
     """
 
     def __init__(self, a: SuperAlgebra):
@@ -416,24 +417,19 @@ class _ScanKernel:
         for i in range(n):  # now each index's root, the least of its block
             base[i] = base[base[i]]
         bits = (5 * width ** 2 * top ** 3).bit_length() + 1
-        rows, packed_rows = {}, {}
-        for (i, j), vec in pairs.items():
-            if i not in rows:
-                rows[i], packed_rows[i] = {}, {}
-            rows[i][j], packed_rows[i][j] = vec, _packed(vec, base[i], bits)
+        lefts = a.int_factors()[0]
+        packed_rows = {i: {j: _packed(vec, base[i], bits)
+                           for j, vec in row.items()}
+                       for i, row in lefts.items()}
         packed, columns = {}, {}
         for key, vec in pairs.items():
-            acc = {}
             for m, c in vec.items():
                 columns.setdefault(m, []).append((key, c))
-                for w, y in packed_rows.get(m, _EMPTY).items():
-                    acc[w] = acc.get(w, 0) + c * y
-            if acc and len(vec) > 1:
-                acc = {w: y for w, y in acc.items() if y}
-            if acc:
+            if acc := linalg.combine(packed_rows, vec):
                 packed[key] = acc
-        self.pairs, self.rows, self.columns = pairs, rows, columns
+        self.pairs, self.columns = pairs, columns
         self.base, self.bits, self.packed = base, bits, packed
+        self.right_products = functools.partial(linalg.combine_table, lefts)
 
     @functools.cached_property
     def triples(self):
@@ -443,23 +439,6 @@ class _ScanKernel:
         return {key: {c: _unpacked(x, base[key[0]], bits)
                       for c, x in row.items()}
                 for key, row in self.packed.items()}
-
-    def right_products(self, vec):
-        """{w: vec . b_w} for a scaled sparse vector vec, with only the w
-        where the product is nonzero."""
-        acc = {}
-        rows = self.rows
-        for m, x in vec.items():
-            for w, mw in rows.get(m, {}).items():
-                out = acc.setdefault(w, {})
-                for k, y in mw.items():
-                    out[k] = out.get(k, 0) + x * y
-        out = {}
-        for w, prod in acc.items():
-            prod = {k: v for k, v in prod.items() if v}
-            if prod:
-                out[w] = prod
-        return out
 
 
 def _scan_kernel(a: SuperAlgebra) -> _ScanKernel:
@@ -521,6 +500,21 @@ def _value_witnesses(lhs, rhs, denom=1):
     return [Witness(key, Fraction(x, denom), Fraction(y, denom))
             for key in sorted(lhs.keys() | rhs.keys())
             if (x := lhs.get(key, 0)) != (y := rhs.get(key, 0))]
+
+
+def _mirror_witnesses(entries, parity, skew):
+    """`_value_witnesses` of x against (-1)^{|i||j|} y, negated when skew,
+    at each (i, j) with i <= j, for x and y the values at (i, j) and (j, i)
+    of a bilinear map given by its nonzero entries {(i, j): x}, |i| being
+    parity(i): the one comparison of a form or a cocycle with its
+    mirror."""
+    lhs, rhs = {}, {}
+    for (i, j), x in entries.items():
+        if i <= j:
+            lhs[(i, j)] = x
+        if j <= i:
+            rhs[(j, i)] = -x if skew ^ (parity(i) & parity(j)) else x
+    return _value_witnesses(lhs, rhs)
 
 
 def _rotations(par, key):
@@ -834,12 +828,8 @@ def ideal_closure(a: SuperAlgebra, seed: GradedSubspace) -> GradedSubspace:
         work = [row for row in seed.int_rows if span.add(row)]
         while work:
             v = work.pop()
-            left, right = {}, {}  # j -> b_j v, v b_j
-            for i, x in v.items():
-                for j, vec in rights.get(i, _EMPTY).items():
-                    _add(left, j, vec, x)
-                for j, vec in lefts.get(i, _EMPTY).items():
-                    _add(right, j, vec, x)
+            left = linalg.combine_table(rights, v)  # j -> b_j v
+            right = linalg.combine_table(lefts, v)  # j -> v b_j
             for j in range(a.dim):
                 for prod in (left.get(j), right.get(j)):
                     if prod and span.add(prod):

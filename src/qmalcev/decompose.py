@@ -278,13 +278,12 @@ def _radical_image(gens, n) -> linalg.Span:
     """
     basis = _enveloping_basis(gens, n)
     image = linalg.Span(n)
+    elements = dict(enumerate(basis))
     for x in linalg.int_kernel(list(_trace_rows(basis, n)), len(basis)):
         columns = {}  # column -> {row: value} of the element sum x_i basis_i
-        for i, c in x.items():
-            for pos, y in basis[i].items():
-                row, col = divmod(pos, n)
-                column = columns.setdefault(col, {})
-                column[row] = column.get(row, 0) + c * y
+        for pos, y in linalg.combine(elements, x).items():
+            row, col = divmod(pos, n)
+            columns.setdefault(col, {})[row] = y
         for column in columns.values():
             image.add(column)
     return image

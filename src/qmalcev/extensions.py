@@ -25,12 +25,13 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, ItemizedReport,
-                   SuperAlgebra, SuperSpace, Witness, _add, _mul_vv, _report,
+                   SuperAlgebra, SuperSpace, Witness, _mul_vv, _report,
                    _scan_kernel, _side_witnesses, _vadd, check_malcev,
                    direct_sum_embeddings, ksign)
 from .errors import AxiomError, InputError, PreconditionError
-from .linalg import ONE, cleared, frac
+from .linalg import ONE, _add, cleared, frac
 from .operators import (OperatorMap, _int_map, _line_extension,
                         check_malcev_operator, check_skew_supersymmetric)
 from .quadratic import (BilinearForm, QuadraticAlgebra, _form_pairing,
@@ -123,13 +124,8 @@ def _gde_conditions(a: SuperAlgebra, d: OperatorMap, a0: Element):
             users.setdefault(w, []).append((j, y))
     a0r = kern.right_products(a0v)                    # m -> A D a0 b_m
 
-    def times_a0(vec):
-        """A D a0 vec for an int vector vec: the sum of vec[m] a0 b_m."""
-        out = {}
-        for m, x in vec.items():
-            for k, c in a0r.get(m, {}).items():
-                out[k] = out.get(k, 0) + x * c
-        return out
+    # A D a0 vec for an int vector vec: the sum of vec[m] a0 b_m
+    times_a0 = functools.partial(linalg.combine, a0r)
 
     square = ({("a0",): dmap(dmap(a0v))}, {("a0",): times_a0(a0v)})
     action = ({}, {})

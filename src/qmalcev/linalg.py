@@ -2,6 +2,9 @@
 
 Vectors are sparse {column: value} dicts, or dense lists where a caller
 has one, and every operation is exact; there are no floats anywhere.
+A linear map meets a vector in one place, `combine(cols, vec)`, the sum
+of vec[m] cols[m] with its nonzeros only; `combine_table` is its twin for
+a map valued in tuples of vectors, such as v -> (v b_w) over w.
 Every elimination runs on one sparse eliminator, `Span`: its rows are int
 {column: value} dicts, each a nonzero multiple of a row of the reduced
 echelon form, so 0 at every other pivot.  The reduced echelon form of a
@@ -108,6 +111,38 @@ def scaled(table):
                    for key, vec in table.items()}
 
 
+def combine(cols, vec):
+    """The sum over m of vec[m] cols[m] for a sparse vector vec and sparse
+    vectors cols {m: {k: x}}, a missing cols[m] read as 0: the image of vec
+    under the linear map with these columns, nonzero entries only.  This is
+    where every linear map of the package meets a vector."""
+    out = {}
+    for m, x in vec.items():
+        for k, y in cols.get(m, {}).items():
+            if k in out:
+                out[k] += x * y
+            else:
+                out[k] = x * y
+    return out if all(out.values()) else {k: y for k, y in out.items() if y}
+
+
+def combine_table(table, vec):
+    """{w: the sum over m of vec[m] table[m][w]} for sparse vectors
+    table[m][w] {k: x}: `combine` for a map valued in tuples of vectors,
+    such as v -> (v b_w) over w; nonzero vectors only."""
+    acc = {}
+    for m, x in vec.items():
+        for w, col in table.get(m, {}).items():
+            out = acc.setdefault(w, {})
+            for k, y in col.items():
+                if k in out:
+                    out[k] += x * y
+                else:
+                    out[k] = x * y
+    return {w: v if all(v.values()) else {k: y for k, y in v.items() if y}
+            for w, v in acc.items() if any(v.values())}
+
+
 def pulled_back(table, cols):
     """{(i, j): sum over (s, t) of cols[i][s] cols[j][t] table[(s, t)]}, the
     bilinear map table {(s, t): {k: x}} on basis pairs at the pairs of
@@ -117,17 +152,13 @@ def pulled_back(table, cols):
     work follows the nonzeros of the table and of the vectors."""
     rows, users = {}, {}
     for (s, t), vec in table.items():
-        rows.setdefault(s, []).append((t, vec))
+        rows.setdefault(s, {})[t] = vec
     for j, vec in cols.items():
         for t, x in vec.items():
             users.setdefault(t, []).append((j, x))
     out = {}
     for i, u in cols.items():
-        left = {}  # {t: the product of cols[i] with b_t}
-        for s, x in u.items():
-            for t, vec in rows.get(s, ()):
-                _add(left, t, vec, x)
-        for t, vec in left.items():
+        for t, vec in combine_table(rows, u).items():  # cols[i] times b_t
             for j, y in users.get(t, ()):
                 _add(out, (i, j), vec, y)
     return {key: nz for key, vec in out.items()

@@ -16,17 +16,22 @@ c; every chain term goes the same way.  The c coordinate of each side of
 the Malcev identity is thus that side of the cocycle identity.
 Skew-supersymmetry and the cocycle of an operator read
 the sparse form pairing of `quadratic`; one sparse solve on the int Gram
-turns cocycles back into operators.
+turns cocycles back into operators.  A `Cocycle` is a `BilinearForm` with
+a parity, so it keeps only its nonzero values, and every cocycle routine
+reads those; an operator meets a vector through `linalg.combine`.
 """
 
 from __future__ import annotations
 
+import functools
+
 from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, SuperAlgebra,
-                   SuperSpace, _add, _report, _scan_kernel, _side_witnesses,
-                   _value_witnesses, _vadd, check_malcev, ksign, parity_name)
+                   SuperSpace, _mirror_witnesses, _report, _scan_kernel,
+                   _side_witnesses, _value_witnesses, check_malcev, ksign,
+                   parity_name)
 from .errors import GradingError, InputError, PreconditionError
-from .linalg import ZERO, frac
+from .linalg import ZERO, _add, frac
 from .quadratic import (BilinearForm, QuadraticAlgebra, _form_pairing,
                         _require_validated)
 
@@ -85,10 +90,7 @@ class OperatorMap:
 
     def apply_vec(self, vec):
         """Apply to a sparse dict vector, returning a sparse dict."""
-        out = {}
-        for j, c in vec.items():
-            _vadd(out, self.column(j), c)
-        return out
+        return linalg.combine(self.columns, vec)
 
     def negated(self):
         return OperatorMap.from_images(
@@ -121,15 +123,7 @@ def _int_map(images):
     images {m: {d: x}}, and a function that applies F times the map to a
     sparse int vector, returning only the nonzero coordinates."""
     scale, cols = linalg.scaled(images)
-
-    def apply(vec):
-        out = {}
-        for m, c in vec.items():
-            for d, x in cols.get(m, {}).items():
-                out[d] = out.get(d, 0) + c * x
-        return {d: x for d, x in out.items() if x}
-
-    return scale, apply
+    return scale, functools.partial(linalg.combine, cols)
 
 
 def check_malcev_operator(a: SuperAlgebra, f: OperatorMap) -> CheckReport:
@@ -179,58 +173,48 @@ def check_skew_supersymmetric(b: BilinearForm, f: OperatorMap,
         for (i, j), x in right.items()}))
 
 
-class Cocycle:
-    """Scalar-valued bilinear map omega(b_i, b_j) with a declared parity.
+class Cocycle(BilinearForm):
+    """Scalar-valued bilinear map omega(b_i, b_j) with a declared parity,
+    stored as a form stores its Gram: the nonzero `entries` {(i, j): x},
+    by row `rows` and by column `cols`.  The constructor reads a dense
+    value matrix, `from_entries` the nonzeros, and every method reads the
+    nonzeros only.
 
     The same representation carries cocycles valued in a one-dimensional
     central line.
     """
 
     def __init__(self, values, parity: int):
-        self.values = tuple(tuple(frac(x) for x in row) for row in values)
+        rows = [tuple(row) for row in values]
+        if any(len(row) != len(rows) for row in rows):
+            raise InputError("cocycle value matrix must be square")
+        super().__init__(rows)
         self.parity = parity
-        n = len(self.values)
-        for row in self.values:
-            if len(row) != n:
-                raise InputError("cocycle value matrix must be square")
 
-    @property
-    def dim(self):
-        return len(self.values)
+    @classmethod
+    def from_entries(cls, n, entries, parity):
+        """The cocycle with the values {(i, j): x}; zeros are dropped."""
+        w = super().from_entries(n, entries)
+        w.parity = parity
+        return w
 
     def value(self, x: Element, y: Element):
-        total = ZERO
-        for i, xi in x.entries.items():
-            row = self.values[i]
-            for j, yj in y.entries.items():
-                if row[j]:
-                    total += xi * row[j] * yj
-        return total
+        return sum((v * y.entries.get(j, 0) for j, v
+                    in linalg.combine(self.rows, x.entries).items()), ZERO)
 
     def validate_parity(self, space):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.values[i][j] == 0:
-                    continue
-                if (space.parity(i) + space.parity(j)) % 2 != self.parity:
-                    raise GradingError(
-                        "cocycle entry (%d,%d) violates parity %s"
-                        % (i, j, parity_name(self.parity)))
+        for i, j in self.entries:  # in row-major order
+            if (space.parity(i) + space.parity(j)) % 2 != self.parity:
+                raise GradingError("cocycle entry (%d,%d) violates parity %s"
+                                   % (i, j, parity_name(self.parity)))
         return self
 
     def graded_skew_report(self, space) -> CheckReport:
         """omega(X,Y) = -(-1)^{xy} omega(Y,X) on basis pairs (X, Y)."""
-        lhs, rhs = {}, {}
-        for i, row in enumerate(self.values):
-            for j, x in enumerate(row):
-                if x and i <= j:
-                    lhs[(i, j)] = x
-                if x and j <= i:
-                    rhs[(j, i)] = -ksign(space.parity(i) * space.parity(j)) * x
-        return _report(_value_witnesses(lhs, rhs))
+        return _report(_mirror_witnesses(self.entries, space.parity, True))
 
     def __eq__(self, other):
-        return (isinstance(other, Cocycle) and self.values == other.values
+        return (isinstance(other, Cocycle) and super().__eq__(other)
                 and self.parity == other.parity)
 
     def __repr__(self):
@@ -274,8 +258,7 @@ def check_cocycle(a: SuperAlgebra, w: Cocycle) -> CheckReport:
         raise InputError("cocycle dimension does not match algebra")
     w.validate_parity(a.space)
     skew = w.graded_skew_report(a.space)
-    ext, c = _line_extension(a, {(i, j): x for i, row in enumerate(w.values)
-                                 for j, x in enumerate(row) if x}, w.parity)
+    ext, c = _line_extension(a, w.entries, w.parity)
     lhs, rhs = {}, {}
     for wit in check_malcev(ext).witnesses:
         key = tuple(i - (i > c) for i in wit.index)
@@ -300,8 +283,9 @@ def operator_from_cocycle(q: QuadraticAlgebra, w: Cocycle) -> OperatorMap:
         raise PreconditionError("form is degenerate")
     gscale, _table, _rows, gcols = q.form.int_gram
     span = linalg.row_span(
-        ({**gcols.get(j, {}), **{n + i: x for i, x in enumerate(col)}}
-         for j, col in enumerate(zip(*w.values))), 2 * n)
+        ({**gcols.get(j, {}), **{n + i: x for i, x
+                                 in w.cols.get(j, {}).items()}}
+         for j in range(n)), 2 * n)
     images = {}
     for r, row in enumerate(span.rows()):  # the pivots are 0..n-1
         for c, x in row.items():
@@ -311,11 +295,10 @@ def operator_from_cocycle(q: QuadraticAlgebra, w: Cocycle) -> OperatorMap:
 
 
 def cocycle_from_operator(q: QuadraticAlgebra, f: OperatorMap) -> Cocycle:
-    """w(X, Y) = B(f(X), Y) as a cocycle-shaped value matrix."""
+    """w(X, Y) = B(f(X), Y), read off the nonzeros of f and the form."""
     _require_validated(q)
     n = q.dim
     if f.dim != n:
         raise InputError("operator dimension does not match algebra")
     left, _right = _form_pairing(q.form, f.columns)
-    return Cocycle([[left.get((i, j), ZERO) for j in range(n)]
-                    for i in range(n)], f.parity)
+    return Cocycle.from_entries(n, left, f.parity)

@@ -3,7 +3,10 @@
 A quadratic algebra pairs a superalgebra with an even, supersymmetric,
 non-degenerate, invariant bilinear form.  Evenness kills the cross-parity
 blocks; supersymmetry makes the even block symmetric and the odd block
-antisymmetric.  All checks are exact scans with witnesses.
+antisymmetric.  All checks are exact scans with witnesses.  A form keeps
+its nonzero Gram entries by row and by column, which `operators.Cocycle`
+reuses; the pairing of vectors with the form, the orthogonal complement
+and the lift of component bases go through `linalg.combine`.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from itertools import islice
 from . import linalg
 from .core import (_CERT_PRIME, EVEN, ODD, CheckReport, Element,
                    GradedSubspace, ItemizedReport, SuperAlgebra, SuperSpace,
-                   Witness, _EMPTY, _ideal_candidates, _proper_ideals,
-                   _report, _scan_kernel, _value_witnesses, _vadd, center,
-                   check_malcev, check_super_anticommutativity,
+                   Witness, _EMPTY, _ideal_candidates, _mirror_witnesses,
+                   _proper_ideals, _report, _scan_kernel, _value_witnesses,
+                   center, check_malcev, check_super_anticommutativity,
                    ideal_closure, direct_sum, direct_sum_embeddings,
                    simplicity, change_basis)
 from .errors import AxiomError, InputError, PreconditionError
@@ -170,20 +173,16 @@ def check_form(a: SuperAlgebra, b: BilinearForm) -> FormReport:
     even_wit = [Witness((i, j), x, ZERO) for (i, j), x in g.items()
                 if par[i] != par[j]]
 
-    lhs, rhs = {}, {}  # at i <= j: G[i][j], and (-1)^{|i|} G[j][i]
-    for (i, j), x in g.items():
-        if par[i] == par[j]:
-            if i <= j:
-                lhs[(i, j)] = x
-            if j <= i:
-                rhs[(j, i)] = -x if par[i] else x
+    # at i <= j: G[i][j] against (-1)^{|i|} G[j][i]
+    supersym = _mirror_witnesses({(i, j): x for (i, j), x in g.items()
+                                  if par[i] == par[j]}, par.__getitem__, False)
 
     zero = Element.zero(n)
     nondeg_wit = [Witness(("kernel",), Element.sparse(n, v), zero)
                   for v in b._kernel_basis()]
 
     return FormReport(even=_report(even_wit),
-                      supersymmetric=_report(_value_witnesses(lhs, rhs)),
+                      supersymmetric=_report(supersym),
                       nondegenerate=_report(nondeg_wit),
                       invariant=_report(_invariance_witnesses(a, b)))
 
@@ -195,21 +194,20 @@ def _invariance_witnesses(a: SuperAlgebra, b: BilinearForm):
     Both sides are sums of (constant x Gram entry) terms, so they are
     accumulated on the scan kernel's integer constants (scaled by D) and
     the Gram's rows and columns scaled by E, the lcm of its denominators:
-    each pair entry b_i b_j = sum_m c_m b_m adds
-    c_m G[m][k] to lhs(i, j, k) for each nonzero in Gram row m, and
-    G[h][m] c_m to rhs(h, i, j) for each nonzero in Gram column m.  Every
-    triple with a nonzero side is reached this way; the sorted keys whose
-    sides differ are divided back by D E.
+    for each pair entry b_i b_j = sum_m c_m b_m, `linalg.combine` gives
+    lhs(i, j, k) = sum_m c_m G[m][k] off the Gram rows and
+    rhs(h, i, j) = sum_m G[h][m] c_m off its columns.  Every triple with a
+    nonzero side is reached this way; the sorted keys whose sides differ
+    are divided back by D E.
     """
     kern = _scan_kernel(a)
     gscale, _table, grows, gcols = b.int_gram
     lhs, rhs = {}, {}
     for (i, j), vec in kern.pairs.items():
-        for m, c in vec.items():
-            for k, x in grows.get(m, {}).items():
-                lhs[(i, j, k)] = lhs.get((i, j, k), 0) + c * x
-            for h, x in gcols.get(m, {}).items():
-                rhs[(h, i, j)] = rhs.get((h, i, j), 0) + x * c
+        for k, x in linalg.combine(grows, vec).items():
+            lhs[(i, j, k)] = x
+        for h, x in linalg.combine(gcols, vec).items():
+            rhs[(h, i, j)] = x
     return _value_witnesses(lhs, rhs, kern.scale * gscale)
 
 
@@ -220,13 +218,11 @@ def _form_pairing(b: BilinearForm, vectors):
     and B(b_i, f(b_j)) at (i, j); for {0: v}, B(b_j, v) is at (j, 0)."""
     left, right = {}, {}
     for c, vec in vectors.items():
-        for r, x in vec.items():
-            for j, g in b.rows.get(r, {}).items():
-                left[(c, j)] = left.get((c, j), ZERO) + x * g
-            for j, g in b.cols.get(r, {}).items():
-                right[(j, c)] = right.get((j, c), ZERO) + g * x
-    return ({key: v for key, v in left.items() if v},
-            {key: v for key, v in right.items() if v})
+        left.update(((c, j), x)
+                    for j, x in linalg.combine(b.rows, vec).items())
+        right.update(((j, c), x)
+                     for j, x in linalg.combine(b.cols, vec).items())
+    return left, right
 
 
 class QuadraticAlgebra:
@@ -299,13 +295,7 @@ def orthogonal_complement(b: BilinearForm, s: GradedSubspace):
     if not b.is_nondegenerate():
         raise PreconditionError("form is degenerate")
     grows = b.int_gram[2]
-    rows = []
-    for vec in s.int_rows:
-        row = {}
-        for r, x in vec.items():
-            for j, g in grows.get(r, _EMPTY).items():
-                row[j] = row.get(j, 0) + x * g
-        rows.append(row)
+    rows = [linalg.combine(grows, vec) for vec in s.int_rows]
     return GradedSubspace(s.space, linalg.int_kernel(rows, b.dim))
 
 
@@ -598,12 +588,8 @@ def b_irreducible_components(q: QuadraticAlgebra) -> ComponentsReport:
             exhaustive = exhaustive and proved
             continue
         qa, qb, cols = orthogonal_split(part, ideal)
-        lifted = []
-        for col in cols:
-            out = {}
-            for idx, c in col.items():
-                _vadd(out, basis_cols[idx], c)
-            lifted.append(out)
+        basis = dict(enumerate(basis_cols))
+        lifted = [linalg.combine(basis, col) for col in cols]
         # adapted order is [A_even, B_even, A_odd, B_odd]
         ae, ao = qa.space.even_dim, qa.space.odd_dim
         be = qb.space.even_dim

@@ -1,10 +1,55 @@
+import base64
+import io
+import json
 import math
+import os
+import pathlib
+import sys
 from collections import Counter
 
 import pytest
 
+import qmalcev.cli
 from qmalcev import catalog_get
 from qmalcev import core
+
+
+def _recording(run, path):
+    """run, wrapped to append each call to the file at path as one JSON
+    line: the argv, the stdin text when argv reads "-", QMALCEV_REPORT, and
+    the bytes, base64, of each file that argv names, null for one that is
+    not a file.  The arguments after a file command (`cli.FILE_COMMANDS`)
+    that are not options or "-" name files.  `python tests/replay_jobs.py
+    --calls <path>` replays the calls."""
+
+    def recorded(argv):
+        argv, stdin, saved = list(argv), None, sys.stdin
+        if "-" in argv:
+            stdin = sys.stdin.read()
+            sys.stdin = io.StringIO(stdin)
+        files = {}
+        if argv and argv[0] in qmalcev.cli.FILE_COMMANDS:
+            for arg in argv[1:]:
+                if not arg.startswith("-"):
+                    files[arg] = (base64.b64encode(
+                        pathlib.Path(arg).read_bytes()).decode()
+                        if os.path.isfile(arg) else None)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({
+                "argv": argv, "stdin": stdin, "files": files,
+                "report": os.environ.get("QMALCEV_REPORT")}) + "\n")
+        try:
+            return run(argv)
+        finally:
+            sys.stdin = saved
+
+    return recorded
+
+
+# Off unless set; wrapped here, before the test modules bind `run`.
+if os.environ.get("QMALCEV_RECORD_CLI"):
+    qmalcev.cli.run = _recording(qmalcev.cli.run,
+                                 os.environ["QMALCEV_RECORD_CLI"])
 
 
 def slot_bound(a):

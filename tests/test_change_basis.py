@@ -31,8 +31,8 @@ def restrict_reference(a, columns):
     constants = {}
     for i in range(k):
         for j in range(k):
-            w = product(a, Element.from_seq(cols[i]),
-                        Element.from_seq(cols[j]))
+            w = product(a, Element(cols[i]),
+                        Element(cols[j]))
             coords = linalg.solve(cmat, list(linalg.dense(w.entries, a.dim)))
             if coords is None:
                 return None

@@ -16,7 +16,7 @@ rationals = st.builds(Fraction,
 
 
 def vec(n):
-    return st.lists(rationals, min_size=n, max_size=n).map(Element.from_seq)
+    return st.lists(rationals, min_size=n, max_size=n).map(Element)
 
 
 def test_space_parity():

@@ -6,7 +6,9 @@ outside linalg.py uses a dense routine of linalg: spans, ranks and
 kernels are read off `linalg.Span` and `linalg.sparse_kernel`, and no
 vector, subspace row or basis column is made dense by `linalg.dense`; the
 printers hand the sparse dicts to `document.vector_texts`.  No module
-reads an attribute `coords`: an Element keeps only its sparse `entries`.
+reads an attribute `coords`: an Element keeps only its sparse `entries`;
+and none reads an attribute `values` without calling it: a cocycle keeps
+only its nonzero `entries`, and `values()` is a dict's.
 """
 
 import ast
@@ -111,16 +113,20 @@ def test_no_dense_elimination_outside_linalg():
     assert excused == DENSE_LINALG_ALLOWED  # each exception is still needed
 
 
-def _coords_readers(path):
-    """The functions of the module that read an attribute `coords`."""
+def _attribute_readers(path, attr, calls=True):
+    """The functions of the module that read an attribute attr; a read
+    that is called, x.attr(), counts only when calls is true."""
     tree = ast.parse(path.read_text())
+    called = {id(node.func) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
     readers = set()
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if (isinstance(node, ast.Attribute) and node.attr == "coords"
-                and isinstance(node.ctx, ast.Load)):
+        if (isinstance(node, ast.Attribute) and node.attr == attr
+                and isinstance(node.ctx, ast.Load)
+                and (calls or id(node) not in called)):
             readers.add(function)
         for child in ast.iter_child_nodes(node):
             visit(child, function)
@@ -130,6 +136,14 @@ def _coords_readers(path):
 
 
 def test_dense_coords_are_read_by_the_printers_only():
-    readers = {path.name: _coords_readers(path)
+    readers = {path.name: _attribute_readers(path, "coords")
+               for path in sorted(SRC.glob("*.py"))}
+    assert {name: fns for name, fns in readers.items() if fns} == {}
+
+
+def test_no_dense_cocycle_values():
+    """No module reads an attribute `values` other than by calling it, as
+    dict.values(): a cocycle keeps only its nonzero `entries`."""
+    readers = {path.name: _attribute_readers(path, "values", calls=False)
                for path in sorted(SRC.glob("*.py"))}
     assert {name: fns for name, fns in readers.items() if fns} == {}

@@ -147,7 +147,7 @@ def abelian_data(draw):
     ws = draw(st.lists(small, min_size=len(basis), max_size=len(basis)))
     d = _combine(basis, ws, base.dim, ODD)
     a0 = [draw(small) if i < p else 0 for i in range(p + q)]
-    return base, GdeData(d, Element.from_seq(a0))
+    return base, GdeData(d, Element(a0))
 
 
 @settings(max_examples=80, deadline=None)
@@ -181,7 +181,7 @@ def _perturbed(draw, q, g):
         i = draw(st.integers(0, n - 1))
         if par[i] == EVEN:
             a0[i] += draw(small)
-    return OperatorMap(m, ODD), Element.from_seq(a0)
+    return OperatorMap(m, ODD), Element(a0)
 
 
 @settings(max_examples=120, deadline=None)
@@ -207,7 +207,7 @@ def test_integer_conditions_on_any_graded_algebra(a, data):
     par = [a.space.parity(i) for i in range(n)]
     d = OperatorMap([[data.draw(small) if par[r] != par[c] else 0
                       for c in range(n)] for r in range(n)], ODD)
-    a0 = Element.from_seq([data.draw(small) if par[i] == EVEN else 0
+    a0 = Element([data.draw(small) if par[i] == EVEN else 0
                            for i in range(n)])
     got = _gde_conditions(a, d, a0)
     assert [list(w) for w in got] == list(reference_conditions(a, d, a0))

@@ -258,7 +258,7 @@ small = st.sampled_from([Fraction(0)] * 4 + [Fraction(1), Fraction(-1),
 
 def _homogeneous(draw, space, parity):
     """A random element of the given parity."""
-    return Element.from_seq([draw(small) if space.parity(r) == parity else 0
+    return Element([draw(small) if space.parity(r) == parity else 0
                              for r in range(space.dim)])
 
 
@@ -309,7 +309,7 @@ def _zero_twist(nm, nv):
 def test_twist_off_the_center_fails_cond4_alone(m7):
     m, v = m7.algebra, _abelian_line()
     zeta = _zero_twist(7, 1)
-    zeta[0][1], zeta[1][0] = Element.from_seq([1]), Element.from_seq([-1])
+    zeta[0][1], zeta[1][0] = Element([1]), Element([-1])
     data = SemidirectData(m, v, [OperatorMap.zero(1)] * 7, zeta)
     rep = check_gsd_conditions(m, v, data)
     assert rep.failures() == ["cond4"]

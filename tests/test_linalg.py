@@ -314,3 +314,62 @@ def test_span_reports_pivots_and_reduces():
     rows = span.vectors()
     assert [v[0] * x + v[1] * y + rest.get(i, 0)
             for i, (x, y) in enumerate(zip(*rows))] == v
+
+
+# ---------------------------------------------------------------------------
+# combine and combine_table, against a dense matrix-vector product
+
+# few keys and values that often cancel: 1 - 1, 2 * (1/2) - 1, ...
+cancelling = st.sampled_from([0, 1, -1, 2, -2, Fraction(1, 2),
+                              Fraction(-1, 2), Fraction(3, 2)])
+KEYS = range(4)
+
+
+def sparse_vectors():
+    return st.dictionaries(st.sampled_from(KEYS), cancelling, max_size=4)
+
+
+def dense_combine(cols, vec):
+    """The sum over m of vec[m] cols[m] as a dense list over KEYS."""
+    return [sum((x * cols.get(m, {}).get(k, 0) for m, x in vec.items()), 0)
+            for k in KEYS]
+
+
+def nonzeros(dense):
+    return {k: x for k, x in zip(KEYS, dense) if x}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(KEYS), sparse_vectors(), max_size=4),
+       sparse_vectors())
+def test_combine_matches_the_dense_product(cols, vec):
+    out = linalg.combine(cols, vec)
+    assert out == nonzeros(dense_combine(cols, vec))
+    assert 0 not in out.values()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(KEYS),
+                       st.dictionaries(st.sampled_from(KEYS),
+                                       sparse_vectors(), max_size=4),
+                       max_size=4),
+       sparse_vectors())
+def test_combine_table_matches_the_dense_product(table, vec):
+    out = linalg.combine_table(table, vec)
+    want = {}
+    for w in KEYS:
+        column = {m: row[w] for m, row in table.items() if w in row}
+        if nz := nonzeros(dense_combine(column, vec)):
+            want[w] = nz
+    assert out == want
+    assert all(v and 0 not in v.values() for v in out.values())
+
+
+def test_combine_drops_what_cancels():
+    cols = {0: {0: 1, 1: 2}, 1: {0: -1, 1: Fraction(1, 2)}, 2: {5: 7}}
+    assert linalg.combine(cols, {0: 1, 1: 1}) == {1: Fraction(5, 2)}
+    assert linalg.combine(cols, {0: 1, 1: -4}) == {0: 5}
+    assert linalg.combine(cols, {3: 9}) == {}
+    table = {0: {"a": {0: 1}, "b": {1: 1}}, 1: {"a": {0: -1}}}
+    assert linalg.combine_table(table, {0: 1, 1: 1}) == {"b": {1: 1}}
+    assert linalg.combine_table(table, {1: 0}) == {}

@@ -109,7 +109,9 @@ def test_cocycle_of_the_wrong_parity_is_refused(osp12):
     # b_0 is even and b_3 odd, so an even cocycle cannot pair them
     vals = [[0] * 5 for _ in range(5)]
     vals[0][3], vals[3][0] = 1, -1
-    with pytest.raises(GradingError, match="violates parity"):
+    # the first offending entry in row-major order is named
+    with pytest.raises(GradingError,
+                       match=r"cocycle entry \(0,3\) violates parity even"):
         check_cocycle(osp12.algebra, Cocycle(vals, EVEN))
 
 

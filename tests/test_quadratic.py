@@ -58,7 +58,7 @@ def reference_form_axioms(space, gram):
                 expected = gram[j][i] if par[i] == 0 else -gram[j][i]
                 if gram[i][j] != expected:
                     sym.append(Witness((i, j), gram[i][j], expected))
-    nondeg = [Witness(("kernel",), Element.from_seq(v), Element.zero(n))
+    nondeg = [Witness(("kernel",), Element(v), Element.zero(n))
               for v in linalg.kernel([list(r) for r in gram], cols=n)]
     return even, sym, nondeg
 
@@ -100,7 +100,7 @@ def test_rank_deficit_mod_p_is_decided_over_q():
     assert full.passed
     short = check_form(alg, BilinearForm([[_CERT_PRIME, 0], [0, 0]]))
     assert [w.lhs for w in short.nondegenerate.witnesses] == [
-        Element.from_seq([0, 1])]
+        Element([0, 1])]
 
 
 def test_invariance_mutation_detected(sl2):

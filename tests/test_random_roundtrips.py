@@ -80,7 +80,7 @@ def test_random_odd_extension_reduction_round_trip(ws):
         [list(r) for r in d.matrix], [list(r) for r in d.matrix])]
     a0 = Element.zero(q.dim)
     for v in linalg.kernel(d2, cols=q.dim):
-        cand = Element.from_seq(v).parity_part(q.space, EVEN)
+        cand = Element(v).parity_part(q.space, EVEN)
         if not cand.is_zero() and all(
                 sum(x * cand.entries.get(r, 0) for r, x in enumerate(row)) == 0
                 for row in d2):

@@ -339,8 +339,8 @@ def anticommutativity_reference(a):
             s = -ksign(par[i] * par[j])
             rhs = {k: s * c for k, c in a.basis_product(j, i).items()}
             if lhs != rhs:
-                out.append(Witness((i, j), Element.from_seq(
-                    [lhs.get(k, 0) for k in range(n)]), Element.from_seq(
+                out.append(Witness((i, j), Element(
+                    [lhs.get(k, 0) for k in range(n)]), Element(
                     [rhs.get(k, 0) for k in range(n)])))
     return out
 

@@ -111,7 +111,7 @@ def reference_check_form(a, g):
                 want = g[j][i] if par[i] == EVEN else -g[j][i]
                 if g[i][j] != want:
                     sym.append(Witness((i, j), g[i][j], want))
-    nondeg = [Witness(("kernel",), Element.from_seq(v), Element.zero(n))
+    nondeg = [Witness(("kernel",), Element(v), Element.zero(n))
               for v in linalg.kernel(g, cols=n)]
     inv = []
     for i, j, k in itertools.product(range(n), repeat=3):
