@@ -814,10 +814,10 @@ def center(a: SuperAlgebra) -> GradedSubspace:
 def ideal_closure(a: SuperAlgebra, seed: GradedSubspace) -> GradedSubspace:
     """Smallest graded two-sided multiplication-closed subspace over seed.
 
-    Int rows times the int table, b_j v then v b_j for each j.  Memoized
-    on the (immutable) algebra by the seed's key; the result is stored
-    under its own key too, since an ideal is its own closure.  A seed in
-    another space raises InputError.
+    Int rows times the int table, b_j v then v b_j for each j in turn
+    where either is nonzero.  Memoized on the (immutable) algebra by the
+    seed's key; the result is stored under its own key too, since an ideal
+    is its own closure.  A seed in another space raises InputError.
     """
     if seed.space != a.space:
         raise InputError("subspace does not lie in the algebra's space")
@@ -830,7 +830,7 @@ def ideal_closure(a: SuperAlgebra, seed: GradedSubspace) -> GradedSubspace:
             v = work.pop()
             left = linalg.combine_table(rights, v)  # j -> b_j v
             right = linalg.combine_table(lefts, v)  # j -> v b_j
-            for j in range(a.dim):
+            for j in sorted(left.keys() | right.keys()):
                 for prod in (left.get(j), right.get(j)):
                     if prod and span.add(prod):
                         work.append(prod)

@@ -142,7 +142,7 @@ def _peel(q: QuadraticAlgebra, e, estar, parity) -> _Peeled:
                                 "the even reduction")
 
     # phi(X_i, X_j) = B(D(X_i), X_j)
-    want, _ = _form_pairing(nq.form, d.columns)
+    want, _ = _form_pairing(nq.form, d.cols)
     return _Peeled(nq, d, psi,
                    Element.sparse(ndim, {where[m]: c for m, c in ee.items()}),
                    _report(_value_witnesses(phi, want)),
@@ -540,10 +540,11 @@ def _carries(q: QuadraticAlgebra, r: QuadraticAlgebra, columns) -> bool:
     the map is injective, and with dim q = dim r it is an isomorphism of
     graded algebras that carries q's form onto r's: every axiom that q
     satisfies holds in r, and no elimination is needed.  G_r is pulled back
-    along the P_i as BilinearForm.restrict does.  The products are compared
-    on ints: the columns are scaled by L, the lcm of their denominators
-    (operators._int_map), and each side's constants by the lcm of their own
-    denominators, D_q and D_r, so both are D_q D_r L^2 times the true ones.
+    along the P_i as BilinearForm._restricted does.  The products are
+    compared on ints: the columns are scaled by L, the lcm of their
+    denominators (operators._int_map), and each side's constants by the
+    lcm of their own denominators, D_q and D_r, so both are D_q D_r L^2
+    times the true ones.
     When the spaces are equal and every column P_i is b_i, this says that
     the constants and the Grams are equal, and that is what is compared.
     A column is a sparse dict or, in a node built in process, a dense

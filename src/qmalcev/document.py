@@ -97,9 +97,8 @@ _parse_short_scalar = functools.lru_cache(maxsize=4096)(_parse_scalar)
 def _operator_block(op: OperatorMap):
     """The parity and [r, c, "num/den"] for each nonzero entry, row by row."""
     return {"parity": "even" if op.parity == EVEN else "odd",
-            "entries": sorted([r, c, scalar_text(x)]
-                              for c, col in op.columns.items()
-                              for r, x in col.items())}
+            "entries": [[r, c, scalar_text(x)]
+                        for (r, c), x in op.entries.items()]}
 
 
 def _gde_block(g: GdeData):
@@ -201,11 +200,9 @@ def _entries(rows, arity, n, what):
 
 
 def _operator(rows, space, parity):
-    images = {}
-    for (r, c), v in _entries(rows, 2, space.dim, "operator").items():
-        images.setdefault(c, {})[r] = v
-    return OperatorMap.from_images(space.dim, images,
-                                   parity).validate_parity(space)
+    return OperatorMap.from_entries(
+        space.dim, _entries(rows, 2, space.dim, "operator"),
+        parity).validate_parity(space)
 
 
 def _read_operator(block, space):

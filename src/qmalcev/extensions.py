@@ -115,7 +115,7 @@ def _gde_conditions(a: SuperAlgebra, d: OperatorMap, a0: Element):
     n = a.dim
     kern = _scan_kernel(a)
     par, dscale = kern.par, kern.scale
-    fscale, dmap = _int_map(d.columns)
+    fscale, dmap = _int_map(d.cols)
     ascale, a0v = cleared(a0.entries)                 # A a0
     dcols = {i: v for i in range(n) if (v := dmap({i: 1}))}    # F d(b_i)
     users = {}  # w -> [(j, F d(b_j) at b_w)]
@@ -197,7 +197,7 @@ def central_extension(q: QuadraticAlgebra, d: OperatorMap) -> SuperAlgebra:
     oper = check_malcev_operator(q.algebra, d)
     if not oper.passed:
         raise PreconditionError("twist operator fails the operator identity")
-    twist, _ = _form_pairing(q.form, d.columns)  # B(d(b_i), b_j)
+    twist, _ = _form_pairing(q.form, d.cols)  # B(d(b_i), b_j)
     out, _ = _line_extension(q.algebra,
                              {key: -w for key, w in sorted(twist.items())},
                              ODD, name="central_ext(%s)" % q.name)
@@ -224,7 +224,7 @@ def _extend(q: QuadraticAlgebra, d: OperatorMap, a0: Element):
     e_idx, estar = s, s + b + 1
     constants = {(emap[i], emap[j], emap[k]): c
                  for (i, j, k), c in q.algebra.constants.items()}
-    twist, _ = _form_pairing(q.form, d.columns)
+    twist, _ = _form_pairing(q.form, d.cols)
     for (i, j), w in sorted(twist.items()):  # w = B(d(b_i), b_j)
         constants[(emap[i], emap[j], estar)] = w
     for k, c in sorted(a0.entries.items()):
@@ -518,11 +518,11 @@ def semidirect_data_from_gde(q: QuadraticAlgebra, g: GdeData):
     line = SuperAlgebra(SuperSpace(0, 1), {}, name="odd_line")
     vext = central_extension(q, g.d.negated())
     estar = n
-    images = {j: dict(col) for j, col in g.d.columns.items()}
+    entries = dict(g.d.entries)
     _, ga0 = _form_pairing(q.form, {0: g.a0.entries})  # B(b_j, a0)
     for (j, _c), v in ga0.items():
-        images.setdefault(j, {})[estar] = ksign(q.space.parity(j)) * v
-    dtilde = OperatorMap.from_images(n + 1, images, ODD)
+        entries[(estar, j)] = ksign(q.space.parity(j)) * v
+    dtilde = OperatorMap.from_entries(n + 1, entries, ODD)
     a0_ext = Element.sparse(n + 1, g.a0.entries)
     data = SemidirectData(line, vext, (dtilde,), ((a0_ext,),))
     return line, vext, data

@@ -16,9 +16,10 @@ c; every chain term goes the same way.  The c coordinate of each side of
 the Malcev identity is thus that side of the cocycle identity.
 Skew-supersymmetry and the cocycle of an operator read
 the sparse form pairing of `quadratic`; one sparse solve on the int Gram
-turns cocycles back into operators.  A `Cocycle` is a `BilinearForm` with
-a parity, so it keeps only its nonzero values, and every cocycle routine
-reads those; an operator meets a vector through `linalg.combine`.
+turns cocycles back into operators.  `OperatorMap` and `Cocycle` are
+`quadratic.SparseMatrix`es, as the form is: each keeps only its nonzero
+entries, its columns `cols` and rows `rows`, and every routine here reads
+those; an operator meets a vector through `linalg.combine`.
 """
 
 from __future__ import annotations
@@ -28,94 +29,43 @@ import functools
 from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, SuperAlgebra,
                    SuperSpace, _mirror_witnesses, _report, _scan_kernel,
-                   _side_witnesses, _value_witnesses, check_malcev, ksign,
-                   parity_name)
-from .errors import GradingError, InputError, PreconditionError
+                   _side_witnesses, _value_witnesses, check_malcev, ksign)
+from .errors import InputError, PreconditionError
 from .linalg import ZERO, _add, frac
-from .quadratic import (BilinearForm, QuadraticAlgebra, _form_pairing,
-                        _require_validated)
+from .quadratic import (BilinearForm, QuadraticAlgebra, SparseMatrix,
+                        _form_pairing, _require_validated)
 
 
-class OperatorMap:
-    """Parity-homogeneous endomorphism, stored as its nonzero columns
-    `columns` {j: {r: x}}, the images of the basis vectors.  Immutable; the
-    dense `matrix` (columns = images) is a derived view."""
+class OperatorMap(SparseMatrix):
+    """Parity-homogeneous endomorphism, its `SparseMatrix` the matrix whose
+    columns `cols` {j: {r: x}} are the images of the basis vectors."""
 
-    def __init__(self, matrix, parity: int):
-        rows = [tuple(frac(x) for x in row) for row in matrix]
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise InputError("operator matrix must be square")
-        self._store(n, dict(enumerate(zip(*rows))), parity)
-
-    def _store(self, n, images, parity):
-        self.dim, self.parity, self.columns = n, parity, {}
-        for c in sorted(images):
-            vec = images[c]
-            items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-            col = {r: x for r, x in sorted((r, frac(x)) for r, x in items)
-                   if x}
-            if col:
-                self.columns[c] = col
-        return self
-
-    def validate_parity(self, space):
-        """Entries outside the blocks allowed by the parity must vanish;
-        the first offending entry in row-major order is named."""
-        bad = [(r, c) for c, col in self.columns.items() for r in col
-               if (space.parity(c) + self.parity) % 2 != space.parity(r)]
-        if bad:
-            raise GradingError("operator entry (%d,%d) violates parity %s"
-                               % (*min(bad), parity_name(self.parity)))
-        return self
-
-    @classmethod
-    def zero(cls, n, parity=EVEN):
-        return cls.from_images(n, {}, parity)
+    _name, _matrix_name = "operator", "operator matrix"
 
     @classmethod
     def from_images(cls, n, images, parity):
         """images: {column index: coordinate sequence or sparse dict}."""
-        return cls.__new__(cls)._store(n, images, parity)
-
-    @property
-    def matrix(self):
-        """The dense matrix as a tuple of row tuples."""
-        return tuple(tuple(self.column(c).get(r, ZERO)
-                           for c in range(self.dim)) for r in range(self.dim))
-
-    def column(self, j):
-        """Sparse image of basis vector j; not to be mutated."""
-        return self.columns.get(j, {})
-
-    def apply_vec(self, vec):
-        """Apply to a sparse dict vector, returning a sparse dict."""
-        return linalg.combine(self.columns, vec)
+        return cls.from_entries(n, {
+            (r, c): x for c, vec in images.items()
+            for r, x in (vec.items() if isinstance(vec, dict)
+                         else enumerate(vec))}, parity)
 
     def negated(self):
-        return OperatorMap.from_images(
-            self.dim, {c: {r: -x for r, x in col.items()}
-                       for c, col in self.columns.items()}, self.parity)
-
-    def __eq__(self, other):
-        return (isinstance(other, OperatorMap) and self.dim == other.dim
-                and self.columns == other.columns
-                and self.parity == other.parity)
-
-    def __repr__(self):
-        return "OperatorMap(dim=%d, parity=%s)" % (self.dim,
-                                                   parity_name(self.parity))
+        return OperatorMap.from_entries(
+            self.dim, {key: -x for key, x in self.entries.items()},
+            self.parity)
 
 
 def split_endomorphism(matrix, space):
     """Split an arbitrary endomorphism into its homogeneous components."""
     n, par = space.dim, space.parity
-    images = ({}, {})
+    entries = ({}, {})
     for r in range(n):
         for c in range(n):
             if v := frac(matrix[r][c]):
-                images[(par(r) + par(c)) % 2].setdefault(c, {})[r] = v
-    return tuple(OperatorMap.from_images(n, images[p], p) for p in (EVEN, ODD))
+                entries[(par(r) + par(c)) % 2][(r, c)] = v
+    return tuple(OperatorMap.from_entries(n, entries[p], p)
+                 for p in (EVEN, ODD))
 
 
 def _int_map(images):
@@ -141,7 +91,7 @@ def check_malcev_operator(a: SuperAlgebra, f: OperatorMap) -> CheckReport:
     f.validate_parity(a.space)
     kern = _scan_kernel(a)
     par = kern.par
-    fscale, fmap = _int_map(f.columns)
+    fscale, fmap = _int_map(f.cols)
     lhs, rhs = {}, {}  # (i, j, k) -> scaled side, summed term by term
     for (i, j), trow in kern.triples.items():
         for k, tv in trow.items():
@@ -167,59 +117,30 @@ def check_skew_supersymmetric(b: BilinearForm, f: OperatorMap,
     n = b.dim
     if f.dim != n:
         raise InputError("operator dimension does not match form")
-    left, right = _form_pairing(b, f.columns)
+    left, right = _form_pairing(b, f.cols)
     return _report(_value_witnesses(left, {
         (i, j): -ksign(f.parity * space.parity(i)) * x
         for (i, j), x in right.items()}))
 
 
-class Cocycle(BilinearForm):
+class Cocycle(SparseMatrix):
     """Scalar-valued bilinear map omega(b_i, b_j) with a declared parity,
-    stored as a form stores its Gram: the nonzero `entries` {(i, j): x},
-    by row `rows` and by column `cols`.  The constructor reads a dense
-    value matrix, `from_entries` the nonzeros, and every method reads the
-    nonzeros only.
+    its `SparseMatrix` the value matrix; every method reads the nonzeros
+    only.
 
     The same representation carries cocycles valued in a one-dimensional
     central line.
     """
 
-    def __init__(self, values, parity: int):
-        rows = [tuple(row) for row in values]
-        if any(len(row) != len(rows) for row in rows):
-            raise InputError("cocycle value matrix must be square")
-        super().__init__(rows)
-        self.parity = parity
-
-    @classmethod
-    def from_entries(cls, n, entries, parity):
-        """The cocycle with the values {(i, j): x}; zeros are dropped."""
-        w = super().from_entries(n, entries)
-        w.parity = parity
-        return w
+    _name, _matrix_name = "cocycle", "cocycle value matrix"
 
     def value(self, x: Element, y: Element):
         return sum((v * y.entries.get(j, 0) for j, v
                     in linalg.combine(self.rows, x.entries).items()), ZERO)
 
-    def validate_parity(self, space):
-        for i, j in self.entries:  # in row-major order
-            if (space.parity(i) + space.parity(j)) % 2 != self.parity:
-                raise GradingError("cocycle entry (%d,%d) violates parity %s"
-                                   % (i, j, parity_name(self.parity)))
-        return self
-
     def graded_skew_report(self, space) -> CheckReport:
         """omega(X,Y) = -(-1)^{xy} omega(Y,X) on basis pairs (X, Y)."""
         return _report(_mirror_witnesses(self.entries, space.parity, True))
-
-    def __eq__(self, other):
-        return (isinstance(other, Cocycle) and super().__eq__(other)
-                and self.parity == other.parity)
-
-    def __repr__(self):
-        return "Cocycle(dim=%d, parity=%s)" % (self.dim,
-                                               parity_name(self.parity))
 
 
 def _line_extension(a: SuperAlgebra, values, parity, name=""):
@@ -300,5 +221,5 @@ def cocycle_from_operator(q: QuadraticAlgebra, f: OperatorMap) -> Cocycle:
     n = q.dim
     if f.dim != n:
         raise InputError("operator dimension does not match algebra")
-    left, _right = _form_pairing(q.form, f.columns)
+    left, _right = _form_pairing(q.form, f.cols)
     return Cocycle.from_entries(n, left, f.parity)

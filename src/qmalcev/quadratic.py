@@ -3,10 +3,15 @@
 A quadratic algebra pairs a superalgebra with an even, supersymmetric,
 non-degenerate, invariant bilinear form.  Evenness kills the cross-parity
 blocks; supersymmetry makes the even block symmetric and the odd block
-antisymmetric.  All checks are exact scans with witnesses.  A form keeps
-its nonzero Gram entries by row and by column, which `operators.Cocycle`
-reuses; the pairing of vectors with the form, the orthogonal complement
-and the lift of component bases go through `linalg.combine`.
+antisymmetric.  All checks are exact scans with witnesses.
+
+Every n x n matrix of the package is a `SparseMatrix`: a form's Gram, and
+`operators.OperatorMap` and `operators.Cocycle`.  It keeps the nonzero
+entries by row and by column, reads a dense square matrix or the
+nonzeros, has one dense view and one parity check, and compares type,
+dimension, parity and entries; each subclass adds only what is its own.
+The pairing of vectors with the form, the orthogonal complement and the
+lift of component bases go through `linalg.combine`.
 """
 
 from __future__ import annotations
@@ -24,47 +29,93 @@ from .core import (_CERT_PRIME, EVEN, ODD, CheckReport, Element,
                    _proper_ideals, _report, _scan_kernel, _value_witnesses,
                    center, check_malcev, check_super_anticommutativity,
                    ideal_closure, direct_sum, direct_sum_embeddings,
-                   simplicity, change_basis)
-from .errors import AxiomError, InputError, PreconditionError
+                   parity_name, simplicity, change_basis)
+from .errors import AxiomError, GradingError, InputError, PreconditionError
 from .linalg import ONE, ZERO, frac
 
 
-class BilinearForm:
-    """A bilinear form in the fixed basis, stored as its nonzero Gram
-    entries: `entries` {(i, j): G[i][j]} in row-major order, indexed by row,
-    `rows` {i: {j: x}}, and by column, `cols` {j: {i: x}}.  Immutable; the
-    dense `gram` and `matrix()`, and the int copy `int_gram`, are derived
-    views."""
+class SparseMatrix:
+    """One n x n matrix with a parity (EVEN unless given), stored as its
+    nonzeros: `entries` {(i, j): x} in row-major order, indexed by row,
+    `rows` {i: {j: x}}, and by column, `cols` {j: {i: x}}.  Immutable.
+    `Cls(matrix[, parity])` reads a dense square matrix and `from_entries`
+    the nonzeros; `matrix`, also named `gram`, is the one dense view, a
+    tuple of row tuples.  The forms, the cocycles and the operators of the
+    package are its subclasses, which name the matrix in their messages."""
 
-    def __init__(self, gram):
-        rows = [tuple(frac(x) for x in row) for row in gram]
+    _name, _matrix_name = "matrix", "matrix"
+
+    def __init__(self, matrix, parity: int = EVEN):
+        rows = [tuple(frac(x) for x in row) for row in matrix]
         n = len(rows)
         if any(len(row) != n for row in rows):
-            raise InputError("Gram matrix must be square")
+            raise InputError("%s must be square" % self._matrix_name)
         self._store(n, {(i, j): x for i, row in enumerate(rows)
-                        for j, x in enumerate(row)})
+                        for j, x in enumerate(row)}, parity)
 
-    def _store(self, n, entries):
-        self.dim = n
+    def _store(self, n, entries, parity):
+        self.dim, self.parity = n, parity
         self.entries, self.rows, self.cols = {}, {}, {}
         for (i, j), x in sorted(entries.items()):
             if x:
                 self.entries[(i, j)] = x
                 self.rows.setdefault(i, {})[j] = x
                 self.cols.setdefault(j, {})[i] = x
-        self._kernel = None  # _kernel_basis, on first use
-        self._verdicts = {}  # _nondegenerate_on, by the subspace's key
         return self
 
     @classmethod
-    def zero(cls, n):
-        return cls.from_entries(n, {})
+    def from_entries(cls, n, entries, parity: int = EVEN):
+        """The matrix with the given entries {(i, j): x}; zeros are
+        dropped."""
+        return cls.__new__(cls)._store(
+            n, {key: frac(x) for key, x in entries.items()}, parity)
 
     @classmethod
-    def from_entries(cls, n, entries):
-        """The form with the given entries {(i, j): x}; zeros are dropped."""
-        return cls.__new__(cls)._store(
-            n, {key: frac(x) for key, x in entries.items()})
+    def zero(cls, n, parity: int = EVEN):
+        return cls.from_entries(n, {}, parity)
+
+    @property
+    def matrix(self):
+        """The dense matrix as a tuple of row tuples."""
+        return tuple(tuple(self.rows.get(i, {}).get(j, ZERO)
+                           for j in range(self.dim)) for i in range(self.dim))
+
+    gram = matrix
+
+    def column(self, j):
+        """Sparse column j, for an operator the image of basis vector j;
+        not to be mutated."""
+        return self.cols.get(j, {})
+
+    def apply_vec(self, vec):
+        """The matrix times a sparse dict vector, as a sparse dict."""
+        return linalg.combine(self.cols, vec)
+
+    def validate_parity(self, space):
+        """An entry (i, j) with |i| + |j| + parity odd must vanish: the
+        first such nonzero entry in row-major order is named."""
+        for i, j in self.entries:
+            if (space.parity(i) + space.parity(j) + self.parity) % 2:
+                raise GradingError("%s entry (%d,%d) violates parity %s"
+                                   % (self._name, i, j,
+                                      parity_name(self.parity)))
+        return self
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.dim == other.dim
+                and self.parity == other.parity
+                and self.entries == other.entries)
+
+    def __repr__(self):
+        return "%s(dim=%d, parity=%s)" % (type(self).__name__, self.dim,
+                                          parity_name(self.parity))
+
+
+class BilinearForm(SparseMatrix):
+    """A bilinear form in the fixed basis, its `SparseMatrix` the Gram
+    matrix; `gram` is its dense view, and `int_gram` its int copy."""
+
+    _name, _matrix_name = "form", "Gram matrix"
 
     @functools.cached_property
     def int_gram(self):
@@ -80,19 +131,6 @@ class BilinearForm:
             rows.setdefault(i, {})[j] = cols.setdefault(j, {})[i] = y
         return scale, table, rows, cols
 
-    @property
-    def gram(self):
-        """The dense Gram matrix as a tuple of row tuples."""
-        return tuple(map(tuple, self.matrix()))
-
-    def matrix(self):
-        return [[self.rows.get(i, {}).get(j, ZERO) for j in range(self.dim)]
-                for i in range(self.dim)]
-
-    def restrict(self, columns):
-        """Gram of the form restricted to the span of the given columns."""
-        return self._restricted(columns).matrix()
-
     def _restricted(self, columns):
         """The form on the span of the given columns, C^T G C: the entries
         as a map to a line pulled back along the columns' nonzeros, on ints
@@ -104,6 +142,11 @@ class BilinearForm:
         return BilinearForm.from_entries(
             len(vecs), {key: Fraction(vec[0], denom) for key, vec
                         in linalg.pulled_back(table, vecs).items()})
+
+    @functools.cached_property
+    def _verdicts(self):
+        """_nondegenerate_on's verdicts, by the subspace's key."""
+        return {}
 
     def _nondegenerate_on(self, sub: GradedSubspace):
         """Whether the form restricted to a graded subspace is
@@ -123,28 +166,20 @@ class BilinearForm:
                 for p in (_CERT_PRIME, 0))
         return verdict
 
+    @functools.cached_property
     def _kernel_basis(self):
         """A basis of the kernel {v : G v = 0} as sparse vectors, cached;
         empty exactly when the form is nondegenerate.  The Gram scaled to
         ints of rank n modulo the prime 2^61 - 1 has a determinant nonzero
         mod p, hence over Z and Q (as in core.simplicity's certificate);
         only on a rank deficit mod p is the kernel solved over Q."""
-        if self._kernel is None:
-            rows = list(self.int_gram[2].values())
-            full = linalg.row_span(rows, self.dim, _CERT_PRIME)
-            self._kernel = [] if full.dim == self.dim else (
-                linalg.sparse_kernel(rows, self.dim))
-        return self._kernel
+        rows = list(self.int_gram[2].values())
+        if linalg.row_span(rows, self.dim, _CERT_PRIME).dim == self.dim:
+            return []
+        return linalg.sparse_kernel(rows, self.dim)
 
     def is_nondegenerate(self):
-        return not self._kernel_basis()
-
-    def __eq__(self, other):
-        return (isinstance(other, BilinearForm) and self.dim == other.dim
-                and self.entries == other.entries)
-
-    def __repr__(self):
-        return "BilinearForm(dim=%d)" % self.dim
+        return not self._kernel_basis
 
 
 @dataclass(frozen=True)
@@ -179,7 +214,7 @@ def check_form(a: SuperAlgebra, b: BilinearForm) -> FormReport:
 
     zero = Element.zero(n)
     nondeg_wit = [Witness(("kernel",), Element.sparse(n, v), zero)
-                  for v in b._kernel_basis()]
+                  for v in b._kernel_basis]
 
     return FormReport(even=_report(even_wit),
                       supersymmetric=_report(supersym),

@@ -305,6 +305,25 @@ def test_cli_operator_check_failure_exit(tmp_path, capsys):
     assert report["passed"] is False
 
 
+def test_cli_misplaced_operator_entry_exits_3(tmp_path, capsys):
+    """An even operator with entries across the grading is refused while
+    the document is read, naming the first entry in row-major order."""
+    code, out, _ = _run(capsys, "catalog", "example_M", "--n", "1",
+                        "--m", "1")
+    doc = json.loads(out)
+    p = doc["even_dim"]
+    doc["operator"] = {"parity": "even",
+                       "entries": [[0, p, "1/1"], [p, 0, "1/1"]]}
+    del doc["gde"]
+    opdoc = tmp_path / "misplaced.json"
+    opdoc.write_text(json.dumps(doc, sort_keys=True,
+                                separators=(",", ":")) + "\n")
+    code, out, err = _run(capsys, "operator-check", str(opdoc))
+    assert (code, out) == (3, "")
+    assert err == ("validation error (grading): operator entry (0,%d) "
+                   "violates parity even\n" % p)
+
+
 def test_cli_center(tmp_path, capsys):
     code, out, _ = _run(capsys, "catalog", "example_gde", "--n", "2",
                         "--m", "1,2")

@@ -1,7 +1,8 @@
-"""Only quadratic.py reads a form's dense `gram` or `matrix()`, and only
-operators.py reads an operator's dense `matrix`; everything else reads the
-sparse entries and columns.  A call `x.matrix()` is a form's view, an
-attribute `x.matrix` that is not called is an operator's.  No module
+"""Forms, operators and cocycles are one `quadratic.SparseMatrix`, which
+keeps their nonzeros and owns their one dense view, `matrix` (a form's is
+also named `gram`): no module other than quadratic.py reads it, and the
+three classes define no reader, store, equality, parity check or dense
+view of their own.  No module
 outside linalg.py uses a dense routine of linalg: spans, ranks and
 kernels are read off `linalg.Span` and `linalg.sparse_kernel`, and no
 vector, subspace row or basis column is made dense by `linalg.dense`; the
@@ -22,23 +23,22 @@ SRC = pathlib.Path(qmalcev.__file__).parent
 ALLOWED = {}
 
 
+# the names of the one dense view of a SparseMatrix
+DENSE_VIEWS = {"matrix", "gram"}
+
+
 def _dense_reads(path):
-    """(function, view) for each read of a dense view in the module, view
-    "form" for .gram and .matrix(), "operator" for an uncalled .matrix."""
+    """(function, view) for each read of a dense view in the module,
+    called or not."""
     tree = ast.parse(path.read_text())
-    called = {id(node.func) for node in ast.walk(tree)
-              if isinstance(node, ast.Call)}
     reads = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            if node.attr == "gram":
-                reads.append((function, "form"))
-            elif node.attr == "matrix":
-                reads.append((function, "form" if id(node) in called
-                              else "operator"))
+        if (isinstance(node, ast.Attribute) and node.attr in DENSE_VIEWS
+                and isinstance(node.ctx, ast.Load)):
+            reads.append((function, node.attr))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -47,17 +47,34 @@ def _dense_reads(path):
 
 
 def test_dense_views_are_read_by_their_owners_only():
-    owner = {"form": "quadratic.py", "operator": "operators.py"}
     stray, excused = [], set()
     for path in sorted(SRC.glob("*.py")):
         for function, view in _dense_reads(path):
             key = (path.name, function)
             if view in ALLOWED.get(key, ()):
                 excused.add(key)
-            elif path.name != owner[view]:
+            elif path.name != "quadratic.py":
                 stray.append((path.name, function, view))
     assert stray == []
     assert excused == set(ALLOWED)  # each exception is still needed
+
+
+# what the shared base keeps for every n x n matrix of the package
+SHARED = {"__init__", "_store", "from_entries", "zero", "validate_parity",
+          "__eq__", *DENSE_VIEWS}
+
+
+def test_matrices_keep_their_values_in_one_base():
+    """OperatorMap, BilinearForm and Cocycle inherit every name of SHARED
+    from one class of quadratic.py and define none of them themselves."""
+    kinds = (qmalcev.OperatorMap, qmalcev.BilinearForm, qmalcev.Cocycle)
+    for name in sorted(SHARED):
+        owners = {next(base for base in cls.__mro__ if name in vars(base))
+                  for cls in kinds}
+        assert len(owners) == 1, name
+        assert owners.pop().__module__ == "qmalcev.quadratic", name
+    assert {cls.__name__: sorted(SHARED & vars(cls).keys())
+            for cls in kinds} == {cls.__name__: [] for cls in kinds}
 
 
 # the dense routines of linalg, on lists of rows, and the densifier

@@ -33,7 +33,7 @@ def _skew_operator_basis(q, parity):
     slots = [(r, c) for c in range(n) for r in range(n)
              if (space.parity(c) + parity) % 2 == space.parity(r)]
     rows = []
-    g = q.form.matrix()
+    g = q.form.matrix
     for i in range(n):
         sgn = -1 if (parity * space.parity(i)) % 2 else 1
         for j in range(n):

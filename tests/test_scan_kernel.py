@@ -403,7 +403,7 @@ def malcev_operator_reference(a, f):
 def skew_reference(b, f, space):
     """Skew-supersymmetry from the dense products F^T G and G F."""
     n = b.dim
-    g = b.matrix()
+    g = b.matrix
     fm = [list(r) for r in f.matrix]
     lhs_m = linalg.mat_mul(linalg.transpose(fm), g)
     rhs_m = linalg.mat_mul(g, fm)
@@ -419,7 +419,7 @@ def skew_reference(b, f, space):
 
 def cocycle_from_operator_reference(q, f):
     fm = [list(r) for r in f.matrix]
-    return Cocycle(linalg.mat_mul(linalg.transpose(fm), q.form.matrix()),
+    return Cocycle(linalg.mat_mul(linalg.transpose(fm), q.form.matrix),
                    f.parity)
 
 

@@ -151,7 +151,7 @@ def test_sparse_cocycle_at_the_cap():
     finally:
         tracemalloc.stop()
     assert report.passed
-    assert f.columns == {0: {1: Fraction(3, 2)}, 1: {0: Fraction(-3, 2)}}
+    assert f.cols == {0: {1: Fraction(3, 2)}, 1: {0: Fraction(-3, 2)}}
     assert back == w and back.entries == w.entries
     assert peak < 1.5 * 2 ** 20
 

@@ -1,4 +1,4 @@
-"""BilinearForm and OperatorMap keep only their nonzeros.
+"""BilinearForm, OperatorMap and Cocycle keep only their nonzeros.
 
 The dense classes they replaced are copied below as the reference, with a
 full-scan check_form and check_skew_supersymmetric and the dense emitter.
@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmalcev import (BilinearForm, OperatorMap, QuadraticAlgebra,
+from qmalcev import (BilinearForm, Cocycle, OperatorMap, QuadraticAlgebra,
                      SuperAlgebra, SuperSpace, check_form,
                      check_skew_supersymmetric)
 from qmalcev import linalg
-from qmalcev.core import (EVEN, Element, Witness, _report, ksign,
+from qmalcev.core import (EVEN, ODD, Element, Witness, _report, ksign,
                           parity_name)
 from qmalcev.document import (MAX_DIM, canonical_json, emit_document,
                               parse_document, scalar_text)
@@ -92,6 +92,30 @@ class DenseOperator:
 
     def __eq__(self, other):
         return (isinstance(other, DenseOperator)
+                and self.matrix == other.matrix
+                and self.parity == other.parity)
+
+
+class DenseCocycle:
+    def __init__(self, values, parity):
+        self.matrix = tuple(tuple(frac(x) for x in row) for row in values)
+        if any(len(row) != len(self.matrix) for row in self.matrix):
+            raise InputError("cocycle value matrix must be square")
+        self.parity = parity
+
+    def validate_parity(self, space):
+        n = len(self.matrix)
+        for i in range(n):
+            for j in range(n):
+                if (self.matrix[i][j] != 0 and (space.parity(i)
+                        + space.parity(j)) % 2 != self.parity):
+                    raise GradingError(
+                        "cocycle entry (%d,%d) violates parity %s"
+                        % (i, j, parity_name(self.parity)))
+        return self
+
+    def __eq__(self, other):
+        return (isinstance(other, DenseCocycle)
                 and self.matrix == other.matrix
                 and self.parity == other.parity)
 
@@ -227,14 +251,17 @@ def test_sparse_classes_match_the_dense_reference(case):
     n = space.dim
     form, ref = BilinearForm(gram), DenseForm(gram)
     assert form.dim == ref.dim and form.gram == ref.gram
-    assert form.matrix() == ref.matrix()
-    assert form.restrict(cols) == ref.restrict(cols)
+    assert form.matrix == ref.gram and form.parity == EVEN
+    assert (form._restricted(cols).matrix
+            == tuple(map(tuple, ref.restrict(cols))))
     assert form.is_nondegenerate() == ref.is_nondegenerate()
     assert (form == BilinearForm(other)) == (ref == DenseForm(other))
     assert BilinearForm.from_entries(n, {
         (i, j): x for i, row in enumerate(gram)
         for j, x in enumerate(row)}) == form
     assert check_form(alg, form) == reference_check_form(alg, ref.gram)
+    assert ((_grading(form, space) is None)
+            == check_form(alg, form).even.passed)
 
     op, rop = OperatorMap(fm, parity), DenseOperator(fm, parity)
     assert op.dim == rop.dim and op.matrix == rop.matrix
@@ -250,6 +277,19 @@ def test_sparse_classes_match_the_dense_reference(case):
     assert _grading(op, space) == _grading(rop, space)
     assert (check_skew_supersymmetric(form, op, space)
             == reference_skew(ref.gram, rop, space))
+
+    w, rw = Cocycle(fm, parity), DenseCocycle(fm, parity)
+    assert w.dim == n and w.matrix == rw.matrix
+    assert Cocycle.from_entries(n, {
+        (i, j): x for i, row in enumerate(fm)
+        for j, x in enumerate(row)}, parity) == w
+    for other_m in (fm, dm):
+        for other_parity in (0, 1):
+            assert ((w == Cocycle(other_m, other_parity))
+                    == (rw == DenseCocycle(other_m, other_parity)))
+    assert _grading(w, space) == _grading(rw, space)
+    # the same nonzeros in another role are another matrix
+    assert w != op and form != Cocycle(gram, EVEN)
 
     d, rd = OperatorMap(dm, 1), DenseOperator(dm, 1)
     q = QuadraticAlgebra(alg, form)
@@ -267,6 +307,36 @@ def test_two_misplaced_entries_name_the_first_in_row_major_order():
     with pytest.raises(GradingError, match=r"entry \(0,2\) violates parity "
                                            r"even"):
         DenseOperator(m, EVEN).validate_parity(space)
+
+
+def test_two_misplaced_cocycle_entries_name_the_first_in_row_major_order():
+    space = SuperSpace(2, 1)
+    m = [[0, 0, 1], [0, 0, 0], [1, 0, 0]]
+    for w in (Cocycle(m, EVEN), DenseCocycle(m, EVEN)):
+        with pytest.raises(GradingError,
+                           match=r"^cocycle entry \(0,2\) violates parity "
+                                 r"even$"):
+            w.validate_parity(space)
+
+
+@pytest.mark.parametrize("cls, parity, words", [
+    (BilinearForm, (), "Gram matrix"),
+    (OperatorMap, (EVEN,), "operator matrix"),
+    (Cocycle, (ODD,), "cocycle value matrix")])
+def test_a_matrix_that_is_not_square_is_refused(cls, parity, words):
+    with pytest.raises(InputError, match="^%s must be square$" % words):
+        cls([[1, 0], [0]], *parity)
+
+
+@pytest.mark.parametrize("cls", [BilinearForm, OperatorMap, Cocycle])
+@pytest.mark.parametrize("parity", [EVEN, ODD])
+def test_zero_of_each_kind(cls, parity):
+    """`zero(n, parity)` is the dense zero matrix of that parity; the
+    cocycle's lacked a parity and raised TypeError."""
+    z = cls.zero(3, parity)
+    assert z.entries == {} and z.parity == parity
+    assert z == cls([[0] * 3] * 3, parity)
+    assert z.matrix == ((ZERO,) * 3,) * 3
 
 
 def test_diagonal_form_at_the_cap_allocates_nothing_square():

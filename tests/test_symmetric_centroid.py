@@ -186,7 +186,7 @@ def reference_split(q):
         if key in seen:
             continue
         seen.add(key)
-        if linalg.det(q.form.restrict(ideal.rows)) != 0:
+        if linalg.det(q.form._restricted(ideal.rows).matrix) != 0:
             return ideal
     return None
 
