@@ -76,6 +76,22 @@ def parity_name(p: int) -> str:
     return "even" if p == EVEN else "odd"
 
 
+def memo(fn):
+    """fn(x) computed on the first call and kept on x, the one cache of what
+    an immutable object derives: the attribute "_" + fn's name, not read
+    through x.__dict__, which would slow every attribute read of x."""
+    name = "_" + fn.__name__
+
+    @functools.wraps(fn)
+    def kept(x):
+        value = getattr(x, name, _EMPTY)
+        if value is _EMPTY:
+            value = fn(x)
+            setattr(x, name, value)
+        return value
+    return kept
+
+
 @dataclass(frozen=True)
 class SuperSpace:
     """Graded dimensions; basis index i is even exactly when i < even_dim."""
@@ -230,10 +246,7 @@ class SuperAlgebra:
                     "constant (%d,%d,%d) violates the grading" % (i, j, k))
             table[(i, j, k)] = c
         self.constants = table
-        # caches of the immutable algebra, each filled on first use
-        self._pairs = self._ints = self._factors = self._kernel = None
-        self._center = self._simplicity = self._anti = self._jacobi = None
-        self._closures = {}
+        self._closures = {}  # ideal_closure's memo, by seed
 
     @property
     def dim(self):
@@ -242,32 +255,29 @@ class SuperAlgebra:
     def is_abelian(self):
         return not self.constants
 
+    @memo
     def pair_table(self):
         """{(i, j): {k: c}} with only nonzero products present."""
-        if self._pairs is None:
-            pairs = {}
-            for (i, j, k), c in self.constants.items():
-                pairs.setdefault((i, j), {})[k] = c
-            self._pairs = pairs
-        return self._pairs
+        pairs = {}
+        for (i, j, k), c in self.constants.items():
+            pairs.setdefault((i, j), {})[k] = c
+        return pairs
 
+    @memo
     def int_table(self):
         """(D, {(i, j): D b_i b_j}), D the lcm of the constants'
-        denominators: the one int copy of the pair table, cached."""
-        if self._ints is None:
-            self._ints = linalg.scaled(self.pair_table())
-        return self._ints
+        denominators: the one int copy of the pair table."""
+        return linalg.scaled(self.pair_table())
 
+    @memo
     def int_factors(self):
         """The int table's vectors by factor, {i: {j: D b_i b_j}} and
-        {j: {i: D b_i b_j}}, cached; the scan kernel, the closures and
-        Gamma_s read them."""
-        if self._factors is None:
-            lefts, rights = defaultdict(dict), defaultdict(dict)
-            for (i, j), vec in self.int_table()[1].items():
-                lefts[i][j] = rights[j][i] = vec
-            self._factors = dict(lefts), dict(rights)
-        return self._factors
+        {j: {i: D b_i b_j}}; the scan kernel, the closures and Gamma_s
+        read them."""
+        lefts, rights = defaultdict(dict), defaultdict(dict)
+        for (i, j), vec in self.int_table()[1].items():
+            lefts[i][j] = rights[j][i] = vec
+        return dict(lefts), dict(rights)
 
     def basis_product(self, i, j):
         return self.pair_table().get((i, j), {})
@@ -331,27 +341,25 @@ def product(a: SuperAlgebra, x: Element, y: Element) -> Element:
     return Element.sparse(a.dim, _mul_vv(a, x.entries, y.entries))
 
 
+@memo
 def check_super_anticommutativity(a: SuperAlgebra) -> CheckReport:
     """b_i b_j = -(-1)^{p(i)p(j)} b_j b_i for all basis pairs.
 
     Both sides vanish unless (i, j) or (j, i) is in the pair table, so only
     those pairs are compared, as (i, j) with i <= j, on the scan kernel's
-    scaled ints.  The report is cached on the (immutable) algebra:
+    scaled ints.  The report is kept on the (immutable) algebra:
     check_malcev reads it for its note and QuadraticAlgebra.validate for
     its verdict.
     """
-    if a._anti is None:
-        kern = _scan_kernel(a)
-        lhs, rhs = {}, {}
-        for (i, j), vec in kern.pairs.items():
-            if i <= j:
-                lhs[(i, j)] = vec
-            if j <= i:
-                s = -ksign(kern.par[i] * kern.par[j])
-                rhs[(j, i)] = {k: s * c for k, c in vec.items()}
-        a._anti = _report(_side_witnesses(a.dim, lhs, rhs, kern.scale,
-                                          kern.scale))
-    return a._anti
+    kern = _scan_kernel(a)
+    lhs, rhs = {}, {}
+    for (i, j), vec in kern.pairs.items():
+        if i <= j:
+            lhs[(i, j)] = vec
+        if j <= i:
+            s = -ksign(kern.par[i] * kern.par[j])
+            rhs[(j, i)] = {k: s * c for k, c in vec.items()}
+    return _report(_side_witnesses(a.dim, lhs, rhs, kern.scale, kern.scale))
 
 
 _EMPTY = MappingProxyType({})  # the default of lookups
@@ -441,10 +449,9 @@ class _ScanKernel:
                 for key, row in self.packed.items()}
 
 
+@memo
 def _scan_kernel(a: SuperAlgebra) -> _ScanKernel:
-    if a._kernel is None:
-        a._kernel = _ScanKernel(a)
-    return a._kernel
+    return _ScanKernel(a)
 
 
 def _chain_keys(par, p, q, r, w):
@@ -654,7 +661,7 @@ def check_malcev(a: SuperAlgebra) -> CheckReport:
     - Every Lie superalgebra is Malcev (Sagle, Trans. AMS 101 (1961);
       Albuquerque-Benayadi, J. Pure Appl. Algebra 187 (2004) in the graded
       case), so when the graded Jacobi identity holds the report passes
-      with no further scan.  `check_jacobi` caches its report on the
+      with no further scan.  `check_jacobi` keeps its report on the
       algebra, so this costs nothing when the caller runs it anyway.
     - With F(x, y, z, t) = lhs - rhs, F(y, z, t, x) = (-1)^{x(y+z+t)}
       F(x, y, z, t).  So one pass sums each term only at its canonical
@@ -681,6 +688,7 @@ def check_malcev(a: SuperAlgebra) -> CheckReport:
     return _report(_malcev_witnesses(kern, n, diff))
 
 
+@memo
 def check_jacobi(a: SuperAlgebra) -> CheckReport:
     """Graded Jacobi identity on all basis triples.
 
@@ -692,12 +700,10 @@ def check_jacobi(a: SuperAlgebra) -> CheckReport:
     rotations ((i, i, i) takes it three times, once per rotation that
     equals it), and each witness is copied to the other rotations.
 
-    The report is cached on the (immutable) algebra: check_malcev reads it
+    The report is kept on the (immutable) algebra: check_malcev reads it
     for its Lie shortcut, so `check`, `QuadraticAlgebra.validate` and
     `classify_U` share one pass.
     """
-    if a._jacobi is not None:
-        return a._jacobi
     n, kern = a.dim, _scan_kernel(a)
     par = kern.par
     sums = {}
@@ -727,8 +733,7 @@ def check_jacobi(a: SuperAlgebra) -> CheckReport:
             witnesses += [Witness(rot, value, zero)
                           for rot in _rotations(par, key)]
     witnesses.sort(key=lambda w: w.index)
-    a._jacobi = _report(witnesses)
-    return a._jacobi
+    return _report(witnesses)
 
 
 def _vector(n, v):
@@ -798,17 +803,16 @@ class GradedSubspace:
         return "GradedSubspace(dim=%d of %d)" % (self.dim, self.space.dim)
 
 
+@memo
 def center(a: SuperAlgebra) -> GradedSubspace:
     """{X : b_j X = 0 for all j}, one sparse kernel; each row (j, k) of the
     system meets one parity, so the kernel vectors are homogeneous."""
-    if a._center is None:
-        rows = {}  # (j, k) -> {i: D c(j, i, k)}, for b_k in b_j X
-        for (j, i), vec in a.int_table()[1].items():
-            for k, c in vec.items():
-                rows.setdefault((j, k), {})[i] = c
-        a._center = GradedSubspace(
-            a.space, linalg.int_kernel(list(rows.values()), a.dim))
-    return a._center
+    rows = {}  # (j, k) -> {i: D c(j, i, k)}, for b_k in b_j X
+    for (j, i), vec in a.int_table()[1].items():
+        for k, c in vec.items():
+            rows.setdefault((j, k), {})[i] = c
+    return GradedSubspace(a.space,
+                          linalg.int_kernel(list(rows.values()), a.dim))
 
 
 def ideal_closure(a: SuperAlgebra, seed: GradedSubspace) -> GradedSubspace:
@@ -842,25 +846,27 @@ def ideal_closure(a: SuperAlgebra, seed: GradedSubspace) -> GradedSubspace:
     return closed
 
 
-def direct_sum_embeddings(sa: SuperSpace, sb: SuperSpace):
-    """Index maps of the two summands into the concatenated graded space."""
-    p1, q1 = sa.even_dim, sa.odd_dim
-    p2, q2 = sb.even_dim, sb.odd_dim
-    amap = [i if i < p1 else p2 + i for i in range(p1 + q1)]
-    bmap = [p1 + j if j < p2 else p1 + q1 + j for j in range(p2 + q2)]
-    return amap, bmap
+def direct_sum_embeddings(*spaces):
+    """The graded sum of the spaces and one index map per space into it:
+    the even basis vectors of each space in turn, then the odd ones.  This
+    is the one layout of sums, splits, extensions and reductions."""
+    even = 0
+    odd = total = sum(s.even_dim for s in spaces)
+    maps = []
+    for s in spaces:
+        maps.append([*range(even, even + s.even_dim),
+                     *range(odd, odd + s.odd_dim)])
+        even, odd = even + s.even_dim, odd + s.odd_dim
+    return SuperSpace(total, odd - total), maps
 
 
 def direct_sum(a: SuperAlgebra, b: SuperAlgebra) -> SuperAlgebra:
     """Block-diagonal structure constants on the concatenated graded space."""
-    space = SuperSpace(a.space.even_dim + b.space.even_dim,
-                       a.space.odd_dim + b.space.odd_dim)
-    amap, bmap = direct_sum_embeddings(a.space, b.space)
-    constants = {}
-    for (i, j, k), c in a.constants.items():
-        constants[(amap[i], amap[j], amap[k])] = c
-    for (i, j, k), c in b.constants.items():
-        constants[(bmap[i], bmap[j], bmap[k])] = c
+    space, (amap, bmap) = direct_sum_embeddings(a.space, b.space)
+    constants = {(amap[i], amap[j], amap[k]): c
+                 for (i, j, k), c in a.constants.items()}
+    constants.update({(bmap[i], bmap[j], bmap[k]): c
+                      for (i, j, k), c in b.constants.items()})
     name = "sum(%s,%s)" % (a.name or "?", b.name or "?")
     return SuperAlgebra(space, constants, name=name)
 
@@ -1027,6 +1033,7 @@ def _full_multiplication_algebra_mod_p(a: SuperAlgebra) -> bool:
     return len(_enveloping_basis(gens, n, _CERT_PRIME)) == n * n
 
 
+@memo
 def simplicity(a: SuperAlgebra) -> SimplicityReport:
     """Exact but possibly inconclusive simplicity test.
 
@@ -1048,15 +1055,8 @@ def simplicity(a: SuperAlgebra) -> SimplicityReport:
     Q then certifies it.)  A rank deficit mod p proves nothing over Q; then
     False comes with the first of `_proper_ideals` of the
     `_ideal_candidates`.  If there is none, M(A) is closed over Q, which
-    may still certify True.  Results are cached on the immutable algebra.
+    may still certify True.  The report is kept on the immutable algebra.
     """
-    if a._simplicity is not None:
-        return a._simplicity
-    a._simplicity = _simplicity_uncached(a)
-    return a._simplicity
-
-
-def _simplicity_uncached(a: SuperAlgebra) -> SimplicityReport:
     n = a.dim
     if n == 0:
         return SimplicityReport(False, note="zero algebra")

@@ -17,19 +17,19 @@ from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, GradedSubspace,
                    SuperAlgebra, SuperSpace, _enveloping_basis, _mul_vv,
                    _multiplication_generators, _report, _vadd,
-                   _value_witnesses, center, check_jacobi, ksign,
-                   simplicity)
+                   _value_witnesses, center, check_jacobi,
+                   direct_sum_embeddings, ksign, simplicity)
 from .errors import AxiomError, GradingError, InputError, PreconditionError
 from .linalg import ONE, ZERO
 from .operators import OperatorMap, _int_map, check_malcev_operator
-from .quadratic import (QuadraticAlgebra, _cut, _form_pairing,
-                        _require_validated, _split, _trace_rows,
+from .quadratic import (QuadraticAlgebra, _cut, _form_pairing, _laid_out,
+                        _own_space, _require_validated, _split, _trace_rows,
                         b_irreducible_components,
                         change_basis_quadratic, direct_sum_quadratic,
                         orthogonal_complement)
 from .extensions import (ExtensionWitness, GdeData,
-                         double_extension_even, generalized_double_extension,
-                         verify_gde_data)
+                         double_extension_even, extension_layout,
+                         generalized_double_extension, verify_gde_data)
 
 
 # ---------------------------------------------------------------------------
@@ -78,22 +78,17 @@ def _solve_dual_vector(q: QuadraticAlgebra, estar, parity):
 
 
 def _adapted_basis(q: QuadraticAlgebra, e, estar, parity):
-    """Sparse columns (N_even, e, N_odd, e*) for an odd e, (e, N_even, e*,
-    N_odd) for an even one, N the orthogonal complement of span{e, e*};
-    with the positions of e and e*."""
+    """Sparse columns e, e* and the rows of N, the orthogonal complement of
+    span{e, e*}, laid out as extension_layout extends N's space; with that
+    layout's witness."""
     a_sub = GradedSubspace.from_vectors(q.space, [e, estar])
     if a_sub.dim != 2:
         raise PreconditionError("e and e* are not independent")
     ncols = orthogonal_complement(q.form, a_sub)
-    ne = ncols.even_rows()
-    no = ncols.odd_rows()
-    if parity == ODD:
-        adapted = ne + [e] + no + [estar]
-        e_idx, estar_idx = len(ne), len(ne) + 1 + len(no)
-    else:
-        adapted = [e] + ne + [estar] + no
-        e_idx, estar_idx = 0, len(ne) + 1
-    return adapted, e_idx, estar_idx
+    _, w = extension_layout(_own_space(ncols), parity)
+    adapted = _laid_out(([w.e_index], w.embedding, [w.estar_index]),
+                        ([e], ncols.rows, [estar]))
+    return adapted, w
 
 
 @dataclass(frozen=True)
@@ -117,13 +112,14 @@ def _peel(q: QuadraticAlgebra, e, estar, parity) -> _Peeled:
     Malcev (Albuquerque-Benayadi, J. Pure Appl. Algebra 187 (2004)).  A
     product with a component on e raises PreconditionError.
     """
-    adapted, e_idx, estar_idx = _adapted_basis(q, e, estar, parity)
+    adapted, witness = _adapted_basis(q, e, estar, parity)
     rq = change_basis_quadratic(q, adapted)
-    n_positions = [i for i in range(q.dim) if i not in (e_idx, estar_idx)]
+    e_idx, estar_idx = witness.e_index, witness.estar_index
+    n_positions = witness.embedding
     nq, spill = _cut(rq, n_positions, "reduced(%s)" % q.name)
     # e b_j for each position j of N, then ee
     erow = [rq.algebra.basis_product(e_idx, j)
-            for j in n_positions + [e_idx]]
+            for j in (*n_positions, e_idx)]
     if any(e_idx in vec for vec in (*spill.values(), *erow)):
         raise PreconditionError("products leak onto e; input is not "
                                 "invariantly paired")
@@ -145,8 +141,7 @@ def _peel(q: QuadraticAlgebra, e, estar, parity) -> _Peeled:
     want, _ = _form_pairing(nq.form, d.cols)
     return _Peeled(nq, d, psi,
                    Element.sparse(ndim, {where[m]: c for m, c in ee.items()}),
-                   _report(_value_witnesses(phi, want)),
-                   ExtensionWitness(e_idx, estar_idx, tuple(n_positions)),
+                   _report(_value_witnesses(phi, want)), witness,
                    tuple(adapted))
 
 
@@ -490,15 +485,10 @@ def _decompose_node(q: QuadraticAlgebra):
 
 
 def _interleave(comps):
-    """Adapted columns of a sum node: component evens, then component odds,
-    in component order (matching the direct-sum convention)."""
-    evens = []
-    odds = []
-    for comp, cols in zip(comps.components, comps.bases):
-        pe = comp.space.even_dim
-        evens.extend(cols[:pe])
-        odds.extend(cols[pe:])
-    return evens + odds
+    """Adapted columns of a sum node: each component's columns where
+    direct_sum_embeddings places its basis in the sum."""
+    _, maps = direct_sum_embeddings(*(c.space for c in comps.components))
+    return _laid_out(maps, comps.bases)
 
 
 def inductive_decompose(q: QuadraticAlgebra) -> DecompositionTree:

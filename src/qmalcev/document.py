@@ -15,6 +15,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 
+from . import decompose as dc
 from .core import EVEN, ODD, Element, SuperAlgebra, SuperSpace
 from .errors import GradingError, InputError
 from .extensions import GdeData
@@ -295,8 +296,6 @@ def parse_algebra_document(text):
 # decomposition trees
 
 def tree_object(node):
-    from . import decompose as dc
-
     if isinstance(node, dc.DecompositionTree):
         return tree_object(node.root)
     doc = document_object(node.algebra)
@@ -332,8 +331,6 @@ def parse_tree(text):
 
 
 def _read_tree(obj):
-    from . import decompose as dc
-
     _expect(type(obj) is dict, "tree node must be an object")
     kind = obj.get("kind")
     _expect(kind in _NODE_KINDS, "unknown tree node kind %r" % (kind,))

@@ -29,7 +29,7 @@ from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, ItemizedReport,
                    SuperAlgebra, SuperSpace, Witness, _mul_vv, _report,
                    _scan_kernel, _side_witnesses, _vadd, check_malcev,
-                   direct_sum_embeddings, ksign)
+                   direct_sum, direct_sum_embeddings, ksign)
 from .errors import AxiomError, InputError, PreconditionError
 from .linalg import ONE, _add, cleared, frac
 from .operators import (OperatorMap, _int_map, _line_extension,
@@ -53,6 +53,17 @@ class ExtensionWitness:
     e_index: int
     estar_index: int
     embedding: tuple
+
+
+def extension_layout(space: SuperSpace, parity):
+    """The space of an extension of `space` by a hyperbolic pair (e, e*) of
+    the given parity, and where its basis vectors land: the layout of the
+    direct sum (line e, space, line e*).  So e comes first and e* last in
+    their parity's block.  Extensions and reductions both place their
+    vectors here, and this is the one place an ExtensionWitness is built."""
+    line = SuperSpace(1 - parity, parity)
+    ext, (e, embedding, estar) = direct_sum_embeddings(line, space, line)
+    return ext, ExtensionWitness(e[0], estar[0], tuple(embedding))
 
 
 @dataclass(frozen=True)
@@ -212,16 +223,14 @@ def _extend(q: QuadraticAlgebra, d: OperatorMap, a0: Element):
     pi = d.parity: ee = a0, eX = d(X) + (-1)^x B(X, a0) e*,
     XY = (XY)_q + B(d(X), Y) e*, B(e, e*) = 1, B(e*, e) = (-1)^pi.
 
-    e comes first and e* last in the parity-pi block of the output basis.
-    Returns the algebra, its form and the witness; nothing is checked here,
-    each caller certifies what it returns.
+    The basis is laid out by extension_layout.  Returns the algebra, its
+    form and the witness; nothing is checked here, each caller certifies
+    what it returns.
     """
     pi = d.parity
-    p, q0 = q.space.even_dim, q.space.odd_dim
-    n = p + q0
-    s, b = (0, p) if pi == EVEN else (p, q0)
-    emap = [i + (i >= s) + (i >= s + b) for i in range(n)]
-    e_idx, estar = s, s + b + 1
+    space, witness = extension_layout(q.space, pi)
+    emap, e_idx, estar = (witness.embedding, witness.e_index,
+                          witness.estar_index)
     constants = {(emap[i], emap[j], emap[k]): c
                  for (i, j, k), c in q.algebra.constants.items()}
     twist, _ = _form_pairing(q.form, d.cols)
@@ -230,7 +239,7 @@ def _extend(q: QuadraticAlgebra, d: OperatorMap, a0: Element):
     for k, c in sorted(a0.entries.items()):
         constants[(e_idx, e_idx, emap[k])] = c
     _, ga0 = _form_pairing(q.form, {0: a0.entries})  # B(b_j, a0)
-    for j in range(n):
+    for j in range(q.dim):
         x = q.space.parity(j)
         image = {emap[r]: v for r, v in d.column(j).items()}
         if (j, 0) in ga0:
@@ -242,11 +251,10 @@ def _extend(q: QuadraticAlgebra, d: OperatorMap, a0: Element):
     gram = {(emap[i], emap[j]): v for (i, j), v in q.form.entries.items()}
     gram[(e_idx, estar)] = ONE
     gram[(estar, e_idx)] = frac(ksign(pi))
-    space = SuperSpace(p + 2 - 2 * pi, q0 + 2 * pi)
     name = ("gde(%s)" if pi == ODD else "de(%s)") % q.name
     alg = SuperAlgebra(space, constants, name=name)
     form = BilinearForm.from_entries(space.dim, gram)
-    return alg, form, ExtensionWitness(e_idx, estar, tuple(emap))
+    return alg, form, witness
 
 
 def generalized_double_extension(q: QuadraticAlgebra, g: GdeData):
@@ -347,18 +355,12 @@ def _semidirect_algebra(m: SuperAlgebra, v: SuperAlgebra, s: SemidirectData):
     """The product on P = M + V that the data define, and the index maps
     amap, bmap of M and V into P: b_i b_j = [b_i, b_j]_M + zeta(i, j),
     b_i h = omega_i(h) = -(-1)^{|i||h|} h b_i, and V's own products."""
-    space = SuperSpace(m.space.even_dim + v.space.even_dim,
-                       m.space.odd_dim + v.space.odd_dim)
-    amap, bmap = direct_sum_embeddings(m.space, v.space)
-    constants = {}
-    for (i, j, k), c in m.constants.items():
-        constants[(amap[i], amap[j], amap[k])] = c
+    space, (amap, bmap) = direct_sum_embeddings(m.space, v.space)
+    constants = dict(direct_sum(m, v).constants)
     for i in range(m.dim):
         for j in range(m.dim):
             for h, c in s.zeta[i][j].entries.items():
                 constants[(amap[i], amap[j], bmap[h])] = c
-    for (g, h, k), c in v.constants.items():
-        constants[(bmap[g], bmap[h], bmap[k])] = c
     for i in range(m.dim):
         op = s.omega[i]
         si = m.space.parity(i)

@@ -29,7 +29,8 @@ import functools
 from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, SuperAlgebra,
                    SuperSpace, _mirror_witnesses, _report, _scan_kernel,
-                   _side_witnesses, _value_witnesses, check_malcev, ksign)
+                   _side_witnesses, _value_witnesses, check_malcev,
+                   direct_sum_embeddings, ksign)
 from .errors import InputError, PreconditionError
 from .linalg import ZERO, _add, frac
 from .quadratic import (BilinearForm, QuadraticAlgebra, SparseMatrix,
@@ -145,18 +146,17 @@ class Cocycle(SparseMatrix):
 
 def _line_extension(a: SuperAlgebra, values, parity, name=""):
     """a + F c with b_i b_j + values[(i, j)] c for its products, c a
-    central basis vector of the given parity, last among those of its
-    parity: the central extension of a by a cocycle with these nonzero
-    values.  Returns the algebra and c's index; a's basis vector i is at i
-    or, after c, at i + 1."""
-    p = a.space.even_dim
-    c = p if parity == EVEN else a.dim
-    at = [i + (i >= c) for i in range(a.dim)]
+    central basis vector of the given parity: the central extension of a
+    by a cocycle with these nonzero values, laid out as the direct sum of
+    a and the line F c, so c is last among the vectors of its parity.
+    Returns the algebra and c's index; a's basis vector i is at i or,
+    after c, at i + 1."""
+    space, (at, (c,)) = direct_sum_embeddings(
+        a.space, SuperSpace(1 - parity, parity))
     constants = {(at[i], at[j], at[k]): x
                  for (i, j, k), x in a.constants.items()}
     for (i, j), x in values.items():
         constants[(at[i], at[j], c)] = x
-    space = SuperSpace(p + 1 - parity, a.space.odd_dim + parity)
     return SuperAlgebra(space, constants, name=name), c
 
 

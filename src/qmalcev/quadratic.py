@@ -17,7 +17,6 @@ lift of component bases go through `linalg.combine`.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -28,7 +27,7 @@ from .core import (_CERT_PRIME, EVEN, ODD, CheckReport, Element,
                    Witness, _EMPTY, _ideal_candidates, _mirror_witnesses,
                    _proper_ideals, _report, _scan_kernel, _value_witnesses,
                    center, check_malcev, check_super_anticommutativity,
-                   ideal_closure, direct_sum, direct_sum_embeddings,
+                   ideal_closure, direct_sum, direct_sum_embeddings, memo,
                    parity_name, simplicity, change_basis)
 from .errors import AxiomError, GradingError, InputError, PreconditionError
 from .linalg import ONE, ZERO, frac
@@ -120,13 +119,13 @@ class BilinearForm(SparseMatrix):
     @functools.cached_property
     def int_gram(self):
         """(E, {(i, j): {0: E G[i][j]}}, {i: {j: E G[i][j]}},
-        {j: {i: E G[i][j]}}): the entries times E, the lcm of their
-        denominators, as ints, as a map to a line and by row and column;
-        the one scaled copy, cached, that every integer path reads."""
-        scale = math.lcm(*(x.denominator for x in self.entries.values()))
+        {j: {i: E G[i][j]}}): the entries, one vector to linalg.scaled,
+        times E, the lcm of their denominators, as a map to a line and by
+        row and column; the one scaled copy, cached, that every integer
+        path reads."""
+        scale, line = linalg.scaled({0: self.entries})
         table, rows, cols = {}, {}, {}
-        for (i, j), x in self.entries.items():
-            y = x.numerator * (scale // x.denominator)
+        for (i, j), y in line[0].items():
             table[(i, j)] = {0: y}
             rows.setdefault(i, {})[j] = cols.setdefault(j, {})[i] = y
         return scale, table, rows, cols
@@ -270,7 +269,6 @@ class QuadraticAlgebra:
         self.algebra = algebra
         self.form = form
         self.validated = validated
-        self._verdict = None  # _split, on first use
 
     @classmethod
     def validate(cls, algebra: SuperAlgebra, form: BilinearForm):
@@ -364,13 +362,30 @@ def _cut(q: QuadraticAlgebra, positions, name):
     return QuadraticAlgebra(alg, form, validated=True), spill
 
 
+def _own_space(sub: GradedSubspace) -> SuperSpace:
+    """The graded space of a subspace's own basis, its rows."""
+    evens = len(sub.even_rows())
+    return SuperSpace(evens, sub.dim - evens)
+
+
+def _laid_out(maps, parts):
+    """The items of the parts in one list, each at the position that its
+    part's index map, from direct_sum_embeddings, gives it."""
+    out = [None] * sum(map(len, maps))
+    for positions, part in zip(maps, parts):
+        for pos, x in zip(positions, part):
+            out[pos] = x
+    return out
+
+
 def orthogonal_split(q: QuadraticAlgebra, ideal: GradedSubspace):
     """Split along a graded ideal with non-degenerate form restriction.
 
     Returns (component on the ideal, component on its complement, witness),
-    the witness being the adapted basis columns ae + be + ao + bo as
-    sparse dicts, in which direct_sum of the components reproduces the
-    input constants.  An ideal of another space raises InputError.  q is
+    the witness being the rows of the ideal and of its complement as
+    sparse dicts, laid out as direct_sum_embeddings lays out the sum of
+    the components; in that basis direct_sum of the components reproduces
+    the input constants.  An ideal of another space raises InputError.  q is
     rewritten once in that basis and both components are cut from it.
     They are validated by theorem, not by a scan: I^perp is an ideal with
     I I^perp = 0, and both summands of q = I + I^perp are quadratic Malcev
@@ -387,25 +402,24 @@ def orthogonal_split(q: QuadraticAlgebra, ideal: GradedSubspace):
     if not q.form._nondegenerate_on(ideal):
         raise PreconditionError("form restriction to the ideal is degenerate")
     comp = orthogonal_complement(q.form, ideal)
-    ae, ao = ideal.even_rows(), ideal.odd_rows()
-    be = comp.even_rows()
-    witness_cols = [dict(row) for row in ae + be + ao + comp.odd_rows()]
+    _, maps = direct_sum_embeddings(_own_space(ideal), _own_space(comp))
+    witness_cols = [dict(row)
+                    for row in _laid_out(maps, (ideal.rows, comp.rows))]
     rq = change_basis_quadratic(q, witness_cols)
-    inside = [*range(len(ae)), *range(len(ae + be), len(ae + be + ao))]
+    inside, outside = maps
     side = [i in inside for i in range(q.dim)]
     if any(len({side[m] for m in key}) > 1 for key in rq.algebra.constants):
         raise PreconditionError("cross products do not vanish; split is "
                                 "invalid")
     qa, _ = _cut(rq, inside, "%s[0]" % q.name)
-    qb, _ = _cut(rq, [i for i in range(q.dim) if not side[i]],
-                 "%s[1]" % q.name)
+    qb, _ = _cut(rq, outside, "%s[1]" % q.name)
     return qa, qb, witness_cols
 
 
 def direct_sum_quadratic(qa: QuadraticAlgebra,
                          qb: QuadraticAlgebra) -> QuadraticAlgebra:
     alg = direct_sum(qa.algebra, qb.algebra)
-    amap, bmap = direct_sum_embeddings(qa.space, qb.space)
+    _, (amap, bmap) = direct_sum_embeddings(qa.space, qb.space)
     entries = {(amap[i], amap[j]): x
                for (i, j), x in qa.form.entries.items()}
     entries.update({(bmap[i], bmap[j]): x
@@ -533,8 +547,9 @@ def _solvable(a: SuperAlgebra) -> bool:
     return True
 
 
+@memo
 def _split(q: QuadraticAlgebra):
-    """The split verdict (ideal, proved), cached on q: a proper graded
+    """The split verdict (ideal, proved), kept on q: a proper graded
     ideal with a nondegenerate restriction, or None; and whether None is
     proved, not merely that no candidate closed to such an ideal.
 
@@ -573,30 +588,26 @@ def _split(q: QuadraticAlgebra):
     ideal with a nondegenerate restriction splits q; an ideal met twice is
     a memo hit in `BilinearForm._nondegenerate_on`.
     """
-    if q._verdict is None:
-        a = q.algebra
+    a = q.algebra
 
-        def first(seeds):
-            return next((ideal for ideal in _proper_ideals(a, seeds)
-                         if q.form._nondegenerate_on(ideal)),
-                        None)
+    def first(seeds):
+        return next((ideal for ideal in _proper_ideals(a, seeds)
+                     if q.form._nondegenerate_on(ideal)),
+                    None)
 
-        if (q.dim <= 1 or (q.dim == 2 and not q.space.even_dim)
-                or simplicity(a).simple is True
-                or (center(a).dim == 1 and _solvable(a))):
-            q._verdict = (None, True)
-        else:
-            z = center(a)
-            seeds = _ideal_candidates(a)
-            ideal = first(islice(seeds, z.dim + q.dim))
-            proved = (ideal is None
-                      and not q.form._restricted(z.int_rows).entries
-                      and _trace_rank(_symmetric_centroid(q), q.dim,
-                                      stop=2) == 1)
-            if ideal is None and not proved:
-                ideal = first(seeds)
-            q._verdict = (ideal, proved)
-    return q._verdict
+    if (q.dim <= 1 or (q.dim == 2 and not q.space.even_dim)
+            or simplicity(a).simple is True
+            or (center(a).dim == 1 and _solvable(a))):
+        return None, True
+    z = center(a)
+    seeds = _ideal_candidates(a)
+    ideal = first(islice(seeds, z.dim + q.dim))
+    proved = (ideal is None
+              and not q.form._restricted(z.int_rows).entries
+              and _trace_rank(_symmetric_centroid(q), q.dim, stop=2) == 1)
+    if ideal is None and not proved:
+        ideal = first(seeds)
+    return ideal, proved
 
 
 def b_irreducible_components(q: QuadraticAlgebra) -> ComponentsReport:
@@ -625,9 +636,7 @@ def b_irreducible_components(q: QuadraticAlgebra) -> ComponentsReport:
         qa, qb, cols = orthogonal_split(part, ideal)
         basis = dict(enumerate(basis_cols))
         lifted = [linalg.combine(basis, col) for col in cols]
-        # adapted order is [A_even, B_even, A_odd, B_odd]
-        ae, ao = qa.space.even_dim, qa.space.odd_dim
-        be = qb.space.even_dim
-        work.append((qb, lifted[ae:ae + be] + lifted[ae + be + ao:]))
-        work.append((qa, lifted[:ae] + lifted[ae + be:ae + be + ao]))
+        _, (amap, bmap) = direct_sum_embeddings(qa.space, qb.space)
+        work.append((qb, [lifted[i] for i in bmap]))
+        work.append((qa, [lifted[i] for i in amap]))
     return ComponentsReport(tuple(components), tuple(bases), exhaustive)

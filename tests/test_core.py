@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from qmalcev import (Element, GradedSubspace, SuperAlgebra, SuperSpace,
                      catalog_get, center, check_jacobi, check_malcev,
                      check_super_anticommutativity, direct_sum,
-                     ideal_closure, is_simple, product, simplicity)
+                     direct_sum_embeddings, ideal_closure, is_simple,
+                     product, simplicity)
+from qmalcev import core
+from qmalcev.quadratic import QuadraticAlgebra, _split
 from qmalcev.errors import GradingError, InputError
 
 rationals = st.builds(Fraction,
@@ -221,3 +224,75 @@ def test_change_basis_round_trip(sl2):
     back = [basis_vector(n, i) for i in range(n)]
     back[0] = [Fraction(1), Fraction(-1), Fraction(0)]
     assert change_basis(moved, back) == sl2.algebra
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.builds(SuperSpace, st.integers(0, 4), st.integers(0, 4)),
+                min_size=1, max_size=4))
+def test_direct_sum_layout_is_evens_then_odds(spaces):
+    """The maps partition the sum's basis; each space's even vectors land
+    below the total even count, its odd ones at or above it, in order, and
+    the spaces follow each other within each parity."""
+    total, maps = direct_sum_embeddings(*spaces)
+    p = sum(s.even_dim for s in spaces)
+    assert total == SuperSpace(p, sum(s.odd_dim for s in spaces))
+    assert len(maps) == len(spaces)
+    assert sorted(i for m in maps for i in m) == list(range(total.dim))
+    evens, odds = [], []
+    for s, m in zip(spaces, maps):
+        assert len(m) == s.dim
+        assert all(i < p for i in m[:s.even_dim])
+        assert all(i >= p for i in m[s.even_dim:])
+        evens += m[:s.even_dim]
+        odds += m[s.even_dim:]
+    assert evens == list(range(p))
+    assert odds == list(range(p, total.dim))
+
+
+def test_memo_computes_once_per_object():
+    calls = []
+
+    @core.memo
+    def derived(x):
+        calls.append(x)
+        return object()
+
+    a = SuperAlgebra(SuperSpace(1, 0), {})
+    b = SuperAlgebra(SuperSpace(1, 0), {})
+    first = derived(a)
+    assert derived(a) is first
+    assert derived(b) is not first  # equal algebras, but another object
+    assert [id(x) for x in calls] == [id(a), id(b)]
+
+
+def test_an_algebra_derives_each_memo_once(monkeypatch):
+    """Every memoized derivation of a fresh algebra returns the same object
+    on a second call, and the scan kernel and the mod-p closure behind
+    them are built once."""
+    kernels, closures = [], []
+
+    class Counted(core._ScanKernel):
+        def __init__(self, a):
+            kernels.append(a)
+            super().__init__(a)
+
+    real_closure = core._full_multiplication_algebra_mod_p
+
+    def counted_closure(a):
+        closures.append(a)
+        return real_closure(a)
+
+    monkeypatch.setattr(core, "_ScanKernel", Counted)
+    monkeypatch.setattr(core, "_full_multiplication_algebra_mod_p",
+                        counted_closure)
+    sl2 = catalog_get("sl2").algebra
+    a = SuperAlgebra(sl2.space, sl2.algebra.constants)  # nothing derived
+    q = QuadraticAlgebra(a, sl2.form, validated=True)
+    for derive in (SuperAlgebra.pair_table, SuperAlgebra.int_table,
+                   SuperAlgebra.int_factors, core._scan_kernel,
+                   check_super_anticommutativity, check_jacobi, center,
+                   simplicity):
+        assert derive(a) is derive(a)
+    assert check_malcev(a).passed and simplicity(a).simple is True
+    assert _split(q) is _split(q)
+    assert len(kernels) == 1 and len(closures) == 1

@@ -9,7 +9,9 @@ vector, subspace row or basis column is made dense by `linalg.dense`; the
 printers hand the sparse dicts to `document.vector_texts`.  No module
 reads an attribute `coords`: an Element keeps only its sparse `entries`;
 and none reads an attribute `values` without calling it: a cocycle keeps
-only its nonzero `entries`, and `values()` is a dict's.
+only its nonzero `entries`, and `values()` is a dict's.  Extensions and
+reductions place e, e* and the base by one layout: no function other than
+`extensions.extension_layout` builds an `ExtensionWitness`.
 """
 
 import ast
@@ -164,3 +166,32 @@ def test_no_dense_cocycle_values():
     readers = {path.name: _attribute_readers(path, "values", calls=False)
                for path in sorted(SRC.glob("*.py"))}
     assert {name: fns for name, fns in readers.items() if fns} == {}
+
+
+def _callers(path, name):
+    """The functions of the module that call `name(...)` or `x.name(...)`,
+    each once, in order."""
+    tree = ast.parse(path.read_text())
+    callers = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = (func.id if isinstance(func, ast.Name) else
+                      func.attr if isinstance(func, ast.Attribute) else None)
+            if called == name and function not in callers:
+                callers.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return callers
+
+
+def test_one_function_builds_the_extension_witness():
+    builders = {path.name: _callers(path, "ExtensionWitness")
+                for path in sorted(SRC.glob("*.py"))}
+    assert {name: fns for name, fns in builders.items() if fns} == {
+        "extensions.py": ["extension_layout"]}

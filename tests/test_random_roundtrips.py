@@ -87,16 +87,21 @@ def test_random_odd_extension_reduction_round_trip(ws):
             a0 = cand
             break
     gde = verified_gde_data(q, d, a0)
-    ext, _ = generalized_double_extension(q, gde)
+    ext, wit = generalized_double_extension(q, gde)
     red = reduce_odd(ext)
     assert red.n.dim == q.dim
-    back, _ = generalized_double_extension(red.n, red.gde)
+    # the reduction places e, e* and the base where the extension put them
+    assert red.witness == wit
+    back, back_wit = generalized_double_extension(red.n, red.gde)
+    assert back_wit == wit
     adapted = change_basis_quadratic(ext, red.basis)
     assert back.algebra.constants == adapted.algebra.constants
     assert back.form == adapted.form
 
 
-EVEN_BASE = catalog_get("abelian", p=3, q=0).algebra
+# Most even extensions of abelian(2, 2) are B-irreducible, so they reduce;
+# every one of abelian(3, 0) splits.
+EVEN_BASE = catalog_get("abelian", p=2, q=2).algebra
 EVEN_BASIS = _skew_operator_basis(EVEN_BASE, EVEN)
 
 
@@ -104,16 +109,20 @@ EVEN_BASIS = _skew_operator_basis(EVEN_BASE, EVEN)
 @given(st.lists(st.builds(Fraction,
                           st.integers(min_value=-3, max_value=3),
                           st.integers(min_value=1, max_value=2)),
-                min_size=3, max_size=3))
+                min_size=4, max_size=4))
 def test_random_even_extension_validates_and_reduces(ws):
     q = EVEN_BASE
     d = _combine(EVEN_BASIS, ws, q.dim, EVEN)
     ext, wit = double_extension_even(q, d)
     assert ext.validated
     assert ext.dim == q.dim + 2
+    assert wit.embedding == (1, 2, 4, 5)
     if _split(ext)[0] is None:
         red = reduce_even(ext)
-        back, _ = double_extension_even(red.n, red.operator)
+        assert red.witness == wit
+        back, back_wit = double_extension_even(red.n, red.operator)
+        assert back_wit == wit
         adapted = change_basis_quadratic(ext, red.basis)
         assert back.algebra.constants == adapted.algebra.constants
         assert back.form == adapted.form
+
