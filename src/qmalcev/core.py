@@ -4,7 +4,11 @@ A superalgebra lives on a Z2-graded space with the even basis vectors first.
 Products are stored as a sparse tensor c[(i,j,k)] meaning b_i b_j = sum_k
 c[(i,j,k)] b_k, with grading compatibility enforced at construction.  A
 vector times the int table, in the scan kernel's `right_products` and in
-`ideal_closure`, is one `linalg.combine_table`.
+`ideal_closure`, is one `linalg.combine_table`, and every product reads
+it: u v is `linalg.combine` of the products u b_w with v, divided by D.
+The L_i and R_j that generate the multiplication algebra are the int
+table's column maps, `int_factors`, which `linalg.enveloping_basis`
+closes.
 
 The identity checkers report an exact witness for every basis tuple on
 which an identity fails; by multilinearity that decides it.  The Malcev,
@@ -314,23 +318,6 @@ def _vscale(vec, scale):
     return {k: scale * c for k, c in vec.items()} if scale != 0 else {}
 
 
-def _mul_vv(a: SuperAlgebra, u, v):
-    """Product of two sparse vectors."""
-    pairs = a.pair_table()
-    out = {}
-    for i, ci in u.items():
-        for j, cj in v.items():
-            pv = pairs.get((i, j))
-            if pv:
-                _vadd(out, pv, ci * cj)
-    return out
-
-
-def _mul_vb(a: SuperAlgebra, u, j):
-    """u . b_j for a sparse vector u."""
-    return _mul_vv(a, u, {j: ONE})
-
-
 # ---------------------------------------------------------------------------
 # operations
 
@@ -338,7 +325,16 @@ def product(a: SuperAlgebra, x: Element, y: Element) -> Element:
     """Bilinear extension of the structure constants."""
     if x.dim != a.dim or y.dim != a.dim:
         raise InputError("element length does not match algebra dimension")
-    return Element.sparse(a.dim, _mul_vv(a, x.entries, y.entries))
+    return Element.sparse(a.dim, _product(a, x.entries, y.entries))
+
+
+def _product(a: SuperAlgebra, u, v):
+    """u v for sparse vectors u and v: u times the int table's vectors by
+    left factor (`linalg.combine_table`), then times v (`linalg.combine`),
+    divided by D, as Fractions."""
+    d, lefts = a.int_table()[0], a.int_factors()[0]
+    return {k: Fraction(x, d) for k, x in linalg.combine(
+        linalg.combine_table(lefts, u), v).items()}
 
 
 @memo
@@ -439,7 +435,8 @@ class _ScanKernel:
         self.base, self.bits, self.packed = base, bits, packed
         self.right_products = functools.partial(linalg.combine_table, lefts)
 
-    @functools.cached_property
+    @property
+    @memo
     def triples(self):
         """`packed` as {k: int} vectors, on first use by the operator
         scan."""
@@ -769,7 +766,8 @@ class GradedSubspace:
         self.key = tuple(tuple(sorted(row.items())) for row in self.int_rows)
         return self
 
-    @functools.cached_property
+    @property
+    @memo
     def rows(self):
         """The reduced echelon rows, 1 at each pivot, as Fractions."""
         return self._span.rows()
@@ -862,13 +860,18 @@ def direct_sum_embeddings(*spaces):
 
 def direct_sum(a: SuperAlgebra, b: SuperAlgebra) -> SuperAlgebra:
     """Block-diagonal structure constants on the concatenated graded space."""
+    return _direct_sum(a, b)[0]
+
+
+def _direct_sum(a: SuperAlgebra, b: SuperAlgebra):
+    """direct_sum, and the index maps of a and b into it."""
     space, (amap, bmap) = direct_sum_embeddings(a.space, b.space)
     constants = {(amap[i], amap[j], amap[k]): c
                  for (i, j, k), c in a.constants.items()}
     constants.update({(bmap[i], bmap[j], bmap[k]): c
                       for (i, j, k), c in b.constants.items()})
     name = "sum(%s,%s)" % (a.name or "?", b.name or "?")
-    return SuperAlgebra(space, constants, name=name)
+    return SuperAlgebra(space, constants, name=name), (amap, bmap)
 
 
 def change_basis(a: SuperAlgebra, columns, name=None) -> SuperAlgebra:
@@ -930,20 +933,13 @@ class SimplicityReport:
     note: str = ""
 
 
-def _multiplication_generators(a, p=0):
-    """L_0..L_{n-1}, then R_0..R_{n-1}, as sparse n x n matrices
-    {n*row + column: value}, from the int table: the constants times the
-    lcm of their denominators, which generate the same algebra, reduced
-    mod p when p > 0."""
-    n = a.dim
-    left = [{} for _ in range(n)]
-    right = [{} for _ in range(n)]
-    for (i, j), vec in a.int_table()[1].items():
-        for k, x in vec.items():
-            if x := x % p if p else x:
-                left[i][k * n + j] = x
-                right[j][k * n + i] = x
-    return left + right
+def _multiplication_generators(a):
+    """L_i and R_j, for the b_i and b_j with a nonzero product, as column
+    maps {column: {row: x}}: `int_factors`, the constants times D, which
+    generate the same algebra.  Column j of L_i and column i of R_j are
+    D b_i b_j."""
+    lefts, rights = a.int_factors()
+    return [*lefts.values(), *rights.values()]
 
 
 def _ideal_candidates(a: SuperAlgebra):
@@ -977,60 +973,14 @@ def _proper_ideals(a: SuperAlgebra, seeds):
             yield ideal
 
 
-def _enveloping_basis(gens, n, p=0):
-    """Basis of the unital associative algebra generated by the given sparse
-    n x n matrices {n*row + column: value}, over Q or modulo the prime p.
-
-    This is the one enveloping closure.  It holds the identity and is
-    closed under left products with the generators only: every word
-    g_1...g_k is g_1 applied to a shorter word, so right products would add
-    nothing.  It stops as soon as the span reaches n^2.
-    """
-    by_column = []  # per generator: column l -> [(row k, value)]
-    for g in gens:
-        cols = {}
-        for pos, x in g.items():
-            k, l = divmod(pos, n)
-            cols.setdefault(l, []).append((k, x))
-        if cols:
-            by_column.append(cols)
-    span = Span(n * n, p)
-    identity = {i * n + i: 1 for i in range(n)}
-    span.add(identity)
-    basis = [identity]
-    work = [identity]
-    while work:
-        m = work.pop()
-        for g in by_column:
-            prod = {}
-            for pos, x in m.items():
-                l, col = divmod(pos, n)
-                for k, c in g.get(l, ()):
-                    prod[k * n + col] = prod.get(k * n + col, 0) + c * x
-            prod = linalg.sparse(prod, p)
-            if span.add(prod):
-                basis.append(prod)
-                if len(basis) == n * n:
-                    return basis
-                work.append(prod)
-    return basis
-
-
-def _multiplication_algebra_dim(a: SuperAlgebra):
-    """Dimension of the unital algebra generated by all L_i and R_i."""
-    return len(_enveloping_basis(_multiplication_generators(a), a.dim))
-
-
 _CERT_PRIME = (1 << 61) - 1
 
 
-def _full_multiplication_algebra_mod_p(a: SuperAlgebra) -> bool:
-    """Whether the unital algebra generated by all L_i and R_i, with the
-    constants scaled to integers by the lcm of their denominators, spans
-    every n x n matrix modulo the prime 2^61 - 1."""
-    n = a.dim
-    gens = _multiplication_generators(a, _CERT_PRIME)
-    return len(_enveloping_basis(gens, n, _CERT_PRIME)) == n * n
+def _multiplication_algebra_dim(a: SuperAlgebra, p=0):
+    """Dimension of the unital algebra generated by all L_i and R_i, over Q
+    or modulo the prime p (on the int generators), as far as n^2."""
+    gens = _multiplication_generators(a)
+    return len(linalg.enveloping_basis(gens, a.dim, p))
 
 
 @memo
@@ -1046,10 +996,11 @@ def simplicity(a: SuperAlgebra) -> SimplicityReport:
     whose stacked n^2 x n^2 matrix has a minor that is nonzero mod p, hence
     nonzero over Z, so the words are independent over Q and M(A) is full
     over Q as well.  Both closures, mod p and over Q, are the one
-    `_enveloping_basis` on the shared eliminator `linalg.Span`.  The mod-p
-    closure is skipped when the center is nonzero: on a super-anticommutative
-    algebra a central vector is killed by every L_i and R_i, so its line is
-    a proper M(A)-invariant subspace and the rank would fall short.  (On
+    `linalg.enveloping_basis` on the shared eliminator `linalg.Span`.  The
+    mod-p closure is skipped when the center is nonzero: on a
+    super-anticommutative algebra a central vector is killed by every L_i
+    and R_i, so its line is a proper M(A)-invariant subspace and the rank
+    would fall short.  (On
     any algebra the skip changes no answer, only the work: a full M(A)
     leaves no proper ideal for the candidates to find, and the closure over
     Q then certifies it.)  A rank deficit mod p proves nothing over Q; then
@@ -1062,7 +1013,8 @@ def simplicity(a: SuperAlgebra) -> SimplicityReport:
         return SimplicityReport(False, note="zero algebra")
     if a.is_abelian():
         return SimplicityReport(False, note="abelian")
-    if not center(a).dim and _full_multiplication_algebra_mod_p(a):
+    if (not center(a).dim
+            and _multiplication_algebra_dim(a, _CERT_PRIME) == n * n):
         return SimplicityReport(True, note="multiplication algebra is full")
     for ideal in _proper_ideals(a, _ideal_candidates(a)):
         return SimplicityReport(False, ideal=ideal, note="proper ideal found")

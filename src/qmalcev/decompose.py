@@ -15,15 +15,14 @@ from dataclasses import dataclass
 
 from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, GradedSubspace,
-                   SuperAlgebra, SuperSpace, _enveloping_basis, _mul_vv,
-                   _multiplication_generators, _report, _vadd,
-                   _value_witnesses, center, check_jacobi,
+                   SuperAlgebra, SuperSpace, _multiplication_generators,
+                   _report, _vadd, _value_witnesses, center, check_jacobi,
                    direct_sum_embeddings, ksign, simplicity)
 from .errors import AxiomError, GradingError, InputError, PreconditionError
 from .linalg import ONE, ZERO
 from .operators import OperatorMap, _int_map, check_malcev_operator
 from .quadratic import (QuadraticAlgebra, _cut, _form_pairing, _laid_out,
-                        _own_space, _require_validated, _split, _trace_rows,
+                        _own_space, _require_validated, _split,
                         b_irreducible_components,
                         change_basis_quadratic, direct_sum_quadratic,
                         orthogonal_complement)
@@ -258,44 +257,19 @@ def even_part(a: SuperAlgebra) -> SuperAlgebra:
     return SuperAlgebra(SuperSpace(p, 0), consts, name="%s_even" % a.name)
 
 
-def _radical_image(gens, n) -> linalg.Span:
-    """J V, the span of the columns of J's elements, for J the radical of
-    the unital algebra A that the sparse n x n matrices gens
-    {n*row + column: value} generate, acting on V = F^n.
-
-    In characteristic 0 the radical of a matrix algebra is the kernel of
-    its trace form tr(xy) (Jacobson, Lie Algebras, 1962), so J is one
-    kernel on the `_enveloping_basis` closure.  The faithful A-module V is
-    completely reducible exactly when A is semisimple, that is when
-    J V = 0.  Otherwise J V is invariant, nonzero and, J being nilpotent,
-    proper, with no invariant complement: for one, C, J C would lie in C
-    and in J V, so J C = 0 and J V = J^2 V = ... = 0.
-    """
-    basis = _enveloping_basis(gens, n)
-    image = linalg.Span(n)
-    elements = dict(enumerate(basis))
-    for x in linalg.int_kernel(list(_trace_rows(basis, n)), len(basis)):
-        columns = {}  # column -> {row: value} of the element sum x_i basis_i
-        for pos, y in linalg.combine(elements, x).items():
-            row, col = divmod(pos, n)
-            columns.setdefault(col, {})[row] = y
-        for column in columns.values():
-            image.add(column)
-    return image
-
-
 def reductive_report(even: SuperAlgebra) -> ReductiveReport:
     """Is the (purely even) algebra g center + semisimple square?
 
     An abelian g is, and a g that is not the direct sum of its center and
     its square is not.  Past these two exits, g is reductive exactly when
     its unital multiplication algebra M(g), generated by all L_i and R_i,
-    is semisimple, which `_radical_image` decides.  The ideals of g are its
-    M(g)-submodules.  A reductive g is the center, a sum of trivial lines,
-    plus simple ideals, each an irreducible submodule; so g is a faithful
-    completely reducible M(g)-module and M(g) is semisimple.  Conversely,
-    a semisimple M(g) splits g into minimal ideals that multiply each other
-    to zero: the abelian ones are central lines and the others are simple.
+    is semisimple, which `linalg.radical_image` decides.  The ideals of g
+    are its M(g)-submodules.  A reductive g is the center, a sum of trivial
+    lines, plus simple ideals, each an irreducible submodule; so g is a
+    faithful completely reducible M(g)-module and M(g) is semisimple.
+    Conversely, a semisimple M(g) splits g into minimal ideals that
+    multiply each other to zero: the abelian ones are central lines and the
+    others are simple.
     """
     if even.space.odd_dim != 0:
         raise InputError("reductive test applies to the even part")
@@ -310,7 +284,7 @@ def reductive_report(even: SuperAlgebra) -> ReductiveReport:
         return ReductiveReport(False, zdim, sdim, False,
                                certificate="center + square is not a direct "
                                            "sum decomposition")
-    if _radical_image(_multiplication_generators(even), n).dim:
+    if linalg.radical_image(_multiplication_generators(even), n).dim:
         return ReductiveReport(False, zdim, sdim, True,
                                certificate="multiplication algebra has a "
                                            "nonzero radical")
@@ -333,39 +307,30 @@ class ReducibilityReport:
                                        #  action nonzero) booleans
 
 
-def _odd_action_matrices(a: SuperAlgebra):
-    """Left multiplication by even basis vectors, restricted to the odds, as
-    sparse qd x qd matrices {qd*row + column: value}, read off the int
-    table: the constants times D, which generate the same algebra."""
-    p, qd = a.space.even_dim, a.space.odd_dim
-    mats = [{} for _ in range(p)]
-    for (i, j), vec in a.int_table()[1].items():
-        if i < p <= j:
-            for k, c in vec.items():
-                mats[i][(k - p) * qd + j - p] = c
-    return mats
-
-
 def check_completely_reducible_action(
         q: QuadraticAlgebra) -> ReducibilityReport:
     """Exact test that the even part acts completely reducibly on the odds.
 
-    The action is completely reducible exactly when the radical J of the
-    unital enveloping algebra of the action matrices is zero, that is when
-    its trace form is non-degenerate (characteristic zero; see
-    `_radical_image`).  Otherwise the report carries Y = J V, the span of
-    the columns of J's elements: a nonzero proper invariant subspace of
-    the odd part with no invariant complement.
+    The action is the L_i of the even b_i on the odd columns, as column
+    maps of the odd coordinates, read off `int_factors` (the constants
+    times D, which generate the same algebra).  It is completely reducible
+    exactly when the radical J of their unital enveloping algebra is zero,
+    that is when its trace form is non-degenerate (characteristic zero;
+    see `linalg.radical_image`).  Otherwise the report carries Y = J V,
+    the span of the columns of J's elements: a nonzero proper invariant
+    subspace of the odd part with no invariant complement.
     """
     _require_validated(q)
     a = q.algebra
     p, qd = a.space.even_dim, a.space.odd_dim
     if qd == 0:
         return ReducibilityReport(True, certificate="no odd part")
-    mats = _odd_action_matrices(a)
-    if not any(mats):
+    mats = [m for i, row in a.int_factors()[0].items()
+            if i < p and (m := {j - p: {k - p: x for k, x in vec.items()}
+                                for j, vec in row.items() if j >= p})]
+    if not mats:
         return ReducibilityReport(True, certificate="trivial action")
-    y = _radical_image(mats, qd)
+    y = linalg.radical_image(mats, qd)
     if not y.dim:
         return ReducibilityReport(True,
                                   certificate="semisimple enveloping algebra "
@@ -377,19 +342,17 @@ def check_completely_reducible_action(
         witness_subspace=GradedSubspace(
             a.space, [{p + j: x for j, x in row.items()}
                       for row in y.int_rows()]),
-        obstruction_triple=_obstruction_triple(a, y))
+        obstruction_triple=_obstruction_triple(mats, y))
 
 
-def _obstruction_triple(a: SuperAlgebra, y: linalg.Span):
-    """(the even part maps the odds into y, it kills y, it acts nonzero)
-    for a span y of odd coordinates."""
-    p = a.space.even_dim
-    images = [vec for (i, j), vec in a.pair_table().items() if i < p <= j]
-    ys = [{p + j: x for j, x in row.items()} for row in y.int_rows()]
-    return (all(y.contains({k - p: x for k, x in vec.items()})
-                for vec in images),
-            not any(_mul_vv(a, {i: 1}, v) for i in range(p) for v in ys),
-            bool(images))
+def _obstruction_triple(mats, y: linalg.Span):
+    """(the action maps the odds into y, it kills y, it acts nonzero) for
+    the action matrices, column maps of the odd coordinates, and a span y
+    of them."""
+    return (all(y.contains(col) for m in mats for col in m.values()),
+            not any(linalg.combine(m, row)
+                    for m in mats for row in y.int_rows()),
+            bool(mats))
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +400,7 @@ class EvenExtensionNode:
 class DecompositionTree:
     root: object
 
+    # not core.memo, whose setattr raises on a frozen dataclass
     @functools.cached_property
     def advisory_reductive(self) -> ReductiveReport:
         """The reductive report of the root's even part, computed on first

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 from . import linalg
 from .core import (EVEN, ODD, CheckReport, Element, ItemizedReport,
-                   SuperAlgebra, SuperSpace, Witness, _mul_vv, _report,
-                   _scan_kernel, _side_witnesses, _vadd, check_malcev,
-                   direct_sum, direct_sum_embeddings, ksign)
+                   SuperAlgebra, SuperSpace, Witness, _direct_sum, _product,
+                   _report, _scan_kernel, _side_witnesses, _vadd,
+                   check_malcev, direct_sum_embeddings, ksign)
 from .errors import AxiomError, InputError, PreconditionError
 from .linalg import ONE, _add, cleared, frac
 from .operators import (OperatorMap, _int_map, _line_extension,
@@ -209,9 +209,9 @@ def central_extension(q: QuadraticAlgebra, d: OperatorMap) -> SuperAlgebra:
     if not oper.passed:
         raise PreconditionError("twist operator fails the operator identity")
     twist, _ = _form_pairing(q.form, d.cols)  # B(d(b_i), b_j)
-    out, _ = _line_extension(q.algebra,
-                             {key: -w for key, w in sorted(twist.items())},
-                             ODD, name="central_ext(%s)" % q.name)
+    out = _line_extension(q.algebra,
+                          {key: -w for key, w in sorted(twist.items())},
+                          ODD, name="central_ext(%s)" % q.name)[0]
     rep = check_malcev(out)
     if not rep.passed:
         raise AxiomError("central extension failed the Malcev identity", rep)
@@ -355,8 +355,8 @@ def _semidirect_algebra(m: SuperAlgebra, v: SuperAlgebra, s: SemidirectData):
     """The product on P = M + V that the data define, and the index maps
     amap, bmap of M and V into P: b_i b_j = [b_i, b_j]_M + zeta(i, j),
     b_i h = omega_i(h) = -(-1)^{|i||h|} h b_i, and V's own products."""
-    space, (amap, bmap) = direct_sum_embeddings(m.space, v.space)
-    constants = dict(direct_sum(m, v).constants)
+    plain, (amap, bmap) = _direct_sum(m, v)
+    constants = dict(plain.constants)
     for i in range(m.dim):
         for j in range(m.dim):
             for h, c in s.zeta[i][j].entries.items():
@@ -369,7 +369,7 @@ def _semidirect_algebra(m: SuperAlgebra, v: SuperAlgebra, s: SemidirectData):
             for r, cval in op.column(h).items():
                 constants[(amap[i], bmap[h], bmap[r])] = cval
                 constants[(bmap[h], amap[i], bmap[r])] = back * cval
-    out = SuperAlgebra(space, constants,
+    out = SuperAlgebra(plain.space, constants,
                        name="gsd(%s,%s)" % (m.name, v.name))
     return out, amap, bmap
 
@@ -470,7 +470,7 @@ def check_gsd_conditions(m: SuperAlgebra, v: SuperAlgebra,
         if isinstance(word, int):
             return {word: ONE}
         proj, left, right = word
-        out = _mul_vv(p, value(left), value(right))
+        out = _product(p, value(left), value(right))
         if proj == "P":
             return out
         return {k: c for k, c in out.items() if k in parts[proj]}
@@ -516,15 +516,16 @@ def semidirect_data_from_gde(q: QuadraticAlgebra, g: GdeData):
     admissibility gate."""
     _require_validated(q)
     verified_gde_data(q, g.d, g.a0)
-    n = q.dim
     line = SuperAlgebra(SuperSpace(0, 1), {}, name="odd_line")
     vext = central_extension(q, g.d.negated())
-    estar = n
-    entries = dict(g.d.entries)
+    # q and e* where the central extension, a sum with an odd line, puts them
+    _, (at, (estar,)) = direct_sum_embeddings(q.space, line.space)
+    entries = {(at[i], at[j]): x for (i, j), x in g.d.entries.items()}
     _, ga0 = _form_pairing(q.form, {0: g.a0.entries})  # B(b_j, a0)
     for (j, _c), v in ga0.items():
-        entries[(estar, j)] = ksign(q.space.parity(j)) * v
-    dtilde = OperatorMap.from_entries(n + 1, entries, ODD)
-    a0_ext = Element.sparse(n + 1, g.a0.entries)
+        entries[(estar, at[j])] = ksign(q.space.parity(j)) * v
+    dtilde = OperatorMap.from_entries(vext.dim, entries, ODD)
+    a0_ext = Element.sparse(vext.dim,
+                            {at[k]: x for k, x in g.a0.entries.items()})
     data = SemidirectData(line, vext, (dtilde,), ((a0_ext,),))
     return line, vext, data

@@ -5,6 +5,12 @@ has one, and every operation is exact; there are no floats anywhere.
 A linear map meets a vector in one place, `combine(cols, vec)`, the sum
 of vec[m] cols[m] with its nonzeros only; `combine_table` is its twin for
 a map valued in tuples of vectors, such as v -> (v b_w) over w.
+An n x n matrix goes in as a column map {column: {row: x}}, the columns
+that `quadratic.SparseMatrix` keeps and `core.SuperAlgebra.int_factors`
+gives for L_i and R_j.  An element of a matrix algebra, a word of an
+enveloping closure or a centroid map, is a vector {n*row + column: x} of
+F^(n^2); that layout is this module's alone, read and written by
+`enveloping_basis`, `trace_rows`, `radical_image` and `commutant`.
 Every elimination runs on one sparse eliminator, `Span`: its rows are int
 {column: value} dicts, each a nonzero multiple of a row of the reduced
 echelon form, so 0 at every other pivot.  The reduced echelon form of a
@@ -367,6 +373,123 @@ def int_kernel(m, cols):
             vec[pc] = -x * (scale // d)
         out.append(vec)
     return out
+
+
+def enveloping_basis(gens, n, p=0):
+    """A basis of the unital associative algebra that the n x n generators
+    gens generate, over Q or modulo the prime p, each basis matrix a vector
+    {n*row + column: x} of F^(n^2).
+
+    This is the one enveloping closure.  It holds the identity and is
+    closed under left products with the generators only: every word
+    g_1...g_k is g_1 applied to a shorter word, so right products would add
+    nothing.  It stops as soon as the span reaches n^2.
+    """
+    # g as a map of F^(n^2): g E(l, c) = the sum of g[k][l] E(k, c)
+    lifted = [{l * n + c: {k * n + c: x for k, x in col.items()}
+               for l, col in g.items() for c in range(n)} for g in gens if g]
+    span = Span(n * n, p)
+    identity = {i * n + i: 1 for i in range(n)}
+    span.add(identity)
+    basis = [identity]
+    work = [identity]
+    while work:
+        m = work.pop()
+        for g in lifted:
+            prod = combine(g, m)
+            if p:
+                prod = sparse(prod, p)
+            if span.add(prod):
+                basis.append(prod)
+                if len(basis) == n * n:
+                    return basis
+                work.append(prod)
+    return basis
+
+
+def trace_rows(mats, n):
+    """The rows {j: tr(m_i m_j)} of the trace form on the n x n matrices
+    mats, vectors of F^(n^2), one row per m_i in turn, nonzeros only:
+    tr(m_i m_j) is the sum of m_i[r][c] m_j[c][r].  The form is symmetric,
+    so row i takes its entries j < i from the rows before it."""
+    rows = []
+    for i, m in enumerate(mats):
+        flipped = [(pos % n * n + pos // n, x) for pos, x in m.items()]
+        row = {j: prev[i] for j, prev in enumerate(rows) if i in prev}
+        row.update((j, t) for j in range(i, len(mats)) if (t := sum(
+            x * mats[j].get(pos, 0) for pos, x in flipped)))
+        rows.append(row)
+        yield row
+
+
+def radical_image(gens, n) -> Span:
+    """J V, for J the radical of the unital algebra A that the n x n
+    generators gens generate, acting on V = F^n.
+
+    In characteristic 0 the radical of a matrix algebra is the kernel of
+    its trace form tr(xy) (Jacobson, Lie Algebras, 1962), so J is one
+    kernel on the `enveloping_basis` closure, and J V is the span of the
+    columns of J's elements.  The faithful A-module V is completely
+    reducible exactly when A is semisimple, that is when J V = 0.
+    Otherwise J V is invariant, nonzero and, J being nilpotent, proper,
+    with no invariant complement: for one, C, J C would lie in C and in
+    J V, so J C = 0 and J V = J^2 V = ... = 0.
+    """
+    basis = enveloping_basis(gens, n)
+    image = Span(n)
+    elements = dict(enumerate(basis))
+    for x in int_kernel(list(trace_rows(basis, n)), len(basis)):
+        columns = {}  # column -> {row: value} of the element sum x_i basis_i
+        for pos, y in combine(elements, x).items():
+            row, col = divmod(pos, n)
+            columns.setdefault(col, {})[row] = y
+        for column in columns.values():
+            image.add(column)
+    return image
+
+
+def commutant(gens, part, gram):
+    """A basis of the n x n matrices T, n = len(part), that commute with
+    every generator, map each class of part into itself and are
+    self-adjoint for the int Gram gram (by rows, by columns), each T scaled
+    to an int vector {n*row + column: x} of F^(n^2).
+
+    The unknowns are the T[r][c] with part[r] == part[c], at n*r + c.  The
+    rows are the entries of T g - g T for each g, and
+    sum_r T[r][i] G[r][j] - sum_r G[i][r] T[r][j], that is
+    B(T b_i, b_j) - B(b_i, T b_j), for every ordered (i, j) in one class,
+    the diagonal included.  The rows are solved by `int_kernel`; a
+    position outside the classes is in no row, so its kernel vector, which
+    starts at its free column, is dropped.
+    """
+    n = len(part)
+    classes = {}
+    for i, x in enumerate(part):
+        classes.setdefault(x, []).append(i)
+    same = [classes[x] for x in part]
+    rows = []
+    for g in gens:
+        eqs = {}  # n*r + c -> (T g - g T)[r][c]
+        for c, col in g.items():
+            for k, x in col.items():  # g[k][c]
+                for r in same[k]:  # + T[r][k] g[k][c] at (r, c)
+                    row = eqs.setdefault(r * n + c, {})
+                    row[r * n + k] = row.get(r * n + k, 0) + x
+                for m in same[c]:  # - g[k][c] T[c][m] at (k, m)
+                    row = eqs.setdefault(k * n + m, {})
+                    row[c * n + m] = row.get(c * n + m, 0) - x
+        rows.extend(eqs.values())
+    grows, gcols = gram
+    for i in range(n):
+        for j in same[i]:
+            row = {}
+            for r, y in gcols.get(j, {}).items():
+                row[r * n + i] = row.get(r * n + i, 0) + y
+            for r, y in grows.get(i, {}).items():
+                row[r * n + j] = row.get(r * n + j, 0) - y
+            rows.append(row)
+    return [v for v in int_kernel(rows, n * n)
+            if part[(f := next(iter(v))) // n] == part[f % n]]
 
 
 def basis_vector(n, i):

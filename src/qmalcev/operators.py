@@ -149,15 +149,14 @@ def _line_extension(a: SuperAlgebra, values, parity, name=""):
     central basis vector of the given parity: the central extension of a
     by a cocycle with these nonzero values, laid out as the direct sum of
     a and the line F c, so c is last among the vectors of its parity.
-    Returns the algebra and c's index; a's basis vector i is at i or,
-    after c, at i + 1."""
+    Returns the algebra, the index map of a into it and c's index."""
     space, (at, (c,)) = direct_sum_embeddings(
         a.space, SuperSpace(1 - parity, parity))
     constants = {(at[i], at[j], at[k]): x
                  for (i, j, k), x in a.constants.items()}
     for (i, j), x in values.items():
         constants[(at[i], at[j], c)] = x
-    return SuperAlgebra(space, constants, name=name), c
+    return SuperAlgebra(space, constants, name=name), at, c
 
 
 def check_cocycle(a: SuperAlgebra, w: Cocycle) -> CheckReport:
@@ -171,7 +170,8 @@ def check_cocycle(a: SuperAlgebra, w: Cocycle) -> CheckReport:
     a + F c by w: the two sides at a quadruple are the c coordinates of
     the Malcev sides there (see the module docstring), and a quadruple
     holding c has every term 0.  So the witnesses are the Malcev witnesses
-    whose c coordinates differ, with c's index dropped from the keys.  A
+    whose c coordinates differ, their keys read back to a's indices
+    through the layout's index map.  A
     nonzero w(b_i, b_j) with |i| + |j| other than w's parity raises
     GradingError before the scan.
     """
@@ -179,10 +179,11 @@ def check_cocycle(a: SuperAlgebra, w: Cocycle) -> CheckReport:
         raise InputError("cocycle dimension does not match algebra")
     w.validate_parity(a.space)
     skew = w.graded_skew_report(a.space)
-    ext, c = _line_extension(a, w.entries, w.parity)
+    ext, at, c = _line_extension(a, w.entries, w.parity)
+    back = {pos: i for i, pos in enumerate(at)}
     lhs, rhs = {}, {}
     for wit in check_malcev(ext).witnesses:
-        key = tuple(i - (i > c) for i in wit.index)
+        key = tuple(back[i] for i in wit.index)
         lhs[key] = wit.lhs.entries.get(c, 0)
         rhs[key] = wit.rhs.entries.get(c, 0)
     return _report([*skew.witnesses, *_value_witnesses(lhs, rhs)],

@@ -16,18 +16,17 @@ lift of component bases go through `linalg.combine`.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
 from . import linalg
-from .core import (_CERT_PRIME, EVEN, ODD, CheckReport, Element,
+from .core import (_CERT_PRIME, EVEN, CheckReport, Element,
                    GradedSubspace, ItemizedReport, SuperAlgebra, SuperSpace,
-                   Witness, _EMPTY, _ideal_candidates, _mirror_witnesses,
+                   Witness, _ideal_candidates, _mirror_witnesses,
                    _proper_ideals, _report, _scan_kernel, _value_witnesses,
                    center, check_malcev, check_super_anticommutativity,
-                   ideal_closure, direct_sum, direct_sum_embeddings, memo,
+                   ideal_closure, _direct_sum, direct_sum_embeddings, memo,
                    parity_name, simplicity, change_basis)
 from .errors import AxiomError, GradingError, InputError, PreconditionError
 from .linalg import ONE, ZERO, frac
@@ -116,7 +115,8 @@ class BilinearForm(SparseMatrix):
 
     _name, _matrix_name = "form", "Gram matrix"
 
-    @functools.cached_property
+    @property
+    @memo
     def int_gram(self):
         """(E, {(i, j): {0: E G[i][j]}}, {i: {j: E G[i][j]}},
         {j: {i: E G[i][j]}}): the entries, one vector to linalg.scaled,
@@ -142,7 +142,8 @@ class BilinearForm(SparseMatrix):
             len(vecs), {key: Fraction(vec[0], denom) for key, vec
                         in linalg.pulled_back(table, vecs).items()})
 
-    @functools.cached_property
+    @property
+    @memo
     def _verdicts(self):
         """_nondegenerate_on's verdicts, by the subspace's key."""
         return {}
@@ -165,7 +166,8 @@ class BilinearForm(SparseMatrix):
                 for p in (_CERT_PRIME, 0))
         return verdict
 
-    @functools.cached_property
+    @property
+    @memo
     def _kernel_basis(self):
         """A basis of the kernel {v : G v = 0} as sparse vectors, cached;
         empty exactly when the form is nondegenerate.  The Gram scaled to
@@ -392,6 +394,12 @@ def orthogonal_split(q: QuadraticAlgebra, ideal: GradedSubspace):
     (Medina-Revoy, Ann. Sci. ENS 18 (1985); Albuquerque-Benayadi, J. Pure
     Appl. Algebra 187 (2004)).
     """
+    return _orthogonal_split(q, ideal)[:3]
+
+
+def _orthogonal_split(q: QuadraticAlgebra, ideal: GradedSubspace):
+    """orthogonal_split's three values, and the two index maps of the
+    layout of the witness."""
     _require_validated(q)
     if ideal.space != q.space:
         raise InputError("subspace does not lie in the algebra's space")
@@ -413,13 +421,12 @@ def orthogonal_split(q: QuadraticAlgebra, ideal: GradedSubspace):
                                 "invalid")
     qa, _ = _cut(rq, inside, "%s[0]" % q.name)
     qb, _ = _cut(rq, outside, "%s[1]" % q.name)
-    return qa, qb, witness_cols
+    return qa, qb, witness_cols, maps
 
 
 def direct_sum_quadratic(qa: QuadraticAlgebra,
                          qb: QuadraticAlgebra) -> QuadraticAlgebra:
-    alg = direct_sum(qa.algebra, qb.algebra)
-    _, (amap, bmap) = direct_sum_embeddings(qa.space, qb.space)
+    alg, (amap, bmap) = _direct_sum(qa.algebra, qb.algebra)
     entries = {(amap[i], amap[j]): x
                for (i, j), x in qa.form.entries.items()}
     entries.update({(bmap[i], bmap[j]): x
@@ -444,82 +451,30 @@ class ComponentsReport:
 
 def _symmetric_centroid(q: QuadraticAlgebra):
     """A basis over Q of the symmetric centroid Gamma_s(q), the even maps T
-    with T(xy) = T(x)y = xT(y) and B(Tx, y) = B(x, Ty), each scaled to a
-    sparse n x n int matrix {n*r + c: T[r][c]}.
+    with T(xy) = T(x)y = xT(y) and B(Tx, y) = B(x, Ty), each scaled to ints
+    as a vector of F^(n^2) (see `linalg.commutant`).
 
-    T is even, so its unknowns are the entries T[r][c] with b_r and b_c of
-    the same parity.  The rows, linear in them, are
-    sum_k c(i,j,k) T[r][k] - sum_m T[m][i] c(m,j,r), that is
-    T(b_i b_j) - T(b_i) b_j at b_r, for every (i, j), read off the pair
-    table, and sum_r T[r][i] G[r][j] - sum_r G[i][r] T[r][j] for every
-    ordered same-parity (i, j), read off the Gram's nonzeros.  The diagonal
-    i = j counts: on the skew odd block B(T b_i, b_i) = 0 is a real
-    condition.  On a super-anticommutative algebra T(xy) = T(x)y over all
-    ordered pairs gives T(xy) = xT(y), so those rows are not written; on
-    any algebra, fewer rows only enlarge the solved space, which keeps the
-    rank bound that _split reads.  The rows are read on ints, off the
-    algebra's int table and the form's int Gram, each row scaled as a
-    whole, which keeps the kernel; it is solved exactly over Q by
-    `linalg.int_kernel`, each basis map scaled to ints.
+    T(x b_j) = T(x) b_j for every x is T R_j = R_j T, so Gamma_s is the
+    commutant of the R_j among the even maps that are self-adjoint for B,
+    solved exactly over Q on the R_j of `int_factors` and the int Gram.
+    The diagonal of the B rows counts: on the skew odd block
+    B(T b_i, b_i) = 0 is a real condition.  On a super-anticommutative
+    algebra T(xy) = T(x)y over all ordered pairs gives T(xy) = xT(y), so
+    the L_i are not written; on any algebra, fewer rows only enlarge the
+    solved space, which keeps the rank bound that _split reads.
     """
     _require_validated(q)
-    n = q.dim
-    par = [q.space.parity(i) for i in range(n)]
-    cells = [(r, c) for r in range(n) for c in range(n) if par[r] == par[c]]
-    unknown = {cell: u for u, cell in enumerate(cells)}
-    same = [[r for r in range(n) if par[r] == x] for x in (EVEN, ODD)]
-    pairs, right = q.algebra.int_table()[1], q.algebra.int_factors()[1]
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            eqs = {}  # r -> T(b_i b_j) - T(b_i) b_j at b_r
-            for k, c in pairs.get((i, j), {}).items():
-                for r in same[par[k]]:
-                    row = eqs.setdefault(r, {})
-                    u = unknown[(r, k)]
-                    row[u] = row.get(u, 0) + c
-            for m, vec in right.get(j, _EMPTY).items():
-                if par[m] == par[i]:
-                    u = unknown[(m, i)]
-                    for r, c in vec.items():
-                        row = eqs.setdefault(r, {})
-                        row[u] = row.get(u, 0) - c
-            rows.extend(eqs.values())
-    _scale, _table, grows, gcols = q.form.int_gram
-    for i in range(n):
-        for j in same[par[i]]:
-            # B(T b_i, b_j) - B(b_i, T b_j)
-            row = {}
-            for r, g in gcols.get(j, {}).items():
-                row[unknown[(r, i)]] = row.get(unknown[(r, i)], 0) + g
-            for r, g in grows.get(i, {}).items():
-                row[unknown[(r, j)]] = row.get(unknown[(r, j)], 0) - g
-            rows.append(row)
-    return [{n * cells[u][0] + cells[u][1]: x for u, x in vec.items()}
-            for vec in linalg.int_kernel(rows, len(cells))]
-
-
-def _trace_rows(mats, n):
-    """The rows {j: tr(m_i m_j)} of the trace form on the sparse n x n
-    matrices {n*row + column: value}, one per m_i in turn, nonzeros only:
-    tr(m_i m_j) is the sum of m_i[r][c] m_j[c][r].  The form is symmetric,
-    so row i takes its entries j < i from the rows before it."""
-    rows = []
-    for i, m in enumerate(mats):
-        flipped = [(pos % n * n + pos // n, x) for pos, x in m.items()]
-        row = {j: prev[i] for j, prev in enumerate(rows) if i in prev}
-        row.update((j, t) for j in range(i, len(mats)) if (t := sum(
-            x * mats[j].get(pos, 0) for pos, x in flipped)))
-        rows.append(row)
-        yield row
+    return linalg.commutant(q.algebra.int_factors()[1].values(),
+                            [q.space.parity(i) for i in range(q.dim)],
+                            q.form.int_gram[2:])
 
 
 def _trace_rank(maps, n, stop=None):
-    """Rank of the trace form (S, T) -> tr(ST) on the sparse n x n
-    matrices {n*row + column: value}, taken row by row; once the rank
-    reaches stop, that is returned without the remaining rows."""
+    """Rank of the trace form (S, T) -> tr(ST) on the n x n matrices maps,
+    vectors of F^(n^2) (`linalg.trace_rows`), taken row by row; once the
+    rank reaches stop, that is returned without the remaining rows."""
     span = linalg.Span(len(maps))
-    for row in _trace_rows(maps, n):
+    for row in linalg.trace_rows(maps, n):
         span.add(row)
         if span.dim == stop:
             break
@@ -633,10 +588,9 @@ def b_irreducible_components(q: QuadraticAlgebra) -> ComponentsReport:
             bases.append(tuple(basis_cols))
             exhaustive = exhaustive and proved
             continue
-        qa, qb, cols = orthogonal_split(part, ideal)
+        qa, qb, cols, (amap, bmap) = _orthogonal_split(part, ideal)
         basis = dict(enumerate(basis_cols))
         lifted = [linalg.combine(basis, col) for col in cols]
-        _, (amap, bmap) = direct_sum_embeddings(qa.space, qb.space)
         work.append((qb, [lifted[i] for i in bmap]))
         work.append((qa, [lifted[i] for i in amap]))
     return ComponentsReport(tuple(components), tuple(bases), exhaustive)

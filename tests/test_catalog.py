@@ -44,12 +44,12 @@ def test_m7_properties():
 
 
 def test_m7_trace_form_is_scaled_gram():
-    from qmalcev.core import _multiplication_generators
-    from qmalcev.quadratic import _trace_rows
+    from qmalcev.linalg import trace_rows
+    from references import _multiplication_generators
 
     q = catalog_get("m7").algebra
     a = q.algebra
-    tf = list(_trace_rows(_multiplication_generators(a)[a.dim:], a.dim))
+    tf = list(trace_rows(_multiplication_generators(a)[a.dim:], a.dim))
     for i in range(7):
         for j in range(7):
             assert tf[i].get(j, 0) == M7_TRACE_SCALE * q.form.gram[i][j]

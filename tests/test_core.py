@@ -276,15 +276,14 @@ def test_an_algebra_derives_each_memo_once(monkeypatch):
             kernels.append(a)
             super().__init__(a)
 
-    real_closure = core._full_multiplication_algebra_mod_p
+    real_closure = core._multiplication_algebra_dim
 
-    def counted_closure(a):
-        closures.append(a)
-        return real_closure(a)
+    def counted_closure(a, p=0):
+        closures.append((a, p))
+        return real_closure(a, p)
 
     monkeypatch.setattr(core, "_ScanKernel", Counted)
-    monkeypatch.setattr(core, "_full_multiplication_algebra_mod_p",
-                        counted_closure)
+    monkeypatch.setattr(core, "_multiplication_algebra_dim", counted_closure)
     sl2 = catalog_get("sl2").algebra
     a = SuperAlgebra(sl2.space, sl2.algebra.constants)  # nothing derived
     q = QuadraticAlgebra(a, sl2.form, validated=True)
@@ -295,4 +294,5 @@ def test_an_algebra_derives_each_memo_once(monkeypatch):
         assert derive(a) is derive(a)
     assert check_malcev(a).passed and simplicity(a).simple is True
     assert _split(q) is _split(q)
-    assert len(kernels) == 1 and len(closures) == 1
+    assert len(kernels) == 1
+    assert [p for _a, p in closures] == [core._CERT_PRIME]

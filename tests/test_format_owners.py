@@ -11,7 +11,12 @@ reads an attribute `coords`: an Element keeps only its sparse `entries`;
 and none reads an attribute `values` without calling it: a cocycle keeps
 only its nonzero `entries`, and `values()` is a dict's.  Extensions and
 reductions place e, e* and the base by one layout: no function other than
-`extensions.extension_layout` builds an `ExtensionWitness`.
+`extensions.extension_layout` builds an `ExtensionWitness`.  An element of
+a matrix algebra is a vector {n*row + column: x} of F^(n^2) in linalg.py
+alone: no other module encodes or decodes such a position, and the
+Fraction pair-table products `_mul_vv` and `_mul_vb` are gone, every
+product reading the int table.  Derived values are kept through one
+memo, `core.memo`.
 """
 
 import ast
@@ -195,3 +200,62 @@ def test_one_function_builds_the_extension_witness():
                 for path in sorted(SRC.glob("*.py"))}
     assert {name: fns for name, fns in builders.items() if fns} == {
         "extensions.py": ["extension_layout"]}
+
+
+# the functions that read and write an element of a matrix algebra as a
+# vector {n*row + column: x} of F^(n^2)
+FLAT_LAYOUT = {"enveloping_basis", "trace_rows", "radical_image", "commutant"}
+
+# the factors of an index times a dimension
+_INDEX = (ast.Name, ast.Subscript, ast.Attribute, ast.BinOp)
+
+
+def _flat_positions(path):
+    """The lines of the module that encode or decode a flat position: a
+    call of divmod, or a sum with a term of two index-like factors (names,
+    subscripts, attributes or arithmetic), such as n * row + column, whose
+    other term is not a call; an accumulation acc.get(k, 0) + c * x is not
+    one."""
+    lines = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "divmod"):
+            lines.add(node.lineno)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            for term, other in ((node.left, node.right),
+                                (node.right, node.left)):
+                if (isinstance(term, ast.BinOp)
+                        and isinstance(term.op, ast.Mult)
+                        and isinstance(term.left, _INDEX)
+                        and isinstance(term.right, _INDEX)
+                        and not isinstance(other, ast.Call)):
+                    lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_flat_matrix_layout_is_linalgs_alone():
+    """Only linalg.py encodes or decodes a position n*row + column, and
+    the four functions of that layout are defined there and nowhere else;
+    `_mul_vv` and `_mul_vb` are defined nowhere in the package."""
+    stray, defined = {}, {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "linalg.py" and (lines := _flat_positions(path)):
+            stray[path.name] = lines
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.FunctionDef) and node.name
+                    in FLAT_LAYOUT | {"_mul_vv", "_mul_vb"}):
+                defined.setdefault(node.name, []).append(path.name)
+    assert stray == {}
+    assert defined == {name: ["linalg.py"] for name in FLAT_LAYOUT}
+    assert _flat_positions(SRC / "linalg.py")  # the probe sees the layout
+
+
+def test_derived_values_are_kept_by_one_memo():
+    """No function but `DecompositionTree.advisory_reductive`, on a frozen
+    dataclass where `core.memo`'s setattr raises, is a
+    functools.cached_property, which writes the instance's __dict__ by
+    hand and so slows every later attribute read of that object."""
+    users = {path.name: _attribute_readers(path, "cached_property")
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: fns for name, fns in users.items() if fns} == {
+        "decompose.py": {"advisory_reductive"}}

@@ -20,12 +20,12 @@ from qmalcev import (EVEN, ODD, Element, GdeData, OperatorMap,
                      QuadraticAlgebra, catalog_get, direct_sum_quadratic,
                      gde_abelian12_parts, generalized_double_extension,
                      reduce_odd, verify_gde_data)
-from qmalcev.core import (Witness, _mul_vb, _mul_vv, _vadd,
-                          _vscale, center, ksign)
+from qmalcev.core import Witness, _vadd, _vscale, center, ksign
 from qmalcev.errors import PreconditionError
 from qmalcev.extensions import _gde_conditions
 from qmalcev.linalg import frac
 
+from references import _mul_vb, _mul_vv
 from test_random_roundtrips import _combine, _skew_operator_basis
 from test_scan_kernel import graded_algebras
 

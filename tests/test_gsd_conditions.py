@@ -18,13 +18,13 @@ import pytest
 from qmalcev import (EVEN, Element, OperatorMap, SemidirectData, catalog_get,
                      check_gsd_conditions, gde_abelian12_parts,
                      generalized_semidirect_product, semidirect_data_from_gde)
-from qmalcev.core import (Witness, _mul_vb, _mul_vv, _report,
-                          _vadd, _vscale, ksign)
+from qmalcev.core import Witness, _report, _vadd, _vscale, ksign
 from qmalcev.errors import InputError, PreconditionError
 from qmalcev.extensions import GsdReport
 from qmalcev.linalg import ONE, frac
 from qmalcev.operators import check_malcev_operator
 
+from references import _mul_vb, _mul_vv
 from test_scan_kernel import graded_algebras
 
 

@@ -15,12 +15,13 @@ from qmalcev import (BilinearForm, OddReduction, QuadraticAlgebra,
                      SuperAlgebra, SuperSpace, center, change_basis_quadratic,
                      emit_tree, inductive_decompose, orthogonal_complement,
                      orthogonal_split, rebuild, reduce_even, reduce_odd)
-from qmalcev.core import EVEN, _mul_vv
+from qmalcev.core import EVEN
 from qmalcev.document import parse_tree
 from qmalcev.errors import PreconditionError
 from qmalcev.linalg import ZERO, dense, sparse
 from qmalcev.quadratic import _split
 
+from references import _mul_vv
 from test_rebuild_certificate import (PIECES, _count_validate, _sum,
                                       _unitriangular, piece)
 

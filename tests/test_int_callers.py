@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from qmalcev import (BilinearForm, GradedSubspace, QuadraticAlgebra,
                      change_basis, ideal_closure)
-from qmalcev.core import EVEN, ODD, _mul_vb, _mul_vv, center
+from qmalcev.core import EVEN, ODD, center
 from qmalcev.quadratic import _symmetric_centroid
 
+from references import _mul_vb, _mul_vv
 from test_int_span import FractionSpan, ref_sparse_kernel
 from test_packed_scan import BIG
 from test_scan_kernel import graded_algebras

@@ -209,6 +209,26 @@ def test_components_split_direct_sum(sl2, k21):
     assert sorted(c.dim for c in rep.components) == [3, 7]
 
 
+def test_each_graded_layout_is_laid_once(monkeypatch, sl2, k21):
+    """A sum of two forms, and the split of it, each lay out the graded
+    sum once: the form's layout is the algebra's, and the components' bases
+    are placed by the split's own maps."""
+    from qmalcev import core
+
+    real, spaces = core.direct_sum_embeddings, []
+
+    def counted(*args):
+        spaces.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core, "direct_sum_embeddings", counted)
+    monkeypatch.setattr(quadratic, "direct_sum_embeddings", counted)
+    ds = direct_sum_quadratic(sl2, k21)
+    assert spaces == [(sl2.space, k21.space)]
+    rep = b_irreducible_components(ds)
+    assert len(spaces) == 2 and len(rep) == 2
+
+
 def test_components_abelian_odd_four():
     q = catalog_get("abelian", p=0, q=4).algebra
     rep = b_irreducible_components(q)

@@ -1,7 +1,7 @@
 """Reductivity and complete reducibility by one trace-form radical.
 
 reductive_report and check_completely_reducible_action both read
-decompose._radical_image: J V for J the radical of a matrix algebra, the
+linalg.radical_image: J V for J the radical of a matrix algebra, the
 kernel of its trace form.  The routines they replaced are kept below as
 references: the dense solve for an invariant complement, the dense
 obstruction triple, and the reductive test that split the square along its
@@ -9,13 +9,15 @@ Killing form and certified each component simple.  Over a corpus of direct
 sums of small catalog pieces the verdicts agree, and every J V witness is
 nonzero, proper, odd and invariant, and the reference solve finds no
 invariant complement for it.  The outputs that changed are pinned at the
-end.
+end.  The old flat generators of `references` are the reference that
+the column-map generators' radical images are compared against.
 """
 
 from fractions import Fraction
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from qmalcev import (EVEN, OperatorMap, SuperAlgebra, SuperSpace,
                      catalog_get, change_basis_quadratic,
@@ -23,13 +25,15 @@ from qmalcev import (EVEN, OperatorMap, SuperAlgebra, SuperSpace,
                      direct_sum_quadratic, double_extension_even,
                      even_part, inductive_decompose, reductive_report)
 from qmalcev import linalg
-from qmalcev.core import (GradedSubspace, _enveloping_basis,
-                          _multiplication_generators, center,
-                          change_basis, simplicity)
-from qmalcev.decompose import _odd_action_matrices
+from qmalcev import core
+from qmalcev.core import GradedSubspace, center, change_basis, simplicity
 from qmalcev.linalg import ONE, ZERO
 from qmalcev.quadratic import (BilinearForm, QuadraticAlgebra,
                                b_irreducible_components)
+
+from references import (_enveloping_basis, _multiplication_generators,
+                        _odd_action_matrices)
+from test_scan_kernel import graded_algebras
 
 
 # ---------------------------------------------------------------------------
@@ -122,21 +126,27 @@ def reference_obstruction_triple(a, mats, y: GradedSubspace):
             not all(linalg.is_zero_vec(img) for img in images))
 
 
-def reference_radical_image(a, mats) -> GradedSubspace:
-    """J V: the columns of each element of a dense kernel basis of the
-    enveloping trace form, in the algebra's coordinates."""
-    p, qd = a.space.even_dim, a.space.odd_dim
-    basis = _enveloping_basis(mats, qd)
+def reference_image(mats, n):
+    """J V for the flat n x n matrices mats: the columns of each element of
+    a dense kernel basis of the enveloping trace form."""
+    basis = _enveloping_basis(mats, n)
     columns = []
-    for x in linalg.kernel(_trace_form(basis, qd)):
-        dense = [[ZERO] * qd for _ in range(qd)]
+    for x in linalg.kernel(_trace_form(basis, n)):
+        dense = [[ZERO] * n for _ in range(n)]
         for c, b in zip(x, basis):
             for pos, y in b.items():
-                row, col = divmod(pos, qd)
+                row, col = divmod(pos, n)
                 dense[row][col] += c * y
-        columns += [[ZERO] * p + [row[col] for row in dense]
-                    for col in range(qd)]
-    return GradedSubspace.from_vectors(a.space, columns)
+        columns += [[row[col] for row in dense] for col in range(n)]
+    return columns
+
+
+def reference_radical_image(a, mats) -> GradedSubspace:
+    """J V of the odd action matrices, in the algebra's coordinates."""
+    p = a.space.even_dim
+    return GradedSubspace.from_vectors(
+        a.space, [[ZERO] * p + col
+                  for col in reference_image(mats, a.space.odd_dim)])
 
 
 def reference_completely_reducible(a) -> bool:
@@ -365,3 +375,23 @@ def test_witness_of_an_even_extension_of_abelian_0_4(images, span, triple):
     assert reference_lacks_invariant_complement(a, mats, rep.witness_subspace)
     assert rep.obstruction_triple == triple == reference_obstruction_triple(
         a, mats, rep.witness_subspace)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graded_algebras())
+def test_radical_images_match_the_flat_generators(a):
+    """J V of M(A), on the column-map L_i and R_j, and the witness J V of
+    the odd action equal the J V of the old flat generators."""
+    n = a.dim
+    got = linalg.radical_image(core._multiplication_generators(a), n)
+    want = linalg.row_span(
+        reference_image(_multiplication_generators(a), n), n)
+    assert got.rows() == want.rows()
+    q = QuadraticAlgebra(a, BilinearForm.zero(n), validated=True)
+    rep = check_completely_reducible_action(q)
+    if a.space.odd_dim and any(_odd_action_matrices(a)):
+        want = reference_radical_image(a, _odd_action_matrices(a))
+        assert rep.completely_reducible == (not want.dim)
+        assert rep.witness_subspace == (want if want.dim else None)
+    else:
+        assert rep.completely_reducible and rep.witness_subspace is None

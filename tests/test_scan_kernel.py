@@ -28,11 +28,11 @@ from qmalcev import (EVEN, ODD, BilinearForm, Cocycle, Element, OperatorMap,
                      check_skew_supersymmetric, check_super_anticommutativity,
                      cocycle_from_operator, direct_sum, linalg, product)
 from qmalcev import core
-from qmalcev.core import (_mul_vb, _mul_vv, _report, _vadd,
-                          ksign)
+from qmalcev.core import _report, _vadd, ksign
 from qmalcev.document import parse_document
 from qmalcev.linalg import frac
 
+from references import _mul_vb, _mul_vv
 from test_scan_golden import _pair_dropped
 
 SCALARS = st.builds(Fraction, st.integers(-4, 4).filter(bool),

@@ -4,6 +4,8 @@ and the lazily computed advisory report.
 Full rank mod p of the multiplication algebra lifts to Q; a rank deficit
 mod p proves nothing, so simplicity falls back to the exact search.  The
 memoized closures are checked against a plain fixpoint over `core.product`.
+The closure dimensions are checked against the old flat generators of
+`references`, over Q and mod p.
 """
 
 from fractions import Fraction
@@ -15,12 +17,11 @@ from qmalcev import (GradedSubspace, SuperAlgebra, catalog_get, change_basis,
                      direct_sum_quadratic, emit_tree, inductive_decompose,
                      product, simplicity)
 from qmalcev import core, decompose
-from qmalcev.core import (_CERT_PRIME, Element,
-                          _full_multiplication_algebra_mod_p,
-                          _ideal_candidates, _multiplication_algebra_dim,
-                          center, ideal_closure)
+from qmalcev.core import (_CERT_PRIME, Element, _ideal_candidates,
+                          _multiplication_algebra_dim, center, ideal_closure)
 from qmalcev.linalg import basis_vector, dense
 
+import references
 from test_scan_kernel import graded_algebras
 
 NON_ABELIAN = [
@@ -42,11 +43,29 @@ def fresh(a):
     return SuperAlgebra(a.space, a.constants, name=a.name)
 
 
+def full_mod_p(a):
+    """Whether M(A) spans every n x n matrix modulo 2^61 - 1."""
+    return _multiplication_algebra_dim(a, _CERT_PRIME) == a.dim ** 2
+
+
+def refusing(monkeypatch, refused):
+    """Patch _multiplication_algebra_dim to raise for the modulus refused
+    and to run as before for the other."""
+    real = core._multiplication_algebra_dim
+
+    def closure(a, p=0):
+        if p == refused:
+            raise AssertionError("closure run for p = %d" % p)
+        return real(a, p)
+
+    monkeypatch.setattr(core, "_multiplication_algebra_dim", closure)
+
+
 @pytest.mark.parametrize("name,params", NON_ABELIAN)
 def test_mod_p_verdict_matches_rational_closure(name, params):
     a = fresh(catalog_get(name, **params).algebra.algebra)
     n = a.dim
-    full = _full_multiplication_algebra_mod_p(a)
+    full = full_mod_p(a)
     assert full == (_multiplication_algebra_dim(a) == n * n)
     assert full == (name in FULL)
 
@@ -56,8 +75,19 @@ def test_mod_p_verdict_matches_rational_closure(name, params):
 def test_full_mod_p_implies_full_over_q(a):
     if a.is_abelian():
         return
-    if _full_multiplication_algebra_mod_p(a):
+    if full_mod_p(a):
         assert _multiplication_algebra_dim(a) == a.dim * a.dim
+
+
+@settings(max_examples=80, deadline=None)
+@given(graded_algebras())
+def test_closure_dimensions_match_the_flat_generators(a):
+    """The column-map L_i and R_j close to the dimension that the old flat
+    generators reach, over Q and mod p."""
+    for p in (0, _CERT_PRIME):
+        flat = references._multiplication_generators(a, p)
+        want = len(references._enveloping_basis(flat, a.dim, p))
+        assert _multiplication_algebra_dim(fresh(a), p) == want
 
 
 @pytest.mark.parametrize("name,params",
@@ -67,11 +97,7 @@ def test_central_algebra_skips_the_mod_p_closure(monkeypatch, name, params):
     straight to the candidates, and the first center column closes to the
     ideal it reports."""
     a = catalog_get(name, **params).algebra.algebra
-
-    def refuse(_a):
-        raise AssertionError("mod-p closure run")
-
-    monkeypatch.setattr(core, "_full_multiplication_algebra_mod_p", refuse)
+    refusing(monkeypatch, _CERT_PRIME)
     rep = simplicity(fresh(a))
     first = GradedSubspace.from_vectors(a.space, [center(a).rows[0]])
     assert rep.simple is False
@@ -84,7 +110,7 @@ def test_centerless_algebra_is_certified_mod_p(monkeypatch, name):
         raise AssertionError("certified without the mod-p closure")
 
     monkeypatch.setattr(core, "_ideal_candidates", refuse)
-    monkeypatch.setattr(core, "_multiplication_algebra_dim", refuse)
+    refusing(monkeypatch, 0)
     rep = simplicity(fresh(catalog_get(name).algebra.algebra))
     assert rep.simple is True
 
@@ -95,7 +121,7 @@ def test_deficit_mod_p_falls_back_to_the_rational_closure(i):
     cols = [basis_vector(3, j) for j in range(3)]
     cols[i][i] = _CERT_PRIME
     a = change_basis(sl2, cols)
-    assert not _full_multiplication_algebra_mod_p(a)
+    assert not full_mod_p(a)
     rep = simplicity(a)
     assert rep.simple is True
     assert rep.note == "multiplication algebra is full"
@@ -118,7 +144,7 @@ def test_denominators_are_cleared_before_reduction():
         cols.append(c)
     a = change_basis(q.algebra, cols)
     assert {c.denominator for c in a.constants.values()} == {5, 10, 15}
-    assert not _full_multiplication_algebra_mod_p(a)
+    assert not full_mod_p(a)
     assert _multiplication_algebra_dim(a) == 18
     assert simplicity(a).simple is not True
 
