@@ -7,12 +7,11 @@ vectors, and decompose inductively into orthogonal sums of extensions of
 base-set leaves, with entry-exact rebuild certificates throughout.
 """
 
-from .core import (EVEN, ODD, CheckReport, Element, GradedSubspace,
-                   SimplicityReport, SuperAlgebra, SuperSpace, Witness,
-                   center, change_basis, check_jacobi, check_malcev,
-                   check_super_anticommutativity, direct_sum,
-                   direct_sum_embeddings, ideal_closure, is_simple, product,
-                   simplicity)
+from .core import (EVEN, ODD, Element, GradedSubspace, SimplicityReport,
+                   SuperAlgebra, SuperSpace, center, change_basis,
+                   check_jacobi, check_malcev, check_super_anticommutativity,
+                   direct_sum, direct_sum_embeddings, ideal_closure,
+                   is_simple, product, simplicity)
 from .errors import (AxiomError, GradingError, InconclusiveError, InputError,
                      PreconditionError)
 from .quadratic import (BilinearForm, ComponentsReport, FormReport,
@@ -42,5 +41,6 @@ from .catalog import (CATALOG_NAMES, CatalogEntry, catalog_get,
                       example_m_uncorrected_data, gde_abelian12_parts)
 from .document import (emit_document, emit_tree, parse_algebra_document,
                        parse_document, parse_tree)
+from .reports import CheckReport, Witness, Witnesses
 
 __version__ = "0.1.0"

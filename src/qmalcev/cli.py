@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .catalog import CATALOG_NAMES, catalog_get
-from .core import (CheckReport, Element, check_jacobi, check_malcev,
+from .core import (Element, check_jacobi, check_malcev,
                    check_super_anticommutativity, center)
 from .decompose import inductive_decompose, rebuild, reduce_even, reduce_odd
 from .document import (MAX_DIM, DocumentSyntaxError, canonical_json,
@@ -29,6 +29,7 @@ from .errors import (AxiomError, GradingError, InconclusiveError, InputError,
 from .extensions import double_extension_even, generalized_double_extension
 from .operators import check_malcev_operator, check_skew_supersymmetric
 from .quadratic import check_form
+from .reports import CheckReport
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -286,8 +287,7 @@ def run(argv) -> int:
         sys.stderr.write("validation error (axiom): %s\n" % exc)
         if _witnesses_enabled() and getattr(exc, "report", None) is not None:
             rep = exc.report
-            witnesses = getattr(rep, "witnesses", ())
-            for w in list(witnesses)[:8]:
+            for w in getattr(rep, "witnesses", ())[:8]:
                 sys.stderr.write("  witness %s\n" % (w.index,))
         return EXIT_VALIDATION
     except PreconditionError as exc:

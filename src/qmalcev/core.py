@@ -50,6 +50,11 @@ and its shortcuts are exact:
   changes only by a Koszul sign along the four rotations of a quadruple.
   Those scans add each term only at the least rotation of its tuple and
   copy every nonzero sum, with its sign, to the other rotations.
+
+A failing report (`reports.CheckReport`) keeps the sorted failing keys and
+the int sums behind them; `_vector_witness` turns the two sides at a key
+into Elements only when a caller reads that witness, and only then is the
+Malcev lhs evaluated there, rhs being lhs minus the packed difference.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ from . import linalg
 from .errors import (GradingError, InconclusiveError, InputError,
                      PreconditionError)
 from .linalg import ONE, ZERO, Span, frac
+from .reports import CheckReport, Witness, _report
 
 EVEN = 0
 ODD = 1
@@ -188,47 +194,6 @@ class Element:
     def parity_part(self, space: SuperSpace, parity: int):
         return Element.sparse(self.dim, {i: x for i, x in self.entries.items()
                                          if space.parity(i) == parity})
-
-
-@dataclass(frozen=True)
-class Witness:
-    """One failing instance of an identity: index tuple plus both sides."""
-
-    index: tuple
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    passed: bool
-    witnesses: tuple = ()
-    notes: tuple = ()
-
-    def __bool__(self):
-        return self.passed
-
-
-def _report(witnesses, notes=()):
-    return CheckReport(passed=not witnesses, witnesses=tuple(witnesses),
-                       notes=tuple(notes))
-
-
-class ItemizedReport:
-    """Base of a frozen dataclass of CheckReports, one per condition in the
-    order they are checked: `failures()` names the failing ones in that
-    order, and `first_failure()` the first of them, or None."""
-
-    def failures(self):
-        return [f for f in self.__dataclass_fields__
-                if not getattr(self, f).passed]
-
-    @property
-    def passed(self):
-        return not self.failures()
-
-    def first_failure(self):
-        return next(iter(self.failures()), None)
 
 
 class SuperAlgebra:
@@ -355,7 +320,7 @@ def check_super_anticommutativity(a: SuperAlgebra) -> CheckReport:
         if j <= i:
             s = -ksign(kern.par[i] * kern.par[j])
             rhs[(j, i)] = {k: s * c for k, c in vec.items()}
-    return _report(_side_witnesses(a.dim, lhs, rhs, kern.scale, kern.scale))
+    return _report(*_side_witnesses(a.dim, lhs, rhs, kern.scale, kern.scale))
 
 
 _EMPTY = MappingProxyType({})  # the default of lookups
@@ -462,28 +427,48 @@ def _chain_keys(par, p, q, r, w):
             ((q, r, w, p), ksign(x * (y + z + t))))
 
 
-def _scaled_element(n, vec, denom, fracs):
-    """The Element of F^n with the coordinates c / denom of the int vector
-    {k: c}, c != 0; fracs, local to the caller's call, keeps one Fraction
-    per c."""
-    entries = {}
-    for k, c in vec.items():
-        x = fracs.get(c)
-        if x is None:
-            x = fracs[c] = Fraction(c) if denom == 1 else Fraction(c, denom)
-        entries[k] = x
-    return Element.sparse(n, entries)
+def _scaled_elements(n, denom):
+    """element(vec), the Element of F^n with the coordinates c / denom of
+    the int vector {k: c}, c != 0, keeping one Fraction per c across its
+    calls."""
+    fracs = {}
+
+    def element(vec):
+        entries = {}
+        for k, c in vec.items():
+            x = fracs.get(c)
+            if x is None:
+                x = fracs[c] = (Fraction(c) if denom == 1
+                                else Fraction(c, denom))
+            entries[k] = x
+        el = Element.__new__(Element)  # Element.sparse, less its copy
+        el.dim, el.entries = n, entries
+        return el
+    return element
+
+
+def _vector_witness(n, sides, denom):
+    """witness(key), Witness(key, lhs, rhs) for the int vectors (lhs, rhs) =
+    sides(key), each divided back by denom into an Element of F^n; a caller
+    that needs only the ints reads witness.sides."""
+    element = _scaled_elements(n, denom)
+
+    def witness(key):
+        left, right = sides(key)
+        return Witness(key, element(left), element(right))
+    witness.sides = sides
+    return witness
 
 
 def _side_witnesses(n, lhs, rhs, lscale, rscale):
-    """Witness(key, lhs, rhs) at each sorted key where the int vector sums
-    lhs {key: {k: x}}, the left side times lscale, and rhs, the right side
-    times rscale, differ as rationals.  Both are brought to the lcm of the
-    two scales, compared there, and divided back only in a witness."""
+    """The sorted keys where the int vector sums lhs {key: {k: x}}, the left
+    side times lscale, and rhs, the right side times rscale, differ as
+    rationals, and the builder of their witnesses.  Both are brought to the
+    lcm of the two scales, compared there, and divided back only in a
+    witness."""
     g = math.gcd(lscale, rscale)
     lmul, rmul = rscale // g, lscale // g
-    denom, fracs = lscale * lmul, {}
-    witnesses = []
+    sides = {}
     for key in sorted(lhs.keys() | rhs.keys()):
         left, right = lhs.get(key, _EMPTY), rhs.get(key, _EMPTY)
         if lmul == rmul and left == right:  # equal at equal scales
@@ -491,34 +476,10 @@ def _side_witnesses(n, lhs, rhs, lscale, rscale):
         left = {m: c * lmul for m, c in left.items() if c}
         right = {m: c * rmul for m, c in right.items() if c}
         if left != right:
-            witnesses.append(Witness(
-                key, _scaled_element(n, left, denom, fracs),
-                _scaled_element(n, right, denom, fracs)))
-    return witnesses
-
-
-def _value_witnesses(lhs, rhs, denom=1):
-    """Witness(key, lhs / denom, rhs / denom), as Fractions, at each sorted
-    key where the scalar sums lhs {key: x} and rhs {key: y} differ, a
-    missing key read as 0."""
-    return [Witness(key, Fraction(x, denom), Fraction(y, denom))
-            for key in sorted(lhs.keys() | rhs.keys())
-            if (x := lhs.get(key, 0)) != (y := rhs.get(key, 0))]
-
-
-def _mirror_witnesses(entries, parity, skew):
-    """`_value_witnesses` of x against (-1)^{|i||j|} y, negated when skew,
-    at each (i, j) with i <= j, for x and y the values at (i, j) and (j, i)
-    of a bilinear map given by its nonzero entries {(i, j): x}, |i| being
-    parity(i): the one comparison of a form or a cocycle with its
-    mirror."""
-    lhs, rhs = {}, {}
-    for (i, j), x in entries.items():
-        if i <= j:
-            lhs[(i, j)] = x
-        if j <= i:
-            rhs[(j, i)] = -x if skew ^ (parity(i) & parity(j)) else x
-    return _value_witnesses(lhs, rhs)
+            sides[key] = left, right
+    if not sides:  # a passing report needs no builder
+        return (), None
+    return list(sides), _vector_witness(n, sides.__getitem__, lscale * lmul)
 
 
 def _rotations(par, key):
@@ -626,25 +587,23 @@ def _malcev_orbit_sums(kern: _ScanKernel):
     return diff
 
 
-def _malcev_witnesses(kern: _ScanKernel, n, diff):
-    """Witness(key, lhs, rhs) at each sorted key of diff {key: packed scaled
-    lhs - rhs} where the difference is nonzero.  The lhs
-    (-1)^{yz} (b_i b_k)(b_j b_l) is evaluated there, and rhs = lhs - diff."""
+def _malcev_report(kern: _ScanKernel, n, diff, notes=()):
+    """The report failing at each sorted key of diff {key: packed scaled
+    lhs - rhs} where the difference is nonzero.  A witness's lhs
+    (-1)^{yz} (b_i b_k)(b_j b_l) is evaluated at its key when it is built,
+    and rhs = lhs - diff."""
     par, pairs, packed = kern.par, kern.pairs, kern.packed
     base, bits = kern.base, kern.bits
-    denom, fracs = kern.scale ** 3, {}
-    witnesses = []
-    for key in sorted(key for key, x in diff.items() if x):
+
+    def sides(key):
         i, j, k, l = key
         trow = packed.get((i, k), _EMPTY)
         lhs = ksign(par[j] * par[k]) * sum(
             c * trow.get(m, 0) for m, c in pairs.get((j, l), _EMPTY).items())
-        witnesses.append(Witness(
-            key, _scaled_element(n, _unpacked(lhs, base[i], bits), denom,
-                                 fracs),
-            _scaled_element(n, _unpacked(lhs - diff[key], base[i], bits),
-                            denom, fracs)))
-    return witnesses
+        return (_unpacked(lhs, base[i], bits),
+                _unpacked(lhs - diff[key], base[i], bits))
+    return _report(sorted(key for key, x in diff.items() if x),
+                   _vector_witness(n, sides, kern.scale ** 3), notes)
 
 
 def check_malcev(a: SuperAlgebra) -> CheckReport:
@@ -664,17 +623,17 @@ def check_malcev(a: SuperAlgebra) -> CheckReport:
       F(x, y, z, t).  So one pass sums each term only at its canonical
       key, the lexicographically least of the four rotations, and F at
       each other rotation is that rotation's Koszul sign times F there.
-      The witnesses are listed from those canonical sums, with the lhs
-      evaluated at the witness keys only.
+      The failing keys are read off those canonical sums, and the lhs is
+      evaluated at a key only when its witness is built.
 
     Any other algebra gets the full pass over every quadruple, with a note
     when super-anticommutativity fails.
     """
     n, kern = a.dim, _scan_kernel(a)
     if not check_super_anticommutativity(a).passed:
-        return _report(_malcev_witnesses(kern, n, _malcev_sums(kern)),
-                       ["super-anticommutativity fails; identity scan is "
-                        "reported but may be meaningless"])
+        return _malcev_report(kern, n, _malcev_sums(kern),
+                              ["super-anticommutativity fails; identity "
+                               "scan is reported but may be meaningless"])
     if check_jacobi(a).passed:
         return _report(())
     diff = {}
@@ -682,7 +641,7 @@ def check_malcev(a: SuperAlgebra) -> CheckReport:
         if x:
             for rot, s in _rotations(kern.par, key).items():
                 diff[rot] = s * x
-    return _report(_malcev_witnesses(kern, n, diff))
+    return _malcev_report(kern, n, diff)
 
 
 @memo
@@ -695,7 +654,7 @@ def check_jacobi(a: SuperAlgebra) -> CheckReport:
     (x, y, z) in another order, so the sum is the same at the three
     rotations of a triple.  Each term is added once, at the least of its
     rotations ((i, i, i) takes it three times, once per rotation that
-    equals it), and each witness is copied to the other rotations.
+    equals it), and each nonzero sum is copied to the other rotations.
 
     The report is kept on the (immutable) algebra: check_malcev reads it
     for its Lie shortcut, so `check`, `QuadraticAlgebra.validate` and
@@ -720,17 +679,21 @@ def check_jacobi(a: SuperAlgebra) -> CheckReport:
             else:  # the least index occurs twice
                 key = min((p, q, r), (r, p, q), (q, r, p))
             sums[key] = sums.get(key, 0) + s * x
-    denom, fracs = kern.scale ** 2, {}
+    failing = {rot: key for key, x in sums.items() if x
+               for rot in _rotations(par, key)}
+    if not failing:
+        return _report(())
+    element, values = _scaled_elements(n, kern.scale ** 2), {}
     zero = Element.zero(n)
-    witnesses = []
-    for key, x in sums.items():
-        if x:
-            value = _scaled_element(
-                n, _unpacked(x, kern.base[key[0]], kern.bits), denom, fracs)
-            witnesses += [Witness(rot, value, zero)
-                          for rot in _rotations(par, key)]
-    witnesses.sort(key=lambda w: w.index)
-    return _report(witnesses)
+
+    def witness(rot):  # the rotations of a key share its value and zero
+        key = failing[rot]
+        value = values.get(key)
+        if value is None:
+            value = values[key] = element(
+                _unpacked(sums[key], kern.base[key[0]], kern.bits))
+        return Witness(rot, value, zero)
+    return _report(sorted(failing), witness)
 
 
 def _vector(n, v):

@@ -14,10 +14,9 @@ import functools
 from dataclasses import dataclass
 
 from . import linalg
-from .core import (EVEN, ODD, CheckReport, Element, GradedSubspace,
-                   SuperAlgebra, SuperSpace, _multiplication_generators,
-                   _report, _vadd, _value_witnesses, center, check_jacobi,
-                   direct_sum_embeddings, ksign, simplicity)
+from .core import (EVEN, ODD, Element, GradedSubspace, SuperAlgebra,
+                   SuperSpace, _multiplication_generators, _vadd, center,
+                   check_jacobi, direct_sum_embeddings, ksign, simplicity)
 from .errors import AxiomError, GradingError, InputError, PreconditionError
 from .linalg import ONE, ZERO
 from .operators import OperatorMap, _int_map, check_malcev_operator
@@ -29,6 +28,7 @@ from .quadratic import (QuadraticAlgebra, _cut, _form_pairing, _laid_out,
 from .extensions import (ExtensionWitness, GdeData,
                          double_extension_even, extension_layout,
                          generalized_double_extension, verify_gde_data)
+from .reports import CheckReport, _report, _value_witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ def _peel(q: QuadraticAlgebra, e, estar, parity) -> _Peeled:
     want, _ = _form_pairing(nq.form, d.cols)
     return _Peeled(nq, d, psi,
                    Element.sparse(ndim, {where[m]: c for m, c in ee.items()}),
-                   _report(_value_witnesses(phi, want)), witness,
+                   _report(*_value_witnesses(phi, want)), witness,
                    tuple(adapted))
 
 
@@ -160,7 +160,7 @@ def reduce_odd(q: QuadraticAlgebra) -> OddReduction:
     r = _peel(q, e, estar, ODD)
     # psi(X) = (-1)^x B(X, a0)
     _, ga0 = _form_pairing(r.n.form, {0: r.a0.entries})
-    psi_check = _report(_value_witnesses(
+    psi_check = _report(*_value_witnesses(
         {(j,): x for j, x in enumerate(r.psi)},
         {(j,): ksign(r.n.space.parity(j)) * x for (j, _), x in ga0.items()}))
     report = verify_gde_data(r.n, GdeData(r.d, r.a0))

@@ -26,16 +26,17 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .core import (EVEN, ODD, CheckReport, Element, ItemizedReport,
-                   SuperAlgebra, SuperSpace, Witness, _direct_sum, _product,
-                   _report, _scan_kernel, _side_witnesses, _vadd,
-                   check_malcev, direct_sum_embeddings, ksign)
+from .core import (_EMPTY, EVEN, ODD, Element, SuperAlgebra, SuperSpace,
+                   _direct_sum, _product, _scan_kernel, _side_witnesses,
+                   _vadd, _vector_witness, check_malcev,
+                   direct_sum_embeddings, ksign)
 from .errors import AxiomError, InputError, PreconditionError
 from .linalg import ONE, _add, cleared, frac
 from .operators import (OperatorMap, _int_map, _line_extension,
                         check_malcev_operator, check_skew_supersymmetric)
 from .quadratic import (BilinearForm, QuadraticAlgebra, _form_pairing,
                         _require_validated)
+from .reports import CheckReport, ItemizedReport, Witness, _report
 
 
 @dataclass(frozen=True)
@@ -95,15 +96,11 @@ def verify_gde_data(q: QuadraticAlgebra, g: GdeData) -> GdeReport:
 
     skew = check_skew_supersymmetric(q.form, g.d, a.space)
     oper = check_malcev_operator(a, g.d)
-    square, action, outer, inner = _gde_conditions(a, g.d, g.a0)
-    return GdeReport(skew=skew, operator=oper, square=_report(square),
-                     compat_action=_report(action),
-                     compat_outer=_report(outer),
-                     compat_inner=_report(inner))
+    return GdeReport(skew, oper, *_gde_conditions(a, g.d, g.a0))
 
 
 def _gde_conditions(a: SuperAlgebra, d: OperatorMap, a0: Element):
-    """Witness lists of the square rule and the three compatibility
+    """The reports of the square rule and the three compatibility
     equations, X = b_i and Y = b_j:
 
         square  d^2(a0) = (1/2) a0 a0                        at ("a0",)
@@ -121,7 +118,7 @@ def _gde_conditions(a: SuperAlgebra, d: OperatorMap, a0: Element):
     As in the scans, each term is added into the sum of every key where it
     occurs, so a key is visited only when some term there is nonzero, and
     the keys are sorted.  The sides are compared at a common scale, and a
-    witness is divided back, exactly, only where they differ.
+    witness is divided back, exactly, only when it is read.
     """
     n = a.dim
     kern = _scan_kernel(a)
@@ -169,14 +166,14 @@ def _gde_conditions(a: SuperAlgebra, d: OperatorMap, a0: Element):
             _add(inner[1], (k, i), v, -s)
             _add(inner[1], (i, k), v, 1)
 
-    return (_side_witnesses(n, *square, fscale ** 2 * ascale,
-                            2 * ascale ** 2 * dscale),
-            _side_witnesses(n, *action, fscale * ascale * dscale,
-                            fscale * ascale * dscale),
-            _side_witnesses(n, *outer, ascale * dscale ** 2,
-                            fscale ** 2 * dscale),
-            _side_witnesses(n, *inner, ascale * dscale ** 2,
-                            fscale ** 2 * dscale))
+    return (_report(*_side_witnesses(n, *square, fscale ** 2 * ascale,
+                                     2 * ascale ** 2 * dscale)),
+            _report(*_side_witnesses(n, *action, fscale * ascale * dscale,
+                                     fscale * ascale * dscale)),
+            _report(*_side_witnesses(n, *outer, ascale * dscale ** 2,
+                                     fscale ** 2 * dscale)),
+            _report(*_side_witnesses(n, *inner, ascale * dscale ** 2,
+                                     fscale ** 2 * dscale)))
 
 
 def verified_gde_data(q: QuadraticAlgebra, d: OperatorMap,
@@ -453,12 +450,10 @@ def check_gsd_conditions(m: SuperAlgebra, v: SuperAlgebra,
     """
     if s.m != m or s.v != v:
         raise InputError("semidirect data belongs to other algebras")
-    op_wit = []
-    for i in range(m.dim):
-        rep = check_malcev_operator(v, s.omega[i])
-        if not rep.passed:
-            op_wit.append(Witness((i,), "operator identity fails",
-                                  rep.witnesses[0].index))
+    failed = {i: rep for i in range(m.dim)
+              if not (rep := check_malcev_operator(v, s.omega[i])).passed}
+    operators = _report(list(failed), lambda i: Witness(
+        (i,), "operator identity fails", failed[i].witnesses.keys[0]))
 
     p, amap, bmap = _semidirect_algebra(m, v, s)
     parts = {"M": set(amap), "V": set(bmap)}
@@ -475,11 +470,10 @@ def check_gsd_conditions(m: SuperAlgebra, v: SuperAlgebra,
             return out
         return {k: c for k, c in out.items() if k in parts[proj]}
 
-    zero = Element.zero(v.dim)
     embed = {"M": amap, "V": bmap}
     reports = {}
     for name, kinds, terms in _GSD_CONDITIONS:
-        witnesses = []
+        sums = {}
         for key in itertools.product(*(range(len(embed[k])) for k in kinds)):
             args = tuple(embed[k][i] for k, i in zip(kinds, key))
             par = tuple(p.space.parity(a) for a in args)
@@ -487,11 +481,10 @@ def check_gsd_conditions(m: SuperAlgebra, v: SuperAlgebra,
             for spec, word in terms:
                 _vadd(acc, value(_bind(word, args)), _parity_sign(spec, par))
             if acc:
-                lhs = {local[k]: c for k, c in acc.items()}
-                witnesses.append(Witness(key, Element.sparse(v.dim, lhs),
-                                         zero))
-        reports[name] = _report(witnesses)
-    return GsdReport(operators=_report(op_wit), **reports)
+                sums[key] = {local[k]: c for k, c in acc.items()}, _EMPTY
+        reports[name] = _report(list(sums),
+                                _vector_witness(v.dim, sums.__getitem__, 1))
+    return GsdReport(operators=operators, **reports)
 
 
 def generalized_semidirect_product(m: SuperAlgebra, v: SuperAlgebra,

@@ -27,14 +27,15 @@ from __future__ import annotations
 import functools
 
 from . import linalg
-from .core import (EVEN, ODD, CheckReport, Element, SuperAlgebra,
-                   SuperSpace, _mirror_witnesses, _report, _scan_kernel,
-                   _side_witnesses, _value_witnesses, check_malcev,
+from .core import (EVEN, ODD, Element, SuperAlgebra, SuperSpace,
+                   _scan_kernel, _side_witnesses, check_malcev,
                    direct_sum_embeddings, ksign)
 from .errors import InputError, PreconditionError
 from .linalg import ZERO, _add, frac
 from .quadratic import (BilinearForm, QuadraticAlgebra, SparseMatrix,
                         _form_pairing, _require_validated)
+from .reports import (CheckReport, _mirror_witnesses, _report,
+                      _value_witnesses)
 
 
 class OperatorMap(SparseMatrix):
@@ -109,7 +110,7 @@ def check_malcev_operator(a: SuperAlgebra, f: OperatorMap) -> CheckReport:
         for i, v in kern.right_products(fmap(vec)).items():
             _add(rhs, (i, j, k), v, -ksign(par[i] * (par[j] + par[k])))
     denom = kern.scale ** 2 * fscale
-    return _report(_side_witnesses(n, lhs, rhs, denom, denom))
+    return _report(*_side_witnesses(n, lhs, rhs, denom, denom))
 
 
 def check_skew_supersymmetric(b: BilinearForm, f: OperatorMap,
@@ -119,7 +120,7 @@ def check_skew_supersymmetric(b: BilinearForm, f: OperatorMap,
     if f.dim != n:
         raise InputError("operator dimension does not match form")
     left, right = _form_pairing(b, f.cols)
-    return _report(_value_witnesses(left, {
+    return _report(*_value_witnesses(left, {
         (i, j): -ksign(f.parity * space.parity(i)) * x
         for (i, j), x in right.items()}))
 
@@ -141,7 +142,7 @@ class Cocycle(SparseMatrix):
 
     def graded_skew_report(self, space) -> CheckReport:
         """omega(X,Y) = -(-1)^{xy} omega(Y,X) on basis pairs (X, Y)."""
-        return _report(_mirror_witnesses(self.entries, space.parity, True))
+        return _report(*_mirror_witnesses(self.entries, space.parity, True))
 
 
 def _line_extension(a: SuperAlgebra, values, parity, name=""):
@@ -169,25 +170,30 @@ def check_cocycle(a: SuperAlgebra, w: Cocycle) -> CheckReport:
     The identity is read off `check_malcev` of the line extension
     a + F c by w: the two sides at a quadruple are the c coordinates of
     the Malcev sides there (see the module docstring), and a quadruple
-    holding c has every term 0.  So the witnesses are the Malcev witnesses
-    whose c coordinates differ, their keys read back to a's indices
-    through the layout's index map.  A
-    nonzero w(b_i, b_j) with |i| + |j| other than w's parity raises
-    GradingError before the scan.
+    holding c has every term 0.  So the witnesses are at the Malcev keys
+    whose sides differ at c, each side read as an int vector off the
+    report's evaluator, so no Malcev witness is built; the keys are read
+    back to a's indices through the layout's index map, after the skewness
+    witnesses.  A nonzero w(b_i, b_j) with |i| + |j| other than w's parity
+    raises GradingError before the scan.
     """
     if w.dim != a.dim:
         raise InputError("cocycle dimension does not match algebra")
     w.validate_parity(a.space)
-    skew = w.graded_skew_report(a.space)
+    mirror = w.graded_skew_report(a.space).witnesses
     ext, at, c = _line_extension(a, w.entries, w.parity)
     back = {pos: i for i, pos in enumerate(at)}
     lhs, rhs = {}, {}
-    for wit in check_malcev(ext).witnesses:
-        key = tuple(back[i] for i in wit.index)
-        lhs[key] = wit.lhs.entries.get(c, 0)
-        rhs[key] = wit.rhs.entries.get(c, 0)
-    return _report([*skew.witnesses, *_value_witnesses(lhs, rhs)],
-                   [] if skew.passed else ["graded skew-symmetry fails"])
+    malcev = check_malcev(ext).witnesses
+    for key in malcev.keys:
+        left, right = malcev.witness.sides(key)
+        key = tuple(map(back.__getitem__, key))
+        lhs[key], rhs[key] = left.get(c, 0), right.get(c, 0)
+    keys, value = _value_witnesses(lhs, rhs, _scan_kernel(ext).scale ** 3)
+    return _report([*mirror.keys, *keys],  # pairs, then quadruples
+                   lambda key: (mirror.witness if len(key) == 2
+                                else value)(key),
+                   ["graded skew-symmetry fails"] if mirror else [])
 
 
 def operator_from_cocycle(q: QuadraticAlgebra, w: Cocycle) -> OperatorMap:

@@ -21,15 +21,16 @@ from fractions import Fraction
 from itertools import islice
 
 from . import linalg
-from .core import (_CERT_PRIME, EVEN, CheckReport, Element,
-                   GradedSubspace, ItemizedReport, SuperAlgebra, SuperSpace,
-                   Witness, _ideal_candidates, _mirror_witnesses,
-                   _proper_ideals, _report, _scan_kernel, _value_witnesses,
-                   center, check_malcev, check_super_anticommutativity,
-                   ideal_closure, _direct_sum, direct_sum_embeddings, memo,
-                   parity_name, simplicity, change_basis)
+from .core import (_CERT_PRIME, EVEN, Element, GradedSubspace, SuperAlgebra,
+                   SuperSpace, _ideal_candidates, _proper_ideals,
+                   _scan_kernel, center, check_malcev,
+                   check_super_anticommutativity, ideal_closure, _direct_sum,
+                   direct_sum_embeddings, memo, parity_name, simplicity,
+                   change_basis)
 from .errors import AxiomError, GradingError, InputError, PreconditionError
 from .linalg import ONE, ZERO, frac
+from .reports import (CheckReport, ItemizedReport, Witness, _mirror_witnesses,
+                      _report, _value_witnesses)
 
 
 class SparseMatrix:
@@ -206,26 +207,25 @@ def check_form(a: SuperAlgebra, b: BilinearForm) -> FormReport:
     par = [a.space.parity(i) for i in range(n)]
     g = b.entries
 
-    even_wit = [Witness((i, j), x, ZERO) for (i, j), x in g.items()
-                if par[i] != par[j]]
+    even = _report([(i, j) for i, j in g if par[i] != par[j]],
+                   lambda key: Witness(key, g[key], ZERO))
 
     # at i <= j: G[i][j] against (-1)^{|i|} G[j][i]
     supersym = _mirror_witnesses({(i, j): x for (i, j), x in g.items()
                                   if par[i] == par[j]}, par.__getitem__, False)
 
-    zero = Element.zero(n)
-    nondeg_wit = [Witness(("kernel",), Element.sparse(n, v), zero)
-                  for v in b._kernel_basis]
+    kernel, zero = b._kernel_basis, Element.zero(n)
+    nondeg = _report(range(len(kernel)), lambda i: Witness(
+        ("kernel",), Element.sparse(n, kernel[i]), zero))
 
-    return FormReport(even=_report(even_wit),
-                      supersymmetric=_report(supersym),
-                      nondegenerate=_report(nondeg_wit),
-                      invariant=_report(_invariance_witnesses(a, b)))
+    return FormReport(even=even, supersymmetric=_report(*supersym),
+                      nondegenerate=nondeg,
+                      invariant=_report(*_invariance_witnesses(a, b)))
 
 
 def _invariance_witnesses(a: SuperAlgebra, b: BilinearForm):
-    """(i, j, k) with B(b_i b_j, b_k) != B(b_i, b_j b_k), in lexicographic
-    order, with both sides.
+    """The (i, j, k) with B(b_i b_j, b_k) != B(b_i, b_j b_k), in
+    lexicographic order, and the builder of their witnesses (both sides).
 
     Both sides are sums of (constant x Gram entry) terms, so they are
     accumulated on the scan kernel's integer constants (scaled by D) and

@@ -6,12 +6,93 @@
   `_enveloping_basis` on flat n x n matrices {n*row + column: value}.  The
   package keeps its generators as column maps {column: {row: value}} and
   leaves the flat layout to `linalg`.
+- `report`, `malcev_witnesses` and `jacobi_witnesses`, the eager witness
+  lists.  The package keeps each failing report's keys and builds a
+  witness only when it is read (`core.Witnesses`).
 
 pytest does not collect this file; the test modules import it.
 """
 
-from qmalcev.core import _vadd
+from fractions import Fraction
+
+from qmalcev.core import (_EMPTY, CheckReport, Element, Witness, _rotations,
+                          _scan_kernel, _unpacked, _vadd, ksign)
 from qmalcev.linalg import ONE, Span, sparse
+
+
+def report(witnesses, notes=()):
+    """The CheckReport that holds the built witnesses as a tuple."""
+    return CheckReport(passed=not witnesses, witnesses=tuple(witnesses),
+                       notes=tuple(notes))
+
+
+def _scaled_element(n, vec, denom, fracs):
+    """The Element of F^n with the coordinates c / denom of the int vector
+    {k: c}, c != 0; fracs, local to the caller's call, keeps one Fraction
+    per c."""
+    entries = {}
+    for k, c in vec.items():
+        x = fracs.get(c)
+        if x is None:
+            x = fracs[c] = Fraction(c) if denom == 1 else Fraction(c, denom)
+        entries[k] = x
+    return Element.sparse(n, entries)
+
+
+def malcev_witnesses(kern, n, diff):
+    """Witness(key, lhs, rhs) at each sorted key of diff {key: packed scaled
+    lhs - rhs} where the difference is nonzero.  The lhs
+    (-1)^{yz} (b_i b_k)(b_j b_l) is evaluated there, and rhs = lhs - diff."""
+    par, pairs, packed = kern.par, kern.pairs, kern.packed
+    base, bits = kern.base, kern.bits
+    denom, fracs = kern.scale ** 3, {}
+    witnesses = []
+    for key in sorted(key for key, x in diff.items() if x):
+        i, j, k, l = key
+        trow = packed.get((i, k), _EMPTY)
+        lhs = ksign(par[j] * par[k]) * sum(
+            c * trow.get(m, 0) for m, c in pairs.get((j, l), _EMPTY).items())
+        witnesses.append(Witness(
+            key, _scaled_element(n, _unpacked(lhs, base[i], bits), denom,
+                                 fracs),
+            _scaled_element(n, _unpacked(lhs - diff[key], base[i], bits),
+                            denom, fracs)))
+    return witnesses
+
+
+def jacobi_witnesses(a):
+    """Witness(rot, value, 0) at every rotation of each triple whose Jacobi
+    sum is nonzero, one value Element per orbit, sorted by index: each term
+    (b_p b_q) b_r of the scan kernel added once, at the least of its
+    rotations, as `core.check_jacobi` adds it."""
+    n, kern = a.dim, _scan_kernel(a)
+    par = kern.par
+    sums = {}
+    for (p, q), trow in kern.packed.items():
+        for r, x in trow.items():
+            s = ksign(par[p] * par[r])
+            if p < q and p < r:
+                key = (p, q, r)
+            elif q < r and q < p:
+                key = (q, r, p)
+            elif r < p and r < q:
+                key = (r, p, q)
+            elif p == q == r:
+                key, s = (p, p, p), 3 * s
+            else:  # the least index occurs twice
+                key = min((p, q, r), (r, p, q), (q, r, p))
+            sums[key] = sums.get(key, 0) + s * x
+    denom, fracs = kern.scale ** 2, {}
+    zero = Element.zero(n)
+    witnesses = []
+    for key, x in sums.items():
+        if x:
+            value = _scaled_element(
+                n, _unpacked(x, kern.base[key[0]], kern.bits), denom, fracs)
+            witnesses += [Witness(rot, value, zero)
+                          for rot in _rotations(par, key)]
+    witnesses.sort(key=lambda w: w.index)
+    return witnesses
 
 
 def _mul_vv(a, u, v):

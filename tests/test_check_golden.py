@@ -6,7 +6,9 @@ standard output of `check -` on
 - m7, osp12 and the 20-dim sum sl2+m7+osp12+abelian(3,2);
 - three documents with a broken Gram matrix: one entry of m7's rescaled,
   so that invariance fails on many triples; osp12 with a symmetric odd
-  block; and the 20-dim sum with its Gram row 1 deleted.
+  block; and the 20-dim sum with its Gram row 1 deleted;
+- `dense_document(12)`, whose reports hold tens of thousands of failures,
+  of which the output prints the counts and the first 32 witnesses.
 
 The output lists the first witnesses of every check, `form_invariant`
 included, with exact values and in scan order.  Regenerate the file (only
@@ -16,6 +18,7 @@ after a change that is meant to alter these outputs) with
 """
 
 import json
+import random
 from functools import reduce
 from pathlib import Path
 
@@ -54,6 +57,25 @@ def _set(r, c, value):
                          for i, j, v in rows]
 
 
+def dense_document(n, seed=0):
+    """A seeded dense anticommutative even algebra of dimension n with an
+    identity Gram: each c(i, j, k) with i < j drawn from {-3, ..., 3}, and
+    c(j, i, k) = -c(i, j, k).  `check` fails it (exit 3) on the Malcev and
+    Jacobi identities and form invariance at almost every tuple."""
+    rng = random.Random(seed)
+    constants = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                if c := rng.randint(-3, 3):
+                    constants += [[i, j, k, "%d/1" % c],
+                                  [j, i, k, "%d/1" % -c]]
+    return canonical_json({
+        "format_version": 1, "name": "dense%d" % n, "even_dim": n,
+        "odd_dim": 0, "constants": sorted(constants),
+        "gram": [[i, i, "1/1"] for i in range(n)]})
+
+
 def documents():
     out = {name: (GOLDEN_DIR / (name + ".json")).read_text()
            for name in DEFECTIVE}
@@ -64,6 +86,7 @@ def documents():
     out["osp12+symmetric_odd"] = _with_gram(out["osp12"], _set(4, 3, "2/1"))
     out["sum20+zero_gram_row_1"] = _with_gram(
         out["sum20"], lambda rows: [row for row in rows if row[0] != 1])
+    out["dense12"] = dense_document(12)
     return out
 
 

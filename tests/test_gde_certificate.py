@@ -210,4 +210,5 @@ def test_integer_conditions_on_any_graded_algebra(a, data):
     a0 = Element([data.draw(small) if par[i] == EVEN else 0
                            for i in range(n)])
     got = _gde_conditions(a, d, a0)
-    assert [list(w) for w in got] == list(reference_conditions(a, d, a0))
+    assert ([list(rep.witnesses) for rep in got]
+            == list(reference_conditions(a, d, a0)))

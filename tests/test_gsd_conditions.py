@@ -18,13 +18,13 @@ import pytest
 from qmalcev import (EVEN, Element, OperatorMap, SemidirectData, catalog_get,
                      check_gsd_conditions, gde_abelian12_parts,
                      generalized_semidirect_product, semidirect_data_from_gde)
-from qmalcev.core import Witness, _report, _vadd, _vscale, ksign
+from qmalcev.core import Witness, _vadd, _vscale, ksign
 from qmalcev.errors import InputError, PreconditionError
 from qmalcev.extensions import GsdReport
 from qmalcev.linalg import ONE, frac
 from qmalcev.operators import check_malcev_operator
 
-from references import _mul_vb, _mul_vv
+from references import _mul_vb, _mul_vv, report
 from test_scan_kernel import graded_algebras
 
 
@@ -226,9 +226,9 @@ def reference_conditions(m, v, s):
                                           Element.sparse(nv, acc),
                                           Element.zero(nv)))
 
-    return GsdReport(operators=_report(op_wit), cond1=_report(w1),
-                     cond2=_report(w2), cond3=_report(w3),
-                     cond4=_report(w4), cond5=_report(w5))
+    return GsdReport(operators=report(op_wit), cond1=report(w1),
+                     cond2=report(w2), cond3=report(w3),
+                     cond4=report(w4), cond5=report(w5))
 
 
 # ---------------------------------------------------------------------------

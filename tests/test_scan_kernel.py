@@ -28,11 +28,11 @@ from qmalcev import (EVEN, ODD, BilinearForm, Cocycle, Element, OperatorMap,
                      check_skew_supersymmetric, check_super_anticommutativity,
                      cocycle_from_operator, direct_sum, linalg, product)
 from qmalcev import core
-from qmalcev.core import _report, _vadd, ksign
+from qmalcev.core import _vadd, ksign
 from qmalcev.document import parse_document
 from qmalcev.linalg import frac
 
-from references import _mul_vb, _mul_vv
+from references import _mul_vb, _mul_vv, report
 from test_scan_golden import _pair_dropped
 
 SCALARS = st.builds(Fraction, st.integers(-4, 4).filter(bool),
@@ -244,7 +244,7 @@ def test_lie_superalgebras_form_no_chain_term(monkeypatch, name):
     else:
         a = catalog_get(name).algebra.algebra
     rep, passes, chains = _malcev_passes(monkeypatch, a)
-    assert rep == _report(())
+    assert rep == report(())
     assert (passes, chains) == ([], 0)
 
 
@@ -258,7 +258,7 @@ def test_malcev_non_lie_runs_only_the_orbit_pass(monkeypatch, name):
     else:
         a = catalog_get(name).algebra.algebra
     rep, passes, _chains = _malcev_passes(monkeypatch, a)
-    assert rep == _report(())
+    assert rep == report(())
     assert passes == ["orbit"]
 
 
@@ -397,7 +397,7 @@ def malcev_operator_reference(a, f):
                 if lhs != rhs:
                     witnesses.append(Witness((i, j, k), Element.sparse(n, lhs),
                                              Element.sparse(n, rhs)))
-    return _report(witnesses)
+    return report(witnesses)
 
 
 def skew_reference(b, f, space):
@@ -414,7 +414,7 @@ def skew_reference(b, f, space):
             if lhs_m[i][j] != s * rhs_m[i][j]:
                 witnesses.append(Witness((i, j), lhs_m[i][j],
                                          s * rhs_m[i][j]))
-    return _report(witnesses)
+    return report(witnesses)
 
 
 def cocycle_from_operator_reference(q, f):

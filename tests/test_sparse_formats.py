@@ -19,14 +19,15 @@ from qmalcev import (BilinearForm, Cocycle, OperatorMap, QuadraticAlgebra,
                      SuperAlgebra, SuperSpace, check_form,
                      check_skew_supersymmetric)
 from qmalcev import linalg
-from qmalcev.core import (EVEN, ODD, Element, Witness, _report, ksign,
-                          parity_name)
+from qmalcev.core import EVEN, ODD, Element, Witness, ksign, parity_name
 from qmalcev.document import (MAX_DIM, canonical_json, emit_document,
                               parse_document, scalar_text)
 from qmalcev.errors import GradingError, InputError
 from qmalcev.extensions import GdeData
 from qmalcev.linalg import ZERO, frac
 from qmalcev.quadratic import FormReport
+
+from references import report
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +144,8 @@ def reference_check_form(a, g):
         rhs = sum((g[i][m] * c.get((j, k, m), ZERO) for m in range(n)), ZERO)
         if lhs != rhs:
             inv.append(Witness((i, j, k), lhs, rhs))
-    return FormReport(_report(even), _report(sym), _report(nondeg),
-                      _report(inv))
+    return FormReport(report(even), report(sym), report(nondeg),
+                      report(inv))
 
 
 def reference_skew(g, f, space):
@@ -157,7 +158,7 @@ def reference_skew(g, f, space):
             (g[i][r] * f.matrix[r][j] for r in range(n)), ZERO)
         if lhs != rhs:
             witnesses.append(Witness((i, j), lhs, rhs))
-    return _report(witnesses)
+    return report(witnesses)
 
 
 def _matrix_rows(m):
