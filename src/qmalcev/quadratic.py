@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from . import linalg
 from .core import (_CERT_PRIME, EVEN, Element, GradedSubspace, SuperAlgebra,
@@ -159,13 +158,19 @@ class BilinearForm(SparseMatrix):
         verdict = self._verdicts.get(sub.key)
         if verdict is None:
             k, rows = sub.dim, {}
-            for (i, j), vec in linalg.pulled_back(
-                    self.int_gram[1], dict(enumerate(sub.int_rows))).items():
+            for (i, j), vec in self._pulled_back(sub).items():
                 rows.setdefault(i, {})[j] = vec[0]
             verdict = self._verdicts[sub.key] = any(
                 linalg.row_span(rows.values(), k, p).dim == k
                 for p in (_CERT_PRIME, 0))
         return verdict
+
+    def _pulled_back(self, sub: GradedSubspace):
+        """The int Gram pulled back along the int rows of a graded
+        subspace, {(i, j): {0: x}} at its nonzero entries only; empty
+        exactly when the form vanishes on the subspace."""
+        return linalg.pulled_back(self.int_gram[1],
+                                  dict(enumerate(sub.int_rows)))
 
     @property
     @memo
@@ -508,7 +513,8 @@ def _split(q: QuadraticAlgebra):
     ideal with a nondegenerate restriction, or None; and whether None is
     proved, not merely that no candidate closed to such an ideal.
 
-    The verdict is reached in this order:
+    The verdict is reached in this order, each step only where the steps
+    before it left it open:
     1. Structural certificates, which close no candidate and solve no
        Gamma_s; each proves None.
        - Dimension at most 1, or `simplicity` True: no proper ideal.
@@ -522,47 +528,49 @@ def _split(q: QuadraticAlgebra):
          nonzero orthogonal graded ideals gives two quadratic solvable
          algebras with nonzero centers, and IJ = 0 puts Z(I) + Z(J) in
          Z(q), so dim Z(q) >= 2.
-    2. The center columns, then the basis vectors: the first
-       `_ideal_candidates`, which in a sum mostly close to a summand.
+    2. The first proper ideal of the `_ideal_candidates`, if its
+       restriction is nondegenerate, splits q.  `simplicity` has closed it
+       already and keeps it as its `ideal`, so this costs one rank; in a
+       sum the center columns and basis vectors mostly close to a summand.
     3. The trace form on the symmetric centroid Gamma_s (Bajo-Benayadi,
-       J. Pure Appl. Algebra 209 (2007)) of rank 1 proves None.  A split
-       q = I + J puts the projections p_I, p_J in Gamma_s, with
-       tr(p_I p_J) = 0 and tr(p_I p_I) = dim I > 0, so the rank is at
-       least the number of components; it is only taken up to 2.  Gamma_s
-       is solved only when Z lies in A^2 = Z^perp, that is when B vanishes
-       on Z.  Otherwise a graded complement W in Z of the radical of B on
-       Z, which is Z intersected with A^2, is a nondegenerate central
-       ideal, and q = W + W^perp is proper unless q = W is abelian.  An
-       abelian q of a shape other than (0|0), (1|0) and (0|2) has another
-       graded subspace with a nondegenerate restriction, an ideal: its
-       even part, an anisotropic even line, or an odd plane.  So the rank
-       is at least 2.
-    4. The rest of the same candidates: same-parity sums and pairs, then
-       seeded pseudo-random homogeneous vectors.
-    Each candidate is closed by `core._proper_ideals`, and the first
-    ideal with a nondegenerate restriction splits q; an ideal met twice is
-    a memo hit in `BilinearForm._nondegenerate_on`.
+       J. Pure Appl. Algebra 209 (2007)) of rank 1 proves None, before any
+       other candidate is closed.  A split q = I + J puts the projections
+       p_I, p_J in Gamma_s, with tr(p_I p_J) = 0 and tr(p_I p_I) = dim I
+       > 0, so the rank is at least the number of components; it is only
+       taken up to 2.  Where it is 1, no candidate can split q, so none is
+       closed.  Gamma_s is solved only when Z lies in A^2 = Z^perp, that
+       is when B vanishes on Z, a pullback of the int Gram.  Otherwise a
+       graded complement W in Z of the radical of B on Z, which is Z
+       intersected with A^2, is a nondegenerate central ideal, and
+       q = W + W^perp is proper unless q = W is abelian.  An abelian q of a
+       shape other than (0|0), (1|0) and (0|2) has another graded subspace
+       with a nondegenerate restriction, an ideal: its even part, an
+       anisotropic even line, or an odd plane.  So the rank is at least 2
+       there, and an abelian q, whose form is nondegenerate on Z = q, skips
+       even the pullback.
+    4. Every candidate in order: the center columns, the basis vectors,
+       same-parity sums and pairs, then seeded pseudo-random homogeneous
+       vectors.  Each is closed by `core._proper_ideals`, and the first
+       ideal with a nondegenerate restriction splits q; a closure that
+       `simplicity` made is a memo hit in `ideal_closure`, and an ideal
+       met twice one in `BilinearForm._nondegenerate_on`.
+    Steps 2 and 3 only skip work: the ideal of step 2 is the first that
+    step 4 would return, and where step 3 proves None, step 4 finds none.
     """
     a = q.algebra
-
-    def first(seeds):
-        return next((ideal for ideal in _proper_ideals(a, seeds)
-                     if q.form._nondegenerate_on(ideal)),
-                    None)
-
     if (q.dim <= 1 or (q.dim == 2 and not q.space.even_dim)
             or simplicity(a).simple is True
             or (center(a).dim == 1 and _solvable(a))):
         return None, True
-    z = center(a)
-    seeds = _ideal_candidates(a)
-    ideal = first(islice(seeds, z.dim + q.dim))
-    proved = (ideal is None
-              and not q.form._restricted(z.int_rows).entries
-              and _trace_rank(_symmetric_centroid(q), q.dim, stop=2) == 1)
-    if ideal is None and not proved:
-        ideal = first(seeds)
-    return ideal, proved
+    ideal = simplicity(a).ideal
+    if ideal is not None and q.form._nondegenerate_on(ideal):
+        return ideal, False
+    if (not a.is_abelian()
+            and not q.form._pulled_back(center(a))
+            and _trace_rank(_symmetric_centroid(q), q.dim, stop=2) == 1):
+        return None, True
+    return next((ideal for ideal in _proper_ideals(a, _ideal_candidates(a))
+                 if q.form._nondegenerate_on(ideal)), None), False
 
 
 def b_irreducible_components(q: QuadraticAlgebra) -> ComponentsReport:

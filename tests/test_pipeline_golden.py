@@ -1,10 +1,11 @@
 """Pinned outputs of the `reduce`, `decompose` and `rebuild` commands.
 
 `golden/pipeline_outputs.json` holds, for every catalog entry of the
-catalog tests except m7 and for two direct sums, the exit code and the
-sha256 of the standard output of `reduce -` and `decompose -` on the
-entry's document, and of `rebuild -` on that `decompose` output.  Regenerate
-it (only after a change that is meant to alter these outputs) with
+catalog tests except m7, for example_gde(3; 1,2,2) and for three direct
+sums, the exit code and the sha256 of the standard output of `reduce -`
+and `decompose -` on the entry's document, and of `rebuild -` on that
+`decompose` output.  Regenerate it (only after a change that is meant to
+alter these outputs) with
 
     PYTHONPATH=src python tests/test_pipeline_golden.py
 """
@@ -33,6 +34,7 @@ INSTANCES = [
     ("example_M", {"n": 3, "m": (2, 2, 1)}),
     ("example_gde", {"n": 1, "m": (2,)}),
     ("example_gde", {"n": 2, "m": (1, 1)}),
+    ("example_gde", {"n": 3, "m": (1, 2, 2)}),
     ("odd_hyperbolic", {}),
     ("even_hyperbolic", {}),
     ("gde_abelian12", {}),
@@ -41,6 +43,8 @@ INSTANCES = [
 SUMS = [
     (("sl2", {}), ("abelian", {"p": 1, "q": 0})),
     (("example_gde", {"n": 1, "m": (2,)}), ("abelian", {"p": 0, "q": 2})),
+    (("example_gde", {"n": 1, "m": (2,)}),
+     ("example_gde", {"n": 1, "m": (3,)})),
 ]
 
 

@@ -6,15 +6,19 @@ verdict must return the same ideal and the same proof on every piece of a
 set of decomposition trees, in the identity basis and in two seeded
 unitriangular bases.  A spy pins that abelian pieces solve no Gamma_s: a
 (0|2) piece is irreducible by its shape, and a piece whose center is not
-in A^2 splits, so Gamma_s cannot prove it irreducible.  The last test pins
-the verdict that neither splits nor proves.
+in A^2 splits, so Gamma_s cannot prove it irreducible.  Two more spies pin
+the order's work: each node of an example_gde chain is proved by Gamma_s
+before any candidate past `simplicity`'s is closed, and a root that the
+first candidate splits solves no Gamma_s.  The last test pins the verdict
+that neither splits nor proves.
 """
 
 import random
 
 import pytest
 
-from qmalcev import (GradedSubspace, catalog_get, center,
+from qmalcev import (BilinearForm, GradedSubspace, QuadraticAlgebra,
+                     SuperAlgebra, catalog_get, center, core,
                      direct_sum_quadratic, inductive_decompose, quadratic,
                      reduce_odd, simplicity)
 from qmalcev.core import _ideal_candidates, ideal_closure
@@ -85,6 +89,11 @@ TREES = dict(ROOTS, **{
     "abelian(2,2)": lambda: _entry("abelian", p=2, q=2),
     "even_hyperbolic+even_hyperbolic": lambda: direct_sum_quadratic(
         _entry("even_hyperbolic"), _entry("even_hyperbolic")),
+    "example_gde(6;1,2,3,5,7,11)": lambda: _entry(
+        "example_gde", n=6, m=(1, 2, 3, 5, 7, 11)),
+    "gde1(2)+gde1(3)": lambda: direct_sum_quadratic(
+        _entry("example_gde", n=1, m=(2,)),
+        _entry("example_gde", n=1, m=(3,))),
 })
 
 
@@ -118,6 +127,72 @@ def test_abelian_pieces_solve_no_centroid(monkeypatch, p, q, dims):
     comps = b_irreducible_components(fresh(_entry("abelian", p=p, q=q)))
     assert sorted(c.dim for c in comps) == dims
     assert comps.exhaustive
+
+
+def pristine(q):
+    """A copy of q, its algebra and its form with empty caches, so that
+    nothing a test run derived earlier is reused."""
+    a = q.algebra
+    return QuadraticAlgebra(SuperAlgebra(a.space, a.constants, name=a.name),
+                            BilinearForm.from_entries(q.dim, q.form.entries,
+                                                      q.form.parity),
+                            validated=q.validated)
+
+
+def spied_decompose(monkeypatch, q):
+    """Decompose a pristine q; the closures made afresh, not read from
+    `ideal_closure`'s memo, and the Gamma_s solves."""
+    closures, solves = [], []
+    close, solve = core.ideal_closure, quadratic._symmetric_centroid
+
+    def new_closure(a, seed):
+        if seed.key not in a._closures:
+            closures.append(seed)
+        return close(a, seed)
+
+    def counted(q):
+        solves.append(q)
+        return solve(q)
+
+    monkeypatch.setattr(core, "ideal_closure", new_closure)
+    monkeypatch.setattr(quadratic, "_symmetric_centroid", counted)
+    inductive_decompose(pristine(q))
+    return len(closures), len(solves)
+
+
+@pytest.mark.parametrize("n,m,closures,solves", [
+    (1, (2,), 2, 1), (2, (1, 2), 3, 2), (3, (1, 2, 2), 4, 3),
+], ids=["gde(1;2)", "gde(2;1,2)", "gde(3;1,2,2)"])
+def test_gamma_s_proves_before_the_candidates_close(monkeypatch, n, m,
+                                                    closures, solves):
+    """Every B-irreducible node of an example_gde chain has an isotropic
+    center, and the trace form on Gamma_s proves it so before any
+    candidate past `simplicity`'s is closed: one solve a node, and a
+    closure count that no longer grows with the basis (6, 13 and 22 when
+    the center columns and basis vectors were closed first)."""
+    q = _entry("example_gde", n=n, m=m)
+    assert spied_decompose(monkeypatch, q) == (closures, solves)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: direct_sum_quadratic(_entry("sl2"), _entry("osp12")),
+    lambda: direct_sum_quadratic(_entry("osp12"), _entry("osp12")),
+    lambda: direct_sum_quadratic(_entry("example_gde", n=1, m=(2,)),
+                                 _entry("abelian", p=1, q=0)),
+], ids=["sl2+osp12", "osp12+osp12", "gde1+ab10"])
+def test_first_candidate_splits_without_gamma_s(monkeypatch, make):
+    """Where the first proper ideal of the candidates has a nondegenerate
+    restriction, that ideal splits the root and Gamma_s is not solved."""
+
+    def refuse(_q):
+        raise AssertionError("Gamma_s solved")
+
+    q = make()
+    monkeypatch.setattr(quadratic, "_symmetric_centroid", refuse)
+    ideal, proved = _split(pristine(q))
+    monkeypatch.undo()
+    assert ideal is not None and not proved
+    assert ideal == _search_splitting_ideal(fresh(q))
 
 
 def test_unproved_verdict_without_a_split():
