@@ -154,7 +154,8 @@ def pulled_back(table, cols):
     bilinear map table {(s, t): {k: x}} on basis pairs at the pairs of
     sparse vectors cols {i: {s: x}}; nonzero entries only.  This is the one
     basis rewrite, of a pair table (core.change_basis) and of a form's
-    entries as a map to a line (BilinearForm._restricted), both on ints.
+    entries as a map to a line (BilinearForm._restricted and
+    _pulled_back), both on ints.
     The work follows the nonzeros of the table and of the vectors."""
     rows, users = {}, {}
     for (s, t), vec in table.items():

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import linalg
 from .core import (_CERT_PRIME, EVEN, Element, GradedSubspace, SuperAlgebra,
@@ -487,20 +488,33 @@ def _trace_rank(maps, n, stop=None):
 
 
 def _solvable(a: SuperAlgebra) -> bool:
-    """Whether the derived series A, A^2, (A^2)^2, ... reaches 0.
-
-    Each term is spanned by the products of the previous term's int rows,
-    the algebra's int table pulled back along them (linalg.pulled_back),
-    and is reduced over Q by linalg.Span.  Every term lies in the one
-    before, so the dimension falls until it reaches 0 or a term equals the
-    one before it, a nonzero term that is its own square; there the series
-    stops and A is not solvable.
-    """
+    """Whether the derived series A, A^2, (A^2)^2, ... reaches 0: each
+    term is spanned by the products of the previous term's int rows, the
+    algebra's int table pulled back along them (linalg.pulled_back)."""
     pairs = a.int_table()[1]
+    return _reaches_zero(
+        a, lambda term: linalg.pulled_back(pairs, term).values())
+
+
+def _nilpotent(a: SuperAlgebra) -> bool:
+    """Whether the lower central series A, A^2, A^2 A, ... reaches 0: each
+    term is spanned by the previous term's int rows times the basis
+    vectors, read off `int_factors` by linalg.combine_table."""
+    lefts = a.int_factors()[0]
+    return _reaches_zero(a, lambda term: (
+        vec for row in term.values()
+        for vec in linalg.combine_table(lefts, row).values()))
+
+
+def _reaches_zero(a: SuperAlgebra, products) -> bool:
+    """Whether the series of A that products(term) spans term by term
+    reaches 0, each term {k: int row} reduced over Q by linalg.Span.
+    Every term lies in the one before, so the dimension falls until it
+    reaches 0 or a term equals the one before it; there the series stops
+    at a nonzero term."""
     term = {i: {i: 1} for i in range(a.dim)}
     while term:
-        span = linalg.row_span(linalg.pulled_back(pairs, term).values(),
-                               a.dim)
+        span = linalg.row_span(products(term), a.dim)
         if span.dim == len(term):
             return False
         term = dict(enumerate(span.int_rows()))
@@ -533,29 +547,40 @@ def _split(q: QuadraticAlgebra):
        already and keeps it as its `ideal`, so this costs one rank; in a
        sum the center columns and basis vectors mostly close to a summand.
     3. The trace form on the symmetric centroid Gamma_s (Bajo-Benayadi,
-       J. Pure Appl. Algebra 209 (2007)) of rank 1 proves None, before any
-       other candidate is closed.  A split q = I + J puts the projections
-       p_I, p_J in Gamma_s, with tr(p_I p_J) = 0 and tr(p_I p_I) = dim I
-       > 0, so the rank is at least the number of components; it is only
-       taken up to 2.  Where it is 1, no candidate can split q, so none is
-       closed.  Gamma_s is solved only when Z lies in A^2 = Z^perp, that
-       is when B vanishes on Z, a pullback of the int Gram.  Otherwise a
-       graded complement W in Z of the radical of B on Z, which is Z
-       intersected with A^2, is a nondegenerate central ideal, and
-       q = W + W^perp is proper unless q = W is abelian.  An abelian q of a
-       shape other than (0|0), (1|0) and (0|2) has another graded subspace
-       with a nondegenerate restriction, an ideal: its even part, an
-       anisotropic even line, or an odd plane.  So the rank is at least 2
-       there, and an abelian q, whose form is nondegenerate on Z = q, skips
-       even the pullback.
-    4. Every candidate in order: the center columns, the basis vectors,
-       same-parity sums and pairs, then seeded pseudo-random homogeneous
-       vectors.  Each is closed by `core._proper_ideals`, and the first
-       ideal with a nondegenerate restriction splits q; a closure that
-       `simplicity` made is a memo hit in `ideal_closure`, and an ideal
-       met twice one in `BilinearForm._nondegenerate_on`.
+       J. Pure Appl. Algebra 209 (2007)) of rank 1 proves None.  A split
+       q = I + J puts the projections p_I, p_J in Gamma_s, with
+       tr(p_I p_J) = 0 and tr(p_I p_I) = dim I > 0, so the rank is at
+       least the number of components; it is only taken up to 2.  Where it
+       is 1, no candidate can split q.
+       - Gamma_s is solved only when Z lies in A^2 = Z^perp, that is when
+         B vanishes on Z, a pullback of the int Gram.  Otherwise a graded
+         complement W in Z of the radical of B on Z, which is Z
+         intersected with A^2, is a nondegenerate central ideal, and
+         q = W + W^perp is proper unless q = W is abelian.  An abelian q
+         of a shape other than (0|0), (1|0) and (0|2) has another graded
+         subspace with a nondegenerate restriction, an ideal: its even
+         part, an anisotropic even line, or an odd plane.  So the rank is
+         at least 2 there, and an abelian q, whose form is nondegenerate
+         on Z = q, skips even the pullback.
+       - On a nilpotent q (`_nilpotent`, a few spans) Gamma_s is solved
+         before any other candidate is closed.  Otherwise the center
+         columns and the basis vectors are closed first, and the first
+         that splits q is returned.  This gate is for cost only: every
+         node of an example_gde chain is nilpotent and is proved here,
+         while sl2 + oscillator, oscillator + oscillator and
+         example_gde + sl2, which are not nilpotent, have an isotropic
+         center too and split at a basis vector; a solve ahead of it made
+         the first two 30-50% slower.
+    4. The candidates in order, from the first that step 3 did not close:
+       the center columns, the basis vectors, same-parity sums and pairs,
+       then seeded pseudo-random homogeneous vectors.  Each is closed by
+       `core._proper_ideals`, and the first ideal with a nondegenerate
+       restriction splits q; a closure that `simplicity` made is a memo
+       hit in `ideal_closure`, and an ideal met twice one in
+       `BilinearForm._nondegenerate_on`.
     Steps 2 and 3 only skip work: the ideal of step 2 is the first that
-    step 4 would return, and where step 3 proves None, step 4 finds none.
+    step 4 would return, the candidates of step 3 are step 4's first ones
+    in its order, and where step 3 proves None, step 4 finds none.
     """
     a = q.algebra
     if (q.dim <= 1 or (q.dim == 2 and not q.space.even_dim)
@@ -565,12 +590,20 @@ def _split(q: QuadraticAlgebra):
     ideal = simplicity(a).ideal
     if ideal is not None and q.form._nondegenerate_on(ideal):
         return ideal, False
-    if (not a.is_abelian()
-            and not q.form._pulled_back(center(a))
-            and _trace_rank(_symmetric_centroid(q), q.dim, stop=2) == 1):
-        return None, True
-    return next((ideal for ideal in _proper_ideals(a, _ideal_candidates(a))
-                 if q.form._nondegenerate_on(ideal)), None), False
+
+    def first(seeds):
+        return next((ideal for ideal in _proper_ideals(a, seeds)
+                     if q.form._nondegenerate_on(ideal)), None)
+
+    seeds = _ideal_candidates(a)
+    if not a.is_abelian() and not q.form._pulled_back(center(a)):
+        ahead = 0 if _nilpotent(a) else center(a).dim + q.dim
+        ideal = first(islice(seeds, ahead))
+        if ideal is not None:
+            return ideal, False
+        if _trace_rank(_symmetric_centroid(q), q.dim, stop=2) == 1:
+            return None, True
+    return first(seeds), False
 
 
 def b_irreducible_components(q: QuadraticAlgebra) -> ComponentsReport:

@@ -9,22 +9,28 @@ unitriangular bases.  A spy pins that abelian pieces solve no Gamma_s: a
 in A^2 splits, so Gamma_s cannot prove it irreducible.  Two more spies pin
 the order's work: each node of an example_gde chain is proved by Gamma_s
 before any candidate past `simplicity`'s is closed, and a root that the
-first candidate splits solves no Gamma_s.  The last test pins the verdict
-that neither splits nor proves.
+first candidate splits solves no Gamma_s.  Gamma_s comes first only on a
+nilpotent piece: a sum with sl2 or an oscillator, whose center is also
+isotropic, closes its candidates first, as before the order, and the
+lower central series that decides it is checked against a dense
+recomputation.  The last test pins the verdict that neither splits nor
+proves.
 """
 
 import random
 
 import pytest
 
-from qmalcev import (BilinearForm, GradedSubspace, QuadraticAlgebra,
-                     SuperAlgebra, catalog_get, center, core,
-                     direct_sum_quadratic, inductive_decompose, quadratic,
-                     reduce_odd, simplicity)
+from qmalcev import (EVEN, BilinearForm, Element, GradedSubspace,
+                     OperatorMap, QuadraticAlgebra, SuperAlgebra,
+                     catalog_get, center, core, direct_sum_quadratic,
+                     double_extension_even, inductive_decompose, linalg,
+                     product, quadratic, reduce_odd, simplicity)
 from qmalcev.core import _ideal_candidates, ideal_closure
 from qmalcev.linalg import dense
-from qmalcev.quadratic import (_solvable, _split, _symmetric_centroid,
-                               _trace_rank, b_irreducible_components)
+from qmalcev.quadratic import (_nilpotent, _solvable, _split,
+                               _symmetric_centroid, _trace_rank,
+                               b_irreducible_components)
 
 from test_decompose import oscillator
 from test_solvable_certificate import ROOTS, _tree_algebras
@@ -75,6 +81,20 @@ def _search_splitting_ideal(q):
     return None
 
 
+def rotation_and_shift():
+    """The even double extension of the hyperbolic plane (x, y) plus
+    abelian(3, 0) (u, r1, r2) by D: u -> x, y -> -u, r1 -> r2, r2 -> -r1,
+    skew for the form.  Z is the lines of x and e*, isotropic; D is not
+    nilpotent, so neither is the algebra; and Gamma_s proves it
+    B-irreducible, after the candidates of a piece that is not nilpotent."""
+    v = direct_sum_quadratic(_entry("even_hyperbolic"),
+                             _entry("abelian", p=3, q=0))
+    d = OperatorMap.from_images(5, {0: [0, 0, 0, 0, 0], 1: [0, 0, -1, 0, 0],
+                                    2: [1, 0, 0, 0, 0], 3: [0, 0, 0, 0, 1],
+                                    4: [0, 0, 0, -1, 0]}, EVEN)
+    return double_extension_even(v, d)[0]
+
+
 # ---------------------------------------------------------------------------
 
 TREES = dict(ROOTS, **{
@@ -94,6 +114,7 @@ TREES = dict(ROOTS, **{
     "gde1(2)+gde1(3)": lambda: direct_sum_quadratic(
         _entry("example_gde", n=1, m=(2,)),
         _entry("example_gde", n=1, m=(3,))),
+    "rotation_and_shift": rotation_and_shift,
 })
 
 
@@ -172,6 +193,61 @@ def test_gamma_s_proves_before_the_candidates_close(monkeypatch, n, m,
     the center columns and basis vectors were closed first)."""
     q = _entry("example_gde", n=n, m=m)
     assert spied_decompose(monkeypatch, q) == (closures, solves)
+
+
+@pytest.mark.parametrize("make,closures,solves", [
+    (lambda: direct_sum_quadratic(_entry("sl2"), oscillator()), 4, 0),
+    (lambda: direct_sum_quadratic(oscillator(), oscillator()), 7, 0),
+    (lambda: direct_sum_quadratic(_entry("example_gde", n=1, m=(2,)),
+                                  _entry("sl2")), 6, 1),
+    (rotation_and_shift, 10, 1),
+], ids=["sl2+oscillator", "osc+osc", "gde(1;2)+sl2", "rotation_and_shift"])
+def test_pieces_that_are_not_nilpotent_search_first(monkeypatch, make,
+                                                    closures, solves):
+    """Each root has an isotropic center and a degenerate first ideal, and
+    none is nilpotent, so each closes its center columns and basis vectors
+    before any Gamma_s solve.  In the three sums a basis vector closes to a
+    summand, and only the example_gde(1; 2) component solves Gamma_s, for
+    its own proof, with 2 closures where the candidates first made 6 (10
+    across the root where they came first).  rotation_and_shift is
+    B-irreducible: its one solve proves it after its 10 closures, as
+    before Gamma_s came first on nilpotent pieces."""
+    assert spied_decompose(monkeypatch, make()) == (closures, solves)
+
+
+def lower_central_dims(q):
+    """The dimensions of A, A^2, A^2 A, ... until a term is 0 or equals
+    the one before, each term the span of the previous one's basis times
+    the basis vectors, multiplied densely by `core.product`."""
+    n = q.dim
+    basis = [Element.basis(n, i) for i in range(n)]
+    term, dims = basis, [n]
+    while term:
+        span = linalg.Span(n)
+        for x in term:
+            for y in basis:
+                span.add(product(q.algebra, x, y).entries)
+        dims.append(span.dim)
+        if span.dim == len(term):
+            break
+        term = [Element(tuple(v)) for v in span.vectors()]
+    return dims
+
+
+@pytest.mark.parametrize("root,dims", [
+    ("sl2+sl2", [6, 6]),
+    ("osc+osc", [8, 6, 6]),
+    ("sl2+oscillator", [7, 6, 6]),
+    ("abelian(1,2)", [3, 0]),
+    ("example_gde(1;2)", [5, 3, 2, 0]),
+    ("example_gde(3;1,2,2)", [9, 5, 4, 0]),
+    ("gde1(2)+gde1(3)", [10, 6, 4, 0]),
+])
+def test_nilpotent_reads_the_lower_central_series(root, dims):
+    q = TREES[root]()
+    assert lower_central_dims(q) == dims
+    assert _nilpotent(q.algebra) is (dims[-1] == 0)
+    assert _nilpotent(mixed(q, random.Random(3)).algebra) is (dims[-1] == 0)
 
 
 @pytest.mark.parametrize("make", [
