@@ -838,22 +838,24 @@ def _direct_sum(a: SuperAlgebra, b: SuperAlgebra):
 
 
 def change_basis(a: SuperAlgebra, columns, name=None) -> SuperAlgebra:
-    """The constants of a in the basis b'_1..b'_k given as k <= n columns,
-    lists or sparse dicts.
+    """a in the basis of the columns (_change_basis), a's name by default."""
+    space, constants, _scale, _cols = _change_basis(a, columns)
+    return SuperAlgebra(space, constants,
+                        name=a.name if name is None else name)
 
-    This is the one routine that rewrites constants in a basis: a full
-    change of basis when k = n, the algebra on a subspace when k < n.  The
-    columns must be independent (InputError), homogeneous and ordered
-    even-first (GradingError); the result lives on their (p|k-p) space and
-    keeps a's name unless one is given.  The products of the columns,
-    scaled by L, the lcm of their denominators, are the int table pulled
-    back along them (linalg.pulled_back), D L^2 times the true ones.  One
-    `linalg.Span` of the rows [C^T | I], C the n x k matrix of the columns,
+
+def _change_basis(a: SuperAlgebra, columns):
+    """The (p|k-p) space and constants of a in the basis of k <= n columns,
+    lists or sparse dicts, then L, the lcm of their denominators, and the
+    columns times L as int dicts: the one rewrite of constants in a basis,
+    the algebra on a subspace when k < n.  The columns must be independent
+    (InputError), homogeneous and ordered even-first (GradingError).  Their
+    products are the int table pulled back along them (linalg.pulled_back),
+    D L^2 times the true ones.  One `linalg.Span` of the rows [C^T | I]
     reduces each product w to (w - C x | -x) times its multiplier m, which
-    is (0 | -x) exactly when w = C x lies in the span, so the constants are
-    divided back by D L^2 m once; when k < n a product outside the span
-    means that the subspace is not closed, and raises PreconditionError.
-    """
+    is (0 | -x) exactly when w = C x lies in the span of the columns C, so
+    the constants are divided back by D L^2 m once; a product outside it,
+    on a subspace that is not closed, raises PreconditionError."""
     n = a.dim
     vecs = [{r: y for r, x in _vector(n, c).items() if (y := frac(x))}
             for c in columns]
@@ -884,9 +886,7 @@ def change_basis(a: SuperAlgebra, columns, name=None) -> SuperAlgebra:
                                     "product")
         for m in sorted(rest):
             constants[(i, j, m - n)] = Fraction(-rest[m], denom * mult)
-    space = SuperSpace(par.count(EVEN), par.count(ODD))
-    return SuperAlgebra(space, constants,
-                        name=a.name if name is None else name)
+    return SuperSpace(par.count(EVEN), par.count(ODD)), constants, scale, cols
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,9 @@ from .errors import AxiomError, GradingError, InputError, PreconditionError
 from .linalg import ONE, ZERO
 from .operators import OperatorMap, _int_map, check_malcev_operator
 from .quadratic import (QuadraticAlgebra, _cut, _form_pairing, _laid_out,
-                        _own_space, _require_validated, _split,
-                        b_irreducible_components,
-                        change_basis_quadratic, direct_sum_quadratic,
-                        orthogonal_complement)
+                        _own_space, _perp, _require_validated, _rewrite,
+                        _split, b_irreducible_components,
+                        direct_sum_quadratic)
 from .extensions import (ExtensionWitness, GdeData,
                          double_extension_even, extension_layout,
                          generalized_double_extension, verify_gde_data)
@@ -79,11 +78,13 @@ def _solve_dual_vector(q: QuadraticAlgebra, estar, parity):
 def _adapted_basis(q: QuadraticAlgebra, e, estar, parity):
     """Sparse columns e, e* and the rows of N, the orthogonal complement of
     span{e, e*}, laid out as extension_layout extends N's space; with that
-    layout's witness."""
-    a_sub = GradedSubspace.from_vectors(q.space, [e, estar])
-    if a_sub.dim != 2:
+    layout's witness.  e and e* must be homogeneous and independent, and N
+    is read off the int rows of their span."""
+    pair = linalg.row_span([e, estar], q.dim)
+    if pair.dim != 2 or any(len({q.space.parity(i) for i in v}) != 1
+                            for v in (e, estar)):
         raise PreconditionError("e and e* are not independent")
-    ncols = orthogonal_complement(q.form, a_sub)
+    ncols = GradedSubspace(q.space, _perp(q.form, pair.int_rows()))
     _, w = extension_layout(_own_space(ncols), parity)
     adapted = _laid_out(([w.e_index], w.embedding, [w.estar_index]),
                         ([e], ncols.rows, [estar]))
@@ -105,20 +106,25 @@ class _Peeled:
 
 def _peel(q: QuadraticAlgebra, e, estar, parity) -> _Peeled:
     """Rewrite q once in the adapted basis and cut N from it: the spill of
-    N's products onto e* is phi, and D, psi and ee are read off e's row.
-    N is validated by theorem, not by a scan: e* is central, so e*^perp is
-    an ideal holding F e*, and N is e*^perp / F e*, which is quadratic
-    Malcev (Albuquerque-Benayadi, J. Pure Appl. Algebra 187 (2004)).  A
-    product with a component on e raises PreconditionError.
+    N's products onto e* is phi, and D, psi and ee are read off e's row of
+    the rewritten constants.  N is validated by theorem, not by a scan: e*
+    is central, so e*^perp is an ideal holding F e*, and N is
+    e*^perp / F e*, which is quadratic Malcev (Albuquerque-Benayadi, J.
+    Pure Appl. Algebra 187 (2004)).  A product with a component on e
+    raises PreconditionError.
     """
     adapted, witness = _adapted_basis(q, e, estar, parity)
-    rq = change_basis_quadratic(q, adapted)
+    space, constants, gram = _rewrite(q, adapted)
     e_idx, estar_idx = witness.e_index, witness.estar_index
     n_positions = witness.embedding
-    nq, spill = _cut(rq, n_positions, "reduced(%s)" % q.name)
+    nq, spill = _cut(space, constants, gram, n_positions,
+                     "reduced(%s)" % q.name)
     # e b_j for each position j of N, then ee
-    erow = [rq.algebra.basis_product(e_idx, j)
-            for j in (*n_positions, e_idx)]
+    eprods = {}
+    for (i, j, k), c in constants.items():
+        if i == e_idx:
+            eprods.setdefault(j, {})[k] = c
+    erow = [eprods.get(j, {}) for j in (*n_positions, e_idx)]
     if any(e_idx in vec for vec in (*spill.values(), *erow)):
         raise PreconditionError("products leak onto e; input is not "
                                 "invariantly paired")
@@ -185,10 +191,10 @@ def reduce_even(q: QuadraticAlgebra) -> EvenReduction:
     if _split(q)[0] is not None:
         raise PreconditionError("input splits along a non-degenerate ideal; "
                                 "split first")
-    if q.form._restricted([estar]).entries:  # B(e*, e*)
+    if q.form._value(estar, estar):
         raise PreconditionError("central vector is anisotropic; split first")
     e = _solve_dual_vector(q, estar, EVEN)
-    bee = q.form._restricted([e]).entries.get((0, 0), ZERO)
+    bee = q.form._value(e, e)
     # correct e so that B(e, e) = 0, keeping B(e, e*) = 1 (exact over Q)
     _vadd(e, estar, -bee / 2)
     r = _peel(q, e, estar, EVEN)
@@ -493,11 +499,12 @@ def _carries(q: QuadraticAlgebra, r: QuadraticAlgebra, columns) -> bool:
     The isometry pulls G_r back to G_q, so when q's form is nondegenerate
     the map is injective, and with dim q = dim r it is an isomorphism of
     graded algebras that carries q's form onto r's: every axiom that q
-    satisfies holds in r, and no elimination is needed.  G_r is pulled back
-    along the P_i as BilinearForm._restricted does.  The products are
-    compared on ints: the columns are scaled by L, the lcm of their
-    denominators (operators._int_map), and each side's constants by the
-    lcm of their own denominators, D_q and D_r, so both are D_q D_r L^2
+    satisfies holds in r, and no elimination is needed.  Both are compared
+    on ints.  The columns are scaled by L, the lcm of their denominators
+    (operators._int_map).  r's int Gram, E_r G_r, is pulled back along
+    them and q's is E_q G_q, so both sides are brought to E_q E_r L^2
+    times the true Grams.  Each side's constants are scaled by the lcm of
+    their own denominators, D_q and D_r, so both products are D_q D_r L^2
     times the true ones.
     When the spaces are equal and every column P_i is b_i, this says that
     the constants and the Grams are equal, and that is what is compared.
@@ -515,10 +522,15 @@ def _carries(q: QuadraticAlgebra, r: QuadraticAlgebra, columns) -> bool:
     for i, vec in images.items():
         if any(r.space.parity(m) != q.space.parity(i) for m in vec):
             return False
-    if r.form._restricted(images.values()) != q.form:
-        return False
     scale, apply = _int_map(images)
     cols = {i: apply({i: 1}) for i in range(n)}
+    qscale, qgram = q.form.int_gram[:2]
+    rscale, rgram = r.form.int_gram[:2]
+    if ({key: qscale * vec[0]
+         for key, vec in linalg.pulled_back(rgram, cols).items()}
+            != {key: rscale * scale ** 2 * vec[0]
+                for key, vec in qgram.items()}):
+        return False
     dq, qtable = q.algebra.int_table()
     dr, rtable = r.algebra.int_table()
     # the image of a product of q in r, times L: the combination of the P_k

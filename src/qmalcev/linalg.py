@@ -153,9 +153,9 @@ def pulled_back(table, cols):
     """{(i, j): sum over (s, t) of cols[i][s] cols[j][t] table[(s, t)]}, the
     bilinear map table {(s, t): {k: x}} on basis pairs at the pairs of
     sparse vectors cols {i: {s: x}}; nonzero entries only.  This is the one
-    basis rewrite, of a pair table (core.change_basis) and of a form's
-    entries as a map to a line (BilinearForm._restricted and
-    _pulled_back), both on ints.
+    basis rewrite, of a pair table (core._change_basis) and of a form's
+    entries as a map to a line (quadratic._rewrite, decompose._carries and
+    BilinearForm._pulled_back), both on ints.
     The work follows the nonzeros of the table and of the vectors."""
     rows, users = {}, {}
     for (s, t), vec in table.items():

@@ -22,11 +22,10 @@ from itertools import islice
 
 from . import linalg
 from .core import (_CERT_PRIME, EVEN, Element, GradedSubspace, SuperAlgebra,
-                   SuperSpace, _ideal_candidates, _proper_ideals,
-                   _scan_kernel, center, check_malcev,
+                   SuperSpace, _change_basis, _ideal_candidates,
+                   _proper_ideals, _scan_kernel, center, check_malcev,
                    check_super_anticommutativity, ideal_closure, _direct_sum,
-                   direct_sum_embeddings, memo, parity_name, simplicity,
-                   change_basis)
+                   direct_sum_embeddings, memo, parity_name, simplicity)
 from .errors import AxiomError, GradingError, InputError, PreconditionError
 from .linalg import ONE, ZERO, frac
 from .reports import (CheckReport, ItemizedReport, Witness, _mirror_witnesses,
@@ -131,17 +130,12 @@ class BilinearForm(SparseMatrix):
             rows.setdefault(i, {})[j] = cols.setdefault(j, {})[i] = y
         return scale, table, rows, cols
 
-    def _restricted(self, columns):
-        """The form on the span of the given columns, C^T G C: the entries
-        as a map to a line pulled back along the columns' nonzeros, on ints
-        (G scaled by E and the columns by L, divided back by E L^2)."""
-        gscale, table, _rows, _cols = self.int_gram
-        cscale, vecs = linalg.scaled(
-            dict(enumerate(map(linalg.sparse, columns))))
-        denom = gscale * cscale ** 2
-        return BilinearForm.from_entries(
-            len(vecs), {key: Fraction(vec[0], denom) for key, vec
-                        in linalg.pulled_back(table, vecs).items()})
+    def _value(self, u, v):
+        """B(u, v) for sparse vectors u and v, read off the int Gram's
+        rows and divided back by E."""
+        scale, _table, rows, _cols = self.int_gram
+        return Fraction(sum(x * v.get(j, 0) for j, x
+                            in linalg.combine(rows, u).items()), scale)
 
     @property
     @memo
@@ -333,40 +327,70 @@ def orthogonal_complement(b: BilinearForm, s: GradedSubspace):
     are read on ints, off s's int rows and the form's int Gram rows."""
     if s.space.dim != b.dim:
         raise InputError("subspace dimension does not match the form")
+    return GradedSubspace(s.space, _perp(b, s.int_rows))
+
+
+def _perp(b: BilinearForm, int_rows):
+    """Int vectors spanning {v : B(c, v) = 0 for every int row c}, one int
+    kernel of the functionals B(c, .) read off the int Gram's rows; a
+    degenerate form raises PreconditionError."""
     if not b.is_nondegenerate():
         raise PreconditionError("form is degenerate")
     grows = b.int_gram[2]
-    rows = [linalg.combine(grows, vec) for vec in s.int_rows]
-    return GradedSubspace(s.space, linalg.int_kernel(rows, b.dim))
+    return linalg.int_kernel([linalg.combine(grows, vec) for vec in int_rows],
+                             b.dim)
+
+
+def _rewrite(q: QuadraticAlgebra, columns):
+    """(space, constants, gram), q in the basis of the columns: the space
+    and constants of core._change_basis, with its checks, and the Gram
+    C^T G C as entries {(i, j): x}, the int Gram pulled back along the
+    same int columns, E L^2 times the true one, divided back.  No algebra
+    is built, so each constant is checked against the grading here, as
+    SuperAlgebra checks it (GradingError)."""
+    space, constants, scale, cols = _change_basis(q.algebra, columns)
+    p = space.even_dim
+    for i, j, k in constants:
+        if (i >= p) ^ (j >= p) ^ (k >= p):
+            raise GradingError("constant (%d,%d,%d) violates the grading"
+                               % (i, j, k))
+    gscale, table = q.form.int_gram[:2]
+    denom = gscale * scale ** 2
+    return space, constants, {key: Fraction(vec[0], denom) for key, vec
+                              in linalg.pulled_back(table, cols).items()}
 
 
 def change_basis_quadratic(q: QuadraticAlgebra, columns, name=None):
     """Constants and Gram matrix C^T G C in the basis of the given columns,
-    lists or sparse dicts; see core.change_basis, which also takes k < n
-    columns of a subspace."""
-    cols = list(columns)
-    alg = change_basis(q.algebra, cols, name=name)
-    return QuadraticAlgebra(alg, q.form._restricted(cols),
+    lists or sparse dicts (_rewrite); see core.change_basis, which also
+    takes k < n columns of a subspace."""
+    space, constants, gram = _rewrite(q, columns)
+    alg = SuperAlgebra(space, constants, name=q.name if name is None else name)
+    return QuadraticAlgebra(alg, BilinearForm.from_entries(space.dim, gram),
                             validated=q.validated)
 
 
-def _cut(q: QuadraticAlgebra, positions, name):
-    """The algebra on q's basis vectors at the given positions (even ones
-    first), with q's own constants and Gram there, marked validated, which
-    each caller proves; and the spill {(a, b): {m: c}}, the components at
-    positions m outside of the product of the a-th and b-th of them."""
+def _cut(space, constants, gram, positions, name):
+    """The algebra on the basis vectors at the given positions (even ones
+    first) of a rewrite (_rewrite's space, constants and Gram entries),
+    with the constants there and the Gram's sub-block, marked validated,
+    which each caller proves; and the spill {(a, b): {m: c}}, the
+    components at positions m outside of the product of the a-th and b-th
+    of them."""
     where = {pos: a for a, pos in enumerate(positions)}
-    constants, spill = {}, {}
-    for (i, j, k), c in q.algebra.constants.items():
+    cut, spill = {}, {}
+    for (i, j, k), c in constants.items():
         if i in where and j in where:
             if k in where:
-                constants[(where[i], where[j], where[k])] = c
+                cut[(where[i], where[j], where[k])] = c
             else:
                 spill.setdefault((where[i], where[j]), {})[k] = c
-    evens = sum(q.space.parity(pos) == EVEN for pos in positions)
-    alg = SuperAlgebra(SuperSpace(evens, len(positions) - evens), constants,
+    evens = sum(space.parity(pos) == EVEN for pos in positions)
+    alg = SuperAlgebra(SuperSpace(evens, len(positions) - evens), cut,
                        name=name)
-    form = q.form._restricted({pos: ONE} for pos in positions)
+    form = BilinearForm.from_entries(
+        len(positions), {(where[i], where[j]): x for (i, j), x in gram.items()
+                         if i in where and j in where})
     return QuadraticAlgebra(alg, form, validated=True), spill
 
 
@@ -419,14 +443,14 @@ def _orthogonal_split(q: QuadraticAlgebra, ideal: GradedSubspace):
     _, maps = direct_sum_embeddings(_own_space(ideal), _own_space(comp))
     witness_cols = [dict(row)
                     for row in _laid_out(maps, (ideal.rows, comp.rows))]
-    rq = change_basis_quadratic(q, witness_cols)
+    space, constants, gram = _rewrite(q, witness_cols)
     inside, outside = maps
     side = [i in inside for i in range(q.dim)]
-    if any(len({side[m] for m in key}) > 1 for key in rq.algebra.constants):
+    if any(len({side[m] for m in key}) > 1 for key in constants):
         raise PreconditionError("cross products do not vanish; split is "
                                 "invalid")
-    qa, _ = _cut(rq, inside, "%s[0]" % q.name)
-    qb, _ = _cut(rq, outside, "%s[1]" % q.name)
+    qa, _ = _cut(space, constants, gram, inside, "%s[0]" % q.name)
+    qb, _ = _cut(space, constants, gram, outside, "%s[1]" % q.name)
     return qa, qb, witness_cols, maps
 
 

@@ -9,6 +9,12 @@
 - `report`, `malcev_witnesses` and `jacobi_witnesses`, the eager witness
   lists.  The package keeps each failing report's keys and builds a
   witness only when it is read (`core.Witnesses`).
+- `restricted`, the form on the span of some columns, C^T G C on ints,
+  once `BilinearForm._restricted`.  The package pulls the int Gram back
+  along the int columns of its one basis rewrite (`quadratic._rewrite`)
+  and cuts each piece's Gram from it by index.
+- `dense_gram`, C^T G C on dense lists of Fraction, the Gram that
+  `tests/test_inherited_validation.py` rewrites its references with.
 
 pytest does not collect this file; the test modules import it.
 """
@@ -17,7 +23,8 @@ from fractions import Fraction
 
 from qmalcev.core import (_EMPTY, CheckReport, Element, Witness, _rotations,
                           _scan_kernel, _unpacked, _vadd, ksign)
-from qmalcev.linalg import ONE, Span, sparse
+from qmalcev.linalg import ONE, ZERO, Span, dense, pulled_back, scaled, sparse
+from qmalcev.quadratic import BilinearForm
 
 
 def report(witnesses, notes=()):
@@ -174,3 +181,24 @@ def _enveloping_basis(gens, n, p=0):
                     return basis
                 work.append(prod)
     return basis
+
+
+def restricted(form, columns):
+    """The form on the span of the given columns, C^T G C: the entries as a
+    map to a line pulled back along the columns' nonzeros, on ints (G
+    scaled by E and the columns by L, divided back by E L^2)."""
+    gscale, table, _rows, _cols = form.int_gram
+    cscale, vecs = scaled(dict(enumerate(map(sparse, columns))))
+    denom = gscale * cscale ** 2
+    return BilinearForm.from_entries(
+        len(vecs), {key: Fraction(vec[0], denom)
+                    for key, vec in pulled_back(table, vecs).items()})
+
+
+def dense_gram(gram, columns):
+    """C^T G C for the dense n x n matrix gram and k columns, lists or
+    sparse dicts, as a k x k list of rows of Fraction."""
+    n = len(gram)
+    cols = [dense(sparse(c), n) for c in columns]
+    return [[sum((ci[r] * gram[r][s] * cj[s] for r in range(n)
+                  for s in range(n)), ZERO) for cj in cols] for ci in cols]

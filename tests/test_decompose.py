@@ -7,6 +7,7 @@ from qmalcev import (EVEN, OperatorMap, SuperAlgebra, SuperSpace,
                      generalized_double_extension, inductive_decompose,
                      rebuild, reduce_even, reduce_odd, reductive_report,
                      verify_gde_data)
+from qmalcev.decompose import _adapted_basis
 from qmalcev.errors import PreconditionError
 
 
@@ -106,6 +107,22 @@ def test_reduce_even_gram_corrects_anisotropic_dual():
     adapted = change_basis_quadratic(sheared, red.basis)
     assert ext.algebra.constants == adapted.algebra.constants
     assert ext.form == adapted.form
+
+
+@pytest.mark.parametrize("e,estar", [
+    ({0: 1, 3: 1}, {0: 1}),   # e mixes parities; its parts span with e*
+    ({1: 1}, {0: 1, 3: 2}),   # e* mixes parities
+    ({0: 1}, {0: 2}),         # dependent
+    ({0: 1}, {}),             # e* is zero
+], ids=["mixed_e", "mixed_estar", "dependent", "zero_estar"])
+def test_adapted_basis_takes_a_homogeneous_independent_pair(e, estar):
+    """A pair that is not two independent homogeneous vectors has no
+    adapted basis; a mixed e used to pass when its parts and e* spanned a
+    plane."""
+    q = catalog_get("osp12").algebra
+    with pytest.raises(PreconditionError, match="e and e\\* are not "
+                                                "independent"):
+        _adapted_basis(q, e, estar, EVEN)
 
 
 def test_reduce_even_refuses_splittable_plane():

@@ -1,10 +1,14 @@
 """Splits and reductions return their pieces validated by theorem.
 
-orthogonal_split and the reductions rewrite their input once and cut each
-piece from the rewrite (quadratic._cut), marking it validated without a
-scan.  The tests below scan every piece they return, compare each with
-what the code computed before, when it restricted to each subspace and
-validated the result, and count the scans of a whole decomposition.
+orthogonal_split and the reductions rewrite their input once, as its
+constants and Gram entries in the adapted basis (quadratic._rewrite), and
+cut each piece from that rewrite by index (quadratic._cut), marking it
+validated without a scan.  The tests below scan every piece they return,
+compare each with what the code computed before, when it restricted to
+each subspace and validated the result, and count the scans of a whole
+decomposition.  The references rewrite on dense lists, by
+`test_sparse_subspace.ref_change_basis` and `references.dense_gram`
+(C^T G C), so no reference goes through the rewrite under test.
 """
 
 import pytest
@@ -21,16 +25,28 @@ from qmalcev.errors import PreconditionError
 from qmalcev.linalg import ZERO, dense, sparse
 from qmalcev.quadratic import _split
 
-from references import _mul_vv
+from references import _mul_vv, dense_gram
 from test_rebuild_certificate import (PIECES, _count_validate, _sum,
                                       _unitriangular, piece)
+from test_sparse_subspace import ref_change_basis
 
 
 # ---------------------------------------------------------------------------
 # the restrict-then-validate bodies that the cut replaced, as a reference
 
+def _rewritten(q, columns, name=None):
+    """q in the basis of the columns, on dense lists: ref_change_basis's
+    constants and the Gram C^T G C."""
+    cols = [dense(sparse(c), q.dim) for c in columns]
+    alg = ref_change_basis(q.algebra, cols)
+    return QuadraticAlgebra(
+        SuperAlgebra(alg.space, alg.constants,
+                     name=q.name if name is None else name),
+        BilinearForm(dense_gram(q.form.gram, cols)))
+
+
 def _restrict(q, sub, name):
-    r = change_basis_quadratic(q, sub.rows, name=name)
+    r = _rewritten(q, sub.rows, name=name)
     return QuadraticAlgebra.validate(r.algebra, r.form)
 
 
@@ -53,7 +69,7 @@ def reference_split(q, ideal):
 def reference_peel(q, red):
     """The reduced algebra, D, psi, a0 and phi, sliced from q rewritten in
     the reduction's adapted basis, the reduced algebra validated."""
-    rq = change_basis_quadratic(q, red.basis)
+    rq = _rewritten(q, red.basis)
     e_idx, estar_idx = red.witness.e_index, red.witness.estar_index
     pairs = rq.algebra.pair_table()
     n_positions = [i for i in range(q.dim) if i not in (e_idx, estar_idx)]

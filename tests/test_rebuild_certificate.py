@@ -18,14 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmalcev import (QuadraticAlgebra, catalog_get, change_basis_quadratic,
-                     direct_sum_quadratic, double_extension_even,
-                     emit_document, emit_tree, generalized_double_extension,
-                     inductive_decompose, linalg, rebuild)
-from qmalcev import decompose, quadratic
+from qmalcev import (BilinearForm, QuadraticAlgebra, catalog_get,
+                     change_basis_quadratic, direct_sum_quadratic,
+                     double_extension_even, emit_document, emit_tree,
+                     generalized_double_extension, inductive_decompose,
+                     linalg, rebuild)
+from qmalcev import core, decompose, quadratic
+from qmalcev.cli import run
 from qmalcev.decompose import (DecompositionTree, SumNode, _carries,
                                _check_shape_tag)
-from qmalcev.document import canonical_json, parse_document, parse_tree
+from qmalcev.document import (canonical_json, parse_document, parse_scalar,
+                              parse_tree, scalar_text)
 from qmalcev.errors import AxiomError, GradingError, InputError
 
 from test_decompose import oscillator
@@ -81,8 +84,9 @@ def test_rebuild_inverts_nothing(monkeypatch):
         raise AssertionError("rebuild rewrote a basis")
 
     monkeypatch.setattr(linalg, "inverse", refuse)
-    monkeypatch.setattr(decompose, "change_basis_quadratic", refuse)
-    monkeypatch.setattr(quadratic, "change_basis", refuse)
+    monkeypatch.setattr(decompose, "_rewrite", refuse)
+    monkeypatch.setattr(quadratic, "_change_basis", refuse)
+    monkeypatch.setattr(core, "_change_basis", refuse)
     for q, text in zip(qs, trees):
         out = rebuild(parse_tree(text))
         assert out.validated and out == q and out.name == q.name
@@ -173,8 +177,16 @@ def _outcome(run, *args):
 # ---------------------------------------------------------------------------
 # trees drawn from small catalog pieces
 
+def _halved(q):
+    """q with its Gram halved: still quadratic, and the Gram has a
+    denominator."""
+    return QuadraticAlgebra.validate(q.algebra, BilinearForm.from_entries(
+        q.dim, {key: x / 2 for key, x in q.form.entries.items()}))
+
+
 PIECES = {
     "sl2": lambda: _entry("sl2"),
+    "half_sl2": lambda: _halved(_entry("sl2")),
     "osp12": lambda: _entry("osp12"),
     "line": lambda: _entry("abelian", p=1, q=0),
     "abelian02": lambda: _entry("abelian", p=0, q=2),
@@ -307,3 +319,29 @@ def test_certificate_agrees_with_the_basis_rewrite(case):
     except (GradingError, InputError):
         want = False
     assert _carries(ext, node.algebra, node.basis) == want
+
+
+@pytest.mark.parametrize("factor", [Fraction(2), Fraction(1, 2)],
+                         ids=["doubled", "halved"])
+def test_scaled_sum_gram_is_not_carried(tmp_path, capsys, factor):
+    """A sum node whose stored Gram is the rebuilt one times 2 or 1/2 holds
+    a valid document, but no isometry carries the rebuilt algebra onto it.
+    The node's basis, the rebuilt Gram and the stored one all have
+    denominators, so the int Gram comparison must bring both sides to the
+    one scale E_q E_r L^2."""
+    root = _disguised_root(("half_sl2", "osp12", "oscillator"), 5)
+    assert any(x.denominator > 1 for col in root.basis for x in col)
+    obj = json.loads(emit_tree(DecompositionTree(root)))
+    path = tmp_path / "tree.json"
+    path.write_text(canonical_json(obj))
+    assert run(["rebuild", str(path)]) == 0
+    for entry in obj["document"]["gram"]:
+        entry[-1] = scalar_text(parse_scalar(entry[-1]) * factor)
+    scaled = parse_document(canonical_json(obj["document"]))[0]
+    QuadraticAlgebra.validate(scaled.algebra, scaled.form)
+    path.write_text(canonical_json(obj))
+    capsys.readouterr()
+    assert run(["rebuild", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "validation error (axiom): rebuilt sum node 'disguised' does not "
+        "match its stored document\n")

@@ -27,7 +27,7 @@ from qmalcev.extensions import GdeData
 from qmalcev.linalg import ZERO, frac
 from qmalcev.quadratic import FormReport
 
-from references import report
+from references import report, restricted
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +253,7 @@ def test_sparse_classes_match_the_dense_reference(case):
     form, ref = BilinearForm(gram), DenseForm(gram)
     assert form.dim == ref.dim and form.gram == ref.gram
     assert form.matrix == ref.gram and form.parity == EVEN
-    assert (form._restricted(cols).matrix
+    assert (restricted(form, cols).matrix
             == tuple(map(tuple, ref.restrict(cols))))
     assert form.is_nondegenerate() == ref.is_nondegenerate()
     assert (form == BilinearForm(other)) == (ref == DenseForm(other))

@@ -21,6 +21,7 @@ from qmalcev import (Element, GradedSubspace, QuadraticAlgebra, catalog_get,
 from qmalcev.core import _ideal_candidates, ideal_closure
 from qmalcev.quadratic import _split, _symmetric_centroid, _trace_rank
 
+from references import restricted
 from test_decompose import oscillator
 
 
@@ -186,7 +187,7 @@ def reference_split(q):
         if key in seen:
             continue
         seen.add(key)
-        if linalg.det(q.form._restricted(ideal.rows).matrix) != 0:
+        if linalg.det(restricted(q.form, ideal.rows).matrix) != 0:
             return ideal
     return None
 
