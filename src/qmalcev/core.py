@@ -48,8 +48,9 @@ and its shortcuts are exact:
 - Orbits.  The Jacobi sum is the same at the three rotations of a triple,
   and on a super-anticommutative algebra lhs - rhs of the Malcev identity
   changes only by a Koszul sign along the four rotations of a quadruple.
-  Those scans add each term only at the least rotation of its tuple and
-  copy every nonzero sum, with its sign, to the other rotations.
+  The scans add each term only at the rotations of its tuple led by its
+  least index (the Jacobi scan at the least of them), and each nonzero
+  sum stands, with its sign, for the other rotations.
 
 A failing report (`reports.CheckReport`) keeps the sorted failing keys and
 the int sums behind them; `_vector_witness` turns the two sides at a key
@@ -416,15 +417,15 @@ def _scan_kernel(a: SuperAlgebra) -> _ScanKernel:
     return _ScanKernel(a)
 
 
-def _chain_keys(par, p, q, r, w):
-    """The quadruples (i, j, k, l) whose Malcev identity has the chain term
-    ((b_p b_q) b_r) b_w on its right side, each with its sign: as ((XY)Z)T,
-    ((YZ)T)X, ((ZT)X)Y and ((TX)Y)Z in turn."""
-    x, y, z, t = par[p], par[q], par[r], par[w]
-    return (((p, q, r, w), 1),
-            ((w, p, q, r), ksign(t * (x + y + z))),
-            ((r, w, p, q), ksign((z + t) * (x + y))),
-            ((q, r, w, p), ksign(x * (y + z + t))))
+@functools.cache
+def _chain_signs(x, y, z, f):
+    """f times the signs of the chain term ((b_p b_q) b_r) b_w, x, y, z the
+    parities of p, q, r, on the right side of the Malcev identity at (w, p,
+    q, r), (r, w, p, q) and (q, r, w, p), as ((TX)Y)Z, ((ZT)X)Y and
+    ((YZ)T)X: three pairs, each indexed by |w|.  As ((XY)Z)T it is 1."""
+    return ((f, f * ksign(x + y + z)),
+            (f * ksign(z * (x + y)), f * ksign((z + 1) * (x + y))),
+            (f * ksign(x * (y + z)), f * ksign(x * (y + z + 1))))
 
 
 def _scaled_elements(n, denom):
@@ -513,97 +514,100 @@ def _chain_rows(kern: _ScanKernel, ordered):
                 yield p, q, r, row
 
 
-def _malcev_sums(kern: _ScanKernel):
-    """{(i, j, k, l): the scaled lhs - rhs of the Malcev identity, packed},
-    summed term by term at every quadruple where a term is nonzero."""
-    par, columns = kern.par, kern.columns
-    diff = {}
+def _lhs_sums(kern: _ScanKernel, led):
+    """{(i, j, k, l): the scaled lhs (-1)^{yz} (b_i b_k)(b_j b_l) of the
+    Malcev identity, packed}, at every quadruple where it is nonzero, or
+    only at those led by their least index, i <= j, k, l, when led."""
+    par, columns, diff = kern.par, kern.columns, {}
     # (b_i b_k)(b_j b_l) = sum over m of c(j, l, m) (b_i b_k) b_m
     for (i, k), trow in kern.packed.items():
-        odd = par[k]
-        for m, x in trow.items():
-            for (j, l), c in columns.get(m, ()):
-                key = (i, j, k, l)
-                diff[key] = diff.get(key, 0) + (
-                    -c if odd and par[j] else c) * x
-    for p, q, r, row in _chain_rows(kern, False):
-        for w, v in row.items():
-            for key, s in _chain_keys(par, p, q, r, w):
-                diff[key] = diff.get(key, 0) - s * v
-    return diff
-
-
-def _malcev_orbit_sums(kern: _ScanKernel):
-    """{canonical key: the scaled lhs - rhs of the Malcev identity, packed}
-    on a super-anticommutative algebra, where the canonical key of a
-    quadruple is the least of its four rotations.  Each term is added only
-    at the canonical key among the keys where it occurs; a chain term at a
-    periodic key such as (i, j, i, j) lands there once per rotation that
-    equals it, each time with that rotation's sign.  The chain product
-    ((b_p b_q) b_r) b_w is formed only for p <= q, and serves (q, p, r, w)
-    too: b_q b_p is b_p b_q times -(-1)^{|p||q|}."""
-    par, columns = kern.par, kern.columns
-    diff = {}
-    for (i, k), trow in kern.packed.items():
-        if k < i:  # (k, l, i, j) is less
+        if led and k < i:
             continue
         odd = par[k]
         for m, x in trow.items():
             for (j, l), c in columns.get(m, ()):
-                if j < i or l < i:
+                if led and (j < i or l < i):
                     continue
                 key = (i, j, k, l)
-                if i in (j, k, l) and key != min(
-                        key, (j, k, l, i), (k, l, i, j), (l, i, j, k)):
-                    continue
                 diff[key] = diff.get(key, 0) + (
                     -c if odd and par[j] else c) * x
+    return diff
+
+
+def _malcev_sums(kern: _ScanKernel):
+    """{(i, j, k, l): the scaled lhs - rhs of the Malcev identity, packed},
+    summed term by term at every quadruple where a term is nonzero."""
+    par, diff = kern.par, _lhs_sums(kern, False)
+    for p, q, r, row in _chain_rows(kern, False):
+        wpqr, rwpq, qrwp = _chain_signs(par[p], par[q], par[r], -1)
+        for w, v in row.items():
+            t = par[w]
+            for key, s in (((p, q, r, w), -1), ((w, p, q, r), wpqr[t]),
+                           ((r, w, p, q), rwpq[t]), ((q, r, w, p), qrwp[t])):
+                diff[key] = diff.get(key, 0) + s * v
+    return diff
+
+
+def _malcev_orbit_sums(kern: _ScanKernel):
+    """{(i, j, k, l): the scaled lhs - rhs of the Malcev identity, packed}
+    on a super-anticommutative algebra, summed in full at each quadruple
+    led by its least index, ties such as (i, j, i, l) included.  A chain
+    term ((b_p b_q) b_r) b_w goes to (w, p, q, r) when w <= lo = min(p, q,
+    r), and to each of (p, q, r, w), (r, w, p, q) and (q, r, w, p) that lo
+    leads when w >= lo.  It is formed only for p <= q and serves (q, p, r,
+    w) too: b_q b_p is b_p b_q times -(-1)^{|p||q|}."""
+    par, diff = kern.par, _lhs_sums(kern, True)
     for p0, q0, r, row in _chain_rows(kern, True):
+        lo = min(p0, q0, r)
         orders = [(p0, q0, -1)]
         if p0 < q0:
             orders.append((q0, p0, ksign(par[p0] * par[q0])))
         for p, q, f in orders:
-            # the least rotation of (p, q, r, w) starts at w when w < lo,
-            # and at lo when w > lo and lo occurs once in (p, q, r)
-            x, y, z = par[p], par[q], par[r]
-            lo = min(p, q, r)
-            once = (p == lo) + (q == lo) + (r == lo) == 1
+            wpqr, rwpq, qrwp = _chain_signs(par[p], par[q], par[r], f)
             for w, v in row.items():
-                t = par[w]
-                if w < lo:
-                    entries = (((w, p, q, r), ksign(t * (x + y + z))),)
-                elif w == lo or not once:  # ties: the least of the four
-                    keys = _chain_keys(par, p, q, r, w)
-                    least = min(keys)[0]
-                    entries = [e for e in keys if e[0] == least]
-                elif p == lo:
-                    entries = (((p, q, r, w), 1),)
-                elif r == lo:
-                    entries = (((r, w, p, q), ksign((z + t) * (x + y))),)
-                else:
-                    entries = (((q, r, w, p), ksign(x * (y + z + t))),)
-                for key, s in entries:
-                    diff[key] = diff.get(key, 0) + f * s * v
+                if w <= lo:
+                    key = (w, p, q, r)
+                    diff[key] = diff.get(key, 0) + wpqr[par[w]] * v
+                if w >= lo:
+                    if p == lo:
+                        key = (p, q, r, w)
+                        diff[key] = diff.get(key, 0) + f * v
+                    if r == lo:
+                        key = (r, w, p, q)
+                        diff[key] = diff.get(key, 0) + rwpq[par[w]] * v
+                    if q == lo:
+                        key = (q, r, w, p)
+                        diff[key] = diff.get(key, 0) + qrwp[par[w]] * v
     return diff
 
 
-def _malcev_report(kern: _ScanKernel, n, diff, notes=()):
-    """The report failing at each sorted key of diff {key: packed scaled
-    lhs - rhs} where the difference is nonzero.  A witness's lhs
-    (-1)^{yz} (b_i b_k)(b_j b_l) is evaluated at its key when it is built,
-    and rhs = lhs - diff."""
+def _malcev_report(kern: _ScanKernel, n, sums, orbits, notes=()):
+    """The report failing where F = lhs - rhs of the Malcev identity is not
+    0, from sums {key: F, scaled and packed}: at their nonzero keys, and if
+    orbits, at each rotation whose first least index is such a key's head,
+    F there being its Koszul sign times F at the key.  A witness evaluates
+    lhs = (-1)^{yz} (b_i b_k)(b_j b_l) at its key, and rhs = lhs - F."""
     par, pairs, packed = kern.par, kern.pairs, kern.packed
     base, bits = kern.base, kern.bits
+    keys = []
+    for key, x in sums.items():
+        if x:
+            keys.append(key)
+            if orbits:  # key[t:] + key[:t] for t past the last key[0]
+                keys += [key[t:] + key[:t]
+                         for t in range(4 - key[::-1].index(key[0]), 4)]
+    keys.sort()
 
     def sides(key):
         i, j, k, l = key
         trow = packed.get((i, k), _EMPTY)
         lhs = ksign(par[j] * par[k]) * sum(
             c * trow.get(m, 0) for m, c in pairs.get((j, l), _EMPTY).items())
-        return (_unpacked(lhs, base[i], bits),
-                _unpacked(lhs - diff[key], base[i], bits))
-    return _report(sorted(key for key, x in diff.items() if x),
-                   _vector_witness(n, sides, kern.scale ** 3), notes)
+        s = key.index(min(key)) if orbits else 0
+        led = key[s:] + key[:s]
+        return (_unpacked(lhs, base[i], bits), _unpacked(
+            lhs - _rotations(par, key)[led] * sums[led], base[i], bits))
+    return _report(keys, _vector_witness(n, sides, kern.scale ** 3), notes)
 
 
 def check_malcev(a: SuperAlgebra) -> CheckReport:
@@ -620,28 +624,23 @@ def check_malcev(a: SuperAlgebra) -> CheckReport:
       with no further scan.  `check_jacobi` keeps its report on the
       algebra, so this costs nothing when the caller runs it anyway.
     - With F(x, y, z, t) = lhs - rhs, F(y, z, t, x) = (-1)^{x(y+z+t)}
-      F(x, y, z, t).  So one pass sums each term only at its canonical
-      key, the lexicographically least of the four rotations, and F at
-      each other rotation is that rotation's Koszul sign times F there.
-      The failing keys are read off those canonical sums, and the lhs is
-      evaluated at a key only when its witness is built.
+      F(x, y, z, t).  So one pass sums F only at the quadruples led by
+      their least index, and F elsewhere is its Koszul sign times F at its
+      rotation that starts at the first place of that index.  The report
+      keeps those sums alone and reads F and the lhs at a key only when
+      its witness is built.
 
     Any other algebra gets the full pass over every quadruple, with a note
     when super-anticommutativity fails.
     """
     n, kern = a.dim, _scan_kernel(a)
     if not check_super_anticommutativity(a).passed:
-        return _malcev_report(kern, n, _malcev_sums(kern),
+        return _malcev_report(kern, n, _malcev_sums(kern), False,
                               ["super-anticommutativity fails; identity "
                                "scan is reported but may be meaningless"])
     if check_jacobi(a).passed:
         return _report(())
-    diff = {}
-    for key, x in _malcev_orbit_sums(kern).items():
-        if x:
-            for rot, s in _rotations(kern.par, key).items():
-                diff[rot] = s * x
-    return _malcev_report(kern, n, diff)
+    return _malcev_report(kern, n, _malcev_orbit_sums(kern), True)
 
 
 @memo

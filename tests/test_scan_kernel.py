@@ -262,6 +262,41 @@ def test_malcev_non_lie_runs_only_the_orbit_pass(monkeypatch, name):
     assert passes == ["orbit"]
 
 
+def test_m7_orbit_pass_forms_chain_rows_only_for_p_le_q(monkeypatch):
+    """m7's orbit pass forms the 126 rows ((b_p b_q) b_r) b_w with p <= q,
+    half of the 252 that the full pass forms, and lets each serve (q, p, r,
+    w) too."""
+    a = catalog_get("m7").algebra.algebra
+    kern = core._scan_kernel(a)
+    assert sum(1 for _ in core._chain_rows(kern, False)) == 252
+    rep, passes, chains = _malcev_passes(monkeypatch, a)
+    assert (rep, passes, chains) == (report(()), ["orbit"], 126)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(graded_algebras(anti=st.just(True)))
+@example(PERIODIC)
+@example(ODD_SQUARE)
+@example(ODD_LINE)
+def test_orbit_sums_expand_to_the_full_sums(a):
+    """The orbit pass sums F = lhs - rhs at the quadruples led by their
+    least index, ties such as (i, j, i, l) included, each sum being the
+    full pass's there; the rotations of its nonzero sums, with their Koszul
+    signs, are the full pass's nonzero sums, key by key, and two led
+    rotations of one orbit give each rotation the same value."""
+    assert check_super_anticommutativity(a).passed
+    kern = core._scan_kernel(a)
+    full = {key: x for key, x in core._malcev_sums(kern).items() if x}
+    expanded = {}
+    for key, x in core._malcev_orbit_sums(kern).items():
+        assert key[0] == min(key)
+        assert x == full.get(key, 0)
+        if x:
+            for rot, s in core._rotations(kern.par, key).items():
+                assert expanded.setdefault(rot, s * x) == s * x
+    assert expanded == full
+
+
 @pytest.mark.parametrize("name", ["defect_gde2", "defect_osc2",
                                   "defect_sl2_gde1"])
 def test_non_anticommutative_documents_run_the_full_pass(monkeypatch, name):
@@ -273,9 +308,10 @@ def test_non_anticommutative_documents_run_the_full_pass(monkeypatch, name):
 
 def test_non_malcev_anticommutative_runs_only_the_orbit_pass(monkeypatch):
     """The witnesses of an anticommutative algebra that fails Malcev are
-    copied from the canonical sums along each rotation orbit, with no full
-    pass; PERIODIC has witnesses at periodic keys, ODD_SQUARE and ODD_LINE
-    at keys with odd indices, where the copies carry Koszul signs."""
+    read off the sums at the quadruples led by their least index, each with
+    its rotation's Koszul sign, with no full pass; PERIODIC has witnesses
+    at periodic keys, ODD_SQUARE and ODD_LINE at keys with odd indices,
+    where the signs are not all 1."""
     for a in (PERIODIC, ODD_SQUARE, ODD_LINE):
         with monkeypatch.context() as patch:
             rep, passes, _chains = _malcev_passes(patch, a)
