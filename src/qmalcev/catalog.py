@@ -5,9 +5,10 @@ Every entry is validated at construction time: scanned in full (Malcev
 identity plus all four scalar-product axioms), or, for the odd double
 extensions, built from data that the admissibility verifier accepts, which
 makes them quadratic Malcev by construction.  Entries carrying extension
-data also pass the admissibility verifier.  The seven-dimensional simple non-Lie algebra
-uses the imaginary-octonion commutator convention with Fano triples
-(123)(145)(176)(246)(257)(347)(365), scaled to unit structure constants.
+data also pass the admissibility verifier.  The seven-dimensional simple
+non-Lie algebra uses the imaginary-octonion commutator convention with Fano
+triples (123)(145)(176)(246)(257)(347)(365), scaled to unit structure
+constants.
 """
 
 from __future__ import annotations
@@ -123,6 +124,14 @@ def _osp12():
     return QuadraticAlgebra.validate(alg, form)
 
 
+def _renamed(q, name):
+    """The validated q under another name, its int table carried across
+    unchanged."""
+    return QuadraticAlgebra(
+        SuperAlgebra._from_ints(q.space, *q.algebra.int_table(), name),
+        q.form, validated=True)
+
+
 def _check_params(n, m):
     if n < 1:
         raise PreconditionError("the family needs n >= 1")
@@ -176,12 +185,9 @@ def _example_m_operator(n, m, corrected=True):
 
 def _example_m(n, m):
     m = _check_params(n, m)
-    q = _example_m_algebra(n)
-    alg = SuperAlgebra(q.algebra.space, q.algebra.constants,
-                       name="example_M(%d)" % n)
-    q = QuadraticAlgebra(alg, q.form, validated=True)
+    q = _renamed(_example_m_algebra(n), "example_M(%d)" % n)
     d = _example_m_operator(n, m, corrected=True)
-    gde = verified_gde_data(q, d, Element.basis(alg.dim, 0))
+    gde = verified_gde_data(q, d, Element.basis(q.dim, 0))
     return q, gde
 
 
@@ -198,9 +204,7 @@ def example_m_uncorrected_data(n, m):
 def _example_gde(n, m):
     q, gde = _example_m(n, m)
     out, _ = generalized_double_extension(q, gde)
-    alg = SuperAlgebra(out.algebra.space, out.algebra.constants,
-                       name="example_gde(%d)" % n)
-    return QuadraticAlgebra(alg, out.form, validated=True)
+    return _renamed(out, "example_gde(%d)" % n)
 
 
 def _odd_hyperbolic():
@@ -218,10 +222,7 @@ def _even_hyperbolic():
 def gde_abelian12_parts():
     """The abelian (1|2) base (u even; w, z odd; B(u,u)=1, B(w,z)=1) and the
     verified data d(u) = w, d(z) = -u, d(w) = 0, a0 = u."""
-    base = _abelian(1, 2)
-    alg = SuperAlgebra(base.algebra.space, base.algebra.constants,
-                       name="abelian12")
-    base = QuadraticAlgebra(alg, base.form, validated=True)
+    base = _renamed(_abelian(1, 2), "abelian12")
     d = OperatorMap.from_images(3, {0: {1: ONE}, 2: {0: -ONE}}, ODD)
     gde = verified_gde_data(base, d, Element.basis(3, 0))
     return base, gde
@@ -230,9 +231,7 @@ def gde_abelian12_parts():
 def _gde_abelian12():
     base, gde = gde_abelian12_parts()
     out, _ = generalized_double_extension(base, gde)
-    alg = SuperAlgebra(out.algebra.space, out.algebra.constants,
-                       name="gde_abelian12")
-    return QuadraticAlgebra(alg, out.form, validated=True)
+    return _renamed(out, "gde_abelian12")
 
 
 # name -> builder of (algebra, extension data or None) from the parameters

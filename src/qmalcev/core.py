@@ -1,13 +1,17 @@
 """Graded structure-constant algebras over exact rationals.
 
 A superalgebra lives on a Z2-graded space with the even basis vectors first.
-Products are stored as a sparse tensor c[(i,j,k)] meaning b_i b_j = sum_k
-c[(i,j,k)] b_k, with grading compatibility enforced at construction.  A
-vector times the int table, in the scan kernel's `right_products` and in
-`ideal_closure`, is one `linalg.combine_table`, and every product reads
-it: u v is `linalg.combine` of the products u b_w with v, divided by D.
-The L_i and R_j that generate the multiplication algebra are the int
-table's column maps, `int_factors`, which `linalg.enveloping_basis`
+The products b_i b_j = sum_k c(i, j, k) b_k are stored once, as the int
+table (D, {(i, j): {k: D c(i, j, k)}}), nonzero entries only, with D the lcm
+of the denominators.  One store, `SuperAlgebra._store`, checks each index
+against the range and the grading, for the constructor and for the builders
+that rewrite, cut and sum int tables (`change_basis`, `_summed`).  Fractions
+are formed only at the boundary: the constructor reads them, the views
+`constants` and `pair_table()` and `product` divide by D, and a witness
+divides its sums back.  A vector times the int table is one
+`linalg.combine_table`, and u v is `linalg.combine` of the products u b_w
+with v.  The L_i and R_j that generate the multiplication algebra are the
+int table's column maps, `int_factors`, which `linalg.enveloping_basis`
 closes.
 
 The identity checkers report an exact witness for every basis tuple on
@@ -17,12 +21,12 @@ scan of `quadratic.check_form`, share one integer kernel per algebra
 (`operators.check_cocycle` reads the cocycle identity off a Malcev scan),
 and its shortcuts are exact:
 
-- Cleared denominators.  The constants are multiplied by D, the lcm of
-  their denominators, and all scan arithmetic is on Python ints.  The
-  Malcev identity is homogeneous of degree 3 in the constants and the
-  Jacobi identity of degree 2, so the scaled identity is the true one
-  times D^3 or D^2.  It fails on exactly the same tuples, and a witness is
-  divided back, without rounding, only when it is built.
+- Cleared denominators.  The scans read the int table, so all their
+  arithmetic is on Python ints.  The Malcev identity is homogeneous of
+  degree 3 in the constants and the Jacobi identity of degree 2, so the
+  scaled identity is the true one times D^3 or D^2.  It fails on exactly
+  the same tuples, and a witness is divided back, without rounding, only
+  when it is built.
 - Term-wise accumulation.  With T[(a,b,c)] = (b_a b_b) b_c, every chain
   term of the Malcev identity is a T entry times one basis vector, and
   the one other term is (b_i b_k)(b_j b_l); the Jacobi terms are T
@@ -173,14 +177,15 @@ class Element:
         return "Element(%d, %r)" % (self.dim, self.entries)
 
     def __add__(self, other):
-        return Element.sparse(self.dim, _vadd(dict(self.entries),
-                                              other.entries))
+        return Element.sparse(self.dim, linalg.combine(
+            {0: self.entries, 1: other.entries}, {0: ONE, 1: ONE}))
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        return Element.sparse(self.dim, _vscale(self.entries, frac(c)))
+        return Element.sparse(self.dim,
+                              linalg.combine({0: self.entries}, {0: frac(c)}))
 
     def is_zero(self):
         return not self.entries
@@ -198,46 +203,69 @@ class Element:
 
 
 class SuperAlgebra:
-    """Structure constants on a graded space; immutable after construction."""
+    """Structure constants on a graded space, stored once as the int table
+    (module docstring); immutable.  The constructor reads Fraction, int or
+    string constants, and the package's builders pass `_from_ints` ints."""
 
     def __init__(self, space: SuperSpace, constants, name: str = ""):
-        self.space = space
-        self.name = name
-        table = {}
-        n, p = space.dim, space.even_dim
+        table, pairs = {}, {}
         for (i, j, k), c in constants.items():
-            if not (c := frac(c)):
-                continue
-            if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
-                raise InputError("constant index (%d,%d,%d) out of range"
-                                 % (i, j, k))
-            if (i >= p) ^ (j >= p) ^ (k >= p):  # odd: index >= even_dim
-                raise GradingError(
-                    "constant (%d,%d,%d) violates the grading" % (i, j, k))
-            table[(i, j, k)] = c
-        self.constants = table
+            if c := frac(c):
+                table[(i, j, k)] = pairs.setdefault((i, j), {})[k] = c
+        self._store(space, *linalg.scaled(pairs), name)
+        self._constants = MappingProxyType(table)  # the view, as read
+
+    @classmethod
+    def _from_ints(cls, space: SuperSpace, scale, pairs, name=""):
+        """The algebra with the products pairs[(i, j)] / scale, int vectors
+        with nonzero entries, scale and entries divided by their gcd."""
+        g = math.gcd(scale, *(x for v in pairs.values() for x in v.values()))
+        if g != 1:
+            scale, pairs = scale // g, {key: {k: x // g for k, x in v.items()}
+                                        for key, v in pairs.items()}
+        return cls.__new__(cls)._store(space, scale, pairs, name)
+
+    def _store(self, space, scale, pairs, name):
+        """The one store; it checks each index's range and grading."""
+        n, p = space.dim, space.even_dim
+        for (i, j), vec in pairs.items():
+            for k in vec:
+                if not (0 <= i < n and 0 <= j < n and 0 <= k < n):
+                    raise InputError("constant index (%d,%d,%d) out of range"
+                                     % (i, j, k))
+                if (i >= p) ^ (j >= p) ^ (k >= p):  # odd: index >= even_dim
+                    raise GradingError(
+                        "constant (%d,%d,%d) violates the grading" % (i, j, k))
+        self.space, self.name, self._int = space, name, (scale, pairs)
         self._closures = {}  # ideal_closure's memo, by seed
+        return self
 
     @property
     def dim(self):
         return self.space.dim
 
     def is_abelian(self):
-        return not self.constants
+        return not self._int[1]
+
+    def int_table(self):
+        """(D, {(i, j): D b_i b_j}), the store."""
+        return self._int
+
+    @property
+    @memo
+    def constants(self):
+        """{(i, j, k): c}, nonzero constants only."""
+        d, pairs = self._int
+        return MappingProxyType({(i, j, k): Fraction(x, d) for (i, j), vec
+                                 in pairs.items() for k, x in vec.items()})
 
     @memo
     def pair_table(self):
-        """{(i, j): {k: c}} with only nonzero products present."""
-        pairs = {}
-        for (i, j, k), c in self.constants.items():
-            pairs.setdefault((i, j), {})[k] = c
-        return pairs
-
-    @memo
-    def int_table(self):
-        """(D, {(i, j): D b_i b_j}), D the lcm of the constants'
-        denominators: the one int copy of the pair table."""
-        return linalg.scaled(self.pair_table())
+        """{(i, j): {k: c}}, nonzero products only."""
+        d, pairs = self._int
+        return MappingProxyType({key: {k: Fraction(x, d) for k, x
+                                       in vec.items()}
+                                 for key, vec in pairs.items()})
 
     @memo
     def int_factors(self):
@@ -245,62 +273,54 @@ class SuperAlgebra:
         {j: {i: D b_i b_j}}; the scan kernel, the closures and Gamma_s
         read them."""
         lefts, rights = defaultdict(dict), defaultdict(dict)
-        for (i, j), vec in self.int_table()[1].items():
+        for (i, j), vec in self._int[1].items():
             lefts[i][j] = rights[j][i] = vec
         return dict(lefts), dict(rights)
 
-    def basis_product(self, i, j):
-        return self.pair_table().get((i, j), {})
-
     def __eq__(self, other):
         return (isinstance(other, SuperAlgebra)
-                and self.space == other.space
-                and self.constants == other.constants)
+                and self.space == other.space and self._int == other._int)
 
     def __repr__(self):
         return "SuperAlgebra(%r, dim=(%d|%d), nnz=%d)" % (
             self.name, self.space.even_dim, self.space.odd_dim,
-            len(self.constants))
+            sum(map(len, self._int[1].values())))
 
 
-# ---------------------------------------------------------------------------
-# sparse vector helpers (dict index -> Fraction)
-
-def _vadd(acc, vec, scale=ONE):
-    if scale == 0:
-        return acc
-    for k, c in vec.items():
-        s = acc.get(k, ZERO) + scale * c
-        if s == 0:
-            acc.pop(k, None)
-        else:
-            acc[k] = s
-    return acc
-
-
-def _vscale(vec, scale):
-    if scale == 1:
-        return dict(vec)
-    return {k: scale * c for k, c in vec.items()} if scale != 0 else {}
+def _summed(space: SuperSpace, parts, extra, name=""):
+    """The algebra on space whose products are those of each algebra of
+    parts [(algebra, its index map into space)] moved along the map, plus
+    the Fraction products extra {(i, j): {k: x}}: the int tables summed."""
+    tables = [(*a.int_table(), at) for a, at in parts]
+    tables.append((*linalg.scaled(extra), range(space.dim)))
+    scale, acc = math.lcm(*(s for s, _pairs, _at in tables)), {}
+    for s, pairs, at in tables:
+        m = scale // s
+        for (i, j), vec in pairs.items():
+            out = acc.setdefault((at[i], at[j]), {})
+            for k, x in vec.items():
+                out[at[k]] = out.get(at[k], 0) + m * x
+    return SuperAlgebra._from_ints(space, scale, {
+        key: vec if all(vec.values()) else {k: x for k, x in vec.items() if x}
+        for key, vec in acc.items() if any(vec.values())}, name)
 
 
 # ---------------------------------------------------------------------------
 # operations
 
 def product(a: SuperAlgebra, x: Element, y: Element) -> Element:
-    """Bilinear extension of the structure constants."""
+    """Bilinear extension of the structure constants: `_product` divided
+    by D."""
     if x.dim != a.dim or y.dim != a.dim:
         raise InputError("element length does not match algebra dimension")
-    return Element.sparse(a.dim, _product(a, x.entries, y.entries))
+    return _scaled_elements(a.dim, a.int_table()[0])(
+        _product(a, x.entries, y.entries))
 
 
 def _product(a: SuperAlgebra, u, v):
-    """u v for sparse vectors u and v: u times the int table's vectors by
-    left factor (`linalg.combine_table`), then times v (`linalg.combine`),
-    divided by D, as Fractions."""
-    d, lefts = a.int_table()[0], a.int_factors()[0]
-    return {k: Fraction(x, d) for k, x in linalg.combine(
-        linalg.combine_table(lefts, u), v).items()}
+    """D u v for sparse vectors u and v: u times the int table's vectors by
+    left factor (`linalg.combine_table`), then times v (`linalg.combine`)."""
+    return linalg.combine(linalg.combine_table(a.int_factors()[0], u), v)
 
 
 @memo
@@ -651,9 +671,10 @@ def check_jacobi(a: SuperAlgebra) -> CheckReport:
 
     On every graded algebra the three terms at (y, z, x) are the three at
     (x, y, z) in another order, so the sum is the same at the three
-    rotations of a triple.  Each term is added once, at the least of its
-    rotations ((i, i, i) takes it three times, once per rotation that
-    equals it), and each nonzero sum is copied to the other rotations.
+    rotations of a triple.  Each term is added at every one of its
+    rotations that its least index leads ((i, i, i) takes it three times,
+    once per rotation), so each led triple holds its full sum, and each
+    nonzero sum is copied to the other rotations.
 
     The report is kept on the (immutable) algebra: check_malcev reads it
     for its Lie shortcut, so `check`, `QuadraticAlgebra.validate` and
@@ -666,18 +687,13 @@ def check_jacobi(a: SuperAlgebra) -> CheckReport:
         for r, x in trow.items():
             # (b_p b_q) b_r is (XY)Z at (p, q, r), (YZ)X at (r, p, q) and
             # (ZX)Y at (q, r, p); each time its sign is (-1)^{p(p) p(r)}
-            s = ksign(par[p] * par[r])
-            if p < q and p < r:
-                key = (p, q, r)
-            elif q < r and q < p:
-                key = (q, r, p)
-            elif r < p and r < q:
-                key = (r, p, q)
-            elif p == q == r:
-                key, s = (p, p, p), 3 * s
-            else:  # the least index occurs twice
-                key = min((p, q, r), (r, p, q), (q, r, p))
-            sums[key] = sums.get(key, 0) + s * x
+            x *= ksign(par[p] * par[r])
+            if p <= q and p <= r:
+                sums[(p, q, r)] = sums.get((p, q, r), 0) + x
+            if r <= p and r <= q:
+                sums[(r, p, q)] = sums.get((r, p, q), 0) + x
+            if q <= r and q <= p:
+                sums[(q, r, p)] = sums.get((q, r, p), 0) + x
     failing = {rot: key for key, x in sums.items() if x
                for rot in _rotations(par, key)}
     if not failing:
@@ -827,34 +843,29 @@ def direct_sum(a: SuperAlgebra, b: SuperAlgebra) -> SuperAlgebra:
 
 def _direct_sum(a: SuperAlgebra, b: SuperAlgebra):
     """direct_sum, and the index maps of a and b into it."""
-    space, (amap, bmap) = direct_sum_embeddings(a.space, b.space)
-    constants = {(amap[i], amap[j], amap[k]): c
-                 for (i, j, k), c in a.constants.items()}
-    constants.update({(bmap[i], bmap[j], bmap[k]): c
-                      for (i, j, k), c in b.constants.items()})
+    space, maps = direct_sum_embeddings(a.space, b.space)
     name = "sum(%s,%s)" % (a.name or "?", b.name or "?")
-    return SuperAlgebra(space, constants, name=name), (amap, bmap)
+    return _summed(space, zip((a, b), maps), {}, name), maps
 
 
 def change_basis(a: SuperAlgebra, columns, name=None) -> SuperAlgebra:
     """a in the basis of the columns (_change_basis), a's name by default."""
-    space, constants, _scale, _cols = _change_basis(a, columns)
-    return SuperAlgebra(space, constants,
-                        name=a.name if name is None else name)
+    return _change_basis(a, columns, a.name if name is None else name)[0]
 
 
-def _change_basis(a: SuperAlgebra, columns):
-    """The (p|k-p) space and constants of a in the basis of k <= n columns,
-    lists or sparse dicts, then L, the lcm of their denominators, and the
-    columns times L as int dicts: the one rewrite of constants in a basis,
-    the algebra on a subspace when k < n.  The columns must be independent
+def _change_basis(a: SuperAlgebra, columns, name=""):
+    """a in the basis of k <= n columns, lists or sparse dicts, on the
+    (p|k-p) space, then L, the lcm of their denominators, and the columns
+    times L as int dicts: the one rewrite of constants in a basis, the
+    algebra on a subspace when k < n.  The columns must be independent
     (InputError), homogeneous and ordered even-first (GradingError).  Their
     products are the int table pulled back along them (linalg.pulled_back),
     D L^2 times the true ones.  One `linalg.Span` of the rows [C^T | I]
     reduces each product w to (w - C x | -x) times its multiplier m, which
-    is (0 | -x) exactly when w = C x lies in the span of the columns C, so
-    the constants are divided back by D L^2 m once; a product outside it,
-    on a subspace that is not closed, raises PreconditionError."""
+    is (0 | -x) exactly when w = C x lies in the span of the columns C (a
+    product outside it, on a subspace that is not closed, raises
+    PreconditionError); -x / (D L^2 m) is reduced by the gcd and the
+    products brought to the lcm of what is left, the new D, on ints."""
     n = a.dim
     vecs = [{r: y for r, x in _vector(n, c).items() if (y := frac(x))}
             for c in columns]
@@ -875,17 +886,22 @@ def _change_basis(a: SuperAlgebra, columns):
         par.append(kinds.pop())
     if par != sorted(par):
         raise GradingError("basis columns must be ordered even-first")
-    constants = {}
     d, pairs = a.int_table()
-    denom = d * scale ** 2
-    for (i, j), w in sorted(linalg.pulled_back(pairs, cols).items()):
+    denom, lcm, reduced = d * scale ** 2, 1, {}
+    for key, w in linalg.pulled_back(pairs, cols).items():
         mult, rest = span.int_reduce(w)
         if min(rest) < n:
             raise PreconditionError("subspace is not closed under the "
                                     "product")
-        for m in sorted(rest):
-            constants[(i, j, m - n)] = Fraction(-rest[m], denom * mult)
-    return SuperSpace(par.count(EVEN), par.count(ODD)), constants, scale, cols
+        g = math.gcd(denom * mult, *rest.values())
+        den = denom * mult // g
+        reduced[key] = den, {m - n: -x // g for m, x in rest.items()}
+        lcm = math.lcm(lcm, den)
+    alg = SuperAlgebra._from_ints(
+        SuperSpace(par.count(EVEN), par.count(ODD)), lcm,
+        {key: {k: x * (lcm // den) for k, x in vec.items()}
+         for key, (den, vec) in reduced.items()}, name)
+    return alg, scale, cols
 
 
 @dataclass(frozen=True)

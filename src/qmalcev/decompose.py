@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
 from .core import (EVEN, ODD, Element, GradedSubspace, SuperAlgebra,
-                   SuperSpace, _multiplication_generators, _vadd, center,
+                   SuperSpace, _multiplication_generators, center,
                    check_jacobi, direct_sum_embeddings, ksign, simplicity)
 from .errors import AxiomError, GradingError, InputError, PreconditionError
-from .linalg import ONE, ZERO
+from .linalg import ONE
 from .operators import OperatorMap, _int_map, check_malcev_operator
 from .quadratic import (QuadraticAlgebra, _cut, _form_pairing, _laid_out,
                         _own_space, _perp, _require_validated, _rewrite,
@@ -107,33 +108,30 @@ class _Peeled:
 def _peel(q: QuadraticAlgebra, e, estar, parity) -> _Peeled:
     """Rewrite q once in the adapted basis and cut N from it: the spill of
     N's products onto e* is phi, and D, psi and ee are read off e's row of
-    the rewritten constants.  N is validated by theorem, not by a scan: e*
-    is central, so e*^perp is an ideal holding F e*, and N is
-    e*^perp / F e*, which is quadratic Malcev (Albuquerque-Benayadi, J.
-    Pure Appl. Algebra 187 (2004)).  A product with a component on e
-    raises PreconditionError.
+    the rewritten int table, divided by its D only there.  N is validated
+    by theorem, not by a scan: e* is central, so e*^perp is an ideal
+    holding F e*, and N is e*^perp / F e*, which is quadratic Malcev
+    (Albuquerque-Benayadi, J. Pure Appl. Algebra 187 (2004)).  A product
+    with a component on e raises PreconditionError.
     """
     adapted, witness = _adapted_basis(q, e, estar, parity)
-    space, constants, gram = _rewrite(q, adapted)
+    rewrite, gram = _rewrite(q, adapted)
     e_idx, estar_idx = witness.e_index, witness.estar_index
     n_positions = witness.embedding
-    nq, spill = _cut(space, constants, gram, n_positions,
-                     "reduced(%s)" % q.name)
-    # e b_j for each position j of N, then ee
-    eprods = {}
-    for (i, j, k), c in constants.items():
-        if i == e_idx:
-            eprods.setdefault(j, {})[k] = c
-    erow = [eprods.get(j, {}) for j in (*n_positions, e_idx)]
+    nq, spill = _cut(rewrite, gram, n_positions, "reduced(%s)" % q.name)
+    # D e b_j for each position j of N, then D ee
+    scale, pairs = rewrite.int_table()
+    erow = [pairs.get((e_idx, j), {}) for j in (*n_positions, e_idx)]
     if any(e_idx in vec for vec in (*spill.values(), *erow)):
         raise PreconditionError("products leak onto e; input is not "
                                 "invariantly paired")
     ndim = nq.dim
-    phi = {key: vec[estar_idx] for key, vec in spill.items()}
+    phi = {key: Fraction(vec[estar_idx], scale) for key, vec in spill.items()}
     where = {pos: a for a, pos in enumerate(n_positions)}
-    psi = [vec.get(estar_idx, ZERO) for vec in erow[:ndim]]
+    psi = [Fraction(vec.get(estar_idx, 0), scale) for vec in erow[:ndim]]
     d = OperatorMap.from_images(
-        ndim, {a_j: {where[m]: c for m, c in vec.items() if m != estar_idx}
+        ndim, {a_j: {where[m]: Fraction(x, scale) for m, x in vec.items()
+                     if m != estar_idx}
                for a_j, vec in enumerate(erow[:ndim])}, parity)
     ee = erow[ndim]
     if estar_idx in ee:
@@ -145,7 +143,8 @@ def _peel(q: QuadraticAlgebra, e, estar, parity) -> _Peeled:
     # phi(X_i, X_j) = B(D(X_i), X_j)
     want, _ = _form_pairing(nq.form, d.cols)
     return _Peeled(nq, d, psi,
-                   Element.sparse(ndim, {where[m]: c for m, c in ee.items()}),
+                   Element.sparse(ndim, {where[m]: Fraction(x, scale)
+                                         for m, x in ee.items()}),
                    _report(*_value_witnesses(phi, want)), witness,
                    tuple(adapted))
 
@@ -196,7 +195,7 @@ def reduce_even(q: QuadraticAlgebra) -> EvenReduction:
     e = _solve_dual_vector(q, estar, EVEN)
     bee = q.form._value(e, e)
     # correct e so that B(e, e) = 0, keeping B(e, e*) = 1 (exact over Q)
-    _vadd(e, estar, -bee / 2)
+    e = linalg.combine({0: e, 1: estar}, {0: ONE, 1: -bee / 2})
     r = _peel(q, e, estar, EVEN)
     oper = check_malcev_operator(r.n.algebra, r.d)
     if not oper.passed:
@@ -257,10 +256,11 @@ class ReductiveReport:
 
 
 def even_part(a: SuperAlgebra) -> SuperAlgebra:
-    p = a.space.even_dim
-    consts = {k: c for k, c in a.constants.items()
-              if k[0] < p and k[1] < p and k[2] < p}
-    return SuperAlgebra(SuperSpace(p, 0), consts, name="%s_even" % a.name)
+    """a's int table cut to its even pairs, whose products are even."""
+    p, (scale, pairs) = a.space.even_dim, a.int_table()
+    return SuperAlgebra._from_ints(SuperSpace(p, 0), scale, {
+        key: vec for key, vec in pairs.items() if max(key) < p},
+        "%s_even" % a.name)
 
 
 def reductive_report(even: SuperAlgebra) -> ReductiveReport:
@@ -517,8 +517,7 @@ def _carries(q: QuadraticAlgebra, r: QuadraticAlgebra, columns) -> bool:
     images = dict(enumerate(map(linalg.sparse, columns)))
     if q.space == r.space and all(vec == {i: 1}
                                   for i, vec in images.items()):
-        return (q.algebra.constants == r.algebra.constants
-                and q.form == r.form)
+        return q.algebra == r.algebra and q.form == r.form
     for i, vec in images.items():
         if any(r.space.parity(m) != q.space.parity(i) for m in vec):
             return False

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 from . import linalg
 from .core import (_EMPTY, EVEN, ODD, Element, SuperAlgebra, SuperSpace,
-                   _direct_sum, _product, _scan_kernel, _side_witnesses,
-                   _vadd, _vector_witness, check_malcev,
-                   direct_sum_embeddings, ksign)
+                   _product, _scan_kernel, _side_witnesses, _summed,
+                   _vector_witness, check_malcev, direct_sum_embeddings,
+                   ksign)
 from .errors import AxiomError, InputError, PreconditionError
 from .linalg import ONE, _add, cleared, frac
 from .operators import (OperatorMap, _int_map, _line_extension,
@@ -228,28 +228,23 @@ def _extend(q: QuadraticAlgebra, d: OperatorMap, a0: Element):
     space, witness = extension_layout(q.space, pi)
     emap, e_idx, estar = (witness.embedding, witness.e_index,
                           witness.estar_index)
-    constants = {(emap[i], emap[j], emap[k]): c
-                 for (i, j, k), c in q.algebra.constants.items()}
-    twist, _ = _form_pairing(q.form, d.cols)
-    for (i, j), w in sorted(twist.items()):  # w = B(d(b_i), b_j)
-        constants[(emap[i], emap[j], estar)] = w
-    for k, c in sorted(a0.entries.items()):
-        constants[(e_idx, e_idx, emap[k])] = c
+    twist, _ = _form_pairing(q.form, d.cols)  # B(d(b_i), b_j) at (i, j)
+    new = {(emap[i], emap[j]): {estar: w} for (i, j), w in twist.items()}
+    new[(e_idx, e_idx)] = {emap[k]: c for k, c in a0.entries.items()}
     _, ga0 = _form_pairing(q.form, {0: a0.entries})  # B(b_j, a0)
     for j in range(q.dim):
         x = q.space.parity(j)
         image = {emap[r]: v for r, v in d.column(j).items()}
         if (j, 0) in ga0:
             image[estar] = ksign(x) * ga0[(j, 0)]
-        back = frac(-ksign(pi * x))
-        for r, v in image.items():
-            constants[(e_idx, emap[j], r)] = v
-            constants[(emap[j], e_idx, r)] = back * v
+        back = -ksign(pi * x)
+        new[(e_idx, emap[j])] = image
+        new[(emap[j], e_idx)] = {r: back * v for r, v in image.items()}
     gram = {(emap[i], emap[j]): v for (i, j), v in q.form.entries.items()}
     gram[(e_idx, estar)] = ONE
     gram[(estar, e_idx)] = frac(ksign(pi))
     name = ("gde(%s)" if pi == ODD else "de(%s)") % q.name
-    alg = SuperAlgebra(space, constants, name=name)
+    alg = _summed(space, [(q.algebra, emap)], new, name)
     form = BilinearForm.from_entries(space.dim, gram)
     return alg, form, witness
 
@@ -352,22 +347,19 @@ def _semidirect_algebra(m: SuperAlgebra, v: SuperAlgebra, s: SemidirectData):
     """The product on P = M + V that the data define, and the index maps
     amap, bmap of M and V into P: b_i b_j = [b_i, b_j]_M + zeta(i, j),
     b_i h = omega_i(h) = -(-1)^{|i||h|} h b_i, and V's own products."""
-    plain, (amap, bmap) = _direct_sum(m, v)
-    constants = dict(plain.constants)
+    space, (amap, bmap) = direct_sum_embeddings(m.space, v.space)
+    data = {}  # zeta and omega, as Fractions
     for i in range(m.dim):
         for j in range(m.dim):
-            for h, c in s.zeta[i][j].entries.items():
-                constants[(amap[i], amap[j], bmap[h])] = c
-    for i in range(m.dim):
-        op = s.omega[i]
-        si = m.space.parity(i)
+            data[(amap[i], amap[j])] = {bmap[h]: c for h, c
+                                        in s.zeta[i][j].entries.items()}
         for h in range(v.dim):
-            back = frac(-ksign(si * v.space.parity(h)))
-            for r, cval in op.column(h).items():
-                constants[(amap[i], bmap[h], bmap[r])] = cval
-                constants[(bmap[h], amap[i], bmap[r])] = back * cval
-    out = SuperAlgebra(plain.space, constants,
-                       name="gsd(%s,%s)" % (m.name, v.name))
+            back = -ksign(m.space.parity(i) * v.space.parity(h))
+            image = {bmap[r]: c for r, c in s.omega[i].column(h).items()}
+            data[(amap[i], bmap[h])] = image
+            data[(bmap[h], amap[i])] = {r: back * c for r, c in image.items()}
+    out = _summed(space, [(m, amap), (v, bmap)], data,
+                  "gsd(%s,%s)" % (m.name, v.name))
     return out, amap, bmap
 
 
@@ -423,7 +415,7 @@ def _parity_sign(spec, par):
     head, *monomials = spec.split()
     of = dict(zip("xyzt", par))
     e = sum(of[a] * of[b] for a, b in monomials)
-    return frac(ksign(e) if head == "+" else -ksign(e))
+    return ksign(e) if head == "+" else -ksign(e)
 
 
 def _bind(word, args):
@@ -446,7 +438,9 @@ def check_gsd_conditions(m: SuperAlgebra, v: SuperAlgebra,
     argument position, or (proj, left, right) for the product of two words
     in P, projected onto M or V or kept whole.  Each word is evaluated once
     per call for the basis vectors it is bound to, so the sub-products the
-    terms share are formed once.
+    terms share are formed once.  Each product is `core._product`, on P's
+    int table, and every term has three, so the sums are D^3 times the
+    true ones, which a witness divides back.
     """
     if s.m != m or s.v != v:
         raise InputError("semidirect data belongs to other algebras")
@@ -461,9 +455,10 @@ def check_gsd_conditions(m: SuperAlgebra, v: SuperAlgebra,
 
     @functools.lru_cache(maxsize=None)
     def value(word):
-        """The P vector of a word bound to basis vectors of P."""
+        """The P vector of a word bound to basis vectors of P, times D
+        per product."""
         if isinstance(word, int):
-            return {word: ONE}
+            return {word: 1}
         proj, left, right = word
         out = _product(p, value(left), value(right))
         if proj == "P":
@@ -477,13 +472,13 @@ def check_gsd_conditions(m: SuperAlgebra, v: SuperAlgebra,
         for key in itertools.product(*(range(len(embed[k])) for k in kinds)):
             args = tuple(embed[k][i] for k, i in zip(kinds, key))
             par = tuple(p.space.parity(a) for a in args)
-            acc = {}
-            for spec, word in terms:
-                _vadd(acc, value(_bind(word, args)), _parity_sign(spec, par))
+            acc = linalg.combine(
+                dict(enumerate(value(_bind(word, args)) for _, word in terms)),
+                dict(enumerate(_parity_sign(spec, par) for spec, _ in terms)))
             if acc:
                 sums[key] = {local[k]: c for k, c in acc.items()}, _EMPTY
-        reports[name] = _report(list(sums),
-                                _vector_witness(v.dim, sums.__getitem__, 1))
+        reports[name] = _report(list(sums), _vector_witness(
+            v.dim, sums.__getitem__, p.int_table()[0] ** 3))
     return GsdReport(operators=operators, **reports)
 
 

@@ -24,16 +24,17 @@ times them by name.  `dense` serves only them: the package keeps its
 vectors sparse and prints them with `document.vector_texts`.
 
 The field is given by a modulus p alone.  p = 0 is Q: vectors go in with
-Fraction or int entries, their denominators are cleared (`cleared`,
-`scaled`), and the elimination is fraction-free (Bareiss, Math. Comp. 22
-(1968)), on primitive int rows; Fractions are formed only where a caller
-reads a reduced row, a reduction or a kernel vector.  Callers that only
-need the subspace read the int rows (`Span.int_rows`, `int_kernel`) and
-feed the span int products.  A prime p gives int entries reduced with
-% p and pivots inverted with pow(x, -1, p).  Mod p only ranks are read,
-and only where they lift to Q: an integer matrix of rank r mod p has an
-r x r minor that is nonzero mod p, hence nonzero over Z, so its rank over
-Q is at least r.
+Fraction or int entries, their denominators are cleared (`cleared`, and
+`scaled`, which also stores an algebra's table), and the elimination is
+fraction-free (Bareiss, Math. Comp. 22 (1968)), on primitive int rows.
+Fractions are formed only by `frac`, which reads the package's inputs, and
+where a caller reads a reduced row, a reduction or a kernel vector.
+Callers that only need the subspace read the int rows (`Span.int_rows`,
+`int_kernel`) and feed the span int products.  A prime p gives int entries
+reduced with % p and pivots inverted with pow(x, -1, p).  Mod p only ranks
+are read, and only where they lift to Q: an integer matrix of rank r mod p
+has an r x r minor that is nonzero mod p, hence nonzero over Z, so its
+rank over Q is at least r.
 """
 
 from __future__ import annotations
@@ -49,9 +50,7 @@ def frac(x) -> Fraction:
     """Coerce ints, strings like '3/4', and Fractions to Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError("cannot interpret %r as an exact rational" % (x,))
 

@@ -28,7 +28,7 @@ import functools
 
 from . import linalg
 from .core import (EVEN, ODD, Element, SuperAlgebra, SuperSpace,
-                   _scan_kernel, _side_witnesses, check_malcev,
+                   _scan_kernel, _side_witnesses, _summed, check_malcev,
                    direct_sum_embeddings, ksign)
 from .errors import InputError, PreconditionError
 from .linalg import ZERO, _add, frac
@@ -153,11 +153,8 @@ def _line_extension(a: SuperAlgebra, values, parity, name=""):
     Returns the algebra, the index map of a into it and c's index."""
     space, (at, (c,)) = direct_sum_embeddings(
         a.space, SuperSpace(1 - parity, parity))
-    constants = {(at[i], at[j], at[k]): x
-                 for (i, j, k), x in a.constants.items()}
-    for (i, j), x in values.items():
-        constants[(at[i], at[j], c)] = x
-    return SuperAlgebra(space, constants, name=name), at, c
+    return _summed(space, [(a, at)], {(at[i], at[j]): {c: x} for (i, j), x
+                                      in values.items()}, name), at, c
 
 
 def check_cocycle(a: SuperAlgebra, w: Cocycle) -> CheckReport:

@@ -341,53 +341,46 @@ def _perp(b: BilinearForm, int_rows):
                              b.dim)
 
 
-def _rewrite(q: QuadraticAlgebra, columns):
-    """(space, constants, gram), q in the basis of the columns: the space
-    and constants of core._change_basis, with its checks, and the Gram
-    C^T G C as entries {(i, j): x}, the int Gram pulled back along the
-    same int columns, E L^2 times the true one, divided back.  No algebra
-    is built, so each constant is checked against the grading here, as
-    SuperAlgebra checks it (GradingError)."""
-    space, constants, scale, cols = _change_basis(q.algebra, columns)
-    p = space.even_dim
-    for i, j, k in constants:
-        if (i >= p) ^ (j >= p) ^ (k >= p):
-            raise GradingError("constant (%d,%d,%d) violates the grading"
-                               % (i, j, k))
+def _rewrite(q: QuadraticAlgebra, columns, name=""):
+    """(algebra, gram), q in the basis of the columns: core._change_basis,
+    and the Gram C^T G C as entries {(i, j): x}, the int Gram pulled back
+    along the same int columns, E L^2 times the true one, divided back."""
+    alg, scale, cols = _change_basis(q.algebra, columns, name)
     gscale, table = q.form.int_gram[:2]
     denom = gscale * scale ** 2
-    return space, constants, {key: Fraction(vec[0], denom) for key, vec
-                              in linalg.pulled_back(table, cols).items()}
+    return alg, {key: Fraction(vec[0], denom) for key, vec
+                 in linalg.pulled_back(table, cols).items()}
 
 
 def change_basis_quadratic(q: QuadraticAlgebra, columns, name=None):
     """Constants and Gram matrix C^T G C in the basis of the given columns,
     lists or sparse dicts (_rewrite); see core.change_basis, which also
     takes k < n columns of a subspace."""
-    space, constants, gram = _rewrite(q, columns)
-    alg = SuperAlgebra(space, constants, name=q.name if name is None else name)
-    return QuadraticAlgebra(alg, BilinearForm.from_entries(space.dim, gram),
+    alg, gram = _rewrite(q, columns, q.name if name is None else name)
+    return QuadraticAlgebra(alg, BilinearForm.from_entries(alg.dim, gram),
                             validated=q.validated)
 
 
-def _cut(space, constants, gram, positions, name):
+def _cut(rewrite, gram, positions, name):
     """The algebra on the basis vectors at the given positions (even ones
-    first) of a rewrite (_rewrite's space, constants and Gram entries),
-    with the constants there and the Gram's sub-block, marked validated,
-    which each caller proves; and the spill {(a, b): {m: c}}, the
-    components at positions m outside of the product of the a-th and b-th
-    of them."""
+    first) of a rewrite (_rewrite's algebra and Gram entries), its int
+    table and Gram cut there, marked validated, which each caller proves;
+    and the spill {(a, b): {m: x}}, the int components at the rewrite's
+    scale at positions m outside of the product of the a-th and b-th."""
     where = {pos: a for a, pos in enumerate(positions)}
+    scale, pairs = rewrite.int_table()
     cut, spill = {}, {}
-    for (i, j, k), c in constants.items():
+    for (i, j), vec in pairs.items():
         if i in where and j in where:
-            if k in where:
-                cut[(where[i], where[j], where[k])] = c
-            else:
-                spill.setdefault((where[i], where[j]), {})[k] = c
-    evens = sum(space.parity(pos) == EVEN for pos in positions)
-    alg = SuperAlgebra(SuperSpace(evens, len(positions) - evens), cut,
-                       name=name)
+            key = where[i], where[j]
+            for k, x in vec.items():
+                if k in where:
+                    cut.setdefault(key, {})[where[k]] = x
+                else:
+                    spill.setdefault(key, {})[k] = x
+    evens = sum(rewrite.space.parity(pos) == EVEN for pos in positions)
+    alg = SuperAlgebra._from_ints(
+        SuperSpace(evens, len(positions) - evens), scale, cut, name)
     form = BilinearForm.from_entries(
         len(positions), {(where[i], where[j]): x for (i, j), x in gram.items()
                          if i in where and j in where})
@@ -443,25 +436,24 @@ def _orthogonal_split(q: QuadraticAlgebra, ideal: GradedSubspace):
     _, maps = direct_sum_embeddings(_own_space(ideal), _own_space(comp))
     witness_cols = [dict(row)
                     for row in _laid_out(maps, (ideal.rows, comp.rows))]
-    space, constants, gram = _rewrite(q, witness_cols)
+    rewrite, gram = _rewrite(q, witness_cols)
     inside, outside = maps
     side = [i in inside for i in range(q.dim)]
-    if any(len({side[m] for m in key}) > 1 for key in constants):
+    if any(len({side[i], side[j], *map(side.__getitem__, vec)}) > 1
+           for (i, j), vec in rewrite.int_table()[1].items()):
         raise PreconditionError("cross products do not vanish; split is "
                                 "invalid")
-    qa, _ = _cut(space, constants, gram, inside, "%s[0]" % q.name)
-    qb, _ = _cut(space, constants, gram, outside, "%s[1]" % q.name)
+    qa, _ = _cut(rewrite, gram, inside, "%s[0]" % q.name)
+    qb, _ = _cut(rewrite, gram, outside, "%s[1]" % q.name)
     return qa, qb, witness_cols, maps
 
 
 def direct_sum_quadratic(qa: QuadraticAlgebra,
                          qb: QuadraticAlgebra) -> QuadraticAlgebra:
-    alg, (amap, bmap) = _direct_sum(qa.algebra, qb.algebra)
-    entries = {(amap[i], amap[j]): x
-               for (i, j), x in qa.form.entries.items()}
-    entries.update({(bmap[i], bmap[j]): x
-                    for (i, j), x in qb.form.entries.items()})
-    form = BilinearForm.from_entries(alg.dim, entries)
+    alg, maps = _direct_sum(qa.algebra, qb.algebra)
+    form = BilinearForm.from_entries(alg.dim, {
+        (at[i], at[j]): x for q, at in zip((qa, qb), maps)
+        for (i, j), x in q.form.entries.items()})
     return QuadraticAlgebra(alg, form,
                             validated=qa.validated and qb.validated)
 

@@ -69,12 +69,19 @@ def slot_bound(a):
 @pytest.fixture(autouse=True, scope="session")
 def _slot_width_checked():
     """Every scan kernel that the suite builds, in any test, has slots wide
-    enough for the bound: 2^(bits-1) > slot_bound(a)."""
+    enough for the bound: 2^(bits-1) > slot_bound(a).  Its algebra's store
+    is canonical, whichever builder made it (the constructor, a change of
+    basis, a cut, a sum, an extension or a reduction): the kernel's scale
+    is the lcm of the denominators of the constants, and the constructor
+    gives the same algebra back from the constants view."""
     real = core._ScanKernel.__init__
 
     def init(self, a):
         real(self, a)
         assert 2 ** (self.bits - 1) > slot_bound(a), (a, self.bits)
+        assert self.scale == math.lcm(
+            *(c.denominator for c in a.constants.values())), a
+        assert core.SuperAlgebra(a.space, a.constants) == a, a
 
     core._ScanKernel.__init__ = init
     yield

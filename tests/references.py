@@ -15,6 +15,10 @@
   and cuts each piece's Gram from it by index.
 - `dense_gram`, C^T G C on dense lists of Fraction, the Gram that
   `tests/test_inherited_validation.py` rewrites its references with.
+- `_vadd`, `_vscale` and `basis_product`, sparse Fraction vector sums,
+  multiples and the Fraction product of two basis vectors, which the
+  reference loop nests are written in.  The package keeps one int table
+  and sums vectors with `linalg.combine`.
 
 pytest does not collect this file; the test modules import it.
 """
@@ -22,9 +26,34 @@ pytest does not collect this file; the test modules import it.
 from fractions import Fraction
 
 from qmalcev.core import (_EMPTY, CheckReport, Element, Witness, _rotations,
-                          _scan_kernel, _unpacked, _vadd, ksign)
+                          _scan_kernel, _unpacked, ksign)
 from qmalcev.linalg import ONE, ZERO, Span, dense, pulled_back, scaled, sparse
 from qmalcev.quadratic import BilinearForm
+
+
+def _vadd(acc, vec, scale=ONE):
+    """acc += scale * vec in place for sparse vectors, dropping zeros."""
+    if scale == 0:
+        return acc
+    for k, c in vec.items():
+        s = acc.get(k, ZERO) + scale * c
+        if s == 0:
+            acc.pop(k, None)
+        else:
+            acc[k] = s
+    return acc
+
+
+def _vscale(vec, scale):
+    """scale * vec for a sparse vector, as a new dict without zeros."""
+    if scale == 1:
+        return dict(vec)
+    return {k: scale * c for k, c in vec.items()} if scale != 0 else {}
+
+
+def basis_product(a, i, j):
+    """b_i b_j as a sparse vector of Fractions, off the pair table."""
+    return a.pair_table().get((i, j), {})
 
 
 def report(witnesses, notes=()):

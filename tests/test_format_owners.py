@@ -16,7 +16,10 @@ a matrix algebra is a vector {n*row + column: x} of F^(n^2) in linalg.py
 alone: no other module encodes or decodes such a position, and the
 Fraction pair-table products `_mul_vv` and `_mul_vb` are gone, every
 product reading the int table.  Derived values are kept through one
-memo, `core.memo`.
+memo, `core.memo`.  An algebra keeps one int table, and its builders sum
+and cut ints: no module defines the Fraction vector helpers `_vadd` and
+`_vscale` or a Fraction `basis_product`, and the functions that form a
+Fraction are pinned, so a new one is listed on purpose.
 """
 
 import ast
@@ -259,3 +262,58 @@ def test_derived_values_are_kept_by_one_memo():
              for path in sorted(SRC.glob("*.py"))}
     assert {name: fns for name, fns in users.items() if fns} == {
         "decompose.py": {"advisory_reductive"}}
+
+
+def test_no_fraction_vector_helpers():
+    """The Fraction sums, multiples and basis products that the algebra
+    builders once shared are defined nowhere in the package; they live in
+    tests/references.py."""
+    defined = {(path.name, node.name)
+               for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name in {"_vadd", "_vscale", "basis_product"}}
+    assert defined == set()
+
+
+# module -> the functions, by qualified name, that call Fraction(...):
+# parsing, the module constants, `frac`, the algebra's views, witness
+# building, Span's Fraction readers and the kernel vectors, and the Fraction
+# data of a reduction and of a rewritten form
+FRACTION_SITES = {
+    "catalog.py": {"<module>"},
+    "cli.py": {"_rationals"},
+    "core.py": {"SuperAlgebra.constants", "SuperAlgebra.pair_table",
+                "_scaled_elements.element"},
+    "decompose.py": {"_peel"},
+    "document.py": {"<module>", "_parse_scalar"},
+    "linalg.py": {"<module>", "frac", "Span.reduce", "Span.add",
+                  "Span.rows", "sparse_kernel", "solve"},
+    "quadratic.py": {"BilinearForm._value", "_rewrite"},
+    "reports.py": {"_value_witnesses"},
+}
+
+
+def _fraction_sites(path):
+    """The qualified names of the functions and classes of the module, or
+    "<module>", in whose body Fraction(...) is called."""
+    sites = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = scope + (node.name,)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "Fraction"):
+            sites.add(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return sites
+
+
+def test_fractions_are_formed_at_pinned_sites_only():
+    sites = {path.name: found for path in sorted(SRC.glob("*.py"))
+             if (found := _fraction_sites(path))}
+    assert sites == FRACTION_SITES

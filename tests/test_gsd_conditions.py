@@ -18,13 +18,13 @@ import pytest
 from qmalcev import (EVEN, Element, OperatorMap, SemidirectData, catalog_get,
                      check_gsd_conditions, gde_abelian12_parts,
                      generalized_semidirect_product, semidirect_data_from_gde)
-from qmalcev.core import Witness, _vadd, _vscale, ksign
+from qmalcev.core import Witness, ksign
 from qmalcev.errors import InputError, PreconditionError
 from qmalcev.extensions import GsdReport
 from qmalcev.linalg import ONE, frac
 from qmalcev.operators import check_malcev_operator
 
-from references import _mul_vb, _mul_vv, report
+from references import _mul_vb, _mul_vv, _vadd, _vscale, basis_product, report
 from test_scan_kernel import graded_algebras
 
 
@@ -77,7 +77,7 @@ def reference_conditions(m, v, s):
     for i in range(nm):
         for j in range(nm):
             zeij = zeta_apply(mb(i), mb(j))
-            mij = m.basis_product(i, j)
+            mij = basis_product(m, i, j)
             for h in range(nv):
                 for t_ in range(nv):
                     x, y = pm[i], pm[j]
@@ -90,7 +90,7 @@ def reference_conditions(m, v, s):
                                        s.omega[j].column(t_)),
                           frac(-ksign(y * z)))
                     _vadd(acc, omega_apply(
-                        mb(j), omega_apply(mb(i), v.basis_product(h, t_))),
+                        mb(j), omega_apply(mb(i), basis_product(v, h, t_))),
                         frac(ksign(x * y)))
                     _vadd(acc, _mul_vb(v, omega_apply(
                         mb(j), s.omega[i].column(t_)), h),
@@ -105,12 +105,12 @@ def reference_conditions(m, v, s):
     for i in range(nm):
         for k in range(nm):
             zeik = zeta_apply(mb(i), mb(k))
-            mik = m.basis_product(i, k)
+            mik = basis_product(m, i, k)
             for g in range(nv):
                 for t_ in range(nv):
                     x, z = pm[i], pm[k]
                     y, t = pv[g], pv[t_]
-                    ghi = v.basis_product(g, t_)
+                    ghi = basis_product(v, g, t_)
                     acc = _vscale(_mul_vv(v, zeik, ghi), frac(ksign(y * z)))
                     _vadd(acc, omega_apply(mik, ghi), frac(ksign(y * z)))
                     _vadd(acc, _mul_vb(v, omega_apply(
@@ -158,7 +158,7 @@ def reference_conditions(m, v, s):
                 for l in range(nm):
                     x, y, z, t = pm[i], pm[j], pm[k], pm[l]
                     acc = _vscale(
-                        omega_apply(m.basis_product(i, k),
+                        omega_apply(basis_product(m, i, k),
                                     zeta_apply(mb(j), mb(l))),
                         frac(-ksign(y * z)))
                     _vadd(acc, omega_apply(mb(i), omega_apply(
@@ -168,29 +168,29 @@ def reference_conditions(m, v, s):
                         mb(j), zeta_apply(mb(l), mb(i)))),
                         frac(ksign(x * (y + z + t) + y * z)))
                     _vadd(acc, omega_apply(
-                        mb(i), zeta_apply(m.basis_product(j, k), mb(l))),
+                        mb(i), zeta_apply(basis_product(m, j, k), mb(l))),
                         frac(-1))
                     _vadd(acc, omega_apply(
-                        mb(k), zeta_apply(m.basis_product(l, i), mb(j))),
+                        mb(k), zeta_apply(basis_product(m, l, i), mb(j))),
                         frac(-ksign((x + y) * (z + t))))
                     # minus the right-hand side
-                    _vadd(acc, zeta_apply(m.basis_product(i, k),
-                                          m.basis_product(j, l)),
+                    _vadd(acc, zeta_apply(basis_product(m, i, k),
+                                          basis_product(m, j, l)),
                           frac(ksign(y * z)))
                     _vadd(acc, _mul_vv(v, zeta_apply(mb(i), mb(k)),
                                        zeta_apply(mb(j), mb(l))),
                           frac(ksign(y * z)))
                     _vadd(acc, zeta_apply(
-                        _mul_vb(m, m.basis_product(i, j), k), mb(l)),
+                        _mul_vb(m, basis_product(m, i, j), k), mb(l)),
                         frac(-1))
                     _vadd(acc, zeta_apply(
-                        _mul_vb(m, m.basis_product(j, k), l), mb(i)),
+                        _mul_vb(m, basis_product(m, j, k), l), mb(i)),
                         frac(-ksign(x * (y + z + t))))
                     _vadd(acc, zeta_apply(
-                        _mul_vb(m, m.basis_product(k, l), i), mb(j)),
+                        _mul_vb(m, basis_product(m, k, l), i), mb(j)),
                         frac(-ksign((x + y) * (z + t))))
                     _vadd(acc, zeta_apply(
-                        _mul_vb(m, m.basis_product(l, i), j), mb(k)),
+                        _mul_vb(m, basis_product(m, l, i), j), mb(k)),
                         frac(-ksign(t * (x + y + z))))
                     if acc:
                         w4.append(Witness((i, j, k, l),
@@ -200,10 +200,10 @@ def reference_conditions(m, v, s):
     w5 = []
     for i in range(nm):
         for j in range(nm):
-            mij = m.basis_product(i, j)
+            mij = basis_product(m, i, j)
             for k in range(nm):
-                mik = m.basis_product(i, k)
-                mjk = m.basis_product(j, k)
+                mik = basis_product(m, i, k)
+                mjk = basis_product(m, j, k)
                 for t_ in range(nv):
                     x, y, z = pm[i], pm[j], pm[k]
                     acc = _vscale(
