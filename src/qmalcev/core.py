@@ -8,11 +8,11 @@ against the range and the grading, for the constructor and for the builders
 that rewrite, cut and sum int tables (`change_basis`, `_summed`).  Fractions
 are formed only at the boundary: the constructor reads them, the views
 `constants` and `pair_table()` and `product` divide by D, and a witness
-divides its sums back.  A vector times the int table is one
-`linalg.combine_table`, and u v is `linalg.combine` of the products u b_w
-with v.  The L_i and R_j that generate the multiplication algebra are the
-int table's column maps, `int_factors`, which `linalg.enveloping_basis`
-closes.
+divides its sums back; a document prints its constants from the store.
+A vector times the int table is one `linalg.combine_table`, and u v is
+`linalg.combine` of the products u b_w with v.  The L_i and R_j that
+generate the multiplication algebra are the int table's column maps,
+`int_factors`, which `linalg.enveloping_basis` closes.
 
 The identity checkers report an exact witness for every basis tuple on
 which an identity fails; by multilinearity that decides it.  The Malcev,
@@ -208,12 +208,11 @@ class SuperAlgebra:
     string constants, and the package's builders pass `_from_ints` ints."""
 
     def __init__(self, space: SuperSpace, constants, name: str = ""):
-        table, pairs = {}, {}
+        pairs = {}
         for (i, j, k), c in constants.items():
             if c := frac(c):
-                table[(i, j, k)] = pairs.setdefault((i, j), {})[k] = c
+                pairs.setdefault((i, j), {})[k] = c
         self._store(space, *linalg.scaled(pairs), name)
-        self._constants = MappingProxyType(table)  # the view, as read
 
     @classmethod
     def _from_ints(cls, space: SuperSpace, scale, pairs, name=""):

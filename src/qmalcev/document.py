@@ -109,8 +109,11 @@ def _gde_block(g: GdeData):
 
 def document_object(q: QuadraticAlgebra, name=None, operator=None, gde=None):
     alg = q.algebra
-    constants = [[i, j, k, scalar_text(c)]
-                 for (i, j, k), c in sorted(alg.constants.items())]
+    d, pairs = alg.int_table()  # one text per distinct int of the store
+    texts = {x: scalar_text(Fraction(x, d))
+             for x in {x for vec in pairs.values() for x in vec.values()}}
+    constants = [[i, j, k, texts[pairs[(i, j)][k]]]
+                 for (i, j) in sorted(pairs) for k in sorted(pairs[(i, j)])]
     doc = {
         "format_version": FORMAT_VERSION,
         "name": name if name is not None else alg.name,

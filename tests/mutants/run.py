@@ -1,7 +1,6 @@
 """Replay the stored mutants and report the survivors.
 
     python tests/mutants/run.py [NAME ...]
-    python tests/mutants/run.py --all [NAME ...]
 
 `mutants.json` maps each mutant's name to four fields: `file`, a path
 from the repository root; `old`, a text that occurs exactly once in it;
@@ -9,12 +8,11 @@ from the repository root; `old`, a text that occurs exactly once in it;
 mutant.  For each mutant, or each one named, `src/`, `tests/`,
 `perfbench/`, `pyproject.toml` and `BENCHMARK.json` are copied into a
 fresh temporary directory, the text is replaced there, and pytest runs
-the mutant's tests in that copy (with --all, the whole suite but
-`tests/test_mutants.py`, which fails on every mutant).  The mutant is
-killed when pytest exits with a failure or an error, and survives when
-every test passes.  One line is printed per mutant; the exit status is 1
-when any survived.  The working tree is never changed.  Only the
-standard library and pytest are used.
+the mutant's tests in that copy.  The mutant is killed when pytest exits
+with a failure or an error, and survives when every test passes.  One
+line is printed per mutant; the exit status is 1 when any survived.  The
+working tree is never changed.  Only the standard library and pytest are
+used.
 """
 
 import json
@@ -48,7 +46,7 @@ def apply(copy, mutant):
     path.write_text(text.replace(mutant["old"], mutant["new"]))
 
 
-def replay(name, mutant, everything):
+def replay(mutant):
     """(killed, pytest's exit code, seconds) for one mutant."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = pathlib.Path(tmp)
@@ -60,9 +58,7 @@ def replay(name, mutant, everything):
                 shutil.copy(src, copy / part)
         apply(copy, mutant)
         argv = [sys.executable, "-m", "pytest", "-q", "-x",
-                "-p", "no:cacheprovider"]
-        argv += (["--ignore", "tests/test_mutants.py"] if everything
-                 else mutant["tests"])
+                "-p", "no:cacheprovider", *mutant["tests"]]
         start = time.monotonic()
         done = subprocess.run(argv, cwd=copy, stdout=subprocess.PIPE,
                               stderr=subprocess.STDOUT,
@@ -72,16 +68,14 @@ def replay(name, mutant, everything):
 
 
 def main(argv):
-    everything = "--all" in argv
-    names = [a for a in argv if a != "--all"]
-    mutants = load()
+    names, mutants = argv, load()
     unknown = sorted(set(names) - set(mutants))
     if unknown:
         print("unknown mutants: %s" % ", ".join(unknown))
         return 2
     survivors = []
     for name in names or list(mutants):
-        killed, code, seconds = replay(name, mutants[name], everything)
+        killed, code, seconds = replay(mutants[name])
         print("%-28s %s (pytest exit %d, %.1f s)"
               % (name, "killed" if killed else "SURVIVED", code, seconds),
               flush=True)

@@ -277,7 +277,8 @@ def test_no_fraction_vector_helpers():
 
 
 # module -> the functions, by qualified name, that call Fraction(...):
-# parsing, the module constants, `frac`, the algebra's views, witness
+# parsing, the module constants, `frac`, the algebra's views, the printed
+# constants of a document (one Fraction per distinct int), witness
 # building, Span's Fraction readers and the kernel vectors, and the Fraction
 # data of a reduction and of a rewritten form
 FRACTION_SITES = {
@@ -286,7 +287,7 @@ FRACTION_SITES = {
     "core.py": {"SuperAlgebra.constants", "SuperAlgebra.pair_table",
                 "_scaled_elements.element"},
     "decompose.py": {"_peel"},
-    "document.py": {"<module>", "_parse_scalar"},
+    "document.py": {"<module>", "_parse_scalar", "document_object"},
     "linalg.py": {"<module>", "frac", "Span.reduce", "Span.add",
                   "Span.rows", "sparse_kernel", "solve"},
     "quadratic.py": {"BilinearForm._value", "_rewrite"},
