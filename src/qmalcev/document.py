@@ -5,6 +5,10 @@ denominator; constant and Gram entries are sorted lexicographically and
 must be nonzero, so emitting a parsed document is byte-identical.  Parse
 errors are classified: syntax (malformed JSON or schema), grading
 violations, and axiom failures are distinct error types.
+
+Reading is one pass: each constants, Gram or operator row is checked and
+grouped as it is read, and the constants reach `SuperAlgebra._store` as
+(D, ints) at once; tests/test_reader_precedence.py pins which error wins.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import decompose as dc
+from . import linalg
 from .core import EVEN, ODD, Element, SuperAlgebra, SuperSpace
 from .errors import GradingError, InputError
 from .extensions import GdeData
@@ -140,9 +145,10 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _expect(cond, msg):
+def _expect(cond, msg, *args):
+    """Raise a syntax error unless cond; msg % args is formatted only then."""
     if not cond:
-        raise DocumentSyntaxError(msg)
+        raise DocumentSyntaxError(msg % args)
 
 
 # What document_object and tree_object emit: for each object, the keys
@@ -171,64 +177,72 @@ def _walk(obj, what, optional=None):
     """Check obj against the schema of `what`: every key emit always
     writes, no other key than emit may write (or than `optional`, where
     given), each of its JSON type."""
-    _expect(type(obj) is dict, "%s must be an object" % what)
+    _expect(type(obj) is dict, "%s must be an object", what)
     required, may = _SCHEMA[what]
+    if dict(zip(obj, map(type, obj.values()))) == required:
+        return  # the common case: exactly the keys emit always writes
     optional = may if optional is None else optional
     for key in required:
-        _expect(key in obj, "%s needs %r" % (what, key))
+        _expect(key in obj, "%s needs %r", what, key)
     for key, value in obj.items():
         kind = required.get(key) or optional.get(key)
-        _expect(kind is not None, "%s has unknown key %r" % (what, key))
-        _expect(type(value) is kind, "%s field %r has the wrong type"
-                % (what, key))
+        _expect(kind is not None, "%s has unknown key %r", what, key)
+        _expect(type(value) is kind, "%s field %r has the wrong type", what,
+                key)
 
 
 def _entries(rows, arity, n, what):
-    """{indices: value} from rows [i_1, .., i_arity, "num/den"] that are
-    sorted and unique by indices, in range 0..n-1, and nonzero."""
-    out = {}
-    prev = None
+    """{(i_1, .., i_arity-1): {i_arity: x}} from sorted, unique, in-range,
+    nonzero rows [i_1, .., i_arity, "num/den"], checked in one pass."""
+    out, prev, ints = {}, [-1], [int] * arity
     for row in rows:
-        _expect(type(row) is list and len(row) == arity + 1,
-                "%s entry shape" % what)
-        key = tuple(row[:arity])
-        _expect(all(type(i) is int and 0 <= i < n for i in key),
-                "%s indices must be integers in range" % what)
-        _expect(prev is None or key > prev,
-                "%s must be sorted and unique" % what)
+        if type(row) is not list or len(row) != arity + 1:
+            raise DocumentSyntaxError("%s entry shape" % what)
+        key = row[:arity]
+        if list(map(type, key)) != ints or min(key) < 0 or max(key) >= n:
+            raise DocumentSyntaxError("%s indices must be integers in range"
+                                      % what)
+        if key <= prev:
+            raise DocumentSyntaxError("%s must be sorted and unique" % what)
+        if row[arity] == _ZERO_TEXT:
+            raise DocumentSyntaxError("%s entries must be nonzero" % what)
+        if key[:-1] != prev[:-1]:
+            vec = out[tuple(key[:-1])] = {}
+        vec[key[-1]] = parse_scalar(row[arity])  # canonical, so nonzero
         prev = key
-        v = parse_scalar(row[arity])
-        _expect(v != 0, "%s entries must be nonzero" % what)
-        out[key] = v
     return out
 
 
-def _operator(rows, space, parity):
-    return OperatorMap.from_entries(
-        space.dim, _entries(rows, 2, space.dim, "operator"),
-        parity).validate_parity(space)
+def _matrix(cls, rows, n, what, parity=EVEN):
+    """The n x n SparseMatrix `cls` whose nonzeros are the checked rows."""
+    return cls.__new__(cls)._store(n, {
+        (i, j): x for (i,), vec in _entries(rows, 2, n, what).items()
+        for j, x in vec.items()}, parity)
 
 
 def _read_operator(block, space):
     """An operator block acting on `space`."""
     _walk(block, "operator")
     _expect(block["parity"] in ("even", "odd"), "operator parity")
-    return _operator(block["entries"], space,
-                     EVEN if block["parity"] == "even" else ODD)
+    return _matrix(OperatorMap, block["entries"], space.dim, "operator",
+                   EVEN if block["parity"] == "even" else ODD
+                   ).validate_parity(space)
 
 
 def _read_gde(block, space):
     """A gde block acting on `space`, not yet verified."""
     _walk(block, "gde")
-    d = _operator(block["d"], space, ODD)
+    d = _matrix(OperatorMap, block["d"], space.dim, "operator",
+                ODD).validate_parity(space)
     _expect(len(block["a0"]) == space.dim,
             "a0 must list one scalar per basis vector")
     return GdeData(d, Element.sparse(space.dim, _nonzeros(block["a0"])))
 
 
 def _nonzeros(texts):
-    """{i: value} for the nonzero scalars among the texts."""
-    return {i: x for i, text in enumerate(texts) if (x := parse_scalar(text))}
+    """{i: value} for the nonzero scalars: each text but 0/1 is parsed."""
+    return {i: parse_scalar(text) for i, text in enumerate(texts)
+            if text != _ZERO_TEXT}
 
 
 def _read_document(obj, blocks=True):
@@ -240,22 +254,22 @@ def _read_document(obj, blocks=True):
             "unsupported format_version")
     p, qd = obj["even_dim"], obj["odd_dim"]
     _expect(p >= 0 and qd >= 0, "dimensions must be non-negative integers")
-    _expect(p + qd <= MAX_DIM, "dimension %s exceeds the cap of %d"
-            % (Decimal(p + qd), MAX_DIM))
+    if p + qd > MAX_DIM:
+        raise DocumentSyntaxError("dimension %s exceeds the cap of %d"
+                                  % (Decimal(p + qd), MAX_DIM))
     space = SuperSpace(p, qd)
     n = space.dim
-    constants = _entries(obj["constants"], 3, n, "constants")
-    gram = _entries(obj["gram"], 2, n, "gram")
-    # grading gates (distinct from syntax): constants grading is enforced by
-    # the SuperAlgebra constructor; cross-parity gram entries violate
-    # evenness
-    for (i, j) in gram:
-        if space.parity(i) != space.parity(j):
+    pairs = _entries(obj["constants"], 3, n, "constants")
+    gram = _matrix(BilinearForm, obj["gram"], n, "gram")
+    # grading gates (distinct from syntax): the Gram's evenness, then the
+    # constants' grading in the store; D is their lcm, so needs no gcd
+    for (i, j) in gram.entries:
+        if (i < p) != (j < p):
             raise GradingError("evenness violated at gram entry (%d,%d)"
                                % (i, j))
-    algebra = SuperAlgebra(space, constants, name=obj["name"])
-    q = QuadraticAlgebra(algebra, BilinearForm.from_entries(n, gram),
-                         validated=False)
+    algebra = SuperAlgebra.__new__(SuperAlgebra)._store(
+        space, *linalg.scaled(pairs), obj["name"])
+    q = QuadraticAlgebra(algebra, gram, validated=False)
     operator = (_read_operator(obj["operator"], space)
                 if "operator" in obj else None)
     gde = _read_gde(obj["gde"], space) if "gde" in obj else None
@@ -336,7 +350,7 @@ def parse_tree(text):
 def _read_tree(obj):
     _expect(type(obj) is dict, "tree node must be an object")
     kind = obj.get("kind")
-    _expect(kind in _NODE_KINDS, "unknown tree node kind %r" % (kind,))
+    _expect(kind in _NODE_KINDS, "unknown tree node kind %r", kind)
     _walk(obj, kind)
     q, _op, _gde = _read_document(obj["document"], blocks=False)
     if kind == "leaf":
@@ -350,7 +364,7 @@ def _read_tree(obj):
         # a document that fails an axiom is named before its basis, as
         # when every node was validated on reading
         QuadraticAlgebra.validate(q.algebra, q.form)
-    _expect(shaped, "basis must list %d columns of %d scalars" % (n, n))
+    _expect(shaped, "basis must list %d columns of %d scalars", n, n)
     basis = tuple(map(_nonzeros, cols))
     if kind == "sum":
         _expect(obj["children"], "sum node needs children")

@@ -35,6 +35,21 @@ def test_round_trip_byte_identical(name, params):
     assert again == text
 
 
+def test_constants_are_cleared_to_the_lcm_of_their_denominators():
+    """Denominators 2, 3 and 4 clear to D = 12, their lcm (not 4, their
+    largest); parsing stores the ints and emitting gives the text back."""
+    text = json.dumps({
+        "constants": [[0, 0, 0, "1/2"], [0, 0, 1, "-2/3"], [1, 1, 0, "3/4"],
+                      [1, 1, 1, "5/1"]],
+        "even_dim": 2, "format_version": 1,
+        "gram": [[0, 0, "1/1"], [1, 1, "1/3"]], "name": "mixed",
+        "odd_dim": 0}, sort_keys=True, separators=(",", ":")) + "\n"
+    q, _op, _gde = parse_document(text)
+    assert q.algebra.int_table() == (12, {(0, 0): {0: 6, 1: -8},
+                                          (1, 1): {0: 9, 1: 60}})
+    assert emit_document(q) == text
+
+
 def test_scalar_text_rules():
     from fractions import Fraction
 
