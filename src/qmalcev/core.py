@@ -4,11 +4,11 @@ A superalgebra lives on a Z2-graded space with the even basis vectors first.
 The products b_i b_j = sum_k c(i, j, k) b_k are stored once, as the int
 table (D, {(i, j): {k: D c(i, j, k)}}), nonzero entries only, with D the lcm
 of the denominators.  One store, `SuperAlgebra._store`, checks each index
-against the range and the grading, for the constructor and for the builders
-that rewrite, cut and sum int tables (`change_basis`, `_summed`).  Fractions
-are formed only at the boundary: the constructor reads them, the views
-`constants` and `pair_table()` and `product` divide by D, and a witness
-divides its sums back; a document prints its constants from the store.
+against the range and the grading, for the constructor, the document reader
+and the builders that rewrite, cut and sum int tables (`change_basis`,
+`_summed`).  Fractions are formed only at the boundary: the constructor and
+the reader read them, `constants`, `pair_table()` and `product` divide by
+D, and a witness divides its sums back; emit prints from the store.
 A vector times the int table is one `linalg.combine_table`, and u v is
 `linalg.combine` of the products u b_w with v.  The L_i and R_j that
 generate the multiplication algebra are the int table's column maps,

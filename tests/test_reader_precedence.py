@@ -1,12 +1,14 @@
 """Which error the reader names when a document or tree is broken twice.
 
-Each row breaks a canonical document (`check`) or tree (`rebuild`) in two
-places and pins the exit code and the one stderr line: the schema's
-missing key before an unknown key, the first bad key in document order,
-a row's index range before its order, its order before its scalar, a
-non-canonical zero as a syntax error wherever it stands (constants,
-basis columns, a0), syntax before grading, the Gram's grading before the
-constants', and a node's failing axiom before its basis shape.
+Each row breaks a canonical document (`check`) or tree (`rebuild`) twice,
+in two places or one place two ways, and pins the exit code and the one
+stderr line: the schema's missing key before an unknown key, the first
+bad key in document order, a row's index range before its order, its
+order before its scalar, a non-canonical zero as a syntax error wherever
+it stands (constants, basis columns, a0), syntax before grading, the
+Gram's grading before the constants', and a node's failing axiom before
+its basis shape.  These are the orders a reader that checks each row in
+one pass could change; every row passed before the reader did so.
 """
 
 import json
