@@ -231,6 +231,7 @@ TREE_CASES = {
         _odd_tree, _both(_edits((("document", "constants", 0, 3), "7/1")),
                          lambda t: t["basis"].pop()),
         3, _AXIOM + "form axioms failed: invariant"),
+    # the control: on a document that validates, the basis shape is named
     "unshaped_basis_alone": (
         _sum_tree, _edits((("basis", 0), ["1/1"])),
         2, _PARSE + "basis must list 4 columns of 4 scalars"),
